@@ -347,7 +347,7 @@ def _cmd_codazzi(args):
 
 def _cmd_pde(args):
     from .expr import parse_expression
-    from .pde import BlowUpError, Grid1D, export_csv, save_field, solve_mol
+    from .pde import BlowUpError, CflError, Grid1D, export_csv, save_field, solve_mol
 
     fam = _load(args)
     grid = Grid1D(args.xmin, args.xmax, args.nx)
@@ -358,6 +358,8 @@ def _cmd_pde(args):
     space = args.space if args.space == "spectral" else int(args.space)
     try:
         field = solve_mol(fam, grid, u0, args.tmax, args.dt, space=space, n_save=args.nsave)
+    except CflError:
+        raise  # a one-line message that names dt and its cap, not a blow-up report
     except BlowUpError as exc:
         _emit(args, {"family": fam.name, "result": "blow-up", "t": exc.t,
                      "amplitude": exc.amplitude}, "pde")

@@ -13,11 +13,13 @@ Fields expose jets: EXACT fields (closed-form u(x, t)) sample them
 analytically through truncated Taylor series in x whose coefficients are
 dual numbers in t; NUMERIC fields use centered finite-difference
 stencils of declared order at the grid nodes and stored snapshot times,
-with declared 2nd-order linear interpolation between them.
+with periodic Catmull-Rom interpolation in x (3rd order) between nodes
+and linear interpolation in t (2nd order) between snapshots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -54,14 +56,22 @@ class PdeError(RuntimeError):
 
 
 class BlowUpError(PdeError):
-    def __init__(self, t, amplitude):
+    def __init__(self, t, amplitude, message=None):
         self.t = t
         self.amplitude = amplitude
-        super().__init__(f"|u|_inf = {amplitude:.3e} exceeded the blow-up cap at t = {t:.6g}")
+        super().__init__(message or f"|u|_inf = {amplitude:.3e} exceeded the blow-up cap at t = {t:.6g}")
 
 
-class CflError(PdeError):
-    pass
+class CflError(BlowUpError):
+    """dt above the step cap c*dx/max(1, |lam| max u^2): at t = 0 the data is
+    too large for dt; later the amplitude has grown past what dt can march,
+    the onset of a blow-up."""
+
+    def __init__(self, t, amplitude, dt, cap):
+        self.dt = dt
+        self.cap = cap
+        super().__init__(t, amplitude, f"dt = {dt} exceeds the heuristic cap {cap:.3e} "
+                                       f"(= c*dx/max(1, |lam| max u^2)) at t = {t:.6g}")
 
 
 BLOWUP_CAP = 1e6
@@ -121,20 +131,21 @@ def fd_weights(m, offsets):
     return np.linalg.solve(A, rhs)
 
 
-def _central_offsets(m, acc=4):
+@functools.lru_cache(maxsize=None)
+def _central_stencil(m, acc):
+    """(offsets, weights) of the centered m-th derivative stencil of accuracy acc."""
     half = (m + acc - 1) // 2
-    return np.arange(-half, half + 1)
+    off = np.arange(-half, half + 1)
+    return tuple(int(o) for o in off), tuple(fd_weights(m, off))
 
 
 def periodic_derivative(u, dx, m, acc=4):
-    """m-th x-derivative of a periodic sample array, centered stencils."""
+    """m-th x-derivative (along the last axis) of periodic samples, centered stencils."""
     if m == 0:
         return np.asarray(u).copy()
-    off = _central_offsets(m, acc)
-    w = fd_weights(m, off)
     out = np.zeros_like(np.asarray(u, dtype=float))
-    for o, c in zip(off, w):
-        out += c * np.roll(u, -int(o))
+    for o, c in zip(*_central_stencil(m, acc)):
+        out += c * np.roll(u, -o, axis=-1)
     return out / dx**m
 
 
@@ -312,8 +323,13 @@ class SolutionField:
 
     def __init__(self, grid, times, frames=None, expression=None, provenance=None):
         self.grid = grid
-        self.times = np.asarray(times, dtype=float)
-        self.frames = None if frames is None else np.asarray(frames, dtype=float)
+        self.times = np.array(times, dtype=float)
+        self.times.setflags(write=False)
+        self.frames = None
+        if frames is not None:
+            self.frames = np.array(frames, dtype=float)
+            self.frames.setflags(write=False)
+        self._row_stack = None
         self.expression = expression
         self.provenance = dict(provenance or {})
         if (frames is None) == (expression is None):
@@ -355,7 +371,7 @@ class SolutionField:
         return zs, ws, vs
 
     def sample_env(self, x, t, order):
-        """Vectorized jet environment {z0.., w1, v1} at (x array, scalar t)."""
+        """Vectorized jet environment {z0.., w1, v1, x, t} at x and t broadcast together."""
         if self.kind == "EXACT":
             if order < 1:
                 raise PdeError("order >= 1 required (w1, v1 are part of a jet sample)")
@@ -367,20 +383,82 @@ class SolutionField:
             env["x"] = xb
             env["t"] = tb
             return env
-        if np.ndim(t) > 0 and np.size(t) > 1:
-            return self._numeric_env_multi_t(x, t, order)
-        return self._numeric_env(x, float(np.asarray(t).reshape(-1)[0]) if np.ndim(t) else t, order)
+        return self._numeric_env(x, t, order)
 
     # -- NUMERIC sampling -------------------------------------------------
-    def _x_weights(self, x):
-        """Bracketing node indices and blend weight for periodic sampling."""
+    def _rows(self, order):
+        """Rows w1, v1, z0..z_order at every snapshot, shape (order + 3, S, nx).
+
+        Built the first time the field is sampled and again only for a higher
+        order; frames and times are read-only, so the rows cannot go stale."""
+        rows = self._row_stack
+        if rows is None or len(rows) < order + 3:
+            acc = int(self.provenance.get("space_accuracy", 4))
+            dx = self.grid.dx
+            rows = np.empty((order + 3,) + self.frames.shape)
+            rows[0] = self._time_slopes()
+            rows[1] = periodic_derivative(rows[0], dx, 1, acc=acc)
+            rows[2] = self.frames
+            for m in range(1, order + 1):
+                rows[2 + m] = periodic_derivative(self.frames, dx, m, acc=acc)
+            self._row_stack = rows
+        return rows
+
+    def _time_weights(self, t):
+        """(lo, hi, weight, on_snapshot) of the linear t blend; lo = hi on snapshots."""
+        ts = self.times
+        lo = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
+        hi = lo + 1
+        near = np.where(np.abs(ts[hi] - t) < np.abs(ts[lo] - t), hi, lo)
+        snap = np.abs(ts[near] - t) <= 1e-9 * np.maximum(1.0, np.abs(t))
+        outside = ~snap & ((t < ts[0] - 1e-9) | (t > ts[-1] + 1e-9))
+        if np.any(outside):
+            raise PdeError(f"t = {t[outside].flat[0]} outside the stored time range")
+        w = np.where(snap, 0.0, (t - ts[lo]) / (ts[hi] - ts[lo]))
+        return np.where(snap, near, lo), np.where(snap, near, hi), w, snap
+
+    def _x_stencil(self, x):
+        """Periodic node indices (i0-1, i0, i0+1, i0+2), stacked, and the blend weight in [i0, i0+1]."""
         g = self.grid
-        idx = (np.asarray(x, dtype=float) - g.x_min) / g.dx
+        idx = (x - g.x_min) / g.dx
+        node = np.rint(idx)
+        idx = np.where(np.abs(idx - node) < 1e-9, node, idx)  # nodes sample exactly, with w = 0
         i0 = np.floor(idx).astype(int)
         w = idx - i0
-        snap = np.abs(w - np.rint(w)) < 1e-9
-        w = np.where(snap, np.rint(w), w)
-        return np.mod(i0, g.nx), np.mod(i0 + 1, g.nx), w
+        return np.mod(i0 + np.arange(-1, 3).reshape((4,) + (1,) * i0.ndim), g.nx), w
+
+    def _numeric_env(self, x, t, order):
+        """Jets from the snapshot rows: the 4-node x stencil is gathered at the
+        bracketing snapshots and blended linearly in t (exactly the derivatives
+        of the blended frame: differentiation is linear), then periodic
+        Catmull-Rom in x.  Off the snapshots, w1 and v1 are the bracketing
+        divided differences of z0 and z1."""
+        max_order = int(self.provenance.get("max_jet_order", 5))
+        if order > max_order:
+            raise PdeError(f"NUMERIC field supports jet order <= {max_order}")
+        x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+        lo, hi, wt, snap = self._time_weights(t)
+        nodes, w = self._x_stencil(x)
+        rows = self._rows(max(order, 1))  # z1 too: v1 off the snapshots is its divided difference
+        flat = rows.reshape(len(rows), -1)
+        st = np.take(flat, np.stack([lo, hi])[:, None] * self.grid.nx + nodes, axis=1)  # (rows, 2, 4, ...)
+        p = (1.0 - wt) * st[:, 0] + wt * st[:, 1]
+        if not np.all(snap):
+            span = np.where(snap, 1.0, self.times[hi] - self.times[lo])
+            p[:2] = np.where(snap, p[:2], (st[2:4, 1] - st[2:4, 0]) / span)
+        pm, p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
+        # exact at nodes; periodic Catmull-Rom (C^1, 3rd order) off-node
+        v = p0 + 0.5 * w * (
+            (p1 - pm)
+            + w * ((2.0 * pm - 5.0 * p0 + 4.0 * p1 - p2)
+                   + w * (3.0 * (p0 - p1) + p2 - pm))
+        )
+        env = {f"z{m}": v[m + 2] for m in range(order + 1)}
+        env["w1"] = v[0]
+        env["v1"] = v[1]
+        env["x"] = np.array(x)
+        env["t"] = np.array(t)
+        return env
 
     def _time_index(self, t):
         j = int(np.argmin(np.abs(self.times - t)))
@@ -388,91 +466,20 @@ class SolutionField:
             raise PdeError(f"no stored snapshot near t = {t}")
         return j
 
-    def _frame_at(self, t):
-        """Snapshot at t, linearly interpolated between stored frames.
-
-        Exact at snapshot times; otherwise 2nd order in the snapshot
-        spacing (declared in provenance as time_interpolation)."""
-        ts = self.times
-        j = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[j] - t) <= 1e-9 * max(1.0, abs(t)):
-            return self.frames[j]
-        if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
-            raise PdeError(f"t = {t} outside the stored time range")
-        j = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1.0 - w) * self.frames[j] + w * self.frames[j + 1]
-
-    def _numeric_env(self, x, t, order):
-        max_order = int(self.provenance.get("max_jet_order", 5))
-        if order > max_order:
-            raise PdeError(f"NUMERIC field supports jet order <= {max_order}")
-        g = self.grid
-        i0, i1, w = self._x_weights(x)
-        acc = int(self.provenance.get("space_accuracy", 4))
-        frame = self._frame_at(t)
-        derivs = [frame]
-        for m in range(1, order + 1):
-            derivs.append(periodic_derivative(frame, g.dx, m, acc=acc))
-        w1_all, v1_all = self._time_slopes_at(t)
-        im = np.mod(i0 - 1, g.nx)
-        i2 = np.mod(i0 + 2, g.nx)
-
-        def at(arr):
-            # exact at nodes; periodic Catmull-Rom (C^1, 3rd order) off-node
-            pm, p0, p1, p2 = arr[im], arr[i0], arr[i1], arr[i2]
-            return p0 + 0.5 * w * (
-                (p1 - pm)
-                + w * ((2.0 * pm - 5.0 * p0 + 4.0 * p1 - p2)
-                       + w * (3.0 * (p0 - p1) + p2 - pm))
-            )
-
-        env = {f"z{m}": at(derivs[m]) for m in range(order + 1)}
-        env["w1"] = at(w1_all)
-        env["v1"] = at(v1_all)
-        env["x"] = np.asarray(x, dtype=float) + 0.0 * w
-        env["t"] = np.full_like(np.asarray(env["x"], dtype=float), t)
-        return env
-
-    def _numeric_env_multi_t(self, x, t, order):
-        """Array-t sampling: group by time level, one _numeric_env per level."""
-        xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-        keys = [f"z{m}" for m in range(order + 1)] + ["w1", "v1", "x", "t"]
-        out = {k: np.empty(xb.shape) for k in keys}
-        for tv in np.unique(tb):
-            mask = tb == tv
-            env = self._numeric_env(xb[mask], float(tv), order)
-            for k in keys:
-                out[k][mask] = env[k]
-        return out
-
-    def _time_slopes_at(self, t):
-        """(w1, v1) arrays at time t: centered stencils at snapshots, the
-        bracketing divided difference between them."""
-        ts = self.times
-        j = int(np.argmin(np.abs(ts - t)))
-        if abs(ts[j] - t) <= 1e-9 * max(1.0, abs(t)):
-            return self._time_slopes(j)
-        j = int(np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2))
-        du = (self.frames[j + 1] - self.frames[j]) / (ts[j + 1] - ts[j])
-        acc = int(self.provenance.get("space_accuracy", 4))
-        return du, periodic_derivative(du, self.grid.dx, 1, acc=acc)
-
-    def _time_slopes(self, j):
+    def _time_slopes(self):
+        """u_t at every snapshot, shape (S, nx): centered inside, one-sided
+        2nd order at the ends; with two snapshots, their divided difference."""
         ts, fr = self.times, self.frames
         if len(ts) < 2:
             raise PdeError("NUMERIC field needs at least two snapshots for w1")
-        if 0 < j < len(ts) - 1:
-            dt = ts[j + 1] - ts[j - 1]
-            du = (fr[j + 1] - fr[j - 1]) / dt
-        elif j == 0:
-            dt = ts[1] - ts[0]
-            du = (-3.0 * fr[0] + 4.0 * fr[1] - fr[2]) / (2.0 * dt) if len(ts) > 2 else (fr[1] - fr[0]) / dt
+        du = np.empty_like(fr)
+        if len(ts) > 2:
+            du[1:-1] = (fr[2:] - fr[:-2]) / (ts[2:] - ts[:-2])[:, None]
+            du[0] = (-3.0 * fr[0] + 4.0 * fr[1] - fr[2]) / (2.0 * (ts[1] - ts[0]))
+            du[-1] = (3.0 * fr[-1] - 4.0 * fr[-2] + fr[-3]) / (2.0 * (ts[-1] - ts[-2]))
         else:
-            dt = ts[-1] - ts[-2]
-            du = (3.0 * fr[-1] - 4.0 * fr[-2] + fr[-3]) / (2.0 * dt) if len(ts) > 2 else (fr[-1] - fr[-2]) / dt
-        acc = int(self.provenance.get("space_accuracy", 4))
-        return du, periodic_derivative(du, self.grid.dx, 1, acc=acc)
+            du[:] = (fr[1] - fr[0]) / (ts[1] - ts[0])
+        return du
 
     def discrete_zt_env(self, t, upto):
         """Mixed derivatives z_{k,t} measured from the stored snapshots.
@@ -483,8 +490,7 @@ class SolutionField:
         """
         if self.kind != "NUMERIC":
             raise PdeError("discrete z_{k,t} applies to NUMERIC fields")
-        j = self._time_index(t)
-        du, _ = self._time_slopes(j)
+        du = self._time_slopes()[self._time_index(t)]
         acc = int(self.provenance.get("space_accuracy", 4))
         return [periodic_derivative(du, self.grid.dx, k, acc=acc) if k else du for k in range(upto + 1)]
 
@@ -543,10 +549,12 @@ def kink_field(eta, grid: Grid1D, t_span=(-6.0, 6.0)) -> SolutionField:
 
 
 def _space_ops(grid, space):
+    """u -> (u_x, u_xx, u_xxx); spectral: one rfft of u and one batched irfft."""
     if space == "spectral":
-        return lambda u, m: spectral_derivative(grid, u, m)
+        symbols = np.stack([(1j * grid.wavenumbers()) ** m for m in (1, 2, 3)])
+        return lambda u: np.fft.irfft(np.fft.rfft(u) * symbols, n=grid.nx)
     acc = int(space)
-    return lambda u, m: periodic_derivative(u, grid.dx, m, acc=acc)
+    return lambda u: [periodic_derivative(u, grid.dx, m, acc=acc) for m in (1, 2, 3)]
 
 
 def solve_mol(
@@ -577,7 +585,6 @@ def solve_mol(
     nsteps = int(round(t_max / dt))
     if abs(nsteps * dt - t_max) > 1e-9 * max(1.0, abs(t_max)):
         raise PdeError("t_max must be an integer number of steps")
-    deriv = _space_ops(grid, space)
     sg = fam.params.branch == Branch.SINE_GORDON
 
     if sg:
@@ -588,20 +595,25 @@ def solve_mol(
 
     else:
         lam = fam.params.lam
-        cfl = cfl_coefficient * grid.dx / max(1.0, abs(lam) * float(np.max(u * u)))
-        if dt > cfl:
-            raise CflError(f"dt = {dt} exceeds the heuristic cap {cfl:.3e} (= c*dx/max(1, |lam| max u^2))")
+        derivs = _space_ops(grid, space)
+        xs = grid.nodes()
+        kw = grid.wavenumbers()
+        helmholtz = 1.0 + kw * kw  # divided by, as in helmholtz_invert: same rounding
 
         def rhs(uu):
-            env = {
-                "z0": uu,
-                "z1": deriv(uu, 1),
-                "z2": deriv(uu, 2),
-                "z3": deriv(uu, 3),
-                "x": grid.nodes(),
-                "t": 0.0,
-            }
-            return helmholtz_invert(grid, lam * uu * uu * env["z3"] + fam.G_fn(env))
+            z1, z2, z3 = derivs(uu)
+            env = {"z0": uu, "z1": z1, "z2": z2, "z3": z3, "x": xs, "t": 0.0}
+            f = lam * uu * uu * z3 + fam.G_fn(env)
+            return np.fft.irfft(np.fft.rfft(f) / helmholtz, n=grid.nx)
+
+    def check_cfl(t, amp):
+        if sg:
+            return
+        cap = cfl_coefficient * grid.dx / max(1.0, abs(lam) * (amp * amp))
+        if dt > cap:
+            raise CflError(t, amp, dt, cap)
+
+    check_cfl(0.0, float(np.max(np.abs(u))))
 
     save_every = max(1, nsteps // max(1, n_save - 1))
     times = [0.0]
@@ -617,13 +629,14 @@ def solve_mol(
         amp = float(np.max(np.abs(u)))
         if not np.isfinite(amp) or amp > BLOWUP_CAP:
             raise BlowUpError(t, amp)
+        check_cfl(t, amp)
         if k % save_every == 0 or k == nsteps:
             times.append(t)
             frames.append(u.copy())
     return SolutionField(
         grid,
         times,
-        frames=np.array(frames),
+        frames=frames,
         provenance={
             "type": "NUMERIC",
             "equation": fam.name,
@@ -632,7 +645,7 @@ def solve_mol(
             "dt": dt,
             "scheme": "RK4 + spectral Helmholtz inverse" if not sg else "RK4 light-cone quadrature",
             "max_jet_order": 5,
-            "off_node_sampling": "periodic linear in x, linear in t (2nd order)",
+            "off_node_sampling": "periodic Catmull-Rom in x (3rd order), linear in t (2nd order)",
         },
     )
 
@@ -642,6 +655,7 @@ def solve_mol(
 
 
 _MAGIC = b"PSSF"
+_HEADER_BYTES = 32  # magic, <III version nx S, <dd x_min x_max
 
 
 def save_field(field: SolutionField, path):
@@ -659,15 +673,21 @@ def save_field(field: SolutionField, path):
 
 def load_field(path) -> SolutionField:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise PdeError(f"bad magic {magic!r}")
-        version, nx, S = struct.unpack("<III", fh.read(12))
-        if version != 1:
-            raise PdeError(f"unsupported version {version}")
-        x_min, x_max = struct.unpack("<dd", fh.read(16))
-        times = np.frombuffer(fh.read(8 * S), dtype="<f8")
-        data = np.frombuffer(fh.read(8 * S * nx), dtype="<f8").reshape(S, nx)
+        buf = fh.read()
+    if buf[:4] != _MAGIC:
+        raise PdeError(f"bad magic {buf[:4]!r}")
+    if len(buf) < _HEADER_BYTES:
+        raise PdeError(f"{path}: PSSF header needs {_HEADER_BYTES} bytes, the file has {len(buf)}")
+    version, nx, S = struct.unpack_from("<III", buf, 4)
+    if version != 1:
+        raise PdeError(f"unsupported version {version}")
+    x_min, x_max = struct.unpack_from("<dd", buf, 16)
+    expected = _HEADER_BYTES + 8 * S * (1 + nx)
+    if S < 1 or len(buf) != expected:
+        raise PdeError(f"{path}: a PSSF with nx = {nx} and {S} snapshots is {expected} bytes, "
+                       f"the file has {len(buf)}")
+    times = np.frombuffer(buf, dtype="<f8", count=S, offset=_HEADER_BYTES)
+    data = np.frombuffer(buf, dtype="<f8", count=S * nx, offset=_HEADER_BYTES + 8 * S).reshape(S, nx)
     return SolutionField(
         Grid1D(x_min, x_max, nx),
         times,

@@ -175,3 +175,14 @@ def test_full_pipeline_numeric_field_reconstruction(tmp_path):
     assert -1.05 <= dd["K_min"] and dd["K_max"] <= -0.95
     assert dd["drift_max"] <= 1e-6
     assert dd["delta12_min"] > 0.1
+
+
+def test_pde_cfl_crossing_mid_march_is_one_line(tmp_path, capsys):
+    # dt passes the cap at t = 0; the growing amplitude crosses it later
+    code = run(["pde", "--preset", "novikov", "--nx", "64", "--xmin", "0", "--xmax", "6.283185307179586",
+                "--u0", "10*sin(x)", "--dt", "2e-4", "--tmax", "0.02",
+                "--report", str(tmp_path / "r.json"), "--deterministic"])
+    err = capsys.readouterr().err
+    assert code == EXIT_FAIL
+    assert err.startswith("pss: dt = 0.0002 exceeds the heuristic cap") and err.count("\n") == 1
+    assert err.rstrip().endswith("at t = 0.0128")  # crossed during the march, not at the start

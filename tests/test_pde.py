@@ -19,6 +19,7 @@ from pss.pde import (
     helmholtz_invert,
     kink_field,
     load_field,
+    periodic_derivative,
     sample_jet,
     save_field,
     solve_mol,
@@ -145,11 +146,96 @@ def test_numeric_off_grid_samples_interpolate():
                       provenance={"type": "NUMERIC", "space_accuracy": 4, "max_jet_order": 5})
     x = g.nodes()[40] + 0.37 * g.dx
     p = sample_jet(f, x, 0.0, 2)
-    # off-node sampling is a periodic linear blend: 2nd order in dx
+    # off-node sampling is periodic Catmull-Rom: 3rd order in dx, inside this bound
     assert abs(p.z[0] - math.sin(x)) < g.dx**2
     assert abs(p.z[1] - math.cos(x)) < g.dx**2
     with pytest.raises(PdeError):
         sample_jet(f, g.nodes()[3], 2.5, 2)  # beyond the stored time range
+
+
+def _travelling_field(nx=64, S=9):
+    """NUMERIC field of u = sin(x - 0.7 t) + 0.2 cos(2x) t^2 at S snapshots on t in [0, 0.4]."""
+    g = Grid1D(0.0, 2 * np.pi, nx)
+    ts = np.linspace(0.0, 0.4, S)
+    x = g.nodes()
+    frames = np.array([np.sin(x - 0.7 * t) + 0.2 * np.cos(2 * x) * t * t for t in ts])
+    return SolutionField(g, ts, frames=frames,
+                         provenance={"type": "NUMERIC", "space_accuracy": 4, "max_jet_order": 5})
+
+
+def _catmull_rom(arr, g, x):
+    """Reference periodic Catmull-Rom of node values arr at the points x."""
+    idx = (x - g.x_min) / g.dx
+    i0 = np.floor(idx).astype(int)
+    w = idx - i0
+    pm, p0, p1, p2 = (arr[np.mod(i0 + o, g.nx)] for o in (-1, 0, 1, 2))
+    return p0 + 0.5 * w * ((p1 - pm) + w * ((2 * pm - 5 * p0 + 4 * p1 - p2) + w * (3 * (p0 - p1) + p2 - pm)))
+
+
+def test_numeric_snapshot_samples_are_frame_derivatives():
+    """At snapshot times and nodes the jets are the stencil derivatives of
+    that frame, and w1, v1 the centered snapshot slope and its x-derivative,
+    bit for bit."""
+    f = _travelling_field()
+    g, ts = f.grid, f.times
+    for j in (0, 4, len(ts) - 1):
+        env = f.sample_env(g.nodes(), ts[j], 5)
+        for m in range(6):
+            assert np.array_equal(env[f"z{m}"], periodic_derivative(f.frames[j], g.dx, m, acc=4))
+        if j == 4:
+            du = (f.frames[5] - f.frames[3]) / (ts[5] - ts[3])
+            assert np.array_equal(env["w1"], du)
+            assert np.array_equal(env["v1"], periodic_derivative(du, g.dx, 1, acc=4))
+
+
+def test_numeric_off_snapshot_samples_match_blended_frame():
+    """Between snapshots and nodes the jets equal Catmull-Rom of the
+    derivatives of the linearly blended frame (w1, v1: of the bracketing
+    divided difference) to 1e-12 on the scale dx^-m of an m-th difference,
+    which amplifies the rounding of the swapped blend by that factor."""
+    f = _travelling_field()
+    g, ts = f.grid, f.times
+    rng = np.random.default_rng(5)
+    x = rng.uniform(g.x_min, g.x_max, 50)
+    for t in (0.013, 0.2371, 0.399):
+        j = int(np.searchsorted(ts, t)) - 1
+        w = (t - ts[j]) / (ts[j + 1] - ts[j])
+        frame = (1 - w) * f.frames[j] + w * f.frames[j + 1]
+        du = (f.frames[j + 1] - f.frames[j]) / (ts[j + 1] - ts[j])
+        env = f.sample_env(x, t, 5)
+        ref = [(f"z{m}", m, periodic_derivative(frame, g.dx, m, acc=4)) for m in range(6)]
+        ref += [("w1", 0, du), ("v1", 1, periodic_derivative(du, g.dx, 1, acc=4))]
+        for key, m, nodal in ref:
+            assert np.max(np.abs(env[key] - _catmull_rom(nodal, g, x))) <= 1e-12 * g.dx**-m, key
+
+
+def test_numeric_array_t_equals_pointwise():
+    f = _travelling_field()
+    g, ts = f.grid, f.times
+    rng = np.random.default_rng(6)
+    x = np.concatenate([g.nodes()[[3, 17, 40]], rng.uniform(g.x_min, g.x_max, 9)])
+    t = np.concatenate([ts[[0, 2, 8]], rng.uniform(ts[0], ts[-1], 6), ts[[1, 5, 7]]])
+    env = f.sample_env(x, t, 5)
+    for i in range(len(x)):
+        one = f.sample_env(np.array([x[i]]), t[i], 5)
+        for key, val in one.items():
+            assert np.array_equal(env[key][i:i + 1], val), key
+    scalar_x = f.sample_env(x[4], t, 3)  # one x swept in t, the t-spine's shape
+    for i in range(len(t)):
+        assert scalar_x["z3"][i] == f.sample_env(np.array([x[4]]), t[i], 3)["z3"][0]
+
+
+def test_numeric_frames_read_only(tmp_path):
+    f = _travelling_field()
+    f.sample_env(f.grid.nodes(), 0.1, 3)
+    with pytest.raises(ValueError):
+        f.frames[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        f.times[0] = 1.0
+    path = tmp_path / "f.pssf"
+    save_field(f, path)
+    with pytest.raises(ValueError):
+        load_field(path).frames[1, 2] = 0.0
 
 
 def test_numeric_order_cap():
@@ -190,6 +276,43 @@ def test_blow_up_detector_reports_time():
     with pytest.raises(BlowUpError) as err:
         solve_mol(novikov_preset(), g, u0, 2.0, 2e-4)
     assert err.value.t > 0
+
+
+def test_cfl_rechecked_during_march():
+    # the blow-up data passes the cap at t = 0; its amplitude then grows
+    # past what dt can march, and the guard stops it with the time
+    g = Grid1D(0.0, 2 * np.pi, 64)
+    u0 = 10.0 * np.sin(g.nodes())
+    dt = 2e-4
+    assert dt <= 0.5 * g.dx / float(np.max(u0 * u0))
+    with pytest.raises(CflError) as err:
+        solve_mol(novikov_preset(), g, u0, 2.0, dt)
+    assert 0.0 < err.value.t < 0.0134  # before the amplitude cap fires
+    assert err.value.cap < dt
+    assert err.value.amplitude > float(np.max(np.abs(u0)))
+
+
+def test_spectral_rk4_matches_reference_rhs():
+    """The march's shared-rfft right-hand side gives, bit for bit, the RK4
+    steps of the one built from spectral_derivative and helmholtz_invert."""
+    fam = novikov_preset()
+    g = Grid1D(0.0, 2 * np.pi, 128)
+    u = 0.1 + 0.05 * np.cos(g.nodes()) + 0.02 * np.sin(3 * g.nodes())
+    dt, steps = 1e-3, 4
+    f = solve_mol(fam, g, u, steps * dt, dt, n_save=steps + 1)
+
+    def rhs(uu):
+        env = {"z0": uu, "x": g.nodes(), "t": 0.0}
+        env.update({f"z{m}": spectral_derivative(g, uu, m) for m in (1, 2, 3)})
+        return helmholtz_invert(g, fam.params.lam * uu * uu * env["z3"] + fam.G_fn(env))
+
+    for k in range(1, steps + 1):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(f.frames[k], u)
 
 
 def test_sine_gordon_march_fourth_order():
@@ -272,6 +395,33 @@ def test_field_file_roundtrip(tmp_path):
     assert np.array_equal(f2.times, f.times)
     assert np.array_equal(f2.frames, f.frames)
     assert path.read_bytes()[:4] == b"PSSF"
+
+
+def test_truncated_field_file_rejected(tmp_path, capsys):
+    from pss.cli import EXIT_FAIL, run
+
+    g = Grid1D(0.0, 2 * np.pi, 32)
+    f = solve_mol(novikov_preset(), g, 0.1 + 0.01 * np.sin(g.nodes()), 0.01, 1e-3, n_save=3)
+    good = tmp_path / "field.pssf"
+    save_field(f, good)
+    data = good.read_bytes()
+    bad = tmp_path / "bad.pssf"
+    for cut in (0, 3, 4, 10, 20, 31, 32, 40, 32 + 8 * 3, len(data) // 2, len(data) - 1):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(PdeError) as err:
+            load_field(bad)
+        if cut >= 32:
+            assert f"is {len(data)} bytes, the file has {cut}" in str(err.value)
+    bad.write_bytes(data + b"\0")
+    with pytest.raises(PdeError):
+        load_field(bad)
+    bad.write_bytes(data[: len(data) // 2])
+    capsys.readouterr()
+    code = run(["reconstruct", "--preset", "novikov", "--field", str(bad), "--sigma", "3", "--beta", "0.5",
+                "--grid", "4x4"])
+    err = capsys.readouterr().err
+    assert code == EXIT_FAIL
+    assert err.startswith("pss: ") and err.count("\n") == 1
 
 
 def test_field_csv_export(tmp_path):

@@ -13,11 +13,16 @@ F = lam*z0^2*z3 + G.  The branches:
 
 Every +- / -+ printed in a branch is resolved by the single `sign`
 parameter read vertically: +- maps to sign, -+ maps to -sign.  Structural
-identities shared by all branches:
+identities shared by the five form-(7) branches (all but SINE_GORDON):
 
     f_p1 = mu_p * f11 + eta_p           (p = 2, 3)
     f_i2 = -lam * z0^2 * f_i1 + phi_i2  (phi_i2 a function of z0, z1 only)
     f_i1 depends on z0, z2 only through s = z0 - z2
+
+Each form-(7) builder supplies only f11, phi12, phi22, phi32 and G;
+`Family._form7` applies the first two identities once for all of them,
+with the resolved (mu2, eta2) and (mu3, eta3).  The sine-Gordon builder
+spells out its six f_ij.
 
 Derived constants (never user-set): gamma and eta3 for T23 (eta3 solves
 eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0, root chosen by `root`);
@@ -36,7 +41,7 @@ import numpy as np
 from . import dual
 from .dual import Dual, primal
 from .expr import parse_expression
-from .jets import JetFunction, JetPoint, prolong_env
+from .jets import JetFunction, prolong_env
 
 __all__ = [
     "Branch",
@@ -47,13 +52,10 @@ __all__ = [
     "MissingExpression",
     "validate_params",
     "build_family",
-    "evaluate_G",
-    "evaluate_F",
     "novikov_preset",
     "sine_gordon_preset",
     "PRESETS",
     "family_from_dict",
-    "family_to_dict",
     "load_family",
 ]
 
@@ -275,40 +277,28 @@ class Family:
     # -- construction ---------------------------------------------------
     def _build(self):
         p = self.params
-        b = p.branch
-        need = {
-            Branch.T22: ("f", "phi12"),
-            Branch.T23: ("f",),
-            Branch.T24: ("f", "phi12"),
-            Branch.T25I: (),
-            Branch.T25II: ("phi",),
-            Branch.SINE_GORDON: (),
-        }[b]
+        builder, need = {
+            Branch.T22: (self._build_t22, ("f", "phi12")),
+            Branch.T23: (self._build_t23, ("f",)),
+            Branch.T24: (self._build_t24, ("f", "phi12")),
+            Branch.T25I: (self._build_t25i, ()),
+            Branch.T25II: (self._build_t25ii, ("phi",)),
+            Branch.SINE_GORDON: (self._build_sg, ()),
+        }[p.branch]
         have = {"f": self.f_expr, "phi12": self.phi12_expr, "phi": self.phi_expr}
         for nm in need:
             if have[nm] is None:
-                raise MissingExpression(f"branch {b} requires the expression {nm!r}")
+                raise MissingExpression(f"branch {p.branch} requires the expression {nm!r}")
+        builder(float(p.sign), _k(p.mu2))
 
-        s = float(p.sign)
-        k = _k(p.mu2)
-        builder = {
-            Branch.T22: self._build_t22,
-            Branch.T23: self._build_t23,
-            Branch.T24: self._build_t24,
-            Branch.T25I: self._build_t25i,
-            Branch.T25II: self._build_t25ii,
-            Branch.SINE_GORDON: self._build_sg,
-        }[b]
-        builder(s, k)
-
-    def _wrap(self, fns, g_fn, g_free, phi_fns):
+    def _wrap(self, fns, g_fn, phi_fns):
         zfree = frozenset({"z0", "z1", "z2"})
         names = ("f11", "f12", "f21", "f22", "f31", "f32")
         self.fij_fns = {
             (1 + i // 2, 1 + i % 2): JetFunction(fn, zfree, nm)
             for i, (fn, nm) in enumerate(zip(fns, names))
         }
-        self.G_fn = None if g_fn is None else JetFunction(g_fn, g_free, "G")
+        self.G_fn = None if g_fn is None else JetFunction(g_fn, zfree, "G")
         if g_fn is None:
             self.F_fn = None
         else:
@@ -317,35 +307,59 @@ class Family:
             def F(env, _g=g_fn, _lam=lam):
                 return _lam * env["z0"] ** 2 * env["z3"] + _g(env)
 
-            self.F_fn = JetFunction(F, set(g_free) | {"z0", "z3"}, "F")
+            self.F_fn = JetFunction(F, zfree | {"z3"}, "F")
         self.phi12_fn, self.phi22_fn, self.phi32_fn = (
             JetFunction(fn, {"z0", "z1"}, nm) for fn, nm in zip(phi_fns, ("phi12", "phi22", "phi32"))
         )
 
-    def _build_t22(self, s, k):
+    def _form7(self, f11, phi_fns, G):
+        """Assemble a form-(7) family from f11, (phi12, phi22, phi32) and G
+        through the structural identities f_p1 = mu_p*f11 + eta_p (p = 2, 3)
+        and f_i2 = -lam*z0^2*f_i1 + phi_i2, with the resolved mu_p, eta_p."""
         p = self.params
-        fx, px = self.f_expr, self.phi12_expr
-        mu2, eta2 = p.mu2, p.eta2
-
-        def f11(env):
-            return _f_and_prime(fx, env["z0"] - env["z2"])[0]
-
-        def phi12(env):
-            return px({"z0": env["z0"], "z1": env["z1"]})
-
-        def f12(env):
-            return phi12(env)
+        lam, mu2, eta2, mu3, eta3 = p.lam, p.mu2, p.eta2, p.mu3, p.eta3
 
         def f21(env):
             return mu2 * f11(env) + eta2
 
-        def f22(env):
+        def f31(env):
+            return mu3 * f11(env) + eta3
+
+        def column2(fi1, phi):
+            def fi2(env):
+                return -lam * env["z0"] ** 2 * fi1(env) + phi(env)
+
+            return fi2
+
+        f12, f22, f32 = (column2(fi1, phi) for fi1, phi in zip((f11, f21, f31), phi_fns))
+        self._wrap((f11, f12, f21, f22, f31, f32), G, phi_fns)
+
+    def _f11_of_s(self):
+        """f11 = f(s), s = z0 - z2, for the branches with a free profile f."""
+        fx = self.f_expr
+
+        def f11(env):
+            return fx({"s": env["z0"] - env["z2"]})
+
+        return f11
+
+    def _phi12_of_expr(self):
+        px = self.phi12_expr
+
+        def phi12(env):
+            return px({"z0": env["z0"], "z1": env["z1"]})
+
+        return phi12
+
+    def _build_t22(self, s, k):
+        fx, px = self.f_expr, self.phi12_expr
+        mu2, eta2 = self.params.mu2, self.params.eta2
+        phi12 = self._phi12_of_expr()
+
+        def phi22(env):
             return mu2 * phi12(env)
 
-        def f31(env):
-            return s * k * f11(env) + s * mu2 * eta2 / k
-
-        def f32(env):
+        def phi32(env):
             return s * k * phi12(env)
 
         def G(env):
@@ -354,13 +368,7 @@ class Family:
             pv, p0, p1 = _phi12_parts(px, env["z0"], env["z1"])
             return (p0 * env["z1"] + p1 * env["z2"] + s * eta2 / k * pv) / fp
 
-        def phi22(env):
-            return mu2 * phi12(env)
-
-        def phi32(env):
-            return s * k * phi12(env)
-
-        self._wrap((f11, f12, f21, f22, f31, f32), G, {"z0", "z1", "z2"}, (phi12, phi22, phi32))
+        self._form7(self._f11_of_s(), (phi12, phi22, phi32), G)
 
     def _build_t23(self, s, k):
         p = self.params
@@ -368,26 +376,14 @@ class Family:
         lam, mu2, eta2, mu3, eta3, gam = p.lam, p.mu2, p.eta2, p.mu3, p.eta3, p.gamma
         q = 2.0 / gam * lam * eta2
 
-        def f11(env):
-            return _f_and_prime(fx, env["z0"] - env["z2"])[0]
-
         def phi12(env):
             return -q * env["z0"] * env["z1"]
 
-        def f12(env):
-            return -lam * env["z0"] ** 2 * f11(env) - q * env["z0"] * env["z1"]
+        def phi22(env):
+            return -mu2 * q * env["z0"] * env["z1"]
 
-        def f21(env):
-            return mu2 * f11(env) + eta2
-
-        def f22(env):
-            return -lam * env["z0"] ** 2 * f21(env) - mu2 * q * env["z0"] * env["z1"]
-
-        def f31(env):
-            return mu3 * f11(env) + eta3
-
-        def f32(env):
-            return -lam * env["z0"] ** 2 * f31(env) - mu3 * q * env["z0"] * env["z1"]
+        def phi32(env):
+            return -mu3 * q * env["z0"] * env["z1"]
 
         def G(env):
             z0, z1, z2 = env["z0"], env["z1"], env["z2"]
@@ -400,43 +396,19 @@ class Family:
             )
             return -(lam / fp) * inner
 
-        def phi22(env):
-            return -mu2 * q * env["z0"] * env["z1"]
-
-        def phi32(env):
-            return -mu3 * q * env["z0"] * env["z1"]
-
-        self._wrap((f11, f12, f21, f22, f31, f32), G, {"z0", "z1", "z2"}, (phi12, phi22, phi32))
+        self._form7(self._f11_of_s(), (phi12, phi22, phi32), G)
 
     def _build_t24(self, s, k):
         p = self.params
         fx, px = self.f_expr, self.phi12_expr
         lam, mu2, eta2, C = p.lam, p.mu2, p.eta2, p.C
+        phi12 = self._phi12_of_expr()
 
-        def f11(env):
-            return _f_and_prime(fx, env["z0"] - env["z2"])[0]
+        def phi22(env):
+            return mu2 * phi12(env) + C + lam * eta2 * env["z0"] ** 2
 
-        def phi12(env):
-            return px({"z0": env["z0"], "z1": env["z1"]})
-
-        def f12(env):
-            return -lam * env["z0"] ** 2 * f11(env) + phi12(env)
-
-        def f21(env):
-            return mu2 * f11(env) + eta2
-
-        def f22(env):
-            return -lam * mu2 * env["z0"] ** 2 * f11(env) + mu2 * phi12(env) + C
-
-        def f31(env):
-            return s * k * f11(env) + s * mu2 * eta2 / k
-
-        def f32(env):
-            return (
-                -s * k * lam * env["z0"] ** 2 * f11(env)
-                + s * k * phi12(env)
-                + s * mu2 * C / k
-            )
+        def phi32(env):
+            return s * (k * phi12(env) + mu2 * (lam * eta2 * env["z0"] ** 2 + C) / k)
 
         def G(env):
             z0, z1, z2 = env["z0"], env["z1"], env["z2"]
@@ -451,13 +423,7 @@ class Family:
                 - (2.0 * lam * z0 * z1 + s * eta2 / k * lam * z0**2 + s * C / k) * fv
             ) / fp
 
-        def phi22(env):
-            return mu2 * phi12(env) + C + lam * eta2 * env["z0"] ** 2
-
-        def phi32(env):
-            return s * (k * phi12(env) + mu2 * (lam * eta2 * env["z0"] ** 2 + C) / k)
-
-        self._wrap((f11, f12, f21, f22, f31, f32), G, {"z0", "z1", "z2"}, (phi12, phi22, phi32))
+        self._form7(self._f11_of_s(), (phi12, phi22, phi32), G)
 
     def _build_t25i(self, s, k):
         p = self.params
@@ -483,21 +449,6 @@ class Family:
         def phi32(env):
             return mu3 * phi12(env) + W(env["z0"]) * (mu2 * env["z1"] - eta3 / theta)
 
-        def f12(env):
-            return -lam * env["z0"] ** 2 * f11(env) + phi12(env)
-
-        def f21(env):
-            return mu2 * f11(env) + eta2
-
-        def f22(env):
-            return -lam * env["z0"] ** 2 * f21(env) + phi22(env)
-
-        def f31(env):
-            return mu3 * f11(env) + eta3
-
-        def f32(env):
-            return -lam * env["z0"] ** 2 * f31(env) + phi32(env)
-
         def G(env):
             z0, z1, z2 = env["z0"], env["z1"], env["z2"]
             E = dual.exp(theta * z0)
@@ -509,7 +460,7 @@ class Family:
                 - (2.0 / theta) * z1 * z2
             ) + (theta * z1**3 + 2.0 * z0 * z1 + z1 * z2 - m1 * z1) * theta * B * E
 
-        self._wrap((f11, f12, f21, f22, f31, f32), G, {"z0", "z1", "z2"}, (phi12, phi22, phi32))
+        self._form7(f11, (phi12, phi22, phi32), G)
 
     def _build_t25ii(self, s, k):
         p = self.params
@@ -540,21 +491,6 @@ class Family:
             (pv,) = _phi(env["z0"], 0)
             return mu3 * phi12(env) + s * tau * eta3 * pv * dual.exp(s * tau * env["z1"])
 
-        def f12(env):
-            return -lam * env["z0"] ** 2 * f11(env) + phi12(env)
-
-        def f21(env):
-            return mu2 * f11(env) + eta2
-
-        def f22(env):
-            return -lam * env["z0"] ** 2 * f21(env) + phi22(env)
-
-        def f31(env):
-            return mu3 * f11(env) + eta3
-
-        def f32(env):
-            return -lam * env["z0"] ** 2 * f31(env) + phi32(env)
-
         def G(env):
             z0, z1, z2 = env["z0"], env["z1"], env["z2"]
             pv, pd, pdd = _phi(z0, 2)
@@ -566,7 +502,7 @@ class Family:
                 + tau * (s * z1 + tau * z0 * z2 - m2 * tau * z2) * pv * Ez
             )
 
-        self._wrap((f11, f12, f21, f22, f31, f32), G, {"z0", "z1", "z2"}, (phi12, phi22, phi32))
+        self._form7(f11, (phi12, phi22, phi32), G)
 
     def _build_sg(self, s, k):
         eta = self.params.eta
@@ -598,14 +534,11 @@ class Family:
         def phi32(env):
             return 0.0 * env["z0"]
 
-        self._wrap((f11, f12, f21, f22, f31, f32), None, None, (phi12, phi22, phi32))
+        self._wrap((f11, f12, f21, f22, f31, f32), None, (phi12, phi22, phi32))
 
     # -- evaluation surface ----------------------------------------------
     def fij(self, i, j):
         return self.fij_fns[(i, j)]
-
-    def fij_value(self, i, j, p: JetPoint):
-        return self.fij_fns[(i, j)](p.env())
 
     @property
     def is_form7(self):
@@ -653,24 +586,7 @@ class Family:
     # -- serialization ----------------------------------------------------
     def to_dict(self):
         p = self.params
-        params = {
-            "lam": p.lam,
-            "mu2": p.mu2,
-            "eta2": p.eta2,
-            "C": p.C,
-            "mu3": p.mu3,
-            "eta3": p.eta3,
-            "gamma": p.gamma,
-            "theta": p.theta,
-            "B": p.B,
-            "m1": p.m1,
-            "tau": p.tau,
-            "m2": p.m2,
-            "m": p.m,
-            "n": p.n,
-            "eta": p.eta,
-            "root": p.root,
-        }
+        params = {k: getattr(p, k) for k in _PARAM_KEYS}
         return {
             "branch": p.branch,
             "params": {k: v for k, v in params.items() if v is not None},
@@ -681,14 +597,10 @@ class Family:
         }
 
 
-_PARAM_KEYS = {
+_PARAM_KEYS = (
     "lam", "mu2", "eta2", "C", "mu3", "eta3", "gamma", "theta", "B",
     "m1", "tau", "m2", "m", "n", "eta", "root",
-}
-
-
-def family_to_dict(fam: Family):
-    return fam.to_dict()
+)
 
 
 def params_from_dict(doc) -> FamilyParams:
@@ -697,7 +609,7 @@ def params_from_dict(doc) -> FamilyParams:
     if unknown:
         raise CatalogError(f"unknown keys in family spec: {sorted(unknown)}")
     params = doc.get("params", {})
-    bad = set(params) - _PARAM_KEYS
+    bad = set(params) - set(_PARAM_KEYS)
     if bad:
         raise CatalogError(f"unknown parameter keys: {sorted(bad)}")
     kw = dict(params)
@@ -732,19 +644,6 @@ def build_family(params: FamilyParams, f=None, phi12=None, phi=None, name=None) 
     phi12_expr = parse_expression(phi12, ["z0", "z1"]) if isinstance(phi12, str) else phi12
     phi_expr = parse_expression(phi, ["z0"]) if isinstance(phi, str) else phi
     return Family(params, f_expr, phi12_expr, phi_expr, name=name)
-
-
-def evaluate_G(fam: Family, p: JetPoint):
-    """G(z0, z1, z2) for the family's equation u_t - u_xxt = lam u^2 u_xxx + G."""
-    if fam.G_fn is None:
-        raise CatalogError("sine-Gordon is not of the u_t - u_xxt = lam*u^2*u_xxx + G form")
-    return fam.G_fn(p.env())
-
-
-def evaluate_F(fam: Family, p: JetPoint):
-    if fam.F_fn is None:
-        raise CatalogError("sine-Gordon is not of the u_t - u_xxt = lam*u^2*u_xxx + G form")
-    return fam.F_fn(p.env())
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -71,6 +70,16 @@ def _grid(text):
         raise argparse.ArgumentTypeError("grid must look like 200x200") from exc
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+        if n < 1:
+            raise ValueError(text)
+        return n
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from exc
+
+
 _CONFIG_KEYS = {
     "preset", "family", "samples", "seed", "tol", "sign", "a_sign", "beta",
     "Cstrip", "sigma", "b0", "s0", "h", "eps", "grid", "out", "report",
@@ -85,6 +94,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, immersion=False):
+        sp.set_defaults(_parser=sp)  # lets _apply_config check values against this parser's flags
         sp.add_argument("--preset", choices=sorted(PRESETS))
         sp.add_argument("--family", help="path to a family spec JSON")
         sp.add_argument("--config", help="JSON config mirroring flags (flags win)")
@@ -93,7 +103,7 @@ def build_parser():
                         help="omit timestamps so reports are byte-identical")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--samples", type=int, default=1000)
+        sp.add_argument("--samples", type=_positive_int, default=1000)
         if immersion:
             sp.add_argument("--sign", type=_sign, default=None, help="family sign (+/-)")
             sp.add_argument("--a-sign", dest="a_sign", type=_sign, default=1)
@@ -145,6 +155,8 @@ def build_parser():
 
 
 def _apply_config(args, argv):
+    """Read the config as flags of this subcommand's parser, so its values get
+    the flags' own type and choices checks."""
     if not getattr(args, "config", None):
         return args
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -153,11 +165,29 @@ def _apply_config(args, argv):
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     argv_flags = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
+    actions = {a.dest: a for a in args._parser._actions}
+    flags = []
     for key, val in doc.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in argv_flags:
-            setattr(args, attr, val)
-    return args
+        action = actions.get(key)
+        if action is None or key in argv_flags:
+            continue
+        opt = action.option_strings[0]
+        if action.nargs == 0:  # store_true
+            if not isinstance(val, bool):
+                raise _UsageError(f"config: {opt} takes true or false, got {val!r}")
+            flags += [opt] if val else []
+        elif isinstance(val, list):
+            flags += [opt, *map(_config_text, val)]
+        else:
+            flags.append(f"{opt}={_config_text(val)}")
+    try:
+        return args._parser.parse_args(flags, namespace=args)
+    except _UsageError as exc:
+        raise _UsageError(f"config: {exc}") from exc
+
+
+def _config_text(val):
+    return val if isinstance(val, str) else json.dumps(val)
 
 
 def _check_tols(args):
@@ -208,7 +238,6 @@ def _emit(args, payload, command):
             k: v for k, v in sorted(vars(args).items())
             if k not in ("command", "config") and not k.startswith("_") and _jsonable(v)
         },
-        "threads": int(os.environ.get("PSS_THREADS", "1") or 1),
     }
     doc.update(payload)
     if not args.deterministic:
@@ -314,15 +343,8 @@ def _cmd_codazzi(args):
     rng = np.random.default_rng(args.seed)
     n = args.samples
     env = sample_envs(fam, n, rng)
-    from .jets import JetPoint
-
-    p = JetPoint(
-        z=tuple(env[f"z{i}"] for i in range(6)),
-        w=(env["w1"],),
-        v=(env["v1"],),
-    )
     if trip.representation == Representation.SOLUTION_DEPENDENT:
-        e1, e2 = codazzi_residuals(fam, trip, p, 0.0, 0.0)
+        e1, e2 = codazzi_residuals(fam, trip, env, 0.0, 0.0)
         s_desc = "per-jet u"
     else:
         s = trip.strip_samples(n)
@@ -330,7 +352,7 @@ def _cmd_codazzi(args):
             xv, tv = np.zeros(n), s / max(trip.st, 1e-300)
         else:
             xv, tv = s / (trip.sx if trip.sx else 1.0), np.zeros(n)
-        e1, e2 = codazzi_residuals(fam, trip, p, xv, tv)
+        e1, e2 = codazzi_residuals(fam, trip, env, xv, tv)
         s_desc = f"{n} strip points"
     payload = {
         "family": fam.name,
@@ -386,8 +408,6 @@ def _clip_to_strip(trip, xrange_, trange, margin=0.1):
     """Shrink an (x, t) window so s = sx*x + st*t stays well inside the
     strip: the closed forms have c ~ 1/sqrt(L) near the edges, so a thin
     margin makes the frame ODE stiff there."""
-    from .immersion import Representation
-
     if trip.representation == Representation.SOLUTION_DEPENDENT:
         return xrange_, trange
     lo, hi = trip.validity

@@ -28,8 +28,8 @@ import numpy as np
 
 from .catalog import Family
 from .immersion import ImmersionTriple, Representation
-from .jets import JetPoint
 from .pde import SolutionField
+from .verifier import delta
 
 __all__ = [
     "FrameState",
@@ -94,18 +94,16 @@ class SurfaceMesh:
         return self.K[1:-1, 1:-1]
 
 
-def first_form_coefficients(fam: Family, p: JetPoint):
-    """(E, F, G) of I = omega_1^2 + omega_2^2 at the jet."""
-    env = p.env() if isinstance(p, JetPoint) else p
+def first_form_coefficients(fam: Family, env):
+    """(E, F, G) of I = omega_1^2 + omega_2^2 on a jet environment."""
     f11, f21 = fam.fij(1, 1)(env), fam.fij(2, 1)(env)
     f12, f22 = fam.fij(1, 2)(env), fam.fij(2, 2)(env)
     return f11 * f11 + f21 * f21, f11 * f12 + f21 * f22, f12 * f12 + f22 * f22
 
 
-def second_form_coefficients(fam: Family, abc, p: JetPoint):
-    """(a1, a2, a3) of II given the triple values (a, b, c) at the jet."""
+def second_form_coefficients(fam: Family, abc, env):
+    """(a1, a2, a3) of II given the triple values (a, b, c) on a jet environment."""
     a, b, c = abc
-    env = p.env() if isinstance(p, JetPoint) else p
     f11, f21 = fam.fij(1, 1)(env), fam.fij(2, 1)(env)
     f12, f22 = fam.fij(1, 2)(env), fam.fij(2, 2)(env)
     a1 = a * f11 * f11 + 2.0 * b * f11 * f21 + c * f21 * f21
@@ -218,9 +216,7 @@ def integrate_frame(
         a1, a2, a3 = second_form_coefficients(fam, (a, b, c), env)
         EE[:, j, 0], EE[:, j, 1], EE[:, j, 2] = E, F, G
         II[:, j, 0], II[:, j, 1], II[:, j, 2] = a1, a2, a3
-        f11, f21 = fam.fij(1, 1)(env), fam.fij(2, 1)(env)
-        f12, f22 = fam.fij(1, 2)(env), fam.fij(2, 2)(env)
-        d12 = np.abs(f11 * f22 - f21 * f12)
+        d12 = np.abs(delta(fam, env, 1, 2))
         degenerate += int(np.count_nonzero(d12 <= nondegeneracy_tol))
         d12_min = min(d12_min, float(np.min(d12)))
         if nondegeneracy_tol > 0.0 and np.any(d12 <= nondegeneracy_tol):

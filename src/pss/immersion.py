@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Branch, CatalogError, Family
-from .jets import JetPoint
 
 __all__ = [
     "Representation",
@@ -494,14 +493,13 @@ def solve_triple(fam: Family, ip: ImmersionParams):
 # Codazzi cross-check
 
 
-def codazzi_residuals(fam: Family, trip: ImmersionTriple, p: JetPoint, x: float, t: float):
-    """(E1, E2): the two Codazzi combinations at jet p and position (x, t).
+def codazzi_residuals(fam: Family, trip: ImmersionTriple, env, x: float, t: float):
+    """(E1, E2): the two Codazzi combinations on jet environment env at position (x, t).
 
     The total derivatives act on (a, b, c) as functions of x and t only
     (universal triples) or through u (the sine-Gordon triple); the f_ij
-    and Delta_ij are evaluated at the jet.
+    and Delta_ij are evaluated on the jets.
     """
-    env = p.env()
     f11, f21 = fam.fij(1, 1)(env), fam.fij(2, 1)(env)
     f12, f22 = fam.fij(1, 2)(env), fam.fij(2, 2)(env)
     f31, f32 = fam.fij(3, 1)(env), fam.fij(3, 2)(env)
@@ -511,7 +509,7 @@ def codazzi_residuals(fam: Family, trip: ImmersionTriple, p: JetPoint, x: float,
         u = env["z0"]
         a, b, c = trip.form.abc_of_u(u)
         dadu = trip.form.da_du(u)
-        if p.M < 1:
+        if "w1" not in env:
             raise TripleDomainError("sine-Gordon Codazzi check needs w1 = u_t in the jet")
         dxa, dta = dadu * env["z1"], dadu * env["w1"]
         dxb = dtb = dxc = dtc = 0.0

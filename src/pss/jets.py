@@ -1,8 +1,9 @@
 """Jet coordinates, exact total derivatives, and on-shell prolongation.
 
-A jet point stores the values (x, t, z_0..z_K, w_1..w_M, v_1..v_N) where
-z_i is the i-th x-derivative of u, w_j the j-th t-derivative of u and
-v_k the k-th t-derivative of u_x (z_0 = u and z_1 = v_0 = u_x are the
+A jet environment is a dict mapping the coordinate names x, t, z0..zK,
+w1..wM, v1..vN to floats or to arrays of one shape (one jet per element),
+where z_i is the i-th x-derivative of u, w_j the j-th t-derivative of u
+and v_k the k-th t-derivative of u_x (z_0 = u and z_1 = v_0 = u_x are the
 shared identifications; v_0 is never stored separately).
 
 The total x-derivative of a differential function h is
@@ -24,21 +25,13 @@ with z_{0,t} = w_1 and z_{1,t} = v_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import dual
 
 __all__ = [
     "JetError",
     "MissingJetCoordinate",
-    "JetPoint",
-    "EvalResult",
-    "ProlongedJet",
     "JetFunction",
-    "eval_with_partials",
-    "total_derivative_x",
-    "prolong_onshell",
-    "total_derivative_t_onshell",
+    "partials",
     "dx_env",
     "dt_env_onshell",
     "prolong_env",
@@ -51,57 +44,6 @@ class JetError(ValueError):
 
 class MissingJetCoordinate(JetError):
     pass
-
-
-@dataclass(frozen=True)
-class JetPoint:
-    """Values of the jet coordinates at one space-time point."""
-
-    x: float = 0.0
-    t: float = 0.0
-    z: tuple = (0.0,)
-    w: tuple = ()
-    v: tuple = ()
-
-    def __post_init__(self):
-        if len(self.z) < 1:
-            raise JetError("z must carry at least z0")
-
-    @property
-    def K(self):
-        return len(self.z) - 1
-
-    @property
-    def M(self):
-        return len(self.w)
-
-    @property
-    def N(self):
-        return len(self.v)
-
-    def env(self):
-        e = {"x": self.x, "t": self.t}
-        for i, zi in enumerate(self.z):
-            e[f"z{i}"] = zi
-        for j, wj in enumerate(self.w, start=1):
-            e[f"w{j}"] = wj
-        for k, vk in enumerate(self.v, start=1):
-            e[f"v{k}"] = vk
-        return e
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    value: float
-    partials: dict
-
-
-@dataclass(frozen=True)
-class ProlongedJet:
-    """A jet point together with the on-shell mixed derivatives z_{k,t}."""
-
-    point: JetPoint
-    zt: tuple  # zt[k] = z_{k,t} for k = 0..upto
 
 
 class JetFunction:
@@ -138,14 +80,13 @@ def _require(env, name):
     return env[name]
 
 
-def eval_with_partials(e, p):
-    """Value and exact first partials of `e` at jet point `p`."""
-    env = p.env()
-    missing = [nm for nm in e.variables if nm not in env]
-    if missing:
-        raise MissingJetCoordinate(f"jet point lacks {missing}")
-    value, partials = e.with_partials(env)
-    return EvalResult(value, partials)
+def partials(h, env, names):
+    """First partials of h with respect to `names` on an environment, by name."""
+    for nm in names:
+        _require(env, nm)
+    lvl, seeded = dual.seed(env, names)
+    _, grads = dual.value_grad(h(seeded), lvl, len(names))
+    return dict(zip(names, grads))
 
 
 # ----------------------------------------------------------------------
@@ -169,14 +110,7 @@ def dx_env(h, env, free=None):
     if "x" not in names:
         names.append("x")
     names.sort()
-    base = dict(env)
-    base.setdefault("x", 0.0)
-    for nm in names:
-        _require(base, nm)
-    lvl, seeded = dual.seed(base, names)
-    r = h(seeded)
-    _, grads = dual.value_grad(r, lvl, len(names))
-    by = dict(zip(names, grads))
+    by = partials(h, {"x": 0.0, **env}, names)
     out = by.get("x", 0.0)
     for nm in names:
         i = _zindex(nm)
@@ -235,14 +169,7 @@ def dt_env_onshell(h, env, zt, free=None):
     """D_t h on an environment, given the mixed derivatives zt[k] = z_{k,t}."""
     free = _free_of(h) if free is None else free
     names = sorted(free | {"t"})
-    base = dict(env)
-    base.setdefault("t", 0.0)
-    for nm in names:
-        _require(base, nm)
-    lvl, seeded = dual.seed(base, names)
-    r = h(seeded)
-    _, grads = dual.value_grad(r, lvl, len(names))
-    by = dict(zip(names, grads))
+    by = partials(h, {"t": 0.0, **env}, names)
     out = by.get("t", 0.0)
     for nm in names:
         g = by[nm]
@@ -258,34 +185,3 @@ def dt_env_onshell(h, env, zt, free=None):
         elif nm[0] == "v" and nm[1:].isdigit():
             out = out + g * _require(env, f"v{int(nm[1:]) + 1}")
     return out
-
-
-# ----------------------------------------------------------------------
-# JetPoint-level operations
-
-
-def total_derivative_x(h, p):
-    """D_x h at jet point p: h_x + sum_i h_{z_i} z_{i+1}."""
-    return dx_env(h, p.env())
-
-
-def prolong_onshell(p, F, upto):
-    """Extend p with the on-shell mixed derivatives z_{k,t}, k <= upto."""
-    ffree = _free_of(F)
-    for nm in ffree:
-        i = _zindex(nm)
-        if nm not in ("x", "t") and i is None:
-            raise JetError(f"F may depend on z0..z3 only, found {nm}")
-        if i is not None and i > 3:
-            raise JetError(f"F may depend on z0..z3 only, found {nm}")
-    zt = prolong_env(p.env(), F, upto)
-    return ProlongedJet(p, tuple(zt))
-
-
-def total_derivative_t_onshell(h, p, F):
-    """On-shell D_t h at jet point p for the equation u_t - u_xxt = F."""
-    free = _free_of(h)
-    l = max((i for i in (_zindex(nm) for nm in free) if i is not None), default=0)
-    env = p.env()
-    zt = prolong_env(env, F, l)
-    return dt_env_onshell(h, env, zt, free=free)

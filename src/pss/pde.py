@@ -29,7 +29,6 @@ import numpy as np
 from . import dual
 from .catalog import Branch
 from .expr import parse_expression
-from .jets import JetPoint
 
 __all__ = [
     "Grid1D",
@@ -494,23 +493,14 @@ class SolutionField:
         acc = int(self.provenance.get("space_accuracy", 4))
         return [periodic_derivative(du, self.grid.dx, k, acc=acc) if k else du for k in range(upto + 1)]
 
-    def sample_jet_point(self, x, t, order):
-        (xlo, xhi), (tlo, thi) = self.domain()
-        if not (xlo - 1e-12 <= x <= xhi + 1e-12) or not (tlo - 1e-9 <= t <= thi + 1e-9):
-            raise PdeError(f"(x, t) = ({x}, {t}) outside the field domain")
-        env = self.sample_env(np.array([x]), t, order)
-        return JetPoint(
-            x=float(x),
-            t=float(t),
-            z=tuple(float(env[f"z{i}"][0]) for i in range(order + 1)),
-            w=(float(np.atleast_1d(env["w1"])[0]),),
-            v=(float(np.atleast_1d(env["v1"])[0]),),
-        )
-
 
 def sample_jet(field: SolutionField, x, t, order):
-    """JetPoint with z_0..z_order, w_1, v_1 sampled from the field."""
-    return field.sample_jet_point(x, t, order)
+    """One-jet environment of floats {x, t, z0..z_order, w1, v1} sampled from the field at (x, t)."""
+    (xlo, xhi), (tlo, thi) = field.domain()
+    if not (xlo - 1e-12 <= x <= xhi + 1e-12) or not (tlo - 1e-9 <= t <= thi + 1e-9):
+        raise PdeError(f"(x, t) = ({x}, {t}) outside the field domain")
+    env = field.sample_env(np.array([x]), t, order)
+    return {nm: float(np.atleast_1d(v)[0]) for nm, v in env.items()}
 
 
 def exact_field(src_or_expr, grid: Grid1D, t_span=(-10.0, 10.0), name="exact") -> SolutionField:

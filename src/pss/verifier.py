@@ -26,20 +26,20 @@ tolerance tol when |R| <= tol * max(1, |terms|_inf).
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import dual
 from .catalog import Branch, CatalogError, Family
-from .jets import JetPoint, dt_env_onshell, dx_env
+from .jets import JetFunction, dt_env_onshell, dx_env, partials
 
 __all__ = [
     "DEFAULT_SEED",
     "VerificationReport",
     "delta",
-    "structure_residuals",
+    "structure_residuals_env",
     "nondegeneracy",
     "certify_structure",
     "check_theorem21_conditions",
@@ -63,16 +63,7 @@ class VerificationReport:
     notes: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "seed": self.seed,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "residuals": self.residuals,
-            "verdict": self.verdict,
-            "failing": self.failing,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self, indent=2):
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -82,12 +73,8 @@ class VerificationReport:
 # Pointwise operations
 
 
-def delta(fam: Family, p: JetPoint, i: int, j: int):
-    """Delta_ij = f_i1 f_j2 - f_j1 f_i2 at p."""
-    return _delta_env(fam, p.env(), i, j)
-
-
-def _delta_env(fam, env, i, j):
+def delta(fam: Family, env, i: int, j: int):
+    """Delta_ij = f_i1 f_j2 - f_j1 f_i2 on a jet environment."""
     if i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError("indices must be in {1, 2, 3}")
     return fam.fij(i, 1)(env) * fam.fij(j, 2)(env) - fam.fij(j, 1)(env) * fam.fij(i, 2)(env)
@@ -123,18 +110,12 @@ def structure_residuals_env(fam: Family, env, zt=None):
     return (r1, r2, r3), scales
 
 
-def structure_residuals(fam: Family, p: JetPoint):
-    """(R1, R2, R3) at a single on-shell jet point."""
-    (r1, r2, r3), _ = structure_residuals_env(fam, p.env())
-    return float(r1), float(r2), float(r3)
-
-
-def nondegeneracy(fam: Family, p: JetPoint, tol: float = 1e-9):
-    """(Delta12, ok): ok iff |Delta12| > tol and Delta13^2 + Delta23^2 > tol^2."""
-    env = p.env()
-    d12 = _delta_env(fam, env, 1, 2)
-    d13 = _delta_env(fam, env, 1, 3)
-    d23 = _delta_env(fam, env, 2, 3)
+def nondegeneracy(fam: Family, env, tol: float = 1e-9):
+    """(Delta12, ok) at a one-jet environment: ok iff |Delta12| > tol and
+    Delta13^2 + Delta23^2 > tol^2."""
+    d12 = delta(fam, env, 1, 2)
+    d13 = delta(fam, env, 1, 3)
+    d23 = delta(fam, env, 2, 3)
     ok = bool(abs(d12) > tol and d13 * d13 + d23 * d23 > tol * tol)
     return float(d12), ok
 
@@ -228,13 +209,6 @@ def _collect_failing(env, named, tol, cap=10):
 # Classification conditions for the equation-form families
 
 
-def _partials_env(fn, env, names):
-    lvl, seeded = dual.seed({**env}, names)
-    r = fn(seeded)
-    _, grads = dual.value_grad(r, lvl, len(names))
-    return dict(zip(names, grads))
-
-
 def check_theorem21_conditions(
     fam: Family, samples: int = 500, tol: float = 1e-9, seed: int | None = DEFAULT_SEED
 ) -> VerificationReport:
@@ -250,10 +224,10 @@ def check_theorem21_conditions(
     f11 = fam.fij(1, 1)(env)
     c36 = c37 = 0.0
     for i in (1, 2, 3):
-        g1 = _partials_env(fam.fij(i, 1), env, ("z0", "z1", "z2", "z3"))
+        g1 = partials(fam.fij(i, 1), env, ("z0", "z1", "z2", "z3"))
         c36 = max(c36, float(np.max(np.abs(g1["z0"] + g1["z2"]))))
         c37 = max(c37, float(np.max(np.abs(g1["z1"]))), float(np.max(np.abs(g1["z3"]))))
-        g2 = _partials_env(fam.fij(i, 2), env, ("z3",))
+        g2 = partials(fam.fij(i, 2), env, ("z3",))
         c37 = max(c37, float(np.max(np.abs(g2["z3"]))))
 
     # (38): f_i2 + lam z0^2 f_i1 must not depend on z2 (sampled at two z2)
@@ -269,10 +243,10 @@ def check_theorem21_conditions(
     p12 = fam.phi12_fn(env)
     p22 = fam.phi22_fn(env)
     p32 = fam.phi32_fn(env)
-    d12 = _partials_env(fam.phi12_fn, env, ("z0", "z1"))
-    d22 = _partials_env(fam.phi22_fn, env, ("z0", "z1"))
-    d32 = _partials_env(fam.phi32_fn, env, ("z0", "z1"))
-    g11 = _partials_env(fam.fij(1, 1), env, ("z0",))["z0"]
+    d12 = partials(fam.phi12_fn, env, ("z0", "z1"))
+    d22 = partials(fam.phi22_fn, env, ("z0", "z1"))
+    d32 = partials(fam.phi32_fn, env, ("z0", "z1"))
+    g11 = partials(fam.fij(1, 1), env, ("z0",))["z0"]
     G = fam.G_fn(env)
 
     c39 = (
@@ -344,39 +318,14 @@ def certify(fam: Family, samples: int = 1000, tol: float = 1e-8, seed: int | Non
 # Sensitivity helper (the detector must not be vacuous)
 
 
-class _PerturbedFamily:
-    def __init__(self, base: Family, which, eps):
-        self._base = base
-        self.params = base.params
-        self.name = f"{base.name}+eps{which}"
-        self.fij_fns = dict(base.fij_fns)
-        orig = base.fij_fns[which]
-
-        def bumped(env, _orig=orig, _eps=eps):
-            return _orig(env) + _eps
-
-        from .jets import JetFunction
-
-        self.fij_fns[which] = JetFunction(bumped, orig.free, f"{orig.name}+eps")
-        self.phi12_fn = base.phi12_fn
-        self.phi22_fn = base.phi22_fn
-        self.phi32_fn = base.phi32_fn
-        self.G_fn = base.G_fn
-        self.F_fn = base.F_fn
-
-    def fij(self, i, j):
-        return self.fij_fns[(i, j)]
-
-    def zt(self, env, upto):
-        return self._base.zt(env, upto)
-
-    def constrain_env(self, env):
-        return self._base.constrain_env(env)
-
-    def sampling_guard(self, env):
-        return self._base.sampling_guard(env)
-
-
 def perturbed_family(fam: Family, i: int, j: int, eps: float = 1e-3):
     """A copy of `fam` with f_ij bumped by eps; used to prove the detector sees broken families."""
-    return _PerturbedFamily(fam, (i, j), eps)
+    orig = fam.fij_fns[(i, j)]
+
+    def bumped(env):
+        return orig(env) + eps
+
+    out = copy.copy(fam)
+    out.name = f"{fam.name}+eps{(i, j)}"
+    out.fij_fns = {**fam.fij_fns, (i, j): JetFunction(bumped, orig.free, f"{orig.name}+eps")}
+    return out

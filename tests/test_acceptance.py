@@ -17,7 +17,6 @@ from pss.catalog import (
     FamilyParams,
     PRESETS,
     build_family,
-    evaluate_G,
     novikov_preset,
     sine_gordon_preset,
     t22_demo_preset,
@@ -35,8 +34,7 @@ from pss.immersion import (
     solve_triple,
     strip_bounds,
 )
-from pss.jets import JetPoint
-from pss.pde import Grid1D, SolutionField, exact_sine_gordon_kink, kink_field, solve_mol
+from pss.pde import Grid1D, SolutionField, exact_sine_gordon_kink, kink_field, sample_jet, solve_mol
 from pss.verifier import certify_structure, sample_envs
 
 
@@ -47,8 +45,7 @@ def _report(num, name, ok, detail=""):
 
 
 def _jets(fam, n, seed=0):
-    env = sample_envs(fam, n, np.random.default_rng(seed))
-    return JetPoint(z=tuple(env[f"z{i}"] for i in range(6)), w=(env["w1"],), v=(env["v1"],))
+    return sample_envs(fam, n, np.random.default_rng(seed))
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +67,7 @@ def test_criterion_1_structure_certification():
 
 
 def test_criterion_2_novikov_matching():
-    """evaluate_G of the preset equals the Novikov polynomial at 200 random
+    """G of the preset equals the Novikov polynomial at 200 random
     jets to 1e-10; the parameter matching is re-derived symbolically first."""
     z0, z1, z2 = sp.symbols("z0 z1 z2")
     phi12 = z0 * (z1 - z0) ** 2
@@ -88,7 +85,7 @@ def test_criterion_2_novikov_matching():
     worst = 0.0
     for _ in range(200):
         z = rng.uniform(-2, 2, 4)
-        got = evaluate_G(fam, JetPoint(z=tuple(z), w=(0.0,), v=(0.0,)))
+        got = fam.G_fn({f"z{i}": zi for i, zi in enumerate(z)})
         worst = max(worst, abs(got - tgt(z[0], z[1], z[2])))
     _report(2, "Novikov matching", worst <= 1e-10, f"max |G - poly| = {worst:.2e}")
 
@@ -215,8 +212,8 @@ def test_criterion_6_sine_gordon_end_to_end():
 
     for _ in range(500):
         x, t = rng.uniform(-6, 6, 2)
-        p = field.sample_jet_point(x, t, 3)
-        u = p.z[0]
+        p = sample_jet(field, x, t, 3)
+        u = p["z0"]
         E, F, G = first_form_coefficients(fam, p)
         worst_I = max(worst_I, abs(E - eta**2), abs(F - math.cos(u)), abs(G - eta**-2))
         a1, a2, a3 = second_form_coefficients(fam, (2.0 / math.tan(u), -1.0, 0.0), p)
@@ -249,7 +246,7 @@ def test_criterion_7_convergence_orders():
         f = SolutionField(g, [0.0, 1.0], frames=np.array([u, u]),
                           provenance={"type": "NUMERIC", "space_accuracy": 4, "max_jet_order": 5})
         x = g.nodes()[nx // 3]
-        errs[nx] = abs(f.sample_jet_point(x, 0.0, 4).z[2] + math.sin(x))
+        errs[nx] = abs(sample_jet(f, x, 0.0, 4)["z2"] + math.sin(x))
     r = errs[256] / errs[512]
     ok &= 16 / 1.25 <= r <= 16 * 1.25
     details.append(f"stencil x{r:.1f}")

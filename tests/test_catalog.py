@@ -15,19 +15,17 @@ from pss.catalog import (
     MissingExpression,
     PRESETS,
     build_family,
-    evaluate_F,
-    evaluate_G,
     family_from_dict,
     novikov_preset,
     sine_gordon_preset,
     t22_demo_preset,
     validate_params,
 )
-from pss.jets import JetPoint
 
 
 def jp(z0=0.0, z1=0.0, z2=0.0, z3=0.0):
-    return JetPoint(z=(z0, z1, z2, z3), w=(0.0,), v=(0.0,))
+    """One-jet environment with z0..z3 and w1 = v1 = 0."""
+    return {"x": 0.0, "t": 0.0, "z0": z0, "z1": z1, "z2": z2, "z3": z3, "w1": 0.0, "v1": 0.0}
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +80,7 @@ def test_missing_expression():
 
 
 # ----------------------------------------------------------------------
-# build_family / evaluate_G examples
+# build_family / G examples
 
 
 def test_t22_demo_g_is_z2_plus_z1():
@@ -90,30 +88,30 @@ def test_t22_demo_g_is_z2_plus_z1():
     rng = np.random.default_rng(0)
     for _ in range(50):
         z = rng.uniform(-2, 2, 4)
-        got = evaluate_G(fam, jp(*z))
+        got = fam.G_fn(jp(*z))
         assert got == pytest.approx(z[2] + z[1], rel=0, abs=1e-14)
     # the spec's point: (z1, z2) = (2, 3) -> 5
-    assert evaluate_G(fam, jp(0.0, 2.0, 3.0)) == pytest.approx(5.0)
+    assert fam.G_fn(jp(0.0, 2.0, 3.0)) == pytest.approx(5.0)
 
 
 def test_sine_gordon_f12_at_pi_over_2():
     fam = sine_gordon_preset(eta=1.0)
-    assert fam.fij_value(1, 2, jp(math.pi / 2)) == pytest.approx(1.0)
-    assert fam.fij_value(1, 1, jp(0.3)) == 0.0
-    assert fam.fij_value(2, 1, jp(0.3)) == 1.0
-    assert fam.fij_value(3, 1, JetPoint(z=(0.3, 0.7, 0.0), w=(0.0,), v=(0.0,))) == 0.7
+    assert fam.fij(1, 2)(jp(math.pi / 2)) == pytest.approx(1.0)
+    assert fam.fij(1, 1)(jp(0.3)) == 0.0
+    assert fam.fij(2, 1)(jp(0.3)) == 1.0
+    assert fam.fij(3, 1)(jp(0.3, 0.7, 0.0)) == 0.7
 
 
 def test_novikov_g_hand_value():
     fam = novikov_preset()
     # (z0, z1, z2, z3) = (1, 1, 0, 0): G = 1 - 3 - 2 + 0 - 0 = -4
-    assert evaluate_G(fam, jp(1.0, 1.0, 0.0, 0.0)) == pytest.approx(-4.0, abs=1e-14)
+    assert fam.G_fn(jp(1.0, 1.0, 0.0, 0.0)) == pytest.approx(-4.0, abs=1e-14)
 
 
 def test_g_vanishes_at_zero_jet_when_phi12_does():
     for name in ("novikov", "t22-demo", "t23-demo"):
         fam = PRESETS[name]()
-        assert evaluate_G(fam, jp()) == pytest.approx(0.0, abs=1e-15)
+        assert fam.G_fn(jp()) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_novikov_matches_symbolic_expansion():
@@ -139,7 +137,7 @@ def test_novikov_matches_symbolic_expansion():
     rng = np.random.default_rng(123)
     for _ in range(200):
         z = rng.uniform(-2, 2, 4)
-        got = evaluate_G(fam, jp(*z))
+        got = fam.G_fn(jp(*z))
         want = tgt(z[0], z[1], z[2])
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -148,24 +146,25 @@ def test_novikov_validates_and_f12_example():
     fam = novikov_preset()
     assert validate_params(fam.params) == []
     # f12 = -lam z0^2 f + phi12 at (z0=1, z1=1, z2=0): f = 1, phi12 = 0 -> -1
-    assert fam.fij_value(1, 2, jp(1.0, 1.0, 0.0)) == pytest.approx(-1.0)
+    assert fam.fij(1, 2)(jp(1.0, 1.0, 0.0)) == pytest.approx(-1.0)
 
 
 def test_evaluate_F_is_lam_z0sq_z3_plus_G():
     fam = novikov_preset()
     p = jp(0.7, -0.3, 0.2, 0.9)
-    assert evaluate_F(fam, p) == pytest.approx(0.7**2 * 0.9 + evaluate_G(fam, p), abs=1e-14)
+    assert fam.F_fn(p) == pytest.approx(0.7**2 * 0.9 + fam.G_fn(p), abs=1e-14)
 
 
 def test_evaluate_G_rejects_sine_gordon():
-    with pytest.raises(CatalogError):
-        evaluate_G(sine_gordon_preset(), jp(1.0))
+    # sine-Gordon is not of the u_t - u_xxt = lam*u^2*u_xxx + G form: no G, no F
+    fam = sine_gordon_preset()
+    assert fam.G_fn is None and fam.F_fn is None
 
 
 def test_fprime_zero_is_an_error():
     fam = build_family(FamilyParams(branch=Branch.T22, eta2=1.0), f="s^2", phi12="z1")
     with pytest.raises(CatalogError):
-        evaluate_G(fam, jp(0.5, 1.0, 0.5))  # s = 0 -> f' = 2s = 0
+        fam.G_fn(jp(0.5, 1.0, 0.5))  # s = 0 -> f' = 2s = 0
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +203,54 @@ def test_fi1_structure_invariants(name):
         assert np.max(np.abs(va - vb)) < 1e-11 * max(1.0, float(np.max(np.abs(va))))
 
 
+def _seeded_form7_specs(seed=31):
+    """One family per form-(7) branch with seeded generic parameters."""
+    rng = np.random.default_rng(seed)
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    def sign():
+        return int(rng.choice((-1, 1)))
+
+    f, phi12 = "2*s + s^3", "z1 + sin(z0)"
+    return {
+        "T22": build_family(FamilyParams(branch=Branch.T22, mu2=u(-1, 1), eta2=u(0.5, 2), sign=sign()),
+                            f=f, phi12=phi12),
+        "T23": build_family(FamilyParams(branch=Branch.T23, lam=u(0.5, 1.5), mu2=u(-1, 1), eta2=u(0.5, 2),
+                                         mu3=u(-0.9, 0.9), root=sign(), sign=sign()), f=f),
+        "T24": build_family(FamilyParams(branch=Branch.T24, lam=u(-1.5, -0.5), mu2=u(-1, 1), eta2=u(0.5, 2),
+                                         C=u(-1, 1), sign=sign()), f=f, phi12=phi12),
+        "T25i": build_family(FamilyParams(branch=Branch.T25I, lam=u(0.5, 1.5), theta=u(-1.5, -0.5), B=u(0.5, 1),
+                                          mu2=u(-1, 1), eta2=u(-2, -0.5), m=u(-2, -1), n=u(-0.5, 0.5),
+                                          sign=sign())),
+        "T25ii": build_family(FamilyParams(branch=Branch.T25II, lam=u(-1.5, -0.5), tau=u(0.5, 1), mu2=u(-1, 1),
+                                           eta2=u(0.5, 2), m=u(2, 3), n=u(-0.5, 0.5), root=sign(),
+                                           sign=sign()), phi="1 + z0^2"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(set(PRESETS) - {"sine-gordon"}) + ["T22", "T23", "T24", "T25i", "T25ii"])
+def test_form7_fij_follow_the_structural_identities(name):
+    """f_p1 = mu_p f11 + eta_p and f_i2 = -lam z0^2 f_i1 + phi_i2 against the
+    family's own phi_i2 functions, on sampled jets of every form-(7) preset
+    and of one seeded family per branch."""
+    fam = PRESETS[name]() if name in PRESETS else _seeded_form7_specs()[name]
+    p = fam.params
+    from pss.verifier import sample_envs
+
+    env = sample_envs(fam, 300, np.random.default_rng(17))
+
+    def close(got, want):
+        return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+    f11 = fam.fij(1, 1)(env)
+    assert close(fam.fij(2, 1)(env), p.mu2 * f11 + p.eta2)
+    assert close(fam.fij(3, 1)(env), p.mu3 * f11 + p.eta3)
+    for i, phi in zip((1, 2, 3), (fam.phi12_fn, fam.phi22_fn, fam.phi32_fn)):
+        assert close(fam.fij(i, 2)(env), -p.lam * env["z0"] ** 2 * fam.fij(i, 1)(env) + phi(env))
+
+
 @pytest.mark.parametrize("name", sorted(set(PRESETS) - {"sine-gordon"}))
 def test_condition_42_bounded_away_from_zero_on_samples(name):
     fam = PRESETS[name]()
@@ -231,7 +278,7 @@ def test_family_spec_roundtrip(tmp_path):
     fam2 = load_family(path)
     assert fam2.params.branch == Branch.T24
     p = jp(0.4, -0.2, 0.8, 0.1)
-    assert evaluate_G(fam2, p) == pytest.approx(evaluate_G(fam, p), abs=1e-15)
+    assert fam2.G_fn(p) == pytest.approx(fam.G_fn(p), abs=1e-15)
 
 
 def test_family_spec_unknown_keys_rejected():
@@ -276,7 +323,7 @@ def test_onshell_dt_of_higher_jet_against_symbolic_flux():
     """D_t(z0*z3) on-shell needs z_{3,t} = v1 - D_x F; cross-check the nested
     forward-mode D_x F against a fully symbolic expansion of the Novikov flux."""
     import sympy as sp
-    from pss.jets import total_derivative_t_onshell
+    from pss.jets import dt_env_onshell, prolong_env
     from pss.expr import parse_expression
 
     fam = novikov_preset()
@@ -292,8 +339,8 @@ def test_onshell_dt_of_higher_jet_against_symbolic_flux():
     for _ in range(50):
         z = rng.uniform(-1, 1, 5)
         w1, v1 = rng.uniform(-1, 1, 2)
-        p = JetPoint(z=tuple(z), w=(w1,), v=(v1,))
-        got = total_derivative_t_onshell(h, p, fam.F_fn)
+        p = {"x": 0.0, "t": 0.0, **{f"z{i}": zi for i, zi in enumerate(z)}, "w1": w1, "v1": v1}
+        got = dt_env_onshell(h, p, prolong_env(p, fam.F_fn, 3))
         z3t = v1 - dxf(*z)
         want = z[3] * w1 + z[0] * z3t
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

@@ -186,3 +186,48 @@ def test_pde_cfl_crossing_mid_march_is_one_line(tmp_path, capsys):
     assert code == EXIT_FAIL
     assert err.startswith("pss: dt = 0.0002 exceeds the heuristic cap") and err.count("\n") == 1
     assert err.rstrip().endswith("at t = 0.0128")  # crossed during the march, not at the start
+
+
+def test_pss_threads_is_not_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("PSS_THREADS", "abc")
+    rep = tmp_path / "r.json"
+    assert run(["catalog", "--report", str(rep), "--deterministic"]) == EXIT_OK
+    assert "threads" not in json.loads(rep.read_text())
+
+
+def test_samples_must_be_positive(tmp_path, capsys):
+    for command, extra in (("verify", []), ("codazzi", ["--sigma", "3", "--beta", "0.5"])):
+        for bad in ("0", "-5", "ten"):
+            rep = tmp_path / f"{command}.json"
+            code = run([command, "--preset", "novikov", *extra, "--samples", bad,
+                        "--report", str(rep), "--deterministic"])
+            err = capsys.readouterr().err
+            assert code == EXIT_USAGE, (command, bad)
+            assert err.startswith("pss: argument --samples: must be a positive integer") and err.count("\n") == 1
+            assert not rep.exists()
+
+
+def test_config_values_take_the_flag_checks(tmp_path, capsys):
+    table = [
+        # (command, config, expected exit code, report field -> expected value)
+        (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": "6x5"}, EXIT_OK, ("grid", [6, 5])),
+        (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": "6x5x4"}, EXIT_USAGE, None),
+        (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": [6, 5]}, EXIT_USAGE, None),
+        (["verify", "--preset", "t22-demo"], {"samples": 0}, EXIT_USAGE, None),
+        (["verify", "--preset", "t22-demo"], {"samples": 40}, EXIT_OK, ("samples", 40)),
+        (["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01"], {"space": "3"}, EXIT_USAGE, None),
+        (["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01"], {"space": 4}, EXIT_OK, ("result", "ok")),
+        (["reconstruct", "--preset", "sine-gordon"], {"soliton": "yes"}, EXIT_USAGE, None),
+    ]
+    for i, (argv, cfg, want, field) in enumerate(table):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        rep = tmp_path / f"r{i}.json"
+        code = run([*argv, "--config", str(path), "--report", str(rep), "--deterministic"])
+        err = capsys.readouterr().err
+        assert code == want, (cfg, err)
+        if want == EXIT_USAGE:
+            assert err.startswith("pss: config: ") and err.count("\n") == 1, err
+        else:
+            key, value = field
+            assert json.loads(rep.read_text())[key] == value

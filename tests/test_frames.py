@@ -17,13 +17,13 @@ from pss.frames import (
     write_diagnostics,
 )
 from pss.immersion import ImmersionParams, solve_triple
-from pss.jets import JetPoint
 from pss.pde import Grid1D, kink_field
-from pss.verifier import sample_envs
+from pss.verifier import delta, sample_envs
 
 
 def jp(z):
-    return JetPoint(z=tuple(z), w=(0.0,), v=(0.0,))
+    """One-jet environment with z0..z_{len(z)-1} and w1 = v1 = 0."""
+    return {"x": 0.0, "t": 0.0, **{f"z{i}": zi for i, zi in enumerate(z)}, "w1": 0.0, "v1": 0.0}
 
 
 # ----------------------------------------------------------------------
@@ -51,10 +51,8 @@ def test_degenerate_column_first_form():
 def test_lagrange_identity_novikov():
     fam = novikov_preset()
     env = sample_envs(fam, 300, np.random.default_rng(1))
-    E, F, G = first_form_coefficients(fam, {**env})
-    from pss.verifier import _delta_env
-
-    d12 = _delta_env(fam, env, 1, 2)
+    E, F, G = first_form_coefficients(fam, env)
+    d12 = delta(fam, env, 1, 2)
     assert np.max(np.abs(E * G - F * F - d12 * d12)) < 1e-12 * max(1.0, float(np.max(np.abs(E * G))))
 
 
@@ -81,7 +79,7 @@ def test_second_form_swap_symmetry():
     rng = np.random.default_rng(3)
     env = sample_envs(fam, 100, rng)
     a, b, c = 1.3, -0.4, 0.7
-    _, a2, _ = second_form_coefficients(fam, (a, b, c), {**env})
+    _, a2, _ = second_form_coefficients(fam, (a, b, c), env)
 
     class Swapped:
         def fij(self, i, j):
@@ -91,7 +89,7 @@ def test_second_form_swap_symmetry():
                 return fam.fij(1, j)
             return fam.fij(3, j)
 
-    _, a2s, _ = second_form_coefficients(Swapped(), (c, b, a), {**env})
+    _, a2s, _ = second_form_coefficients(Swapped(), (c, b, a), env)
     assert np.max(np.abs(a2 - a2s)) < 1e-12
 
 

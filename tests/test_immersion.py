@@ -23,13 +23,11 @@ from pss.immersion import (
     solve_triple,
     strip_bounds,
 )
-from pss.jets import JetPoint
 from pss.verifier import sample_envs
 
 
 def _jets(fam, n, seed=0):
-    env = sample_envs(fam, n, np.random.default_rng(seed))
-    return JetPoint(z=tuple(env[f"z{i}"] for i in range(6)), w=(env["w1"],), v=(env["v1"],))
+    return sample_envs(fam, n, np.random.default_rng(seed))
 
 
 # ----------------------------------------------------------------------
@@ -359,9 +357,17 @@ def test_sine_gordon_codazzi_identity():
     trip = solve_triple(fam, ImmersionParams(a_sign=1))
     rng = np.random.default_rng(6)
     env = sample_envs(fam, 300, rng)
-    p = JetPoint(z=tuple(env[f"z{i}"] for i in range(6)), w=(env["w1"],), v=(env["v1"],))
-    e1, e2 = codazzi_residuals(fam, trip, p, 0.0, 0.0)
+    e1, e2 = codazzi_residuals(fam, trip, env, 0.0, 0.0)
     assert np.max(np.abs(e1)) <= 1e-12 and np.max(np.abs(e2)) <= 1e-12
+
+
+def test_sine_gordon_codazzi_needs_w1():
+    fam = sine_gordon_preset(eta=1.3)
+    trip = solve_triple(fam, ImmersionParams(a_sign=1))
+    env = sample_envs(fam, 10, np.random.default_rng(6))
+    del env["w1"]
+    with pytest.raises(TripleDomainError, match="w1"):
+        codazzi_residuals(fam, trip, env, 0.0, 0.0)
 
 
 def test_constant_triple_trivial_codazzi():

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from pss.catalog import Branch, CatalogError, FamilyParams, PRESETS, build_family, novikov_preset, sine_gordon_preset
-from pss.jets import JetPoint
+from pss.catalog import Branch, CatalogError, Family, FamilyParams, PRESETS, build_family, novikov_preset, sine_gordon_preset
 from pss.verifier import (
     certify,
     certify_structure,
@@ -16,12 +15,18 @@ from pss.verifier import (
     nondegeneracy,
     perturbed_family,
     sample_envs,
-    structure_residuals,
+    structure_residuals_env,
 )
 
 
 def jp(z, w1=0.3, v1=0.2):
-    return JetPoint(z=tuple(z), w=(w1,), v=(v1,))
+    """One-jet environment with z0..z_{len(z)-1}, w1 and v1."""
+    return {"x": 0.0, "t": 0.0, **{f"z{i}": zi for i, zi in enumerate(z)}, "w1": w1, "v1": v1}
+
+
+def residuals(fam, env):
+    (r1, r2, r3), _ = structure_residuals_env(fam, env)
+    return float(r1), float(r2), float(r3)
 
 
 # ----------------------------------------------------------------------
@@ -77,16 +82,16 @@ def test_sine_gordon_residuals_vanish_pointwise():
     rng = np.random.default_rng(4)
     for _ in range(50):
         z = rng.uniform(-1, 1, 6)
-        p = JetPoint(z=tuple(z), w=(rng.uniform(-1, 1),), v=(math.sin(z[0]),))
-        r = structure_residuals(fam, p)
+        p = jp(z, w1=rng.uniform(-1, 1), v1=math.sin(z[0]))
+        r = residuals(fam, p)
         assert max(abs(v) for v in r) < 1e-14
 
 
 def test_sine_gordon_r3_detects_off_shell():
     # with v1 != sin(z0) the third residual is exactly sin(z0) - v1
     fam = sine_gordon_preset(eta=1.0)
-    p = JetPoint(z=(0.6, 0.1, 0.0, 0.0, 0.0, 0.0), w=(0.0,), v=(0.9,))
-    r1, r2, r3 = structure_residuals(fam, p)
+    p = jp((0.6, 0.1, 0.0, 0.0, 0.0, 0.0), w1=0.0, v1=0.9)
+    r1, r2, r3 = residuals(fam, p)
     assert abs(r1) < 1e-15 and abs(r2) < 1e-15
     assert r3 == pytest.approx(math.sin(0.6) - 0.9, abs=1e-14)
 
@@ -102,10 +107,21 @@ def test_corrupted_family_detected():
     fam = novikov_preset()
     bad = perturbed_family(fam, 2, 2, 0.1)
     p = jp([0.5, 0.4, 0.3, 0.2, 0.1, 0.0])
-    from pss.verifier import structure_residuals_env
-
-    (r1, r2, r3), _ = structure_residuals_env(bad, {**p.env()})
+    (r1, r2, r3), _ = structure_residuals_env(bad, p)
     assert max(abs(float(r1)), abs(float(r2)), abs(float(r3))) > 0.01
+
+
+def test_perturbed_family_is_a_family_sharing_the_other_fij():
+    fam = novikov_preset()
+    p = jp([0.5, 0.4, 0.3, 0.2])
+    for which in fam.fij_fns:
+        bad = perturbed_family(fam, *which, 0.25)
+        assert isinstance(bad, Family) and bad.name == f"novikov+eps{which}"
+        assert bad.fij(*which)(p) == fam.fij(*which)(p) + 0.25
+        others = [key for key in fam.fij_fns if key != which]
+        assert len(others) == 5
+        assert all(bad.fij_fns[key] is fam.fij_fns[key] for key in others)
+    assert fam.name == "novikov" and fam.fij(1, 1)(p) == 0.5 - 0.3  # the base is untouched
 
 
 @pytest.mark.parametrize("which", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
@@ -115,8 +131,6 @@ def test_sensitivity_every_fij_perturbation_is_seen(which):
     bad = perturbed_family(fam, which[0], which[1], 1e-3)
     rng = np.random.default_rng(10)
     env = sample_envs(fam, 200, rng)
-    from pss.verifier import structure_residuals_env
-
     (r1, r2, r3), _ = structure_residuals_env(bad, env)
     worst = np.maximum(np.abs(r1), np.maximum(np.abs(r2), np.abs(r3)))
     assert np.mean(worst > 1e-4) > 0.5

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dual
-from .dual import Dual, primal
+from .dual import Taylor, primal
 from .expr import parse_expression
 from .jets import JetFunction, prolong_env
 
@@ -228,19 +228,10 @@ def _phi12_parts(phi12_expr, z0v, z1v):
 
 
 def _uni_derivs(expr, var, x, order):
-    """Value and derivatives of a univariate expression, dual-nesting safe."""
-    if order == 0:
-        return (expr({var: x}),)
-    lvl = dual.lift_level(x)
-    xd = Dual(lvl, x, (1.0,))
-    if order == 1:
-        v, g = dual.value_grad(expr({var: xd}), lvl, 1)
-        return (v, g[0])
-    lower = _uni_derivs(expr, var, xd, order - 1)
-    vals = [dual.value_grad(c, lvl, 1) for c in lower]
-    out = [vals[0][0]] + [v for v, _ in vals[1:]]
-    out.append(vals[-1][1][0])
-    return tuple(out)
+    """Value and derivatives 0..order of a univariate expression at x (a float,
+    array or Dual), from one series evaluation."""
+    u = expr({var: Taylor.variable(x, order)})
+    return tuple(u.derivatives()) if isinstance(u, Taylor) else (u,) + (0.0,) * order
 
 
 class FPrimeZero(CatalogError):

@@ -136,7 +136,9 @@ def build_parser():
     sp.add_argument("--tmax", type=float, default=1.0)
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--space", default="spectral", choices=["spectral", "2", "4"])
-    sp.add_argument("--nsave", type=int, default=33, help="number of stored snapshots")
+    sp.add_argument("--nsave", type=int, default=33,
+                    help="snapshot spacing: t = 0, every max(1, steps // (nsave - 1))-th step "
+                         "and the last step are stored (33 over 1000 steps stores 34); >= 2")
     sp.add_argument("--u0", default="0.1 + 0.05*cos(x)", help="initial data, an expression in x")
     sp.add_argument("--out", help="write the field in PSSF format")
     sp.add_argument("--csv", help="also export x,t,u rows")
@@ -190,11 +192,15 @@ def _config_text(val):
     return val if isinstance(val, str) else json.dumps(val)
 
 
-def _check_tols(args):
-    for name in ("tol", "h", "eps", "dt"):
+def _check_ranges(args):
+    for name in ("tol", "h", "eps", "dt", "tmax"):
         v = getattr(args, name, None)
         if v is not None and not v > 0:
             raise _UsageError(f"--{name} must be > 0")
+    for name, lo in (("nsave", 2), ("nx", 16)):
+        v = getattr(args, name, None)
+        if v is not None and v < lo:
+            raise _UsageError(f"--{name} must be >= {lo}")
 
 
 def _load(args):
@@ -330,6 +336,10 @@ def _cmd_sff(args):
         s = trip.strip_samples(256)
         payload["gauss_residual_max"] = float(np.max(np.abs(trip.gauss_residual_at(s))))
     _emit(args, payload, "sff")
+    gauss = payload.get("gauss_residual_max", 0.0)
+    if not gauss <= args.tol:  # NaN fails too
+        print(f"pss: Gauss residual {gauss:.3e} on the strip exceeds --tol {args.tol:g}", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK
 
 
@@ -500,7 +510,7 @@ def run(argv=None):
     try:
         args = parser.parse_args(argv)
         args = _apply_config(args, argv)
-        _check_tols(args)
+        _check_ranges(args)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"pss: {exc}", file=sys.stderr)

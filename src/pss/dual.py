@@ -1,4 +1,4 @@
-"""Forward-mode automatic differentiation with nestable dual numbers.
+"""Forward-mode automatic differentiation: nestable duals and truncated Taylor series.
 
 A ``Dual`` carries a value and a tuple of partial-derivative components.
 Every dual belongs to a differentiation *level*; values of a lower level
@@ -7,16 +7,29 @@ respect to a higher level.  Nesting levels is what gives exact second and
 higher derivatives: evaluating f'(s) with an argument that is itself a
 dual propagates f'' through the chain rule automatically.
 
+A ``Taylor`` carries the coefficients u_0..u_n of a series truncated after
+degree n in one variable; its coefficients may be duals, so a closed-form
+u(x, t) yields its x-jet and, through the duals, its t-derivatives in one
+evaluation (Taylor-mode propagation, Griewank & Walther, *Evaluating
+Derivatives*, ch. 13).
+
+Both apply the elementary functions from one rule table, ``_RULES``: the
+dual as the chain rule, the series as the recurrence of y' = f'(.) u'.
+
 Components may be numpy arrays, so a single evaluation can sweep many
 sample points at once.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
     "Dual",
+    "Taylor",
+    "FUNCTIONS",
     "seed",
     "level_of",
     "lift_level",
@@ -41,8 +54,9 @@ def lift_level(*values):
 
 
 def primal(x):
-    """Strip all dual structure, returning the underlying float/array."""
-    while isinstance(x, Dual):
+    """Strip all dual and series structure, returning the underlying float/array
+    (the value of a dual, the constant term of a series)."""
+    while isinstance(x, (Dual, Taylor)):
         x = x.val
     return x
 
@@ -128,54 +142,150 @@ class Dual:
         d = k * self.val ** (k - 1)
         return Dual(self.level, self.val**k, tuple(d * g for g in self.grad))
 
-    # -- elementary functions (chain rule) -----------------------------
-    def _chain(self, fval, dval):
-        return Dual(self.level, fval, tuple(dval * g for g in self.grad))
-
-    def _sin(self):
-        return self._chain(sin(self.val), cos(self.val))
-
-    def _cos(self):
-        return self._chain(cos(self.val), -sin(self.val))
-
-    def _tan(self):
-        t = tan(self.val)
-        return self._chain(t, 1.0 + t * t)
-
-    def _exp(self):
-        e = exp(self.val)
-        return self._chain(e, e)
-
-    def _sqrt(self):
-        r = sqrt(self.val)
-        return self._chain(r, 0.5 / r)
-
-    def _arctan(self):
-        return self._chain(arctan(self.val), 1.0 / (1.0 + self.val * self.val))
+    def _apply(self, name):
+        """f(self) by the chain rule: grad f = f'(.) * grad."""
+        _, on_result, deriv = _RULES[name]
+        y = FUNCTIONS[name](self.val)
+        d = deriv(y if on_result else self.val)
+        return Dual(self.level, y, tuple(d * g for g in self.grad))
 
 
-def sin(x):
-    return x._sin() if hasattr(x, "_sin") else np.sin(x)
+class Taylor:
+    """Series u_0 + u_1 h + ... + u_n h^n truncated after degree n = order."""
+
+    __slots__ = ("c",)
+    __array_ufunc__ = None
+
+    def __init__(self, coeffs):
+        self.c = list(coeffs)
+
+    @classmethod
+    def variable(cls, x, order):
+        """The independent variable at x: coefficients x, 1, 0, ..., 0."""
+        return cls([x, 1.0] + [0.0] * (order - 1) if order else [x])
+
+    @property
+    def order(self):
+        return len(self.c) - 1
+
+    @property
+    def val(self):
+        return self.c[0]
+
+    def derivatives(self):
+        """The derivatives of orders 0..n at the expansion point: u_k times k!."""
+        return [ck * math.factorial(k) for k, ck in enumerate(self.c)]
+
+    def _co(self, other):
+        if isinstance(other, Taylor):
+            return other.c
+        return [other] + [0.0] * self.order
+
+    def __add__(self, other):
+        oc = self._co(other)
+        return Taylor([a + b for a, b in zip(self.c, oc)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Taylor([-a for a in self.c])
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, Taylor) else -1.0 * other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Taylor):
+            return Taylor([a * other for a in self.c])
+        n = self.order
+        out = []
+        for k in range(n + 1):
+            acc = self.c[0] * other.c[k]
+            for j in range(1, k + 1):
+                acc = acc + self.c[j] * other.c[k - j]
+            out.append(acc)
+        return Taylor(out)
+
+    __rmul__ = __mul__
+
+    def _inv(self):
+        n = self.order
+        d0 = 1.0 / self.c[0]
+        out = [d0]
+        for k in range(1, n + 1):
+            acc = 0.0
+            for j in range(1, k + 1):
+                acc = acc + self.c[j] * out[k - j]
+            out.append(-d0 * acc)
+        return Taylor(out)
+
+    def __truediv__(self, other):
+        if isinstance(other, Taylor):
+            return self * other._inv()
+        return Taylor([a / other for a in self.c])
+
+    def __rtruediv__(self, other):
+        return self._inv() * other
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            raise TypeError("Taylor powers are integer only")
+        if k < 0:
+            return self._inv() ** (-k)
+        out = Taylor([1.0] + [0.0] * self.order)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def _apply(self, name):
+        """y = f(u) from y' = d u' with d the series of f'(.):
+        y_k = sum_{j=1..k} j u_j d_{k-j} / k.  y_k needs d only to degree
+        k - 1, so d of u is taken once from u truncated to degree n - 1, and
+        d of y is retaken from y_0..y_{k-1} as y grows."""
+        _, on_result, deriv = _RULES[name]
+        u = self.c
+        n = len(u) - 1
+        y = [FUNCTIONS[name](u[0])]
+        for k in range(1, n + 1):
+            if on_result or k == 1:
+                d = deriv(Taylor(y if on_result else u[:n])).c
+            acc = 0.0
+            for j in range(1, k + 1):
+                acc = acc + j * u[j] * d[k - j]
+            y.append(acc / k)
+        return Taylor(y)
 
 
-def cos(x):
-    return x._cos() if hasattr(x, "_cos") else np.cos(x)
+# name -> (numpy function, whether f' reads the result y = f(u) rather than
+# the argument u, f' as arithmetic over that value)
+_RULES = {
+    "exp": (np.exp, True, lambda y: y),
+    "sin": (np.sin, False, lambda u: cos(u)),
+    "cos": (np.cos, False, lambda u: -sin(u)),
+    "tan": (np.tan, True, lambda y: 1.0 + y * y),
+    "sqrt": (np.sqrt, True, lambda y: 0.5 / y),
+    "arctan": (np.arctan, False, lambda u: 1.0 / (1.0 + u * u)),
+}
 
 
-def tan(x):
-    return x._tan() if hasattr(x, "_tan") else np.tan(x)
+def _elementary(name):
+    np_fn = _RULES[name][0]
+
+    def f(x):
+        return x._apply(name) if isinstance(x, (Dual, Taylor)) else np_fn(x)
+
+    f.__name__ = f.__qualname__ = name
+    return f
 
 
-def exp(x):
-    return x._exp() if hasattr(x, "_exp") else np.exp(x)
-
-
-def sqrt(x):
-    return x._sqrt() if hasattr(x, "_sqrt") else np.sqrt(x)
-
-
-def arctan(x):
-    return x._arctan() if hasattr(x, "_arctan") else np.arctan(x)
+FUNCTIONS = {name: _elementary(name) for name in _RULES}
+exp, sin, cos, tan, sqrt, arctan = (FUNCTIONS[nm] for nm in ("exp", "sin", "cos", "tan", "sqrt", "arctan"))
 
 
 def seed(values, names):

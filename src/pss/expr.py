@@ -38,14 +38,7 @@ __all__ = [
     "FUNCTIONS",
 ]
 
-FUNCTIONS = {
-    "exp": dual.exp,
-    "sin": dual.sin,
-    "cos": dual.cos,
-    "tan": dual.tan,
-    "sqrt": dual.sqrt,
-    "arctan": dual.arctan,
-}
+FUNCTIONS = dual.FUNCTIONS  # name -> function, from the dual rule table
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*")
 

@@ -10,11 +10,13 @@ light-cone form u_t(x) = integral of sin(u) dx' with the constant fixed
 by decay at x_min.
 
 Fields expose jets: EXACT fields (closed-form u(x, t)) sample them
-analytically through truncated Taylor series in x whose coefficients are
-dual numbers in t; NUMERIC fields use centered finite-difference
-stencils of declared order at the grid nodes and stored snapshot times,
-with periodic Catmull-Rom interpolation in x (3rd order) between nodes
-and linear interpolation in t (2nd order) between snapshots.
+analytically with the one series engine of `dual`: a truncated
+`dual.Taylor` in x whose coefficients are duals in t, each elementary
+function applied from the `dual` rule table.  NUMERIC fields use
+centered finite-difference stencils of declared order at the grid nodes
+and stored snapshot times, with periodic Catmull-Rom interpolation in x
+(3rd order) between nodes and linear interpolation in t (2nd order)
+between snapshots.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import dual
 from .catalog import Branch
+from .dual import Taylor
 from .expr import parse_expression
 
 __all__ = [
@@ -171,150 +174,7 @@ def cumulative_integral(f, dx, order=4):
 
 
 # ----------------------------------------------------------------------
-# Truncated Taylor series in x (coefficients may be dual numbers in t)
-
-
-class Taylor:
-    __slots__ = ("c",)
-    __array_ufunc__ = None
-
-    def __init__(self, coeffs):
-        self.c = list(coeffs)
-
-    @property
-    def order(self):
-        return len(self.c) - 1
-
-    def _co(self, other):
-        if isinstance(other, Taylor):
-            return other.c
-        return [other] + [0.0] * self.order
-
-    def __add__(self, other):
-        oc = self._co(other)
-        return Taylor([a + b for a, b in zip(self.c, oc)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Taylor([-a for a in self.c])
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Taylor) else -1.0 * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Taylor):
-            return Taylor([a * other for a in self.c])
-        n = self.order
-        out = []
-        for k in range(n + 1):
-            acc = self.c[0] * other.c[k]
-            for j in range(1, k + 1):
-                acc = acc + self.c[j] * other.c[k - j]
-            out.append(acc)
-        return Taylor(out)
-
-    __rmul__ = __mul__
-
-    def _inv(self):
-        n = self.order
-        d0 = 1.0 / self.c[0]
-        out = [d0]
-        for k in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc = acc + self.c[j] * out[k - j]
-            out.append(-d0 * acc)
-        return Taylor(out)
-
-    def __truediv__(self, other):
-        if isinstance(other, Taylor):
-            return self * other._inv()
-        return Taylor([a / other for a in self.c])
-
-    def __rtruediv__(self, other):
-        return self._inv() * other
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("Taylor powers are integer only")
-        if k < 0:
-            return self._inv() ** (-k)
-        out = Taylor([1.0] + [0.0] * self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def _exp(self):
-        n = self.order
-        out = [dual.exp(self.c[0])]
-        for k in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc = acc + j * self.c[j] * out[k - j]
-            out.append(acc / k)
-        return Taylor(out)
-
-    def _sincos(self):
-        n = self.order
-        s = [dual.sin(self.c[0])]
-        co = [dual.cos(self.c[0])]
-        for k in range(1, n + 1):
-            sa = 0.0
-            ca = 0.0
-            for j in range(1, k + 1):
-                sa = sa + j * self.c[j] * co[k - j]
-                ca = ca + j * self.c[j] * s[k - j]
-            s.append(sa / k)
-            co.append(-ca / k)
-        return Taylor(s), Taylor(co)
-
-    def _sin(self):
-        return self._sincos()[0]
-
-    def _cos(self):
-        return self._sincos()[1]
-
-    def _tan(self):
-        s, c = self._sincos()
-        return s / c
-
-    def _sqrt(self):
-        n = self.order
-        r0 = dual.sqrt(self.c[0])
-        out = [r0]
-        for k in range(1, n + 1):
-            acc = self.c[k]
-            for j in range(1, k):
-                acc = acc - out[j] * out[k - j]
-            out.append(acc / (2.0 * r0))
-        return Taylor(out)
-
-    def _arctan(self):
-        n = self.order
-        w = Taylor([1.0] + [0.0] * n) + self * self  # 1 + u^2
-        du = Taylor([(j + 1) * self.c[j + 1] for j in range(n)] + [0.0])
-        p = du * w._inv()
-        out = [dual.arctan(self.c[0])]
-        for k in range(1, n + 1):
-            out.append(p.c[k - 1] / k)
-        return Taylor(out)
-
-
-# ----------------------------------------------------------------------
 # Solution fields
-
-
-_FACT = [1.0]
-for _i in range(1, 16):
-    _FACT.append(_FACT[-1] * _i)
 
 
 class SolutionField:
@@ -352,22 +212,9 @@ class SolutionField:
         u = self.expression({"x": tx, "t": tt})
         if not isinstance(u, Taylor):
             u = Taylor([u] + [zero] * order)
-        zs, ws, vs = [], [], []
-        for i in range(order + 1):
-            ci = u.c[i]
-            if isinstance(ci, dual.Dual):
-                zs.append(ci.val * _FACT[i])
-                if i == 0:
-                    ws.append(ci.grad[0])
-                if i == 1:
-                    vs.append(ci.grad[0] * _FACT[1])
-            else:
-                zs.append(ci * _FACT[i] + zero)
-                if i == 0:
-                    ws.append(zero)
-                if i == 1:
-                    vs.append(zero)
-        return zs, ws, vs
+        # z0..z_order and, from the duals in t, w1 = d/dt z0 and v1 = d/dt z1
+        ds = [dual.value_grad(d, 1, 1) for d in u.derivatives()]
+        return [v + zero for v, _ in ds], [ds[0][1][0] + zero], [ds[1][1][0] + zero]
 
     def sample_env(self, x, t, order):
         """Vectorized jet environment {z0.., w1, v1, x, t} at x and t broadcast together."""

@@ -231,3 +231,37 @@ def test_config_values_take_the_flag_checks(tmp_path, capsys):
         else:
             key, value = field
             assert json.loads(rep.read_text())[key] == value
+
+
+def test_pde_input_checks(tmp_path, capsys):
+    base = ["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01"]
+    table = [
+        # (extra flags, stderr line)
+        (["--tmax", "0"], "pss: --tmax must be > 0\n"),
+        (["--tmax", "-1"], "pss: --tmax must be > 0\n"),
+        (["--nsave", "1"], "pss: --nsave must be >= 2\n"),
+        (["--nsave", "0"], "pss: --nsave must be >= 2\n"),
+        (["--nx", "8"], "pss: --nx must be >= 16\n"),
+        (["--nx", "0"], "pss: --nx must be >= 16\n"),
+    ]
+    for extra, want in table:
+        rep = tmp_path / "r.json"
+        code = run([*base, *extra, "--report", str(rep), "--deterministic"])
+        assert code == EXIT_USAGE, extra
+        assert capsys.readouterr().err == want
+        assert not rep.exists()
+
+
+def test_sff_fails_when_the_gauss_check_fails(tmp_path, capsys):
+    # the b-ODE march of this T22 family crosses a pole between steps
+    spec = {"branch": "T22", "params": {"mu2": -0.3, "eta2": 1}, "f": "s", "phi12": "z1"}
+    fam = tmp_path / "t22.json"
+    fam.write_text(json.dumps(spec))
+    rep = tmp_path / "r.json"
+    code = run(["sff", "--family", str(fam), "--beta", "0.2", "--b0", "1.3", "--eps", "0.3",
+                "--report", str(rep), "--deterministic"])
+    err = capsys.readouterr().err
+    assert code == EXIT_FAIL
+    assert err.startswith("pss: Gauss residual ") and err.count("\n") == 1
+    assert err.rstrip().endswith("exceeds --tol 1e-08")
+    assert json.loads(rep.read_text())["gauss_residual_max"] > 1e-8  # the report is still written

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
-from pss.catalog import novikov_preset, sine_gordon_preset
+from pss.catalog import _uni_derivs, novikov_preset, sine_gordon_preset
+from pss.dual import Dual
+from pss.expr import DomainError, parse_expression
 from pss.pde import (
     BlowUpError,
     CflError,
@@ -251,6 +254,38 @@ def test_out_of_domain_sample():
     f = exact_field("x", Grid1D(-1, 1, 16), t_span=(-1, 1))
     with pytest.raises(PdeError):
         sample_jet(f, 5.0, 0.0, 2)
+
+
+def test_exact_field_domain_errors():
+    g = Grid1D(-2, 2, 16)
+    for src, x in (("1/x", 0.0), ("x^-2", 0.0), ("sqrt(x)", -1.0)):
+        with pytest.raises(DomainError):
+            sample_jet(exact_field(src, g, t_span=(-1, 1)), x, 0.0, 3)
+
+
+@pytest.mark.parametrize("fn", ["exp", "sin", "cos", "tan", "sqrt", "arctan"])
+def test_exact_jets_of_each_elementary_function_match_sympy(fn):
+    src = f"{fn}(0.3*x + 0.2*t + 1.1)"
+    p = sample_jet(exact_field(src, Grid1D(-2, 2, 16), t_span=(-1, 1)), 0.7, 0.4, 5)
+    xs, ts = sp.symbols("x t")
+    u = getattr(sp, "atan" if fn == "arctan" else fn)(sp.Rational(3, 10) * xs + sp.Rational(1, 5) * ts
+                                                       + sp.Rational(11, 10))
+    at = {xs: sp.Rational(7, 10), ts: sp.Rational(2, 5)}
+    want = {f"z{k}": sp.diff(u, xs, k) for k in range(6)}
+    want["w1"] = sp.diff(u, ts)
+    want["v1"] = sp.diff(u, xs, ts)
+    for nm, d in want.items():
+        assert p[nm] == pytest.approx(float(d.subs(at)), rel=1e-12), nm
+
+
+@pytest.mark.parametrize("src", ["exp(z0)", "2 + sin(z0)", "sqrt(1 + z0^2)"])
+def test_uni_derivs_seeded_with_a_dual(src):
+    e = parse_expression(src, ["z0"])
+    plain = _uni_derivs(e, "z0", 0.37, 4)
+    seeded = _uni_derivs(e, "z0", Dual(1, 0.37, (1.0,)), 3)
+    for k in range(4):
+        assert seeded[k].val == pytest.approx(plain[k], rel=1e-14)
+        assert seeded[k].grad[0] == pytest.approx(plain[k + 1], rel=1e-14)
 
 
 # ----------------------------------------------------------------------

@@ -201,6 +201,15 @@ def _check_ranges(args):
         v = getattr(args, name, None)
         if v is not None and v < lo:
             raise _UsageError(f"--{name} must be >= {lo}")
+    if args.command == "pde":
+        from .pde import PdeError, step_count
+
+        if not args.xmax > args.xmin:
+            raise _UsageError("--xmax must be > --xmin")
+        try:
+            step_count(args.tmax, args.dt)
+        except PdeError:
+            raise _UsageError(f"--tmax {args.tmax} is not a whole number of --dt {args.dt} steps") from None
 
 
 def _load(args):

@@ -316,6 +316,8 @@ def _compile(node):
                 arg = af(env)
                 if _any_negative(arg):
                     raise DomainError("sqrt of a negative value", off)
+                if isinstance(arg, (dual.Dual, dual.Taylor)) and _any_zero(arg):
+                    raise DomainError("sqrt at zero has no derivative", off)
                 return fn(arg)
 
             return fsqrt

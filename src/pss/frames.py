@@ -12,8 +12,11 @@ pullbacks of omega_i, omega_12 = omega_3 and
 
 Integration order is fixed: an x-spine from the origin (classical RK4,
 coefficients sampled at the stage abscissae), then one t-line per spine
-vertex, advanced for all columns at once.  The initial frame is the
-standard triad; any other orthonormal choice differs by a rigid motion.
+vertex, advanced for all columns at once.  The coefficients depend on the
+jet of u at (x, t) and never on the frame, so the stage abscissae of a
+whole spine, and the three stages of one transverse step, are sampled in
+one field call each, before the march consumes them.  The initial frame is
+the standard triad; any other orthonormal choice differs by a rigid motion.
 Path-independence (x-then-t versus t-then-x) holds only to truncation
 order discretely, so the gap is measured and reported, never assumed.
 """
@@ -124,8 +127,9 @@ def _triple_values(trip: ImmersionTriple, env, x, t):
 
 
 def _coefficients(fam, trip, field, x, t, column):
-    """Pullback coefficients (w1, w2, w3, w13, w23) along dx (column 1) or dt (column 2)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Pullback coefficients (w1, w2, w3, w13, w23) along dx (column 1) or dt (column 2),
+    each in the broadcast shape of x and t."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     env = field.sample_env(x, t, 3)
     a, b, c = _triple_values(trip, env, x, t)
     f1 = fam.fij(1, column)(env)
@@ -133,7 +137,7 @@ def _coefficients(fam, trip, field, x, t, column):
     f3 = fam.fij(3, column)(env)
     w13 = a * f1 + b * f2
     w23 = b * f1 + c * f2
-    return f1, f2, f3, w13, w23
+    return tuple(np.broadcast_to(cc, x.shape) for cc in (f1, f2, f3, w13, w23))
 
 
 def _apply(coeffs, r, e1, e2, e3):
@@ -145,11 +149,9 @@ def _apply(coeffs, r, e1, e2, e3):
     return dr, de1, de2, de3
 
 
-def _rk4_step(coef_at, state, h):
+def _rk4_step(c0, ch, c1, state, h):
+    """One classical RK4 step from coefficient sets sampled at abscissae 0, h/2 and h."""
     r, e1, e2, e3 = state
-    c0 = coef_at(0.0)
-    ch = coef_at(0.5 * h)
-    c1 = coef_at(h)
     k1 = _apply(c0, r, e1, e2, e3)
     k2 = _apply(ch, *(s + 0.5 * h * k for s, k in zip(state, k1)))
     k3 = _apply(ch, *(s + 0.5 * h * k for s, k in zip(state, k2)))
@@ -250,63 +252,48 @@ def _identity_state(n):
     )
 
 
+def _stage_abscissae(grid):
+    """(steps, 3) RK4 stage abscissae g_i, g_i + 0.5*h_i, g_i + h_i with h_i = g_{i+1} - g_i."""
+    return grid[:-1, None] + np.array([0.0, 0.5, 1.0]) * np.diff(grid)[:, None]
+
+
 def _sweep(fam, trip, field, xs, ts, spine):
     """March the spine then all transverse lines; returns (r, e1, e2, e3) arrays.
 
     Output layout is always (len(xs), len(ts), 3); `spine` picks the path:
     "x" integrates x first along t = ts[0], "t" integrates t first along
-    x = xs[0] (used only to measure the path-independence gap).
+    x = xs[0] (used only to measure the path-independence gap).  The spine's
+    stage coefficients come from one field call, shape (steps, 3); each
+    transverse step samples its three stages in one call, shape (3, n).
     """
-    nx, nt = len(xs), len(ts)
-    out = tuple(np.empty((nx, nt, 3)) for _ in range(4))
     if spine == "x":
-        state = _identity_state(1)
-        spine_states = [state]
-        for i in range(nx - 1):
-            h = xs[i + 1] - xs[i]
+        spine_grid, cross_grid, spine_col, cross_col = xs, ts, 1, 2
+    else:
+        spine_grid, cross_grid, spine_col, cross_col = ts, xs, 2, 1
+    spine_stages = _stage_abscissae(spine_grid)
+    cross_stages = _stage_abscissae(cross_grid)
+    out = tuple(np.empty((len(spine_grid), len(cross_grid), 3)) for _ in range(4))
 
-            def coef_at(d, x0=xs[i]):
-                return _coefficients(fam, trip, field, np.array([x0 + d]), ts[0], 1)
+    def coefficients(along, across, column):
+        # (x, t) in field order from a spine-direction and a cross-direction abscissa
+        x, t = (along, across) if spine == "x" else (across, along)
+        return _coefficients(fam, trip, field, x, t, column)
 
-            state = _rk4_step(coef_at, state, h)
-            spine_states.append(state)
-        state = tuple(np.concatenate([s[q] for s in spine_states]) for q in range(4))
-        for q in range(4):
-            out[q][:, 0] = state[q]
-        for j in range(nt - 1):
-            h = ts[j + 1] - ts[j]
-
-            def coef_at(d, t0=ts[j]):
-                return _coefficients(fam, trip, field, xs, t0 + d, 2)
-
-            state = _rk4_step(coef_at, state, h)
-            for q in range(4):
-                out[q][:, j + 1] = state[q]
-        return out
-
+    coef = coefficients(spine_stages, cross_grid[0], spine_col)
     state = _identity_state(1)
     spine_states = [state]
-    for j in range(nt - 1):
-        h = ts[j + 1] - ts[j]
-
-        def coef_at(d, t0=ts[j]):
-            return _coefficients(fam, trip, field, np.array([xs[0]]), t0 + d, 2)
-
-        state = _rk4_step(coef_at, state, h)
+    for i, h in enumerate(np.diff(spine_grid)):
+        state = _rk4_step(*(tuple(cc[i, k] for cc in coef) for k in range(3)), state, h)
         spine_states.append(state)
     state = tuple(np.concatenate([s[q] for s in spine_states]) for q in range(4))
     for q in range(4):
-        out[q][0, :] = state[q]
-    for i in range(nx - 1):
-        h = xs[i + 1] - xs[i]
-
-        def coef_at(d, x0=xs[i]):
-            return _coefficients(fam, trip, field, x0 + d, ts, 1)
-
-        state = _rk4_step(coef_at, state, h)
+        out[q][:, 0] = state[q]
+    for j, h in enumerate(np.diff(cross_grid)):
+        coef = coefficients(spine_grid, cross_stages[j][:, None], cross_col)
+        state = _rk4_step(*(tuple(cc[k] for cc in coef) for k in range(3)), state, h)
         for q in range(4):
-            out[q][i + 1, :] = state[q]
-    return out
+            out[q][:, j + 1] = state[q]
+    return out if spine == "x" else tuple(np.swapaxes(o, 0, 1) for o in out)
 
 
 # ----------------------------------------------------------------------
@@ -412,13 +399,20 @@ def export_obj(mesh: SurfaceMesh, path):
         tris = tris[:, ::-1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# pss surface mesh {nx}x{nt}\n")
-        for p in V:
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for n in N:
-            fh.write(f"vn {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}\n")
-        for tri in tris:
-            i, j, k = (int(t) + 1 for t in tri)
-            fh.write(f"f {i}//{i} {j}//{j} {k}//{k}\n")
+        _write_records(fh, "v %.17g %.17g %.17g\n", V)
+        _write_records(fh, "vn %.17g %.17g %.17g\n", N)
+        _write_records(fh, "f %d//%d %d//%d %d//%d\n", np.repeat(tris + 1, 2, axis=1))
+
+
+def _write_records(fh, record, rows):
+    """Write `record % row` for every row, one `%` per block of 4096 rows.
+
+    %.17g of a float is the same text as f"{p:.17g}"; the blocks bound the
+    temporary Python objects (the whole mesh at once costs more memory and
+    is no faster)."""
+    for i in range(0, len(rows), 4096):
+        part = rows[i:i + 4096]
+        fh.write(record * len(part) % tuple(part.ravel().tolist()))
 
 
 def write_diagnostics(mesh: SurfaceMesh, path):

@@ -66,16 +66,22 @@ class TripleDomainError(ValueError):
     pass
 
 
+def _first_s(s, bad):
+    """The first s, as a float, where `bad` holds (s and bad broadcast together)."""
+    s, bad = np.broadcast_arrays(s, bad)
+    return float(s[bad][0])
+
+
 class DiscriminantCollapse(RuntimeError):
-    def __init__(self, s):
-        self.s = s
-        super().__init__(f"discriminant collapsed at s = {s}")
+    def __init__(self, s, bad=True):
+        self.s = _first_s(s, bad)
+        super().__init__(f"discriminant collapsed at s = {self.s}")
 
 
 class DenominatorCollapse(RuntimeError):
-    def __init__(self, s):
-        self.s = s
-        super().__init__(f"ODE denominator collapsed at s = {s}")
+    def __init__(self, s, bad=True):
+        self.s = _first_s(s, bad)
+        super().__init__(f"ODE denominator collapsed at s = {self.s}")
 
 
 @dataclass(frozen=True)
@@ -166,11 +172,11 @@ class _OdeForm:
         mu2, k, r, sg = self.mu2, self.k, self.a_sign, self.sign
         phi, delta, E = self.phi_delta(s, b)
         if np.any(delta <= 0):
-            raise DiscriminantCollapse(s)
+            raise DiscriminantCollapse(s, delta <= 0)
         sq = np.sqrt(delta)
         den = (mu2**2 + 1.0) * sq + r * (mu2**2 - 1.0) * phi + 4.0 * r * mu2 * b
         if np.any(np.abs(den) < 1e-300):
-            raise DenominatorCollapse(s)
+            raise DenominatorCollapse(s, np.abs(den) < 1e-300)
         num = 2.0 * sg * self.rho * k * b * sq + r * sg * (2.0 * self.beta * self.rho / k) * phi * E
         return num / den
 
@@ -198,7 +204,7 @@ class _OdeForm:
         mu2, r = self.mu2, self.a_sign
         phi, delta, E = self.phi_delta(s, b)
         if np.any(delta <= 0):
-            raise DiscriminantCollapse(s)
+            raise DiscriminantCollapse(s, delta <= 0)
         sq = np.sqrt(delta)
         a = 0.5 * (-phi + r * sq)
         c = a + phi
@@ -377,10 +383,10 @@ def integrate_b_ode(fam: Family, ip: ImmersionParams):
             try:
                 bn = step(sv, bv, h)
             except DiscriminantCollapse as e:
-                stop = ("discriminant", float(np.atleast_1d(e.s)[0]))
+                stop = ("discriminant", e.s)
                 break
             except DenominatorCollapse as e:
-                stop = ("denominator", float(np.atleast_1d(e.s)[0]))
+                stop = ("denominator", e.s)
                 break
             sn = sv + h
             phi, delta, _ = form.phi_delta(sn, bn)

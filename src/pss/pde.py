@@ -42,6 +42,7 @@ __all__ = [
     "helmholtz_apply",
     "helmholtz_invert",
     "solve_mol",
+    "step_count",
     "exact_sine_gordon_kink",
     "kink_field",
     "exact_field",
@@ -89,6 +90,8 @@ class Grid1D:
     def __post_init__(self):
         if self.nx < 16:
             raise PdeError("nx >= 16 required")
+        if not self.x_max > self.x_min:
+            raise PdeError("x_max > x_min required")
         if not self.periodic:
             raise PdeError("only periodic grids are supported")
 
@@ -394,6 +397,14 @@ def _space_ops(grid, space):
     return lambda u: [periodic_derivative(u, grid.dx, m, acc=acc) for m in (1, 2, 3)]
 
 
+def step_count(t_max, dt):
+    """The number of dt steps in t_max; PdeError unless it is a whole number."""
+    nsteps = int(round(t_max / dt))
+    if abs(nsteps * dt - t_max) > 1e-9 * max(1.0, abs(t_max)):
+        raise PdeError("t_max must be an integer number of steps")
+    return nsteps
+
+
 def solve_mol(
     equation,
     grid: Grid1D,
@@ -419,9 +430,7 @@ def solve_mol(
         raise PdeError("u0 length must match grid.nx")
     if not np.all(np.isfinite(u)):
         raise PdeError("u0 must be finite")
-    nsteps = int(round(t_max / dt))
-    if abs(nsteps * dt - t_max) > 1e-9 * max(1.0, abs(t_max)):
-        raise PdeError("t_max must be an integer number of steps")
+    nsteps = step_count(t_max, dt)
     sg = fam.params.branch == Branch.SINE_GORDON
 
     if sg:

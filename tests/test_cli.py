@@ -243,6 +243,8 @@ def test_pde_input_checks(tmp_path, capsys):
         (["--nsave", "0"], "pss: --nsave must be >= 2\n"),
         (["--nx", "8"], "pss: --nx must be >= 16\n"),
         (["--nx", "0"], "pss: --nx must be >= 16\n"),
+        (["--tmax", "0.0015", "--dt", "1e-3"], "pss: --tmax 0.0015 is not a whole number of --dt 0.001 steps\n"),
+        (["--xmin", "1", "--xmax", "1"], "pss: --xmax must be > --xmin\n"),
     ]
     for extra, want in table:
         rep = tmp_path / "r.json"

@@ -96,6 +96,9 @@ def test_sqrt_of_negative_is_hard_error():
     with pytest.raises(DomainError):
         e({"z0": -0.5})
     assert e({"z0": 4.0}) == 2.0
+    assert e({"z0": 0.0}) == 0.0  # a plain float at 0 is valid; a derivative there is not
+    with pytest.raises(DomainError):
+        e.with_partials({"z0": 0.0})
 
 
 def test_domain_checks_cover_arrays():

@@ -9,6 +9,8 @@ import pytest
 from pss.catalog import FamilyParams, Branch, build_family, novikov_preset, sine_gordon_preset
 from pss.frames import (
     SurfaceMesh,
+    _coefficients,
+    _stage_abscissae,
     discrete_gaussian_curvature,
     export_obj,
     first_form_coefficients,
@@ -16,8 +18,8 @@ from pss.frames import (
     second_form_coefficients,
     write_diagnostics,
 )
-from pss.immersion import ImmersionParams, solve_triple
-from pss.pde import Grid1D, kink_field
+from pss.immersion import ImmersionParams, Representation, solve_triple
+from pss.pde import Grid1D, exact_field, kink_field, solve_mol
 from pss.verifier import delta, sample_envs
 
 
@@ -256,3 +258,140 @@ def test_obj_export_and_diagnostics(tmp_path):
     write_diagnostics(mesh, side)
     doc = json.loads(side.read_text())
     assert {"K_min", "K_max", "K_mean", "drift_max", "compat_max"} <= set(doc)
+
+
+def _reference_export_obj(mesh, path):
+    """The per-line OBJ writer that `export_obj` must match byte for byte."""
+    nx, nt = mesh.shape
+    V = mesh.r.reshape(-1, 3)
+    N = mesh.e3.reshape(-1, 3)
+    norms = np.linalg.norm(N, axis=1, keepdims=True)
+    N = N / np.where(norms == 0.0, 1.0, norms)
+    idx = np.arange(nx * nt).reshape(nx, nt)
+    a = idx[:-1, :-1].ravel()
+    b = idx[1:, :-1].ravel()
+    c = idx[1:, 1:].ravel()
+    d = idx[:-1, 1:].ravel()
+    tris = np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
+    flip = 0
+    for tri in tris:
+        n = np.cross(V[tri[1]] - V[tri[0]], V[tri[2]] - V[tri[0]])
+        if np.linalg.norm(n) > 1e-12:
+            flip = -1 if float(np.dot(n, N[tri[0]])) < 0.0 else 1
+            break
+    if flip == -1:
+        tris = tris[:, ::-1]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# pss surface mesh {nx}x{nt}\n")
+        for p in V:
+            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        for n in N:
+            fh.write(f"vn {n[0]:.17g} {n[1]:.17g} {n[2]:.17g}\n")
+        for tri in tris:
+            i, j, k = (int(t) + 1 for t in tri)
+            fh.write(f"f {i}//{i} {j}//{j} {k}//{k}\n")
+
+
+def _plane_mesh(normal_sign, rng):
+    X, T = np.meshgrid(np.arange(4.0), np.arange(5.0), indexing="ij")
+    r = np.stack([X, T, 0.3 * X - 0.2 * T], axis=-1) + 1e-3 * rng.standard_normal((4, 5, 3))
+    e3 = normal_sign * np.cross([1.0, 0.0, 0.3], [0.0, 1.0, -0.2]) + 0.1 * rng.standard_normal((4, 5, 3))
+    zeros = np.zeros((4, 5, 3))
+    return SurfaceMesh(xs=np.arange(4.0), ts=np.arange(5.0), r=r, e3=e3, first_form=zeros, second_form=zeros)
+
+
+def test_obj_bytes_match_the_per_line_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    flipped = _plane_mesh(-1.0, rng)  # the first triangle winds against its normal
+    degenerate = _plane_mesh(-1.0, rng)
+    degenerate.r[1, 0] = degenerate.r[0, 0]  # the probe skips it and flips on the next one
+    signed_zero = _plane_mesh(-1.0, rng)
+    signed_zero.r[0, 0] = [-0.0, 0.0, -0.0]
+    signed_zero.e3[0, 0] = [0.0, -0.0, -0.0]  # a zero normal is written unnormalised
+    large = SurfaceMesh(xs=None, ts=None, r=rng.standard_normal((65, 70, 3)),
+                        e3=rng.standard_normal((65, 70, 3)), first_form=None, second_form=None)
+    fam, trip, field = _kink_setup()
+    kink = integrate_frame(fam, trip, field, origin=(-1.5, -1.5), steps=(8, 6), h=0.05)
+    for name, mesh in (("flipped", flipped), ("degenerate", degenerate),
+                       ("signed_zero", signed_zero), ("large", large), ("kink", kink)):
+        got, want = tmp_path / f"{name}.obj", tmp_path / f"{name}.ref.obj"
+        export_obj(mesh, got)
+        _reference_export_obj(mesh, want)
+        assert got.read_bytes() == want.read_bytes(), name
+    for name in ("flipped", "degenerate"):
+        assert "\nf 7//7 6//6 1//1\n" in (tmp_path / f"{name}.obj").read_text(), name
+    assert "v -0 0 -0\n" in (tmp_path / "signed_zero.obj").read_text()
+    assert "vn 0 -0 -0\n" in (tmp_path / "signed_zero.obj").read_text()
+
+
+# ----------------------------------------------------------------------
+# batched stage sampling
+
+
+def _novikov_numeric_setup():
+    fam = novikov_preset()
+    trip = solve_triple(fam, ImmersionParams(sigma=3.0, beta=0.5))
+    g = Grid1D(0.0, 2 * np.pi, 64)
+    field = solve_mol(fam, g, 0.1 + 0.05 * np.cos(g.nodes()), 0.02, 1e-3, n_save=5)
+    return fam, trip, field, (0.02, 0.0013), (0.037, 0.0031)
+
+
+def _t22_ode_setup():
+    fam = build_family(FamilyParams(branch=Branch.T22, mu2=0.5, eta2=3.0, sign=1), f="s", phi12="z1")
+    trip = solve_triple(fam, ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=1e-3, eps=0.3))
+    field = exact_field("1 + 0.5*exp(0.5*x + t)", Grid1D(-6, 6, 16), t_span=(-6, 6))
+    return fam, trip, field, (-0.2, 0.1), (0.03, 0.02)
+
+
+def _kink_batch_setup():
+    return (*_kink_setup(), (-1.8, -1.7), (0.016, 0.013))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("setup, representation", [
+    (_kink_batch_setup, Representation.SOLUTION_DEPENDENT),
+    (_novikov_numeric_setup, Representation.CLOSED_FORM),
+    (_t22_ode_setup, Representation.ODE_TABLE),
+], ids=["kink-exact", "novikov-numeric", "t22-ode-table"])
+def test_batched_stage_coefficients_equal_per_stage_calls(setup, representation):
+    fam, trip, field, (x0, t0), (hx, ht) = setup()
+    assert trip.representation == representation
+    xs, ts = x0 + hx * np.arange(6), t0 + ht * np.arange(5)
+    x_stages, t_stages = _stage_abscissae(xs), _stage_abscissae(ts)
+    for g, stages in ((xs, x_stages), (ts, t_stages)):  # the per-step arithmetic of the march
+        for i in range(len(g) - 1):
+            h = g[i + 1] - g[i]
+            assert stages[i].tolist() == [g[i] + 0.0, g[i] + 0.5 * h, g[i] + h]
+    for column in (1, 2):
+        # a spine, (steps, 3), against one call per stage on a single point
+        for x, t in ((x_stages, ts[0]), (xs[0], t_stages)):
+            batch = _coefficients(fam, trip, field, x, t, column)
+            xb, tb = np.broadcast_arrays(x, t)
+            for i, k in np.ndindex(xb.shape):
+                one = _coefficients(fam, trip, field, xb[i, k:k + 1], tb[i, k:k + 1], column)
+                assert all(_same_bits(cb[i, k:k + 1], co) for cb, co in zip(batch, one)), (column, i, k)
+        # one transverse step, (3, n), against one call per stage on the whole line
+        for x, t in ((xs, t_stages[1][:, None]), (x_stages[2][:, None], ts)):
+            batch = _coefficients(fam, trip, field, x, t, column)
+            xb, tb = np.broadcast_arrays(x, t)
+            per_stage = [_coefficients(fam, trip, field, xb[k], tb[k], column) for k in range(3)]
+            assert all(_same_bits(cb, np.stack(cs)) for cb, cs in zip(batch, zip(*per_stage))), column
+
+
+def test_integrate_frame_samples_once_per_spine_and_step():
+    fam, trip, field = _kink_setup()
+    sample = field.sample_env
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample(*args)
+
+    field.sample_env = counting
+    n, m = 7, 5
+    integrate_frame(fam, trip, field, origin=(-1.5, -1.5), steps=(n, m), h=0.05)
+    # x-spine and its m steps, t-spine and its n steps, m + 1 rows of forms
+    assert len(calls) == 2 + n + m + (m + 1)

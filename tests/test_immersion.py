@@ -8,6 +8,7 @@ import pytest
 
 from pss.catalog import Branch, FamilyParams, PRESETS, build_family, novikov_preset, sine_gordon_preset, t22_demo_preset
 from pss.immersion import (
+    DenominatorCollapse,
     DiscriminantCollapse,
     ImmersionParams,
     ImmersionTriple,
@@ -285,6 +286,20 @@ def test_ode_discriminant_collapse_at_start():
     fam = _t22_ode_family()
     with pytest.raises(DiscriminantCollapse):
         integrate_b_ode(fam, ImmersionParams(beta=0.5, b0=0.0, s0=0.0, h=1e-3, eps=0.2))
+
+
+def test_collapse_messages_name_the_first_offending_s():
+    trip = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=1e-3, eps=0.3))
+    s = np.linspace(-0.1, 0.1, 603)
+    b = np.where(np.arange(603) >= 100, 0.0, 1.2)  # delta < 0 where b = 0
+    with pytest.raises(DiscriminantCollapse) as err:
+        trip.form.g(s, b)
+    assert err.value.s == s[100]
+    assert str(err.value) == f"discriminant collapsed at s = {s[100]}"
+    bad = np.arange(603) % 200 == 57
+    for exc, what in ((DiscriminantCollapse, "discriminant"), (DenominatorCollapse, "ODE denominator")):
+        e = exc(s, bad)
+        assert e.s == s[57] and str(e) == f"{what} collapsed at s = {s[57]}"
 
 
 def test_ode_stops_are_reported():

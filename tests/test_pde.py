@@ -31,8 +31,9 @@ from pss.pde import (
 
 
 def test_grid_invariants():
-    with pytest.raises(PdeError):
-        Grid1D(0.0, 1.0, 8)
+    for lo, hi, nx in ((0.0, 1.0, 8), (1.0, 1.0, 32), (1.0, 0.0, 32)):
+        with pytest.raises(PdeError):
+            Grid1D(lo, hi, nx)
     g = Grid1D(0.0, 1.0, 32)
     assert g.dx == pytest.approx(1.0 / 32)
 
@@ -258,7 +259,7 @@ def test_out_of_domain_sample():
 
 def test_exact_field_domain_errors():
     g = Grid1D(-2, 2, 16)
-    for src, x in (("1/x", 0.0), ("x^-2", 0.0), ("sqrt(x)", -1.0)):
+    for src, x in (("1/x", 0.0), ("x^-2", 0.0), ("sqrt(x)", -1.0), ("sqrt(x)", 0.0)):
         with pytest.raises(DomainError):
             sample_jet(exact_field(src, g, t_span=(-1, 1)), x, 0.0, 3)
 

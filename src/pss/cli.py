@@ -12,6 +12,7 @@ no timestamp, so identical argv + seed give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -88,7 +89,10 @@ _CONFIG_KEYS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: parsing never mutates it, and
+    `_apply_config` parses into the namespace it is given."""
     p = _Parser(prog="pss", description="pseudospherical-surface toolkit")
     p.add_argument("--version", action="version", version=f"pss {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

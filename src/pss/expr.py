@@ -365,12 +365,6 @@ class Expression:
     def __call__(self, env):
         return self._fn(env)
 
-    def evaluate(self, env):
-        missing = self.free.difference(env)
-        if missing:
-            raise ExprError(f"missing variables: {sorted(missing)}")
-        return self._fn(env)
-
     def with_partials(self, env):
         """Value and all first partials with respect to the declared variables.
 

@@ -318,6 +318,7 @@ def discrete_gaussian_curvature(mesh_or_positions):
     angsum = np.zeros(nx * nt)
     area = np.zeros(nx * nt)
     P = V[tris]  # (ntri, 3, 3)
+    any_obtuse = _any_obtuse(P)
     for corner in range(3):
         p = P[:, corner]
         q = P[:, (corner + 1) % 3]
@@ -335,7 +336,6 @@ def discrete_gaussian_curvature(mesh_or_positions):
             cot_q = _cot_at(P, (corner + 1) % 3)
             cot_s = _cot_at(P, (corner + 2) % 3)
         obtuse_here = dot < 0.0
-        any_obtuse = _any_obtuse(P)
         voronoi = 0.125 * (np.einsum("ij,ij->i", v, v) * cot_q + np.einsum("ij,ij->i", u, u) * cot_s)
         contrib = np.where(any_obtuse, np.where(obtuse_here, 0.5 * tri_area, 0.25 * tri_area), voronoi)
         np.add.at(area, tris[:, corner], contrib)

@@ -66,6 +66,12 @@ class TripleDomainError(ValueError):
     pass
 
 
+def _any(bad):
+    """bad.any() for arrays; a plain truth test for 0-d values, where the
+    numpy reduction would cost several microseconds per call."""
+    return bad if bad.ndim == 0 else bad.any()
+
+
 def _first_s(s, bad):
     """The first s, as a float, where `bad` holds (s and bad broadcast together)."""
     s, bad = np.broadcast_arrays(s, bad)
@@ -168,15 +174,25 @@ class _OdeForm:
         delta = phi * phi - 4.0 * (1.0 - b * b)
         return phi, delta, E
 
+    def den_terms(self, phi, sq, b):
+        """The three terms of the denominator of b' = g(s, b), with
+        sq = sqrt(delta); the signed denominator is their sum, left to right."""
+        mu2, r = self.mu2, self.a_sign
+        return (mu2**2 + 1.0) * sq, r * (mu2**2 - 1.0) * phi, 4.0 * r * mu2 * b
+
     def g(self, s, b):
-        mu2, k, r, sg = self.mu2, self.k, self.a_sign, self.sign
+        """b'(s); one code path for scalars (the march) and arrays (the table)."""
+        k, r, sg = self.k, self.a_sign, self.sign
         phi, delta, E = self.phi_delta(s, b)
-        if np.any(delta <= 0):
-            raise DiscriminantCollapse(s, delta <= 0)
+        bad = delta <= 0
+        if _any(bad):
+            raise DiscriminantCollapse(s, bad)
         sq = np.sqrt(delta)
-        den = (mu2**2 + 1.0) * sq + r * (mu2**2 - 1.0) * phi + 4.0 * r * mu2 * b
-        if np.any(np.abs(den) < 1e-300):
-            raise DenominatorCollapse(s, np.abs(den) < 1e-300)
+        t1, t2, t3 = self.den_terms(phi, sq, b)
+        den = t1 + t2 + t3
+        bad = abs(den) < 1e-300
+        if _any(bad):
+            raise DenominatorCollapse(s, bad)
         num = 2.0 * sg * self.rho * k * b * sq + r * sg * (2.0 * self.beta * self.rho / k) * phi * E
         return num / den
 
@@ -203,8 +219,9 @@ class _OdeForm:
         b = self._interp_b(s)
         mu2, r = self.mu2, self.a_sign
         phi, delta, E = self.phi_delta(s, b)
-        if np.any(delta <= 0):
-            raise DiscriminantCollapse(s, delta <= 0)
+        bad = delta <= 0
+        if _any(bad):
+            raise DiscriminantCollapse(s, bad)
         sq = np.sqrt(delta)
         a = 0.5 * (-phi + r * sq)
         c = a + phi
@@ -276,22 +293,23 @@ class ImmersionTriple:
         if self.representation == Representation.ODE_TABLE:
             s = self.form.s
             a, b, c, ap, bp, cp = self.form.abc_derivs(s)
-            rows = zip(s, a, b, c, gauss_residual(a, b, c), bp)
+            cols = (s, a, b, c, gauss_residual(a, b, c), bp)
             header = "s,a,b,c,gauss_residual,bprime"
         elif self.representation == Representation.CLOSED_FORM:
             s = self.strip_samples(n)
             a, b, c = self.abc(s)
-            rows = zip(s, a, b, c, gauss_residual(a, b, c))
+            cols = (s, a, b, c, gauss_residual(a, b, c))
             header = "s,a,b,c,gauss_residual"
         else:
             u = np.linspace(0.1, math.pi - 0.1, n)
             a, b, c = self.form.abc_of_u(u)
-            rows = zip(u, a, b, c, gauss_residual(a, b, c))
+            cols = (u, a, b, c, gauss_residual(a, b, c))
             header = "u,a,b,c,gauss_residual"
+        # .tolist() yields Python floats, whose repr is the text repr(float(v)) gives
+        cols = [np.asarray(col, dtype=float).tolist() for col in cols]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
 
 
 # ----------------------------------------------------------------------
@@ -362,9 +380,20 @@ def integrate_b_ode(fam: Family, ip: ImmersionParams):
     else:
         raise CatalogError(f"{fam.name}: no ODE immersion branch")
     form = _OdeForm(p.mu2, ip.beta, rho, float(p.sign), float(ip.a_sign), [], [], [], {})
-    phi, delta, _ = form.phi_delta(ip.s0, ip.b0)
-    if not delta > ip.delta_min:
+
+    def delta_den(sv, bv):
+        """delta, the signed denominator, and the floor below which the
+        denominator is lost in the rounding of its terms and has no sign:
+        denom_min * max(1, |terms|_inf), as the residual tolerances scale."""
+        phi, delta, _ = form.phi_delta(sv, bv)
+        t1, t2, t3 = form.den_terms(phi, math.sqrt(max(delta, 0.0)), bv)
+        return delta, t1 + t2 + t3, ip.denom_min * max(1.0, abs(t1), abs(t2), abs(t3))
+
+    delta0, den0, floor0 = delta_den(ip.s0, ip.b0)
+    if not delta0 > ip.delta_min:
         raise DiscriminantCollapse(ip.s0)
+    if not abs(den0) >= floor0:
+        raise DenominatorCollapse(ip.s0)
 
     def step(sv, bv, h):
         k1 = form.g(sv, bv)
@@ -376,7 +405,7 @@ def integrate_b_ode(fam: Family, ip: ImmersionParams):
     def march(direction):
         h = direction * ip.h
         out_s, out_b = [], []
-        sv, bv = ip.s0, ip.b0
+        sv, bv, den_prev = ip.s0, ip.b0, den0
         nsteps = int(round(ip.eps / ip.h))
         stop = None
         for _ in range(nsteps):
@@ -389,21 +418,17 @@ def integrate_b_ode(fam: Family, ip: ImmersionParams):
                 stop = ("denominator", e.s)
                 break
             sn = sv + h
-            phi, delta, _ = form.phi_delta(sn, bn)
-            den = abs(
-                (p.mu2**2 + 1.0) * math.sqrt(max(delta, 0.0))
-                + ip.a_sign * (p.mu2**2 - 1.0) * phi
-                + 4.0 * ip.a_sign * p.mu2 * bn
-            )
+            delta, den, floor = delta_den(sn, bn)
             if delta <= ip.delta_min:
                 stop = ("discriminant", sn)
                 break
-            if den < ip.denom_min:
+            # a sign change means the step jumped over a pole of b'
+            if abs(den) < floor or (den < 0) != (den_prev < 0):
                 stop = ("denominator", sn)
                 break
             out_s.append(sn)
             out_b.append(bn)
-            sv, bv = sn, bn
+            sv, bv, den_prev = sn, bn, den
         return out_s, out_b, stop
 
     sp, bp_, stop_p = march(+1)
@@ -411,7 +436,10 @@ def integrate_b_ode(fam: Family, ip: ImmersionParams):
     s = np.array(list(reversed(sm)) + [ip.s0] + sp)
     b = np.array(list(reversed(bm)) + [ip.b0] + bp_)
     if len(s) < 4:
-        raise DiscriminantCollapse(ip.s0)
+        if not (stop_p or stop_m):
+            raise TripleDomainError(f"eps = {ip.eps} leaves {len(s)} table points at h = {ip.h}; 4 are needed")
+        reason, where = stop_p or stop_m
+        raise (DenominatorCollapse if reason == "denominator" else DiscriminantCollapse)(where)
     stops = {}
     if stop_p:
         stops["forward"] = {"reason": stop_p[0], "s": stop_p[1]}

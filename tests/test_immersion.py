@@ -302,6 +302,128 @@ def test_collapse_messages_name_the_first_offending_s():
         assert e.s == s[57] and str(e) == f"{what} collapsed at s = {s[57]}"
 
 
+def _old_g(form, s, b):
+    """_OdeForm.g with its former np.any/np.abs guards."""
+    mu2, k, r, sg = form.mu2, form.k, form.a_sign, form.sign
+    phi, delta, E = form.phi_delta(s, b)
+    if np.any(delta <= 0):
+        raise DiscriminantCollapse(s, delta <= 0)
+    sq = np.sqrt(delta)
+    den = (mu2**2 + 1.0) * sq + r * (mu2**2 - 1.0) * phi + 4.0 * r * mu2 * b
+    if np.any(np.abs(den) < 1e-300):
+        raise DenominatorCollapse(s, np.abs(den) < 1e-300)
+    num = 2.0 * sg * form.rho * k * b * sq + r * sg * (2.0 * form.beta * form.rho / k) * phi * E
+    return num / den
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_scalar_and_array_g_agree_bit_for_bit():
+    form = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3)).form
+    s, b = form.s, form.b
+    arr = form.g(s, b)
+    assert np.array_equal(_bits(arr), _bits(_old_g(form, s, b)))
+    for cast in (float, np.float64):
+        one = [form.g(cast(si), cast(bi)) for si, bi in zip(s, b)]
+        assert np.array_equal(_bits(one), _bits(arr))
+
+
+def test_scalar_and_array_g_raise_at_the_first_offending_s():
+    form = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3)).form
+    s = np.linspace(-0.1, 0.1, 201)
+    b = np.where(np.arange(201) >= 70, 0.0, 1.2)  # delta < 0 where b = 0
+    for args, first in (((s, b), s[70]), ((float(s[3]), 0.0), s[3]), ((s[3], np.float64(0.0)), s[3])):
+        with pytest.raises(DiscriminantCollapse) as err:
+            form.g(*args)
+        assert err.value.s == first
+    # a denominator that vanishes where b = 1.25 (delta > 0 for any |b| > 1)
+    form.den_terms = lambda phi, sq, bb: (np.where(bb == 1.25, 0.0, 1.0)[()], 0.0, 0.0)
+    b = np.where(np.arange(201) >= 90, 1.25, 1.2)
+    for args, first in (((s, b), s[90]), ((float(s[5]), 1.25), s[5])):
+        with pytest.raises(DenominatorCollapse) as err:
+            form.g(*args)
+        assert err.value.s == first
+
+
+def _reference_march(form, s0, b0, h, n):
+    """Classical RK4 on b' = g(s, b) with the former guards, no stops."""
+    s, b = [s0], [b0]
+    for _ in range(n):
+        sv, bv = s[-1], b[-1]
+        k1 = _old_g(form, sv, bv)
+        k2 = _old_g(form, sv + 0.5 * h, bv + 0.5 * h * k1)
+        k3 = _old_g(form, sv + 0.5 * h, bv + 0.5 * h * k2)
+        k4 = _old_g(form, sv + h, bv + h * k3)
+        b.append(bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        s.append(sv + h)
+    return np.array(s), np.array(b)
+
+
+def test_march_matches_a_reference_march_bit_for_bit():
+    form = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, h=1e-3, eps=0.3)).form
+    assert form.stops == {} and len(form.s) == 601
+    fs, fb = _reference_march(form, 0.0, 1.2, 1e-3, 300)
+    bs, bb = _reference_march(form, 0.0, 1.2, -1e-3, 300)
+    s = np.concatenate([bs[::-1], fs[1:]])
+    b = np.concatenate([bb[::-1], fb[1:]])
+    assert np.array_equal(_bits(form.s), _bits(s)) and np.array_equal(_bits(form.b), _bits(b))
+    assert np.array_equal(_bits(form.bprime), _bits(_old_g(form, s, b)))
+
+
+def _t22_pole_family():
+    p = FamilyParams(branch=Branch.T22, mu2=-0.3, eta2=1.0, sign=1)
+    return build_family(p, f="s", phi12="z1", name="t22-pole")
+
+
+def _den_and_floor(form, s, b):
+    phi, delta, _ = form.phi_delta(s, b)
+    terms = form.den_terms(phi, np.sqrt(delta), b)
+    return sum(terms), 1e-8 * np.max([np.ones_like(b), *map(np.abs, terms)], axis=0)
+
+
+@pytest.mark.parametrize("b0, s_stop, s_last, b_max, flips", [
+    # the step to -0.020 grazes the pole (a stage den of -2.2e-7) and lands
+    # on b = 4.0e16, where den = -8.0 is rounding of terms ~1e17
+    (1.3, -0.020, -0.019, 16.2, False),
+    # the step to -0.018 jumps the pole: den -5.8e-4 -> +4.4e31 (b -5.5e30)
+    (1.4, -0.018, -0.017, 995.0, True),
+])
+def test_march_stops_before_the_step_across_a_pole(b0, s_stop, s_last, b_max, flips):
+    ip = ImmersionParams(beta=0.2, b0=b0, h=1e-3, eps=0.3)
+    form = integrate_b_ode(_t22_pole_family(), ip).form
+    stop = form.stops["backward"]
+    assert stop["reason"] == "denominator" and stop["s"] == pytest.approx(s_stop, abs=1e-12)
+    assert "forward" not in form.stops and form.s[-1] == pytest.approx(0.3)
+    # the table ends at the last point before the pole, |b| bounded
+    assert form.s[0] == pytest.approx(s_last, abs=1e-12) and np.abs(form.b).max() < b_max
+    den, floor = _den_and_floor(form, form.s, form.b)
+    assert (den < -floor).all()
+    # the rejected step, redone: its den is either lost in rounding or of the other sign
+    s, b = _reference_march(form, form.s[0], form.b[0], -ip.h, 1)
+    assert s[1] == stop["s"] and abs(b[1]) > 1e15
+    den, floor = _den_and_floor(form, s[1], b[1])
+    assert (den > floor) if flips else (-floor < den < 0)
+
+
+def test_march_rejects_a_start_on_the_pole_and_short_tables():
+    # at b0 = 3e4 the terms of den are ~6.5e4 and den0 = -1.9e-5, below the floor 6.5e-4
+    with pytest.raises(DenominatorCollapse) as err:
+        integrate_b_ode(_t22_pole_family(), ImmersionParams(beta=0.2, b0=30000.0, eps=0.3))
+    assert err.value.s == 0.0
+    # from the last point before the pole both marches stop on their first
+    # step (b' = -3.4e4 there); the error names the forward stop
+    b_last = integrate_b_ode(_t22_pole_family(), ImmersionParams(beta=0.2, b0=1.3, eps=0.3)).form.b[0]
+    ip = ImmersionParams(beta=0.2, b0=float(b_last), s0=-0.019, h=1e-3, eps=0.002)
+    with pytest.raises(DenominatorCollapse) as err:
+        integrate_b_ode(_t22_pole_family(), ip)
+    assert err.value.s == pytest.approx(-0.018, abs=1e-12)
+    # no stop, but one step each way
+    with pytest.raises(TripleDomainError, match="3 table points"):
+        integrate_b_ode(_t22_pole_family(), ImmersionParams(beta=0.2, b0=1.3, h=1e-3, eps=1e-3))
+
+
 def test_ode_stops_are_reported():
     fam = _t22_ode_family()
     trip = solve_triple(fam, ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=1e-3, eps=0.6))
@@ -420,6 +542,40 @@ def test_csv_export(tmp_path):
     path2 = tmp_path / "ode.csv"
     trip2.export_csv(path2)
     assert path2.read_text().splitlines()[0] == "s,a,b,c,gauss_residual,bprime"
+
+
+def _per_cell_csv(trip, path, n=1000):
+    """The former writer: one repr(float(v)) per cell."""
+    if trip.representation == Representation.ODE_TABLE:
+        s = trip.form.s
+        a, b, c, ap, bp, cp = trip.form.abc_derivs(s)
+        rows, header = zip(s, a, b, c, gauss_residual(a, b, c), bp), "s,a,b,c,gauss_residual,bprime"
+    elif trip.representation == Representation.CLOSED_FORM:
+        s = trip.strip_samples(n)
+        a, b, c = trip.abc(s)
+        rows, header = zip(s, a, b, c, gauss_residual(a, b, c)), "s,a,b,c,gauss_residual"
+    else:
+        u = np.linspace(0.1, math.pi - 0.1, n)
+        a, b, c = trip.form.abc_of_u(u)
+        rows, header = zip(u, a, b, c, gauss_residual(a, b, c)), "u,a,b,c,gauss_residual"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def test_csv_export_bytes_match_the_per_cell_writer(tmp_path):
+    trips = {
+        "ode": solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3)),
+        "closed": solve_triple(t22_demo_preset(), ImmersionParams(beta=1.0, C_strip=3.0)),
+        "sine-gordon": solve_triple(sine_gordon_preset(), ImmersionParams(a_sign=-1)),
+    }
+    for name, trip in trips.items():
+        new, old = tmp_path / f"{name}.csv", tmp_path / f"{name}.old.csv"
+        trip.export_csv(new, n=257)
+        _per_cell_csv(trip, old, n=257)
+        assert new.read_bytes() == old.read_bytes(), name
+        assert new.read_text().count("\n") == (len(trip.form.s) if name == "ode" else 257) + 1
 
 
 def test_ode_codazzi_with_nonlinear_f():

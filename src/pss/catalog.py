@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -595,28 +595,49 @@ _PARAM_KEYS = (
 
 
 def params_from_dict(doc) -> FamilyParams:
+    if not isinstance(doc, dict):
+        raise CatalogError(f"family spec: must be a JSON object, got {json.dumps(doc)}")
     allowed = {"branch", "params", "f", "phi12", "phi", "sign"}
     unknown = set(doc) - allowed
     if unknown:
         raise CatalogError(f"unknown keys in family spec: {sorted(unknown)}")
+    if not isinstance(doc.get("branch"), str):
+        raise CatalogError(f"family spec: branch must be a string, got {json.dumps(doc.get('branch'))}")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise CatalogError(f"family spec: params must be a JSON object, got {json.dumps(params)}")
     bad = set(params) - set(_PARAM_KEYS)
     if bad:
         raise CatalogError(f"unknown parameter keys: {sorted(bad)}")
-    kw = dict(params)
-    if "root" in kw:
-        kw["root"] = int(kw["root"])
-    return FamilyParams(branch=doc["branch"], sign=int(doc.get("sign", 1)), **kw)
+    kw = {"sign": doc.get("sign", 1), **params}
+    for key, val in kw.items():
+        _check_param(key, val)
+    return FamilyParams(branch=doc["branch"], **kw)
+
+
+_NULLABLE = {f.name for f in fields(FamilyParams) if f.default is None}
+
+
+def _check_param(key, val):
+    """CatalogError unless `val` has the type FamilyParams gives `key`."""
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if key in ("sign", "root"):
+        ok, want = number and isinstance(val, int), "an integer"
+    elif key in _NULLABLE:
+        ok, want = number or val is None, "a number or null"
+    else:
+        ok, want = number, "a number"
+    if not ok:
+        raise CatalogError(f"family spec: {key} must be {want}, got {json.dumps(val)}")
 
 
 def family_from_dict(doc, name=None) -> Family:
-    return build_family(
-        params_from_dict(doc),
-        f=doc.get("f"),
-        phi12=doc.get("phi12"),
-        phi=doc.get("phi"),
-        name=name,
-    )
+    params = params_from_dict(doc)
+    exprs = {key: doc.get(key) for key in ("f", "phi12", "phi")}
+    for key, val in exprs.items():
+        if not (val is None or isinstance(val, str)):
+            raise CatalogError(f"family spec: {key} must be a string or null, got {json.dumps(val)}")
+    return build_family(params, name=name, **exprs)
 
 
 def load_family(path) -> Family:

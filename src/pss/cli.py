@@ -66,9 +66,12 @@ def _sign(text):
 def _grid(text):
     try:
         a, b = text.lower().split("x")
-        return int(a), int(b)
+        sizes = int(a), int(b)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("grid must look like 200x200") from exc
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"grid sizes must be positive, got {text!r}")
+    return sizes
 
 
 def _positive_int(text):
@@ -287,7 +290,7 @@ def _cmd_catalog(args):
         # rather than thrown as a load error
         with open(args.family, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        from .catalog import params_from_dict
+        from .catalog import family_from_dict, params_from_dict
 
         params = params_from_dict(doc)
         violations = validate_params(params)
@@ -298,7 +301,7 @@ def _cmd_catalog(args):
             "verdict": "pass" if not violations else "fail",
         }
         if not violations:
-            payload["spec"] = _load(args).to_dict()
+            payload["spec"] = family_from_dict(doc, name=args.family).to_dict()
         _emit(args, payload, "catalog")
         return EXIT_OK if not violations else EXIT_FAIL
     fam = _load(args)

@@ -13,18 +13,20 @@ pullbacks of omega_i, omega_12 = omega_3 and
 Integration order is fixed: an x-spine from the origin (classical RK4,
 coefficients sampled at the stage abscissae), then one t-line per spine
 vertex, advanced for all columns at once.  The coefficients depend on the
-jet of u at (x, t) and never on the frame, so the stage abscissae of a
-whole spine, and the three stages of one transverse step, are sampled in
-one field call each, before the march consumes them.  The initial frame is
-the standard triad; any other orthonormal choice differs by a rigid motion.
-Path-independence (x-then-t versus t-then-x) holds only to truncation
-order discretely, so the gap is measured and reported, never assumed.
+jet of u at (x, t) and never on the frame, so a sweep samples the field in
+two calls before the march consumes the values: one at the stage abscissae
+of its whole spine, shape (steps, 3), and one at the three stages of every
+transverse step, shape (steps, 3, n).  The fundamental forms and the
+Delta12 diagnostics come from one more call over the whole mesh.  The
+initial frame is the standard triad; any other orthonormal choice differs
+by a rigid motion.  Path-independence (x-then-t versus t-then-x) holds
+only to truncation order discretely, so the gap is measured and reported,
+never assumed.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +37,8 @@ from .pde import SolutionField
 from .verifier import delta
 
 __all__ = [
-    "FrameState",
     "SurfaceMesh",
     "FrameDriftError",
-    "NondegeneracyError",
     "first_form_coefficients",
     "second_form_coefficients",
     "integrate_frame",
@@ -48,32 +48,12 @@ __all__ = [
 ]
 
 
+# largest orthonormality drift of the marched frame that integrate_frame accepts
+DRIFT_THRESHOLD = 1e-3
+
+
 class FrameDriftError(RuntimeError):
     pass
-
-
-class NondegeneracyError(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class FrameState:
-    r: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-
-    def drift(self):
-        vals = [
-            abs(float(np.dot(self.e1, self.e1)) - 1.0),
-            abs(float(np.dot(self.e2, self.e2)) - 1.0),
-            abs(float(np.dot(self.e3, self.e3)) - 1.0),
-            abs(float(np.dot(self.e1, self.e2))),
-            abs(float(np.dot(self.e1, self.e3))),
-            abs(float(np.dot(self.e2, self.e3))),
-            float(np.max(np.abs(np.cross(self.e1, self.e2) - self.e3))),
-        ]
-        return max(vals)
 
 
 @dataclass
@@ -180,8 +160,6 @@ def integrate_frame(
     origin,
     steps,
     h,
-    drift_threshold=1e-3,
-    nondegeneracy_tol=0.0,
     measure_compat=True,
 ) -> SurfaceMesh:
     """March the frame over a (steps_x+1) x (steps_t+1) grid from `origin`."""
@@ -200,33 +178,23 @@ def integrate_frame(
         diag["compat_max"] = 0.0
 
     drift = _orthonormality_drift(e1, e2, e3)
-    if drift > drift_threshold:
+    if drift > DRIFT_THRESHOLD:
         raise FrameDriftError(
-            f"orthonormality drift {drift:.3e} exceeds {drift_threshold:.1e}; reduce h"
+            f"orthonormality drift {drift:.3e} exceeds {DRIFT_THRESHOLD:.1e}; reduce h"
         )
     diag["drift_max"] = drift
 
-    # per-vertex forms and diagnostics
+    # per-vertex forms and diagnostics, from one field call over the mesh
+    X, T = np.meshgrid(xs, ts, indexing="ij")
+    env = field.sample_env(X, T, 3)
     EE = np.empty((sx + 1, st + 1, 3))
     II = np.empty((sx + 1, st + 1, 3))
-    degenerate = 0
-    d12_min = math.inf
-    for j, t in enumerate(ts):
-        env = field.sample_env(xs, t, 3)
-        a, b, c = _triple_values(trip, env, xs, t)
-        E, F, G = first_form_coefficients(fam, env)
-        a1, a2, a3 = second_form_coefficients(fam, (a, b, c), env)
-        EE[:, j, 0], EE[:, j, 1], EE[:, j, 2] = E, F, G
-        II[:, j, 0], II[:, j, 1], II[:, j, 2] = a1, a2, a3
-        d12 = np.abs(delta(fam, env, 1, 2))
-        degenerate += int(np.count_nonzero(d12 <= nondegeneracy_tol))
-        d12_min = min(d12_min, float(np.min(d12)))
-        if nondegeneracy_tol > 0.0 and np.any(d12 <= nondegeneracy_tol):
-            raise NondegeneracyError(
-                f"|Delta12| <= {nondegeneracy_tol:.1e} on the integration path at t = {t}"
-            )
-    diag["degenerate_vertices"] = degenerate
-    diag["delta12_min"] = d12_min
+    EE[..., 0], EE[..., 1], EE[..., 2] = first_form_coefficients(fam, env)
+    abc = _triple_values(trip, env, X, T)
+    II[..., 0], II[..., 1], II[..., 2] = second_form_coefficients(fam, abc, env)
+    d12 = np.abs(np.broadcast_to(delta(fam, env, 1, 2), X.shape))
+    diag["degenerate_vertices"] = int(np.count_nonzero(d12 == 0.0))
+    diag["delta12_min"] = float(np.min(d12))
 
     detI = EE[..., 0] * EE[..., 2] - EE[..., 1] ** 2
     diag["I_det_min"] = float(np.min(detI[1:-1, 1:-1])) if min(sx, st) >= 2 else float(np.min(detI))
@@ -263,15 +231,13 @@ def _sweep(fam, trip, field, xs, ts, spine):
     Output layout is always (len(xs), len(ts), 3); `spine` picks the path:
     "x" integrates x first along t = ts[0], "t" integrates t first along
     x = xs[0] (used only to measure the path-independence gap).  The spine's
-    stage coefficients come from one field call, shape (steps, 3); each
-    transverse step samples its three stages in one call, shape (3, n).
+    stage coefficients come from one field call, shape (steps, 3), and those
+    of every transverse step from one more, shape (steps, 3, n).
     """
     if spine == "x":
         spine_grid, cross_grid, spine_col, cross_col = xs, ts, 1, 2
     else:
         spine_grid, cross_grid, spine_col, cross_col = ts, xs, 2, 1
-    spine_stages = _stage_abscissae(spine_grid)
-    cross_stages = _stage_abscissae(cross_grid)
     out = tuple(np.empty((len(spine_grid), len(cross_grid), 3)) for _ in range(4))
 
     def coefficients(along, across, column):
@@ -279,7 +245,7 @@ def _sweep(fam, trip, field, xs, ts, spine):
         x, t = (along, across) if spine == "x" else (across, along)
         return _coefficients(fam, trip, field, x, t, column)
 
-    coef = coefficients(spine_stages, cross_grid[0], spine_col)
+    coef = coefficients(_stage_abscissae(spine_grid), cross_grid[0], spine_col)
     state = _identity_state(1)
     spine_states = [state]
     for i, h in enumerate(np.diff(spine_grid)):
@@ -288,9 +254,9 @@ def _sweep(fam, trip, field, xs, ts, spine):
     state = tuple(np.concatenate([s[q] for s in spine_states]) for q in range(4))
     for q in range(4):
         out[q][:, 0] = state[q]
+    coef = coefficients(spine_grid, _stage_abscissae(cross_grid)[:, :, None], cross_col)
     for j, h in enumerate(np.diff(cross_grid)):
-        coef = coefficients(spine_grid, cross_stages[j][:, None], cross_col)
-        state = _rk4_step(*(tuple(cc[k] for cc in coef) for k in range(3)), state, h)
+        state = _rk4_step(*(tuple(cc[j, k] for cc in coef) for k in range(3)), state, h)
         for q in range(4):
             out[q][:, j + 1] = state[q]
     return out if spine == "x" else tuple(np.swapaxes(o, 0, 1) for o in out)
@@ -315,57 +281,35 @@ def discrete_gaussian_curvature(mesh_or_positions):
     d = idx[:-1, 1:].ravel()
     tris = np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
 
-    angsum = np.zeros(nx * nt)
-    area = np.zeros(nx * nt)
     P = V[tris]  # (ntri, 3, 3)
-    any_obtuse = _any_obtuse(P)
+    # per corner: edge vectors u, v to the next two corners, u.v, |u x v| and the cotangent
+    corners = []
     for corner in range(3):
         p = P[:, corner]
-        q = P[:, (corner + 1) % 3]
-        s = P[:, (corner + 2) % 3]
-        u, v = q - p, s - p
-        lu = np.linalg.norm(u, axis=1)
-        lv = np.linalg.norm(v, axis=1)
-        cross = np.linalg.norm(np.cross(u, v), axis=1)
+        u, v = P[:, (corner + 1) % 3] - p, P[:, (corner + 2) % 3] - p
         dot = np.einsum("ij,ij->i", u, v)
-        ang = np.arctan2(cross, dot)
-        np.add.at(angsum, tris[:, corner], ang)
+        cross = np.linalg.norm(np.cross(u, v), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cot = dot / np.where(cross == 0.0, np.nan, cross)
+        corners.append((u, v, dot, cross, cot))
+    any_obtuse = (corners[0][2] < 0.0) | (corners[1][2] < 0.0) | (corners[2][2] < 0.0)
+
+    angsum = np.zeros(nx * nt)
+    area = np.zeros(nx * nt)
+    for corner, (u, v, dot, cross, _) in enumerate(corners):
+        np.add.at(angsum, tris[:, corner], np.arctan2(cross, dot))
         # Meyer mixed area contribution at this corner
         tri_area = 0.5 * cross
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot_q = _cot_at(P, (corner + 1) % 3)
-            cot_s = _cot_at(P, (corner + 2) % 3)
-        obtuse_here = dot < 0.0
+        cot_q, cot_s = corners[(corner + 1) % 3][4], corners[(corner + 2) % 3][4]
         voronoi = 0.125 * (np.einsum("ij,ij->i", v, v) * cot_q + np.einsum("ij,ij->i", u, u) * cot_s)
-        contrib = np.where(any_obtuse, np.where(obtuse_here, 0.5 * tri_area, 0.25 * tri_area), voronoi)
+        contrib = np.where(any_obtuse, np.where(dot < 0.0, 0.5 * tri_area, 0.25 * tri_area), voronoi)
         np.add.at(area, tris[:, corner], contrib)
 
-    counts = np.zeros(nx * nt)
-    np.add.at(counts, tris.ravel(), 1.0)
     K = np.full(nx * nt, np.nan)
     interior = idx[1:-1, 1:-1].ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
         K[interior] = (2.0 * np.pi - angsum[interior]) / area[interior]
     return K.reshape(nx, nt)
-
-
-def _cot_at(P, corner):
-    p = P[:, corner]
-    u = P[:, (corner + 1) % 3] - p
-    v = P[:, (corner + 2) % 3] - p
-    dot = np.einsum("ij,ij->i", u, v)
-    cross = np.linalg.norm(np.cross(u, v), axis=1)
-    return dot / np.where(cross == 0.0, np.nan, cross)
-
-
-def _any_obtuse(P):
-    out = np.zeros(len(P), dtype=bool)
-    for corner in range(3):
-        p = P[:, corner]
-        u = P[:, (corner + 1) % 3] - p
-        v = P[:, (corner + 2) % 3] - p
-        out |= np.einsum("ij,ij->i", u, v) < 0.0
-    return out
 
 
 # ----------------------------------------------------------------------

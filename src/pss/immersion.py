@@ -129,10 +129,6 @@ class _ClosedForm:
         self.sign = sign
         self.a_sign = a_sign
 
-    def L(self, s):
-        E = np.exp(self.ce * s)
-        return self.A * E - self.beta**2 * E * E - 1.0
-
     def abc_derivs(self, s):
         E = np.exp(self.ce * s)
         b2 = self.beta**2

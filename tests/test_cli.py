@@ -91,6 +91,46 @@ def test_catalog_validates_family(tmp_path):
     assert run(["catalog", "--family", str(p), "--report", str(rep), "--deterministic"]) == EXIT_OK
 
 
+def test_family_spec_types_are_checked(tmp_path, capsys):
+    base = {"branch": "T22", "params": {"mu2": 0.0, "eta2": 1.0}, "f": "s", "phi12": "z1", "sign": 1}
+
+    def spec(**change):
+        return {**base, **change}
+
+    def with_params(**change):
+        return spec(params={**base["params"], **change})
+
+    table = [
+        # (spec, stderr line after "pss: family spec: "; None for a spec that loads)
+        (["T22"], 'must be a JSON object, got ["T22"]'),
+        (spec(params=None), "params must be a JSON object, got null"),
+        ({k: v for k, v in base.items() if k != "branch"}, "branch must be a string, got null"),
+        (with_params(lam=None), "lam must be a number, got null"),
+        (with_params(lam="x"), 'lam must be a number, got "x"'),
+        (with_params(eta2=True), "eta2 must be a number, got true"),
+        (spec(sign="+"), 'sign must be an integer, got "+"'),
+        (spec(sign=1.0), "sign must be an integer, got 1.0"),
+        (with_params(root="a"), 'root must be an integer, got "a"'),
+        (with_params(mu3="x"), 'mu3 must be a number or null, got "x"'),
+        (spec(f=3), "f must be a string or null, got 3"),
+        (spec(params={"mu2": 0, "eta2": 1, "mu3": None, "root": -1}), None),
+    ]
+    for command in ("verify", "catalog"):
+        for i, (doc, line) in enumerate(table):
+            path = tmp_path / f"spec{i}.json"
+            path.write_text(json.dumps(doc))
+            rep = tmp_path / f"{command}{i}.json"
+            code = run([command, "--family", str(path), "--samples", "50",
+                        "--report", str(rep), "--deterministic"])
+            err = capsys.readouterr().err
+            if line is None:
+                assert code == EXIT_OK and err == "", (command, doc, err)
+            else:
+                assert code == EXIT_USAGE, (command, doc)
+                assert err == f"pss: family spec: {line}\n", (command, doc)
+                assert not rep.exists()
+
+
 def test_deterministic_reports_are_byte_identical(tmp_path):
     out = tmp_path / "report.json"
     argv = ["verify", "--preset", "t22-demo", "--samples", "300", "--seed", "7",
@@ -214,6 +254,10 @@ def test_config_values_take_the_flag_checks(tmp_path, capsys):
         (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": "6x5"}, EXIT_OK, ("grid", [6, 5])),
         (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": "6x5x4"}, EXIT_USAGE, None),
         (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": [6, 5]}, EXIT_USAGE, None),
+        (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": "0x0"}, EXIT_USAGE, None),
+        (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": "10x0"}, EXIT_USAGE, None),
+        (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": "0x10"}, EXIT_USAGE, None),
+        (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": "-3x10"}, EXIT_USAGE, None),
         (["verify", "--preset", "t22-demo"], {"samples": 0}, EXIT_USAGE, None),
         (["verify", "--preset", "t22-demo"], {"samples": 40}, EXIT_OK, ("samples", 40)),
         (["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01"], {"space": "3"}, EXIT_USAGE, None),
@@ -232,6 +276,17 @@ def test_config_values_take_the_flag_checks(tmp_path, capsys):
         else:
             key, value = field
             assert json.loads(rep.read_text())[key] == value
+
+
+def test_grid_sizes_must_be_positive(tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    for bad in ("0x0", "10x0", "0x10", "-3x10"):
+        code = run(["reconstruct", "--preset", "sine-gordon", "--soliton", f"--grid={bad}",
+                    "--report", str(rep), "--deterministic"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, bad
+        assert err == f"pss: argument --grid: grid sizes must be positive, got {bad!r}\n"
+        assert not rep.exists()
 
 
 def test_pde_input_checks(tmp_path, capsys):

@@ -10,7 +10,9 @@ from pss.catalog import FamilyParams, Branch, build_family, novikov_preset, sine
 from pss.frames import (
     SurfaceMesh,
     _coefficients,
+    _orthonormality_drift,
     _stage_abscissae,
+    _triple_values,
     discrete_gaussian_curvature,
     export_obj,
     first_form_coefficients,
@@ -133,6 +135,70 @@ def test_tractrix_pseudosphere_curvature():
     assert np.nanmax(np.abs(K[1:-1, 1:-1] + 1.0)) < 5e-2
 
 
+def _reference_curvature(r):
+    """The three-pass angle-defect estimator that `discrete_gaussian_curvature`
+    must match bit for bit: every corner recomputes the cotangents of the other
+    two, and the obtuse test runs over all corners once more.  Also returns the
+    number of triangles with an obtuse corner and of zero-area triangles."""
+    nx, nt = r.shape[:2]
+    V = r.reshape(-1, 3)
+    idx = np.arange(nx * nt).reshape(nx, nt)
+    a, b = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel()
+    c, d = idx[1:, 1:].ravel(), idx[:-1, 1:].ravel()
+    tris = np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
+    P = V[tris]
+
+    def cot_at(corner):
+        p = P[:, corner]
+        u = P[:, (corner + 1) % 3] - p
+        v = P[:, (corner + 2) % 3] - p
+        dot = np.einsum("ij,ij->i", u, v)
+        cross = np.linalg.norm(np.cross(u, v), axis=1)
+        return dot / np.where(cross == 0.0, np.nan, cross)
+
+    any_obtuse = np.zeros(len(P), dtype=bool)
+    for corner in range(3):
+        p = P[:, corner]
+        any_obtuse |= np.einsum("ij,ij->i", P[:, (corner + 1) % 3] - p, P[:, (corner + 2) % 3] - p) < 0.0
+    angsum, area = np.zeros(nx * nt), np.zeros(nx * nt)
+    for corner in range(3):
+        p = P[:, corner]
+        u, v = P[:, (corner + 1) % 3] - p, P[:, (corner + 2) % 3] - p
+        cross = np.linalg.norm(np.cross(u, v), axis=1)
+        dot = np.einsum("ij,ij->i", u, v)
+        np.add.at(angsum, tris[:, corner], np.arctan2(cross, dot))
+        tri_area = 0.5 * cross
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cot_q, cot_s = cot_at((corner + 1) % 3), cot_at((corner + 2) % 3)
+        voronoi = 0.125 * (np.einsum("ij,ij->i", v, v) * cot_q + np.einsum("ij,ij->i", u, u) * cot_s)
+        contrib = np.where(any_obtuse, np.where(dot < 0.0, 0.5 * tri_area, 0.25 * tri_area), voronoi)
+        np.add.at(area, tris[:, corner], contrib)
+    K = np.full(nx * nt, np.nan)
+    inner = idx[1:-1, 1:-1].ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K[inner] = (2.0 * np.pi - angsum[inner]) / area[inner]
+    return K.reshape(nx, nt), int(np.count_nonzero(any_obtuse)), int(np.count_nonzero(cross == 0.0))
+
+
+def test_curvature_matches_the_three_pass_reference():
+    rng = np.random.default_rng(11)
+    fam, trip, field = _kink_setup()
+    kink = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(30, 24), h=0.05,
+                           measure_compat=False).r
+    X, Y = np.meshgrid(np.arange(12.0), np.arange(9.0), indexing="ij")
+    plane = np.stack([X, Y, 0.3 * X], axis=-1)
+    rough = plane + 0.45 * rng.standard_normal(plane.shape)
+    flat = plane.copy()
+    flat[3, 2] = flat[3, 3] = flat[4, 3]  # coincident vertices
+    flat[7, 4] = 0.5 * (flat[6, 4] + flat[7, 5])  # the triangle (6,4), (7,4), (7,5) is a segment
+    counts = {}
+    for name, r in (("kink", kink), ("rough", rough), ("zero-area", flat)):
+        want, *counts[name] = _reference_curvature(r)
+        assert _same_bits(discrete_gaussian_curvature(r), want), name
+    assert counts["rough"][0] > 0  # the obtuse branch of the mixed area
+    assert counts["zero-area"][1] > 0  # NaN cotangents
+
+
 # ----------------------------------------------------------------------
 # integrate_frame
 
@@ -145,13 +211,9 @@ def _kink_setup(eta=1.0):
 
 
 def test_frame_state_drift_measure():
-    from pss.frames import FrameState
-
     eye = np.eye(3)
-    clean = FrameState(np.zeros(3), eye[0], eye[1], eye[2])
-    assert clean.drift() == 0.0
-    bent = FrameState(np.zeros(3), eye[0], eye[1] + 1e-4 * eye[0], eye[2])
-    assert bent.drift() >= 1e-4
+    assert _orthonormality_drift(eye[0], eye[1], eye[2]) == 0.0
+    assert _orthonormality_drift(eye[0], eye[1] + 1e-4 * eye[0], eye[2]) >= 1e-4
 
 
 def test_zero_steps_single_vertex():
@@ -351,11 +413,14 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("setup, representation", [
+_BATCH_SETUPS = pytest.mark.parametrize("setup, representation", [
     (_kink_batch_setup, Representation.SOLUTION_DEPENDENT),
     (_novikov_numeric_setup, Representation.CLOSED_FORM),
     (_t22_ode_setup, Representation.ODE_TABLE),
 ], ids=["kink-exact", "novikov-numeric", "t22-ode-table"])
+
+
+@_BATCH_SETUPS
 def test_batched_stage_coefficients_equal_per_stage_calls(setup, representation):
     fam, trip, field, (x0, t0), (hx, ht) = setup()
     assert trip.representation == representation
@@ -373,12 +438,34 @@ def test_batched_stage_coefficients_equal_per_stage_calls(setup, representation)
             for i, k in np.ndindex(xb.shape):
                 one = _coefficients(fam, trip, field, xb[i, k:k + 1], tb[i, k:k + 1], column)
                 assert all(_same_bits(cb[i, k:k + 1], co) for cb, co in zip(batch, one)), (column, i, k)
-        # one transverse step, (3, n), against one call per stage on the whole line
-        for x, t in ((xs, t_stages[1][:, None]), (x_stages[2][:, None], ts)):
+        # every transverse step, (steps, 3, n), against one call per step and stage on the whole line
+        for x, t in ((xs, t_stages[:, :, None]), (x_stages[:, :, None], ts)):
             batch = _coefficients(fam, trip, field, x, t, column)
             xb, tb = np.broadcast_arrays(x, t)
-            per_stage = [_coefficients(fam, trip, field, xb[k], tb[k], column) for k in range(3)]
-            assert all(_same_bits(cb, np.stack(cs)) for cb, cs in zip(batch, zip(*per_stage))), column
+            for j, k in np.ndindex(xb.shape[:2]):
+                one = _coefficients(fam, trip, field, xb[j, k], tb[j, k], column)
+                assert all(_same_bits(cb[j, k], co) for cb, co in zip(batch, one)), (column, j, k)
+
+
+@_BATCH_SETUPS
+def test_whole_mesh_forms_equal_per_row_calls(setup, representation):
+    fam, trip, field, origin, h = setup()
+    mesh = integrate_frame(fam, trip, field, origin=origin, steps=(5, 4), h=h, measure_compat=False)
+    EE, II = np.empty_like(mesh.first_form), np.empty_like(mesh.second_form)
+    degenerate, d12_min = 0, math.inf
+    for j, t in enumerate(mesh.ts):  # one field call per mesh row
+        env = field.sample_env(mesh.xs, t, 3)
+        EE[:, j, 0], EE[:, j, 1], EE[:, j, 2] = first_form_coefficients(fam, env)
+        II[:, j, 0], II[:, j, 1], II[:, j, 2] = second_form_coefficients(
+            fam, _triple_values(trip, env, mesh.xs, t), env)
+        d12 = np.abs(delta(fam, env, 1, 2))
+        degenerate += int(np.count_nonzero(d12 <= 0.0))
+        d12_min = min(d12_min, float(np.min(d12)))
+    detI = EE[..., 0] * EE[..., 2] - EE[..., 1] ** 2
+    assert _same_bits(mesh.first_form, EE) and _same_bits(mesh.second_form, II)
+    assert mesh.diagnostics["degenerate_vertices"] == degenerate
+    assert mesh.diagnostics["delta12_min"] == d12_min
+    assert mesh.diagnostics["I_det_min"] == float(np.min(detI[1:-1, 1:-1]))
 
 
 def test_integrate_frame_samples_once_per_spine_and_step():
@@ -391,7 +478,8 @@ def test_integrate_frame_samples_once_per_spine_and_step():
         return sample(*args)
 
     field.sample_env = counting
-    n, m = 7, 5
-    integrate_frame(fam, trip, field, origin=(-1.5, -1.5), steps=(n, m), h=0.05)
-    # x-spine and its m steps, t-spine and its n steps, m + 1 rows of forms
-    assert len(calls) == 2 + n + m + (m + 1)
+    integrate_frame(fam, trip, field, origin=(-1.5, -1.5), steps=(7, 5), h=0.05)
+    # per sweep (x first, then t first) a spine call and an all-steps call, then the forms
+    assert len(calls) == 5
+    assert [np.broadcast_shapes(*(np.shape(a) for a in c[:2])) for c in calls] == [
+        (7, 3), (5, 3, 8), (5, 3), (7, 3, 6), (8, 6)]

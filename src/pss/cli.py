@@ -74,6 +74,16 @@ def _grid(text):
     return sizes
 
 
+def _positive_float(text):
+    try:
+        v = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from exc
+    if not v > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return v
+
+
 def _positive_int(text):
     try:
         n = int(text)
@@ -157,7 +167,7 @@ def build_parser():
     sp.add_argument("--field", help="reconstruct over a saved PSSF field")
     sp.add_argument("--grid", type=_grid, default=(200, 200))
     sp.add_argument("--origin", type=float, nargs=2, default=None, metavar=("X0", "T0"))
-    sp.add_argument("--extent", type=float, nargs=2, default=None, metavar=("DX", "DT"),
+    sp.add_argument("--extent", type=_positive_float, nargs=2, default=None, metavar=("DX", "DT"),
                     help="window size from the origin (default: all of the usable domain)")
     sp.add_argument("--out", help="OBJ output path")
     return p
@@ -488,9 +498,12 @@ def _cmd_reconstruct(args):
             xhi = min(xhi, origin[0] + args.extent[0])
             thi = min(thi, origin[1] + args.extent[1])
         hx = (xhi - origin[0]) / nxs
-        ht = ((thi - origin[1]) / nts) if thi > origin[1] else 0.0
-        if hx <= 0:
+        ht = (thi - origin[1]) / nts
+        if not hx > 0:
             raise _UsageError("the requested window lies outside the triple's validity strip")
+        if not ht > 0:
+            raise _UsageError(f"the requested window has no t extent: origin t {origin[1]!r} "
+                              f"is not below the usable t bound {thi!r}")
     else:
         raise _UsageError("reconstruct needs --soliton or --field")
     mesh = integrate_frame(fam, trip, field, origin=origin, steps=(nxs, nts), h=(hx, ht))

@@ -15,10 +15,22 @@ power rule stays exact under differentiation.
 Evaluation is deterministic and raises ``DomainError`` (division by zero,
 sqrt of a negative, tan at a pole) instead of propagating non-finite
 values; offsets in all errors are 0-based byte offsets into the source.
+
+Calling an ``Expression`` evaluates closures built from the tree, over any
+operand type: floats, arrays, ``dual.Dual`` or ``dual.Taylor``.  Its value
+and first partials (``with_partials``) come from straight-line Python
+compiled from the tree on first use: forward mode unrolled ahead of time
+(Griewank & Walther, *Evaluating Derivatives*, ch. 3 and 13).  That code
+makes no duals of its own, yet it runs the same operations in the same
+order as seeding the variables as duals one level up, so it gives the same
+bits and the same ``DomainError`` for float, array and dual inputs.
+``parse_expression`` is memoized per process on (source, variables).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -349,8 +361,193 @@ def _free_vars(node, acc):
     return acc
 
 
+# ----------------------------------------------------------------------
+# Compilation of value and first partials to straight-line code
+#
+# The program repeats, op for op, what seeding the declared variables as
+# ``dual.Dual``s one level up and evaluating the closures does: the same
+# Python operator, operand order and constants at every step (``c + D``
+# runs ``D.__radd__``, so it is ``D.val + c``; ``a - b`` is ``a + (-b)``),
+# the same domain checks at the same points of the evaluation order.  Lower
+# level values (floats, arrays, duals of the caller) pass through the plain
+# operators, so they come out bit for bit as through the tower.
+#
+# An operand is the name of a value computed at run time (a str) or a
+# Python number known when the program is built: a literal, a seed
+# component 1.0 or 0.0, or a fold of two such numbers by a Python operator,
+# which rounds the same then as when the program runs.  A node that depends
+# on no variable has no gradient (None).
+
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "**": operator.pow}
+
+
+class _PartialsCompiler:
+    """Builds the source lines and the namespace of one partials program."""
+
+    def __init__(self, variables):
+        self.index = {nm: i for i, nm in enumerate(variables)}
+        self.n = len(variables)
+        self.lines = [f"    _x{i} = env[{nm!r}]" for i, nm in enumerate(variables)]
+        self.ns = {"_DomainError": DomainError}
+
+    def ref(self, x):
+        """Source text of an operand; a known number is bound by name (the
+        repr of a literal such as 1e999 would not read back)."""
+        if isinstance(x, str):
+            return x
+        name = f"_k{len(self.ns)}"
+        self.ns[name] = x
+        return name
+
+    def emit(self, text):
+        name = f"_t{len(self.lines)}"
+        self.lines.append(f"    {name} = {text}")
+        return name
+
+    def binop(self, sym, x, y):
+        if not isinstance(x, str) and not isinstance(y, str):
+            try:
+                return _FOLD[sym](x, y)
+            except ArithmeticError:
+                pass  # raised when the program runs, as by the closures
+        return self.emit(f"{self.ref(x)} {sym} {self.ref(y)}")
+
+    def negate(self, x):
+        return self.emit(f"-{x}") if isinstance(x, str) else -x
+
+    def call(self, fn, x):
+        name = f"_f{len(self.ns)}"
+        self.ns[name] = fn
+        return self.emit(f"{name}({self.ref(x)})")
+
+    def check(self, test, x, message, offset, raise_if=True):
+        """Raise DomainError where bool(test(x)) is raise_if; a known x that
+        passes is not tested again when the program runs."""
+        if not isinstance(x, str) and bool(test(x)) != raise_if:
+            return
+        self.ns[test.__name__] = test
+        cond = f"{test.__name__}({self.ref(x)})"
+        self.lines.append(f"    if {cond if raise_if else 'not ' + cond}: raise _DomainError({message!r}, {offset})")
+
+    # -- the Dual operators on (value, grads) pairs; grads None: no variable
+
+    def add(self, a, b):
+        (av, ag), (bv, bg) = a, b
+        if ag is None and bg is None:
+            return self.binop("+", av, bv), None
+        if ag is None:  # c + D runs D.__radd__ = D.__add__(c): D.val + c
+            return self.add(b, a)
+        if bg is None:
+            return self.binop("+", av, bv), ag
+        return self.binop("+", av, bv), tuple(self.binop("+", x, y) for x, y in zip(ag, bg))
+
+    def neg(self, a):
+        av, ag = a
+        v = self.negate(av)
+        return v, None if ag is None else tuple(self.negate(g) for g in ag)
+
+    def sub(self, a, b):
+        if a[1] is None and b[1] is None:
+            return self.binop("-", a[0], b[0]), None
+        if a[1] is None:  # c - D runs D.__rsub__: (-D) + c
+            return self.add(self.neg(b), a)
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        (av, ag), (bv, bg) = a, b
+        if ag is None and bg is None:
+            return self.binop("*", av, bv), None
+        if ag is None:  # c * D runs D.__rmul__ = D.__mul__(c)
+            return self.mul(b, a)
+        v = self.binop("*", av, bv)
+        if bg is None:
+            return v, tuple(self.binop("*", g, bv) for g in ag)
+        return v, tuple(
+            self.binop("+", self.binop("*", x, bv), self.binop("*", av, y)) for x, y in zip(ag, bg)
+        )
+
+    def div(self, a, b):
+        (av, ag), (bv, bg) = a, b
+        v = self.binop("/", av, bv)
+        if bg is None:
+            return v, None if ag is None else tuple(self.binop("/", g, bv) for g in ag)
+        if ag is None:  # c / D runs D.__rtruediv__: grads -v * g / D.val
+            return v, tuple(self.binop("/", self.binop("*", self.negate(v), g), bv) for g in bg)
+        return v, tuple(
+            self.binop("/", self.binop("-", x, self.binop("*", v, y)), bv) for x, y in zip(ag, bg)
+        )
+
+    def power(self, a, k):
+        av, ag = a
+        if ag is None:
+            return self.binop("**", av, k), None
+        if k == 0:
+            v = self.binop("+", self.binop("*", av, 0), 1.0)
+            return v, tuple(self.binop("*", g, 0) for g in ag)
+        d = self.binop("*", k, self.binop("**", av, k - 1))
+        return self.binop("**", av, k), tuple(self.binop("*", d, g) for g in ag)
+
+    def apply(self, name, a):
+        """f(D) as ``Dual._apply``: y = f(D.val), grads f'(.) * g."""
+        av, ag = a
+        y = self.call(FUNCTIONS[name], av)
+        if ag is None:
+            return y, None
+        _, on_result, deriv = dual._RULES[name]
+        d = self.call(deriv, y if on_result else av)
+        return y, tuple(self.binop("*", d, g) for g in ag)
+
+    # -- the tree, in the closures' evaluation order
+
+    def node(self, nd):
+        if isinstance(nd, Num):
+            return nd.value, None
+        if isinstance(nd, Var):
+            i = self.index[nd.name]
+            return f"_x{i}", tuple(1.0 if j == i else 0.0 for j in range(self.n))
+        if isinstance(nd, Neg):
+            return self.neg(self.node(nd.arg))
+        if isinstance(nd, Bin):
+            if nd.op == "/":  # the closure reads and checks the denominator first
+                den = self.node(nd.right)
+                self.check(_any_zero, den[0], "division by zero", nd.offset)
+                return self.div(self.node(nd.left), den)
+            a = self.node(nd.left)
+            return {"+": self.add, "-": self.sub, "*": self.mul}[nd.op](a, self.node(nd.right))
+        if isinstance(nd, Pow):
+            base = self.node(nd.base)
+            if nd.exponent < 0:
+                self.check(_any_zero, base[0], "zero raised to a negative power", nd.offset)
+            return self.power(base, nd.exponent)
+        if isinstance(nd, Call):
+            arg = self.node(nd.arg)
+            if nd.fn == "sqrt":
+                self.check(_any_negative, arg[0], "sqrt of a negative value", nd.offset)
+                if arg[1] is not None:  # a dual: its derivative is asked for
+                    self.check(_any_zero, arg[0], "sqrt at zero has no derivative", nd.offset)
+            out = self.apply(nd.fn, arg)
+            if nd.fn == "tan":
+                self.check(_all_finite, out[0], "tan at a pole", nd.offset, raise_if=False)
+            return out
+        raise TypeError(f"unhandled node {nd!r}")
+
+
+def _compile_partials(root, variables, src):
+    """fn(env) -> (value, {variable: partial})."""
+    comp = _PartialsCompiler(variables)
+    v, g = comp.node(root)
+    if g is None:  # no variable reached the result: zero partials
+        g = (0.0,) * comp.n
+    grads = ", ".join(f"{nm!r}: {comp.ref(x)}" for nm, x in zip(variables, g))
+    text = "def _partials(env):\n" + "\n".join(comp.lines) + f"\n    return {comp.ref(v)}, {{{grads}}}\n"
+    exec(compile(text, f"<partials of {src!r}>", "exec"), comp.ns)
+    return comp.ns["_partials"]
+
+
 class Expression:
-    """Parsed expression: immutable, evaluated through the dual tower."""
+    """Parsed expression, immutable.  Calling it evaluates through closures
+    over any operand type (floats, arrays, duals, series); `with_partials`
+    runs the value-and-gradient program compiled from the same tree."""
 
     def __init__(self, src, root, variables):
         self.src = src
@@ -358,6 +555,7 @@ class Expression:
         self.variables = tuple(variables)
         self.free = frozenset(_free_vars(root, set()))
         self._fn = _compile(root)
+        self._partials = None  # compiled on the first with_partials
 
     def __repr__(self):
         return f"Expression({self.src!r})"
@@ -370,19 +568,22 @@ class Expression:
 
         Exact to rounding (forward mode), no truncation error.
         """
-        names = self.variables
-        vals = {nm: env[nm] for nm in names}
-        lvl, seeded = dual.seed(vals, names)
-        r = self._fn(seeded)
-        value, grads = dual.value_grad(r, lvl, len(names))
-        return value, dict(zip(names, grads))
+        if self._partials is None:
+            self._partials = _compile_partials(self.root, self.variables, self.src)
+        return self._partials(env)
 
 
 def parse_expression(src, variables):
-    """Parse `src` over the declared variable names."""
+    """Parse `src` over the declared variable names.  Parses are memoized per
+    process on (src, variables): an Expression is immutable, so equal
+    arguments share one tree and one compiled partials program."""
+    return _parse(src, tuple(variables))
+
+
+@functools.lru_cache(maxsize=256)
+def _parse(src, variables):
     if not src or not src.strip():
         raise SyntaxErrorAt("empty expression", 0)
-    variables = list(variables)
     if not variables:
         raise ExprError("variable list must be nonempty")
     if len(set(variables)) != len(variables):

@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 from pss.cli import EXIT_FAIL, EXIT_NO_IMMERSION, EXIT_OK, EXIT_USAGE, build_parser, run
 from pss.immersion import ImmersionTriple
 
@@ -366,3 +368,41 @@ def test_parser_is_built_once_and_reused_cleanly(tmp_path, capsys):
     assert run(["sff", "--preset", "t22-demo", "--bogus"]) == EXIT_USAGE
     assert report() == (EXIT_OK, fresh)
     capsys.readouterr()
+
+
+def test_reconstruct_refuses_a_window_without_extent(tmp_path, capsys):
+    field = tmp_path / "f.pssf"
+    assert run(["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.02", "--dt", "1e-3",
+                "--u0", "0.1+0.05*cos(x)", "--out", str(field),
+                "--report", str(tmp_path / "p.json"), "--deterministic"]) == EXIT_OK
+    base = ["reconstruct", "--preset", "novikov", "--sigma", "3", "--beta", "0.5",
+            "--field", str(field), "--grid", "8x8"]
+    rep = tmp_path / "r.json"
+    table = [
+        # (extra flags, config or None, stderr line)
+        (["--extent", "0.3", "-1"], None, "pss: argument --extent: must be > 0, got '-1'\n"),
+        (["--extent", "0.3", "0"], None, "pss: argument --extent: must be > 0, got '0'\n"),
+        (["--extent", "-0.3", "0.01"], None, "pss: argument --extent: must be > 0, got '-0.3'\n"),
+        (["--extent", "0.3", "nan"], None, "pss: argument --extent: must be > 0, got 'nan'\n"),
+        ([], {"extent": [0.3, -1]}, "pss: config: argument --extent: must be > 0, got '-1'\n"),
+        ([], {"extent": [0, 0.01]}, "pss: config: argument --extent: must be > 0, got '0'\n"),
+        # origin on the last stored time: the window has no t extent
+        (["--origin", "0.1", "0.02"], None,
+         "pss: the requested window has no t extent: origin t 0.02 is not below the usable t bound 0.02\n"),
+        (["--origin", "0.1", "0.02", "--extent", "0.3", "0.01"], None,
+         "pss: the requested window has no t extent: origin t 0.02 is not below the usable t bound 0.02\n"),
+    ]
+    for i, (extra, cfg, line) in enumerate(table):
+        argv = [*base, *extra, "--report", str(rep), "--deterministic"]
+        if cfg is not None:
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(json.dumps(cfg))
+            argv += ["--config", str(path)]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert (code, err) == (EXIT_USAGE, line), extra
+        assert not rep.exists()
+    assert run([*base, "--origin", "0.1", "0.01", "--extent", "0.3", "0.005",
+                "--report", str(rep), "--deterministic"]) == EXIT_OK
+    dd = json.loads(rep.read_text())["diagnostics"]
+    assert np.isfinite(dd["K_mean"]) and dd["compat_max"] > 0.0

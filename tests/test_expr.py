@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
+from pss import dual
+from pss.catalog import Branch, FamilyParams, build_family, novikov_preset
 from pss.expr import (
     ArityMismatch,
     DomainError,
+    Expression,
     ExprError,
     SyntaxErrorAt,
     UnknownIdentifier,
     parse_expression,
 )
+from pss.pde import Grid1D, solve_mol
 
 
 def test_parse_and_evaluate_hand_value():
@@ -168,3 +172,142 @@ def test_offsets_are_byte_offsets():
     with pytest.raises(SyntaxErrorAt) as err2:
         parse_expression("(é)", ["z0"])
     assert err2.value.offset == 1
+
+
+# ----------------------------------------------------------------------
+# Compiled partials against the dual tower
+
+
+def _tower_partials(expr, env):
+    """The former with_partials body: seed the declared variables one level
+    up and evaluate the closures."""
+    names = expr.variables
+    vals = {nm: env[nm] for nm in names}
+    lvl, seeded = dual.seed(vals, names)
+    value, grads = dual.value_grad(expr(seeded), lvl, len(names))
+    return value, dict(zip(names, grads))
+
+
+def _bits(x):
+    """Type and exact bytes of a float, array or (nested) Dual."""
+    if isinstance(x, dual.Dual):
+        return ("Dual", x.level, _bits(x.val), tuple(_bits(g) for g in x.grad))
+    a = np.asarray(x)
+    return (type(x).__name__, a.dtype.str, a.shape, a.tobytes())
+
+
+_TABLE_EXPRS = [
+    "z0 + z1", "z0 - z1", "z0 * z1", "z0 / z1", "-z0", "-(z0 - z1)",
+    "z0^0", "z1^1", "z0^3", "z0^-2", "(z0*z1)^0 + z1^-2",
+    "exp(z0)", "sin(z0)", "cos(z1)", "tan(z0)", "sqrt(z0)", "arctan(z1)",
+    "2 + z0", "z0 + 2", "2 - z0", "z0 - 2", "3*z1", "z1*3", "3/z0", "z0/3",
+    "2*3 - 1/4 + z0", "(1 - 4/2)^3*z1 - sin(0.5)", "cos(2)^-1/z0 + 2^-2",
+    "1e999*z0", "z0 - 1e999", "1e999 - 1e999 + z1", "(1e999 - 1e999) + z0", "(1e999 - 1e999)*z0",
+    "z0/1e999", "0*z0 + z0*0",
+    "7", "sin(1)", "z0*(z1-z0)^2", "exp(z0)*z1", "sin(z0)+2*z0",
+    "-(z0*z1)/(1+z0^2) + sqrt(z0*z0 + 1)*arctan(z1)", "tan(z0/2)/cos(z1) - exp(-z1)^2",
+    "1/(z0 - z1)", "sqrt(z0)/(z1 - z1)", "tan(1e999*z0)", "sqrt(-1) + z0", "1/0 + z0",
+    "0^-1*z1", "sqrt(0) + z0", "tan(1e999) + z1",
+]
+
+
+def _table_inputs():
+    rng = np.random.default_rng(8)
+    a0, a1 = rng.uniform(-2, 2, 256), rng.uniform(-2, 2, 256)
+    p0, p1 = rng.uniform(0.5, 2, 256), rng.uniform(0.5, 2, 256)
+    z0 = a0.copy()
+    z0[17] = 0.0
+    # NaNs of both signs show operand order.  Arrays only: CPython's
+    # specialized float instructions may return either NaN operand of a
+    # Python float sum, whichever code runs it.
+    n0, n1 = a0.copy(), p1.copy()
+    n0[[3, 5]] = np.nan, -np.nan
+    n1[[3, 9]] = -np.nan, np.inf
+    _, d = dual.seed({"z0": p0, "z1": a1, "w": a0}, ("z0", "z1", "w"))
+    return [
+        {"z0": 0.7, "z1": -1.3},
+        {"z0": 0.0, "z1": 2.0},
+        {"z0": -0.0, "z1": 0.0},
+        {"z0": -2.0, "z1": 0.5},
+        {"z0": p0, "z1": a1},
+        {"z0": a0, "z1": a1},
+        {"z0": z0, "z1": p1},
+        {"z0": 1.25, "z1": a1},
+        {"z0": n0, "z1": n1},
+        {"z0": d["z0"], "z1": d["z1"]},  # level-1 duals with float unit grads
+        {"z0": dual.Dual(1, p0, (a1, 0.0)), "z1": dual.Dual(1, a1, (p1, a0))},
+        {"z0": dual.Dual(1, z0, (a1,)), "z1": dual.Dual(1, p1, (a0,))},
+    ]
+
+
+@pytest.mark.parametrize("src", _TABLE_EXPRS)
+def test_compiled_partials_equal_the_dual_tower_bit_for_bit(src):
+    e = parse_expression(src, ["z0", "z1"])
+    for i, env in enumerate(_table_inputs()):
+        with np.errstate(all="ignore"):
+            try:
+                want = _tower_partials(e, env)
+            except DomainError as err:
+                want = err
+            try:
+                got = e.with_partials(env)
+            except DomainError as err:
+                got = err
+        if isinstance(want, DomainError):
+            assert isinstance(got, DomainError), (src, i)
+            assert (str(got), got.offset) == (str(want), want.offset), (src, i)
+            continue
+        assert not isinstance(got, DomainError), (src, i, got)
+        assert _bits(got[0]) == _bits(want[0]), (src, i)
+        assert list(got[1]) == list(want[1])
+        for nm in e.variables:
+            assert _bits(got[1][nm]) == _bits(want[1][nm]), (src, i, nm)
+
+
+def test_compiled_partials_make_no_duals(monkeypatch):
+    e = parse_expression("z0*(z1-z0)^2 + sin(z1)/z0", ["z0", "z1"])
+
+    def no_seed(*args):
+        raise AssertionError("dual.seed called")
+
+    monkeypatch.setattr(dual, "seed", no_seed)
+    v, parts = e.with_partials({"z0": np.full(4, 0.5), "z1": np.full(4, 2.0)})
+    assert type(v) is np.ndarray and all(type(g) is np.ndarray for g in parts.values())
+    with pytest.raises(KeyError):
+        e.with_partials({"z0": 1.0})
+
+
+def test_parse_is_memoized_per_source_and_variables():
+    a = parse_expression("z0*z1 + 1", ["z0", "z1"])
+    assert parse_expression("z0*z1 + 1", ("z0", "z1")) is a
+    assert parse_expression("z0*z1 + 1", ["z1", "z0"]) is not a
+    assert parse_expression("z0*z1 + 1", ["z1", "z0"]).variables == ("z1", "z0")
+    with pytest.raises(SyntaxErrorAt):
+        parse_expression("z0 +", ["z0"])
+
+
+def _t22_sin_exp():
+    p = FamilyParams(branch=Branch.T22, mu2=0.3, eta2=1.0, sign=1)
+    return build_family(p, f="sin(s)+2*s", phi12="exp(z0)*z1")
+
+
+@pytest.mark.parametrize("make", [novikov_preset, _t22_sin_exp], ids=["novikov", "t22"])
+def test_march_seeds_no_duals_and_equals_the_tower_march(make, monkeypatch):
+    fam = make()
+    grid = Grid1D(0.0, 2.0 * np.pi, 64)
+    u0 = 0.5 + 0.2 * np.cos(grid.nodes())
+    calls = []
+    tower_seed = dual.seed
+
+    def counting_seed(*args):
+        calls.append(args)
+        return tower_seed(*args)
+
+    monkeypatch.setattr(dual, "seed", counting_seed)
+    fast = solve_mol(fam, grid, u0, 0.01, 1e-3, n_save=11)
+    assert fast.frames.shape == (11, 64) and calls == []
+    monkeypatch.setattr(Expression, "with_partials", _tower_partials)
+    ref = solve_mol(fam, grid, u0, 0.01, 1e-3, n_save=11)
+    assert len(calls) == 4 * 10 * 2  # f and phi12 at each RK4 stage: the patch took
+    assert fast.times.tobytes() == ref.times.tobytes()
+    assert fast.frames.tobytes() == ref.frames.tobytes()

@@ -410,9 +410,12 @@ def _cmd_pde(args):
     fam = _load(args)
     grid = Grid1D(args.xmin, args.xmax, args.nx)
     u0e = parse_expression(args.u0, ["x"])
-    u0 = np.asarray(u0e({"x": grid.nodes()}), dtype=float)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not printed
+        u0 = np.asarray(u0e({"x": grid.nodes()}), dtype=float)
     if u0.shape != (grid.nx,):
         u0 = np.full(grid.nx, float(u0))
+    if not np.all(np.isfinite(u0)):
+        raise _UsageError("--u0 must be finite on the grid")
     space = args.space if args.space == "spectral" else int(args.space)
     try:
         field = solve_mol(fam, grid, u0, args.tmax, args.dt, space=space, n_save=args.nsave)

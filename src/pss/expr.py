@@ -13,17 +13,19 @@ tan, sqrt, arctan are reserved.  Exponents are integer literals, so the
 power rule stays exact under differentiation.
 
 Evaluation is deterministic and raises ``DomainError`` (division by zero,
-sqrt of a negative, tan at a pole) instead of propagating non-finite
-values; offsets in all errors are 0-based byte offsets into the source.
+sqrt of a negative, tan at a pole, a Python float power that overflows)
+instead of propagating non-finite values; offsets in all errors are 0-based
+byte offsets into the source.
 
-Calling an ``Expression`` evaluates closures built from the tree, over any
-operand type: floats, arrays, ``dual.Dual`` or ``dual.Taylor``.  Its value
-and first partials (``with_partials``) come from straight-line Python
-compiled from the tree on first use: forward mode unrolled ahead of time
-(Griewank & Walther, *Evaluating Derivatives*, ch. 3 and 13).  That code
-makes no duals of its own, yet it runs the same operations in the same
-order as seeding the variables as duals one level up, so it gives the same
-bits and the same ``DomainError`` for float, array and dual inputs.
+Calling an ``Expression`` runs straight-line Python compiled from the tree,
+over any operand type: floats, arrays, ``dual.Dual`` or ``dual.Taylor``.
+The same compiler, with the variables seeded, builds the program for its
+value and first partials (``with_partials``) on first use: forward mode
+unrolled ahead of time (Griewank & Walther, *Evaluating Derivatives*, ch. 3
+and 13).  That code makes no duals of its own, yet it runs the same
+operations in the same order as seeding the variables as duals one level up,
+so it gives the same bits and the same ``DomainError`` for float, array and
+dual inputs.
 ``parse_expression`` is memoized per process on (source, variables).
 """
 
@@ -260,12 +262,18 @@ class _Parser:
 
 
 # ----------------------------------------------------------------------
-# Compilation to closures
+# Domain checks, run on the primal of an operand
 
 
 def _any_zero(x):
     p = primal(x)
     return bool(np.any(p == 0))
+
+
+def _series_at_zero(x):
+    """A dual or series that is zero somewhere: sqrt has no derivative there
+    (a float or array at zero is a valid sqrt argument)."""
+    return isinstance(x, (dual.Dual, dual.Taylor)) and _any_zero(x)
 
 
 def _any_negative(x):
@@ -276,74 +284,6 @@ def _any_negative(x):
 def _all_finite(x):
     p = primal(x)
     return bool(np.all(np.isfinite(p)))
-
-
-def _compile(node):
-    if isinstance(node, Num):
-        v = node.value
-        return lambda env: v
-    if isinstance(node, Var):
-        nm = node.name
-        return lambda env: env[nm]
-    if isinstance(node, Neg):
-        f = _compile(node.arg)
-        return lambda env: -f(env)
-    if isinstance(node, Bin):
-        lf, rf = _compile(node.left), _compile(node.right)
-        off = node.offset
-        if node.op == "+":
-            return lambda env: lf(env) + rf(env)
-        if node.op == "-":
-            return lambda env: lf(env) - rf(env)
-        if node.op == "*":
-            return lambda env: lf(env) * rf(env)
-
-        def div(env):
-            den = rf(env)
-            if _any_zero(den):
-                raise DomainError("division by zero", off)
-            return lf(env) / den
-
-        return div
-    if isinstance(node, Pow):
-        bf = _compile(node.base)
-        k, off = node.exponent, node.offset
-        if k >= 0:
-            return lambda env: bf(env) ** k
-
-        def powneg(env):
-            base = bf(env)
-            if _any_zero(base):
-                raise DomainError("zero raised to a negative power", off)
-            return base**k
-
-        return powneg
-    if isinstance(node, Call):
-        af = _compile(node.arg)
-        fn = FUNCTIONS[node.fn]
-        off = node.offset
-        if node.fn == "sqrt":
-
-            def fsqrt(env):
-                arg = af(env)
-                if _any_negative(arg):
-                    raise DomainError("sqrt of a negative value", off)
-                if isinstance(arg, (dual.Dual, dual.Taylor)) and _any_zero(arg):
-                    raise DomainError("sqrt at zero has no derivative", off)
-                return fn(arg)
-
-            return fsqrt
-        if node.fn == "tan":
-
-            def ftan(env):
-                out = fn(af(env))
-                if not _all_finite(out):
-                    raise DomainError("tan at a pole", off)
-                return out
-
-            return ftan
-        return lambda env: fn(af(env))
-    raise TypeError(f"unhandled node {node!r}")
 
 
 def _free_vars(node, acc):
@@ -362,10 +302,15 @@ def _free_vars(node, acc):
 
 
 # ----------------------------------------------------------------------
-# Compilation of value and first partials to straight-line code
+# Compilation to straight-line code
 #
-# The program repeats, op for op, what seeding the declared variables as
-# ``dual.Dual``s one level up and evaluating the closures does: the same
+# One compiler builds two programs from a tree, one line per operation in
+# evaluation order: the left operand before the right, a denominator and its
+# check before the numerator.  The value program (``Expression.__call__``)
+# seeds no variable, so every operand goes through its own type's operators
+# (floats, arrays, ``dual.Dual``, ``dual.Taylor``).  The partials program
+# (``with_partials``) seeds the declared variables and repeats, op for op,
+# what evaluating with them as ``dual.Dual``s one level up does: the same
 # Python operator, operand order and constants at every step (``c + D``
 # runs ``D.__radd__``, so it is ``D.val + c``; ``a - b`` is ``a + (-b)``),
 # the same domain checks at the same points of the evaluation order.  Lower
@@ -376,18 +321,22 @@ def _free_vars(node, acc):
 # Python number known when the program is built: a literal, a seed
 # component 1.0 or 0.0, or a fold of two such numbers by a Python operator,
 # which rounds the same then as when the program runs.  A node that depends
-# on no variable has no gradient (None).
+# on no seeded variable has no gradient (None).  Each temporary is deleted
+# after the line that reads it last, so a dead array is freed at once.
 
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "**": operator.pow}
+_TEMP_RE = re.compile(r"\b_t\d+\b")
 
 
-class _PartialsCompiler:
-    """Builds the source lines and the namespace of one partials program."""
+class _ProgramBuilder:
+    """Builds the source lines and the namespace of one program: the value,
+    or the value and first partials when the variables are seeded."""
 
-    def __init__(self, variables):
+    def __init__(self, variables, reads, seeded):
         self.index = {nm: i for i, nm in enumerate(variables)}
         self.n = len(variables)
-        self.lines = [f"    _x{i} = env[{nm!r}]" for i, nm in enumerate(variables)]
+        self.seeded = seeded
+        self.lines = [f"    _x{i} = env[{nm!r}]" for i, nm in enumerate(variables) if nm in reads]
         self.ns = {"_DomainError": DomainError}
 
     def ref(self, x):
@@ -409,7 +358,7 @@ class _PartialsCompiler:
             try:
                 return _FOLD[sym](x, y)
             except ArithmeticError:
-                pass  # raised when the program runs, as by the closures
+                pass  # left to raise when the program runs
         return self.emit(f"{self.ref(x)} {sym} {self.ref(y)}")
 
     def negate(self, x):
@@ -428,6 +377,17 @@ class _PartialsCompiler:
         self.ns[test.__name__] = test
         cond = f"{test.__name__}({self.ref(x)})"
         self.lines.append(f"    if {cond if raise_if else 'not ' + cond}: raise _DomainError({message!r}, {offset})")
+
+    def guard_overflow(self, start, message, offset):
+        """Raise DomainError where the lines from `start` on overflow (a
+        Python float ``**`` raises OverflowError; numpy gives inf)."""
+        body = self.lines[start:]
+        if body:
+            self.lines[start:] = [
+                "    try:",
+                *("    " + line for line in body),
+                f"    except OverflowError: raise _DomainError({message!r}, {offset}) from None",
+            ]
 
     # -- the Dual operators on (value, grads) pairs; grads None: no variable
 
@@ -497,18 +457,18 @@ class _PartialsCompiler:
         d = self.call(deriv, y if on_result else av)
         return y, tuple(self.binop("*", d, g) for g in ag)
 
-    # -- the tree, in the closures' evaluation order
+    # -- the tree, in evaluation order
 
     def node(self, nd):
         if isinstance(nd, Num):
             return nd.value, None
         if isinstance(nd, Var):
             i = self.index[nd.name]
-            return f"_x{i}", tuple(1.0 if j == i else 0.0 for j in range(self.n))
+            return f"_x{i}", tuple(1.0 if j == i else 0.0 for j in range(self.n)) if self.seeded else None
         if isinstance(nd, Neg):
             return self.neg(self.node(nd.arg))
         if isinstance(nd, Bin):
-            if nd.op == "/":  # the closure reads and checks the denominator first
+            if nd.op == "/":  # the denominator is read and checked first
                 den = self.node(nd.right)
                 self.check(_any_zero, den[0], "division by zero", nd.offset)
                 return self.div(self.node(nd.left), den)
@@ -518,13 +478,18 @@ class _PartialsCompiler:
             base = self.node(nd.base)
             if nd.exponent < 0:
                 self.check(_any_zero, base[0], "zero raised to a negative power", nd.offset)
-            return self.power(base, nd.exponent)
+            start = len(self.lines)
+            out = self.power(base, nd.exponent)
+            self.guard_overflow(start, "power overflows", nd.offset)
+            return out
         if isinstance(nd, Call):
             arg = self.node(nd.arg)
             if nd.fn == "sqrt":
                 self.check(_any_negative, arg[0], "sqrt of a negative value", nd.offset)
                 if arg[1] is not None:  # a dual: its derivative is asked for
                     self.check(_any_zero, arg[0], "sqrt at zero has no derivative", nd.offset)
+                else:
+                    self.check(_series_at_zero, arg[0], "sqrt at zero has no derivative", nd.offset)
             out = self.apply(nd.fn, arg)
             if nd.fn == "tan":
                 self.check(_all_finite, out[0], "tan at a pole", nd.offset, raise_if=False)
@@ -532,29 +497,50 @@ class _PartialsCompiler:
         raise TypeError(f"unhandled node {nd!r}")
 
 
-def _compile_partials(root, variables, src):
-    """fn(env) -> (value, {variable: partial})."""
-    comp = _PartialsCompiler(variables)
+def _release(lines):
+    """`lines` with each temporary deleted after the line that reads it last,
+    at that line's indentation; the last line is the return."""
+    last = {name: i for i, line in enumerate(lines) for name in _TEMP_RE.findall(line)}
+    out = []
+    for i, line in enumerate(lines[:-1]):
+        out.append(line)
+        dead = [name for name in dict.fromkeys(_TEMP_RE.findall(line)) if last[name] == i]
+        if dead:
+            out.append(line[: len(line) - len(line.lstrip())] + "del " + ", ".join(dead))
+    return out + lines[-1:]
+
+
+def _build_program(root, variables, src, partials):
+    """fn(env) -> value, or -> (value, {variable: partial}) with `partials`.
+    The value program reads only the free variables of the tree."""
+    reads = variables if partials else _free_vars(root, set())
+    comp = _ProgramBuilder(variables, reads, seeded=partials)
     v, g = comp.node(root)
-    if g is None:  # no variable reached the result: zero partials
-        g = (0.0,) * comp.n
-    grads = ", ".join(f"{nm!r}: {comp.ref(x)}" for nm, x in zip(variables, g))
-    text = "def _partials(env):\n" + "\n".join(comp.lines) + f"\n    return {comp.ref(v)}, {{{grads}}}\n"
-    exec(compile(text, f"<partials of {src!r}>", "exec"), comp.ns)
-    return comp.ns["_partials"]
+    if not partials:
+        ret = f"    return {comp.ref(v)}"
+    else:
+        if g is None:  # no variable reached the result: zero partials
+            g = (0.0,) * comp.n
+        grads = ", ".join(f"{nm!r}: {comp.ref(x)}" for nm, x in zip(variables, g))
+        ret = f"    return {comp.ref(v)}, {{{grads}}}"
+    text = "def _program(env):\n" + "\n".join(_release([*comp.lines, ret])) + "\n"
+    kind = "partials" if partials else "value"
+    exec(compile(text, f"<{kind} of {src!r}>", "exec"), comp.ns)
+    return comp.ns["_program"]
 
 
 class Expression:
-    """Parsed expression, immutable.  Calling it evaluates through closures
-    over any operand type (floats, arrays, duals, series); `with_partials`
-    runs the value-and-gradient program compiled from the same tree."""
+    """Parsed expression, immutable.  Calling it runs the value program
+    compiled from the tree, over any operand type (floats, arrays, duals,
+    series); `with_partials` runs the value-and-gradient program that the
+    same compiler builds on first use."""
 
     def __init__(self, src, root, variables):
         self.src = src
         self.root = root
         self.variables = tuple(variables)
         self.free = frozenset(_free_vars(root, set()))
-        self._fn = _compile(root)
+        self._fn = _build_program(root, self.variables, src, partials=False)
         self._partials = None  # compiled on the first with_partials
 
     def __repr__(self):
@@ -569,7 +555,7 @@ class Expression:
         Exact to rounding (forward mode), no truncation error.
         """
         if self._partials is None:
-            self._partials = _compile_partials(self.root, self.variables, self.src)
+            self._partials = _build_program(self.root, self.variables, self.src, partials=True)
         return self._partials(env)
 
 

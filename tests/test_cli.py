@@ -303,11 +303,28 @@ def test_pde_input_checks(tmp_path, capsys):
         (["--nx", "0"], "pss: --nx must be >= 16\n"),
         (["--tmax", "0.0015", "--dt", "1e-3"], "pss: --tmax 0.0015 is not a whole number of --dt 0.001 steps\n"),
         (["--xmin", "1", "--xmax", "1"], "pss: --xmax must be > --xmin\n"),
+        (["--dt", "0.001", "--u0", "exp(1000*cos(x))"], "pss: --u0 must be finite on the grid\n"),
+        (["--u0", "1e999"], "pss: --u0 must be finite on the grid\n"),
     ]
     for extra, want in table:
         rep = tmp_path / "r.json"
         code = run([*base, *extra, "--report", str(rep), "--deterministic"])
         assert code == EXIT_USAGE, extra
+        assert capsys.readouterr().err == want
+        assert not rep.exists()
+
+
+def test_overflowing_float_power_is_one_line(tmp_path, capsys):
+    spec = {"branch": "T22", "params": {"mu2": 0.3, "eta2": 1}, "f": "s + 1e200^2", "phi12": "z1"}
+    fam = tmp_path / "t22.json"
+    fam.write_text(json.dumps(spec))
+    for argv, want in [
+        (["verify", "--family", str(fam), "--samples", "10"], "pss: power overflows (offset 9)\n"),
+        (["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01", "--u0", "1e200^2*0+cos(x)"],
+         "pss: power overflows (offset 5)\n"),
+    ]:
+        rep = tmp_path / "r.json"
+        assert run([*argv, "--report", str(rep), "--deterministic"]) == EXIT_USAGE, argv
         assert capsys.readouterr().err == want
         assert not rep.exists()
 

@@ -1,17 +1,29 @@
 """Expression mini-language: grammar, errors, and exact forward-mode partials."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pss import dual
 from pss.catalog import Branch, FamilyParams, build_family, novikov_preset
 from pss.expr import (
+    FUNCTIONS,
     ArityMismatch,
+    Bin,
+    Call,
     DomainError,
     Expression,
     ExprError,
+    Neg,
+    Num,
+    Pow,
     SyntaxErrorAt,
     UnknownIdentifier,
+    Var,
+    _all_finite,
+    _any_negative,
+    _any_zero,
     parse_expression,
 )
 from pss.pde import Grid1D, solve_mol
@@ -128,6 +140,7 @@ def test_partials_cover_exactly_declared_variables():
     _, parts = e.with_partials({"z0": 1.0, "z1": 2.0})
     assert set(parts) == {"z0", "z1"}
     assert parts["z1"] == 0.0
+    assert e({"z0": 1.0}) == 2.0  # the value reads only the free variables
 
 
 def _central(fn, env, name, step=1e-5):
@@ -175,7 +188,76 @@ def test_offsets_are_byte_offsets():
 
 
 # ----------------------------------------------------------------------
-# Compiled partials against the dual tower
+# Compiled programs against the closure evaluator and the dual tower
+
+
+def _compile(node):
+    """The reference evaluator: closures that walk the tree, env -> value."""
+    if isinstance(node, Num):
+        v = node.value
+        return lambda env: v
+    if isinstance(node, Var):
+        nm = node.name
+        return lambda env: env[nm]
+    if isinstance(node, Neg):
+        f = _compile(node.arg)
+        return lambda env: -f(env)
+    if isinstance(node, Bin):
+        lf, rf = _compile(node.left), _compile(node.right)
+        off = node.offset
+        if node.op == "+":
+            return lambda env: lf(env) + rf(env)
+        if node.op == "-":
+            return lambda env: lf(env) - rf(env)
+        if node.op == "*":
+            return lambda env: lf(env) * rf(env)
+
+        def div(env):
+            den = rf(env)
+            if _any_zero(den):
+                raise DomainError("division by zero", off)
+            return lf(env) / den
+
+        return div
+    if isinstance(node, Pow):
+        bf = _compile(node.base)
+        k, off = node.exponent, node.offset
+        if k >= 0:
+            return lambda env: bf(env) ** k
+
+        def powneg(env):
+            base = bf(env)
+            if _any_zero(base):
+                raise DomainError("zero raised to a negative power", off)
+            return base**k
+
+        return powneg
+    if isinstance(node, Call):
+        af = _compile(node.arg)
+        fn = FUNCTIONS[node.fn]
+        off = node.offset
+        if node.fn == "sqrt":
+
+            def fsqrt(env):
+                arg = af(env)
+                if _any_negative(arg):
+                    raise DomainError("sqrt of a negative value", off)
+                if isinstance(arg, (dual.Dual, dual.Taylor)) and _any_zero(arg):
+                    raise DomainError("sqrt at zero has no derivative", off)
+                return fn(arg)
+
+            return fsqrt
+        if node.fn == "tan":
+
+            def ftan(env):
+                out = fn(af(env))
+                if not _all_finite(out):
+                    raise DomainError("tan at a pole", off)
+                return out
+
+            return ftan
+        return lambda env: fn(af(env))
+    raise TypeError(f"unhandled node {node!r}")
 
 
 def _tower_partials(expr, env):
@@ -184,16 +266,39 @@ def _tower_partials(expr, env):
     names = expr.variables
     vals = {nm: env[nm] for nm in names}
     lvl, seeded = dual.seed(vals, names)
-    value, grads = dual.value_grad(expr(seeded), lvl, len(names))
+    value, grads = dual.value_grad(_compile(expr.root)(seeded), lvl, len(names))
     return value, dict(zip(names, grads))
 
 
 def _bits(x):
-    """Type and exact bytes of a float, array or (nested) Dual."""
+    """Type and exact bytes of a float, array, (nested) Dual or Taylor."""
     if isinstance(x, dual.Dual):
         return ("Dual", x.level, _bits(x.val), tuple(_bits(g) for g in x.grad))
+    if isinstance(x, dual.Taylor):
+        return ("Taylor", tuple(_bits(c) for c in x.c))
     a = np.asarray(x)
     return (type(x).__name__, a.dtype.str, a.shape, a.tobytes())
+
+
+def _outcome(fn, env, src=None):
+    """fn(env), or the DomainError it raises.  With `src` (the references),
+    an OverflowError is the DomainError the compiled programs raise at the
+    power that overflows, which is the only ``^`` of such a table row."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(env)
+        except DomainError as err:
+            return err
+        except OverflowError:
+            if src is None:
+                raise
+            assert src.count("^") == 1, src
+            return DomainError("power overflows", src.index("^"))
+
+
+def _assert_same_error(got, want, where):
+    assert isinstance(got, DomainError), where
+    assert (str(got), got.offset) == (str(want), want.offset), where
 
 
 _TABLE_EXPRS = [
@@ -208,6 +313,7 @@ _TABLE_EXPRS = [
     "-(z0*z1)/(1+z0^2) + sqrt(z0*z0 + 1)*arctan(z1)", "tan(z0/2)/cos(z1) - exp(-z1)^2",
     "1/(z0 - z1)", "sqrt(z0)/(z1 - z1)", "tan(1e999*z0)", "sqrt(-1) + z0", "1/0 + z0",
     "0^-1*z1", "sqrt(0) + z0", "tan(1e999) + z1",
+    "1e200^2 + z0", "z0^400*z1", "z0^1100*z1",
 ]
 
 
@@ -233,6 +339,7 @@ def _table_inputs():
         {"z0": a0, "z1": a1},
         {"z0": z0, "z1": p1},
         {"z0": 1.25, "z1": a1},
+        {"z0": 2.0, "z1": 3.0},
         {"z0": n0, "z1": n1},
         {"z0": d["z0"], "z1": d["z1"]},  # level-1 duals with float unit grads
         {"z0": dual.Dual(1, p0, (a1, 0.0)), "z1": dual.Dual(1, a1, (p1, a0))},
@@ -240,22 +347,65 @@ def _table_inputs():
     ]
 
 
+def _taylor_inputs():
+    """Series envs as exact sampling builds them: float, array and level-1
+    dual coefficients; z0 is zero at one point of each."""
+    rng = np.random.default_rng(9)
+    a0, a1, p1 = rng.uniform(-2, 2, 64), rng.uniform(-2, 2, 64), rng.uniform(0.5, 2, 64)
+    z0 = a0.copy()
+    z0[11] = 0.0
+    T = dual.Taylor
+    return [
+        {"z0": T([0.7, 1.0, 0.0, 0.0]), "z1": T([-1.3, 0.5, 0.25, 0.0])},
+        {"z0": T([0.0, 1.0, 0.0, 0.0]), "z1": T([2.0, -0.5, 0.0, 0.125])},
+        {"z0": T([z0, 1.0 + 0 * z0, a1, 0 * z0]), "z1": T([p1, a0, 0 * z0, a1])},
+        {"z0": T([dual.Dual(1, z0, (a1,)), 1.0 + 0 * z0, 0 * z0, 0 * z0]),
+         "z1": T([dual.Dual(1, p1, (1.0 + 0 * z0,)), a0, a1, 0 * z0])},
+    ]
+
+
+@pytest.mark.parametrize("src", _TABLE_EXPRS)
+def test_value_program_equals_the_closures_bit_for_bit(src):
+    e = parse_expression(src, ["z0", "z1"])
+    ref = _compile(e.root)
+    for i, env in enumerate(_table_inputs() + _taylor_inputs()):
+        want = _outcome(ref, env, src)
+        got = _outcome(e, env)
+        if isinstance(want, DomainError):
+            _assert_same_error(got, want, (src, i))
+        else:
+            assert not isinstance(got, DomainError), (src, i, got)
+            assert _bits(got) == _bits(want), (src, i)
+
+
+def test_value_program_frees_its_temporaries():
+    # the sine-Gordon kink over a 201x201 mesh, with the series env that
+    # exact sampling builds; a temporary kept alive to the end of the
+    # program raises the peak above the closures'
+    x, t = np.meshgrid(np.linspace(-2.1, -0.2, 201), np.linspace(-2.1, -0.2, 201))
+    zero = np.zeros_like(x)
+    env = {"x": dual.Taylor([x, 1.0 + zero, zero, zero]),
+           "t": dual.Taylor([dual.Dual(1, t + zero, (1.0 + zero,)), zero, zero, zero])}
+    e = parse_expression("4*arctan(exp(0.5*x + t/0.5))", ["x", "t"])
+    peaks = []
+    for fn in (_compile(e.root), e):
+        tracemalloc.start()
+        try:
+            fn(env)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("src", _TABLE_EXPRS)
 def test_compiled_partials_equal_the_dual_tower_bit_for_bit(src):
     e = parse_expression(src, ["z0", "z1"])
     for i, env in enumerate(_table_inputs()):
-        with np.errstate(all="ignore"):
-            try:
-                want = _tower_partials(e, env)
-            except DomainError as err:
-                want = err
-            try:
-                got = e.with_partials(env)
-            except DomainError as err:
-                got = err
+        want = _outcome(lambda env: _tower_partials(e, env), env, src)
+        got = _outcome(e.with_partials, env)
         if isinstance(want, DomainError):
-            assert isinstance(got, DomainError), (src, i)
-            assert (str(got), got.offset) == (str(want), want.offset), (src, i)
+            _assert_same_error(got, want, (src, i))
             continue
         assert not isinstance(got, DomainError), (src, i, got)
         assert _bits(got[0]) == _bits(want[0]), (src, i)

@@ -4,7 +4,7 @@ Each family carries the six coefficient functions f_ij of the associated
 1-forms omega_i = f_i1 dx + f_i2 dt, the right-hand side G, and the flux
 F = lam*z0^2*z3 + G.  The branches:
 
-    T22         f, phi12 free;     lam = 0
+    T22         f, phi12 free;     T24 at lam = C = 0
     T23         f free;            phi12 forced to a z0*z1 multiple
     T24         f, phi12 free;     the Novikov equation lives here
     T25i        everything closed form (exp(theta*z0) profile)
@@ -21,8 +21,9 @@ identities shared by the five form-(7) branches (all but SINE_GORDON):
 
 Each form-(7) builder supplies only f11, phi12, phi22, phi32 and G;
 `Family._form7` applies the first two identities once for all of them,
-with the resolved (mu2, eta2) and (mu3, eta3).  The sine-Gordon builder
-spells out its six f_ij.
+with the resolved (mu2, eta2) and (mu3, eta3).  T22 is T24 at lam = C = 0
+(same mu3, eta3), so the T24 builder makes both; its lam and C terms are
+exact zeros there.  The sine-Gordon builder spells out its six f_ij.
 
 Derived constants (never user-set): gamma and eta3 for T23 (eta3 solves
 eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0, root chosen by `root`);
@@ -165,6 +166,8 @@ def validate_params(p: FamilyParams) -> list:
             out.append("eta2 != 0 violated (eta2 = 0)")
         if p.lam not in (0, 0.0):
             out.append("T22 has no lam*u^2*u_xxx term (lam must be 0)")
+        if p.C not in (0, 0.0):
+            out.append("T22 has no C term (C must be 0)")
     elif p.branch == Branch.T23:
         if p.lam == 0:
             out.append("lam != 0 violated (lam = 0)")
@@ -271,7 +274,7 @@ class Family:
     def _build(self):
         p = self.params
         builder, need = {
-            Branch.T22: (self._build_t22, ("f", "phi12")),
+            Branch.T22: (self._build_t24, ("f", "phi12")),
             Branch.T23: (self._build_t23, ("f",)),
             Branch.T24: (self._build_t24, ("f", "phi12")),
             Branch.T25I: (self._build_t25i, ()),
@@ -343,25 +346,6 @@ class Family:
             return px({"z0": env["z0"], "z1": env["z1"]})
 
         return phi12
-
-    def _build_t22(self, s, k):
-        fx, px = self.f_expr, self.phi12_expr
-        mu2, eta2 = self.params.mu2, self.params.eta2
-        phi12 = self._phi12_of_expr()
-
-        def phi22(env):
-            return mu2 * phi12(env)
-
-        def phi32(env):
-            return s * k * phi12(env)
-
-        def G(env):
-            fv, fp = _f_and_prime(fx, env["z0"] - env["z2"])
-            _check_nonzero(fp, FPrimeZero, "f'")
-            pv, p0, p1 = _phi12_parts(px, env["z0"], env["z1"])
-            return (p0 * env["z1"] + p1 * env["z2"] + s * eta2 / k * pv) / fp
-
-        self._form7(self._f11_of_s(), (phi12, phi22, phi32), G)
 
     def _build_t23(self, s, k):
         p = self.params

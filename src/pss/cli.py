@@ -94,14 +94,6 @@ def _positive_int(text):
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from exc
 
 
-_CONFIG_KEYS = {
-    "preset", "family", "samples", "seed", "tol", "sign", "a_sign", "beta",
-    "Cstrip", "sigma", "b0", "s0", "h", "eps", "grid", "out", "report",
-    "deterministic", "tmax", "dt", "nx", "xmin", "xmax", "space", "u0",
-    "origin", "soliton", "field", "eta", "nsave", "extent",
-}
-
-
 @functools.cache
 def build_parser():
     """The parser, built once per process: parsing never mutates it, and
@@ -170,6 +162,10 @@ def build_parser():
     sp.add_argument("--extent", type=_positive_float, nargs=2, default=None, metavar=("DX", "DT"),
                     help="window size from the origin (default: all of the usable domain)")
     sp.add_argument("--out", help="OBJ output path")
+    # a config may mirror the long flags of every subcommand (a key another
+    # subcommand owns is ignored), but not --config or --help
+    p.config_keys = {a.dest for sp in sub.choices.values() for a in sp._actions
+                     if a.option_strings and a.dest not in ("config", "help")}
     return p
 
 
@@ -180,7 +176,7 @@ def _apply_config(args, argv):
         return args
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - build_parser().config_keys
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     argv_flags = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
@@ -353,8 +349,8 @@ def _cmd_sff(args):
         "validity": [trip.validity[0], trip.validity[1]],
     }
     if trip.representation == Representation.ODE_TABLE:
-        payload["stops"] = trip.form.stops
-        payload["table_points"] = int(len(trip.form.s))
+        payload["stops"] = trip.stops
+        payload["table_points"] = int(len(trip.s))
     if args.out:
         trip.export_csv(args.out)
         payload["csv"] = args.out
@@ -446,9 +442,8 @@ def _cmd_pde(args):
 def _clip_to_strip(trip, xrange_, trange, margin=0.1):
     """Shrink an (x, t) window so s = sx*x + st*t stays well inside the
     strip: the closed forms have c ~ 1/sqrt(L) near the edges, so a thin
-    margin makes the frame ODE stiff there."""
-    if trip.representation == Representation.SOLUTION_DEPENDENT:
-        return xrange_, trange
+    margin makes the frame ODE stiff there.  The sine-Gordon triple (sx = st
+    = 0, an unbounded strip) leaves the window as it is."""
     lo, hi = trip.validity
     width = hi - lo if np.isfinite(hi - lo) else 1.0
     lo2 = lo + margin * width if np.isfinite(lo) else -np.inf
@@ -547,7 +542,11 @@ def run(argv=None):
     except _UsageError as exc:
         print(f"pss: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ExprError, CatalogError, ConstraintViolation, InvalidStrip,
+    except ExprError as exc:  # the offset is into the expression's text, so name it
+        where = "" if exc.source is None else f" in {exc.source!r}"
+        print(f"pss: {exc}{where}", file=sys.stderr)
+        return EXIT_USAGE
+    except (CatalogError, ConstraintViolation, InvalidStrip,
             FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"pss: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,8 @@ power rule stays exact under differentiation.
 Evaluation is deterministic and raises ``DomainError`` (division by zero,
 sqrt of a negative, tan at a pole, a Python float power that overflows)
 instead of propagating non-finite values; offsets in all errors are 0-based
-byte offsets into the source.
+byte offsets into the source, which parse and evaluation errors carry as
+``source``.
 
 Calling an ``Expression`` runs straight-line Python compiled from the tree,
 over any operand type: floats, arrays, ``dual.Dual`` or ``dual.Taylor``.
@@ -58,10 +59,13 @@ _NAME_RE = re.compile(r"[a-z][a-z0-9]*")
 
 
 class ExprError(ValueError):
-    """Base class for expression-language errors."""
+    """Base class for expression-language errors.  `source` is the text of
+    the expression at fault, for parse and evaluation errors; str(err)
+    leaves it out."""
 
-    def __init__(self, message, offset=None):
+    def __init__(self, message, offset=None, source=None):
         self.offset = offset
+        self.source = source
         super().__init__(message if offset is None else f"{message} (offset {offset})")
 
 
@@ -332,12 +336,12 @@ class _ProgramBuilder:
     """Builds the source lines and the namespace of one program: the value,
     or the value and first partials when the variables are seeded."""
 
-    def __init__(self, variables, reads, seeded):
+    def __init__(self, variables, reads, seeded, src):
         self.index = {nm: i for i, nm in enumerate(variables)}
         self.n = len(variables)
         self.seeded = seeded
         self.lines = [f"    _x{i} = env[{nm!r}]" for i, nm in enumerate(variables) if nm in reads]
-        self.ns = {"_DomainError": DomainError}
+        self.ns = {"_DomainError": functools.partial(DomainError, source=src)}
 
     def ref(self, x):
         """Source text of an operand; a known number is bound by name (the
@@ -514,7 +518,7 @@ def _build_program(root, variables, src, partials):
     """fn(env) -> value, or -> (value, {variable: partial}) with `partials`.
     The value program reads only the free variables of the tree."""
     reads = variables if partials else _free_vars(root, set())
-    comp = _ProgramBuilder(variables, reads, seeded=partials)
+    comp = _ProgramBuilder(variables, reads, partials, src)
     v, g = comp.node(root)
     if not partials:
         ret = f"    return {comp.ref(v)}"
@@ -569,7 +573,7 @@ def parse_expression(src, variables):
 @functools.lru_cache(maxsize=256)
 def _parse(src, variables):
     if not src or not src.strip():
-        raise SyntaxErrorAt("empty expression", 0)
+        raise SyntaxErrorAt("empty expression", 0, src)
     if not variables:
         raise ExprError("variable list must be nonempty")
     if len(set(variables)) != len(variables):
@@ -579,5 +583,9 @@ def _parse(src, variables):
             raise ExprError(f"bad variable name {nm!r} (want [a-z][a-z0-9]*)")
         if nm in FUNCTIONS:
             raise ExprError(f"variable name {nm!r} is reserved")
-    root = _Parser(src, frozenset(variables)).parse()
+    try:
+        root = _Parser(src, frozenset(variables)).parse()
+    except ExprError as err:
+        err.source = src
+        raise
     return Expression(src, root, variables)

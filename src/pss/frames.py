@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Family
-from .immersion import ImmersionTriple, Representation
+from .immersion import ImmersionTriple
 from .pde import SolutionField
 from .verifier import delta
 
@@ -99,19 +99,12 @@ def second_form_coefficients(fam: Family, abc, env):
 # Frame integration
 
 
-def _triple_values(trip: ImmersionTriple, env, x, t):
-    if trip.representation == Representation.SOLUTION_DEPENDENT:
-        return trip.form.abc_of_u(env["z0"])
-    s = trip.reduced_coordinate(np.asarray(x, dtype=float), t)
-    return trip.abc(s)
-
-
 def _coefficients(fam, trip, field, x, t, column):
     """Pullback coefficients (w1, w2, w3, w13, w23) along dx (column 1) or dt (column 2),
     each in the broadcast shape of x and t."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    env = field.sample_env(x, t, 3)
-    a, b, c = _triple_values(trip, env, x, t)
+    env = field.sample_env(x, t, 2)
+    a, b, c = trip.values(env, x, t)
     f1 = fam.fij(1, column)(env)
     f2 = fam.fij(2, column)(env)
     f3 = fam.fij(3, column)(env)
@@ -186,11 +179,11 @@ def integrate_frame(
 
     # per-vertex forms and diagnostics, from one field call over the mesh
     X, T = np.meshgrid(xs, ts, indexing="ij")
-    env = field.sample_env(X, T, 3)
+    env = field.sample_env(X, T, 2)
     EE = np.empty((sx + 1, st + 1, 3))
     II = np.empty((sx + 1, st + 1, 3))
     EE[..., 0], EE[..., 1], EE[..., 2] = first_form_coefficients(fam, env)
-    abc = _triple_values(trip, env, X, T)
+    abc = trip.values(env, X, T)
     II[..., 0], II[..., 1], II[..., 2] = second_form_coefficients(fam, abc, env)
     d12 = np.abs(np.broadcast_to(delta(fam, env, 1, 2), X.shape))
     diag["degenerate_vertices"] = int(np.count_nonzero(d12 == 0.0))

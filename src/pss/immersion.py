@@ -22,12 +22,18 @@ the mu2 != 0 branches is marched with classical RK4 and back-substitution
 tested against the displayed equation; a and c are recovered pointwise
 from the quadratic the Gauss equation imposes, so a*c - b^2 = -1 holds to
 rounding along the march by construction.
+
+T22 is T24 at lam = C = 0 (one catalog builder makes both); its triples
+keep the Proposition 4.1 labels, coordinate x and strip parameter C_strip.
+Each representation is one `ImmersionTriple` subclass that samples itself
+(`values`, `values_and_derivs`) and supplies its own CSV columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -90,6 +96,12 @@ class DenominatorCollapse(RuntimeError):
         super().__init__(f"ODE denominator collapsed at s = {self.s}")
 
 
+# The b-ODE march refuses a start, and stops, where delta <= DELTA_MIN or where
+# the denominator of b' is below DENOM_MIN * max(1, |terms|_inf) (_OdeForm._march).
+DELTA_MIN = 1e-8
+DENOM_MIN = 1e-8
+
+
 @dataclass(frozen=True)
 class ImmersionParams:
     beta: float = 0.0
@@ -100,8 +112,6 @@ class ImmersionParams:
     h: float = 1e-3
     eps: float = 1.0
     a_sign: int = 1
-    delta_min: float = 1e-8
-    denom_min: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -113,21 +123,99 @@ class NoImmersion:
     reason: str
 
 
+# branch -> the proposition that rules out an immersion with finite-jet triples
+_NO_IMMERSION = {
+    Branch.T23: "Proposition 4.2",
+    Branch.T25I: "Proposition 4.4",
+    Branch.T25II: "Proposition 4.5",
+}
+
+
 # ----------------------------------------------------------------------
-# Triple representations
+# Triples: one subclass of ImmersionTriple per representation
 
 
-class _ClosedForm:
+@dataclass(eq=False)  # a triple equals only itself, as its tables are arrays
+class ImmersionTriple:
+    """The triple (a, b, c) of the reduced coordinate s = sx*x + st*t, valid
+    on the open interval `validity`.  A subclass per representation supplies
+    `abc_derivs(s)`, the triple and its s-derivatives; the solution-dependent
+    one also says how it is sampled at (x, t)."""
+
+    branch_label: str
+    svar: str  # "x", "t", "xi", or "u" (solution-dependent)
+    sx: float  # s = sx*x + st*t
+    st: float
+    validity: tuple
+    representation: ClassVar[str]  # a Representation constant, one per subclass
+    csv_header: ClassVar[str] = "s,a,b,c,gauss_residual"
+
+    def reduced_coordinate(self, x, t):
+        return self.sx * x + self.st * t
+
+    def abc(self, s):
+        a, b, c, *_ = self.abc_derivs(s)
+        return a, b, c
+
+    def values(self, env, x, t):
+        """(a, b, c) on the jet environment env sampled at (x, t)."""
+        return self.abc(self.reduced_coordinate(np.asarray(x, dtype=float), t))
+
+    def values_and_derivs(self, env, x, t):
+        """(a, b, c), their x-derivatives and their t-derivatives, three
+        3-tuples, on the jet environment env sampled at (x, t)."""
+        s = self.reduced_coordinate(x, t)
+        lo, hi = self.validity
+        if np.any(s <= lo) or np.any(s >= hi):
+            raise TripleDomainError(f"(x, t) maps to s = {s}, outside the validity interval ({lo}, {hi})")
+        a, b, c, ap, bp, cp = self.abc_derivs(s)
+        sx, st = self.sx, self.st
+        return (a, b, c), (sx * ap, sx * bp, sx * cp), (st * ap, st * bp, st * cp)
+
+    def gauss_residual_at(self, s):
+        a, b, c = self.abc(s)
+        return gauss_residual(a, b, c)
+
+    def strip_samples(self, n, coverage=0.99):
+        lo, hi = self.validity
+        if not np.isfinite(lo) and not np.isfinite(hi):
+            lo, hi = -1.0, 1.0
+        elif not np.isfinite(hi):
+            hi = lo + 2.0
+        elif not np.isfinite(lo):
+            lo = hi - 2.0
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo) * coverage
+        return np.linspace(mid - half, mid + half, n)
+
+    def csv_columns(self, n):
+        """The columns under `csv_header`: n points across the strip."""
+        return self._abc_columns(self.strip_samples(n))
+
+    def _abc_columns(self, s):
+        a, b, c = self.abc(s)
+        return [s, a, b, c, gauss_residual(a, b, c)]
+
+    def export_csv(self, path, n=1000):
+        # .tolist() yields Python floats, whose repr is the text repr(float(v)) gives
+        cols = [np.asarray(col, dtype=float).tolist() for col in self.csv_columns(n)]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.csv_header + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+
+
+@dataclass(eq=False)
+class _ClosedForm(ImmersionTriple):
     """a = a_sign*sqrt(L), L = A*E - beta^2*E^2 - 1, E = exp(ce*s)."""
 
-    def __init__(self, A, beta, ce, cbar, bsign, sign, a_sign):
-        self.A = A
-        self.beta = beta
-        self.ce = ce
-        self.cbar = cbar
-        self.bsign = bsign
-        self.sign = sign
-        self.a_sign = a_sign
+    A: float
+    beta: float
+    ce: float
+    cbar: float
+    bsign: float
+    sign: float
+    a_sign: float
+    representation: ClassVar[str] = Representation.CLOSED_FORM
 
     def abc_derivs(self, s):
         E = np.exp(self.ce * s)
@@ -148,10 +236,14 @@ class _ClosedForm:
         return a, b, c, ap, bp, cp
 
 
-class _OdeForm:
-    """Recover (a, c) from b on a marched table; Hermite-interpolated."""
+class _OdeForm(ImmersionTriple):
+    """b marched by RK4 from b(s0) = b0 on a table and Hermite-interpolated;
+    (a, c) recovered from b pointwise through the Gauss quadratic."""
 
-    def __init__(self, mu2, beta, rho, sign, a_sign, s, b, bprime, stops):
+    representation = Representation.ODE_TABLE
+    csv_header = "s,a,b,c,gauss_residual,bprime"
+
+    def __init__(self, branch_label, svar, sx, st, mu2, beta, rho, sign, a_sign, ip):
         self.mu2 = mu2
         self.beta = beta
         self.rho = rho
@@ -159,10 +251,9 @@ class _OdeForm:
         self.ce = sign * 2.0 * rho / self.k
         self.sign = sign
         self.a_sign = a_sign
-        self.s = np.asarray(s)
-        self.b = np.asarray(b)
-        self.bprime = np.asarray(bprime)
-        self.stops = stops
+        self.s, self.b, self.stops = self._march(ip)
+        self.bprime = self.g(self.s, self.b)
+        super().__init__(branch_label, svar, sx, st, (float(self.s[0]), float(self.s[-1])))
 
     def phi_delta(self, s, b):
         E = np.exp(self.ce * s)
@@ -191,6 +282,75 @@ class _OdeForm:
             raise DenominatorCollapse(s, bad)
         num = 2.0 * sg * self.rho * k * b * sq + r * sg * (2.0 * self.beta * self.rho / k) * phi * E
         return num / den
+
+    def _march(self, ip):
+        """(s, b, stops): the table marched both ways from (ip.s0, ip.b0)."""
+
+        def delta_den(sv, bv):
+            """delta, the signed denominator, and the floor below which the
+            denominator is lost in the rounding of its terms and has no sign:
+            DENOM_MIN * max(1, |terms|_inf), as the residual tolerances scale."""
+            phi, delta, _ = self.phi_delta(sv, bv)
+            t1, t2, t3 = self.den_terms(phi, math.sqrt(max(delta, 0.0)), bv)
+            return delta, t1 + t2 + t3, DENOM_MIN * max(1.0, abs(t1), abs(t2), abs(t3))
+
+        delta0, den0, floor0 = delta_den(ip.s0, ip.b0)
+        if not delta0 > DELTA_MIN:
+            raise DiscriminantCollapse(ip.s0)
+        if not abs(den0) >= floor0:
+            raise DenominatorCollapse(ip.s0)
+
+        def step(sv, bv, h):
+            k1 = self.g(sv, bv)
+            k2 = self.g(sv + 0.5 * h, bv + 0.5 * h * k1)
+            k3 = self.g(sv + 0.5 * h, bv + 0.5 * h * k2)
+            k4 = self.g(sv + h, bv + h * k3)
+            return bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        def march(direction):
+            h = direction * ip.h
+            out_s, out_b = [], []
+            sv, bv, den_prev = ip.s0, ip.b0, den0
+            nsteps = int(round(ip.eps / ip.h))
+            stop = None
+            for _ in range(nsteps):
+                try:
+                    bn = step(sv, bv, h)
+                except DiscriminantCollapse as e:
+                    stop = ("discriminant", e.s)
+                    break
+                except DenominatorCollapse as e:
+                    stop = ("denominator", e.s)
+                    break
+                sn = sv + h
+                delta, den, floor = delta_den(sn, bn)
+                if delta <= DELTA_MIN:
+                    stop = ("discriminant", sn)
+                    break
+                # a sign change means the step jumped over a pole of b'
+                if abs(den) < floor or (den < 0) != (den_prev < 0):
+                    stop = ("denominator", sn)
+                    break
+                out_s.append(sn)
+                out_b.append(bn)
+                sv, bv, den_prev = sn, bn, den
+            return out_s, out_b, stop
+
+        sp, bp_, stop_p = march(+1)
+        sm, bm, stop_m = march(-1)
+        s = np.array(list(reversed(sm)) + [ip.s0] + sp)
+        b = np.array(list(reversed(bm)) + [ip.b0] + bp_)
+        if len(s) < 4:
+            if not (stop_p or stop_m):
+                raise TripleDomainError(f"eps = {ip.eps} leaves {len(s)} table points at h = {ip.h}; 4 are needed")
+            reason, where = stop_p or stop_m
+            raise (DenominatorCollapse if reason == "denominator" else DiscriminantCollapse)(where)
+        stops = {}
+        if stop_p:
+            stops["forward"] = {"reason": stop_p[0], "s": stop_p[1]}
+        if stop_m:
+            stops["backward"] = {"reason": stop_m[0], "s": stop_m[1]}
+        return s, b, stops
 
     def _interp_b(self, s):
         s = np.asarray(s, dtype=float)
@@ -228,84 +388,43 @@ class _OdeForm:
         cp = ap + phip
         return a, b, c, ap, bp, cp
 
+    def csv_columns(self, n):
+        """The columns under `csv_header`: the marched table (n is not used)."""
+        a, b, c, ap, bp, cp = self.abc_derivs(self.s)
+        return [self.s, a, b, c, gauss_residual(a, b, c), bp]
 
-class _SineGordonForm:
-    def __init__(self, a_sign):
-        self.a_sign = a_sign
 
-    def abc_of_u(self, u):
+@dataclass(eq=False)
+class _SineGordonForm(ImmersionTriple):
+    """a = 2*a_sign*cos(u)/sin(u), b = -a_sign, c = 0 in u = z0: the triple
+    depends on the solution, and has poles where sin u = 0."""
+
+    a_sign: float
+    representation: ClassVar[str] = Representation.SOLUTION_DEPENDENT
+    csv_header: ClassVar[str] = "u,a,b,c,gauss_residual"
+
+    def abc_derivs(self, u):
+        """(a, b, c) and their u-derivatives."""
         su = np.sin(u)
         if np.any(su == 0):
             raise TripleDomainError("sine-Gordon triple has a pole where sin u = 0")
         a = self.a_sign * 2.0 * np.cos(u) / su
         b = -self.a_sign * np.ones_like(np.asarray(u, dtype=float))
         c = np.zeros_like(np.asarray(u, dtype=float))
-        return a, b, c
+        return a, b, c, -self.a_sign * 2.0 / (su * su), 0.0, 0.0
 
-    def da_du(self, u):
-        su = np.sin(u)
-        if np.any(su == 0):
-            raise TripleDomainError("sine-Gordon triple has a pole where sin u = 0")
-        return -self.a_sign * 2.0 / (su * su)
+    def values(self, env, x, t):
+        return self.abc(env["z0"])
 
+    def values_and_derivs(self, env, x, t):
+        a, b, c, dadu, _, _ = self.abc_derivs(env["z0"])
+        if "w1" not in env:
+            raise TripleDomainError("sine-Gordon Codazzi check needs w1 = u_t in the jet")
+        return (a, b, c), (dadu * env["z1"], 0.0, 0.0), (dadu * env["w1"], 0.0, 0.0)
 
-@dataclass(frozen=True)
-class ImmersionTriple:
-    representation: str
-    branch_label: str
-    svar: str  # "x", "t", "xi", or "u" (solution-dependent)
-    sx: float  # s = sx*x + st*t
-    st: float
-    validity: tuple
-    form: object
-
-    def reduced_coordinate(self, x, t):
-        return self.sx * x + self.st * t
-
-    def abc(self, s):
-        a, b, c, *_ = self.form.abc_derivs(s)
-        return a, b, c
-
-    def abc_derivs(self, s):
-        return self.form.abc_derivs(s)
-
-    def gauss_residual_at(self, s):
-        a, b, c = self.abc(s)
-        return gauss_residual(a, b, c)
-
-    def strip_samples(self, n, coverage=0.99):
-        lo, hi = self.validity
-        if not np.isfinite(lo) and not np.isfinite(hi):
-            lo, hi = -1.0, 1.0
-        elif not np.isfinite(hi):
-            hi = lo + 2.0
-        elif not np.isfinite(lo):
-            lo = hi - 2.0
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * coverage
-        return np.linspace(mid - half, mid + half, n)
-
-    def export_csv(self, path, n=1000):
-        if self.representation == Representation.ODE_TABLE:
-            s = self.form.s
-            a, b, c, ap, bp, cp = self.form.abc_derivs(s)
-            cols = (s, a, b, c, gauss_residual(a, b, c), bp)
-            header = "s,a,b,c,gauss_residual,bprime"
-        elif self.representation == Representation.CLOSED_FORM:
-            s = self.strip_samples(n)
-            a, b, c = self.abc(s)
-            cols = (s, a, b, c, gauss_residual(a, b, c))
-            header = "s,a,b,c,gauss_residual"
-        else:
-            u = np.linspace(0.1, math.pi - 0.1, n)
-            a, b, c = self.form.abc_of_u(u)
-            cols = (u, a, b, c, gauss_residual(a, b, c))
-            header = "u,a,b,c,gauss_residual"
-        # .tolist() yields Python floats, whose repr is the text repr(float(v)) gives
-        cols = [np.asarray(col, dtype=float).tolist() for col in cols]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+    def csv_columns(self, n):
+        """The columns under `csv_header`: n points of u in [0.1, pi - 0.1]."""
+        return self._abc_columns(np.linspace(0.1, math.pi - 0.1, n))
 
 
 # ----------------------------------------------------------------------
@@ -333,39 +452,41 @@ def _strip_interval(A, beta, ce, what):
     return (min(s1, s2), max(s1, s2))
 
 
-def _closed_case(fam: Family, ip: ImmersionParams):
+def _closed_form(fam: Family, ip: ImmersionParams, missing=None):
+    """The closed-form triple of the family.  When its case has none: None,
+    or with `missing` a CatalogError that names what is missing."""
     p = fam.params
     s = float(p.sign)
     if p.branch == Branch.T22 and p.mu2 == 0:
-        return dict(label="Prop4.1(i)", svar="x", sx=1.0, st=0.0, A=ip.C_strip,
+        case = dict(branch_label="Prop4.1(i)", svar="x", sx=1.0, st=0.0, A=ip.C_strip,
                     what="C_strip", ce=s * 2.0 * p.eta2, cbar=p.eta2, bsign=-1.0)
-    if p.branch == Branch.T24 and p.mu2 == 0 and p.eta2 == 0:
-        return dict(label="Prop4.3(i)", svar="t", sx=0.0, st=1.0, A=ip.sigma,
+    elif p.branch == Branch.T24 and p.mu2 == 0 and p.eta2 == 0:
+        case = dict(branch_label="Prop4.3(i)", svar="t", sx=0.0, st=1.0, A=ip.sigma,
                     what="sigma", ce=s * 2.0 * p.C, cbar=p.C, bsign=+1.0)
-    if p.branch == Branch.T24 and p.mu2 == 0:
-        return dict(label="Prop4.3(ii)", svar="xi", sx=p.eta2, st=p.C, A=ip.sigma,
+    elif p.branch == Branch.T24 and p.mu2 == 0:
+        case = dict(branch_label="Prop4.3(ii)", svar="xi", sx=p.eta2, st=p.C, A=ip.sigma,
                     what="sigma", ce=s * 2.0, cbar=1.0, bsign=-1.0)
-    return None
+    elif missing:
+        raise CatalogError(f"{fam.name}: no closed-form {missing} for this branch/parameter case")
+    else:
+        return None
+    what = case.pop("what")
+    validity = _strip_interval(case["A"], ip.beta, case["ce"], what)
+    return _ClosedForm(**case, validity=validity, beta=ip.beta, sign=s, a_sign=float(ip.a_sign))
 
 
 def strip_bounds(fam: Family, ip: ImmersionParams):
     """Open interval of the reduced coordinate where L > 0 (closed forms only)."""
-    case = _closed_case(fam, ip)
-    if case is None:
-        raise CatalogError(f"{fam.name}: no closed-form strip for this branch/parameter case")
-    return _strip_interval(case["A"], ip.beta, case["ce"], case["what"])
+    return _closed_form(fam, ip, "strip").validity
 
 
 def closed_form_triple(fam: Family, ip: ImmersionParams, s):
     """(a, b, c) of the closed-form triple at reduced coordinate s."""
-    trip = solve_triple(fam, ip)
-    if isinstance(trip, NoImmersion) or trip.representation != Representation.CLOSED_FORM:
-        raise CatalogError(f"{fam.name}: no closed-form triple for this branch/parameter case")
-    return trip.abc(s)
+    return _closed_form(fam, ip, "triple").abc(s)
 
 
 def integrate_b_ode(fam: Family, ip: ImmersionParams):
-    """March the b-ODE (mu2 != 0 branches) and wrap the table as a triple."""
+    """March the b-ODE (mu2 != 0 branches) into an ODE-table triple."""
     p = fam.params
     if p.mu2 == 0:
         raise CatalogError("the ODE branch requires mu2 != 0")
@@ -375,83 +496,7 @@ def integrate_b_ode(fam: Family, ip: ImmersionParams):
         label, svar, sx, st, rho = "Prop4.3(iii)", "xi", p.eta2, p.C, 1.0
     else:
         raise CatalogError(f"{fam.name}: no ODE immersion branch")
-    form = _OdeForm(p.mu2, ip.beta, rho, float(p.sign), float(ip.a_sign), [], [], [], {})
-
-    def delta_den(sv, bv):
-        """delta, the signed denominator, and the floor below which the
-        denominator is lost in the rounding of its terms and has no sign:
-        denom_min * max(1, |terms|_inf), as the residual tolerances scale."""
-        phi, delta, _ = form.phi_delta(sv, bv)
-        t1, t2, t3 = form.den_terms(phi, math.sqrt(max(delta, 0.0)), bv)
-        return delta, t1 + t2 + t3, ip.denom_min * max(1.0, abs(t1), abs(t2), abs(t3))
-
-    delta0, den0, floor0 = delta_den(ip.s0, ip.b0)
-    if not delta0 > ip.delta_min:
-        raise DiscriminantCollapse(ip.s0)
-    if not abs(den0) >= floor0:
-        raise DenominatorCollapse(ip.s0)
-
-    def step(sv, bv, h):
-        k1 = form.g(sv, bv)
-        k2 = form.g(sv + 0.5 * h, bv + 0.5 * h * k1)
-        k3 = form.g(sv + 0.5 * h, bv + 0.5 * h * k2)
-        k4 = form.g(sv + h, bv + h * k3)
-        return bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def march(direction):
-        h = direction * ip.h
-        out_s, out_b = [], []
-        sv, bv, den_prev = ip.s0, ip.b0, den0
-        nsteps = int(round(ip.eps / ip.h))
-        stop = None
-        for _ in range(nsteps):
-            try:
-                bn = step(sv, bv, h)
-            except DiscriminantCollapse as e:
-                stop = ("discriminant", e.s)
-                break
-            except DenominatorCollapse as e:
-                stop = ("denominator", e.s)
-                break
-            sn = sv + h
-            delta, den, floor = delta_den(sn, bn)
-            if delta <= ip.delta_min:
-                stop = ("discriminant", sn)
-                break
-            # a sign change means the step jumped over a pole of b'
-            if abs(den) < floor or (den < 0) != (den_prev < 0):
-                stop = ("denominator", sn)
-                break
-            out_s.append(sn)
-            out_b.append(bn)
-            sv, bv, den_prev = sn, bn, den
-        return out_s, out_b, stop
-
-    sp, bp_, stop_p = march(+1)
-    sm, bm, stop_m = march(-1)
-    s = np.array(list(reversed(sm)) + [ip.s0] + sp)
-    b = np.array(list(reversed(bm)) + [ip.b0] + bp_)
-    if len(s) < 4:
-        if not (stop_p or stop_m):
-            raise TripleDomainError(f"eps = {ip.eps} leaves {len(s)} table points at h = {ip.h}; 4 are needed")
-        reason, where = stop_p or stop_m
-        raise (DenominatorCollapse if reason == "denominator" else DiscriminantCollapse)(where)
-    stops = {}
-    if stop_p:
-        stops["forward"] = {"reason": stop_p[0], "s": stop_p[1]}
-    if stop_m:
-        stops["backward"] = {"reason": stop_m[0], "s": stop_m[1]}
-    form2 = _OdeForm(p.mu2, ip.beta, rho, float(p.sign), float(ip.a_sign), s, b, [], stops)
-    form2.bprime = form2.g(s, b)
-    return ImmersionTriple(
-        representation=Representation.ODE_TABLE,
-        branch_label=label,
-        svar=svar,
-        sx=sx,
-        st=st,
-        validity=(float(s[0]), float(s[-1])),
-        form=form2,
-    )
+    return _OdeForm(label, svar, sx, st, p.mu2, ip.beta, rho, float(p.sign), float(ip.a_sign), ip)
 
 
 def ode_backsubstitution_residuals(trip: ImmersionTriple, bprime=None):
@@ -461,19 +506,18 @@ def ode_backsubstitution_residuals(trip: ImmersionTriple, bprime=None):
     (pass a finite-difference estimate to make this an independent check).
     The scale max(1, |terms|_inf) divides the result.
     """
-    form = trip.form
-    if not isinstance(form, _OdeForm):
+    if not isinstance(trip, _OdeForm):
         raise CatalogError("back-substitution applies to ODE-table triples")
-    s, b = form.s, form.b
-    bp = form.bprime if bprime is None else np.asarray(bprime)
-    mu2, k, r, sg, rho = form.mu2, form.k, form.a_sign, form.sign, form.rho
-    phi, delta, E = form.phi_delta(s, b)
+    s, b = trip.s, trip.b
+    bp = trip.bprime if bprime is None else np.asarray(bprime)
+    mu2, k, r, sg, rho = trip.mu2, trip.k, trip.a_sign, trip.sign, trip.rho
+    phi, delta, E = trip.phi_delta(s, b)
     sq = np.sqrt(delta)
-    bracket = mu2 * (mu2**2 + 1.0) * sq + r * (mu2**2 + 1.0) ** 2 * b - r * (mu2**2 - 1.0) * form.beta * E
+    bracket = mu2 * (mu2**2 + 1.0) * sq + r * (mu2**2 + 1.0) ** 2 * b - r * (mu2**2 - 1.0) * trip.beta * E
     second = (2.0 * rho / k) * (
         -sg * mu2 * (mu2**2 + 1.0) * sq * b
-        - r * sg * (mu2**2 - 1.0) * form.beta * E * b
-        + r * sg * form.beta**2 * E * E
+        - r * sg * (mu2**2 - 1.0) * trip.beta * E * b
+        + r * sg * trip.beta**2 * E * E
     )
     res = bp * bracket + second
     scale = np.maximum(1.0, np.maximum(np.abs(bp * bracket), np.abs(second)))
@@ -483,40 +527,13 @@ def ode_backsubstitution_residuals(trip: ImmersionTriple, bprime=None):
 def solve_triple(fam: Family, ip: ImmersionParams):
     """Universal triple for the family, or the cited non-existence result."""
     p = fam.params
-    if p.branch == Branch.T23:
-        return NoImmersion(p.branch, "Proposition 4.2",
-                           "no local isometric immersion with finite-jet triples exists")
-    if p.branch == Branch.T25I:
-        return NoImmersion(p.branch, "Proposition 4.4",
-                           "no local isometric immersion with finite-jet triples exists")
-    if p.branch == Branch.T25II:
-        return NoImmersion(p.branch, "Proposition 4.5",
+    if p.branch in _NO_IMMERSION:
+        return NoImmersion(p.branch, _NO_IMMERSION[p.branch],
                            "no local isometric immersion with finite-jet triples exists")
     if p.branch == Branch.SINE_GORDON:
-        return ImmersionTriple(
-            representation=Representation.SOLUTION_DEPENDENT,
-            branch_label="sine-Gordon",
-            svar="u",
-            sx=0.0,
-            st=0.0,
-            validity=(-math.inf, math.inf),
-            form=_SineGordonForm(float(ip.a_sign)),
-        )
-    case = _closed_case(fam, ip)
-    if case is not None:
-        validity = _strip_interval(case["A"], ip.beta, case["ce"], case["what"])
-        form = _ClosedForm(case["A"], ip.beta, case["ce"], case["cbar"], case["bsign"],
-                           float(p.sign), float(ip.a_sign))
-        return ImmersionTriple(
-            representation=Representation.CLOSED_FORM,
-            branch_label=case["label"],
-            svar=case["svar"],
-            sx=case["sx"],
-            st=case["st"],
-            validity=validity,
-            form=form,
-        )
-    return integrate_b_ode(fam, ip)
+        return _SineGordonForm("sine-Gordon", "u", 0.0, 0.0, (-math.inf, math.inf), float(ip.a_sign))
+    trip = _closed_form(fam, ip)
+    return trip if trip is not None else integrate_b_ode(fam, ip)
 
 
 # ----------------------------------------------------------------------
@@ -526,32 +543,16 @@ def solve_triple(fam: Family, ip: ImmersionParams):
 def codazzi_residuals(fam: Family, trip: ImmersionTriple, env, x: float, t: float):
     """(E1, E2): the two Codazzi combinations on jet environment env at position (x, t).
 
-    The total derivatives act on (a, b, c) as functions of x and t only
-    (universal triples) or through u (the sine-Gordon triple); the f_ij
-    and Delta_ij are evaluated on the jets.
+    The triple gives its values and their total x- and t-derivatives, as
+    functions of x and t only (universal triples) or through u (the
+    sine-Gordon triple); the f_ij and Delta_ij are evaluated on the jets.
     """
     f11, f21 = fam.fij(1, 1)(env), fam.fij(2, 1)(env)
     f12, f22 = fam.fij(1, 2)(env), fam.fij(2, 2)(env)
     f31, f32 = fam.fij(3, 1)(env), fam.fij(3, 2)(env)
     d13 = f11 * f32 - f31 * f12
     d23 = f21 * f32 - f31 * f22
-    if trip.representation == Representation.SOLUTION_DEPENDENT:
-        u = env["z0"]
-        a, b, c = trip.form.abc_of_u(u)
-        dadu = trip.form.da_du(u)
-        if "w1" not in env:
-            raise TripleDomainError("sine-Gordon Codazzi check needs w1 = u_t in the jet")
-        dxa, dta = dadu * env["z1"], dadu * env["w1"]
-        dxb = dtb = dxc = dtc = 0.0
-    else:
-        s = trip.reduced_coordinate(x, t)
-        lo, hi = trip.validity
-        if np.any(s <= lo) or np.any(s >= hi):
-            raise TripleDomainError(f"(x, t) maps to s = {s}, outside the validity interval ({lo}, {hi})")
-        a, b, c, ap, bp, cp = trip.abc_derivs(s)
-        dxa, dta = trip.sx * ap, trip.st * ap
-        dxb, dtb = trip.sx * bp, trip.st * bp
-        dxc, dtc = trip.sx * cp, trip.st * cp
+    (a, b, c), (dxa, dxb, dxc), (dta, dtb, dtc) = trip.values_and_derivs(env, x, t)
     e1 = f11 * dta + f21 * dtb - f12 * dxa - f22 * dxb - 2.0 * b * d13 + (a - c) * d23
     e2 = f11 * dtb + f21 * dtc - f12 * dxb - f22 * dxc + (a - c) * d13 + 2.0 * b * d23
     return e1, e2

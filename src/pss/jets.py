@@ -102,9 +102,9 @@ def _reject_mixed(free, what):
         )
 
 
-def dx_env(h, env, free=None):
+def dx_env(h, env):
     """D_x h evaluated on an environment."""
-    free = _free_of(h) if free is None else free
+    free = _free_of(h)
     _reject_mixed(free, "total x-derivative")
     names = [nm for nm in free if nm == "x" or _zindex(nm) is not None]
     if "x" not in names:
@@ -165,9 +165,9 @@ def prolong_env(env, F, upto):
     return zt
 
 
-def dt_env_onshell(h, env, zt, free=None):
+def dt_env_onshell(h, env, zt):
     """D_t h on an environment, given the mixed derivatives zt[k] = z_{k,t}."""
-    free = _free_of(h) if free is None else free
+    free = _free_of(h)
     names = sorted(free | {"t"})
     by = partials(h, {"t": 0.0, **env}, names)
     out = by.get("t", 0.0)

@@ -78,6 +78,7 @@ class CflError(BlowUpError):
 
 
 BLOWUP_CAP = 1e6
+CFL_COEFFICIENT = 0.5  # c of the CflError step cap
 
 
 @dataclass(frozen=True)
@@ -85,15 +86,12 @@ class Grid1D:
     x_min: float
     x_max: float
     nx: int
-    periodic: bool = True
 
     def __post_init__(self):
         if self.nx < 16:
             raise PdeError("nx >= 16 required")
         if not self.x_max > self.x_min:
             raise PdeError("x_max > x_min required")
-        if not self.periodic:
-            raise PdeError("only periodic grids are supported")
 
     @property
     def dx(self):
@@ -405,26 +403,12 @@ def step_count(t_max, dt):
     return nsteps
 
 
-def solve_mol(
-    equation,
-    grid: Grid1D,
-    u0,
-    t_max,
-    dt,
-    space="spectral",
-    n_save=33,
-    cfl_coefficient=0.5,
-) -> SolutionField:
+def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> SolutionField:
     """March u_t - u_xxt = lam u^2 u_xxx + G (or sine-Gordon) to t_max.
 
-    `equation` is a Family (any form-(7) branch, or SINE_GORDON which is
-    marched in light-cone form) or the string "novikov".
+    `fam` is a Family: any form-(7) branch, or SINE_GORDON, which is
+    marched in light-cone form.
     """
-    if isinstance(equation, str):
-        from .catalog import PRESETS
-
-        equation = PRESETS[equation]()
-    fam = equation
     u = np.asarray(u0, dtype=float).copy()
     if len(u) != grid.nx:
         raise PdeError("u0 length must match grid.nx")
@@ -455,7 +439,7 @@ def solve_mol(
     def check_cfl(t, amp):
         if sg:
             return
-        cap = cfl_coefficient * grid.dx / max(1.0, abs(lam) * (amp * amp))
+        cap = CFL_COEFFICIENT * grid.dx / max(1.0, abs(lam) * (amp * amp))
         if dt > cap:
             raise CflError(t, amp, dt, cap)
 

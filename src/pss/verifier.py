@@ -124,14 +124,14 @@ def nondegeneracy(fam: Family, env, tol: float = 1e-9):
 # Sampling
 
 
-def sample_envs(fam: Family, n: int, rng, zmax: int = 5, bounds=(-1.0, 1.0)):
-    """Environment of n on-shell jets with components uniform in `bounds`.
+def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
+    """Environment of n on-shell jets z0..z5, w1, v1, components uniform in `bounds`.
 
     Rejects samples too close to the branch degeneracies (|f'| or |phi12|
     below 1e-3), so residual scales stay trustworthy.
     """
     lo, hi = bounds
-    names = [f"z{i}" for i in range(zmax + 1)] + ["w1", "v1"]
+    names = [f"z{i}" for i in range(6)] + ["w1", "v1"]
     chunks = {nm: [] for nm in names}
     have = 0
     attempts = 0

@@ -26,7 +26,6 @@ from pss.expr import parse_expression
 from pss.frames import integrate_frame
 from pss.immersion import (
     ImmersionParams,
-    ImmersionTriple,
     NoImmersion,
     codazzi_residuals,
     gauss_residual,
@@ -115,12 +114,11 @@ def _fd6(y, h):
 
 
 def _trim(trip, m=3):
-    form = copy.copy(trip.form)
-    form.s = trip.form.s[m:-m]
-    form.b = trip.form.b[m:-m]
-    form.bprime = trip.form.bprime[m:-m]
-    return ImmersionTriple(trip.representation, trip.branch_label, trip.svar,
-                           trip.sx, trip.st, (form.s[0], form.s[-1]), form)
+    """The ODE-table triple with m table points cut from each end."""
+    out = copy.copy(trip)
+    out.s, out.b, out.bprime = trip.s[m:-m], trip.b[m:-m], trip.bprime[m:-m]
+    out.validity = (out.s[0], out.s[-1])
+    return out
 
 
 def test_criterion_4_ode_branches():
@@ -133,11 +131,11 @@ def test_criterion_4_ode_branches():
     for h in (1e-3, 5e-4):
         ip = ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=h, eps=0.3)
         trips[h] = solve_triple(fam, ip)
-        fd = _fd6(trips[h].form.b, h)
+        fd = _fd6(trips[h].b, h)
         res[h] = float(np.max(np.abs(ode_backsubstitution_residuals(_trim(trips[h]), bprime=fd))))
     ratio = res[1e-3] / res[5e-4]
     trip = trips[1e-3]
-    gmax = float(np.max(np.abs(gauss_residual(*trip.abc(trip.form.s)))))
+    gmax = float(np.max(np.abs(gauss_residual(*trip.abc(trip.s)))))
     p = _jets(fam, 400)
     lo, hi = trip.validity
     s = np.linspace(lo + 1e-3, hi - 1e-3, 400)
@@ -281,7 +279,7 @@ def test_criterion_7_convergence_orders():
     for h in (1e-3, 5e-4):
         trip = solve_triple(fam, ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=h, eps=0.3))
         res[h] = float(np.max(np.abs(
-            ode_backsubstitution_residuals(_trim(trip), bprime=_fd6(trip.form.b, h)))))
+            ode_backsubstitution_residuals(_trim(trip), bprime=_fd6(trip.b, h)))))
     r = res[1e-3] / res[5e-4]
     ok &= 16 / 1.25 <= r <= 16 * 1.25
     details.append(f"backsub x{r:.1f}")

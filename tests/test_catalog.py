@@ -1,5 +1,6 @@
 """Family catalog: branch assembly, parameter constraints, presets."""
 
+import copy
 import json
 import math
 
@@ -277,6 +278,76 @@ def test_condition_42_bounded_away_from_zero_on_samples(name):
     p22 = fam.phi22_fn(env)
     w = (fam.params.mu2 * p12 - p22) * fam.fij(1, 1)(env) + fam.params.eta2 * p12
     assert np.min(np.abs(w)) > 1e-9
+
+
+# ----------------------------------------------------------------------
+# T22 through the T24 builder
+
+
+def _t22_reference(fam):
+    """A copy of the T22 family built by the former T22 builder, which wrote
+    out T24 at lam = C = 0: phi22 = mu2*phi12, phi32 = sign*k*phi12 and
+    G = (phi12_z0*z1 + phi12_z1*z2 + sign*eta2/k*phi12) / f'."""
+    from pss.catalog import FPrimeZero, _check_nonzero, _f_and_prime, _k, _phi12_parts
+
+    p = fam.params
+    s, k = float(p.sign), _k(p.mu2)
+    fx, px = fam.f_expr, fam.phi12_expr
+    mu2, eta2 = p.mu2, p.eta2
+    ref = copy.copy(fam)
+    phi12 = ref._phi12_of_expr()
+
+    def phi22(env):
+        return mu2 * phi12(env)
+
+    def phi32(env):
+        return s * k * phi12(env)
+
+    def G(env):
+        fv, fp = _f_and_prime(fx, env["z0"] - env["z2"])
+        _check_nonzero(fp, FPrimeZero, "f'")
+        pv, p0, p1 = _phi12_parts(px, env["z0"], env["z1"])
+        return (p0 * env["z1"] + p1 * env["z2"] + s * eta2 / k * pv) / fp
+
+    ref._form7(ref._f11_of_s(), (phi12, phi22, phi32), G)
+    return ref
+
+
+def _same_bits(got, want):
+    """Bit-for-bit equality up to the sign of an exact zero: adding 0.0 maps
+    -0.0 to 0.0 and keeps every other value.  The T24 formulas add their lam
+    and C terms, exact zeros at lam = C = 0, so where the former T22 formula
+    gave -0.0 (mu2*phi12 at mu2 = 0, phi12 < 0) they give 0.0."""
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float) + 0.0, np.asarray(want, dtype=float) + 0.0)
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("mu2", [0.0, -0.7])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("f, phi12", [("s", "z1"), ("2*s + s^3", "z0*(z1 - z0)^2 + sin(z1)")])
+def test_t22_matches_the_former_t22_builder_bit_for_bit(mu2, sign, f, phi12):
+    from pss.jets import dt_env_onshell, dx_env
+    from pss.verifier import sample_envs
+
+    fam = build_family(FamilyParams(branch=Branch.T22, mu2=mu2, eta2=1.3, sign=sign), f=f, phi12=phi12)
+    ref = _t22_reference(fam)
+    env = sample_envs(fam, 4096, np.random.default_rng(29), bounds=(-2.0, 2.0))
+    pairs = [(fam.fij(i, j), ref.fij(i, j)) for i in (1, 2, 3) for j in (1, 2)]
+    pairs += [(fam.G_fn, ref.G_fn), (fam.F_fn, ref.F_fn), (fam.phi12_fn, ref.phi12_fn),
+              (fam.phi22_fn, ref.phi22_fn), (fam.phi32_fn, ref.phi32_fn)]
+    for got, want in pairs:
+        assert _same_bits(got(env), want(env)), got.name
+    zt, zt_ref = fam.zt(env, 3), ref.zt(env, 3)
+    assert all(_same_bits(a, b) for a, b in zip(zt, zt_ref))
+    for (i, j), fn in fam.fij_fns.items():
+        assert _same_bits(dx_env(fn, env), dx_env(ref.fij(i, j), env)), (i, j)
+        assert _same_bits(dt_env_onshell(fn, env, zt), dt_env_onshell(ref.fij(i, j), env, zt_ref)), (i, j)
+
+
+def test_t22_refuses_C_as_it_refuses_lam():
+    assert validate_params(FamilyParams(branch=Branch.T22, eta2=1.0, C=0.5)) == ["T22 has no C term (C must be 0)"]
+    with pytest.raises(ConstraintViolation, match="T22 has no C term"):
+        build_family(FamilyParams(branch=Branch.T22, eta2=1.0, C=-0.5), f="s", phi12="z1")
 
 
 # ----------------------------------------------------------------------

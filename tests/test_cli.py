@@ -167,6 +167,22 @@ def test_config_unknown_keys_rejected(tmp_path):
     assert run(["verify", "--config", str(cfg)]) == EXIT_USAGE
 
 
+def test_config_mirrors_every_long_flag(tmp_path):
+    """--csv from a config writes the CSV; keys that are no flag are still refused."""
+    base = ["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01", "--deterministic"]
+    csv = tmp_path / "u.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"csv": str(csv)}))
+    rep = tmp_path / "r.json"
+    assert run([*base, "--config", str(cfg), "--report", str(rep)]) == EXIT_OK
+    assert json.loads(rep.read_text())["csv"] == str(csv)
+    assert csv.read_text().startswith("x,t,u\n")
+    for doc in ({"csv": str(csv), "bogus_knob": 3}, {"config": "other.json"}, {"help": True}):
+        cfg.write_text(json.dumps(doc))
+        assert run([*base, "--config", str(cfg)]) == EXIT_USAGE, doc
+    assert set(build_parser().config_keys) >= {"csv", "a_sign", "Cstrip", "extent", "soliton"}
+
+
 def test_pde_subcommand_with_field_export(tmp_path):
     out = tmp_path / "field.pssf"
     rep = tmp_path / "r.json"
@@ -319,14 +335,58 @@ def test_overflowing_float_power_is_one_line(tmp_path, capsys):
     fam = tmp_path / "t22.json"
     fam.write_text(json.dumps(spec))
     for argv, want in [
-        (["verify", "--family", str(fam), "--samples", "10"], "pss: power overflows (offset 9)\n"),
+        (["verify", "--family", str(fam), "--samples", "10"], "pss: power overflows (offset 9) in 's + 1e200^2'\n"),
         (["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01", "--u0", "1e200^2*0+cos(x)"],
-         "pss: power overflows (offset 5)\n"),
+         "pss: power overflows (offset 5) in '1e200^2*0+cos(x)'\n"),
     ]:
         rep = tmp_path / "r.json"
         assert run([*argv, "--report", str(rep), "--deterministic"]) == EXIT_USAGE, argv
         assert capsys.readouterr().err == want
         assert not rep.exists()
+
+
+def test_expression_errors_name_their_expression(tmp_path, capsys):
+    """Parse and evaluation errors name the expression their offset points
+    into; its repr keeps a newline in the source on the one stderr line."""
+    def spec(**exprs):
+        path = tmp_path / f"spec{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps({"branch": "T22", "params": {"mu2": 0.3, "eta2": 1},
+                                    "f": "s", "phi12": "z1", **exprs}))
+        return ["verify", "--family", str(path), "--samples", "10"]
+
+    pde = ["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01"]
+    for argv, want in [
+        (spec(phi12="z1 + 1/0"), "pss: division by zero (offset 6) in 'z1 + 1/0'\n"),
+        (spec(phi12="z1 + q"), "pss: unknown identifier 'q' (offset 5) in 'z1 + q'\n"),
+        (spec(f="s +\n$"), "pss: unexpected character '$' (offset 4) in 's +\\n$'\n"),
+        ([*pde, "--u0", "1/(x-x)"], "pss: division by zero (offset 1) in '1/(x-x)'\n"),
+    ]:
+        rep = tmp_path / "r.json"
+        assert run([*argv, "--report", str(rep), "--deterministic"]) == EXIT_USAGE, argv
+        assert capsys.readouterr().err == want
+        assert not rep.exists()
+
+
+def test_t22_with_C_ends_as_t22_with_lam(tmp_path, capsys):
+    """C, like lam, has no place in a T22 spec: one stderr line and the same exit code."""
+    for key, line in (("lam", "T22 has no lam*u^2*u_xxx term (lam must be 0)"),
+                      ("C", "T22 has no C term (C must be 0)")):
+        path = tmp_path / f"t22-{key}.json"
+        path.write_text(json.dumps({"branch": "T22", "params": {"eta2": 1, key: 0.5}, "f": "s", "phi12": "z1"}))
+        assert run(["verify", "--family", str(path), "--deterministic"]) == EXIT_USAGE, key
+        assert capsys.readouterr().err == f"pss: {line}\n"
+        rep = tmp_path / "catalog.json"
+        assert run(["catalog", "--family", str(path), "--report", str(rep), "--deterministic"]) == EXIT_FAIL, key
+        assert json.loads(rep.read_text())["violations"] == [line]
+
+
+def test_sine_gordon_triple_leaves_a_field_window_as_it_is():
+    from pss.catalog import sine_gordon_preset
+    from pss.cli import _clip_to_strip
+    from pss.immersion import ImmersionParams, solve_triple
+
+    trip = solve_triple(sine_gordon_preset(), ImmersionParams())
+    assert _clip_to_strip(trip, (-1.0, 2.0), (0.0, 0.5)) == ((-1.0, 2.0), (0.0, 0.5))
 
 
 def test_sff_fails_when_the_gauss_check_fails(tmp_path, capsys, monkeypatch):

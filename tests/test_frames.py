@@ -12,7 +12,6 @@ from pss.frames import (
     _coefficients,
     _orthonormality_drift,
     _stage_abscissae,
-    _triple_values,
     discrete_gaussian_curvature,
     export_obj,
     first_form_coefficients,
@@ -454,10 +453,10 @@ def test_whole_mesh_forms_equal_per_row_calls(setup, representation):
     EE, II = np.empty_like(mesh.first_form), np.empty_like(mesh.second_form)
     degenerate, d12_min = 0, math.inf
     for j, t in enumerate(mesh.ts):  # one field call per mesh row
-        env = field.sample_env(mesh.xs, t, 3)
+        env = field.sample_env(mesh.xs, t, 3)  # order 3: the mesh asks for 2, the same bits
         EE[:, j, 0], EE[:, j, 1], EE[:, j, 2] = first_form_coefficients(fam, env)
         II[:, j, 0], II[:, j, 1], II[:, j, 2] = second_form_coefficients(
-            fam, _triple_values(trip, env, mesh.xs, t), env)
+            fam, trip.values(env, mesh.xs, t), env)
         d12 = np.abs(delta(fam, env, 1, 2))
         degenerate += int(np.count_nonzero(d12 <= 0.0))
         d12_min = min(d12_min, float(np.min(d12)))
@@ -479,7 +478,8 @@ def test_integrate_frame_samples_once_per_spine_and_step():
 
     field.sample_env = counting
     integrate_frame(fam, trip, field, origin=(-1.5, -1.5), steps=(7, 5), h=0.05)
-    # per sweep (x first, then t first) a spine call and an all-steps call, then the forms
-    assert len(calls) == 5
+    # per sweep (x first, then t first) a spine call and an all-steps call, then the forms;
+    # each asks for z0..z2, all that the f_ij, the triple and Delta12 read
+    assert len(calls) == 5 and [c[2] for c in calls] == [2] * 5
     assert [np.broadcast_shapes(*(np.shape(a) for a in c[:2])) for c in calls] == [
         (7, 3), (5, 3, 8), (5, 3), (7, 3, 6), (8, 6)]

@@ -214,7 +214,7 @@ def test_ode_march_gauss_by_construction():
     ip = ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=1e-3, eps=0.3)
     trip = solve_triple(fam, ip)
     assert trip.representation == Representation.ODE_TABLE
-    a, b, c = trip.abc(trip.form.s)
+    a, b, c = trip.abc(trip.s)
     assert np.max(np.abs(gauss_residual(a, b, c))) <= 1e-10
 
 
@@ -223,12 +223,11 @@ def _fd6(y, h):
 
 
 def _trim(trip, m=3):
-    form = copy.copy(trip.form)
-    form.s = trip.form.s[m:-m]
-    form.b = trip.form.b[m:-m]
-    form.bprime = trip.form.bprime[m:-m]
-    return ImmersionTriple(trip.representation, trip.branch_label, trip.svar,
-                           trip.sx, trip.st, (form.s[0], form.s[-1]), form)
+    """The ODE-table triple with m table points cut from each end."""
+    out = copy.copy(trip)
+    out.s, out.b, out.bprime = trip.s[m:-m], trip.b[m:-m], trip.bprime[m:-m]
+    out.validity = (out.s[0], out.s[-1])
+    return out
 
 
 def test_ode_backsubstitution_and_richardson():
@@ -237,7 +236,7 @@ def test_ode_backsubstitution_and_richardson():
     for h in (1e-3, 5e-4):
         ip = ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=h, eps=0.3)
         trip = solve_triple(fam, ip)
-        fd = _fd6(trip.form.b, h)
+        fd = _fd6(trip.b, h)
         r = ode_backsubstitution_residuals(_trim(trip), bprime=fd)
         res[h] = float(np.max(np.abs(r)))
     assert res[1e-3] <= 1e-6
@@ -260,7 +259,7 @@ def test_t24_ode_branch_codazzi():
     fam = build_family(p, f="s", phi12="z1", name="t24-ode")
     trip = solve_triple(fam, ImmersionParams(beta=0.2, b0=1.3, s0=0.0, h=1e-3, eps=0.3))
     assert trip.branch_label == "Prop4.3(iii)" and trip.svar == "xi"
-    a, b, c = trip.abc(trip.form.s)
+    a, b, c = trip.abc(trip.s)
     assert np.max(np.abs(gauss_residual(a, b, c))) <= 1e-10
     pj = _jets(fam, 200)
     lo, hi = trip.validity
@@ -273,7 +272,7 @@ def test_ode_independent_root_still_satisfies_geometry():
     """a_sign opposite to the family sign marches fine; Gauss and Codazzi hold."""
     fam = _t22_ode_family()
     trip = solve_triple(fam, ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=1e-3, eps=0.2, a_sign=-1))
-    a, b, c = trip.abc(trip.form.s)
+    a, b, c = trip.abc(trip.s)
     assert np.max(np.abs(gauss_residual(a, b, c))) <= 1e-10
     p = _jets(fam, 200)
     lo, hi = trip.validity
@@ -293,7 +292,7 @@ def test_collapse_messages_name_the_first_offending_s():
     s = np.linspace(-0.1, 0.1, 603)
     b = np.where(np.arange(603) >= 100, 0.0, 1.2)  # delta < 0 where b = 0
     with pytest.raises(DiscriminantCollapse) as err:
-        trip.form.g(s, b)
+        trip.g(s, b)
     assert err.value.s == s[100]
     assert str(err.value) == f"discriminant collapsed at s = {s[100]}"
     bad = np.arange(603) % 200 == 57
@@ -302,17 +301,17 @@ def test_collapse_messages_name_the_first_offending_s():
         assert e.s == s[57] and str(e) == f"{what} collapsed at s = {s[57]}"
 
 
-def _old_g(form, s, b):
+def _old_g(trip, s, b):
     """_OdeForm.g with its former np.any/np.abs guards."""
-    mu2, k, r, sg = form.mu2, form.k, form.a_sign, form.sign
-    phi, delta, E = form.phi_delta(s, b)
+    mu2, k, r, sg = trip.mu2, trip.k, trip.a_sign, trip.sign
+    phi, delta, E = trip.phi_delta(s, b)
     if np.any(delta <= 0):
         raise DiscriminantCollapse(s, delta <= 0)
     sq = np.sqrt(delta)
     den = (mu2**2 + 1.0) * sq + r * (mu2**2 - 1.0) * phi + 4.0 * r * mu2 * b
     if np.any(np.abs(den) < 1e-300):
         raise DenominatorCollapse(s, np.abs(den) < 1e-300)
-    num = 2.0 * sg * form.rho * k * b * sq + r * sg * (2.0 * form.beta * form.rho / k) * phi * E
+    num = 2.0 * sg * trip.rho * k * b * sq + r * sg * (2.0 * trip.beta * trip.rho / k) * phi * E
     return num / den
 
 
@@ -321,55 +320,55 @@ def _bits(x):
 
 
 def test_scalar_and_array_g_agree_bit_for_bit():
-    form = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3)).form
-    s, b = form.s, form.b
-    arr = form.g(s, b)
-    assert np.array_equal(_bits(arr), _bits(_old_g(form, s, b)))
+    trip = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3))
+    s, b = trip.s, trip.b
+    arr = trip.g(s, b)
+    assert np.array_equal(_bits(arr), _bits(_old_g(trip, s, b)))
     for cast in (float, np.float64):
-        one = [form.g(cast(si), cast(bi)) for si, bi in zip(s, b)]
+        one = [trip.g(cast(si), cast(bi)) for si, bi in zip(s, b)]
         assert np.array_equal(_bits(one), _bits(arr))
 
 
 def test_scalar_and_array_g_raise_at_the_first_offending_s():
-    form = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3)).form
+    trip = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3))
     s = np.linspace(-0.1, 0.1, 201)
     b = np.where(np.arange(201) >= 70, 0.0, 1.2)  # delta < 0 where b = 0
     for args, first in (((s, b), s[70]), ((float(s[3]), 0.0), s[3]), ((s[3], np.float64(0.0)), s[3])):
         with pytest.raises(DiscriminantCollapse) as err:
-            form.g(*args)
+            trip.g(*args)
         assert err.value.s == first
     # a denominator that vanishes where b = 1.25 (delta > 0 for any |b| > 1)
-    form.den_terms = lambda phi, sq, bb: (np.where(bb == 1.25, 0.0, 1.0)[()], 0.0, 0.0)
+    trip.den_terms = lambda phi, sq, bb: (np.where(bb == 1.25, 0.0, 1.0)[()], 0.0, 0.0)
     b = np.where(np.arange(201) >= 90, 1.25, 1.2)
     for args, first in (((s, b), s[90]), ((float(s[5]), 1.25), s[5])):
         with pytest.raises(DenominatorCollapse) as err:
-            form.g(*args)
+            trip.g(*args)
         assert err.value.s == first
 
 
-def _reference_march(form, s0, b0, h, n):
+def _reference_march(trip, s0, b0, h, n):
     """Classical RK4 on b' = g(s, b) with the former guards, no stops."""
     s, b = [s0], [b0]
     for _ in range(n):
         sv, bv = s[-1], b[-1]
-        k1 = _old_g(form, sv, bv)
-        k2 = _old_g(form, sv + 0.5 * h, bv + 0.5 * h * k1)
-        k3 = _old_g(form, sv + 0.5 * h, bv + 0.5 * h * k2)
-        k4 = _old_g(form, sv + h, bv + h * k3)
+        k1 = _old_g(trip, sv, bv)
+        k2 = _old_g(trip, sv + 0.5 * h, bv + 0.5 * h * k1)
+        k3 = _old_g(trip, sv + 0.5 * h, bv + 0.5 * h * k2)
+        k4 = _old_g(trip, sv + h, bv + h * k3)
         b.append(bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         s.append(sv + h)
     return np.array(s), np.array(b)
 
 
 def test_march_matches_a_reference_march_bit_for_bit():
-    form = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, h=1e-3, eps=0.3)).form
-    assert form.stops == {} and len(form.s) == 601
-    fs, fb = _reference_march(form, 0.0, 1.2, 1e-3, 300)
-    bs, bb = _reference_march(form, 0.0, 1.2, -1e-3, 300)
+    trip = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, h=1e-3, eps=0.3))
+    assert trip.stops == {} and len(trip.s) == 601
+    fs, fb = _reference_march(trip, 0.0, 1.2, 1e-3, 300)
+    bs, bb = _reference_march(trip, 0.0, 1.2, -1e-3, 300)
     s = np.concatenate([bs[::-1], fs[1:]])
     b = np.concatenate([bb[::-1], fb[1:]])
-    assert np.array_equal(_bits(form.s), _bits(s)) and np.array_equal(_bits(form.b), _bits(b))
-    assert np.array_equal(_bits(form.bprime), _bits(_old_g(form, s, b)))
+    assert np.array_equal(_bits(trip.s), _bits(s)) and np.array_equal(_bits(trip.b), _bits(b))
+    assert np.array_equal(_bits(trip.bprime), _bits(_old_g(trip, s, b)))
 
 
 def _t22_pole_family():
@@ -377,9 +376,9 @@ def _t22_pole_family():
     return build_family(p, f="s", phi12="z1", name="t22-pole")
 
 
-def _den_and_floor(form, s, b):
-    phi, delta, _ = form.phi_delta(s, b)
-    terms = form.den_terms(phi, np.sqrt(delta), b)
+def _den_and_floor(trip, s, b):
+    phi, delta, _ = trip.phi_delta(s, b)
+    terms = trip.den_terms(phi, np.sqrt(delta), b)
     return sum(terms), 1e-8 * np.max([np.ones_like(b), *map(np.abs, terms)], axis=0)
 
 
@@ -392,18 +391,18 @@ def _den_and_floor(form, s, b):
 ])
 def test_march_stops_before_the_step_across_a_pole(b0, s_stop, s_last, b_max, flips):
     ip = ImmersionParams(beta=0.2, b0=b0, h=1e-3, eps=0.3)
-    form = integrate_b_ode(_t22_pole_family(), ip).form
-    stop = form.stops["backward"]
+    trip = integrate_b_ode(_t22_pole_family(), ip)
+    stop = trip.stops["backward"]
     assert stop["reason"] == "denominator" and stop["s"] == pytest.approx(s_stop, abs=1e-12)
-    assert "forward" not in form.stops and form.s[-1] == pytest.approx(0.3)
+    assert "forward" not in trip.stops and trip.s[-1] == pytest.approx(0.3)
     # the table ends at the last point before the pole, |b| bounded
-    assert form.s[0] == pytest.approx(s_last, abs=1e-12) and np.abs(form.b).max() < b_max
-    den, floor = _den_and_floor(form, form.s, form.b)
+    assert trip.s[0] == pytest.approx(s_last, abs=1e-12) and np.abs(trip.b).max() < b_max
+    den, floor = _den_and_floor(trip, trip.s, trip.b)
     assert (den < -floor).all()
     # the rejected step, redone: its den is either lost in rounding or of the other sign
-    s, b = _reference_march(form, form.s[0], form.b[0], -ip.h, 1)
+    s, b = _reference_march(trip, trip.s[0], trip.b[0], -ip.h, 1)
     assert s[1] == stop["s"] and abs(b[1]) > 1e15
-    den, floor = _den_and_floor(form, s[1], b[1])
+    den, floor = _den_and_floor(trip, s[1], b[1])
     assert (den > floor) if flips else (-floor < den < 0)
 
 
@@ -414,7 +413,7 @@ def test_march_rejects_a_start_on_the_pole_and_short_tables():
     assert err.value.s == 0.0
     # from the last point before the pole both marches stop on their first
     # step (b' = -3.4e4 there); the error names the forward stop
-    b_last = integrate_b_ode(_t22_pole_family(), ImmersionParams(beta=0.2, b0=1.3, eps=0.3)).form.b[0]
+    b_last = integrate_b_ode(_t22_pole_family(), ImmersionParams(beta=0.2, b0=1.3, eps=0.3)).b[0]
     ip = ImmersionParams(beta=0.2, b0=float(b_last), s0=-0.019, h=1e-3, eps=0.002)
     with pytest.raises(DenominatorCollapse) as err:
         integrate_b_ode(_t22_pole_family(), ip)
@@ -427,8 +426,8 @@ def test_march_rejects_a_start_on_the_pole_and_short_tables():
 def test_ode_stops_are_reported():
     fam = _t22_ode_family()
     trip = solve_triple(fam, ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=1e-3, eps=0.6))
-    assert "backward" in trip.form.stops
-    assert trip.form.stops["backward"]["reason"] in ("discriminant", "denominator")
+    assert "backward" in trip.stops
+    assert trip.stops["backward"]["reason"] in ("discriminant", "denominator")
 
 
 # ----------------------------------------------------------------------
@@ -481,12 +480,12 @@ def test_sine_gordon_triple_is_solution_dependent():
     fam = sine_gordon_preset()
     trip = solve_triple(fam, ImmersionParams(a_sign=1))
     assert trip.representation == Representation.SOLUTION_DEPENDENT
-    a, b, c = trip.form.abc_of_u(np.pi / 4)
+    a, b, c = trip.abc(np.pi / 4)
     assert a == pytest.approx(2.0 / math.tan(np.pi / 4))
     assert b == -1.0 and c == 0.0
     assert gauss_residual(a, b, c) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(TripleDomainError):
-        trip.form.abc_of_u(0.0)  # pole at sin u = 0 is reported
+        trip.abc(0.0)  # pole at sin u = 0 is reported
 
 
 def test_sine_gordon_codazzi_identity():
@@ -511,21 +510,89 @@ def test_constant_triple_trivial_codazzi():
     """a = c, b = 0 makes both combinations collapse termwise to zero."""
     fam = t22_demo_preset()
 
-    class Const:
-        representation = Representation.CLOSED_FORM
-        svar, sx, st = "x", 1.0, 0.0
-        validity = (-10.0, 10.0)
-
-        def reduced_coordinate(self, x, t):
-            return np.asarray(x, dtype=float)
-
+    class Const(ImmersionTriple):
         def abc_derivs(self, s):
             one = np.ones_like(np.asarray(s, dtype=float))
             return 2.0 * one, 0.0 * one, 2.0 * one, 0.0 * one, 0.0 * one, 0.0 * one
 
     p = _jets(fam, 100)
-    e1, e2 = codazzi_residuals(fam, Const(), p, np.zeros(100), np.zeros(100))
+    const = Const("const", "x", 1.0, 0.0, (-10.0, 10.0))
+    e1, e2 = codazzi_residuals(fam, const, p, np.zeros(100), np.zeros(100))
     assert np.max(np.abs(e1)) == 0.0 and np.max(np.abs(e2)) == 0.0
+
+
+def _old_sine_gordon(a_sign, u):
+    """The former _SineGordonForm.abc_of_u and da_du: (a, b, c) and da/du."""
+    su = np.sin(u)
+    if np.any(su == 0):
+        raise TripleDomainError("sine-Gordon triple has a pole where sin u = 0")
+    a = a_sign * 2.0 * np.cos(u) / su
+    b = -a_sign * np.ones_like(np.asarray(u, dtype=float))
+    c = np.zeros_like(np.asarray(u, dtype=float))
+    return (a, b, c), -a_sign * 2.0 / (su * su)
+
+
+def _old_triple_values(trip, env, x, t):
+    """The former frames._triple_values, which branched on the representation."""
+    if trip.representation == Representation.SOLUTION_DEPENDENT:
+        return _old_sine_gordon(trip.a_sign, env["z0"])[0]
+    s = trip.reduced_coordinate(np.asarray(x, dtype=float), t)
+    return trip.abc(s)
+
+
+def _old_codazzi_residuals(fam, trip, env, x, t):
+    """The former codazzi_residuals, which branched on the representation."""
+    f11, f21 = fam.fij(1, 1)(env), fam.fij(2, 1)(env)
+    f12, f22 = fam.fij(1, 2)(env), fam.fij(2, 2)(env)
+    f31, f32 = fam.fij(3, 1)(env), fam.fij(3, 2)(env)
+    d13 = f11 * f32 - f31 * f12
+    d23 = f21 * f32 - f31 * f22
+    if trip.representation == Representation.SOLUTION_DEPENDENT:
+        (a, b, c), dadu = _old_sine_gordon(trip.a_sign, env["z0"])
+        dxa, dta = dadu * env["z1"], dadu * env["w1"]
+        dxb = dtb = dxc = dtc = 0.0
+    else:
+        s = trip.reduced_coordinate(x, t)
+        lo, hi = trip.validity
+        if np.any(s <= lo) or np.any(s >= hi):
+            raise TripleDomainError(f"(x, t) maps to s = {s}, outside the validity interval ({lo}, {hi})")
+        a, b, c, ap, bp, cp = trip.abc_derivs(s)
+        dxa, dta = trip.sx * ap, trip.st * ap
+        dxb, dtb = trip.sx * bp, trip.st * bp
+        dxc, dtc = trip.sx * cp, trip.st * cp
+    e1 = f11 * dta + f21 * dtb - f12 * dxa - f22 * dxb - 2.0 * b * d13 + (a - c) * d23
+    e2 = f11 * dtb + f21 * dtc - f12 * dxb - f22 * dxc + (a - c) * d13 + 2.0 * b * d23
+    return e1, e2
+
+
+def _drift_family():
+    p = FamilyParams(branch=Branch.T24, lam=0.5, mu2=0.0, eta2=2.0, C=0.7, sign=-1)
+    return build_family(p, f="s", phi12="z1", name="t24-drift")
+
+
+@pytest.mark.parametrize("fam, ip", [
+    (t22_demo_preset(), ImmersionParams(beta=1.0, C_strip=3.0, a_sign=-1)),
+    (_drift_family(), ImmersionParams(beta=0.3, sigma=2.5)),
+    (_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3)),
+    (build_family(FamilyParams(branch=Branch.T24, lam=1.0, mu2=0.8, eta2=1.0, C=0.5, sign=1),
+                  f="s", phi12="z1"), ImmersionParams(beta=0.2, b0=1.3, eps=0.3, a_sign=-1)),
+    (sine_gordon_preset(eta=1.3), ImmersionParams(a_sign=1)),
+    (sine_gordon_preset(), ImmersionParams(a_sign=-1)),
+], ids=["closed-x", "closed-xi", "ode-x", "ode-xi", "sine-gordon+", "sine-gordon-"])
+def test_triple_sampling_matches_the_representation_branches_bit_for_bit(fam, ip):
+    trip = solve_triple(fam, ip)
+    env = _jets(fam, 300, seed=3)
+    if trip.representation == Representation.SOLUTION_DEPENDENT:
+        x = t = 0.0
+    else:
+        s = trip.strip_samples(300)
+        share = 0.25 if trip.st else 1.0  # of s = sx*x + st*t carried by x (sx != 0 here)
+        x, t = share * s / trip.sx, (1.0 - share) * s / (trip.st or 1.0)
+    pairs = [(trip.values(env, x, t), _old_triple_values(trip, env, x, t)),
+             (codazzi_residuals(fam, trip, env, x, t), _old_codazzi_residuals(fam, trip, env, x, t))]
+    for got, want in pairs:
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w) and np.array_equal(_bits(g), _bits(w))
 
 
 def test_csv_export(tmp_path):
@@ -547,8 +614,8 @@ def test_csv_export(tmp_path):
 def _per_cell_csv(trip, path, n=1000):
     """The former writer: one repr(float(v)) per cell."""
     if trip.representation == Representation.ODE_TABLE:
-        s = trip.form.s
-        a, b, c, ap, bp, cp = trip.form.abc_derivs(s)
+        s = trip.s
+        a, b, c, ap, bp, cp = trip.abc_derivs(s)
         rows, header = zip(s, a, b, c, gauss_residual(a, b, c), bp), "s,a,b,c,gauss_residual,bprime"
     elif trip.representation == Representation.CLOSED_FORM:
         s = trip.strip_samples(n)
@@ -556,7 +623,7 @@ def _per_cell_csv(trip, path, n=1000):
         rows, header = zip(s, a, b, c, gauss_residual(a, b, c)), "s,a,b,c,gauss_residual"
     else:
         u = np.linspace(0.1, math.pi - 0.1, n)
-        a, b, c = trip.form.abc_of_u(u)
+        a, b, c = trip.abc(u)
         rows, header = zip(u, a, b, c, gauss_residual(a, b, c)), "u,a,b,c,gauss_residual"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
@@ -575,7 +642,7 @@ def test_csv_export_bytes_match_the_per_cell_writer(tmp_path):
         trip.export_csv(new, n=257)
         _per_cell_csv(trip, old, n=257)
         assert new.read_bytes() == old.read_bytes(), name
-        assert new.read_text().count("\n") == (len(trip.form.s) if name == "ode" else 257) + 1
+        assert new.read_text().count("\n") == (len(trip.s) if name == "ode" else 257) + 1
 
 
 def test_ode_codazzi_with_nonlinear_f():

@@ -502,16 +502,8 @@ class Family:
         def f32(env):
             return 0.0 * env["z0"]
 
-        def phi12(env):
-            return dual.sin(env["z0"]) / eta
-
-        def phi22(env):
-            return dual.cos(env["z0"]) / eta
-
-        def phi32(env):
-            return 0.0 * env["z0"]
-
-        self._wrap((f11, f12, f21, f22, f31, f32), None, (phi12, phi22, phi32))
+        # with lam = 0, phi_i2 = f_i2 + lam*z0^2*f_i1 is f_i2 itself
+        self._wrap((f11, f12, f21, f22, f31, f32), None, (f12, f22, f32))
 
     # -- evaluation surface ----------------------------------------------
     def fij(self, i, j):

@@ -84,14 +84,19 @@ def _positive_float(text):
     return v
 
 
-def _positive_int(text):
-    try:
-        n = int(text)
-        if n < 1:
-            raise ValueError(text)
-        return n
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from exc
+def _int_from(lo, what):
+    """An argparse type: an integer >= lo, called a `what` integer in the error."""
+
+    def parse(text):
+        try:
+            n = int(text)
+            if n < lo:
+                raise ValueError(text)
+            return n
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}") from exc
+
+    return parse
 
 
 @functools.cache
@@ -110,9 +115,9 @@ def build_parser():
         sp.add_argument("--report", help="write the JSON report here (default: stdout)")
         sp.add_argument("--deterministic", action="store_true",
                         help="omit timestamps so reports are byte-identical")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument("--seed", type=_int_from(0, "non-negative"), default=DEFAULT_SEED)
         sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--samples", type=_positive_int, default=1000)
+        sp.add_argument("--samples", type=_int_from(1, "positive"), default=1000)
         if immersion:
             sp.add_argument("--sign", type=_sign, default=None, help="family sign (+/-)")
             sp.add_argument("--a-sign", dest="a_sign", type=_sign, default=1)
@@ -210,6 +215,10 @@ def _check_ranges(args):
         v = getattr(args, name, None)
         if v is not None and not v > 0:
             raise _UsageError(f"--{name} must be > 0")
+    for name in ("beta", "Cstrip", "sigma", "b0", "s0", "h", "eps"):
+        v = getattr(args, name, None)
+        if v is not None and not np.isfinite(v):
+            raise _UsageError(f"--{name} must be finite")
     for name, lo in (("nsave", 2), ("nx", 16)):
         v = getattr(args, name, None)
         if v is not None and v < lo:

@@ -49,12 +49,10 @@ __all__ = [
     "DiscriminantCollapse",
     "DenominatorCollapse",
     "solve_triple",
-    "closed_form_triple",
-    "strip_bounds",
     "integrate_b_ode",
     "gauss_residual",
     "codazzi_residuals",
-    "ode_backsubstitution_residuals",
+    "write_csv",
 ]
 
 
@@ -197,11 +195,7 @@ class ImmersionTriple:
         return [s, a, b, c, gauss_residual(a, b, c)]
 
     def export_csv(self, path, n=1000):
-        # .tolist() yields Python floats, whose repr is the text repr(float(v)) gives
-        cols = [np.asarray(col, dtype=float).tolist() for col in self.csv_columns(n)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.csv_header + "\n")
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+        write_csv(path, self.csv_header, self.csv_columns(n))
 
 
 @dataclass(eq=False)
@@ -430,6 +424,16 @@ class _SineGordonForm(ImmersionTriple):
 # ----------------------------------------------------------------------
 
 
+def write_csv(path, header, columns):
+    """Write `header` and then one line per row of the equal-length columns,
+    each cell the repr of a Python float."""
+    # .tolist() yields Python floats, whose repr is the text repr(float(v)) gives
+    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+
+
 def gauss_residual(a, b, c):
     """ac - b^2 + 1; zero iff the Gauss equation for K = -1 holds."""
     return a * c - b * b + 1.0
@@ -452,9 +456,8 @@ def _strip_interval(A, beta, ce, what):
     return (min(s1, s2), max(s1, s2))
 
 
-def _closed_form(fam: Family, ip: ImmersionParams, missing=None):
-    """The closed-form triple of the family.  When its case has none: None,
-    or with `missing` a CatalogError that names what is missing."""
+def _closed_form(fam: Family, ip: ImmersionParams):
+    """The closed-form triple of the family, or None when its case has none."""
     p = fam.params
     s = float(p.sign)
     if p.branch == Branch.T22 and p.mu2 == 0:
@@ -466,23 +469,11 @@ def _closed_form(fam: Family, ip: ImmersionParams, missing=None):
     elif p.branch == Branch.T24 and p.mu2 == 0:
         case = dict(branch_label="Prop4.3(ii)", svar="xi", sx=p.eta2, st=p.C, A=ip.sigma,
                     what="sigma", ce=s * 2.0, cbar=1.0, bsign=-1.0)
-    elif missing:
-        raise CatalogError(f"{fam.name}: no closed-form {missing} for this branch/parameter case")
     else:
         return None
     what = case.pop("what")
     validity = _strip_interval(case["A"], ip.beta, case["ce"], what)
     return _ClosedForm(**case, validity=validity, beta=ip.beta, sign=s, a_sign=float(ip.a_sign))
-
-
-def strip_bounds(fam: Family, ip: ImmersionParams):
-    """Open interval of the reduced coordinate where L > 0 (closed forms only)."""
-    return _closed_form(fam, ip, "strip").validity
-
-
-def closed_form_triple(fam: Family, ip: ImmersionParams, s):
-    """(a, b, c) of the closed-form triple at reduced coordinate s."""
-    return _closed_form(fam, ip, "triple").abc(s)
 
 
 def integrate_b_ode(fam: Family, ip: ImmersionParams):
@@ -497,31 +488,6 @@ def integrate_b_ode(fam: Family, ip: ImmersionParams):
     else:
         raise CatalogError(f"{fam.name}: no ODE immersion branch")
     return _OdeForm(label, svar, sx, st, p.mu2, ip.beta, rho, float(p.sign), float(ip.a_sign), ip)
-
-
-def ode_backsubstitution_residuals(trip: ImmersionTriple, bprime=None):
-    """Residual of the displayed b-ODE along the marched table.
-
-    Moves every term to one side; `bprime` defaults to the stored slopes
-    (pass a finite-difference estimate to make this an independent check).
-    The scale max(1, |terms|_inf) divides the result.
-    """
-    if not isinstance(trip, _OdeForm):
-        raise CatalogError("back-substitution applies to ODE-table triples")
-    s, b = trip.s, trip.b
-    bp = trip.bprime if bprime is None else np.asarray(bprime)
-    mu2, k, r, sg, rho = trip.mu2, trip.k, trip.a_sign, trip.sign, trip.rho
-    phi, delta, E = trip.phi_delta(s, b)
-    sq = np.sqrt(delta)
-    bracket = mu2 * (mu2**2 + 1.0) * sq + r * (mu2**2 + 1.0) ** 2 * b - r * (mu2**2 - 1.0) * trip.beta * E
-    second = (2.0 * rho / k) * (
-        -sg * mu2 * (mu2**2 + 1.0) * sq * b
-        - r * sg * (mu2**2 - 1.0) * trip.beta * E * b
-        + r * sg * trip.beta**2 * E * E
-    )
-    res = bp * bracket + second
-    scale = np.maximum(1.0, np.maximum(np.abs(bp * bracket), np.abs(second)))
-    return res / scale
 
 
 def solve_triple(fam: Family, ip: ImmersionParams):

@@ -32,6 +32,7 @@ from . import dual
 from .catalog import Branch
 from .dual import Taylor
 from .expr import parse_expression
+from .immersion import write_csv
 
 __all__ = [
     "Grid1D",
@@ -39,14 +40,11 @@ __all__ = [
     "PdeError",
     "BlowUpError",
     "CflError",
-    "helmholtz_apply",
     "helmholtz_invert",
     "solve_mol",
     "step_count",
-    "exact_sine_gordon_kink",
     "kink_field",
     "exact_field",
-    "sample_jet",
     "save_field",
     "load_field",
     "export_csv",
@@ -107,11 +105,6 @@ class Grid1D:
 
 # ----------------------------------------------------------------------
 # Helmholtz operator (1 - dxx) on the periodic grid, spectral
-
-
-def helmholtz_apply(grid: Grid1D, u):
-    k = grid.wavenumbers()
-    return np.fft.irfft(np.fft.rfft(u) * (1.0 + k * k), n=grid.nx)
 
 
 def helmholtz_invert(grid: Grid1D, rhs):
@@ -307,12 +300,6 @@ class SolutionField:
         env["t"] = np.array(t)
         return env
 
-    def _time_index(self, t):
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[j] - t) > 1e-8 * max(1.0, abs(t)):
-            raise PdeError(f"no stored snapshot near t = {t}")
-        return j
-
     def _time_slopes(self):
         """u_t at every snapshot, shape (S, nx): centered inside, one-sided
         2nd order at the ends; with two snapshots, their divided difference."""
@@ -328,28 +315,6 @@ class SolutionField:
             du[:] = (fr[1] - fr[0]) / (ts[1] - ts[0])
         return du
 
-    def discrete_zt_env(self, t, upto):
-        """Mixed derivatives z_{k,t} measured from the stored snapshots.
-
-        Time slopes are centered (2nd order) where possible; the returned
-        arrays are indexed by grid node.  Only meaningful for NUMERIC
-        fields: it quantifies how well the march satisfies the equation.
-        """
-        if self.kind != "NUMERIC":
-            raise PdeError("discrete z_{k,t} applies to NUMERIC fields")
-        du = self._time_slopes()[self._time_index(t)]
-        acc = int(self.provenance.get("space_accuracy", 4))
-        return [periodic_derivative(du, self.grid.dx, k, acc=acc) if k else du for k in range(upto + 1)]
-
-
-def sample_jet(field: SolutionField, x, t, order):
-    """One-jet environment of floats {x, t, z0..z_order, w1, v1} sampled from the field at (x, t)."""
-    (xlo, xhi), (tlo, thi) = field.domain()
-    if not (xlo - 1e-12 <= x <= xhi + 1e-12) or not (tlo - 1e-9 <= t <= thi + 1e-9):
-        raise PdeError(f"(x, t) = ({x}, {t}) outside the field domain")
-    env = field.sample_env(np.array([x]), t, order)
-    return {nm: float(np.atleast_1d(v)[0]) for nm, v in env.items()}
-
 
 def exact_field(src_or_expr, grid: Grid1D, t_span=(-10.0, 10.0), name="exact") -> SolutionField:
     e = parse_expression(src_or_expr, ["x", "t"]) if isinstance(src_or_expr, str) else src_or_expr
@@ -359,20 +324,6 @@ def exact_field(src_or_expr, grid: Grid1D, t_span=(-10.0, 10.0), name="exact") -
         expression=e,
         provenance={"type": "EXACT", "name": name, "jets": "analytic (Taylor in x, dual in t)"},
     )
-
-
-def exact_sine_gordon_kink(eta, x, t):
-    """One-soliton u = 4 arctan exp(eta x + t/eta); branch-stable for large args."""
-    if eta == 0:
-        raise PdeError("eta != 0 required")
-    th = eta * np.asarray(x, dtype=float) + np.asarray(t, dtype=float) / eta
-    pos = th >= 0
-    out = np.where(
-        pos,
-        2.0 * np.pi - 4.0 * np.arctan(np.exp(-np.abs(th))),
-        4.0 * np.arctan(np.exp(-np.abs(th))),
-    )
-    return out if out.shape else float(out)
 
 
 def kink_field(eta, grid: Grid1D, t_span=(-6.0, 6.0)) -> SolutionField:
@@ -529,9 +480,6 @@ def load_field(path) -> SolutionField:
 def export_csv(field: SolutionField, path):
     if field.kind != "NUMERIC":
         raise PdeError("CSV export applies to NUMERIC fields")
-    xs = field.grid.nodes()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,t,u\n")
-        for j, t in enumerate(field.times):
-            for i, x in enumerate(xs):
-                fh.write(f"{float(x)!r},{float(t)!r},{float(field.frames[j, i])!r}\n")
+    S, nx = field.frames.shape
+    cols = [np.tile(field.grid.nodes(), S), np.repeat(field.times, nx), field.frames.ravel()]
+    write_csv(path, "x,t,u", cols)

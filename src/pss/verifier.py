@@ -26,26 +26,22 @@ tolerance tol when |R| <= tol * max(1, |terms|_inf).
 
 from __future__ import annotations
 
-import copy
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .catalog import Branch, CatalogError, Family
-from .jets import JetFunction, dt_env_onshell, dx_env, partials
+from .jets import dt_env_onshell, dx_env, partials
 
 __all__ = [
     "DEFAULT_SEED",
     "VerificationReport",
     "delta",
     "structure_residuals_env",
-    "nondegeneracy",
     "certify_structure",
     "check_theorem21_conditions",
     "certify",
     "sample_envs",
-    "perturbed_family",
 ]
 
 DEFAULT_SEED = 74250
@@ -64,9 +60,6 @@ class VerificationReport:
 
     def to_dict(self):
         return asdict(self)
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -108,16 +101,6 @@ def structure_residuals_env(fam: Family, env, zt=None):
         np.maximum(one, np.maximum(np.abs(dxs[2]), np.maximum(np.abs(dts[2]), np.abs(d12)))),
     )
     return (r1, r2, r3), scales
-
-
-def nondegeneracy(fam: Family, env, tol: float = 1e-9):
-    """(Delta12, ok) at a one-jet environment: ok iff |Delta12| > tol and
-    Delta13^2 + Delta23^2 > tol^2."""
-    d12 = delta(fam, env, 1, 2)
-    d13 = delta(fam, env, 1, 3)
-    d23 = delta(fam, env, 2, 3)
-    ok = bool(abs(d12) > tol and d13 * d13 + d23 * d23 > tol * tol)
-    return float(d12), ok
 
 
 # ----------------------------------------------------------------------
@@ -312,20 +295,3 @@ def certify(fam: Family, samples: int = 1000, tol: float = 1e-8, seed: int | Non
             rep.verdict = "fail"
         rep.failing.extend(rep2.failing)
     return rep
-
-
-# ----------------------------------------------------------------------
-# Sensitivity helper (the detector must not be vacuous)
-
-
-def perturbed_family(fam: Family, i: int, j: int, eps: float = 1e-3):
-    """A copy of `fam` with f_ij bumped by eps; used to prove the detector sees broken families."""
-    orig = fam.fij_fns[(i, j)]
-
-    def bumped(env):
-        return orig(env) + eps
-
-    out = copy.copy(fam)
-    out.name = f"{fam.name}+eps{(i, j)}"
-    out.fij_fns = {**fam.fij_fns, (i, j): JetFunction(bumped, orig.free, f"{orig.name}+eps")}
-    return out

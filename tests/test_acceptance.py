@@ -3,7 +3,6 @@
 Run with `pytest tests/test_acceptance.py -s` to see one line per criterion.
 """
 
-import copy
 import json
 import math
 import time
@@ -29,12 +28,11 @@ from pss.immersion import (
     NoImmersion,
     codazzi_residuals,
     gauss_residual,
-    ode_backsubstitution_residuals,
     solve_triple,
-    strip_bounds,
 )
-from pss.pde import Grid1D, SolutionField, exact_sine_gordon_kink, kink_field, sample_jet, solve_mol
+from pss.pde import Grid1D, SolutionField, kink_field, solve_mol
 from pss.verifier import certify_structure, sample_envs
+from references import exact_sine_gordon_kink, fd6, jet_at, ode_backsubstitution_residuals, trim
 
 
 def _report(num, name, ok, detail=""):
@@ -92,7 +90,7 @@ def test_criterion_2_novikov_matching():
 def test_criterion_3_prop41i_reproduction():
     fam = t22_demo_preset()  # f = s, phi12 = z1, mu2 = 0, eta2 = 1
     ip = ImmersionParams(beta=1.0, C_strip=3.0, a_sign=1)
-    lo, hi = strip_bounds(fam, ip)
+    lo, hi = solve_triple(fam, ip).validity
     e_lo = abs(math.exp(2 * lo) - (3 - math.sqrt(5)) / 2)
     e_hi = abs(math.exp(2 * hi) - (3 + math.sqrt(5)) / 2)
     trip = solve_triple(fam, ip)
@@ -109,18 +107,6 @@ def test_criterion_3_prop41i_reproduction():
             f"strip err {max(e_lo, e_hi):.1e}, gauss {gmax:.1e}, codazzi {cmax:.1e}")
 
 
-def _fd6(y, h):
-    return (-y[:-6] + 9 * y[1:-5] - 45 * y[2:-4] + 45 * y[4:-2] - 9 * y[5:-1] + y[6:]) / (60 * h)
-
-
-def _trim(trip, m=3):
-    """The ODE-table triple with m table points cut from each end."""
-    out = copy.copy(trip)
-    out.s, out.b, out.bprime = trip.s[m:-m], trip.b[m:-m], trip.bprime[m:-m]
-    out.validity = (out.s[0], out.s[-1])
-    return out
-
-
 def test_criterion_4_ode_branches():
     """Back-substitution <= 1e-6 at h = 1e-3, improving ~16x at h = 5e-4;
     Gauss <= 1e-10 along the march; Codazzi <= 1e-7 on samples inside."""
@@ -131,8 +117,8 @@ def test_criterion_4_ode_branches():
     for h in (1e-3, 5e-4):
         ip = ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=h, eps=0.3)
         trips[h] = solve_triple(fam, ip)
-        fd = _fd6(trips[h].b, h)
-        res[h] = float(np.max(np.abs(ode_backsubstitution_residuals(_trim(trips[h]), bprime=fd))))
+        fd = fd6(trips[h].b, h)
+        res[h] = float(np.max(np.abs(ode_backsubstitution_residuals(trim(trips[h]), bprime=fd))))
     ratio = res[1e-3] / res[5e-4]
     trip = trips[1e-3]
     gmax = float(np.max(np.abs(gauss_residual(*trip.abc(trip.s)))))
@@ -210,7 +196,7 @@ def test_criterion_6_sine_gordon_end_to_end():
 
     for _ in range(500):
         x, t = rng.uniform(-6, 6, 2)
-        p = sample_jet(field, x, t, 3)
+        p = jet_at(field, x, t, 3)
         u = p["z0"]
         E, F, G = first_form_coefficients(fam, p)
         worst_I = max(worst_I, abs(E - eta**2), abs(F - math.cos(u)), abs(G - eta**-2))
@@ -236,7 +222,7 @@ def test_criterion_7_convergence_orders():
     details = []
     ok = True
 
-    # (a) sample_jet stencil: 4th order
+    # (a) numeric jet stencil: 4th order
     errs = {}
     for nx in (256, 512):
         g = Grid1D(0.0, 2 * np.pi, nx)
@@ -244,7 +230,7 @@ def test_criterion_7_convergence_orders():
         f = SolutionField(g, [0.0, 1.0], frames=np.array([u, u]),
                           provenance={"type": "NUMERIC", "space_accuracy": 4, "max_jet_order": 5})
         x = g.nodes()[nx // 3]
-        errs[nx] = abs(sample_jet(f, x, 0.0, 4)["z2"] + math.sin(x))
+        errs[nx] = abs(jet_at(f, x, 0.0, 4)["z2"] + math.sin(x))
     r = errs[256] / errs[512]
     ok &= 16 / 1.25 <= r <= 16 * 1.25
     details.append(f"stencil x{r:.1f}")
@@ -279,7 +265,7 @@ def test_criterion_7_convergence_orders():
     for h in (1e-3, 5e-4):
         trip = solve_triple(fam, ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=h, eps=0.3))
         res[h] = float(np.max(np.abs(
-            ode_backsubstitution_residuals(_trim(trip), bprime=_fd6(trip.b, h)))))
+            ode_backsubstitution_residuals(trim(trip), bprime=fd6(trip.b, h)))))
     r = res[1e-3] / res[5e-4]
     ok &= 16 / 1.25 <= r <= 16 * 1.25
     details.append(f"backsub x{r:.1f}")

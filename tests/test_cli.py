@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, reports, determinism, config files."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
+from pss import cli
+from pss.catalog import novikov_preset
 from pss.cli import EXIT_FAIL, EXIT_NO_IMMERSION, EXIT_OK, EXIT_USAGE, build_parser, run
-from pss.immersion import ImmersionTriple
+from pss.immersion import ImmersionTriple, Representation, solve_triple
+from pss.pde import load_field
+from pss.verifier import delta, sample_envs
 
 
 def test_verify_novikov_passes(tmp_path):
@@ -62,10 +67,122 @@ def test_codazzi_subcommand(tmp_path):
     assert doc["E1_max"] <= 1e-8 and doc["E2_max"] <= 1e-8
 
 
+def _codazzi_with(tmp_path, monkeypatch, argv, change):
+    """(exit code, report, representation) of `codazzi argv` run on change(triple, params)."""
+    seen = []
+
+    def solve(fam, ip):
+        trip = solve_triple(fam, ip)
+        seen.append(trip.representation)
+        return change(trip, ip)
+
+    monkeypatch.setattr(cli, "solve_triple", solve)
+    rep = tmp_path / "r.json"
+    code = run(["codazzi", *argv, "--report", str(rep), "--deterministic"])
+    return code, json.loads(rep.read_text()), seen[0]
+
+
+def _scale_b(trip, factor):
+    """The triple with b and b' scaled by factor, a and c kept."""
+    abc_derivs = trip.abc_derivs
+
+    def scaled(s):
+        a, b, c, ap, bp, cp = abc_derivs(s)
+        return a, factor * b, c, ap, factor * bp, cp
+
+    trip.abc_derivs = scaled
+    return trip
+
+
+NOVIKOV_STRIP = ["--preset", "novikov", "--sigma", "3", "--beta", "0.5"]
+
+
+def test_codazzi_rejects_a_wrong_triple_of_each_representation(tmp_path, monkeypatch):
+    spec = tmp_path / "t24.json"
+    spec.write_text(json.dumps({"branch": "T24", "params": {"mu2": 0.6, "eta2": 1.0, "lam": 1.0, "C": 0.3},
+                                "f": "s", "phi12": "z1"}))
+    table = [
+        # (argv, representation, a wrong triple): cbar and rho set the exponent of E(s) = exp(ce*s)
+        (NOVIKOV_STRIP, Representation.CLOSED_FORM, lambda t, ip: replace(t, cbar=1.001 * t.cbar)),
+        (["--family", str(spec), "--beta", "0.3", "--b0", "1.2", "--eps", "0.3"], Representation.ODE_TABLE,
+         lambda t, ip: type(t)(t.branch_label, t.svar, t.sx, t.st, t.mu2, t.beta, 1.001 * t.rho,
+                               t.sign, t.a_sign, ip)),
+        (["--preset", "sine-gordon"], Representation.SOLUTION_DEPENDENT, lambda t, ip: _scale_b(t, 1.001)),
+    ]
+    for argv, representation, wrong in table:
+        code, doc, seen = _codazzi_with(tmp_path, monkeypatch, argv, lambda t, ip: t)
+        assert (code, doc["verdict"], seen) == (EXIT_OK, "pass", representation)
+        code, doc, _ = _codazzi_with(tmp_path, monkeypatch, argv, wrong)
+        assert (code, doc["verdict"]) == (EXIT_FAIL, "fail"), argv
+        assert max(doc["E1_max"], doc["E2_max"]) > 1e-3, argv
+
+
+def test_codazzi_passes_the_symmetries_of_the_novikov_triple(tmp_path, monkeypatch):
+    # novikov is T24 with mu2 = 0, eta2 = 1, C = 0: the triple depends on x
+    # alone, f22 = 0, Delta13 = 0 and Delta23 = f12, so the two combinations are
+    #     E1 = -f12 a' + (a - c) Delta23,    E2 = f12 (2b - b').
+    # E1 is linear in (a, c) and free of b; E2 is linear in b and free of
+    # (a, c).  Flipping the sign of b, or of a (which flips c), keeps both at
+    # zero.  E2 also vanishes for any b with b' = 2b, so it cannot see a b of
+    # the wrong size: only the Gauss equation (checked by sff) fixes it.
+    fam = novikov_preset()
+    env = sample_envs(fam, 200, np.random.default_rng(0))
+    assert np.all(fam.fij(2, 2)(env) == 0.0) and np.all(delta(fam, env, 1, 3) == 0.0)
+    assert np.allclose(delta(fam, env, 2, 3), fam.fij(1, 2)(env), rtol=1e-14, atol=0.0)
+    for same in (lambda t, ip: replace(t, bsign=-t.bsign),
+                 lambda t, ip: replace(t, a_sign=-t.a_sign),
+                 lambda t, ip: _scale_b(t, 1.001)):
+        code, doc, _ = _codazzi_with(tmp_path, monkeypatch, NOVIKOV_STRIP, same)
+        assert code == EXIT_OK and doc["E1_max"] <= 1e-12 and doc["E2_max"] <= 1e-12
+
+
+def test_pde_csv_bytes_equal_the_per_cell_writer(tmp_path):
+    field, csv = tmp_path / "f.pssf", tmp_path / "u.csv"
+    assert run(["pde", "--preset", "novikov", "--nx", "16", "--dt", "1e-3", "--tmax", "0.01",
+                "--out", str(field), "--csv", str(csv), "--report", str(tmp_path / "r.json"),
+                "--deterministic"]) == EXIT_OK
+    f = load_field(field)
+    want = ["x,t,u\n"]  # the former writer of pde.export_csv, one f-string per cell
+    for j, t in enumerate(f.times):
+        for i, x in enumerate(f.grid.nodes()):
+            want.append(f"{float(x)!r},{float(t)!r},{float(f.frames[j, i])!r}\n")
+    assert len(want) == 1 + 11 * 16
+    assert csv.read_bytes() == "".join(want).encode("utf-8")
+
+
 def test_usage_error_exit_1(capsys):
     assert run(["verify"]) == EXIT_USAGE
     assert run(["sff", "--preset", "novikov", "--tol", "-1"]) == EXIT_USAGE
     assert "pss:" in capsys.readouterr().err
+
+
+def test_bad_seed_and_non_finite_immersion_flags_are_one_line(tmp_path, capsys):
+    spec = tmp_path / "t24.json"
+    spec.write_text(json.dumps({"branch": "T24", "params": {"mu2": 0.6, "eta2": 1.0, "lam": 1.0, "C": 0.3},
+                                "f": "s", "phi12": "z1"}))
+    ode = ["sff", "--family", str(spec), "--beta", "0.3", "--b0", "1.2"]
+    seed_line = "pss: argument --seed: must be a non-negative integer, got '-1'\n"
+    table = [
+        # (argv, stderr line)
+        (["verify", "--preset", "novikov", "--seed", "-1"], seed_line),
+        (["codazzi", "--preset", "novikov", "--sigma", "3", "--beta", "0.5", "--seed", "-1"], seed_line),
+        ([*ode, "--eps", "inf"], "pss: --eps must be finite\n"),
+        ([*ode, "--h", "inf"], "pss: --h must be finite\n"),
+        ([*ode, "--h=-inf"], "pss: --h must be > 0\n"),
+        ([*ode, "--s0", "inf"], "pss: --s0 must be finite\n"),
+        ([*ode, "--b0", "inf"], "pss: --b0 must be finite\n"),
+        ([*ode, "--beta", "nan"], "pss: --beta must be finite\n"),
+        (["sff", "--preset", "t22-demo", "--Cstrip", "inf"], "pss: --Cstrip must be finite\n"),
+        (["sff", "--preset", "t22-demo", "--Cstrip", "3", "--beta=-inf"], "pss: --beta must be finite\n"),
+        (["sff", "--preset", "novikov", "--sigma", "inf"], "pss: --sigma must be finite\n"),
+        (["codazzi", "--preset", "novikov", "--sigma", "nan"], "pss: --sigma must be finite\n"),
+        (["reconstruct", "--preset", "sine-gordon", "--soliton", "--eps", "inf"], "pss: --eps must be finite\n"),
+    ]
+    rep = tmp_path / "r.json"
+    for argv, line in table:
+        code = run([*argv, "--report", str(rep), "--deterministic"])
+        assert (code, capsys.readouterr().err) == (EXIT_USAGE, line), argv
+        assert not rep.exists()
 
 
 def test_catalog_lists_presets(tmp_path):
@@ -278,6 +395,7 @@ def test_config_values_take_the_flag_checks(tmp_path, capsys):
         (["reconstruct", "--preset", "sine-gordon", "--soliton"], {"grid": "-3x10"}, EXIT_USAGE, None),
         (["verify", "--preset", "t22-demo"], {"samples": 0}, EXIT_USAGE, None),
         (["verify", "--preset", "t22-demo"], {"samples": 40}, EXIT_OK, ("samples", 40)),
+        (["verify", "--preset", "t22-demo"], {"seed": -1}, EXIT_USAGE, None),
         (["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01"], {"space": "3"}, EXIT_USAGE, None),
         (["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01"], {"space": 4}, EXIT_OK, ("result", "ok")),
         (["reconstruct", "--preset", "sine-gordon"], {"soliton": "yes"}, EXIT_USAGE, None),
@@ -321,6 +439,7 @@ def test_pde_input_checks(tmp_path, capsys):
         (["--xmin", "1", "--xmax", "1"], "pss: --xmax must be > --xmin\n"),
         (["--dt", "0.001", "--u0", "exp(1000*cos(x))"], "pss: --u0 must be finite on the grid\n"),
         (["--u0", "1e999"], "pss: --u0 must be finite on the grid\n"),
+        (["--seed", "-1"], "pss: argument --seed: must be a non-negative integer, got '-1'\n"),
     ]
     for extra, want in table:
         rep = tmp_path / "r.json"

@@ -1,6 +1,5 @@
 """Universal triples: closed forms, strips, the b-ODE march, non-existence."""
 
-import copy
 import math
 
 import numpy as np
@@ -16,15 +15,13 @@ from pss.immersion import (
     NoImmersion,
     Representation,
     TripleDomainError,
-    closed_form_triple,
     codazzi_residuals,
     gauss_residual,
     integrate_b_ode,
-    ode_backsubstitution_residuals,
     solve_triple,
-    strip_bounds,
 )
 from pss.verifier import sample_envs
+from references import fd6, ode_backsubstitution_residuals, trim
 
 
 def _jets(fam, n, seed=0):
@@ -48,7 +45,7 @@ def test_gauss_residual_values():
 def test_strip_endpoints_golden_ratio_like():
     fam = t22_demo_preset()
     ip = ImmersionParams(beta=1.0, C_strip=3.0)
-    lo, hi = strip_bounds(fam, ip)
+    lo, hi = solve_triple(fam, ip).validity
     assert math.exp(2 * lo) == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-12)
     assert math.exp(2 * hi) == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
 
@@ -56,16 +53,16 @@ def test_strip_endpoints_golden_ratio_like():
 def test_strip_requires_strict_inequality():
     fam = t22_demo_preset()
     with pytest.raises(InvalidStrip):
-        strip_bounds(fam, ImmersionParams(beta=1.0, C_strip=1.0))
+        solve_triple(fam, ImmersionParams(beta=1.0, C_strip=1.0))
     with pytest.raises(InvalidStrip):
-        strip_bounds(fam, ImmersionParams(beta=0.0, C_strip=-2.0))
+        solve_triple(fam, ImmersionParams(beta=0.0, C_strip=-2.0))
     with pytest.raises(InvalidStrip):
-        strip_bounds(fam, ImmersionParams(beta=1.0, C_strip=None))
+        solve_triple(fam, ImmersionParams(beta=1.0, C_strip=None))
 
 
 def test_strip_one_sided_for_beta_zero():
     fam = t22_demo_preset()
-    lo, hi = strip_bounds(fam, ImmersionParams(beta=0.0, C_strip=2.0))
+    lo, hi = solve_triple(fam, ImmersionParams(beta=0.0, C_strip=2.0)).validity
     assert lo == pytest.approx(-0.5 * math.log(2.0), abs=1e-14)
     assert hi == math.inf
 
@@ -73,7 +70,7 @@ def test_strip_one_sided_for_beta_zero():
 def test_prop41i_hand_values_at_origin():
     fam = t22_demo_preset()
     ip = ImmersionParams(beta=1.0, C_strip=3.0, a_sign=1)
-    a, b, c = closed_form_triple(fam, ip, 0.0)
+    a, b, c = solve_triple(fam, ip).abc(0.0)
     assert (a, b, c) == (pytest.approx(1.0), pytest.approx(-1.0), pytest.approx(0.0))
     trip = solve_triple(fam, ip)
     a, b, c, ap, bp, cp = trip.abc_derivs(0.0)
@@ -218,26 +215,14 @@ def test_ode_march_gauss_by_construction():
     assert np.max(np.abs(gauss_residual(a, b, c))) <= 1e-10
 
 
-def _fd6(y, h):
-    return (-y[:-6] + 9 * y[1:-5] - 45 * y[2:-4] + 45 * y[4:-2] - 9 * y[5:-1] + y[6:]) / (60 * h)
-
-
-def _trim(trip, m=3):
-    """The ODE-table triple with m table points cut from each end."""
-    out = copy.copy(trip)
-    out.s, out.b, out.bprime = trip.s[m:-m], trip.b[m:-m], trip.bprime[m:-m]
-    out.validity = (out.s[0], out.s[-1])
-    return out
-
-
 def test_ode_backsubstitution_and_richardson():
     fam = _t22_ode_family()
     res = {}
     for h in (1e-3, 5e-4):
         ip = ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=h, eps=0.3)
         trip = solve_triple(fam, ip)
-        fd = _fd6(trip.b, h)
-        r = ode_backsubstitution_residuals(_trim(trip), bprime=fd)
+        fd = fd6(trip.b, h)
+        r = ode_backsubstitution_residuals(trim(trip), bprime=fd)
         res[h] = float(np.max(np.abs(r)))
     assert res[1e-3] <= 1e-6
     ratio = res[1e-3] / res[5e-4]

@@ -12,11 +12,10 @@ from pss.verifier import (
     certify_structure,
     check_theorem21_conditions,
     delta,
-    nondegeneracy,
-    perturbed_family,
     sample_envs,
     structure_residuals_env,
 )
+from references import perturbed_family
 
 
 def jp(z, w1=0.3, v1=0.2):
@@ -71,6 +70,12 @@ def test_delta_t22_zero_mu2_first_form_determinant():
     for _ in range(20):
         z = rng.uniform(-1, 1, 4)
         assert delta(fam, jp(z), 1, 2) == pytest.approx(-fam.params.eta2 * z[1], abs=1e-13)
+
+
+def test_delta_sine_gordon_first_form_determinant():
+    sg = sine_gordon_preset(eta=1.0)
+    assert delta(sg, jp([0.8, 0.1, 0.0, 0.0]), 1, 2) == pytest.approx(-math.sin(0.8), abs=1e-14)
+    assert delta(sg, jp([0.0, 0.1, 0.0, 0.0]), 1, 2) == 0.0  # degenerate exactly at z0 in pi Z
 
 
 # ----------------------------------------------------------------------
@@ -136,17 +141,6 @@ def test_sensitivity_every_fij_perturbation_is_seen(which):
     assert np.mean(worst > 1e-4) > 0.5
 
 
-def test_nondegeneracy_examples():
-    sg = sine_gordon_preset(eta=1.0)
-    d12, ok = nondegeneracy(sg, jp([0.8, 0.1, 0.0, 0.0]))
-    assert d12 == pytest.approx(-math.sin(0.8), abs=1e-14) and ok
-    d12, ok = nondegeneracy(sg, jp([0.0, 0.1, 0.0, 0.0]))
-    assert not ok  # degenerate exactly at z0 in pi Z
-    t22 = PRESETS["t22-demo"]()
-    d12, ok = nondegeneracy(t22, jp([0.5, 0.0, 0.2, 0.0]))  # phi12 = z1 = 0
-    assert not ok
-
-
 # ----------------------------------------------------------------------
 # Theorem 2.1 conditions
 
@@ -202,7 +196,7 @@ def test_theorem21_detects_translation_violation():
 
 def test_report_json_shape():
     rep = certify(novikov_preset(), samples=200, tol=1e-8, seed=7)
-    doc = json.loads(rep.to_json())
+    doc = json.loads(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
     assert doc["family"] == "novikov"
     assert doc["seed"] == 7
     assert {"R1_max", "R2_max", "R3_max", "c36", "c39", "c42_min"} <= set(doc["residuals"])
@@ -210,8 +204,8 @@ def test_report_json_shape():
 
 
 def test_reports_are_reproducible_for_a_seed():
-    a = certify_structure(novikov_preset(), samples=300, tol=1e-8, seed=11).to_json()
-    b = certify_structure(novikov_preset(), samples=300, tol=1e-8, seed=11).to_json()
+    a, b = (json.dumps(certify_structure(novikov_preset(), samples=300, tol=1e-8, seed=11).to_dict(),
+                       indent=2, sort_keys=True) for _ in range(2))
     assert a == b
 
 

@@ -29,6 +29,7 @@ from .catalog import (
 )
 from .expr import ExprError
 from .immersion import (
+    MAX_ODE_STEPS,
     DiscriminantCollapse,
     ImmersionParams,
     InvalidStrip,
@@ -215,10 +216,15 @@ def _check_ranges(args):
         v = getattr(args, name, None)
         if v is not None and not v > 0:
             raise _UsageError(f"--{name} must be > 0")
-    for name in ("beta", "Cstrip", "sigma", "b0", "s0", "h", "eps"):
+    for name in ("beta", "Cstrip", "sigma", "b0", "s0", "h", "eps", "tmax", "dt", "xmin", "xmax"):
         v = getattr(args, name, None)
         if v is not None and not np.isfinite(v):
             raise _UsageError(f"--{name} must be finite")
+    if getattr(args, "h", None) is not None and args.eps / args.h > MAX_ODE_STEPS + 0.5:
+        raise _UsageError(f"--eps / --h must be at most {MAX_ODE_STEPS} b-ODE steps per direction")
+    eta = getattr(args, "eta", None)
+    if eta is not None and not (np.isfinite(eta) and eta != 0.0):
+        raise _UsageError("--eta must be finite and nonzero")
     for name, lo in (("nsave", 2), ("nx", 16)):
         v = getattr(args, name, None)
         if v is not None and v < lo:

@@ -22,6 +22,13 @@ initial frame is the standard triad; any other orthonormal choice differs
 by a rigid motion.  Path-independence (x-then-t versus t-then-x) holds
 only to truncation order discretely, so the gap is measured and reported,
 never assumed.
+
+The system is linear, Y' = A Y for the 4x3 block Y = [r; e1; e2; e3], so
+one RK4 step is the 4x4 matrix P = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
+K1 = A0, K2 = Ah + h/2 Ah K1, K3 = Ah + h/2 Ah K2 and K4 = A1 + h A1 K3
+(A0, Ah, A1 the generators at the stage abscissae), and the march is one
+batched P @ Y per step.  The step matrices are built 16 steps at a time:
+built at once, they raise the traced peak of a 201x201 mesh by a fifth.
 """
 
 from __future__ import annotations
@@ -50,6 +57,9 @@ __all__ = [
 
 # largest orthonormality drift of the marched frame that integrate_frame accepts
 DRIFT_THRESHOLD = 1e-3
+
+# steps whose RK4 step matrices _march builds at once
+_BLOCK = 16
 
 
 class FrameDriftError(RuntimeError):
@@ -113,28 +123,6 @@ def _coefficients(fam, trip, field, x, t, column):
     return tuple(np.broadcast_to(cc, x.shape) for cc in (f1, f2, f3, w13, w23))
 
 
-def _apply(coeffs, r, e1, e2, e3):
-    w1, w2, w3, w13, w23 = (np.asarray(cc)[..., None] for cc in coeffs)
-    dr = w1 * e1 + w2 * e2
-    de1 = w3 * e2 + w13 * e3
-    de2 = -w3 * e1 + w23 * e3
-    de3 = -w13 * e1 - w23 * e2
-    return dr, de1, de2, de3
-
-
-def _rk4_step(c0, ch, c1, state, h):
-    """One classical RK4 step from coefficient sets sampled at abscissae 0, h/2 and h."""
-    r, e1, e2, e3 = state
-    k1 = _apply(c0, r, e1, e2, e3)
-    k2 = _apply(ch, *(s + 0.5 * h * k for s, k in zip(state, k1)))
-    k3 = _apply(ch, *(s + 0.5 * h * k for s, k in zip(state, k2)))
-    k4 = _apply(c1, *(s + h * k for s, k in zip(state, k3)))
-    return tuple(
-        s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-    )
-
-
 def _orthonormality_drift(e1, e2, e3):
     out = 0.0
     for u, v, target in (
@@ -162,10 +150,10 @@ def integrate_frame(
     xs = x0 + hx * np.arange(sx + 1)
     ts = t0 + ht * np.arange(st + 1)
 
-    r, e1, e2, e3 = _sweep(fam, trip, field, xs, ts, spine="x")
+    r, e1, e2, e3 = np.moveaxis(_sweep(fam, trip, field, xs, ts, spine="x"), 2, 0)
     diag = {}
     if measure_compat and sx > 0 and st > 0:
-        r2, *_ = _sweep(fam, trip, field, xs, ts, spine="t")
+        r2 = _sweep(fam, trip, field, xs, ts, spine="t")[..., 0, :]
         diag["compat_max"] = float(np.max(np.linalg.norm(r - r2, axis=-1)))
     else:
         diag["compat_max"] = 0.0
@@ -203,56 +191,64 @@ def integrate_frame(
     return mesh
 
 
-def _identity_state(n):
-    eye = np.eye(3)
-    return (
-        np.zeros((n, 3)),
-        np.tile(eye[0], (n, 1)),
-        np.tile(eye[1], (n, 1)),
-        np.tile(eye[2], (n, 1)),
-    )
-
-
 def _stage_abscissae(grid):
     """(steps, 3) RK4 stage abscissae g_i, g_i + 0.5*h_i, g_i + h_i with h_i = g_{i+1} - g_i."""
     return grid[:-1, None] + np.array([0.0, 0.5, 1.0]) * np.diff(grid)[:, None]
 
 
-def _sweep(fam, trip, field, xs, ts, spine):
-    """March the spine then all transverse lines; returns (r, e1, e2, e3) arrays.
+def _generators(coeffs):
+    """(..., 4, 4) matrices A with [r; e1; e2; e3]' = A [r; e1; e2; e3] from (w1, w2, w3, w13, w23)."""
+    w1, w2, w3, w13, w23 = coeffs
+    A = np.zeros(np.shape(w1) + (4, 4))
+    A[..., 0, 1], A[..., 0, 2] = w1, w2
+    A[..., 1, 2], A[..., 1, 3] = w3, w13
+    A[..., 2, 1], A[..., 2, 3] = -w3, w23
+    A[..., 3, 1], A[..., 3, 2] = -w13, -w23
+    return A
 
-    Output layout is always (len(xs), len(ts), 3); `spine` picks the path:
-    "x" integrates x first along t = ts[0], "t" integrates t first along
-    x = xs[0] (used only to measure the path-independence gap).  The spine's
-    stage coefficients come from one field call, shape (steps, 3), and those
-    of every transverse step from one more, shape (steps, 3, n).
+
+def _march(coef, hs, Y):
+    """Y[k + 1] = P_k Y[k] for every step k, from the stage coefficients `coef`,
+    each (steps, 3, ...), and the step sizes `hs`; Y[k] is (..., 4, 3)."""
+    for k0 in range(0, len(hs), _BLOCK):
+        A = _generators([c[k0:k0 + _BLOCK] for c in coef])
+        h = np.reshape(hs[k0:k0 + _BLOCK], (-1,) + (1,) * (A.ndim - 2))
+        A0, Ah, A1 = A[:, 0], A[:, 1], A[:, 2]
+        K2 = Ah + 0.5 * h * (Ah @ A0)
+        K3 = Ah + 0.5 * h * (Ah @ K2)
+        K4 = A1 + h * (A1 @ K3)
+        P = np.eye(4) + h / 6.0 * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
+        for k, Pk in enumerate(P, k0):
+            np.matmul(Pk, Y[k], out=Y[k + 1])
+
+
+def _sweep(fam, trip, field, xs, ts, spine):
+    """March the spine then all transverse lines; returns the state Y.
+
+    Y has the layout (len(xs), len(ts), 4, 3), rows r, e1, e2, e3 along its
+    third axis; `spine` picks the path: "x" integrates x first along
+    t = ts[0], "t" integrates t first along x = xs[0] (used only to measure
+    the path-independence gap).  The spine's stage coefficients come from
+    one field call, shape (steps, 3), and those of every transverse step
+    from one more, shape (steps, 3, n).
     """
     if spine == "x":
         spine_grid, cross_grid, spine_col, cross_col = xs, ts, 1, 2
     else:
         spine_grid, cross_grid, spine_col, cross_col = ts, xs, 2, 1
-    out = tuple(np.empty((len(spine_grid), len(cross_grid), 3)) for _ in range(4))
 
     def coefficients(along, across, column):
         # (x, t) in field order from a spine-direction and a cross-direction abscissa
         x, t = (along, across) if spine == "x" else (across, along)
         return _coefficients(fam, trip, field, x, t, column)
 
+    Y = np.zeros((len(spine_grid), len(cross_grid), 4, 3))
+    Y[0, 0, 1:] = np.eye(3)
     coef = coefficients(_stage_abscissae(spine_grid), cross_grid[0], spine_col)
-    state = _identity_state(1)
-    spine_states = [state]
-    for i, h in enumerate(np.diff(spine_grid)):
-        state = _rk4_step(*(tuple(cc[i, k] for cc in coef) for k in range(3)), state, h)
-        spine_states.append(state)
-    state = tuple(np.concatenate([s[q] for s in spine_states]) for q in range(4))
-    for q in range(4):
-        out[q][:, 0] = state[q]
+    _march(coef, np.diff(spine_grid), Y[:, 0])
     coef = coefficients(spine_grid, _stage_abscissae(cross_grid)[:, :, None], cross_col)
-    for j, h in enumerate(np.diff(cross_grid)):
-        state = _rk4_step(*(tuple(cc[j, k] for cc in coef) for k in range(3)), state, h)
-        for q in range(4):
-            out[q][:, j + 1] = state[q]
-    return out if spine == "x" else tuple(np.swapaxes(o, 0, 1) for o in out)
+    _march(coef, np.diff(cross_grid), np.swapaxes(Y, 0, 1))
+    return Y if spine == "x" else np.swapaxes(Y, 0, 1)
 
 
 # ----------------------------------------------------------------------

@@ -98,6 +98,10 @@ class DenominatorCollapse(RuntimeError):
 # the denominator of b' is below DENOM_MIN * max(1, |terms|_inf) (_OdeForm._march).
 DELTA_MIN = 1e-8
 DENOM_MIN = 1e-8
+# The most steps, round(eps / h), that the command line lets the march take
+# in each direction; a step costs about 28 us (2-vCPU Xeon VM), so the cap
+# is about half a minute per direction.
+MAX_ODE_STEPS = 10**6
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 None of these is used by the `pss` command line or its reports, so they
 live with the tests: the closed-form sine-Gordon kink, the forward
 Helmholtz operator, the b-ODE back-substitution residual, the discrete
-z_{k,t} of a marched field and a family with one f_ij bumped.
+z_{k,t} of a marched field, a family with one f_ij bumped and the frame
+march as tuple RK4.
 """
 
 import copy
@@ -11,6 +12,7 @@ import copy
 import numpy as np
 
 from pss.catalog import CatalogError
+from pss.frames import _coefficients, _stage_abscissae
 from pss.immersion import Representation
 from pss.jets import JetFunction
 from pss.pde import PdeError, periodic_derivative
@@ -106,3 +108,75 @@ def perturbed_family(fam, i, j, eps=1e-3):
     out.name = f"{fam.name}+eps{(i, j)}"
     out.fij_fns = {**fam.fij_fns, (i, j): JetFunction(bumped, orig.free, f"{orig.name}+eps")}
     return out
+
+
+# ----------------------------------------------------------------------
+# The frame march as tuple RK4: the state (r, e1, e2, e3) is advanced by
+# evaluating the right-hand side four times per step.  frames._sweep builds
+# the same RK4 step as one 4x4 matrix per step and column instead.
+
+
+def _apply(coeffs, r, e1, e2, e3):
+    w1, w2, w3, w13, w23 = (np.asarray(cc)[..., None] for cc in coeffs)
+    dr = w1 * e1 + w2 * e2
+    de1 = w3 * e2 + w13 * e3
+    de2 = -w3 * e1 + w23 * e3
+    de3 = -w13 * e1 - w23 * e2
+    return dr, de1, de2, de3
+
+
+def _rk4_step(c0, ch, c1, state, h):
+    """One classical RK4 step from coefficient sets sampled at abscissae 0, h/2 and h."""
+    r, e1, e2, e3 = state
+    k1 = _apply(c0, r, e1, e2, e3)
+    k2 = _apply(ch, *(s + 0.5 * h * k for s, k in zip(state, k1)))
+    k3 = _apply(ch, *(s + 0.5 * h * k for s, k in zip(state, k2)))
+    k4 = _apply(c1, *(s + h * k for s, k in zip(state, k3)))
+    return tuple(
+        s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+    )
+
+
+def _identity_state(n):
+    eye = np.eye(3)
+    return (
+        np.zeros((n, 3)),
+        np.tile(eye[0], (n, 1)),
+        np.tile(eye[1], (n, 1)),
+        np.tile(eye[2], (n, 1)),
+    )
+
+
+def tuple_rk4_sweep(fam, trip, field, xs, ts, spine):
+    """March the spine then all transverse lines; returns (r, e1, e2, e3) arrays.
+
+    Output layout is always (len(xs), len(ts), 3); `spine` picks the path as
+    in frames._sweep, and the coefficients come from the same two field calls.
+    """
+    if spine == "x":
+        spine_grid, cross_grid, spine_col, cross_col = xs, ts, 1, 2
+    else:
+        spine_grid, cross_grid, spine_col, cross_col = ts, xs, 2, 1
+    out = tuple(np.empty((len(spine_grid), len(cross_grid), 3)) for _ in range(4))
+
+    def coefficients(along, across, column):
+        # (x, t) in field order from a spine-direction and a cross-direction abscissa
+        x, t = (along, across) if spine == "x" else (across, along)
+        return _coefficients(fam, trip, field, x, t, column)
+
+    coef = coefficients(_stage_abscissae(spine_grid), cross_grid[0], spine_col)
+    state = _identity_state(1)
+    spine_states = [state]
+    for i, h in enumerate(np.diff(spine_grid)):
+        state = _rk4_step(*(tuple(cc[i, k] for cc in coef) for k in range(3)), state, h)
+        spine_states.append(state)
+    state = tuple(np.concatenate([s[q] for s in spine_states]) for q in range(4))
+    for q in range(4):
+        out[q][:, 0] = state[q]
+    coef = coefficients(spine_grid, _stage_abscissae(cross_grid)[:, :, None], cross_col)
+    for j, h in enumerate(np.diff(cross_grid)):
+        state = _rk4_step(*(tuple(cc[j, k] for cc in coef) for k in range(3)), state, h)
+        for q in range(4):
+            out[q][:, j + 1] = state[q]
+    return out if spine == "x" else tuple(np.swapaxes(o, 0, 1) for o in out)

@@ -177,12 +177,23 @@ def test_bad_seed_and_non_finite_immersion_flags_are_one_line(tmp_path, capsys):
         (["sff", "--preset", "novikov", "--sigma", "inf"], "pss: --sigma must be finite\n"),
         (["codazzi", "--preset", "novikov", "--sigma", "nan"], "pss: --sigma must be finite\n"),
         (["reconstruct", "--preset", "sine-gordon", "--soliton", "--eps", "inf"], "pss: --eps must be finite\n"),
+        # about 1e300 steps per direction: refused before the march starts
+        ([*ode, "--h", "1e-300", "--eps", "1"], "pss: --eps / --h must be at most 1000000 b-ODE steps per direction\n"),
+        ([*ode, "--h", "1e-300", "--eps", "1e300"],
+         "pss: --eps / --h must be at most 1000000 b-ODE steps per direction\n"),
+        ([*ode, "--h", "1e-6", "--eps", "1.0000006"],
+         "pss: --eps / --h must be at most 1000000 b-ODE steps per direction\n"),
+        *((["reconstruct", "--preset", "sine-gordon", "--soliton", "--eta", eta],
+           "pss: --eta must be finite and nonzero\n") for eta in ("inf", "nan", "0")),
     ]
     rep = tmp_path / "r.json"
     for argv, line in table:
         code = run([*argv, "--report", str(rep), "--deterministic"])
         assert (code, capsys.readouterr().err) == (EXIT_USAGE, line), argv
         assert not rep.exists()
+    # exactly the cap is accepted (a closed-form triple marches nothing)
+    assert run(["sff", "--preset", "novikov", "--sigma", "3", "--beta", "0.5", "--h", "1e-6", "--eps", "1",
+                "--report", str(rep), "--deterministic"]) == EXIT_OK
 
 
 def test_catalog_lists_presets(tmp_path):
@@ -440,6 +451,12 @@ def test_pde_input_checks(tmp_path, capsys):
         (["--dt", "0.001", "--u0", "exp(1000*cos(x))"], "pss: --u0 must be finite on the grid\n"),
         (["--u0", "1e999"], "pss: --u0 must be finite on the grid\n"),
         (["--seed", "-1"], "pss: argument --seed: must be a non-negative integer, got '-1'\n"),
+        (["--tmax", "inf"], "pss: --tmax must be finite\n"),
+        (["--dt", "inf"], "pss: --dt must be finite\n"),
+        (["--dt", "nan"], "pss: --dt must be > 0\n"),
+        (["--xmin=-inf"], "pss: --xmin must be finite\n"),
+        (["--xmin", "nan"], "pss: --xmin must be finite\n"),
+        (["--xmax", "inf"], "pss: --xmax must be finite\n"),
     ]
     for extra, want in table:
         rep = tmp_path / "r.json"

@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pss import frames
 from pss.catalog import FamilyParams, Branch, build_family, novikov_preset, sine_gordon_preset
 from pss.frames import (
     SurfaceMesh,
@@ -22,6 +24,7 @@ from pss.frames import (
 from pss.immersion import ImmersionParams, Representation, solve_triple
 from pss.pde import Grid1D, exact_field, kink_field, solve_mol
 from pss.verifier import delta, sample_envs
+from references import tuple_rk4_sweep
 
 
 def jp(z):
@@ -483,3 +486,63 @@ def test_integrate_frame_samples_once_per_spine_and_step():
     assert len(calls) == 5 and [c[2] for c in calls] == [2] * 5
     assert [np.broadcast_shapes(*(np.shape(a) for a in c[:2])) for c in calls] == [
         (7, 3), (5, 3, 8), (5, 3), (7, 3, 6), (8, 6)]
+
+
+# ----------------------------------------------------------------------
+# the propagator march against the tuple RK4 it replaced
+#
+# Both march the same RK4 from the same coefficients; the step matrices
+# associate its sums differently, so vertices and frames differ by rounding
+# only.  drift_max and compat_max are differences of O(1) values (about 5e-12
+# and 5e-10 on the kink), so that rounding, about 1e-15, moves them by a
+# larger relative amount than the vertices: up to 4e-4 and 2e-6 on the kink.
+
+
+def _reference_sweep(*args, **kwargs):
+    """tuple_rk4_sweep in the (len(xs), len(ts), 4, 3) state layout of frames._sweep."""
+    return np.stack(tuple_rk4_sweep(*args, **kwargs), axis=2)
+
+
+def _kink_window():
+    return (*_kink_setup(), dict(origin=(-2.1, -2.1), steps=(200, 200), h=1.9 / 200))
+
+
+def _novikov_window():
+    fam, trip, field, origin, _ = _novikov_numeric_setup()
+    return fam, trip, field, dict(origin=origin, steps=(32, 6), h=(0.36 / 32, 0.003))
+
+
+@pytest.mark.parametrize("window", [_kink_window, _novikov_window], ids=["kink-201", "novikov-numeric"])
+def test_propagator_march_matches_the_tuple_rk4(window, monkeypatch):
+    fam, trip, field, where = window()
+    mesh = integrate_frame(fam, trip, field, **where)
+    for spine in ("x", "t"):
+        Y = frames._sweep(fam, trip, field, mesh.xs, mesh.ts, spine)
+        want = _reference_sweep(fam, trip, field, mesh.xs, mesh.ts, spine)
+        assert np.max(np.abs(Y[..., 0, :] - want[..., 0, :])) <= 1e-13, spine  # vertices
+        assert np.max(np.abs(Y[..., 1:, :] - want[..., 1:, :])) <= 1e-14, spine  # e1, e2, e3
+    monkeypatch.setattr(frames, "_sweep", _reference_sweep)
+    ref = integrate_frame(fam, trip, field, **where)
+    for key, rel in (("drift_max", 1e-2), ("compat_max", 1e-5)):
+        assert mesh.diagnostics[key] == pytest.approx(ref.diagnostics[key], rel=rel), key
+
+
+def test_propagator_march_memory_stays_at_the_tuple_rk4s():
+    """The step matrices are built a block of steps at a time: built for all
+    200 steps of the kink at once they raise the traced peak by about a fifth."""
+    fam, trip, field, where = _kink_window()
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            integrate_frame(fam, trip, field, **where)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    integrate_frame(fam, trip, field, **where)  # caches and compiled programs are not counted
+    peak = traced_peak()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frames, "_sweep", _reference_sweep)
+        ref = traced_peak()
+    assert peak <= 1.05 * ref, (peak, ref)

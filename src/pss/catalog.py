@@ -1,7 +1,8 @@
 """Catalog of classified equation families u_t - u_xxt = lam*u^2*u_xxx + G.
 
-Each family carries the six coefficient functions f_ij of the associated
-1-forms omega_i = f_i1 dx + f_i2 dt, the right-hand side G, and the flux
+Each family carries the coefficients f_ij of the associated 1-forms
+omega_i = f_i1 dx + f_i2 dt as two columns, `column(1)` = (f11, f21, f31)
+and `column(2)` = (f12, f22, f32), the right-hand side G, and the flux
 F = lam*z0^2*z3 + G.  The branches:
 
     T22         f, phi12 free;     T24 at lam = C = 0
@@ -19,11 +20,13 @@ identities shared by the five form-(7) branches (all but SINE_GORDON):
     f_i2 = -lam * z0^2 * f_i1 + phi_i2  (phi_i2 a function of z0, z1 only)
     f_i1 depends on z0, z2 only through s = z0 - z2
 
-Each form-(7) builder supplies only f11, phi12, phi22, phi32 and G;
-`Family._form7` applies the first two identities once for all of them,
-with the resolved (mu2, eta2) and (mu3, eta3).  T22 is T24 at lam = C = 0
-(same mu3, eta3), so the T24 builder makes both; its lam and C terms are
-exact zeros there.  The sine-Gordon builder spells out its six f_ij.
+Each form-(7) builder supplies only f11, phi12, phi22, phi32 (the last two
+take the phi12 value) and G; `Family._form7` assembles the two columns
+through the first two identities, with the resolved (mu2, eta2) and
+(mu3, eta3), so a column evaluates f11 and phi12 once.  T22 is T24 at
+lam = C = 0 (same mu3, eta3), so the T24 builder makes both; its lam and C
+terms are exact zeros there.  The sine-Gordon builder spells out its two
+columns.  `fij(i, j)` is a view of one entry of a column.
 
 Derived constants (never user-set): gamma and eta3 for T23 (eta3 solves
 eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0, root chosen by `root`);
@@ -52,6 +55,7 @@ __all__ = [
     "ConstraintViolation",
     "MissingExpression",
     "validate_params",
+    "delta",
     "build_family",
     "novikov_preset",
     "sine_gordon_preset",
@@ -287,12 +291,11 @@ class Family:
                 raise MissingExpression(f"branch {p.branch} requires the expression {nm!r}")
         builder(float(p.sign), _k(p.mu2))
 
-    def _wrap(self, fns, g_fn, phi_fns):
+    def _wrap(self, column1, column2, g_fn, phi12, phi_column):
         zfree = frozenset({"z0", "z1", "z2"})
-        names = ("f11", "f12", "f21", "f22", "f31", "f32")
-        self.fij_fns = {
-            (1 + i // 2, 1 + i % 2): JetFunction(fn, zfree, nm)
-            for i, (fn, nm) in enumerate(zip(fns, names))
+        self.columns = {
+            1: JetFunction(column1, zfree, "(f11, f21, f31)"),
+            2: JetFunction(column2, zfree, "(f12, f22, f32)"),
         }
         self.G_fn = None if g_fn is None else JetFunction(g_fn, zfree, "G")
         if g_fn is None:
@@ -304,31 +307,31 @@ class Family:
                 return _lam * env["z0"] ** 2 * env["z3"] + _g(env)
 
             self.F_fn = JetFunction(F, zfree | {"z3"}, "F")
-        self.phi12_fn, self.phi22_fn, self.phi32_fn = (
-            JetFunction(fn, {"z0", "z1"}, nm) for fn, nm in zip(phi_fns, ("phi12", "phi22", "phi32"))
-        )
+        self.phi12_fn = JetFunction(phi12, {"z0", "z1"}, "phi12")
+        self.phi_column = JetFunction(phi_column, {"z0", "z1"}, "(phi12, phi22, phi32)")
 
-    def _form7(self, f11, phi_fns, G):
-        """Assemble a form-(7) family from f11, (phi12, phi22, phi32) and G
+    def _form7(self, f11, phi12, phi22, phi32, G):
+        """Assemble a form-(7) family from f11, phi12, phi22, phi32 and G
         through the structural identities f_p1 = mu_p*f11 + eta_p (p = 2, 3)
-        and f_i2 = -lam*z0^2*f_i1 + phi_i2, with the resolved mu_p, eta_p."""
+        and f_i2 = -lam*z0^2*f_i1 + phi_i2, with the resolved mu_p, eta_p.
+        phi22 and phi32 take the phi12 value, so a column evaluates f11 and
+        phi12 once."""
         p = self.params
         lam, mu2, eta2, mu3, eta3 = p.lam, p.mu2, p.eta2, p.mu3, p.eta3
 
-        def f21(env):
-            return mu2 * f11(env) + eta2
+        def column1(env):
+            v11 = f11(env)
+            return v11, mu2 * v11 + eta2, mu3 * v11 + eta3
 
-        def f31(env):
-            return mu3 * f11(env) + eta3
+        def phi_column(env):
+            p12 = phi12(env)
+            return p12, phi22(env, p12), phi32(env, p12)
 
-        def column2(fi1, phi):
-            def fi2(env):
-                return -lam * env["z0"] ** 2 * fi1(env) + phi(env)
+        def column2(env):
+            q = -lam * env["z0"] ** 2
+            return tuple(q * fi1 + phi for fi1, phi in zip(column1(env), phi_column(env)))
 
-            return fi2
-
-        f12, f22, f32 = (column2(fi1, phi) for fi1, phi in zip((f11, f21, f31), phi_fns))
-        self._wrap((f11, f12, f21, f22, f31, f32), G, phi_fns)
+        self._wrap(column1, column2, G, phi12, phi_column)
 
     def _f11_of_s(self):
         """f11 = f(s), s = z0 - z2, for the branches with a free profile f."""
@@ -339,14 +342,6 @@ class Family:
 
         return f11
 
-    def _phi12_of_expr(self):
-        px = self.phi12_expr
-
-        def phi12(env):
-            return px({"z0": env["z0"], "z1": env["z1"]})
-
-        return phi12
-
     def _build_t23(self, s, k):
         p = self.params
         fx = self.f_expr
@@ -356,10 +351,10 @@ class Family:
         def phi12(env):
             return -q * env["z0"] * env["z1"]
 
-        def phi22(env):
+        def phi22(env, p12):
             return -mu2 * q * env["z0"] * env["z1"]
 
-        def phi32(env):
+        def phi32(env, p12):
             return -mu3 * q * env["z0"] * env["z1"]
 
         def G(env):
@@ -373,19 +368,21 @@ class Family:
             )
             return -(lam / fp) * inner
 
-        self._form7(self._f11_of_s(), (phi12, phi22, phi32), G)
+        self._form7(self._f11_of_s(), phi12, phi22, phi32, G)
 
     def _build_t24(self, s, k):
         p = self.params
         fx, px = self.f_expr, self.phi12_expr
         lam, mu2, eta2, C = p.lam, p.mu2, p.eta2, p.C
-        phi12 = self._phi12_of_expr()
 
-        def phi22(env):
-            return mu2 * phi12(env) + C + lam * eta2 * env["z0"] ** 2
+        def phi12(env):
+            return px({"z0": env["z0"], "z1": env["z1"]})
 
-        def phi32(env):
-            return s * (k * phi12(env) + mu2 * (lam * eta2 * env["z0"] ** 2 + C) / k)
+        def phi22(env, p12):
+            return mu2 * p12 + C + lam * eta2 * env["z0"] ** 2
+
+        def phi32(env, p12):
+            return s * (k * p12 + mu2 * (lam * eta2 * env["z0"] ** 2 + C) / k)
 
         def G(env):
             z0, z1, z2 = env["z0"], env["z1"], env["z2"]
@@ -400,7 +397,7 @@ class Family:
                 - (2.0 * lam * z0 * z1 + s * eta2 / k * lam * z0**2 + s * C / k) * fv
             ) / fp
 
-        self._form7(self._f11_of_s(), (phi12, phi22, phi32), G)
+        self._form7(self._f11_of_s(), phi12, phi22, phi32, G)
 
     def _build_t25i(self, s, k):
         p = self.params
@@ -420,11 +417,11 @@ class Family:
                 (m * z0 - n) / theta + s * (mu2 - m * eta2 / theta) * z1 / k
             )
 
-        def phi22(env):
-            return mu2 * phi12(env) + W(env["z0"]) * (s * k * env["z1"] - eta2 / theta)
+        def phi22(env, p12):
+            return mu2 * p12 + W(env["z0"]) * (s * k * env["z1"] - eta2 / theta)
 
-        def phi32(env):
-            return mu3 * phi12(env) + W(env["z0"]) * (mu2 * env["z1"] - eta3 / theta)
+        def phi32(env, p12):
+            return mu3 * p12 + W(env["z0"]) * (mu2 * env["z1"] - eta3 / theta)
 
         def G(env):
             z0, z1, z2 = env["z0"], env["z1"], env["z2"]
@@ -437,7 +434,7 @@ class Family:
                 - (2.0 / theta) * z1 * z2
             ) + (theta * z1**3 + 2.0 * z0 * z1 + z1 * z2 - m1 * z1) * theta * B * E
 
-        self._form7(f11, (phi12, phi22, phi32), G)
+        self._form7(f11, phi12, phi22, phi32, G)
 
     def _build_t25ii(self, s, k):
         p = self.params
@@ -460,13 +457,13 @@ class Family:
             Ez = dual.exp(s * tau * z1)
             return (s * tau * (m * z0 - n) * pv + m * pd * z1) * Ez - s * (2.0 * lam * m / tau) * z0 * z1
 
-        def phi22(env):
+        def phi22(env, p12):
             (pv,) = _phi(env["z0"], 0)
-            return mu2 * phi12(env) + s * tau * eta2 * pv * dual.exp(s * tau * env["z1"])
+            return mu2 * p12 + s * tau * eta2 * pv * dual.exp(s * tau * env["z1"])
 
-        def phi32(env):
+        def phi32(env, p12):
             (pv,) = _phi(env["z0"], 0)
-            return mu3 * phi12(env) + s * tau * eta3 * pv * dual.exp(s * tau * env["z1"])
+            return mu3 * p12 + s * tau * eta3 * pv * dual.exp(s * tau * env["z1"])
 
         def G(env):
             z0, z1, z2 = env["z0"], env["z1"], env["z2"]
@@ -479,35 +476,33 @@ class Family:
                 + tau * (s * z1 + tau * z0 * z2 - m2 * tau * z2) * pv * Ez
             )
 
-        self._form7(f11, (phi12, phi22, phi32), G)
+        self._form7(f11, phi12, phi22, phi32, G)
 
     def _build_sg(self, s, k):
         eta = self.params.eta
 
-        def f11(env):
-            return 0.0 * env["z0"]
+        def column1(env):
+            return 0.0 * env["z0"], eta + 0.0 * env["z0"], env["z1"]
 
         def f12(env):
             return dual.sin(env["z0"]) / eta
 
-        def f21(env):
-            return eta + 0.0 * env["z0"]
-
-        def f22(env):
-            return dual.cos(env["z0"]) / eta
-
-        def f31(env):
-            return env["z1"]
-
-        def f32(env):
-            return 0.0 * env["z0"]
+        def column2(env):
+            return f12(env), dual.cos(env["z0"]) / eta, 0.0 * env["z0"]
 
         # with lam = 0, phi_i2 = f_i2 + lam*z0^2*f_i1 is f_i2 itself
-        self._wrap((f11, f12, f21, f22, f31, f32), None, (f12, f22, f32))
+        self._wrap(column1, column2, None, f12, column2)
 
     # -- evaluation surface ----------------------------------------------
+    def column(self, j):
+        """Column j of the coframe: env -> (f_1j, f_2j, f_3j), from one
+        evaluation of f11 (and, for j = 2, of phi12)."""
+        return self.columns[j]
+
     def fij(self, i, j):
-        return self.fij_fns[(i, j)]
+        """f_ij alone, as a view of column j."""
+        col = self.column(j)
+        return JetFunction(lambda env: col(env)[i - 1], col.free, f"f{i}{j}")
 
     @property
     def is_form7(self):
@@ -626,6 +621,11 @@ def load_family(path) -> Family:
 
 # ----------------------------------------------------------------------
 # Public operations
+
+
+def delta(col1, col2, i, j):
+    """Delta_ij = f_i1 f_j2 - f_j1 f_i2 from the values of the two columns."""
+    return col1[i - 1] * col2[j - 1] - col1[j - 1] * col2[i - 1]
 
 
 def build_family(params: FamilyParams, f=None, phi12=None, phi=None, name=None) -> Family:

@@ -230,10 +230,12 @@ def _check_ranges(args):
         if v is not None and v < lo:
             raise _UsageError(f"--{name} must be >= {lo}")
     if args.command == "pde":
-        from .pde import PdeError, step_count
+        from .pde import MAX_PDE_STEPS, PdeError, step_count
 
         if not args.xmax > args.xmin:
             raise _UsageError("--xmax must be > --xmin")
+        if not args.tmax / args.dt <= MAX_PDE_STEPS + 0.5:
+            raise _UsageError(f"--tmax / --dt must be at most {MAX_PDE_STEPS} RK4 steps")
         try:
             step_count(args.tmax, args.dt)
         except PdeError:
@@ -394,11 +396,9 @@ def _cmd_codazzi(args):
         e1, e2 = codazzi_residuals(fam, trip, env, 0.0, 0.0)
         s_desc = "per-jet u"
     else:
+        # each strip point s = sx*x + st*t on whichever axis has a nonzero coefficient
         s = trip.strip_samples(n)
-        if trip.svar == "t":
-            xv, tv = np.zeros(n), s / max(trip.st, 1e-300)
-        else:
-            xv, tv = s / (trip.sx if trip.sx else 1.0), np.zeros(n)
+        xv, tv = (s / trip.sx, np.zeros(n)) if trip.sx else (np.zeros(n), s / trip.st)
         e1, e2 = codazzi_residuals(fam, trip, env, xv, tv)
         s_desc = f"{n} strip points"
     payload = {

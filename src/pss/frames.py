@@ -38,10 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import Family
+from .catalog import Family, delta
 from .immersion import ImmersionTriple
 from .pde import SolutionField
-from .verifier import delta
 
 __all__ = [
     "SurfaceMesh",
@@ -87,18 +86,16 @@ class SurfaceMesh:
         return self.K[1:-1, 1:-1]
 
 
-def first_form_coefficients(fam: Family, env):
-    """(E, F, G) of I = omega_1^2 + omega_2^2 on a jet environment."""
-    f11, f21 = fam.fij(1, 1)(env), fam.fij(2, 1)(env)
-    f12, f22 = fam.fij(1, 2)(env), fam.fij(2, 2)(env)
+def first_form_coefficients(col1, col2):
+    """(E, F, G) of I = omega_1^2 + omega_2^2 from the column values (f11, f21, f31), (f12, f22, f32)."""
+    (f11, f21, _), (f12, f22, _) = col1, col2
     return f11 * f11 + f21 * f21, f11 * f12 + f21 * f22, f12 * f12 + f22 * f22
 
 
-def second_form_coefficients(fam: Family, abc, env):
-    """(a1, a2, a3) of II given the triple values (a, b, c) on a jet environment."""
+def second_form_coefficients(abc, col1, col2):
+    """(a1, a2, a3) of II from the triple values (a, b, c) and the column values."""
     a, b, c = abc
-    f11, f21 = fam.fij(1, 1)(env), fam.fij(2, 1)(env)
-    f12, f22 = fam.fij(1, 2)(env), fam.fij(2, 2)(env)
+    (f11, f21, _), (f12, f22, _) = col1, col2
     a1 = a * f11 * f11 + 2.0 * b * f11 * f21 + c * f21 * f21
     a2 = a * f11 * f12 + b * (f11 * f22 + f21 * f12) + c * f21 * f22
     a3 = a * f12 * f12 + 2.0 * b * f12 * f22 + c * f22 * f22
@@ -115,9 +112,7 @@ def _coefficients(fam, trip, field, x, t, column):
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     env = field.sample_env(x, t, 2)
     a, b, c = trip.values(env, x, t)
-    f1 = fam.fij(1, column)(env)
-    f2 = fam.fij(2, column)(env)
-    f3 = fam.fij(3, column)(env)
+    f1, f2, f3 = fam.column(column)(env)
     w13 = a * f1 + b * f2
     w23 = b * f1 + c * f2
     return tuple(np.broadcast_to(cc, x.shape) for cc in (f1, f2, f3, w13, w23))
@@ -141,7 +136,6 @@ def integrate_frame(
     origin,
     steps,
     h,
-    measure_compat=True,
 ) -> SurfaceMesh:
     """March the frame over a (steps_x+1) x (steps_t+1) grid from `origin`."""
     x0, t0 = origin
@@ -152,7 +146,7 @@ def integrate_frame(
 
     r, e1, e2, e3 = np.moveaxis(_sweep(fam, trip, field, xs, ts, spine="x"), 2, 0)
     diag = {}
-    if measure_compat and sx > 0 and st > 0:
+    if sx > 0 and st > 0:
         r2 = _sweep(fam, trip, field, xs, ts, spine="t")[..., 0, :]
         diag["compat_max"] = float(np.max(np.linalg.norm(r - r2, axis=-1)))
     else:
@@ -168,12 +162,14 @@ def integrate_frame(
     # per-vertex forms and diagnostics, from one field call over the mesh
     X, T = np.meshgrid(xs, ts, indexing="ij")
     env = field.sample_env(X, T, 2)
+    cols = fam.column(1)(env), fam.column(2)(env)
     EE = np.empty((sx + 1, st + 1, 3))
     II = np.empty((sx + 1, st + 1, 3))
-    EE[..., 0], EE[..., 1], EE[..., 2] = first_form_coefficients(fam, env)
+    EE[..., 0], EE[..., 1], EE[..., 2] = first_form_coefficients(*cols)
     abc = trip.values(env, X, T)
-    II[..., 0], II[..., 1], II[..., 2] = second_form_coefficients(fam, abc, env)
-    d12 = np.abs(np.broadcast_to(delta(fam, env, 1, 2), X.shape))
+    II[..., 0], II[..., 1], II[..., 2] = second_form_coefficients(abc, *cols)
+    d12 = np.abs(np.broadcast_to(delta(*cols, 1, 2), X.shape))
+    del cols  # six mesh-sized arrays that would otherwise stay live through the curvature pass
     diag["degenerate_vertices"] = int(np.count_nonzero(d12 == 0.0))
     diag["delta12_min"] = float(np.min(d12))
 
@@ -256,6 +252,17 @@ def _sweep(fam, trip, field, xs, ts, spine):
 # normalized by the Meyer mixed area.
 
 
+def _triangles(nx, nt):
+    """Vertex indices (row-major in an nx x nt grid) of the triangles that
+    split each quad a, b, c, d into a-b-c and a-c-d; all a-b-c come first."""
+    idx = np.arange(nx * nt).reshape(nx, nt)
+    a = idx[:-1, :-1].ravel()
+    b = idx[1:, :-1].ravel()
+    c = idx[1:, 1:].ravel()
+    d = idx[:-1, 1:].ravel()
+    return np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
+
+
 def discrete_gaussian_curvature(mesh_or_positions):
     """Per-vertex K estimate; NaN on the boundary (incomplete link)."""
     r = mesh_or_positions.r if isinstance(mesh_or_positions, SurfaceMesh) else np.asarray(mesh_or_positions)
@@ -263,12 +270,7 @@ def discrete_gaussian_curvature(mesh_or_positions):
     if nx < 3 or nt < 3:
         return np.full((nx, nt), np.nan)
     V = r.reshape(-1, 3)
-    idx = np.arange(nx * nt).reshape(nx, nt)
-    a = idx[:-1, :-1].ravel()
-    b = idx[1:, :-1].ravel()
-    c = idx[1:, 1:].ravel()
-    d = idx[:-1, 1:].ravel()
-    tris = np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
+    tris = _triangles(nx, nt)
 
     P = V[tris]  # (ntri, 3, 3)
     # per corner: edge vectors u, v to the next two corners, u.v, |u x v| and the cotangent
@@ -295,7 +297,7 @@ def discrete_gaussian_curvature(mesh_or_positions):
         np.add.at(area, tris[:, corner], contrib)
 
     K = np.full(nx * nt, np.nan)
-    interior = idx[1:-1, 1:-1].ravel()
+    interior = np.arange(nx * nt).reshape(nx, nt)[1:-1, 1:-1].ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
         K[interior] = (2.0 * np.pi - angsum[interior]) / area[interior]
     return K.reshape(nx, nt)
@@ -312,12 +314,7 @@ def export_obj(mesh: SurfaceMesh, path):
     N = mesh.e3.reshape(-1, 3)
     norms = np.linalg.norm(N, axis=1, keepdims=True)
     N = N / np.where(norms == 0.0, 1.0, norms)
-    idx = np.arange(nx * nt).reshape(nx, nt)
-    a = idx[:-1, :-1].ravel()
-    b = idx[1:, :-1].ravel()
-    c = idx[1:, 1:].ravel()
-    d = idx[:-1, 1:].ravel()
-    tris = np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
+    tris = _triangles(nx, nt)
     # orient CCW with respect to the stored normals
     flip = 0
     for tri in tris:

@@ -37,7 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .catalog import Branch, CatalogError, Family
+from .catalog import Branch, CatalogError, Family, delta
 
 __all__ = [
     "Representation",
@@ -517,11 +517,9 @@ def codazzi_residuals(fam: Family, trip: ImmersionTriple, env, x: float, t: floa
     functions of x and t only (universal triples) or through u (the
     sine-Gordon triple); the f_ij and Delta_ij are evaluated on the jets.
     """
-    f11, f21 = fam.fij(1, 1)(env), fam.fij(2, 1)(env)
-    f12, f22 = fam.fij(1, 2)(env), fam.fij(2, 2)(env)
-    f31, f32 = fam.fij(3, 1)(env), fam.fij(3, 2)(env)
-    d13 = f11 * f32 - f31 * f12
-    d23 = f21 * f32 - f31 * f22
+    col1, col2 = fam.column(1)(env), fam.column(2)(env)
+    (f11, f21, _), (f12, f22, _) = col1, col2
+    d13, d23 = delta(col1, col2, 1, 3), delta(col1, col2, 2, 3)
     (a, b, c), (dxa, dxb, dxc), (dta, dtb, dtc) = trip.values_and_derivs(env, x, t)
     e1 = f11 * dta + f21 * dtb - f12 * dxa - f22 * dxb - 2.0 * b * d13 + (a - c) * d23
     e2 = f11 * dtb + f21 * dtc - f12 * dxb - f22 * dxc + (a - c) * d13 + 2.0 * b * d23

@@ -81,11 +81,16 @@ def _require(env, name):
 
 
 def partials(h, env, names):
-    """First partials of h with respect to `names` on an environment, by name."""
+    """First partials of h with respect to `names` on an environment, by name.
+    For a tuple-valued h (a coframe column) one such dict per component, all
+    from one seeding."""
     for nm in names:
         _require(env, nm)
     lvl, seeded = dual.seed(env, names)
-    _, grads = dual.value_grad(h(seeded), lvl, len(names))
+    out = h(seeded)
+    if isinstance(out, tuple):
+        return tuple(dict(zip(names, dual.value_grad(o, lvl, len(names))[1])) for o in out)
+    _, grads = dual.value_grad(out, lvl, len(names))
     return dict(zip(names, grads))
 
 
@@ -102,31 +107,42 @@ def _reject_mixed(free, what):
         )
 
 
+def _chain(by, own, rate):
+    """The total derivative from the partials `by` (a dict, or one dict per
+    component of a column): the partial by `own` (x or t; 0.0 when it is not
+    seeded) plus, in the order of `by`, each nonzero partial times rate(name),
+    for the names whose rate is not None."""
+    if isinstance(by, tuple):
+        return tuple(_chain(b, own, rate) for b in by)
+    out = by.get(own, 0.0)
+    for nm, g in by.items():
+        if isinstance(g, float) and g == 0.0:
+            continue
+        r = rate(nm)
+        if r is not None:
+            out = out + g * r
+    return out
+
+
 def dx_env(h, env):
-    """D_x h evaluated on an environment."""
+    """D_x h evaluated on an environment, seeding only the coordinates h
+    reads; for a column, D_x of each component from one seeding."""
     free = _free_of(h)
     _reject_mixed(free, "total x-derivative")
-    names = [nm for nm in free if nm == "x" or _zindex(nm) is not None]
-    if "x" not in names:
-        names.append("x")
-    names.sort()
-    by = partials(h, {"x": 0.0, **env}, names)
-    out = by.get("x", 0.0)
-    for nm in names:
+    names = sorted(nm for nm in free if nm == "x" or _zindex(nm) is not None)
+
+    def rate(nm):
         i = _zindex(nm)
-        if i is not None:
-            g = by[nm]
-            if isinstance(g, float) and g == 0.0:
-                continue
-            out = out + g * _require(env, f"z{i + 1}")
-    return out
+        return None if i is None else _require(env, f"z{i + 1}")
+
+    return _chain(partials(h, {"x": 0.0, **env}, names), "x", rate)
 
 
 def _dx_function(h):
     """D_x as an operator: returns a JetFunction one jet order higher."""
     free = _free_of(h)
     _reject_mixed(free, "total x-derivative")
-    new_free = set(free) | {"x"}
+    new_free = set(free)
     for nm in free:
         i = _zindex(nm)
         if i is not None:
@@ -166,22 +182,18 @@ def prolong_env(env, F, upto):
 
 
 def dt_env_onshell(h, env, zt):
-    """D_t h on an environment, given the mixed derivatives zt[k] = z_{k,t}."""
-    free = _free_of(h)
-    names = sorted(free | {"t"})
-    by = partials(h, {"t": 0.0, **env}, names)
-    out = by.get("t", 0.0)
-    for nm in names:
-        g = by[nm]
-        if isinstance(g, float) and g == 0.0:
-            continue
+    """D_t h on an environment, given the mixed derivatives zt[k] = z_{k,t},
+    seeding only the coordinates h reads; for a column, D_t of each
+    component from one seeding."""
+
+    def rate(nm):
         i = _zindex(nm)
         if i is not None:
             if i >= len(zt):
                 raise MissingJetCoordinate(f"prolongation does not reach z{i},t")
-            out = out + g * zt[i]
-        elif nm[0] == "w" and nm[1:].isdigit():
-            out = out + g * _require(env, f"w{int(nm[1:]) + 1}")
-        elif nm[0] == "v" and nm[1:].isdigit():
-            out = out + g * _require(env, f"v{int(nm[1:]) + 1}")
-    return out
+            return zt[i]
+        if nm[0] in "wv" and nm[1:].isdigit():
+            return _require(env, f"{nm[0]}{int(nm[1:]) + 1}")
+        return None
+
+    return _chain(partials(h, {"t": 0.0, **env}, sorted(_free_of(h))), "t", rate)

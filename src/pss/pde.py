@@ -43,6 +43,7 @@ __all__ = [
     "helmholtz_invert",
     "solve_mol",
     "step_count",
+    "MAX_PDE_STEPS",
     "kink_field",
     "exact_field",
     "save_field",
@@ -344,6 +345,12 @@ def _space_ops(grid, space):
         return lambda u: np.fft.irfft(np.fft.rfft(u) * symbols, n=grid.nx)
     acc = int(space)
     return lambda u: [periodic_derivative(u, grid.dx, m, acc=acc) for m in (1, 2, 3)]
+
+
+# The most RK4 steps, t_max / dt, that the command line lets a march take; a
+# step of the default 256-point spectral march costs 180-470 us
+# (field.pde.step_us, 2-vCPU Xeon VM), so the cap is under a minute there.
+MAX_PDE_STEPS = 10**5
 
 
 def step_count(t_max, dt):

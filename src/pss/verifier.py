@@ -30,13 +30,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .catalog import Branch, CatalogError, Family
+from .catalog import Branch, CatalogError, Family, delta
 from .jets import dt_env_onshell, dx_env, partials
 
 __all__ = [
     "DEFAULT_SEED",
     "VerificationReport",
-    "delta",
     "structure_residuals_env",
     "certify_structure",
     "check_theorem21_conditions",
@@ -66,41 +65,25 @@ class VerificationReport:
 # Pointwise operations
 
 
-def delta(fam: Family, env, i: int, j: int):
-    """Delta_ij = f_i1 f_j2 - f_j1 f_i2 on a jet environment."""
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError("indices must be in {1, 2, 3}")
-    return fam.fij(i, 1)(env) * fam.fij(j, 2)(env) - fam.fij(j, 1)(env) * fam.fij(i, 2)(env)
-
-
 def structure_residuals_env(fam: Family, env, zt=None):
     """(R1, R2, R3) and their magnitude scales on an environment.
 
     `zt` overrides the on-shell mixed derivatives z_{k,t}; passing values
     measured from a discrete field turns the identity into a check of how
-    well that field satisfies the equation.
+    well that field satisfies the equation.  D_t of column 1 and D_x of
+    column 2 each come from one seeding of the column.
     """
-    f11, f21, f31 = (fam.fij(i, 1) for i in (1, 2, 3))
-    f12, f22, f32 = (fam.fij(i, 2) for i in (1, 2, 3))
-    v11, v21, v31 = f11(env), f21(env), f31(env)
-    v12, v22, v32 = f12(env), f22(env), f32(env)
-    d12 = v11 * v22 - v21 * v12
-    d13 = v11 * v32 - v31 * v12
-    d23 = v21 * v32 - v31 * v22
+    col1, col2 = fam.column(1), fam.column(2)
+    v1, v2 = col1(env), col2(env)
+    # the Delta terms of R1, R2, R3: +Delta23, -Delta13, -Delta12
+    deltas = (delta(v1, v2, 2, 3), -delta(v1, v2, 1, 3), -delta(v1, v2, 1, 2))
     if zt is None:
         zt = fam.zt(env, 2)
-    dts = [dt_env_onshell(f, env, zt) for f in (f11, f21, f31)]
-    dxs = [dx_env(f, env) for f in (f12, f22, f32)]
-    r1 = dxs[0] - dts[0] + d23
-    r2 = dxs[1] - dts[1] - d13
-    r3 = dxs[2] - dts[2] - d12
-    one = 1.0
-    scales = (
-        np.maximum(one, np.maximum(np.abs(dxs[0]), np.maximum(np.abs(dts[0]), np.abs(d23)))),
-        np.maximum(one, np.maximum(np.abs(dxs[1]), np.maximum(np.abs(dts[1]), np.abs(d13)))),
-        np.maximum(one, np.maximum(np.abs(dxs[2]), np.maximum(np.abs(dts[2]), np.abs(d12)))),
-    )
-    return (r1, r2, r3), scales
+    residuals, scales = [], []
+    for dt, dx, d in zip(dt_env_onshell(col1, env, zt), dx_env(col2, env), deltas):
+        residuals.append(dx - dt + d)
+        scales.append(np.maximum(1.0, np.maximum(np.abs(dx), np.maximum(np.abs(dt), np.abs(d)))))
+    return tuple(residuals), tuple(scales)
 
 
 # ----------------------------------------------------------------------
@@ -204,32 +187,29 @@ def check_theorem21_conditions(
     env = sample_envs(fam, samples, rng)
     z0, z1, z2 = env["z0"], env["z1"], env["z2"]
 
-    f11 = fam.fij(1, 1)(env)
+    col1, col2 = fam.column(1), fam.column(2)
+    v1 = col1(env)
+    f11 = v1[0]
+    g1s = partials(col1, env, ("z0", "z1", "z2", "z3"))
     c36 = c37 = 0.0
-    for i in (1, 2, 3):
-        g1 = partials(fam.fij(i, 1), env, ("z0", "z1", "z2", "z3"))
+    for g1, g2 in zip(g1s, partials(col2, env, ("z3",))):
         c36 = max(c36, float(np.max(np.abs(g1["z0"] + g1["z2"]))))
         c37 = max(c37, float(np.max(np.abs(g1["z1"]))), float(np.max(np.abs(g1["z3"]))))
-        g2 = partials(fam.fij(i, 2), env, ("z3",))
         c37 = max(c37, float(np.max(np.abs(g2["z3"]))))
 
     # (38): f_i2 + lam z0^2 f_i1 must not depend on z2 (sampled at two z2)
     env_b = dict(env)
     env_b["z2"] = env["z2"] + 0.75
     c38 = 0.0
-    for i in (1, 2, 3):
-        va = fam.fij(i, 2)(env) + lam * z0**2 * fam.fij(i, 1)(env)
-        vb = fam.fij(i, 2)(env_b) + lam * env_b["z0"] ** 2 * fam.fij(i, 1)(env_b)
+    for fi1, fi2, fi1b, fi2b in zip(v1, col2(env), col1(env_b), col2(env_b)):
+        va = fi2 + lam * z0**2 * fi1
+        vb = fi2b + lam * env_b["z0"] ** 2 * fi1b
         c38 = max(c38, float(np.max(np.abs(va - vb) / np.maximum(1.0, np.abs(va)))))
 
     # phi-level identities (39)-(41)
-    p12 = fam.phi12_fn(env)
-    p22 = fam.phi22_fn(env)
-    p32 = fam.phi32_fn(env)
-    d12 = partials(fam.phi12_fn, env, ("z0", "z1"))
-    d22 = partials(fam.phi22_fn, env, ("z0", "z1"))
-    d32 = partials(fam.phi32_fn, env, ("z0", "z1"))
-    g11 = partials(fam.fij(1, 1), env, ("z0",))["z0"]
+    p12, p22, p32 = fam.phi_column(env)
+    d12, d22, d32 = partials(fam.phi_column, env, ("z0", "z1"))
+    g11 = g1s[0]["z0"]
     G = fam.G_fn(env)
 
     c39 = (

@@ -3,18 +3,36 @@
 None of these is used by the `pss` command line or its reports, so they
 live with the tests: the closed-form sine-Gordon kink, the forward
 Helmholtz operator, the b-ODE back-substitution residual, the discrete
-z_{k,t} of a marched field, a family with one f_ij bumped and the frame
-march as tuple RK4.
+z_{k,t} of a marched field, a family with one f_ij bumped, the frame
+march as tuple RK4 and the coframe as six per-entry closures.
 """
 
 import copy
 
 import numpy as np
 
-from pss.catalog import CatalogError
+from pss import dual
+from pss.catalog import (
+    CatalogError,
+    Family,
+    FPrimeZero,
+    PhiZero,
+    _check_nonzero,
+    _f_and_prime,
+    _phi12_parts,
+    _uni_derivs,
+)
 from pss.frames import _coefficients, _stage_abscissae
 from pss.immersion import Representation
-from pss.jets import JetFunction
+from pss.jets import (
+    JetFunction,
+    MissingJetCoordinate,
+    _free_of,
+    _reject_mixed,
+    _require,
+    _zindex,
+    partials,
+)
 from pss.pde import PdeError, periodic_derivative
 
 
@@ -97,16 +115,22 @@ def ode_backsubstitution_residuals(trip, bprime=None):
     return res / scale
 
 
+def columns(fam, env):
+    """The values of both coframe columns of `fam` on a jet environment."""
+    return fam.column(1)(env), fam.column(2)(env)
+
+
 def perturbed_family(fam, i, j, eps=1e-3):
     """A copy of `fam` with f_ij bumped by eps; used to prove the detector sees broken families."""
-    orig = fam.fij_fns[(i, j)]
+    orig = fam.column(j)
 
     def bumped(env):
-        return orig(env) + eps
+        col = orig(env)
+        return col[:i - 1] + (col[i - 1] + eps,) + col[i:]
 
     out = copy.copy(fam)
     out.name = f"{fam.name}+eps{(i, j)}"
-    out.fij_fns = {**fam.fij_fns, (i, j): JetFunction(bumped, orig.free, f"{orig.name}+eps")}
+    out.columns = {**fam.columns, j: JetFunction(bumped, orig.free, f"{orig.name}+eps")}
     return out
 
 
@@ -180,3 +204,283 @@ def tuple_rk4_sweep(fam, trip, field, xs, ts, spine):
         for q in range(4):
             out[q][:, j + 1] = state[q]
     return out if spine == "x" else tuple(np.swapaxes(o, 0, 1) for o in out)
+
+
+# ----------------------------------------------------------------------
+# The coframe as six per-entry closures, as `catalog` built it before it
+# evaluated the coframe by columns: every f_i2 calls f11 and phi12 again, and
+# D_x and D_t seed one entry at a time, with a seed for x or t that no f_ij
+# reads.  The builders and the two total derivatives are kept unchanged;
+# the columns must give the same bits.
+
+
+class PerEntryFamily(Family):
+    """`Family` with the former per-entry builders; `fij(i, j)` is one closure."""
+
+    def fij(self, i, j):
+        return self.fij_fns[(i, j)]
+
+    def _wrap(self, fns, g_fn, phi_fns):
+        zfree = frozenset({"z0", "z1", "z2"})
+        names = ("f11", "f12", "f21", "f22", "f31", "f32")
+        self.fij_fns = {
+            (1 + i // 2, 1 + i % 2): JetFunction(fn, zfree, nm)
+            for i, (fn, nm) in enumerate(zip(fns, names))
+        }
+        self.G_fn = None if g_fn is None else JetFunction(g_fn, zfree, "G")
+        if g_fn is None:
+            self.F_fn = None
+        else:
+            lam = self.params.lam
+
+            def F(env, _g=g_fn, _lam=lam):
+                return _lam * env["z0"] ** 2 * env["z3"] + _g(env)
+
+            self.F_fn = JetFunction(F, zfree | {"z3"}, "F")
+        self.phi12_fn, self.phi22_fn, self.phi32_fn = (
+            JetFunction(fn, {"z0", "z1"}, nm) for fn, nm in zip(phi_fns, ("phi12", "phi22", "phi32"))
+        )
+
+    def _form7(self, f11, phi_fns, G):
+        """Assemble a form-(7) family from f11, (phi12, phi22, phi32) and G
+        through the structural identities f_p1 = mu_p*f11 + eta_p (p = 2, 3)
+        and f_i2 = -lam*z0^2*f_i1 + phi_i2, with the resolved mu_p, eta_p."""
+        p = self.params
+        lam, mu2, eta2, mu3, eta3 = p.lam, p.mu2, p.eta2, p.mu3, p.eta3
+
+        def f21(env):
+            return mu2 * f11(env) + eta2
+
+        def f31(env):
+            return mu3 * f11(env) + eta3
+
+        def column2(fi1, phi):
+            def fi2(env):
+                return -lam * env["z0"] ** 2 * fi1(env) + phi(env)
+
+            return fi2
+
+        f12, f22, f32 = (column2(fi1, phi) for fi1, phi in zip((f11, f21, f31), phi_fns))
+        self._wrap((f11, f12, f21, f22, f31, f32), G, phi_fns)
+
+    def _f11_of_s(self):
+        """f11 = f(s), s = z0 - z2, for the branches with a free profile f."""
+        fx = self.f_expr
+
+        def f11(env):
+            return fx({"s": env["z0"] - env["z2"]})
+
+        return f11
+
+    def _phi12_of_expr(self):
+        px = self.phi12_expr
+
+        def phi12(env):
+            return px({"z0": env["z0"], "z1": env["z1"]})
+
+        return phi12
+
+    def _build_t23(self, s, k):
+        p = self.params
+        fx = self.f_expr
+        lam, mu2, eta2, mu3, eta3, gam = p.lam, p.mu2, p.eta2, p.mu3, p.eta3, p.gamma
+        q = 2.0 / gam * lam * eta2
+
+        def phi12(env):
+            return -q * env["z0"] * env["z1"]
+
+        def phi22(env):
+            return -mu2 * q * env["z0"] * env["z1"]
+
+        def phi32(env):
+            return -mu3 * q * env["z0"] * env["z1"]
+
+        def G(env):
+            z0, z1, z2 = env["z0"], env["z1"], env["z2"]
+            fv, fp = _f_and_prime(fx, z0 - z2)
+            _check_nonzero(fp, FPrimeZero, "f'")
+            inner = (
+                2.0 * z0 * z1 * fv
+                + z0**2 * z1 * fp
+                + (2.0 * eta2 / gam) * (z1**2 + z0 * z2 + (mu3 * eta2 - mu2 * eta3) * z0 * z1)
+            )
+            return -(lam / fp) * inner
+
+        self._form7(self._f11_of_s(), (phi12, phi22, phi32), G)
+
+    def _build_t24(self, s, k):
+        p = self.params
+        fx, px = self.f_expr, self.phi12_expr
+        lam, mu2, eta2, C = p.lam, p.mu2, p.eta2, p.C
+        phi12 = self._phi12_of_expr()
+
+        def phi22(env):
+            return mu2 * phi12(env) + C + lam * eta2 * env["z0"] ** 2
+
+        def phi32(env):
+            return s * (k * phi12(env) + mu2 * (lam * eta2 * env["z0"] ** 2 + C) / k)
+
+        def G(env):
+            z0, z1, z2 = env["z0"], env["z1"], env["z2"]
+            fv, fp = _f_and_prime(fx, z0 - z2)
+            _check_nonzero(fp, FPrimeZero, "f'")
+            pv, p0, p1 = _phi12_parts(px, z0, z1)
+            return (
+                z1 * p0
+                + z2 * p1
+                - lam * z0**2 * z1 * fp
+                + s * eta2 / k * pv
+                - (2.0 * lam * z0 * z1 + s * eta2 / k * lam * z0**2 + s * C / k) * fv
+            ) / fp
+
+        self._form7(self._f11_of_s(), (phi12, phi22, phi32), G)
+
+    def _build_t25i(self, s, k):
+        p = self.params
+        lam, mu2, eta2 = p.lam, p.mu2, p.eta2
+        theta, B, m, n = p.theta, p.B, p.m, p.n
+        mu3, eta3, m1 = p.mu3, p.eta3, p.m1
+
+        def W(z0):
+            return 2.0 * lam / theta - theta * B * dual.exp(theta * z0) + 2.0 * lam * z0
+
+        def f11(env):
+            return m * (env["z0"] - env["z2"]) - n
+
+        def phi12(env):
+            z0, z1 = env["z0"], env["z1"]
+            return -(m / theta) * (2.0 * lam - theta**2 * B * dual.exp(theta * z0)) * z1**2 - W(z0) * (
+                (m * z0 - n) / theta + s * (mu2 - m * eta2 / theta) * z1 / k
+            )
+
+        def phi22(env):
+            return mu2 * phi12(env) + W(env["z0"]) * (s * k * env["z1"] - eta2 / theta)
+
+        def phi32(env):
+            return mu3 * phi12(env) + W(env["z0"]) * (mu2 * env["z1"] - eta3 / theta)
+
+        def G(env):
+            z0, z1, z2 = env["z0"], env["z1"], env["z2"]
+            E = dual.exp(theta * z0)
+            return lam * (
+                -5.0 * z0**2 * z1
+                + 4.0 * z0 * z1 * z2
+                + (2.0 * m1 - 4.0 / theta) * z0 * z1
+                + (2.0 * m1 / theta) * z1
+                - (2.0 / theta) * z1 * z2
+            ) + (theta * z1**3 + 2.0 * z0 * z1 + z1 * z2 - m1 * z1) * theta * B * E
+
+        self._form7(f11, (phi12, phi22, phi32), G)
+
+    def _build_t25ii(self, s, k):
+        p = self.params
+        phix = self.phi_expr
+        lam, mu2, eta2 = p.lam, p.mu2, p.eta2
+        tau, m, n = p.tau, p.m, p.n
+        mu3, eta3, m2 = p.mu3, p.eta3, p.m2
+
+        def _phi(z0, order):
+            out = _uni_derivs(phix, "z0", z0, order)
+            _check_nonzero(out[0], PhiZero, "phi")
+            return out
+
+        def f11(env):
+            return m * (env["z0"] - env["z2"]) - n
+
+        def phi12(env):
+            z0, z1 = env["z0"], env["z1"]
+            pv, pd = _phi(z0, 1)
+            Ez = dual.exp(s * tau * z1)
+            return (s * tau * (m * z0 - n) * pv + m * pd * z1) * Ez - s * (2.0 * lam * m / tau) * z0 * z1
+
+        def phi22(env):
+            (pv,) = _phi(env["z0"], 0)
+            return mu2 * phi12(env) + s * tau * eta2 * pv * dual.exp(s * tau * env["z1"])
+
+        def phi32(env):
+            (pv,) = _phi(env["z0"], 0)
+            return mu3 * phi12(env) + s * tau * eta3 * pv * dual.exp(s * tau * env["z1"])
+
+        def G(env):
+            z0, z1, z2 = env["z0"], env["z1"], env["z2"]
+            pv, pd, pdd = _phi(z0, 2)
+            Ez = dual.exp(s * tau * z1)
+            return (
+                lam * (-3.0 * z0**2 * z1 + 2.0 * z0 * z1 * z2 + 2.0 * m2 * z0 * z1 - s * (2.0 / tau) * (z1**2 + z0 * z2))
+                + pdd * z1**2 * Ez
+                + s * (tau * z0 * z1 + s * z2 + tau * z1 * z2 - m2 * tau * z1) * pd * Ez
+                + tau * (s * z1 + tau * z0 * z2 - m2 * tau * z2) * pv * Ez
+            )
+
+        self._form7(f11, (phi12, phi22, phi32), G)
+
+    def _build_sg(self, s, k):
+        eta = self.params.eta
+
+        def f11(env):
+            return 0.0 * env["z0"]
+
+        def f12(env):
+            return dual.sin(env["z0"]) / eta
+
+        def f21(env):
+            return eta + 0.0 * env["z0"]
+
+        def f22(env):
+            return dual.cos(env["z0"]) / eta
+
+        def f31(env):
+            return env["z1"]
+
+        def f32(env):
+            return 0.0 * env["z0"]
+
+        # with lam = 0, phi_i2 = f_i2 + lam*z0^2*f_i1 is f_i2 itself
+        self._wrap((f11, f12, f21, f22, f31, f32), None, (f12, f22, f32))
+
+
+def per_entry_family(fam):
+    """`fam` rebuilt by the per-entry builders."""
+    return PerEntryFamily(fam.params, fam.f_expr, fam.phi12_expr, fam.phi_expr, name=fam.name)
+
+
+def per_entry_dx_env(h, env):
+    """D_x h evaluated on an environment."""
+    free = _free_of(h)
+    _reject_mixed(free, "total x-derivative")
+    names = [nm for nm in free if nm == "x" or _zindex(nm) is not None]
+    if "x" not in names:
+        names.append("x")
+    names.sort()
+    by = partials(h, {"x": 0.0, **env}, names)
+    out = by.get("x", 0.0)
+    for nm in names:
+        i = _zindex(nm)
+        if i is not None:
+            g = by[nm]
+            if isinstance(g, float) and g == 0.0:
+                continue
+            out = out + g * _require(env, f"z{i + 1}")
+    return out
+
+
+def per_entry_dt_env_onshell(h, env, zt):
+    """D_t h on an environment, given the mixed derivatives zt[k] = z_{k,t}."""
+    free = _free_of(h)
+    names = sorted(free | {"t"})
+    by = partials(h, {"t": 0.0, **env}, names)
+    out = by.get("t", 0.0)
+    for nm in names:
+        g = by[nm]
+        if isinstance(g, float) and g == 0.0:
+            continue
+        i = _zindex(nm)
+        if i is not None:
+            if i >= len(zt):
+                raise MissingJetCoordinate(f"prolongation does not reach z{i},t")
+            out = out + g * zt[i]
+        elif nm[0] == "w" and nm[1:].isdigit():
+            out = out + g * _require(env, f"w{int(nm[1:]) + 1}")
+        elif nm[0] == "v" and nm[1:].isdigit():
+            out = out + g * _require(env, f"v{int(nm[1:]) + 1}")
+    return out

@@ -32,7 +32,7 @@ from pss.immersion import (
 )
 from pss.pde import Grid1D, SolutionField, kink_field, solve_mol
 from pss.verifier import certify_structure, sample_envs
-from references import exact_sine_gordon_kink, fd6, jet_at, ode_backsubstitution_residuals, trim
+from references import columns, exact_sine_gordon_kink, fd6, jet_at, ode_backsubstitution_residuals, trim
 
 
 def _report(num, name, ok, detail=""):
@@ -198,9 +198,9 @@ def test_criterion_6_sine_gordon_end_to_end():
         x, t = rng.uniform(-6, 6, 2)
         p = jet_at(field, x, t, 3)
         u = p["z0"]
-        E, F, G = first_form_coefficients(fam, p)
+        E, F, G = first_form_coefficients(*columns(fam, p))
         worst_I = max(worst_I, abs(E - eta**2), abs(F - math.cos(u)), abs(G - eta**-2))
-        a1, a2, a3 = second_form_coefficients(fam, (2.0 / math.tan(u), -1.0, 0.0), p)
+        a1, a2, a3 = second_form_coefficients((2.0 / math.tan(u), -1.0, 0.0), *columns(fam, p))
         worst_II = max(worst_II, abs(a1), abs(a2 + math.sin(u)), abs(a3))
 
     trip = solve_triple(fam, ImmersionParams(a_sign=1))

@@ -263,8 +263,8 @@ def test_form7_fij_follow_the_structural_identities(name):
     f11 = fam.fij(1, 1)(env)
     assert close(fam.fij(2, 1)(env), p.mu2 * f11 + p.eta2)
     assert close(fam.fij(3, 1)(env), p.mu3 * f11 + p.eta3)
-    for i, phi in zip((1, 2, 3), (fam.phi12_fn, fam.phi22_fn, fam.phi32_fn)):
-        assert close(fam.fij(i, 2)(env), -p.lam * env["z0"] ** 2 * fam.fij(i, 1)(env) + phi(env))
+    for i, phi in zip((1, 2, 3), fam.phi_column(env)):
+        assert close(fam.fij(i, 2)(env), -p.lam * env["z0"] ** 2 * fam.fij(i, 1)(env) + phi)
 
 
 @pytest.mark.parametrize("name", sorted(set(PRESETS) - {"sine-gordon"}))
@@ -274,8 +274,7 @@ def test_condition_42_bounded_away_from_zero_on_samples(name):
     from pss.verifier import sample_envs
 
     env = sample_envs(fam, 500, rng)
-    p12 = fam.phi12_fn(env)
-    p22 = fam.phi22_fn(env)
+    p12, p22, _ = fam.phi_column(env)
     w = (fam.params.mu2 * p12 - p22) * fam.fij(1, 1)(env) + fam.params.eta2 * p12
     assert np.min(np.abs(w)) > 1e-9
 
@@ -295,13 +294,15 @@ def _t22_reference(fam):
     fx, px = fam.f_expr, fam.phi12_expr
     mu2, eta2 = p.mu2, p.eta2
     ref = copy.copy(fam)
-    phi12 = ref._phi12_of_expr()
 
-    def phi22(env):
-        return mu2 * phi12(env)
+    def phi12(env):
+        return px({"z0": env["z0"], "z1": env["z1"]})
 
-    def phi32(env):
-        return s * k * phi12(env)
+    def phi22(env, p12):
+        return mu2 * p12
+
+    def phi32(env, p12):
+        return s * k * p12
 
     def G(env):
         fv, fp = _f_and_prime(fx, env["z0"] - env["z2"])
@@ -309,7 +310,7 @@ def _t22_reference(fam):
         pv, p0, p1 = _phi12_parts(px, env["z0"], env["z1"])
         return (p0 * env["z1"] + p1 * env["z2"] + s * eta2 / k * pv) / fp
 
-    ref._form7(ref._f11_of_s(), (phi12, phi22, phi32), G)
+    ref._form7(ref._f11_of_s(), phi12, phi22, phi32, G)
     return ref
 
 
@@ -333,15 +334,16 @@ def test_t22_matches_the_former_t22_builder_bit_for_bit(mu2, sign, f, phi12):
     ref = _t22_reference(fam)
     env = sample_envs(fam, 4096, np.random.default_rng(29), bounds=(-2.0, 2.0))
     pairs = [(fam.fij(i, j), ref.fij(i, j)) for i in (1, 2, 3) for j in (1, 2)]
-    pairs += [(fam.G_fn, ref.G_fn), (fam.F_fn, ref.F_fn), (fam.phi12_fn, ref.phi12_fn),
-              (fam.phi22_fn, ref.phi22_fn), (fam.phi32_fn, ref.phi32_fn)]
+    pairs += [(fam.G_fn, ref.G_fn), (fam.F_fn, ref.F_fn), (fam.phi12_fn, ref.phi12_fn)]
     for got, want in pairs:
         assert _same_bits(got(env), want(env)), got.name
+    assert all(map(_same_bits, fam.phi_column(env), ref.phi_column(env)))
     zt, zt_ref = fam.zt(env, 3), ref.zt(env, 3)
     assert all(_same_bits(a, b) for a, b in zip(zt, zt_ref))
-    for (i, j), fn in fam.fij_fns.items():
-        assert _same_bits(dx_env(fn, env), dx_env(ref.fij(i, j), env)), (i, j)
-        assert _same_bits(dt_env_onshell(fn, env, zt), dt_env_onshell(ref.fij(i, j), env, zt_ref)), (i, j)
+    for j in (1, 2):
+        assert all(map(_same_bits, dx_env(fam.column(j), env), dx_env(ref.column(j), env))), j
+        assert all(map(_same_bits, dt_env_onshell(fam.column(j), env, zt),
+                       dt_env_onshell(ref.column(j), env, zt_ref))), j
 
 
 def test_t22_refuses_C_as_it_refuses_lam():
@@ -430,3 +432,75 @@ def test_onshell_dt_of_higher_jet_against_symbolic_flux():
         z3t = v1 - dxf(*z)
         want = z[3] * w1 + z[0] * z3t
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# ----------------------------------------------------------------------
+# The coframe by columns against the former per-entry closures
+
+
+def _strict_bits(got, want):
+    """Bit-for-bit equality, the sign of zero included."""
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["T22", "T23", "T24", "T25i", "T25ii"])
+def test_columns_match_the_per_entry_closures_bit_for_bit(name):
+    """Values, D_x of column 2 and on-shell D_t of column 1 equal, bit for bit
+    and with the sign of every zero, the six former per-entry closures differentiated one entry at a time with
+    the former x and t seeds, on every preset and one seeded family per
+    form-(7) branch."""
+    from pss.jets import dt_env_onshell, dx_env
+    from pss.verifier import sample_envs
+    from references import per_entry_dt_env_onshell, per_entry_dx_env, per_entry_family
+
+    fam = PRESETS[name]() if name in PRESETS else _seeded_form7_specs()[name]
+    ref = per_entry_family(fam)
+    assert ref.params == fam.params
+    env = sample_envs(fam, 2000, np.random.default_rng(37))
+    zt, zt_ref = fam.zt(env, 2), ref.zt(env, 2)
+    assert all(_strict_bits(a, b) for a, b in zip(zt, zt_ref))
+    for j in (1, 2):
+        got = fam.column(j)(env)
+        assert len(got) == 3
+        for i in (1, 2, 3):
+            assert _strict_bits(got[i - 1], ref.fij(i, j)(env)), (i, j)
+            assert _strict_bits(fam.fij(i, j)(env), ref.fij(i, j)(env)), (i, j)
+    dxs = dx_env(fam.column(2), env)
+    dts = dt_env_onshell(fam.column(1), env, zt)
+    for i in (1, 2, 3):
+        assert _strict_bits(dxs[i - 1], per_entry_dx_env(ref.fij(i, 2), env)), i
+        assert _strict_bits(dts[i - 1], per_entry_dt_env_onshell(ref.fij(i, 1), env, zt_ref)), i
+    if fam.is_form7:
+        want = (ref.phi12_fn(env), ref.phi22_fn(env), ref.phi32_fn(env))
+        assert all(map(_same_bits, fam.phi_column(env), want))
+        assert _strict_bits(fam.G_fn(env), ref.G_fn(env))
+
+
+def test_a_column_evaluates_f_and_phi12_once(monkeypatch):
+    """One column(2) call runs the value programs of f and phi12 once each;
+    structure_residuals_env runs them at most 4 and 2 times and seeds each
+    column once."""
+    from pss import dual
+    from pss.verifier import sample_envs, structure_residuals_env
+
+    fam = build_family(FamilyParams(branch=Branch.T24, lam=1.0, mu2=0.3, eta2=1.0, C=0.2),
+                       f="s", phi12="z0*(z1 - z0)^2 + z1")
+    env = sample_envs(fam, 100, np.random.default_rng(3))
+    calls = {"f": 0, "phi12": 0, "seed": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(fam.f_expr, "_fn", counting("f", fam.f_expr._fn))
+    monkeypatch.setattr(fam.phi12_expr, "_fn", counting("phi12", fam.phi12_expr._fn))
+    monkeypatch.setattr(dual, "seed", counting("seed", dual.seed))
+    fam.column(2)(env)
+    assert calls == {"f": 1, "phi12": 1, "seed": 0}
+    calls.update(f=0, phi12=0)
+    structure_residuals_env(fam, env)
+    assert calls["f"] <= 4 and calls["phi12"] <= 2
+    assert calls["seed"] == 2

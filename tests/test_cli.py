@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 
 from pss import cli
-from pss.catalog import novikov_preset
+from pss.catalog import delta, novikov_preset
 from pss.cli import EXIT_FAIL, EXIT_NO_IMMERSION, EXIT_OK, EXIT_USAGE, build_parser, run
 from pss.immersion import ImmersionTriple, Representation, solve_triple
 from pss.pde import load_field
-from pss.verifier import delta, sample_envs
+from pss.verifier import sample_envs
+from references import columns
 
 
 def test_verify_novikov_passes(tmp_path):
@@ -97,10 +98,27 @@ def _scale_b(trip, factor):
 NOVIKOV_STRIP = ["--preset", "novikov", "--sigma", "3", "--beta", "0.5"]
 
 
+def _bend_b(trip, k):
+    """The triple with b replaced by (1 + k*s^2) b and b' to match, a and c
+    kept: the values and the derivatives are right at s = 0 only."""
+    abc_derivs = trip.abc_derivs
+
+    def bent(s):
+        a, b, c, ap, bp, cp = abc_derivs(s)
+        return a, (1.0 + k * s * s) * b, c, ap, (1.0 + k * s * s) * bp + 2.0 * k * s * b, cp
+
+    trip.abc_derivs = bent
+    return trip
+
+
 def test_codazzi_rejects_a_wrong_triple_of_each_representation(tmp_path, monkeypatch):
     spec = tmp_path / "t24.json"
     spec.write_text(json.dumps({"branch": "T24", "params": {"mu2": 0.6, "eta2": 1.0, "lam": 1.0, "C": 0.3},
                                 "f": "s", "phi12": "z1"}))
+    # eta2 = 0: s = C*t (Prop 4.3(iii) with no x term), so the strip lies along t
+    spec_t = tmp_path / "t24t.json"
+    spec_t.write_text(json.dumps({"branch": "T24", "params": {"mu2": 0.6, "eta2": 0, "lam": 1, "C": 0.3},
+                                  "f": "s", "phi12": "z1"}))
     table = [
         # (argv, representation, a wrong triple): cbar and rho set the exponent of E(s) = exp(ce*s)
         (NOVIKOV_STRIP, Representation.CLOSED_FORM, lambda t, ip: replace(t, cbar=1.001 * t.cbar)),
@@ -108,6 +126,8 @@ def test_codazzi_rejects_a_wrong_triple_of_each_representation(tmp_path, monkeyp
          lambda t, ip: type(t)(t.branch_label, t.svar, t.sx, t.st, t.mu2, t.beta, 1.001 * t.rho,
                                t.sign, t.a_sign, ip)),
         (["--preset", "sine-gordon"], Representation.SOLUTION_DEPENDENT, lambda t, ip: _scale_b(t, 1.001)),
+        (["--family", str(spec_t), "--beta", "0.3", "--b0", "1.2", "--eps", "0.3"], Representation.ODE_TABLE,
+         lambda t, ip: _bend_b(t, 0.1)),
     ]
     for argv, representation, wrong in table:
         code, doc, seen = _codazzi_with(tmp_path, monkeypatch, argv, lambda t, ip: t)
@@ -127,8 +147,8 @@ def test_codazzi_passes_the_symmetries_of_the_novikov_triple(tmp_path, monkeypat
     # the wrong size: only the Gauss equation (checked by sff) fixes it.
     fam = novikov_preset()
     env = sample_envs(fam, 200, np.random.default_rng(0))
-    assert np.all(fam.fij(2, 2)(env) == 0.0) and np.all(delta(fam, env, 1, 3) == 0.0)
-    assert np.allclose(delta(fam, env, 2, 3), fam.fij(1, 2)(env), rtol=1e-14, atol=0.0)
+    assert np.all(fam.fij(2, 2)(env) == 0.0) and np.all(delta(*columns(fam, env), 1, 3) == 0.0)
+    assert np.allclose(delta(*columns(fam, env), 2, 3), fam.fij(1, 2)(env), rtol=1e-14, atol=0.0)
     for same in (lambda t, ip: replace(t, bsign=-t.bsign),
                  lambda t, ip: replace(t, a_sign=-t.a_sign),
                  lambda t, ip: _scale_b(t, 1.001)):
@@ -457,6 +477,9 @@ def test_pde_input_checks(tmp_path, capsys):
         (["--xmin=-inf"], "pss: --xmin must be finite\n"),
         (["--xmin", "nan"], "pss: --xmin must be finite\n"),
         (["--xmax", "inf"], "pss: --xmax must be finite\n"),
+        (["--tmax", "1e300", "--dt", "1e-300"], "pss: --tmax / --dt must be at most 100000 RK4 steps\n"),
+        (["--tmax", "1e6", "--dt", "1e-3"], "pss: --tmax / --dt must be at most 100000 RK4 steps\n"),
+        (["--tmax", "100.001", "--dt", "1e-3"], "pss: --tmax / --dt must be at most 100000 RK4 steps\n"),
     ]
     for extra, want in table:
         rep = tmp_path / "r.json"
@@ -464,6 +487,22 @@ def test_pde_input_checks(tmp_path, capsys):
         assert code == EXIT_USAGE, extra
         assert capsys.readouterr().err == want
         assert not rep.exists()
+
+
+def test_pde_runs_at_exactly_the_step_cap(tmp_path, monkeypatch, capsys):
+    from pss import pde
+
+    assert pde.MAX_PDE_STEPS == 10**5
+    args = build_parser().parse_args(["pde", "--preset", "novikov", "--tmax", "100", "--dt", "1e-3"])
+    cli._check_ranges(args)  # 10^5 steps are accepted (checked, not marched)
+    monkeypatch.setattr(pde, "MAX_PDE_STEPS", 10)
+    base = ["pde", "--preset", "novikov", "--nx", "32", "--dt", "1e-3"]
+    rep = tmp_path / "r.json"
+    assert run([*base, "--tmax", "0.01", "--report", str(rep), "--deterministic"]) == EXIT_OK
+    doc = json.loads(rep.read_text())
+    assert (doc["result"], doc["t_final"], doc["snapshots"]) == ("ok", 0.01, 11)
+    assert run([*base, "--tmax", "0.011", "--report", str(rep), "--deterministic"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "pss: --tmax / --dt must be at most 10 RK4 steps\n"
 
 
 def test_overflowing_float_power_is_one_line(tmp_path, capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pss import frames
-from pss.catalog import FamilyParams, Branch, build_family, novikov_preset, sine_gordon_preset
+from pss.catalog import FamilyParams, Branch, build_family, delta, novikov_preset, sine_gordon_preset
 from pss.frames import (
     SurfaceMesh,
     _coefficients,
@@ -23,8 +23,8 @@ from pss.frames import (
 )
 from pss.immersion import ImmersionParams, Representation, solve_triple
 from pss.pde import Grid1D, exact_field, kink_field, solve_mol
-from pss.verifier import delta, sample_envs
-from references import tuple_rk4_sweep
+from pss.verifier import sample_envs
+from references import columns, tuple_rk4_sweep
 
 
 def jp(z):
@@ -41,7 +41,7 @@ def test_sine_gordon_first_form():
     rng = np.random.default_rng(0)
     for _ in range(50):
         u = rng.uniform(-3, 3)
-        E, F, G = first_form_coefficients(fam, jp([u, 0.3, 0.1, 0.0]))
+        E, F, G = first_form_coefficients(*columns(fam, jp([u, 0.3, 0.1, 0.0])))
         assert E == pytest.approx(1.7**2, abs=1e-14)
         assert F == pytest.approx(math.cos(u), abs=1e-14)
         assert G == pytest.approx(1.7**-2, abs=1e-14)
@@ -50,15 +50,15 @@ def test_sine_gordon_first_form():
 def test_degenerate_column_first_form():
     # f12 = f22 = 0 forces F = G = 0
     fam = build_family(FamilyParams(branch=Branch.T22, eta2=1.0), f="s", phi12="z1")
-    E, F, G = first_form_coefficients(fam, jp([0.4, 0.0, 0.1, 0.0]))  # phi12 = z1 = 0
+    E, F, G = first_form_coefficients(*columns(fam, jp([0.4, 0.0, 0.1, 0.0])))  # phi12 = z1 = 0
     assert F == 0.0 and G == 0.0 and E > 0
 
 
 def test_lagrange_identity_novikov():
     fam = novikov_preset()
     env = sample_envs(fam, 300, np.random.default_rng(1))
-    E, F, G = first_form_coefficients(fam, env)
-    d12 = delta(fam, env, 1, 2)
+    E, F, G = first_form_coefficients(*columns(fam, env))
+    d12 = delta(*columns(fam, env), 1, 2)
     assert np.max(np.abs(E * G - F * F - d12 * d12)) < 1e-12 * max(1.0, float(np.max(np.abs(E * G))))
 
 
@@ -68,7 +68,7 @@ def test_sine_gordon_second_form():
     for _ in range(50):
         u = rng.uniform(0.2, math.pi - 0.2)
         abc = (2.0 / math.tan(u), -1.0, 0.0)
-        a1, a2, a3 = second_form_coefficients(fam, abc, jp([u, 0.5, 0.0, 0.0]))
+        a1, a2, a3 = second_form_coefficients(abc, *columns(fam, jp([u, 0.5, 0.0, 0.0])))
         assert a1 == pytest.approx(0.0, abs=1e-13)
         assert a2 == pytest.approx(-math.sin(u), abs=1e-13)
         assert a3 == pytest.approx(0.0, abs=1e-13)
@@ -76,7 +76,7 @@ def test_sine_gordon_second_form():
 
 def test_zero_triple_zero_form():
     fam = novikov_preset()
-    assert second_form_coefficients(fam, (0.0, 0.0, 0.0), jp([0.3, 0.2, 0.1, 0.0])) == (0.0, 0.0, 0.0)
+    assert second_form_coefficients((0.0, 0.0, 0.0), *columns(fam, jp([0.3, 0.2, 0.1, 0.0]))) == (0.0, 0.0, 0.0)
 
 
 def test_second_form_swap_symmetry():
@@ -85,17 +85,9 @@ def test_second_form_swap_symmetry():
     rng = np.random.default_rng(3)
     env = sample_envs(fam, 100, rng)
     a, b, c = 1.3, -0.4, 0.7
-    _, a2, _ = second_form_coefficients(fam, (a, b, c), env)
-
-    class Swapped:
-        def fij(self, i, j):
-            if i == 1:
-                return fam.fij(2, j)
-            if i == 2:
-                return fam.fij(1, j)
-            return fam.fij(3, j)
-
-    _, a2s, _ = second_form_coefficients(Swapped(), (c, b, a), env)
+    (f11, f21, f31), (f12, f22, f32) = columns(fam, env)
+    _, a2, _ = second_form_coefficients((a, b, c), (f11, f21, f31), (f12, f22, f32))
+    _, a2s, _ = second_form_coefficients((c, b, a), (f21, f11, f31), (f22, f12, f32))
     assert np.max(np.abs(a2 - a2s)) < 1e-12
 
 
@@ -185,8 +177,7 @@ def _reference_curvature(r):
 def test_curvature_matches_the_three_pass_reference():
     rng = np.random.default_rng(11)
     fam, trip, field = _kink_setup()
-    kink = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(30, 24), h=0.05,
-                           measure_compat=False).r
+    kink = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(30, 24), h=0.05).r
     X, Y = np.meshgrid(np.arange(12.0), np.arange(9.0), indexing="ij")
     plane = np.stack([X, Y, 0.3 * X], axis=-1)
     rough = plane + 0.45 * rng.standard_normal(plane.shape)
@@ -238,8 +229,7 @@ def test_drift_shrinks_at_fourth_order():
     fam, trip, field = _kink_setup()
     drifts = {}
     for n in (50, 100):
-        mesh = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(n, n), h=1.6 / n,
-                               measure_compat=False)
+        mesh = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(n, n), h=1.6 / n)
         drifts[n] = mesh.diagnostics["drift_max"]
     ratio = drifts[50] / drifts[100]
     assert ratio > 8  # RK4: ~16x per halving
@@ -259,8 +249,7 @@ def test_reconstructed_first_form_matches_stored():
     """Finite differences of r reproduce the stored E, F, G to O(h^2)."""
     fam, trip, field = _kink_setup()
     n, h = 80, 0.02
-    mesh = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(n, n), h=h,
-                           measure_compat=False)
+    mesh = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(n, n), h=h)
     rx = (mesh.r[2:, 1:-1] - mesh.r[:-2, 1:-1]) / (2 * h)
     rt = (mesh.r[1:-1, 2:] - mesh.r[1:-1, :-2]) / (2 * h)
     E = np.einsum("...i,...i", rx, rx)
@@ -274,8 +263,7 @@ def test_reconstructed_first_form_matches_stored():
 
 def test_detII_over_detI_is_minus_one():
     fam, trip, field = _kink_setup()
-    mesh = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(40, 40), h=0.04,
-                           measure_compat=False)
+    mesh = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(40, 40), h=0.04)
     I = mesh.first_form
     II = mesh.second_form
     detI = I[..., 0] * I[..., 2] - I[..., 1] ** 2
@@ -293,8 +281,7 @@ def test_universal_triple_reconstruction_t22():
     from pss.pde import exact_field
 
     field = exact_field("1 + 0.5*exp(0.5*x + t)", Grid1D(-6, 6, 16), t_span=(-6, 6))
-    mesh = integrate_frame(fam, trip, field, origin=(0.3, -0.5), steps=(60, 60), h=0.01,
-                           measure_compat=False)
+    mesh = integrate_frame(fam, trip, field, origin=(0.3, -0.5), steps=(60, 60), h=0.01)
     K = mesh.interior_K()
     assert np.nanmax(np.abs(K + 1.0)) < 5e-2
     assert mesh.diagnostics["drift_max"] < 1e-6
@@ -302,8 +289,7 @@ def test_universal_triple_reconstruction_t22():
 
 def test_obj_export_and_diagnostics(tmp_path):
     fam, trip, field = _kink_setup()
-    mesh = integrate_frame(fam, trip, field, origin=(-1.5, -1.5), steps=(8, 8), h=0.05,
-                           measure_compat=True)
+    mesh = integrate_frame(fam, trip, field, origin=(-1.5, -1.5), steps=(8, 8), h=0.05)
     obj = tmp_path / "mesh.obj"
     export_obj(mesh, obj)
     text = obj.read_text().splitlines()
@@ -452,15 +438,15 @@ def test_batched_stage_coefficients_equal_per_stage_calls(setup, representation)
 @_BATCH_SETUPS
 def test_whole_mesh_forms_equal_per_row_calls(setup, representation):
     fam, trip, field, origin, h = setup()
-    mesh = integrate_frame(fam, trip, field, origin=origin, steps=(5, 4), h=h, measure_compat=False)
+    mesh = integrate_frame(fam, trip, field, origin=origin, steps=(5, 4), h=h)
     EE, II = np.empty_like(mesh.first_form), np.empty_like(mesh.second_form)
     degenerate, d12_min = 0, math.inf
     for j, t in enumerate(mesh.ts):  # one field call per mesh row
         env = field.sample_env(mesh.xs, t, 3)  # order 3: the mesh asks for 2, the same bits
-        EE[:, j, 0], EE[:, j, 1], EE[:, j, 2] = first_form_coefficients(fam, env)
+        EE[:, j, 0], EE[:, j, 1], EE[:, j, 2] = first_form_coefficients(*columns(fam, env))
         II[:, j, 0], II[:, j, 1], II[:, j, 2] = second_form_coefficients(
-            fam, trip.values(env, mesh.xs, t), env)
-        d12 = np.abs(delta(fam, env, 1, 2))
+            trip.values(env, mesh.xs, t), *columns(fam, env))
+        d12 = np.abs(delta(*columns(fam, env), 1, 2))
         degenerate += int(np.count_nonzero(d12 <= 0.0))
         d12_min = min(d12_min, float(np.min(d12)))
     detI = EE[..., 0] * EE[..., 2] - EE[..., 1] ** 2

@@ -6,16 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from pss.catalog import Branch, CatalogError, Family, FamilyParams, PRESETS, build_family, novikov_preset, sine_gordon_preset
+from pss.catalog import (
+    Branch,
+    CatalogError,
+    Family,
+    FamilyParams,
+    PRESETS,
+    build_family,
+    delta,
+    novikov_preset,
+    sine_gordon_preset,
+)
 from pss.verifier import (
     certify,
     certify_structure,
     check_theorem21_conditions,
-    delta,
     sample_envs,
     structure_residuals_env,
 )
-from references import perturbed_family
+from references import columns, perturbed_family
 
 
 def jp(z, w1=0.3, v1=0.2):
@@ -38,9 +47,9 @@ def test_delta_diagonal_vanishes():
         fam = PRESETS[name]()
         p = jp(rng.uniform(-1, 1, 4))
         for i in (1, 2, 3):
-            assert delta(fam, p, i, i) == 0.0
+            assert delta(*columns(fam, p), i, i) == 0.0
         for i, j in ((1, 2), (1, 3), (2, 3)):
-            assert delta(fam, p, i, j) == -delta(fam, p, j, i)
+            assert delta(*columns(fam, p), i, j) == -delta(*columns(fam, p), j, i)
 
 
 def test_delta_t22_formula():
@@ -51,7 +60,7 @@ def test_delta_t22_formula():
     for _ in range(50):
         z = rng.uniform(-1, 1, 4)
         want = -(mu2 * eta2 / math.sqrt(1 + mu2**2)) * z[1]
-        assert delta(fam, jp(z), 1, 3) == pytest.approx(want, abs=1e-13)
+        assert delta(*columns(fam, jp(z)), 1, 3) == pytest.approx(want, abs=1e-13)
 
 
 def test_delta_t23_formula():
@@ -61,7 +70,7 @@ def test_delta_t23_formula():
     for _ in range(50):
         z = rng.uniform(-1, 1, 4)
         want = (2.0 / p.gamma) * p.lam * p.eta2 * p.eta3 * z[0] * z[1]
-        assert delta(fam, jp(z), 1, 3) == pytest.approx(want, abs=1e-12)
+        assert delta(*columns(fam, jp(z)), 1, 3) == pytest.approx(want, abs=1e-12)
 
 
 def test_delta_t22_zero_mu2_first_form_determinant():
@@ -69,13 +78,13 @@ def test_delta_t22_zero_mu2_first_form_determinant():
     rng = np.random.default_rng(3)
     for _ in range(20):
         z = rng.uniform(-1, 1, 4)
-        assert delta(fam, jp(z), 1, 2) == pytest.approx(-fam.params.eta2 * z[1], abs=1e-13)
+        assert delta(*columns(fam, jp(z)), 1, 2) == pytest.approx(-fam.params.eta2 * z[1], abs=1e-13)
 
 
 def test_delta_sine_gordon_first_form_determinant():
     sg = sine_gordon_preset(eta=1.0)
-    assert delta(sg, jp([0.8, 0.1, 0.0, 0.0]), 1, 2) == pytest.approx(-math.sin(0.8), abs=1e-14)
-    assert delta(sg, jp([0.0, 0.1, 0.0, 0.0]), 1, 2) == 0.0  # degenerate exactly at z0 in pi Z
+    assert delta(*columns(sg, jp([0.8, 0.1, 0.0, 0.0])), 1, 2) == pytest.approx(-math.sin(0.8), abs=1e-14)
+    assert delta(*columns(sg, jp([0.0, 0.1, 0.0, 0.0])), 1, 2) == 0.0  # degenerate exactly at z0 in pi Z
 
 
 # ----------------------------------------------------------------------
@@ -119,13 +128,14 @@ def test_corrupted_family_detected():
 def test_perturbed_family_is_a_family_sharing_the_other_fij():
     fam = novikov_preset()
     p = jp([0.5, 0.4, 0.3, 0.2])
-    for which in fam.fij_fns:
+    for which in [(i, j) for i in (1, 2, 3) for j in (1, 2)]:
         bad = perturbed_family(fam, *which, 0.25)
         assert isinstance(bad, Family) and bad.name == f"novikov+eps{which}"
         assert bad.fij(*which)(p) == fam.fij(*which)(p) + 0.25
-        others = [key for key in fam.fij_fns if key != which]
+        others = [(i, j) for i in (1, 2, 3) for j in (1, 2) if (i, j) != which]
         assert len(others) == 5
-        assert all(bad.fij_fns[key] is fam.fij_fns[key] for key in others)
+        assert all(bad.fij(*key)(p) == fam.fij(*key)(p) for key in others)
+        assert bad.column(3 - which[1]) is fam.column(3 - which[1])  # the other column is shared
     assert fam.name == "novikov" and fam.fij(1, 1)(p) == 0.5 - 0.3  # the base is untouched
 
 
@@ -166,19 +176,21 @@ def test_theorem21_detects_translation_violation():
         params = fam.params
         name = "broken-f11"
         phi12_fn = fam.phi12_fn
-        phi22_fn = fam.phi22_fn
-        phi32_fn = fam.phi32_fn
+        phi_column = fam.phi_column
         G_fn = fam.G_fn
         F_fn = fam.F_fn
         f_expr = fam.f_expr
         phi_expr = None
 
         def __init__(self):
-            self.fij_fns = dict(fam.fij_fns)
-            self.fij_fns[(1, 1)] = JetFunction(lambda env: env["z0"], {"z0", "z1", "z2"}, "f11:=z0")
+            col1 = fam.column(1)
+            self.columns = {
+                1: JetFunction(lambda env: (env["z0"],) + col1(env)[1:], col1.free, "f11:=z0"),
+                2: fam.column(2),
+            }
 
-        def fij(self, i, j):
-            return self.fij_fns[(i, j)]
+        def column(self, j):
+            return self.columns[j]
 
         def zt(self, env, upto):
             return fam.zt(env, upto)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Family, delta
-from .immersion import ImmersionTriple
+from .immersion import ImmersionTriple, write_records
 from .pde import SolutionField
 
 __all__ = [
@@ -329,20 +329,9 @@ def export_obj(mesh: SurfaceMesh, path):
         tris = tris[:, ::-1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# pss surface mesh {nx}x{nt}\n")
-        _write_records(fh, "v %.17g %.17g %.17g\n", V)
-        _write_records(fh, "vn %.17g %.17g %.17g\n", N)
-        _write_records(fh, "f %d//%d %d//%d %d//%d\n", np.repeat(tris + 1, 2, axis=1))
-
-
-def _write_records(fh, record, rows):
-    """Write `record % row` for every row, one `%` per block of 4096 rows.
-
-    %.17g of a float is the same text as f"{p:.17g}"; the blocks bound the
-    temporary Python objects (the whole mesh at once costs more memory and
-    is no faster)."""
-    for i in range(0, len(rows), 4096):
-        part = rows[i:i + 4096]
-        fh.write(record * len(part) % tuple(part.ravel().tolist()))
+        write_records(fh, "v %.17g %.17g %.17g\n", V)
+        write_records(fh, "vn %.17g %.17g %.17g\n", N)
+        write_records(fh, "f %d//%d %d//%d %d//%d\n", np.repeat(tris + 1, 2, axis=1))
 
 
 def write_diagnostics(mesh: SurfaceMesh, path):

@@ -53,6 +53,7 @@ __all__ = [
     "gauss_residual",
     "codazzi_residuals",
     "write_csv",
+    "write_records",
 ]
 
 
@@ -71,9 +72,15 @@ class TripleDomainError(ValueError):
 
 
 def _any(bad):
-    """bad.any() for arrays; a plain truth test for 0-d values, where the
-    numpy reduction would cost several microseconds per call."""
-    return bad if bad.ndim == 0 else bad.any()
+    """bad.any() for arrays; a plain truth test for bools and 0-d values,
+    where the numpy reduction would cost several microseconds per call."""
+    return bad.any() if getattr(bad, "ndim", 0) else bad
+
+
+def _float(v):
+    """A 0-d numpy result as a Python float (arrays pass through), so the
+    scalar march runs in float arithmetic, not numpy-scalar arithmetic."""
+    return v if v.ndim else float(v)
 
 
 def _first_s(s, bad):
@@ -94,13 +101,14 @@ class DenominatorCollapse(RuntimeError):
         super().__init__(f"ODE denominator collapsed at s = {self.s}")
 
 
-# The b-ODE march refuses a start, and stops, where delta <= DELTA_MIN or where
-# the denominator of b' is below DENOM_MIN * max(1, |terms|_inf) (_OdeForm._march).
+# The b-ODE march refuses a start, and stops, where delta <= DELTA_MIN, where
+# the denominator of b' is below DENOM_MIN * max(1, |terms|_inf), or where
+# either is not finite (_OdeForm._march).
 DELTA_MIN = 1e-8
 DENOM_MIN = 1e-8
 # The most steps, round(eps / h), that the command line lets the march take
-# in each direction; a step costs about 28 us (2-vCPU Xeon VM), so the cap
-# is about half a minute per direction.
+# in each direction; a step costs about 11 us (2-vCPU Xeon VM), so the cap
+# is about 11 s per direction.
 MAX_ODE_STEPS = 10**6
 
 
@@ -254,7 +262,7 @@ class _OdeForm(ImmersionTriple):
         super().__init__(branch_label, svar, sx, st, (float(self.s[0]), float(self.s[-1])))
 
     def phi_delta(self, s, b):
-        E = np.exp(self.ce * s)
+        E = _float(np.exp(self.ce * s))  # not math.exp, which rounds differently
         phi = ((self.mu2**2 - 1.0) * b - self.beta * E) / self.mu2
         delta = phi * phi - 4.0 * (1.0 - b * b)
         return phi, delta, E
@@ -265,73 +273,82 @@ class _OdeForm(ImmersionTriple):
         mu2, r = self.mu2, self.a_sign
         return (mu2**2 + 1.0) * sq, r * (mu2**2 - 1.0) * phi, 4.0 * r * mu2 * b
 
+    def num(self, phi, sq, E, b):
+        """The numerator of b' = g(s, b), with sq = sqrt(delta)."""
+        k, r, sg = self.k, self.a_sign, self.sign
+        return 2.0 * sg * self.rho * k * b * sq + r * sg * (2.0 * self.beta * self.rho / k) * phi * E
+
     def g(self, s, b):
         """b'(s); one code path for scalars (the march) and arrays (the table)."""
-        k, r, sg = self.k, self.a_sign, self.sign
         phi, delta, E = self.phi_delta(s, b)
         bad = delta <= 0
         if _any(bad):
             raise DiscriminantCollapse(s, bad)
-        sq = np.sqrt(delta)
+        sq = _float(np.sqrt(delta))
         t1, t2, t3 = self.den_terms(phi, sq, b)
         den = t1 + t2 + t3
         bad = abs(den) < 1e-300
         if _any(bad):
             raise DenominatorCollapse(s, bad)
-        num = 2.0 * sg * self.rho * k * b * sq + r * sg * (2.0 * self.beta * self.rho / k) * phi * E
-        return num / den
+        return self.num(phi, sq, E, b) / den
 
     def _march(self, ip):
         """(s, b, stops): the table marched both ways from (ip.s0, ip.b0)."""
 
-        def delta_den(sv, bv):
-            """delta, the signed denominator, and the floor below which the
-            denominator is lost in the rounding of its terms and has no sign:
-            DENOM_MIN * max(1, |terms|_inf), as the residual tolerances scale."""
-            phi, delta, _ = self.phi_delta(sv, bv)
-            t1, t2, t3 = self.den_terms(phi, math.sqrt(max(delta, 0.0)), bv)
-            return delta, t1 + t2 + t3, DENOM_MIN * max(1.0, abs(t1), abs(t2), abs(t3))
+        def accept(sv, bv):
+            """(den, b') at a point of the march, den the signed denominator
+            of b'; or raise the collapse that stops the march there: delta
+            not in (DELTA_MIN, inf), or |den| not in [floor, inf), the floor
+            DENOM_MIN * max(1, |terms|_inf) (as the residual tolerances scale)
+            below which den is lost in the rounding of its terms and has no
+            sign.  A non-finite b makes delta non-finite, and a finite den
+            has finite terms.  Where a point passes, g cannot raise, so b'
+            is g(sv, bv) bit for bit."""
+            phi, delta, E = self.phi_delta(sv, bv)
+            if not DELTA_MIN < delta < math.inf:
+                raise DiscriminantCollapse(sv)
+            sq = math.sqrt(delta)
+            t1, t2, t3 = self.den_terms(phi, sq, bv)
+            den = t1 + t2 + t3
+            if not DENOM_MIN * max(1.0, abs(t1), abs(t2), abs(t3)) <= abs(den) < math.inf:
+                raise DenominatorCollapse(sv)
+            return den, self.num(phi, sq, E, bv) / den
 
-        delta0, den0, floor0 = delta_den(ip.s0, ip.b0)
-        if not delta0 > DELTA_MIN:
-            raise DiscriminantCollapse(ip.s0)
-        if not abs(den0) >= floor0:
-            raise DenominatorCollapse(ip.s0)
+        den0, k0 = accept(ip.s0, ip.b0)
 
-        def step(sv, bv, h):
-            k1 = self.g(sv, bv)
+        def step(sv, bv, k1, h):
             k2 = self.g(sv + 0.5 * h, bv + 0.5 * h * k1)
             k3 = self.g(sv + 0.5 * h, bv + 0.5 * h * k2)
             k4 = self.g(sv + h, bv + h * k3)
             return bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         def march(direction):
+            # the check that accepts a point gives b' there, which is the next
+            # step's first stage k1 ("first same as last"): four phi_delta
+            # evaluations per step, not five
             h = direction * ip.h
             out_s, out_b = [], []
-            sv, bv, den_prev = ip.s0, ip.b0, den0
+            sv, bv, kv, den_prev = ip.s0, ip.b0, k0, den0
             nsteps = int(round(ip.eps / ip.h))
             stop = None
             for _ in range(nsteps):
+                sn = sv + h
                 try:
-                    bn = step(sv, bv, h)
+                    bn = step(sv, bv, kv, h)
+                    den, kn = accept(sn, bn)
                 except DiscriminantCollapse as e:
                     stop = ("discriminant", e.s)
                     break
                 except DenominatorCollapse as e:
                     stop = ("denominator", e.s)
                     break
-                sn = sv + h
-                delta, den, floor = delta_den(sn, bn)
-                if delta <= DELTA_MIN:
-                    stop = ("discriminant", sn)
-                    break
                 # a sign change means the step jumped over a pole of b'
-                if abs(den) < floor or (den < 0) != (den_prev < 0):
+                if (den < 0) != (den_prev < 0):
                     stop = ("denominator", sn)
                     break
                 out_s.append(sn)
                 out_b.append(bn)
-                sv, bv, den_prev = sn, bn, den
+                sv, bv, kv, den_prev = sn, bn, kn, den
             return out_s, out_b, stop
 
         sp, bp_, stop_p = march(+1)
@@ -428,14 +445,26 @@ class _SineGordonForm(ImmersionTriple):
 # ----------------------------------------------------------------------
 
 
+def write_records(fh, record, rows):
+    """Write `record % row` for every row of a 2-d array, one `%` per block
+    of 4096 rows.
+
+    .tolist() yields Python floats and ints, so %.17g of a cell is the text
+    f"{v:.17g}" gives and %r the text repr(float(v)) gives; the blocks bound
+    the temporary Python objects (the whole mesh at once costs more memory
+    and is no faster)."""
+    for i in range(0, len(rows), 4096):
+        part = rows[i:i + 4096]
+        fh.write(record * len(part) % tuple(part.ravel().tolist()))
+
+
 def write_csv(path, header, columns):
     """Write `header` and then one line per row of the equal-length columns,
     each cell the repr of a Python float."""
-    # .tolist() yields Python floats, whose repr is the text repr(float(v)) gives
-    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    rows = np.column_stack([np.asarray(col, dtype=float) for col in columns])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+        write_records(fh, ",".join(["%r"] * len(columns)) + "\n", rows)
 
 
 def gauss_residual(a, b, c):

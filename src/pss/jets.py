@@ -81,17 +81,19 @@ def _require(env, name):
 
 
 def partials(h, env, names):
-    """First partials of h with respect to `names` on an environment, by name.
-    For a tuple-valued h (a coframe column) one such dict per component, all
-    from one seeding."""
+    """(value, partials): h and its first partials with respect to `names`
+    on an environment, by name, from one seeding; the value is the seeding's
+    primal, the same bits as h(env).  For a tuple-valued h (a coframe column)
+    the value is a tuple and there is one dict of partials per component."""
     for nm in names:
         _require(env, nm)
     lvl, seeded = dual.seed(env, names)
     out = h(seeded)
     if isinstance(out, tuple):
-        return tuple(dict(zip(names, dual.value_grad(o, lvl, len(names))[1])) for o in out)
-    _, grads = dual.value_grad(out, lvl, len(names))
-    return dict(zip(names, grads))
+        pairs = [dual.value_grad(o, lvl, len(names)) for o in out]
+        return tuple(v for v, _ in pairs), tuple(dict(zip(names, g)) for _, g in pairs)
+    value, grads = dual.value_grad(out, lvl, len(names))
+    return value, dict(zip(names, grads))
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +127,8 @@ def _chain(by, own, rate):
 
 
 def dx_env(h, env):
-    """D_x h evaluated on an environment, seeding only the coordinates h
-    reads; for a column, D_x of each component from one seeding."""
+    """(h, D_x h) evaluated on an environment, seeding only the coordinates h
+    reads; for a column, both for each component from one seeding."""
     free = _free_of(h)
     _reject_mixed(free, "total x-derivative")
     names = sorted(nm for nm in free if nm == "x" or _zindex(nm) is not None)
@@ -135,7 +137,8 @@ def dx_env(h, env):
         i = _zindex(nm)
         return None if i is None else _require(env, f"z{i + 1}")
 
-    return _chain(partials(h, {"x": 0.0, **env}, names), "x", rate)
+    value, by = partials(h, {"x": 0.0, **env}, names)
+    return value, _chain(by, "x", rate)
 
 
 def _dx_function(h):
@@ -147,7 +150,7 @@ def _dx_function(h):
         i = _zindex(nm)
         if i is not None:
             new_free.add(f"z{i + 1}")
-    return JetFunction(lambda env: dx_env(h, env), new_free, name=f"Dx({getattr(h, 'name', '?')})")
+    return JetFunction(lambda env: dx_env(h, env)[1], new_free, name=f"Dx({getattr(h, 'name', '?')})")
 
 
 def dx_power_values(F, env, kmax):
@@ -182,9 +185,9 @@ def prolong_env(env, F, upto):
 
 
 def dt_env_onshell(h, env, zt):
-    """D_t h on an environment, given the mixed derivatives zt[k] = z_{k,t},
-    seeding only the coordinates h reads; for a column, D_t of each
-    component from one seeding."""
+    """(h, D_t h) on an environment, given the mixed derivatives
+    zt[k] = z_{k,t}, seeding only the coordinates h reads; for a column,
+    both for each component from one seeding."""
 
     def rate(nm):
         i = _zindex(nm)
@@ -196,4 +199,5 @@ def dt_env_onshell(h, env, zt):
             return _require(env, f"{nm[0]}{int(nm[1:]) + 1}")
         return None
 
-    return _chain(partials(h, {"t": 0.0, **env}, sorted(_free_of(h))), "t", rate)
+    value, by = partials(h, {"t": 0.0, **env}, sorted(_free_of(h)))
+    return value, _chain(by, "t", rate)

@@ -70,17 +70,17 @@ def structure_residuals_env(fam: Family, env, zt=None):
 
     `zt` overrides the on-shell mixed derivatives z_{k,t}; passing values
     measured from a discrete field turns the identity into a check of how
-    well that field satisfies the equation.  D_t of column 1 and D_x of
-    column 2 each come from one seeding of the column.
+    well that field satisfies the equation.  Column 1 with its D_t and
+    column 2 with its D_x each come from one seeding of the column.
     """
-    col1, col2 = fam.column(1), fam.column(2)
-    v1, v2 = col1(env), col2(env)
-    # the Delta terms of R1, R2, R3: +Delta23, -Delta13, -Delta12
-    deltas = (delta(v1, v2, 2, 3), -delta(v1, v2, 1, 3), -delta(v1, v2, 1, 2))
     if zt is None:
         zt = fam.zt(env, 2)
+    v1, dts = dt_env_onshell(fam.column(1), env, zt)
+    v2, dxs = dx_env(fam.column(2), env)
+    # the Delta terms of R1, R2, R3: +Delta23, -Delta13, -Delta12
+    deltas = (delta(v1, v2, 2, 3), -delta(v1, v2, 1, 3), -delta(v1, v2, 1, 2))
     residuals, scales = [], []
-    for dt, dx, d in zip(dt_env_onshell(col1, env, zt), dx_env(col2, env), deltas):
+    for dt, dx, d in zip(dts, dxs, deltas):
         residuals.append(dx - dt + d)
         scales.append(np.maximum(1.0, np.maximum(np.abs(dx), np.maximum(np.abs(dt), np.abs(d)))))
     return tuple(residuals), tuple(scales)
@@ -94,7 +94,9 @@ def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
     """Environment of n on-shell jets z0..z5, w1, v1, components uniform in `bounds`.
 
     Rejects samples too close to the branch degeneracies (|f'| or |phi12|
-    below 1e-3), so residual scales stay trustworthy.
+    below 1e-3), so residual scales stay trustworthy.  Each round draws
+    max(64, 2 * (jets still missing)), which fixes the stream `rng` yields,
+    and keeps only the accepted jets it needs.
     """
     lo, hi = bounds
     names = [f"z{i}" for i in range(6)] + ["w1", "v1"]
@@ -110,11 +112,11 @@ def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
         env["x"] = np.zeros(draw)
         env["t"] = np.zeros(draw)
         env = fam.constrain_env(env)
-        mask = fam.sampling_guard(env)
+        keep = np.flatnonzero(fam.sampling_guard(env))[:n - have]
         for nm in names:
-            chunks[nm].append(env[nm][mask])
-        have += int(np.count_nonzero(mask))
-    out = {nm: np.concatenate(chunks[nm])[:n] for nm in names}
+            chunks[nm].append(env[nm][keep])
+        have += len(keep)
+    out = {nm: c[0] if len(c) == 1 else np.concatenate(c) for nm, c in chunks.items()}
     out["x"] = np.zeros(n)
     out["t"] = np.zeros(n)
     return out
@@ -188,11 +190,11 @@ def check_theorem21_conditions(
     z0, z1, z2 = env["z0"], env["z1"], env["z2"]
 
     col1, col2 = fam.column(1), fam.column(2)
-    v1 = col1(env)
+    v1, g1s = partials(col1, env, ("z0", "z1", "z2", "z3"))
+    v2, g2s = partials(col2, env, ("z3",))
     f11 = v1[0]
-    g1s = partials(col1, env, ("z0", "z1", "z2", "z3"))
     c36 = c37 = 0.0
-    for g1, g2 in zip(g1s, partials(col2, env, ("z3",))):
+    for g1, g2 in zip(g1s, g2s):
         c36 = max(c36, float(np.max(np.abs(g1["z0"] + g1["z2"]))))
         c37 = max(c37, float(np.max(np.abs(g1["z1"]))), float(np.max(np.abs(g1["z3"]))))
         c37 = max(c37, float(np.max(np.abs(g2["z3"]))))
@@ -201,14 +203,13 @@ def check_theorem21_conditions(
     env_b = dict(env)
     env_b["z2"] = env["z2"] + 0.75
     c38 = 0.0
-    for fi1, fi2, fi1b, fi2b in zip(v1, col2(env), col1(env_b), col2(env_b)):
+    for fi1, fi2, fi1b, fi2b in zip(v1, v2, col1(env_b), col2(env_b)):
         va = fi2 + lam * z0**2 * fi1
         vb = fi2b + lam * env_b["z0"] ** 2 * fi1b
         c38 = max(c38, float(np.max(np.abs(va - vb) / np.maximum(1.0, np.abs(va)))))
 
     # phi-level identities (39)-(41)
-    p12, p22, p32 = fam.phi_column(env)
-    d12, d22, d32 = partials(fam.phi_column, env, ("z0", "z1"))
+    (p12, p22, p32), (d12, d22, d32) = partials(fam.phi_column, env, ("z0", "z1"))
     g11 = g1s[0]["z0"]
     G = fam.G_fn(env)
 

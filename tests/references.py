@@ -4,10 +4,13 @@ None of these is used by the `pss` command line or its reports, so they
 live with the tests: the closed-form sine-Gordon kink, the forward
 Helmholtz operator, the b-ODE back-substitution residual, the discrete
 z_{k,t} of a marched field, a family with one f_ij bumped, the frame
-march as tuple RK4 and the coframe as six per-entry closures.
+march as tuple RK4, the coframe as six per-entry closures, and the b-ODE
+march, jet sampler and CSV writer that recompute what their successors
+reuse.
 """
 
 import copy
+import math
 
 import numpy as np
 
@@ -23,7 +26,13 @@ from pss.catalog import (
     _uni_derivs,
 )
 from pss.frames import _coefficients, _stage_abscissae
-from pss.immersion import Representation
+from pss.immersion import (
+    DELTA_MIN,
+    DENOM_MIN,
+    DenominatorCollapse,
+    DiscriminantCollapse,
+    Representation,
+)
 from pss.jets import (
     JetFunction,
     MissingJetCoordinate,
@@ -452,7 +461,7 @@ def per_entry_dx_env(h, env):
     if "x" not in names:
         names.append("x")
     names.sort()
-    by = partials(h, {"x": 0.0, **env}, names)
+    _, by = partials(h, {"x": 0.0, **env}, names)
     out = by.get("x", 0.0)
     for nm in names:
         i = _zindex(nm)
@@ -468,7 +477,7 @@ def per_entry_dt_env_onshell(h, env, zt):
     """D_t h on an environment, given the mixed derivatives zt[k] = z_{k,t}."""
     free = _free_of(h)
     names = sorted(free | {"t"})
-    by = partials(h, {"t": 0.0, **env}, names)
+    _, by = partials(h, {"t": 0.0, **env}, names)
     out = by.get("t", 0.0)
     for nm in names:
         g = by[nm]
@@ -484,3 +493,138 @@ def per_entry_dt_env_onshell(h, env, zt):
         elif nm[0] == "v" and nm[1:].isdigit():
             out = out + g * _require(env, f"v{int(nm[1:]) + 1}")
     return out
+
+
+# ----------------------------------------------------------------------
+# The b-ODE march with four fresh RK4 stages per step in numpy-scalar
+# arithmetic, the jet sampler that compresses its whole over-draw, and the
+# CSV writer that joins one row at a time.  immersion._OdeForm._march,
+# verifier.sample_envs and immersion.write_csv must give the same bits.
+
+
+class FreshStageMarch:
+    """`trip`'s b-ODE marched again from ImmersionParams `ip`: every step
+    evaluates g four times, and the stop check evaluates phi_delta again."""
+
+    def __init__(self, trip):
+        self.mu2, self.beta, self.rho = trip.mu2, trip.beta, trip.rho
+        self.k, self.ce, self.sign, self.a_sign = trip.k, trip.ce, trip.sign, trip.a_sign
+
+    def phi_delta(self, s, b):
+        E = np.exp(self.ce * s)
+        phi = ((self.mu2**2 - 1.0) * b - self.beta * E) / self.mu2
+        delta = phi * phi - 4.0 * (1.0 - b * b)
+        return phi, delta, E
+
+    def den_terms(self, phi, sq, b):
+        mu2, r = self.mu2, self.a_sign
+        return (mu2**2 + 1.0) * sq, r * (mu2**2 - 1.0) * phi, 4.0 * r * mu2 * b
+
+    def g(self, s, b):
+        k, r, sg = self.k, self.a_sign, self.sign
+        phi, delta, E = self.phi_delta(s, b)
+        bad = delta <= 0
+        if bad if bad.ndim == 0 else bad.any():
+            raise DiscriminantCollapse(s, bad)
+        sq = np.sqrt(delta)
+        t1, t2, t3 = self.den_terms(phi, sq, b)
+        den = t1 + t2 + t3
+        bad = abs(den) < 1e-300
+        if bad if bad.ndim == 0 else bad.any():
+            raise DenominatorCollapse(s, bad)
+        num = 2.0 * sg * self.rho * k * b * sq + r * sg * (2.0 * self.beta * self.rho / k) * phi * E
+        return num / den
+
+    def march(self, ip):
+        """(s, b, bprime, stops) of the table marched both ways from (ip.s0, ip.b0)."""
+
+        def delta_den(sv, bv):
+            phi, delta, _ = self.phi_delta(sv, bv)
+            t1, t2, t3 = self.den_terms(phi, math.sqrt(max(delta, 0.0)), bv)
+            return delta, t1 + t2 + t3, DENOM_MIN * max(1.0, abs(t1), abs(t2), abs(t3))
+
+        delta0, den0, floor0 = delta_den(ip.s0, ip.b0)
+        if not delta0 > DELTA_MIN:
+            raise DiscriminantCollapse(ip.s0)
+        if not abs(den0) >= floor0:
+            raise DenominatorCollapse(ip.s0)
+
+        def step(sv, bv, h):
+            k1 = self.g(sv, bv)
+            k2 = self.g(sv + 0.5 * h, bv + 0.5 * h * k1)
+            k3 = self.g(sv + 0.5 * h, bv + 0.5 * h * k2)
+            k4 = self.g(sv + h, bv + h * k3)
+            return bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        def march(direction):
+            h = direction * ip.h
+            out_s, out_b = [], []
+            sv, bv, den_prev = ip.s0, ip.b0, den0
+            stop = None
+            for _ in range(int(round(ip.eps / ip.h))):
+                try:
+                    bn = step(sv, bv, h)
+                except DiscriminantCollapse as e:
+                    stop = ("discriminant", e.s)
+                    break
+                except DenominatorCollapse as e:
+                    stop = ("denominator", e.s)
+                    break
+                sn = sv + h
+                delta, den, floor = delta_den(sn, bn)
+                if delta <= DELTA_MIN:
+                    stop = ("discriminant", sn)
+                    break
+                if abs(den) < floor or (den < 0) != (den_prev < 0):
+                    stop = ("denominator", sn)
+                    break
+                out_s.append(sn)
+                out_b.append(bn)
+                sv, bv, den_prev = sn, bn, den
+            return out_s, out_b, stop
+
+        sp, bp_, stop_p = march(+1)
+        sm, bm, stop_m = march(-1)
+        s = np.array(list(reversed(sm)) + [ip.s0] + sp)
+        b = np.array(list(reversed(bm)) + [ip.b0] + bp_)
+        stops = {}
+        if stop_p:
+            stops["forward"] = {"reason": stop_p[0], "s": stop_p[1]}
+        if stop_m:
+            stops["backward"] = {"reason": stop_m[0], "s": stop_m[1]}
+        return s, b, self.g(s, b), stops
+
+
+def whole_draw_sample_envs(fam, n, rng, bounds=(-1.0, 1.0)):
+    """verifier.sample_envs compressing each round's whole draw and
+    concatenating the rounds before it cuts n jets."""
+    lo, hi = bounds
+    names = [f"z{i}" for i in range(6)] + ["w1", "v1"]
+    chunks = {nm: [] for nm in names}
+    have = 0
+    attempts = 0
+    while have < n:
+        attempts += 1
+        if attempts > 200:
+            raise CatalogError("sampling guard rejected too many jets; bad family domain?")
+        draw = max(64, 2 * (n - have))
+        env = {nm: rng.uniform(lo, hi, size=draw) for nm in names}
+        env["x"] = np.zeros(draw)
+        env["t"] = np.zeros(draw)
+        env = fam.constrain_env(env)
+        mask = fam.sampling_guard(env)
+        for nm in names:
+            chunks[nm].append(env[nm][mask])
+        have += int(np.count_nonzero(mask))
+    out = {nm: np.concatenate(chunks[nm])[:n] for nm in names}
+    out["x"] = np.zeros(n)
+    out["t"] = np.zeros(n)
+    return out
+
+
+def row_by_row_csv(path, header, columns):
+    """immersion.write_csv joining the reprs of one row at a time."""
+    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))

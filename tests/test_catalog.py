@@ -341,9 +341,9 @@ def test_t22_matches_the_former_t22_builder_bit_for_bit(mu2, sign, f, phi12):
     zt, zt_ref = fam.zt(env, 3), ref.zt(env, 3)
     assert all(_same_bits(a, b) for a, b in zip(zt, zt_ref))
     for j in (1, 2):
-        assert all(map(_same_bits, dx_env(fam.column(j), env), dx_env(ref.column(j), env))), j
-        assert all(map(_same_bits, dt_env_onshell(fam.column(j), env, zt),
-                       dt_env_onshell(ref.column(j), env, zt_ref))), j
+        assert all(map(_same_bits, dx_env(fam.column(j), env)[1], dx_env(ref.column(j), env)[1])), j
+        assert all(map(_same_bits, dt_env_onshell(fam.column(j), env, zt)[1],
+                       dt_env_onshell(ref.column(j), env, zt_ref)[1])), j
 
 
 def test_t22_refuses_C_as_it_refuses_lam():
@@ -428,7 +428,7 @@ def test_onshell_dt_of_higher_jet_against_symbolic_flux():
         z = rng.uniform(-1, 1, 5)
         w1, v1 = rng.uniform(-1, 1, 2)
         p = {"x": 0.0, "t": 0.0, **{f"z{i}": zi for i, zi in enumerate(z)}, "w1": w1, "v1": v1}
-        got = dt_env_onshell(h, p, prolong_env(p, fam.F_fn, 3))
+        got = dt_env_onshell(h, p, prolong_env(p, fam.F_fn, 3))[1]
         z3t = v1 - dxf(*z)
         want = z[3] * w1 + z[0] * z3t
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -446,8 +446,9 @@ def _strict_bits(got, want):
 
 @pytest.mark.parametrize("name", sorted(PRESETS) + ["T22", "T23", "T24", "T25i", "T25ii"])
 def test_columns_match_the_per_entry_closures_bit_for_bit(name):
-    """Values, D_x of column 2 and on-shell D_t of column 1 equal, bit for bit
-    and with the sign of every zero, the six former per-entry closures differentiated one entry at a time with
+    """Values (plain and as the seedings' primals), D_x of column 2 and
+    on-shell D_t of column 1 equal, bit for bit and with the sign of every
+    zero, the six former per-entry closures differentiated one entry at a time with
     the former x and t seeds, on every preset and one seeded family per
     form-(7) branch."""
     from pss.jets import dt_env_onshell, dx_env
@@ -466,11 +467,13 @@ def test_columns_match_the_per_entry_closures_bit_for_bit(name):
         for i in (1, 2, 3):
             assert _strict_bits(got[i - 1], ref.fij(i, j)(env)), (i, j)
             assert _strict_bits(fam.fij(i, j)(env), ref.fij(i, j)(env)), (i, j)
-    dxs = dx_env(fam.column(2), env)
-    dts = dt_env_onshell(fam.column(1), env, zt)
+    v2, dxs = dx_env(fam.column(2), env)
+    v1, dts = dt_env_onshell(fam.column(1), env, zt)
     for i in (1, 2, 3):
         assert _strict_bits(dxs[i - 1], per_entry_dx_env(ref.fij(i, 2), env)), i
         assert _strict_bits(dts[i - 1], per_entry_dt_env_onshell(ref.fij(i, 1), env, zt_ref)), i
+        # the seedings' primals are the plain values
+        assert _strict_bits(v2[i - 1], ref.fij(i, 2)(env)) and _strict_bits(v1[i - 1], ref.fij(i, 1)(env)), i
     if fam.is_form7:
         want = (ref.phi12_fn(env), ref.phi22_fn(env), ref.phi32_fn(env))
         assert all(map(_same_bits, fam.phi_column(env), want))
@@ -479,8 +482,9 @@ def test_columns_match_the_per_entry_closures_bit_for_bit(name):
 
 def test_a_column_evaluates_f_and_phi12_once(monkeypatch):
     """One column(2) call runs the value programs of f and phi12 once each;
-    structure_residuals_env runs them at most 4 and 2 times and seeds each
-    column once."""
+    structure_residuals_env seeds each column once and runs the value
+    programs only inside those seedings: f once per column, phi12 once, each
+    on seeded duals (the plain column values are the seedings' primals)."""
     from pss import dual
     from pss.verifier import sample_envs, structure_residuals_env
 
@@ -488,10 +492,13 @@ def test_a_column_evaluates_f_and_phi12_once(monkeypatch):
                        f="s", phi12="z0*(z1 - z0)^2 + z1")
     env = sample_envs(fam, 100, np.random.default_rng(3))
     calls = {"f": 0, "phi12": 0, "seed": 0}
+    seeded = []
 
     def counting(key, fn):
         def wrapped(*args):
             calls[key] += 1
+            if key != "seed":
+                seeded.append(any(isinstance(v, dual.Dual) for v in args[0].values()))
             return fn(*args)
         return wrapped
 
@@ -501,6 +508,7 @@ def test_a_column_evaluates_f_and_phi12_once(monkeypatch):
     fam.column(2)(env)
     assert calls == {"f": 1, "phi12": 1, "seed": 0}
     calls.update(f=0, phi12=0)
+    seeded.clear()
     structure_residuals_env(fam, env)
-    assert calls["f"] <= 4 and calls["phi12"] <= 2
-    assert calls["seed"] == 2
+    assert calls == {"f": 2, "phi12": 1, "seed": 2}
+    assert seeded == [True] * 3

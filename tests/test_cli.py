@@ -211,6 +211,12 @@ def test_bad_seed_and_non_finite_immersion_flags_are_one_line(tmp_path, capsys):
         code = run([*argv, "--report", str(rep), "--deterministic"])
         assert (code, capsys.readouterr().err) == (EXIT_USAGE, line), argv
         assert not rep.exists()
+    # finite flags whose b-ODE start overflows (delta = inf, so den and its
+    # floor are inf) are refused at s0 in one line, not marched as NaN
+    for argv in ([*ode, "--b0", "1e300"], [*ode, "--beta", "1e300"], ["codazzi", *ode[1:], "--b0", "1e300"]):
+        code = run([*argv, "--eps", "0.3", "--report", str(rep), "--deterministic"])
+        assert (code, capsys.readouterr().err) == (EXIT_FAIL, "pss: discriminant collapsed at s = 0.0\n"), argv
+        assert not rep.exists()
     # exactly the cap is accepted (a closed-form triple marches nothing)
     assert run(["sff", "--preset", "novikov", "--sigma", "3", "--beta", "0.5", "--h", "1e-6", "--eps", "1",
                 "--report", str(rep), "--deterministic"]) == EXIT_OK

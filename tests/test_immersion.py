@@ -19,9 +19,10 @@ from pss.immersion import (
     gauss_residual,
     integrate_b_ode,
     solve_triple,
+    write_csv,
 )
 from pss.verifier import sample_envs
-from references import fd6, ode_backsubstitution_residuals, trim
+from references import FreshStageMarch, fd6, ode_backsubstitution_residuals, row_by_row_csv, trim
 
 
 def _jets(fam, n, seed=0):
@@ -415,6 +416,71 @@ def test_ode_stops_are_reported():
     assert trip.stops["backward"]["reason"] in ("discriminant", "denominator")
 
 
+def _march_cases():
+    """(family, ImmersionParams) of eight b-ODE families drawn as the certify
+    benchmark draws them (T22 and T24, mu2 in [0.4, 1] to 4 digits, eta2,
+    lam in [0.5, 2], C in [-1, 1], beta in [0.2, 0.6], b0 in [1.1, 1.5],
+    eps 0.3), then the two pole stops of the T22 pole family and a march
+    with a discriminant stop (inside a step) backward and a denominator
+    stop forward."""
+    rng = np.random.default_rng(14)
+    out = []
+    for branch in (Branch.T22, Branch.T24):
+        for _ in range(4):
+            kw = {"mu2": float(f"{rng.uniform(0.4, 1.0):.4g}"), "eta2": float(f"{rng.uniform(0.5, 2.0):.4g}")}
+            if branch == Branch.T24:
+                kw.update(lam=float(f"{rng.uniform(0.5, 2.0):.4g}"), C=float(f"{rng.uniform(-1.0, 1.0):.4g}"))
+            fam = build_family(FamilyParams(branch=branch, sign=int(rng.choice((1, -1))), **kw), f="s", phi12="z1")
+            beta, b0 = float(f"{rng.uniform(0.2, 0.6):.3f}"), float(f"{rng.uniform(1.1, 1.5):.3f}")
+            ip = ImmersionParams(beta=beta, b0=b0, eps=0.3)
+            out.append((fam, ip))
+    out += [(_t22_pole_family(), ImmersionParams(beta=0.2, b0=b0, eps=0.3)) for b0 in (1.3, 1.4)]
+    out.append((_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=1.0)))
+    return out
+
+
+def test_march_equals_the_fresh_stage_march_bit_for_bit():
+    """Reusing the accepted point's slope as the next k1, in Python floats,
+    gives the table, its slopes and both stops of the march that evaluates
+    all four stages afresh in numpy scalars."""
+    stops = []
+    for fam, ip in _march_cases():
+        trip = integrate_b_ode(fam, ip)
+        s, b, bprime, want = FreshStageMarch(trip).march(ip)
+        for got, ref in ((trip.s, s), (trip.b, b), (trip.bprime, bprime)):
+            assert np.array_equal(_bits(got), _bits(ref)), fam.params
+        assert trip.stops == want and {k: repr(v["s"]) for k, v in trip.stops.items()} == {
+            k: repr(v["s"]) for k, v in want.items()}
+        stops += [v["reason"] for v in trip.stops.values()]
+    assert sorted(stops) == ["denominator"] * 3 + ["discriminant"]
+
+
+def test_an_accepted_step_evaluates_phi_delta_four_times(monkeypatch):
+    """The start check, four phi_delta per accepted step (the stop check at
+    the new point gives the next step's k1), then one for the table's slopes."""
+    fam = _t22_ode_family()
+    cls = type(integrate_b_ode(fam, ImmersionParams(beta=0.5, b0=1.2, eps=0.01)))
+    phi_delta, calls = cls.phi_delta, []
+    monkeypatch.setattr(cls, "phi_delta", lambda self, s, b: calls.append(np.ndim(s)) or phi_delta(self, s, b))
+    trip = integrate_b_ode(fam, ImmersionParams(beta=0.5, b0=1.2, h=1e-3, eps=0.3))
+    assert trip.stops == {} and len(trip.s) == 601
+    assert calls == [0] * (1 + 4 * 600) + [1]
+
+
+def test_a_start_or_step_that_overflows_is_a_stop_not_a_nan_table():
+    """b, delta, the denominator and its floor must be finite: an overflowing
+    start is refused, and a march whose delta overflows stops there."""
+    fam = build_family(FamilyParams(branch=Branch.T24, mu2=0.6, eta2=1.0, lam=1.0, C=0.3), f="s", phi12="z1")
+    for beta, b0 in ((0.3, 1e300), (1e300, 1.2)):
+        with pytest.raises(DiscriminantCollapse) as err:
+            integrate_b_ode(fam, ImmersionParams(beta=beta, b0=b0, eps=0.3))
+        assert err.value.s == 0.0
+    # beta*E grows past 1e154 along the forward march, so delta = phi^2 - ... overflows
+    trip = integrate_b_ode(_t22_ode_family(mu2=2.0, eta2=1.0), ImmersionParams(beta=1e154, b0=1.2, eps=0.3))
+    assert trip.stops == {"forward": {"reason": "discriminant", "s": pytest.approx(0.178, abs=1e-12)}}
+    assert np.isfinite(trip.b).all() and np.isfinite(trip.bprime).all() and trip.s[0] == pytest.approx(-0.3)
+
+
 # ----------------------------------------------------------------------
 # Non-existence branches and dispatch totality
 
@@ -628,6 +694,19 @@ def test_csv_export_bytes_match_the_per_cell_writer(tmp_path):
         _per_cell_csv(trip, old, n=257)
         assert new.read_bytes() == old.read_bytes(), name
         assert new.read_text().count("\n") == (len(trip.s) if name == "ode" else 257) + 1
+
+
+def test_csv_bytes_equal_the_row_by_row_writer_across_blocks(tmp_path):
+    """9000 rows (two block boundaries) of floats with every kind of repr:
+    signed zeros, NaN, infinities, subnormals, integers and long fractions."""
+    rng = np.random.default_rng(4)
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308, 3.0, 0.1, 1e22])
+    cols = [rng.standard_normal(9000) * 10.0 ** rng.integers(-300, 300, 9000), np.resize(special, 9000),
+            np.arange(9000), rng.uniform(-1.0, 1.0, 9000).tolist()]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_csv(new, "p,q,i,u", cols)
+    row_by_row_csv(old, "p,q,i,u", cols)
+    assert new.read_bytes() == old.read_bytes() and new.read_text().count("\n") == 9001
 
 
 def test_ode_codazzi_with_nonlinear_f():

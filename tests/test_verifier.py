@@ -248,3 +248,26 @@ def test_certify_both_signs_random_parameters(branch_kwargs, sign):
     )
     rep = certify(fam, samples=400, tol=1e-8)
     assert rep.verdict == "pass", rep.residuals
+
+
+def test_sample_envs_equals_the_whole_draw_sampler(monkeypatch):
+    """Keeping only the accepted prefix each round needs gives the jets, bit
+    for bit, and leaves the generator where compressing and concatenating
+    whole draws leaves it: the six presets at 1 and 1000 jets, and a
+    sine-Gordon window where about a third of each draw is accepted."""
+    from references import whole_draw_sample_envs
+
+    cases = [(name, n, (-1.0, 1.0)) for name in sorted(PRESETS) for n in (1, 1000)]
+    cases.append(("sine-gordon", 1000, (-0.0015, 0.0015)))
+    for name, n, bounds in cases:
+        fam = PRESETS[name]()
+        guard, rounds = fam.sampling_guard, []
+        monkeypatch.setattr(fam, "sampling_guard", lambda env: rounds.append(1) or guard(env))
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = sample_envs(fam, n, rng, bounds=bounds)
+        want = whole_draw_sample_envs(fam, n, ref_rng, bounds=bounds)
+        assert list(got) == list(want)
+        for k in want:
+            assert got[k].shape == (n,) and np.array_equal(got[k].view(np.int64), want[k].view(np.int64)), (name, k)
+        assert rng.random() == ref_rng.random()
+    assert len(rounds) >= 2  # rounds of the last case, the narrow window

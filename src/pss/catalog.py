@@ -26,7 +26,9 @@ through the first two identities, with the resolved (mu2, eta2) and
 (mu3, eta3), so a column evaluates f11 and phi12 once.  T22 is T24 at
 lam = C = 0 (same mu3, eta3), so the T24 builder makes both; its lam and C
 terms are exact zeros there.  The sine-Gordon builder spells out its two
-columns.  `fij(i, j)` is a view of one entry of a column.
+columns.  `fij(i, j)` is a view of one entry of a column.  The entries
+read z0, z1, z2 only, so `zt` gives the on-shell z_{k,t} for k <= 2, in
+closed form.
 
 Derived constants (never user-set): gamma and eta3 for T23 (eta3 solves
 eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0, root chosen by `root`);
@@ -45,7 +47,7 @@ import numpy as np
 from . import dual
 from .dual import Taylor, primal
 from .expr import parse_expression
-from .jets import JetFunction, prolong_env
+from .jets import JetError, JetFunction
 
 __all__ = [
     "Branch",
@@ -509,20 +511,15 @@ class Family:
         return self.params.branch != Branch.SINE_GORDON
 
     def zt(self, env, upto):
-        """On-shell mixed derivatives z_{k,t}, k = 0..upto."""
+        """On-shell z_{k,t}, k = 0..upto <= 2: w1, v1 and z_{2,t}, which is w1 - F
+        (form (7), u_t - u_xxt = F) or D_x sin(z0) = cos(z0)*z1 (u_xt = sin u)."""
+        if not 0 <= upto <= 2:
+            raise JetError(f"z_{{k,t}} is given for k = 0..2, not up to k = {upto}")
+        if upto < 2:
+            return [env["w1"], env["v1"]][:upto + 1]
         if self.is_form7:
-            return prolong_env(env, self.F_fn, upto)
-        # sine-Gordon: z_{0,t} = w1 and z_{1,t} = v1 are jet data; the
-        # equation u_xt = sin u supplies z_{k,t} = D_x^{k-1} sin(z0), k >= 2
-        from .jets import dx_power_values
-
-        zt = [env["w1"]]
-        if upto >= 1:
-            zt.append(env["v1"])
-        if upto >= 2:
-            sin0 = JetFunction(lambda e: dual.sin(e["z0"]), {"z0"}, "sin(z0)")
-            zt.extend(dx_power_values(sin0, env, upto - 1)[1:])
-        return zt
+            return [env["w1"], env["v1"], env["w1"] - (0.0 + self.F_fn(env))]
+        return [env["w1"], env["v1"], 0.0 + dual.cos(env["z0"]) * env["z1"]]
 
     def constrain_env(self, env):
         """Force the on-shell constraints a sampled jet must satisfy."""

@@ -177,7 +177,7 @@ def integrate_frame(
     diag["I_det_min"] = float(np.min(detI[1:-1, 1:-1])) if min(sx, st) >= 2 else float(np.min(detI))
 
     mesh = SurfaceMesh(xs=xs, ts=ts, r=r, e3=e3, first_form=EE, second_form=II, diagnostics=diag)
-    mesh.K = discrete_gaussian_curvature(mesh)
+    mesh.K = discrete_gaussian_curvature(r)
     inner = mesh.interior_K()
     if inner.size:
         good = inner[np.isfinite(inner)]
@@ -263,9 +263,10 @@ def _triangles(nx, nt):
     return np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
 
 
-def discrete_gaussian_curvature(mesh_or_positions):
-    """Per-vertex K estimate; NaN on the boundary (incomplete link)."""
-    r = mesh_or_positions.r if isinstance(mesh_or_positions, SurfaceMesh) else np.asarray(mesh_or_positions)
+def discrete_gaussian_curvature(r):
+    """Per-vertex K estimate of an (nx, nt, 3) vertex grid; NaN on the
+    boundary (incomplete link)."""
+    r = np.asarray(r)
     nx, nt = r.shape[:2]
     if nx < 3 or nt < 3:
         return np.full((nx, nt), np.nan)

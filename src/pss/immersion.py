@@ -278,6 +278,11 @@ class _OdeForm(ImmersionTriple):
         k, r, sg = self.k, self.a_sign, self.sign
         return 2.0 * sg * self.rho * k * b * sq + r * sg * (2.0 * self.beta * self.rho / k) * phi * E
 
+    def phip_deltap(self, phi, E, b, bp):
+        """(phi', delta') along the table, from phi, E, b and b' at a point."""
+        phip = ((self.mu2**2 - 1.0) * bp - self.beta * self.ce * E) / self.mu2
+        return phip, 2.0 * phi * phip + 8.0 * b * bp
+
     def g(self, s, b):
         """b'(s); one code path for scalars (the march) and arrays (the table)."""
         phi, delta, E = self.phi_delta(s, b)
@@ -301,9 +306,10 @@ class _OdeForm(ImmersionTriple):
             not in (DELTA_MIN, inf), or |den| not in [floor, inf), the floor
             DENOM_MIN * max(1, |terms|_inf) (as the residual tolerances scale)
             below which den is lost in the rounding of its terms and has no
-            sign.  A non-finite b makes delta non-finite, and a finite den
-            has finite terms.  Where a point passes, g cannot raise, so b'
-            is g(sv, bv) bit for bit."""
+            sign, or a delta' that is not finite (the table's a' would
+            overflow).  A non-finite b makes delta non-finite, and a finite
+            den has finite terms.  Where a point passes, g cannot raise, so
+            b' is g(sv, bv) bit for bit."""
             phi, delta, E = self.phi_delta(sv, bv)
             if not DELTA_MIN < delta < math.inf:
                 raise DiscriminantCollapse(sv)
@@ -312,7 +318,10 @@ class _OdeForm(ImmersionTriple):
             den = t1 + t2 + t3
             if not DENOM_MIN * max(1.0, abs(t1), abs(t2), abs(t3)) <= abs(den) < math.inf:
                 raise DenominatorCollapse(sv)
-            return den, self.num(phi, sq, E, bv) / den
+            bprime = self.num(phi, sq, E, bv) / den
+            if not abs(self.phip_deltap(phi, E, bv, bprime)[1]) < math.inf:
+                raise DiscriminantCollapse(sv)
+            return den, bprime
 
         den0, k0 = accept(ip.s0, ip.b0)
 
@@ -388,7 +397,7 @@ class _OdeForm(ImmersionTriple):
 
     def abc_derivs(self, s):
         b = self._interp_b(s)
-        mu2, r = self.mu2, self.a_sign
+        r = self.a_sign
         phi, delta, E = self.phi_delta(s, b)
         bad = delta <= 0
         if _any(bad):
@@ -397,8 +406,7 @@ class _OdeForm(ImmersionTriple):
         a = 0.5 * (-phi + r * sq)
         c = a + phi
         bp = self.g(s, b)
-        phip = ((mu2**2 - 1.0) * bp - self.beta * self.ce * E) / mu2
-        deltap = 2.0 * phi * phip + 8.0 * b * bp
+        phip, deltap = self.phip_deltap(phi, E, b, bp)
         ap = 0.5 * (-phip + r * deltap / (2.0 * sq))
         cp = ap + phip
         return a, b, c, ap, bp, cp

@@ -1,4 +1,4 @@
-"""Jet coordinates, exact total derivatives, and on-shell prolongation.
+"""Jet coordinates and the exact total derivatives the coframe needs.
 
 A jet environment is a dict mapping the coordinate names x, t, z0..zK,
 w1..wM, v1..vN to floats or to arrays of one shape (one jet per element),
@@ -6,21 +6,12 @@ where z_i is the i-th x-derivative of u, w_j the j-th t-derivative of u
 and v_k the k-th t-derivative of u_x (z_0 = u and z_1 = v_0 = u_x are the
 shared identifications; v_0 is never stored separately).
 
-The total x-derivative of a differential function h is
-
-    D_x h = h_x + sum_i h_{z_i} z_{i+1}
-
-plus, in principle, h_{w_j} w_{j,x} and h_{v_k} v_{k,x} terms.  Values for
-those mixed coordinates are never available off-shell, so operations here
-reject expressions that depend on w_j or v_k rather than guess.
-
-On-shell (u_t - u_xxt = F with F = F(z_0..z_3)) the mixed derivatives of
-the z-coordinates follow the prolongation rule
-
-    z_{2q,t}   = z_{0,t} - sum_{i<q} D_x^{2i} F,
-    z_{2q+1,t} = z_{1,t} - sum_{i<q} D_x^{2i+1} F,
-
-with z_{0,t} = w_1 and z_{1,t} = v_1.
+The coframe entries f_ij read z0, z1, z2 only, so the total derivatives
+here take functions of the z_i alone: D_x h = sum_i h_{z_i} z_{i+1} and
+D_t h = sum_i h_{z_i} z_{i,t}, the on-shell z_{i,t} given by the caller
+(`Family.zt`, in closed form up to z_{2,t}).  A function of x, t, w_j or
+v_k is refused: no entry reads one, and the w_j,x and v_k,x that D_x
+would need are never available off-shell.
 """
 
 from __future__ import annotations
@@ -34,7 +25,6 @@ __all__ = [
     "partials",
     "dx_env",
     "dt_env_onshell",
-    "prolong_env",
 ]
 
 
@@ -59,13 +49,6 @@ class JetFunction:
 
     def __repr__(self):
         return f"JetFunction({self.name or '?'})"
-
-
-def _free_of(h):
-    free = getattr(h, "free", None)
-    if free is None:
-        raise TypeError("expected an Expression or JetFunction with a .free set")
-    return free
 
 
 def _zindex(name):
@@ -100,88 +83,33 @@ def partials(h, env, names):
 # Total derivatives on plain environments (scalars or arrays)
 
 
-def _reject_mixed(free, what):
-    bad = sorted(nm for nm in free if nm[0] in "wv" and nm[1:].isdigit())
-    if bad:
-        raise JetError(
-            f"{what} of an expression depending on {bad} needs off-shell "
-            "w_j,x / v_k,x values, which are never available; rejected"
-        )
-
-
-def _chain(by, own, rate):
-    """The total derivative from the partials `by` (a dict, or one dict per
-    component of a column): the partial by `own` (x or t; 0.0 when it is not
-    seeded) plus, in the order of `by`, each nonzero partial times rate(name),
-    for the names whose rate is not None."""
+def _chain(by, rate):
+    """0.0 plus, in the order of the partials `by` (a dict, or one dict per
+    component of a column), each partial by z_i times rate(i), skipping the
+    partials that are an exact Python-float zero."""
     if isinstance(by, tuple):
-        return tuple(_chain(b, own, rate) for b in by)
-    out = by.get(own, 0.0)
+        return tuple(_chain(b, rate) for b in by)
+    out = 0.0
     for nm, g in by.items():
         if isinstance(g, float) and g == 0.0:
             continue
-        r = rate(nm)
-        if r is not None:
-            out = out + g * r
+        out = out + g * rate(_zindex(nm))
     return out
+
+
+def _total(h, env, rate):
+    """(h, sum_i h_{z_i} * rate(i)) from one seeding of the z_i that h reads."""
+    bad = sorted(nm for nm in h.free if _zindex(nm) is None)
+    if bad:
+        raise JetError(f"total derivative of a function of {bad}: only z_i have rates (w_j,x, v_k,x are off-shell)")
+    value, by = partials(h, env, sorted(h.free))
+    return value, _chain(by, rate)
 
 
 def dx_env(h, env):
     """(h, D_x h) evaluated on an environment, seeding only the coordinates h
     reads; for a column, both for each component from one seeding."""
-    free = _free_of(h)
-    _reject_mixed(free, "total x-derivative")
-    names = sorted(nm for nm in free if nm == "x" or _zindex(nm) is not None)
-
-    def rate(nm):
-        i = _zindex(nm)
-        return None if i is None else _require(env, f"z{i + 1}")
-
-    value, by = partials(h, {"x": 0.0, **env}, names)
-    return value, _chain(by, "x", rate)
-
-
-def _dx_function(h):
-    """D_x as an operator: returns a JetFunction one jet order higher."""
-    free = _free_of(h)
-    _reject_mixed(free, "total x-derivative")
-    new_free = set(free)
-    for nm in free:
-        i = _zindex(nm)
-        if i is not None:
-            new_free.add(f"z{i + 1}")
-    return JetFunction(lambda env: dx_env(h, env)[1], new_free, name=f"Dx({getattr(h, 'name', '?')})")
-
-
-def dx_power_values(F, env, kmax):
-    """Values of F, D_x F, ..., D_x^kmax F on an environment."""
-    out = []
-    fn = F
-    for _ in range(kmax + 1):
-        out.append(fn(env))
-        fn = _dx_function(fn)
-    return out
-
-
-def prolong_env(env, F, upto):
-    """On-shell z_{k,t} for k = 0..upto as a list, on an environment."""
-    if upto < 0:
-        raise JetError("prolongation order must be >= 0")
-    zt = [_require(env, "w1")]
-    if upto >= 1:
-        zt.append(_require(env, "v1"))
-    if upto >= 2:
-        dxf = dx_power_values(F, env, max(0, upto - 2))
-        acc_even = 0.0
-        acc_odd = 0.0
-        for k in range(2, upto + 1):
-            if k % 2 == 0:
-                acc_even = acc_even + dxf[k - 2]
-                zt.append(zt[0] - acc_even)
-            else:
-                acc_odd = acc_odd + dxf[k - 2]
-                zt.append(zt[1] - acc_odd)
-    return zt
+    return _total(h, env, lambda i: _require(env, f"z{i + 1}"))
 
 
 def dt_env_onshell(h, env, zt):
@@ -189,15 +117,9 @@ def dt_env_onshell(h, env, zt):
     zt[k] = z_{k,t}, seeding only the coordinates h reads; for a column,
     both for each component from one seeding."""
 
-    def rate(nm):
-        i = _zindex(nm)
-        if i is not None:
-            if i >= len(zt):
-                raise MissingJetCoordinate(f"prolongation does not reach z{i},t")
-            return zt[i]
-        if nm[0] in "wv" and nm[1:].isdigit():
-            return _require(env, f"{nm[0]}{int(nm[1:]) + 1}")
-        return None
+    def rate(i):
+        if i >= len(zt):
+            raise MissingJetCoordinate(f"prolongation does not reach z{i},t")
+        return zt[i]
 
-    value, by = partials(h, {"t": 0.0, **env}, sorted(_free_of(h)))
-    return value, _chain(by, "t", rate)
+    return _total(h, env, rate)

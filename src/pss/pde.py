@@ -202,7 +202,7 @@ class SolutionField:
         x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         zero = np.zeros_like(x)
         td = dual.Dual(1, t + zero, (1.0 + zero,))
-        tx = Taylor([x, 1.0 + zero] + [zero] * (order - 1)) if order >= 1 else Taylor([x])
+        tx = Taylor([x, 1.0 + zero] + [zero] * (order - 1))
         tt = Taylor([td] + [zero] * order)
         u = self.expression({"x": tx, "t": tt})
         if not isinstance(u, Taylor):

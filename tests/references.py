@@ -4,9 +4,10 @@ None of these is used by the `pss` command line or its reports, so they
 live with the tests: the closed-form sine-Gordon kink, the forward
 Helmholtz operator, the b-ODE back-substitution residual, the discrete
 z_{k,t} of a marched field, a family with one f_ij bumped, the frame
-march as tuple RK4, the coframe as six per-entry closures, and the b-ODE
-march, jet sampler and CSV writer that recompute what their successors
-reuse.
+march as tuple RK4, the coframe as six per-entry closures with the
+former x/t-seeded total derivatives and order-2 prolongation, and the
+b-ODE march, jet sampler and CSV writer that recompute what their
+successors reuse.
 """
 
 import copy
@@ -34,10 +35,9 @@ from pss.immersion import (
     Representation,
 )
 from pss.jets import (
+    JetError,
     JetFunction,
     MissingJetCoordinate,
-    _free_of,
-    _reject_mixed,
     _require,
     _zindex,
     partials,
@@ -453,6 +453,22 @@ def per_entry_family(fam):
     return PerEntryFamily(fam.params, fam.f_expr, fam.phi12_expr, fam.phi_expr, name=fam.name)
 
 
+def _free_of(h):
+    free = getattr(h, "free", None)
+    if free is None:
+        raise TypeError("expected an Expression or JetFunction with a .free set")
+    return free
+
+
+def _reject_mixed(free, what):
+    bad = sorted(nm for nm in free if nm[0] in "wv" and nm[1:].isdigit())
+    if bad:
+        raise JetError(
+            f"{what} of an expression depending on {bad} needs off-shell "
+            "w_j,x / v_k,x values, which are never available; rejected"
+        )
+
+
 def per_entry_dx_env(h, env):
     """D_x h evaluated on an environment."""
     free = _free_of(h)
@@ -493,6 +509,17 @@ def per_entry_dt_env_onshell(h, env, zt):
         elif nm[0] == "v" and nm[1:].isdigit():
             out = out + g * _require(env, f"v{int(nm[1:]) + 1}")
     return out
+
+
+def former_zt(fam, env):
+    """z_{k,t}, k = 0..2, as the former general prolongation gave them: for
+    form (7) z_{2,t} = w1 minus the running sum 0.0 + F; for sine-Gordon
+    z_{2,t} = D_x sin(z0), 0.0 plus the z0-seeded partial times z1."""
+    zt = [_require(env, "w1"), _require(env, "v1")]
+    if fam.is_form7:
+        return zt + [zt[0] - (0.0 + fam.F_fn(env))]
+    _, by = partials(lambda e: dual.sin(e["z0"]), {"x": 0.0, **env}, ["z0"])
+    return zt + [0.0 + by["z0"] * _require(env, "z1")]
 
 
 # ----------------------------------------------------------------------

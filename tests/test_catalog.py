@@ -338,7 +338,7 @@ def test_t22_matches_the_former_t22_builder_bit_for_bit(mu2, sign, f, phi12):
     for got, want in pairs:
         assert _same_bits(got(env), want(env)), got.name
     assert all(map(_same_bits, fam.phi_column(env), ref.phi_column(env)))
-    zt, zt_ref = fam.zt(env, 3), ref.zt(env, 3)
+    zt, zt_ref = fam.zt(env, 2), ref.zt(env, 2)
     assert all(_same_bits(a, b) for a, b in zip(zt, zt_ref))
     for j in (1, 2):
         assert all(map(_same_bits, dx_env(fam.column(j), env)[1], dx_env(ref.column(j), env)[1])), j
@@ -408,30 +408,31 @@ def test_t25ii_requires_real_mu3():
 
 
 def test_onshell_dt_of_higher_jet_against_symbolic_flux():
-    """D_t(z0*z3) on-shell needs z_{3,t} = v1 - D_x F; cross-check the nested
-    forward-mode D_x F against a fully symbolic expansion of the Novikov flux."""
+    """D_t of Novikov's column 1 on-shell reads z_{2,t} = w1 - F; cross-check
+    the seeded D_t and the compiled flux against a fully symbolic expansion."""
     import sympy as sp
-    from pss.jets import dt_env_onshell, prolong_env
-    from pss.expr import parse_expression
+    from pss.jets import dt_env_onshell
 
     fam = novikov_preset()
-    zs = sp.symbols("z0 z1 z2 z3 z4")
+    p = fam.params
+    zs = sp.symbols("z0 z1 z2 z3")
+    w1 = sp.Symbol("w1")
     G = zs[1] ** 3 - 3 * zs[0] * zs[1] ** 2 - 2 * zs[0] ** 2 * zs[1] \
         + 4 * zs[0] * zs[1] * zs[2] - zs[0] ** 2 * zs[2]
     F = zs[0] ** 2 * zs[3] + G
-    DxF = sum(sp.diff(F, zs[i]) * zs[i + 1] for i in range(4))
-    dxf = sp.lambdify(zs, DxF)
+    f11 = zs[0] - zs[2]  # f = s
+    column = (f11, p.mu2 * f11 + p.eta2, p.mu3 * f11 + p.eta3)
+    rates = {zs[0]: w1, zs[2]: w1 - F}  # column 1 reads z0 and z2 only
+    dts = sp.lambdify((*zs, w1), [sum(sp.diff(c, z) * r for z, r in rates.items()) for c in column])
 
-    h = parse_expression("z0*z3", ["z0", "z3"])
     rng = np.random.default_rng(21)
     for _ in range(50):
-        z = rng.uniform(-1, 1, 5)
-        w1, v1 = rng.uniform(-1, 1, 2)
-        p = {"x": 0.0, "t": 0.0, **{f"z{i}": zi for i, zi in enumerate(z)}, "w1": w1, "v1": v1}
-        got = dt_env_onshell(h, p, prolong_env(p, fam.F_fn, 3))[1]
-        z3t = v1 - dxf(*z)
-        want = z[3] * w1 + z[0] * z3t
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        z = rng.uniform(-1, 1, 4)
+        w, v1 = rng.uniform(-1, 1, 2)
+        env = {"x": 0.0, "t": 0.0, **{f"z{i}": zi for i, zi in enumerate(z)}, "w1": w, "v1": v1}
+        got = dt_env_onshell(fam.column(1), env, fam.zt(env, 2))[1]
+        for g, want in zip(got, dts(*z, w)):
+            assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
 
 
 # ----------------------------------------------------------------------
@@ -512,3 +513,24 @@ def test_a_column_evaluates_f_and_phi12_once(monkeypatch):
     structure_residuals_env(fam, env)
     assert calls == {"f": 2, "phi12": 1, "seed": 2}
     assert seeded == [True] * 3
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["T22", "T23", "T24", "T25i", "T25ii"])
+def test_zt_equals_the_former_prolongation_bit_for_bit(name):
+    """The closed-form z_{k,t}, k <= 2, equal the former general prolongation
+    at order 2, bit for bit and with the sign of every zero, on every preset
+    and one seeded family per form-(7) branch; the orders below 2 are its
+    prefixes, and no order above 2 is given."""
+    from pss.jets import JetError
+    from pss.verifier import sample_envs
+    from references import former_zt
+
+    fam = PRESETS[name]() if name in PRESETS else _seeded_form7_specs()[name]
+    env = sample_envs(fam, 2000, np.random.default_rng(41))
+    zt, want = fam.zt(env, 2), former_zt(fam, env)
+    assert len(zt) == 3 and all(_strict_bits(a, b) for a, b in zip(zt, want))
+    for upto in (0, 1):
+        got = fam.zt(env, upto)
+        assert len(got) == upto + 1 and all(map(_strict_bits, got, zt))
+    with pytest.raises(JetError, match="k = 0..2"):
+        fam.zt(env, 3)

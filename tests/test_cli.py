@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism, config files."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -664,3 +665,70 @@ def test_reconstruct_refuses_a_window_without_extent(tmp_path, capsys):
                 "--report", str(rep), "--deterministic"]) == EXIT_OK
     dd = json.loads(rep.read_text())["diagnostics"]
     assert np.isfinite(dd["K_mean"]) and dd["compat_max"] > 0.0
+
+
+def test_codazzi_verdict_tests_each_maximum_on_its_own(tmp_path, monkeypatch):
+    """Python's max(E1, NaN) is E1, so a NaN E2 must fail on its own, as must a NaN E1."""
+    residuals = cli.codazzi_residuals
+    rep = tmp_path / "r.json"
+    for k in (0, 1):
+        def with_nan(*args, _k=k):
+            e = list(residuals(*args))
+            e[_k] = np.full_like(e[_k], np.nan)
+            return tuple(e)
+
+        monkeypatch.setattr(cli, "codazzi_residuals", with_nan)
+        code = run(["codazzi", *NOVIKOV_STRIP, "--samples", "50", "--report", str(rep), "--deterministic"])
+        doc = json.loads(rep.read_text())
+        assert (code, doc["verdict"]) == (EXIT_FAIL, "fail"), k
+        assert np.isnan(doc[f"E{k + 1}_max"]) and doc[f"E{2 - k}_max"] <= 1e-8, k
+
+
+def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, capsys):
+    """Bad argv, malformed family specs, truncated PSSF files and a b-ODE table
+    that runs toward overflow each end in an exit code of 1, 2 or 3 and one
+    stderr line, with no traceback and no warning."""
+    specs = {
+        "trunc": '{"branch": "T24", "params": {',
+        "t99": '{"branch": "T99", "params": {}}',
+        "nophi": '{"branch": "T24", "params": {"lam": 1, "eta2": 1}, "f": "s"}',
+        "badexpr": '{"branch": "T24", "params": {"lam": 1, "eta2": 1}, "f": "s +", "phi12": "z1"}',
+        "t22": '{"branch": "T22", "params": {"mu2": 2.0, "eta2": 1}, "f": "s", "phi12": "z1"}',
+    }
+    for name, text in specs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    good = tmp_path / "good.pssf"
+    assert run(["pde", "--preset", "novikov", "--nx", "16", "--tmax", "0.01", "--dt", "1e-3",
+                "--out", str(good), "--report", str(tmp_path / "pde.json"), "--deterministic"]) == EXIT_OK
+    pssf = {"empty": b"", "magic": b"PSSX", "header": good.read_bytes()[:20], "body": good.read_bytes()[:100]}
+    for name, data in pssf.items():
+        (tmp_path / f"{name}.pssf").write_bytes(data)
+
+    def family(name):
+        return ["--family", str(tmp_path / f"{name}.json")]
+
+    def field(name):
+        return ["reconstruct", *NOVIKOV_STRIP, "--grid", "9x9", "--field", str(tmp_path / f"{name}.pssf")]
+
+    table = [
+        # (argv, exit code)
+        (["frobnicate"], EXIT_USAGE),
+        (["verify", "--bogus"], EXIT_USAGE),
+        (["verify", "--preset", "nope"], EXIT_USAGE),
+        (["verify", "--preset", "novikov", "--samples", "abc"], EXIT_USAGE),
+        (["sff"], EXIT_USAGE),
+        (["verify", *family("missing")], EXIT_USAGE),
+        *((["verify", *family(name)], EXIT_USAGE) for name in ("trunc", "t99", "nophi", "badexpr")),
+        *((field(name), EXIT_FAIL) for name in pssf),
+        # delta' overflows at s = 0.053: the table stops there, and the Gauss check fails
+        (["sff", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL),
+    ]
+    rep = tmp_path / "r.json"
+    for argv, want in table:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = run([*argv, "--report", str(rep), "--deterministic"])
+        err = capsys.readouterr().err
+        assert code == want and code in (EXIT_USAGE, EXIT_FAIL, EXIT_NO_IMMERSION), (argv, code, err)
+        assert err.startswith("pss: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert "Traceback" not in err and "Warning" not in err and not seen, (argv, err, seen)

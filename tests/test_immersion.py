@@ -468,17 +468,20 @@ def test_an_accepted_step_evaluates_phi_delta_four_times(monkeypatch):
 
 
 def test_a_start_or_step_that_overflows_is_a_stop_not_a_nan_table():
-    """b, delta, the denominator and its floor must be finite: an overflowing
-    start is refused, and a march whose delta overflows stops there."""
+    """b, delta, the denominator, its floor and delta' must be finite: an
+    overflowing start is refused, and a march stops where one overflows."""
     fam = build_family(FamilyParams(branch=Branch.T24, mu2=0.6, eta2=1.0, lam=1.0, C=0.3), f="s", phi12="z1")
     for beta, b0 in ((0.3, 1e300), (1e300, 1.2)):
         with pytest.raises(DiscriminantCollapse) as err:
             integrate_b_ode(fam, ImmersionParams(beta=beta, b0=b0, eps=0.3))
         assert err.value.s == 0.0
-    # beta*E grows past 1e154 along the forward march, so delta = phi^2 - ... overflows
+    # beta*E grows along the forward march; delta' = 2 phi phi' + 8 b b'
+    # overflows at s = 0.053, well before delta itself would (s = 0.178)
     trip = integrate_b_ode(_t22_ode_family(mu2=2.0, eta2=1.0), ImmersionParams(beta=1e154, b0=1.2, eps=0.3))
-    assert trip.stops == {"forward": {"reason": "discriminant", "s": pytest.approx(0.178, abs=1e-12)}}
+    assert trip.stops == {"forward": {"reason": "discriminant", "s": pytest.approx(0.053, abs=1e-12)}}
     assert np.isfinite(trip.b).all() and np.isfinite(trip.bprime).all() and trip.s[0] == pytest.approx(-0.3)
+    # so the table's a, b, c and their derivatives are finite, without an overflow warning
+    assert all(np.isfinite(v).all() for v in trip.abc_derivs(trip.s))
 
 
 # ----------------------------------------------------------------------

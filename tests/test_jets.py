@@ -1,11 +1,14 @@
-"""Jet environments, total derivatives, and on-shell prolongation."""
+"""Jet environments, total derivatives, and the on-shell z_{k,t} up to k = 2."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from pss.expr import parse_expression
-from pss.jets import JetError, MissingJetCoordinate, dt_env_onshell, dx_env, prolong_env
+from pss.catalog import Family, novikov_preset, sine_gordon_preset
+from pss.jets import JetError, MissingJetCoordinate, dt_env_onshell, dx_env
 
 
 def jet(z, w=(0.5,), v=(0.25,), x=0.0, t=0.0):
@@ -99,52 +102,31 @@ def test_total_derivative_x_matches_symbolic_chain_rule():
 
 
 def test_prolong_onshell_low_orders():
-    F = parse_expression("z0^2*z3 + z1^3", ["z0", "z1", "z2", "z3"])
+    fam = novikov_preset()
     p = jet(np.linspace(0.3, 1.0, 6), w=(0.7,), v=(0.4,))
-    zt = prolong_env(p, F, 2)
+    zt = fam.zt(p, 2)
     assert zt[0] == 0.7 and zt[1] == 0.4
-    assert zt[2] == pytest.approx(0.7 - F(p), abs=0.0)
-
-
-def test_prolong_with_zero_flux():
-    F = parse_expression("0", ["z0"])
-    p = jet(np.linspace(0.3, 1.0, 8), w=(0.7,), v=(0.4,))
-    zt = prolong_env(p, F, 5)
-    assert zt[2] == zt[4] == 0.7
-    assert zt[3] == zt[5] == 0.4
-
-
-def test_prolong_consistency_property():
-    # z_{k+2,t} - z_{k,t} = -D_x^k F exactly as evaluated
-    F = parse_expression("z0^2*z3 + z0*z1 - z2^2", ["z0", "z1", "z2", "z3"])
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        p = jet(rng.uniform(-1, 1, 10), w=(rng.uniform(-1, 1),), v=(rng.uniform(-1, 1),))
-        upto = 6
-        zt = prolong_env(p, F, upto)
-        # independent D_x^k F by nested total derivatives of expression trees
-        from pss.jets import dx_power_values
-
-        dxf = dx_power_values(F, p, upto - 2)
-        for k in range(0, upto - 1):
-            lhs = zt[k + 2] - zt[k]
-            assert abs(lhs + dxf[k]) <= 1e-12 * max(1.0, abs(lhs))
+    assert zt[2] == pytest.approx(0.7 - fam.F_fn(p), abs=0.0)
+    assert fam.zt(p, 1) == zt[:2] and fam.zt(p, 0) == zt[:1]
 
 
 def test_prolong_matches_manufactured_solution():
-    # u = x^3 + x t solves u_t - u_xxt = F with F = z2/6; z_{3,t} = v1 - D_x F
+    # u = x^3 + x t solves u_t - u_xxt = F with F = z2/6, and the kink
+    # u = 4 atan(exp(2x + t/2)) solves u_xt = sin(u): z_{2,t} = u_xxt for both
     x, t = sp.symbols("x t")
-    u = x**3 + x * t
-    F = parse_expression("z2/6", ["z2"])
+    flux = SimpleNamespace(is_form7=True, F_fn=parse_expression("z2/6", ["z2"]))
+    cases = [(x**3 + x * t, lambda p: Family.zt(flux, p, 2)),
+             (4 * sp.atan(sp.exp(2 * x + t / 2)), lambda p: sine_gordon_preset().zt(p, 2))]
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        xs, ts = rng.uniform(-2, 2, 2)
-        p = _sympy_jets(u, xs, ts)
-        zt = prolong_env(p, F, 3)
-        want = float(sp.diff(sp.diff(u, x, 3), t).subs({x: xs, t: ts}))
-        assert abs(zt[3] - want) <= 1e-12
-        want2 = float(sp.diff(sp.diff(u, x, 2), t).subs({x: xs, t: ts}))
-        assert abs(zt[2] - want2) <= 1e-12
+    for u, zt_of in cases:
+        z = [sp.lambdify((x, t), sp.diff(u, x, i)) for i in range(4)]
+        zt_want = [sp.lambdify((x, t), sp.diff(u, x, k, t)) for k in range(3)]
+        for _ in range(20):
+            xs, ts = rng.uniform(-2, 2, 2)
+            p = jet([zi(xs, ts) for zi in z], w=(zt_want[0](xs, ts),), v=(zt_want[1](xs, ts),), x=xs, t=ts)
+            zt = zt_of(p)
+            for k in range(3):
+                assert abs(zt[k] - zt_want[k](xs, ts)) <= 1e-12, k
 
 
 def test_dt_onshell_examples():
@@ -153,18 +135,22 @@ def test_dt_onshell_examples():
     h0 = parse_expression("z0", ["z0"])
     h1 = parse_expression("z1", ["z1"])
     h2 = parse_expression("z2", ["z2"])
-    zt = prolong_env(p, F, 2)
+    zt = [0.7, 0.4, 0.7 - F(p)]
     assert dt_env_onshell(h0, p, zt)[1] == 0.7
     assert dt_env_onshell(h1, p, zt)[1] == 0.4
     assert dt_env_onshell(h2, p, zt)[1] == pytest.approx(0.7 - F(p), abs=0.0)
+    with pytest.raises(MissingJetCoordinate, match="z2,t"):
+        dt_env_onshell(h2, p, zt[:2])
 
 
 def test_dt_onshell_w_chain():
-    # h depending on w1 pulls in w2
-    h = parse_expression("w1^2", ["w1"])
-    F = parse_expression("0", ["z0"])
+    # a function of w1 (or of x) is refused: no coframe entry reads one, and
+    # its w1 must not be taken for a z_i
     p = jet((1.0, 2.0), w=(3.0, 4.0), v=(0.5,))
-    assert dt_env_onshell(h, p, prolong_env(p, F, 0))[1] == 2.0 * 3.0 * 4.0
-    q = jet((1.0,), w=(3.0,), v=(0.5,))
-    with pytest.raises(MissingJetCoordinate):
-        dt_env_onshell(h, q, prolong_env(q, F, 0))
+    for src, names in [("w1^2", ["w1"]), ("x*z0", ["x", "z0"]), ("t + z1", ["t", "z1"])]:
+        h = parse_expression(src, names)
+        with pytest.raises(JetError, match="off-shell") as info:
+            dt_env_onshell(h, p, [3.0, 0.5])
+        assert not isinstance(info.value, MissingJetCoordinate) and "\n" not in str(info.value)
+        with pytest.raises(JetError, match="off-shell"):
+            dx_env(h, p)

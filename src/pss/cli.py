@@ -336,7 +336,22 @@ def _cmd_verify(args):
     fam = _load(args)
     rep = certify(fam, samples=args.samples, tol=args.tol, seed=args.seed)
     _emit(args, rep.to_dict(), "verify")
-    return EXIT_OK if rep.verdict == "pass" else EXIT_FAIL
+    if rep.verdict == "pass":
+        return EXIT_OK
+    maxima = {k: v for k, v in rep.residuals.items() if k != "c42_min"}
+    if all(v <= args.tol for v in maxima.values()):  # so only the nondegeneracy witness failed
+        c42 = rep.residuals["c42_min"]
+        print(f"pss: c42_min {c42:.3e}, the nondegeneracy witness, is not above the tolerance", file=sys.stderr)
+        return EXIT_FAIL
+    return _fail_on_worst(maxima, args.tol)
+
+
+def _fail_on_worst(maxima, tol):
+    """A failing verdict's one stderr line: the largest of `maxima` (a NaN
+    counting as the largest) against --tol."""
+    name, worst = max(maxima.items(), key=lambda kv: np.inf if np.isnan(kv[1]) else kv[1])
+    print(f"pss: {name} {worst:.3e} exceeds --tol {tol:g}", file=sys.stderr)
+    return EXIT_FAIL
 
 
 def _cmd_sff(args):
@@ -405,7 +420,9 @@ def _cmd_codazzi(args):
         "verdict": "pass" if e1_max <= args.tol and e2_max <= args.tol else "fail",
     }
     _emit(args, payload, "codazzi")
-    return EXIT_OK if payload["verdict"] == "pass" else EXIT_FAIL
+    if payload["verdict"] == "pass":
+        return EXIT_OK
+    return _fail_on_worst({"E1_max": e1_max, "E2_max": e2_max}, args.tol)
 
 
 def _cmd_pde(args):

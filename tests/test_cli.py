@@ -667,8 +667,9 @@ def test_reconstruct_refuses_a_window_without_extent(tmp_path, capsys):
     assert np.isfinite(dd["K_mean"]) and dd["compat_max"] > 0.0
 
 
-def test_codazzi_verdict_tests_each_maximum_on_its_own(tmp_path, monkeypatch):
-    """Python's max(E1, NaN) is E1, so a NaN E2 must fail on its own, as must a NaN E1."""
+def test_codazzi_verdict_tests_each_maximum_on_its_own(tmp_path, monkeypatch, capsys):
+    """Python's max(E1, NaN) is E1, so a NaN E2 must fail on its own, as must a
+    NaN E1, and the one stderr line names the NaN maximum."""
     residuals = cli.codazzi_residuals
     rep = tmp_path / "r.json"
     for k in (0, 1):
@@ -682,12 +683,14 @@ def test_codazzi_verdict_tests_each_maximum_on_its_own(tmp_path, monkeypatch):
         doc = json.loads(rep.read_text())
         assert (code, doc["verdict"]) == (EXIT_FAIL, "fail"), k
         assert np.isnan(doc[f"E{k + 1}_max"]) and doc[f"E{2 - k}_max"] <= 1e-8, k
+        assert capsys.readouterr().err == f"pss: E{k + 1}_max nan exceeds --tol 1e-08\n", k
 
 
 def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, capsys):
-    """Bad argv, malformed family specs, truncated PSSF files and a b-ODE table
-    that runs toward overflow each end in an exit code of 1, 2 or 3 and one
-    stderr line, with no traceback and no warning."""
+    """Bad argv, malformed family specs, truncated PSSF files, a b-ODE table
+    that runs toward overflow and failing verify and codazzi verdicts each end
+    in an exit code of 1, 2 or 3 and one stderr line, with no traceback and
+    no warning."""
     specs = {
         "trunc": '{"branch": "T24", "params": {',
         "t99": '{"branch": "T99", "params": {}}',
@@ -722,6 +725,8 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         *((field(name), EXIT_FAIL) for name in pssf),
         # delta' overflows at s = 0.053: the table stops there, and the Gauss check fails
         (["sff", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL),
+        (["codazzi", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL),  # E1_max 1e139
+        (["verify", "--preset", "novikov", "--samples", "50", "--tol", "1e-300"], EXIT_FAIL),  # round-off fails
     ]
     rep = tmp_path / "r.json"
     for argv, want in table:

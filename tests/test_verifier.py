@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pss import verifier
 from pss.catalog import (
     Branch,
     CatalogError,
@@ -251,10 +253,11 @@ def test_certify_both_signs_random_parameters(branch_kwargs, sign):
 
 
 def test_sample_envs_equals_the_whole_draw_sampler(monkeypatch):
-    """Keeping only the accepted prefix each round needs gives the jets, bit
-    for bit, and leaves the generator where compressing and concatenating
-    whole draws leaves it: the six presets at 1 and 1000 jets, and a
-    sine-Gordon window where about a third of each draw is accepted."""
+    """Drawing z3, w1 and v1 only up to the last jet kept, and skipping z4 and
+    z5, gives the read coordinates of the whole-draw sampler bit for bit, and
+    leaves the generator where it leaves it: the six presets at 1 and 1000
+    jets, and a sine-Gordon window where about a third of each draw is
+    accepted."""
     from references import whole_draw_sample_envs
 
     cases = [(name, n, (-1.0, 1.0)) for name in sorted(PRESETS) for n in (1, 1000)]
@@ -266,8 +269,118 @@ def test_sample_envs_equals_the_whole_draw_sampler(monkeypatch):
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
         got = sample_envs(fam, n, rng, bounds=bounds)
         want = whole_draw_sample_envs(fam, n, ref_rng, bounds=bounds)
-        assert list(got) == list(want)
-        for k in want:
+        assert list(got) == ["z0", "z1", "z2", "z3", "w1", "v1"]
+        for k in got:
             assert got[k].shape == (n,) and np.array_equal(got[k].view(np.int64), want[k].view(np.int64)), (name, k)
         assert rng.random() == ref_rng.random()
     assert len(rounds) >= 2  # rounds of the last case, the narrow window
+
+
+def _same_report(got, want):
+    """Two reports equal bit for bit: the maxima (NaN included) and the failing jets."""
+    assert list(got.residuals) == list(want.residuals)
+    for k, v in want.residuals.items():
+        assert np.float64(got.residuals[k]).view(np.int64) == np.float64(v).view(np.int64), k
+    assert got.failing == want.failing and got.verdict == want.verdict
+
+
+def test_blocked_certify_structure_equals_the_whole_array():
+    """Residuals evaluated _BLOCK jets at a time give the whole-array maxima and
+    the same first ten failing jets, with global indices: n = 40000 is not a
+    multiple of _BLOCK, and the bumped family's first ten failing jets lie in
+    two blocks, with more failing after them."""
+    from references import whole_array_certify_structure
+
+    n = 40000
+    assert n % verifier._BLOCK and n > 2 * verifier._BLOCK
+    for name in sorted(PRESETS):
+        fam = PRESETS[name]()
+        _same_report(certify_structure(fam, samples=n), whole_array_certify_structure(fam, samples=n))
+    bad = perturbed_family(novikov_preset(), 1, 1, 2.95e-9)
+    got = certify_structure(bad, samples=n)
+    _same_report(got, whole_array_certify_structure(bad, samples=n))
+    blocks = {f["index"] // verifier._BLOCK for f in got.failing}
+    assert got.verdict == "fail" and len(got.failing) == 10 and blocks == {0, 1}, [f["index"] for f in got.failing]
+    assert list(got.failing[0]["jet"]) == ["z0", "z1", "z2", "z3", "w1", "v1"]
+
+
+def test_a_nan_residual_in_a_later_block_reaches_the_report(monkeypatch):
+    """np.max over the block maxima keeps a NaN that max() would drop."""
+    residuals, calls = structure_residuals_env, []
+
+    def nan_in_block_1(fam, env):
+        (r1, r2, r3), scales = residuals(fam, env)
+        calls.append(1)
+        if len(calls) == 2:
+            r2 = r2.copy()
+            r2[5] = np.nan
+        return (r1, r2, r3), scales
+
+    monkeypatch.setattr(verifier, "structure_residuals_env", nan_in_block_1)
+    rep = certify_structure(novikov_preset(), samples=3 * verifier._BLOCK)
+    assert len(calls) == 3
+    assert np.isnan(rep.residuals["R2_max"]) and rep.residuals["R1_max"] <= 1e-8 and rep.verdict == "fail"
+
+
+def test_blocked_certify_structure_memory_is_at_most_half_the_whole_array():
+    """At 10^5 jets the whole-array residuals hold every Dual temporary at once."""
+    from references import whole_array_certify_structure
+
+    def traced_peak(fn):
+        fn(novikov_preset(), samples=100000)  # caches and compiled programs are not counted
+        tracemalloc.start()
+        try:
+            fn(novikov_preset(), samples=100000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak, ref = traced_peak(certify_structure), traced_peak(whole_array_certify_structure)
+    assert peak <= 0.5 * ref, (peak, ref)
+
+
+_NARROW = (-0.0015, 0.0015)
+
+
+@pytest.mark.parametrize("case", ["sine-gordon", "fprime", "phi12", "t25ii-phi"])
+def test_every_sampled_jet_clears_its_guard(case):
+    """Each guard rejects a jet just inside 1e-3 and keeps one just outside it,
+    in a window where its quantity crosses zero: sine-Gordon's |sin z0|, |f'|
+    for f = s^2, |phi12| for phi12 = z1, and T25ii's |phi| for phi = z0 - 1
+    (there phi12 stays near 12, so only the phi guard can reject)."""
+    t22 = FamilyParams(branch=Branch.T22, mu2=0.4, eta2=-1.5, sign=1)
+    fam, bounds, quantity = {
+        "sine-gordon": (sine_gordon_preset(), _NARROW, lambda e: np.sin(e["z0"])),
+        "fprime": (build_family(t22, f="s^2", phi12="1 + z1"), _NARROW, lambda e: 2.0 * (e["z0"] - e["z2"])),
+        "phi12": (build_family(t22, f="s", phi12="z1"), _NARROW, lambda e: e["z1"]),
+        "t25ii-phi": (
+            build_family(FamilyParams(branch=Branch.T25II, lam=-1.0, tau=0.8, mu2=-0.4, eta2=1.5, m=2.5, n=-0.3,
+                                      sign=1), phi="z0 - 1"),
+            (0.9985, 1.0015),
+            lambda e: e["z0"] - 1.0,
+        ),
+    }[case]
+    env = sample_envs(fam, 2000, np.random.default_rng(3), bounds=bounds)
+    q = np.abs(quantity(env))
+    assert np.all(q > 1e-3) and np.min(q) < 1.01e-3, np.min(q)
+    lo, hi = bounds
+    raw = np.random.default_rng(3).uniform(lo, hi, size=(3, 4000))
+    assert np.mean(np.abs(quantity(dict(zip(("z0", "z1", "z2"), raw)))) <= 1e-3) > 0.1  # the window does cross
+
+
+def test_a_guard_that_rejects_every_jet_ends_after_200_rounds(monkeypatch):
+    """|sin z0| < 1e-4 everywhere on (-1e-4, 1e-4): CatalogError after exactly
+    200 guard calls, and a spy stops the test at a 201st."""
+    fam = sine_gordon_preset()
+    guard, calls = fam.sampling_guard, []
+
+    def spy(env):
+        calls.append(1)
+        if len(calls) > 200:
+            pytest.fail("sample_envs ran a 201st round")
+        return guard(env)
+
+    monkeypatch.setattr(fam, "sampling_guard", spy)
+    with pytest.raises(CatalogError, match="rejected too many jets"):
+        sample_envs(fam, 1, np.random.default_rng(0), bounds=(-1e-4, 1e-4))
+    assert len(calls) == 200

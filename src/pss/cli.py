@@ -182,6 +182,8 @@ def _apply_config(args, argv):
         return args
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise _UsageError(f"config: must be a JSON object, got {json.dumps(doc)}")
     unknown = set(doc) - build_parser().config_keys
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -570,7 +572,7 @@ def run(argv=None):
         print(f"pss: {exc}{where}", file=sys.stderr)
         return EXIT_USAGE
     except (CatalogError, ConstraintViolation, InvalidStrip,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"pss: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DiscriminantCollapse, TripleDomainError, RuntimeError) as exc:

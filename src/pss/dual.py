@@ -1,17 +1,18 @@
-"""Forward-mode automatic differentiation: nestable duals and truncated Taylor series.
+"""Forward-mode automatic differentiation: one-level duals and truncated Taylor series.
 
-A ``Dual`` carries a value and a tuple of partial-derivative components.
-Every dual belongs to a differentiation *level*; values of a lower level
-(floats, numpy arrays, or duals created earlier) behave as constants with
-respect to a higher level.  Nesting levels is what gives exact second and
-higher derivatives: evaluating f'(s) with an argument that is itself a
-dual propagates f'' through the chain rule automatically.
+A ``Dual`` carries a value and a tuple of first partial derivatives with
+respect to the variables of one seeding (plain first-order forward mode,
+Griewank & Walther, *Evaluating Derivatives*, ch. 3).  Any operand that is
+not a ``Dual`` (a float, a numpy array, a ``Taylor``) is a constant.  Duals
+do not nest: the jets read only z0, z1 and z2, and the on-shell z_{k,t} are
+closed forms, so nothing takes a derivative of a derivative, and ``seed``
+refuses values that are already duals or series rather than mix two sets
+of variables.
 
 A ``Taylor`` carries the coefficients u_0..u_n of a series truncated after
 degree n in one variable; its coefficients may be duals, so a closed-form
 u(x, t) yields its x-jet and, through the duals, its t-derivatives in one
-evaluation (Taylor-mode propagation, Griewank & Walther, *Evaluating
-Derivatives*, ch. 13).
+evaluation (Taylor-mode propagation, Griewank & Walther, ch. 13).
 
 Both apply the elementary functions from one rule table, ``_RULES``: the
 dual as the chain rule, the series as the recurrence of y' = f'(.) u'.
@@ -31,8 +32,6 @@ __all__ = [
     "Taylor",
     "FUNCTIONS",
     "seed",
-    "level_of",
-    "lift_level",
     "primal",
     "value_grad",
     "sin",
@@ -44,15 +43,6 @@ __all__ = [
 ]
 
 
-def level_of(x):
-    return x.level if isinstance(x, Dual) else 0
-
-
-def lift_level(*values):
-    """Smallest level strictly above every value's level."""
-    return 1 + max((level_of(v) for v in values), default=0)
-
-
 def primal(x):
     """Strip all dual and series structure, returning the underlying float/array
     (the value of a dual, the constant term of a series)."""
@@ -62,39 +52,28 @@ def primal(x):
 
 
 class Dual:
-    __slots__ = ("level", "val", "grad")
+    __slots__ = ("val", "grad")
 
     # keep numpy from broadcasting over us; defer to __radd__ etc.
     __array_ufunc__ = None
 
-    def __init__(self, level, val, grad):
-        self.level = level
+    def __init__(self, val, grad):
         self.val = val
         self.grad = grad
 
     def __repr__(self):
-        return f"Dual(L{self.level}, {self.val!r}, {self.grad!r})"
-
-    # -- helpers -------------------------------------------------------
-    def _split(self, other):
-        """Return (value-part, grad-part or None) of `other` at self.level."""
-        if isinstance(other, Dual) and other.level == self.level:
-            return other.val, other.grad
-        return other, None
+        return f"Dual({self.val!r}, {self.grad!r})"
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, Dual) and other.level > self.level:
-            return Dual(other.level, self + other.val, other.grad)
-        ov, og = self._split(other)
-        if og is None:
-            return Dual(self.level, self.val + ov, self.grad)
-        return Dual(self.level, self.val + ov, tuple(a + b for a, b in zip(self.grad, og)))
+        if isinstance(other, Dual):
+            return Dual(self.val + other.val, tuple(a + b for a, b in zip(self.grad, other.grad)))
+        return Dual(self.val + other, self.grad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(self.level, -self.val, tuple(-g for g in self.grad))
+        return Dual(-self.val, tuple(-g for g in self.grad))
 
     def __sub__(self, other):
         return self + (-other)
@@ -103,51 +82,43 @@ class Dual:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Dual) and other.level > self.level:
-            return Dual(other.level, self * other.val, tuple(self * g for g in other.grad))
-        ov, og = self._split(other)
-        if og is None:
-            return Dual(self.level, self.val * ov, tuple(g * ov for g in self.grad))
-        return Dual(
-            self.level,
-            self.val * ov,
-            tuple(a * ov + self.val * b for a, b in zip(self.grad, og)),
-        )
+        if isinstance(other, Dual):
+            return Dual(
+                self.val * other.val,
+                tuple(a * other.val + self.val * b for a, b in zip(self.grad, other.grad)),
+            )
+        return Dual(self.val * other, tuple(g * other for g in self.grad))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Dual) and other.level > self.level:
-            return other.__rtruediv__(self)
-        ov, og = self._split(other)
-        if og is None:
-            return Dual(self.level, self.val / ov, tuple(g / ov for g in self.grad))
-        inv = self.val / ov
-        return Dual(
-            self.level,
-            inv,
-            tuple((a - inv * b) / ov for a, b in zip(self.grad, og)),
-        )
+        if isinstance(other, Dual):
+            inv = self.val / other.val
+            return Dual(
+                inv,
+                tuple((a - inv * b) / other.val for a, b in zip(self.grad, other.grad)),
+            )
+        return Dual(self.val / other, tuple(g / other for g in self.grad))
 
     def __rtruediv__(self, other):
-        # other / self with other constant at this level
+        # other / self with other a constant
         v = other / self.val
-        return Dual(self.level, v, tuple(-v * g / self.val for g in self.grad))
+        return Dual(v, tuple(-v * g / self.val for g in self.grad))
 
     def __pow__(self, k):
         if not isinstance(k, int):
             raise TypeError("dual powers are integer only")
         if k == 0:
-            return Dual(self.level, self.val * 0 + 1.0, tuple(g * 0 for g in self.grad))
+            return Dual(self.val * 0 + 1.0, tuple(g * 0 for g in self.grad))
         d = k * self.val ** (k - 1)
-        return Dual(self.level, self.val**k, tuple(d * g for g in self.grad))
+        return Dual(self.val**k, tuple(d * g for g in self.grad))
 
     def _apply(self, name):
         """f(self) by the chain rule: grad f = f'(.) * grad."""
         _, on_result, deriv = _RULES[name]
         y = FUNCTIONS[name](self.val)
         d = deriv(y if on_result else self.val)
-        return Dual(self.level, y, tuple(d * g for g in self.grad))
+        return Dual(y, tuple(d * g for g in self.grad))
 
 
 class Taylor:
@@ -289,22 +260,27 @@ exp, sin, cos, tan, sqrt, arctan = (FUNCTIONS[nm] for nm in ("exp", "sin", "cos"
 
 
 def seed(values, names):
-    """Seed `names` (keys of `values`) as independent variables one level up.
+    """Seed `names` (keys of `values`) as the independent variables.
 
-    Returns (level, env) where env maps every key of `values` to either a
-    freshly seeded Dual (for keys in `names`) or the untouched constant.
+    Returns (1, env) where env maps every key of `values` to either a
+    freshly seeded Dual (for keys in `names`) or the untouched constant;
+    1 is the level that `value_grad` takes.  A value that is already a Dual
+    or a Taylor is refused: duals do not nest.
     """
-    lvl = lift_level(*values.values())
+    for nm, v in values.items():
+        if isinstance(v, (Dual, Taylor)):
+            raise TypeError(f"cannot seed over the {type(v).__name__} value of {nm!r}: duals do not nest")
     n = len(names)
     env = dict(values)
     for i, nm in enumerate(names):
         unit = tuple(1.0 if j == i else 0.0 for j in range(n))
-        env[nm] = Dual(lvl, values[nm], unit)
-    return lvl, env
+        env[nm] = Dual(values[nm], unit)
+    return 1, env
 
 
 def value_grad(result, level, n):
-    """Unpack (value, grads) of `result` with respect to a seeding level."""
-    if isinstance(result, Dual) and result.level == level:
+    """Unpack (value, grads) of `result`, where `level` is the level `seed`
+    returned; a result that is not a Dual has zero partials."""
+    if isinstance(result, Dual):
         return result.val, result.grad
     return result, (0.0,) * n

@@ -24,9 +24,9 @@ The same compiler, with the variables seeded, builds the program for its
 value and first partials (``with_partials``) on first use: forward mode
 unrolled ahead of time (Griewank & Walther, *Evaluating Derivatives*, ch. 3
 and 13).  That code makes no duals of its own, yet it runs the same
-operations in the same order as seeding the variables as duals one level up,
-so it gives the same bits and the same ``DomainError`` for float, array and
-dual inputs.
+operations in the same order as seeding the variables as duals, so it gives
+the same bits and the same ``DomainError`` for float and array inputs, and
+for dual inputs the bits of seeding a nested dual over them.
 ``parse_expression`` is memoized per process on (source, variables).
 """
 
@@ -276,7 +276,9 @@ def _any_zero(x):
 
 def _series_at_zero(x):
     """A dual or series that is zero somewhere: sqrt has no derivative there
-    (a float or array at zero is a valid sqrt argument)."""
+    (a float or array at zero is a valid sqrt argument).  It serves the
+    value program, which still sees duals and series; in the partials
+    program an operand without partials is built from literals alone."""
     return isinstance(x, (dual.Dual, dual.Taylor)) and _any_zero(x)
 
 
@@ -314,12 +316,13 @@ def _free_vars(node, acc):
 # seeds no variable, so every operand goes through its own type's operators
 # (floats, arrays, ``dual.Dual``, ``dual.Taylor``).  The partials program
 # (``with_partials``) seeds the declared variables and repeats, op for op,
-# what evaluating with them as ``dual.Dual``s one level up does: the same
+# what evaluating with them seeded as ``dual.Dual``s does: the same
 # Python operator, operand order and constants at every step (``c + D``
 # runs ``D.__radd__``, so it is ``D.val + c``; ``a - b`` is ``a + (-b)``),
-# the same domain checks at the same points of the evaluation order.  Lower
-# level values (floats, arrays, duals of the caller) pass through the plain
-# operators, so they come out bit for bit as through the tower.
+# the same domain checks at the same points of the evaluation order.  The
+# builder never inspects operand types: the values (floats, arrays, duals
+# of the caller) pass through the plain operators, so duals of the caller
+# come out bit for bit as through a nested dual seeded over them.
 #
 # An operand is the name of a value computed at run time (a str) or a
 # Python number known when the program is built: a literal, a seed

@@ -166,14 +166,15 @@ def certify_structure(
 
 
 def _collect_failing(env, scaled, tol, start=0, cap=10):
-    """The first `cap` jets of env where a scaled residual exceeds tol, each
-    indexed from `start`, with its coordinates and scaled residuals."""
+    """The first `cap` jets of env where a scaled residual exceeds tol or is
+    NaN (not v <= tol, the verdict's test), each indexed from `start`, with
+    its coordinates and scaled residuals."""
     out = []
     n = len(np.atleast_1d(env["z0"]))
     scaled = {k: np.broadcast_to(v, (n,)) for k, v in scaled.items()}
     bad = np.zeros(n, dtype=bool)
     for v in scaled.values():
-        bad |= v > tol
+        bad |= ~(v <= tol)
     for i in np.nonzero(bad)[0][:cap]:
         jet = {k: float(np.atleast_1d(env[k])[i]) for k in env}
         out.append({

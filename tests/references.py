@@ -7,7 +7,9 @@ z_{k,t} of a marched field, a family with one f_ij bumped, the frame
 march as tuple RK4, the coframe as six per-entry closures with the
 former x/t-seeded total derivatives and order-2 prolongation, and the
 b-ODE march, jet sampler and CSV writer that recompute what their
-successors reuse, and the structure certification on all jets at once.
+successors reuse, the structure certification on all jets at once, and
+the former nestable dual with its seeding (the tower of levels that the
+compiled partials are checked against).
 """
 
 import copy
@@ -690,7 +692,7 @@ def _collect_failing(env, named, tol, cap=10):
     scaled = {k: np.broadcast_to(np.abs(res) / scale, (n,)) for k, (res, scale) in named.items()}
     bad = np.zeros(n, dtype=bool)
     for v in scaled.values():
-        bad |= v > tol
+        bad |= ~(v <= tol)
     for i in np.nonzero(bad)[0][:cap]:
         jet = {k: float(np.atleast_1d(env[k])[i]) for k in env}
         out.append({
@@ -707,3 +709,127 @@ def row_by_row_csv(path, header, columns):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols))
+
+
+class TowerDual(dual.Dual):
+    """The former nestable ``dual.Dual``: every dual belongs to a
+    differentiation level, and values of a lower level (floats, arrays,
+    duals created earlier) are constants with respect to a higher one.  The
+    compiled partials program of an expression is checked against it bit for
+    bit on dual inputs, which it differentiates by seeding a level above."""
+
+    __slots__ = ("level",)
+
+    def __init__(self, level, val, grad):
+        self.level = level
+        self.val = val
+        self.grad = grad
+
+    def __repr__(self):
+        return f"TowerDual(L{self.level}, {self.val!r}, {self.grad!r})"
+
+    # -- helpers -------------------------------------------------------
+    def _split(self, other):
+        """Return (value-part, grad-part or None) of `other` at self.level."""
+        if isinstance(other, TowerDual) and other.level == self.level:
+            return other.val, other.grad
+        return other, None
+
+    # -- arithmetic ----------------------------------------------------
+    def __add__(self, other):
+        if isinstance(other, TowerDual) and other.level > self.level:
+            return TowerDual(other.level, self + other.val, other.grad)
+        ov, og = self._split(other)
+        if og is None:
+            return TowerDual(self.level, self.val + ov, self.grad)
+        return TowerDual(self.level, self.val + ov, tuple(a + b for a, b in zip(self.grad, og)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TowerDual(self.level, -self.val, tuple(-g for g in self.grad))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, TowerDual) and other.level > self.level:
+            return TowerDual(other.level, self * other.val, tuple(self * g for g in other.grad))
+        ov, og = self._split(other)
+        if og is None:
+            return TowerDual(self.level, self.val * ov, tuple(g * ov for g in self.grad))
+        return TowerDual(
+            self.level,
+            self.val * ov,
+            tuple(a * ov + self.val * b for a, b in zip(self.grad, og)),
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, TowerDual) and other.level > self.level:
+            return other.__rtruediv__(self)
+        ov, og = self._split(other)
+        if og is None:
+            return TowerDual(self.level, self.val / ov, tuple(g / ov for g in self.grad))
+        inv = self.val / ov
+        return TowerDual(
+            self.level,
+            inv,
+            tuple((a - inv * b) / ov for a, b in zip(self.grad, og)),
+        )
+
+    def __rtruediv__(self, other):
+        # other / self with other constant at this level
+        v = other / self.val
+        return TowerDual(self.level, v, tuple(-v * g / self.val for g in self.grad))
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            raise TypeError("dual powers are integer only")
+        if k == 0:
+            return TowerDual(self.level, self.val * 0 + 1.0, tuple(g * 0 for g in self.grad))
+        d = k * self.val ** (k - 1)
+        return TowerDual(self.level, self.val**k, tuple(d * g for g in self.grad))
+
+    def _apply(self, name):
+        """f(self) by the chain rule: grad f = f'(.) * grad."""
+        _, on_result, deriv = dual._RULES[name]
+        y = dual.FUNCTIONS[name](self.val)
+        d = deriv(y if on_result else self.val)
+        return TowerDual(self.level, y, tuple(d * g for g in self.grad))
+
+
+def _level_of(x):
+    return x.level if isinstance(x, TowerDual) else 0
+
+
+def tower(x):
+    """A ``dual.Dual`` as a level-1 ``TowerDual``; any other value unchanged."""
+    return TowerDual(1, x.val, x.grad) if type(x) is dual.Dual else x
+
+
+def tower_seed(values, names):
+    """The former ``dual.seed``: seed `names` one level above every value.
+
+    Returns (level, env) where env maps every key of `values` to either a
+    freshly seeded TowerDual (for keys in `names`) or the untouched constant.
+    """
+    lvl = 1 + max((_level_of(v) for v in values.values()), default=0)
+    n = len(names)
+    env = dict(values)
+    for i, nm in enumerate(names):
+        unit = tuple(1.0 if j == i else 0.0 for j in range(n))
+        env[nm] = TowerDual(lvl, values[nm], unit)
+    return lvl, env
+
+
+def tower_value_grad(result, level, n):
+    """The former ``dual.value_grad``: (value, grads) of `result` with
+    respect to a seeding level."""
+    if isinstance(result, TowerDual) and result.level == level:
+        return result.val, result.grad
+    return result, (0.0,) * n

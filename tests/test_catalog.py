@@ -171,15 +171,16 @@ def test_fprime_zero_is_an_error():
 def test_check_nonzero_catches_every_zero_and_passes_nan():
     from pss import dual
     from pss.catalog import FPrimeZero, _check_nonzero
+    from references import TowerDual
 
     zeros = [0.0, -0.0, np.array(0.0), np.array([1.0, 0.0, 2.0]), np.float64(0.0),
-             dual.Dual(1, 0.0, (1.0,)), dual.Dual(1, np.array([3.0, -0.0]), (1.0,)),
-             dual.Dual(2, dual.Dual(1, 0.0, (2.0,)), (1.0,))]
+             dual.Dual(0.0, (1.0,)), dual.Dual(np.array([3.0, -0.0]), (1.0,)),
+             TowerDual(2, TowerDual(1, 0.0, (2.0,)), (1.0,))]
     for value in zeros:
         with pytest.raises(FPrimeZero, match="f' vanishes at an evaluation point"):
             _check_nonzero(value, FPrimeZero, "f'")
     for value in [1.0, -2.5, float("nan"), np.array([1.0, np.nan]), np.array(np.nan),
-                  dual.Dual(1, np.nan, (0.0,)), dual.Dual(1, 1e-300, (0.0,)), 5e-324]:
+                  dual.Dual(np.nan, (0.0,)), dual.Dual(1e-300, (0.0,)), 5e-324]:
         _check_nonzero(value, FPrimeZero, "f'")
 
 

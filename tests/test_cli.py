@@ -687,10 +687,10 @@ def test_codazzi_verdict_tests_each_maximum_on_its_own(tmp_path, monkeypatch, ca
 
 
 def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, capsys):
-    """Bad argv, malformed family specs, truncated PSSF files, a b-ODE table
-    that runs toward overflow and failing verify and codazzi verdicts each end
-    in an exit code of 1, 2 or 3 and one stderr line, with no traceback and
-    no warning."""
+    """Bad argv, malformed family specs and configs, files that are not UTF-8
+    or are directories, truncated PSSF files, a b-ODE table that runs toward
+    overflow and failing verify and codazzi verdicts each end in an exit code
+    of 1, 2 or 3 and one stderr line, with no traceback and no warning."""
     specs = {
         "trunc": '{"branch": "T24", "params": {',
         "t99": '{"branch": "T99", "params": {}}',
@@ -698,8 +698,12 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         "badexpr": '{"branch": "T24", "params": {"lam": 1, "eta2": 1}, "f": "s +", "phi12": "z1"}',
         "t22": '{"branch": "T22", "params": {"mu2": 2.0, "eta2": 1}, "f": "s", "phi12": "z1"}',
     }
-    for name, text in specs.items():
+    configs = {"cfg5": "5", "cfglist": "[{}]", "cfgtrunc": '{"tol": '}
+    for name, text in {**specs, **configs}.items():
         (tmp_path / f"{name}.json").write_text(text)
+    (tmp_path / "latin1.json").write_bytes('{"branch": "T24", "f": "\u00e9"}'.encode("latin-1"))
+    (tmp_path / "dir.json").mkdir()
+    (tmp_path / "dir.pssf").mkdir()
     good = tmp_path / "good.pssf"
     assert run(["pde", "--preset", "novikov", "--nx", "16", "--tmax", "0.01", "--dt", "1e-3",
                 "--out", str(good), "--report", str(tmp_path / "pde.json"), "--deterministic"]) == EXIT_OK
@@ -723,6 +727,11 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         (["verify", *family("missing")], EXIT_USAGE),
         *((["verify", *family(name)], EXIT_USAGE) for name in ("trunc", "t99", "nophi", "badexpr")),
         *((field(name), EXIT_FAIL) for name in pssf),
+        *((["verify", "--preset", "novikov", "--config", str(tmp_path / f"{name}.json")], EXIT_USAGE)
+          for name in (*configs, "latin1", "dir", "missing")),
+        *((["verify", *family(name)], EXIT_USAGE) for name in ("latin1", "dir")),
+        (["catalog", *family("latin1")], EXIT_USAGE),
+        (field("dir"), EXIT_USAGE),
         # delta' overflows at s = 0.053: the table stops there, and the Gauss check fails
         (["sff", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL),
         (["codazzi", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL),  # E1_max 1e139

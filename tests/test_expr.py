@@ -27,6 +27,7 @@ from pss.expr import (
     parse_expression,
 )
 from pss.pde import Grid1D, solve_mol
+from references import tower, tower_seed, tower_value_grad
 
 
 def test_parse_and_evaluate_hand_value():
@@ -261,19 +262,20 @@ def _compile(node):
 
 
 def _tower_partials(expr, env):
-    """The former with_partials body: seed the declared variables one level
-    up and evaluate the closures."""
+    """The former with_partials body through the nestable reference dual:
+    lift dual inputs to level-1 ``TowerDual``s, seed the declared variables
+    one level above them and evaluate the closures."""
     names = expr.variables
-    vals = {nm: env[nm] for nm in names}
-    lvl, seeded = dual.seed(vals, names)
-    value, grads = dual.value_grad(_compile(expr.root)(seeded), lvl, len(names))
+    vals = {nm: tower(env[nm]) for nm in names}
+    lvl, seeded = tower_seed(vals, names)
+    value, grads = tower_value_grad(_compile(expr.root)(seeded), lvl, len(names))
     return value, dict(zip(names, grads))
 
 
 def _bits(x):
     """Type and exact bytes of a float, array, (nested) Dual or Taylor."""
     if isinstance(x, dual.Dual):
-        return ("Dual", x.level, _bits(x.val), tuple(_bits(g) for g in x.grad))
+        return ("Dual", _bits(x.val), tuple(_bits(g) for g in x.grad))
     if isinstance(x, dual.Taylor):
         return ("Taylor", tuple(_bits(c) for c in x.c))
     a = np.asarray(x)
@@ -342,8 +344,8 @@ def _table_inputs():
         {"z0": 2.0, "z1": 3.0},
         {"z0": n0, "z1": n1},
         {"z0": d["z0"], "z1": d["z1"]},  # level-1 duals with float unit grads
-        {"z0": dual.Dual(1, p0, (a1, 0.0)), "z1": dual.Dual(1, a1, (p1, a0))},
-        {"z0": dual.Dual(1, z0, (a1,)), "z1": dual.Dual(1, p1, (a0,))},
+        {"z0": dual.Dual(p0, (a1, 0.0)), "z1": dual.Dual(a1, (p1, a0))},
+        {"z0": dual.Dual(z0, (a1,)), "z1": dual.Dual(p1, (a0,))},
     ]
 
 
@@ -359,8 +361,8 @@ def _taylor_inputs():
         {"z0": T([0.7, 1.0, 0.0, 0.0]), "z1": T([-1.3, 0.5, 0.25, 0.0])},
         {"z0": T([0.0, 1.0, 0.0, 0.0]), "z1": T([2.0, -0.5, 0.0, 0.125])},
         {"z0": T([z0, 1.0 + 0 * z0, a1, 0 * z0]), "z1": T([p1, a0, 0 * z0, a1])},
-        {"z0": T([dual.Dual(1, z0, (a1,)), 1.0 + 0 * z0, 0 * z0, 0 * z0]),
-         "z1": T([dual.Dual(1, p1, (1.0 + 0 * z0,)), a0, a1, 0 * z0])},
+        {"z0": T([dual.Dual(z0, (a1,)), 1.0 + 0 * z0, 0 * z0, 0 * z0]),
+         "z1": T([dual.Dual(p1, (1.0 + 0 * z0,)), a0, a1, 0 * z0])},
     ]
 
 
@@ -385,7 +387,7 @@ def test_value_program_frees_its_temporaries():
     x, t = np.meshgrid(np.linspace(-2.1, -0.2, 201), np.linspace(-2.1, -0.2, 201))
     zero = np.zeros_like(x)
     env = {"x": dual.Taylor([x, 1.0 + zero, zero, zero]),
-           "t": dual.Taylor([dual.Dual(1, t + zero, (1.0 + zero,)), zero, zero, zero])}
+           "t": dual.Taylor([dual.Dual(t + zero, (1.0 + zero,)), zero, zero, zero])}
     e = parse_expression("4*arctan(exp(0.5*x + t/0.5))", ["x", "t"])
     peaks = []
     for fn in (_compile(e.root), e):
@@ -427,6 +429,15 @@ def test_compiled_partials_make_no_duals(monkeypatch):
         e.with_partials({"z0": 1.0})
 
 
+@pytest.mark.parametrize("value", [dual.Dual(0.5, (1.0,)), dual.Taylor([0.5, 1.0])], ids=["dual", "taylor"])
+def test_seed_refuses_a_dual_or_series_value(value):
+    # a seeded key or a constant one: either would mix two sets of variables
+    for env in ({"z0": value, "z1": 2.0}, {"z0": 0.5, "z1": value}):
+        with pytest.raises(TypeError, match=r"^cannot seed over the \w+ value of 'z[01]': duals do not nest$"):
+            dual.seed(env, ("z0",))
+    assert dual.seed({"z0": 0.5, "z1": 2.0}, ("z0",))[0] == 1
+
+
 def test_parse_is_memoized_per_source_and_variables():
     a = parse_expression("z0*z1 + 1", ["z0", "z1"])
     assert parse_expression("z0*z1 + 1", ("z0", "z1")) is a
@@ -446,18 +457,22 @@ def test_march_seeds_no_duals_and_equals_the_tower_march(make, monkeypatch):
     fam = make()
     grid = Grid1D(0.0, 2.0 * np.pi, 64)
     u0 = 0.5 + 0.2 * np.cos(grid.nodes())
-    calls = []
-    tower_seed = dual.seed
+    seeds, towers = [], []
+    seed = dual.seed
 
     def counting_seed(*args):
-        calls.append(args)
-        return tower_seed(*args)
+        seeds.append(args)
+        return seed(*args)
+
+    def counting_tower(*args):
+        towers.append(args)
+        return _tower_partials(*args)
 
     monkeypatch.setattr(dual, "seed", counting_seed)
     fast = solve_mol(fam, grid, u0, 0.01, 1e-3, n_save=11)
-    assert fast.frames.shape == (11, 64) and calls == []
-    monkeypatch.setattr(Expression, "with_partials", _tower_partials)
+    assert fast.frames.shape == (11, 64) and seeds == []
+    monkeypatch.setattr(Expression, "with_partials", counting_tower)
     ref = solve_mol(fam, grid, u0, 0.01, 1e-3, n_save=11)
-    assert len(calls) == 4 * 10 * 2  # f and phi12 at each RK4 stage: the patch took
+    assert len(towers) == 4 * 10 * 2  # f and phi12 at each RK4 stage: the patch took
     assert fast.times.tobytes() == ref.times.tobytes()
     assert fast.frames.tobytes() == ref.frames.tobytes()

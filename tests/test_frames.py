@@ -209,6 +209,15 @@ def test_frame_state_drift_measure():
     assert _orthonormality_drift(eye[0], eye[1] + 1e-4 * eye[0], eye[2]) >= 1e-4
 
 
+def test_frame_drift_just_past_the_threshold_is_refused():
+    # one coarse kink step: drift 9.0e-4 at h = 0.51, 1.03e-3 at h = 0.52
+    fam, trip, field = _kink_setup()
+    mesh = integrate_frame(fam, trip, field, origin=(-1.0, -1.0), steps=(1, 1), h=0.51)
+    assert 8e-4 < mesh.diagnostics["drift_max"] <= 1e-3
+    with pytest.raises(frames.FrameDriftError, match=r"^orthonormality drift 1\.0\d\de-03 exceeds 1\.0e-03; reduce h$"):
+        integrate_frame(fam, trip, field, origin=(-1.0, -1.0), steps=(1, 1), h=0.52)
+
+
 def test_zero_steps_single_vertex():
     fam, trip, field = _kink_setup()
     mesh = integrate_frame(fam, trip, field, origin=(-1.0, -1.0), steps=(0, 0), h=0.01)

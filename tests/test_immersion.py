@@ -273,6 +273,26 @@ def test_ode_discriminant_collapse_at_start():
         integrate_b_ode(fam, ImmersionParams(beta=0.5, b0=0.0, s0=0.0, h=1e-3, eps=0.2))
 
 
+@pytest.mark.parametrize("target, refused", [(5e-9, True), (2e-8, False)], ids=["past", "inside"])
+def test_ode_start_with_delta_at_most_delta_min_is_refused(target, refused):
+    # beta puts delta(0, b0) = phi^2 - 4 (1 - b0^2) at `target`, either side
+    # of DELTA_MIN = 1e-8; from the delta = 5e-9 start the march would run
+    # 200 steps forward
+    b0, mu2 = 0.5, 0.5
+    beta = (mu2**2 - 1.0) * b0 + mu2 * math.sqrt(target + 4.0 * (1.0 - b0 * b0))
+    phi = ((mu2**2 - 1.0) * b0 - beta) / mu2
+    delta0 = phi * phi - 4.0 * (1.0 - b0 * b0)
+    assert 0.9 * target < delta0 < 1.1 * target
+    ip = ImmersionParams(beta=beta, b0=b0, s0=0.0, h=1e-3, eps=0.2)
+    if refused:
+        with pytest.raises(DiscriminantCollapse) as err:
+            integrate_b_ode(_t22_ode_family(), ip)
+        assert err.value.s == 0.0
+    else:
+        trip = integrate_b_ode(_t22_ode_family(), ip)
+        assert len(trip.s) == 201 and trip.stops == {"backward": {"reason": "discriminant", "s": -0.0005}}
+
+
 def test_collapse_messages_name_the_first_offending_s():
     trip = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, s0=0.0, h=1e-3, eps=0.3))
     s = np.linspace(-0.1, 0.1, 603)

@@ -270,7 +270,7 @@ def test_exact_jets_of_each_elementary_function_match_sympy(fn):
 def test_uni_derivs_seeded_with_a_dual(src):
     e = parse_expression(src, ["z0"])
     plain = _uni_derivs(e, "z0", 0.37, 4)
-    seeded = _uni_derivs(e, "z0", Dual(1, 0.37, (1.0,)), 3)
+    seeded = _uni_derivs(e, "z0", Dual(0.37, (1.0,)), 3)
     for k in range(4):
         assert seeded[k].val == pytest.approx(plain[k], rel=1e-14)
         assert seeded[k].grad[0] == pytest.approx(plain[k + 1], rel=1e-14)
@@ -300,6 +300,21 @@ def test_blow_up_detector_reports_time():
     with pytest.raises(BlowUpError) as err:
         solve_mol(novikov_preset(), g, u0, 2.0, 2e-4)
     assert err.value.t > 0
+
+
+def test_sine_gordon_march_stops_just_past_the_blow_up_cap():
+    # the light-cone march has no CFL check, so only the cap (|u|_inf 1e6) can
+    # stop it; the last node gains about 0.0085 per step (sin u > 0.9 on the
+    # others)
+    g = Grid1D(0.0, 1.0, 16)
+    u0 = np.full(16, 1e6 - 4.0)
+    u0[-1] = 1e6 - 0.05
+    inside = solve_mol(sine_gordon_preset(), g, u0, 0.05, 0.01)
+    assert 0.0 < 1e6 - np.max(np.abs(inside.frames[-1])) < 0.01
+    with pytest.raises(BlowUpError) as err:
+        solve_mol(sine_gordon_preset(), g, u0, 0.06, 0.01)
+    assert type(err.value) is BlowUpError and err.value.t == 0.06
+    assert 0.0 < err.value.amplitude - 1e6 < 0.01
 
 
 def test_cfl_rechecked_during_march():

@@ -305,7 +305,8 @@ def test_blocked_certify_structure_equals_the_whole_array():
 
 
 def test_a_nan_residual_in_a_later_block_reaches_the_report(monkeypatch):
-    """np.max over the block maxima keeps a NaN that max() would drop."""
+    """np.max over the block maxima keeps a NaN that max() would drop, and
+    the NaN jet is listed among the failing ones with its global index."""
     residuals, calls = structure_residuals_env, []
 
     def nan_in_block_1(fam, env):
@@ -320,6 +321,8 @@ def test_a_nan_residual_in_a_later_block_reaches_the_report(monkeypatch):
     rep = certify_structure(novikov_preset(), samples=3 * verifier._BLOCK)
     assert len(calls) == 3
     assert np.isnan(rep.residuals["R2_max"]) and rep.residuals["R1_max"] <= 1e-8 and rep.verdict == "fail"
+    assert [jet["index"] for jet in rep.failing] == [verifier._BLOCK + 5]
+    assert np.isnan(rep.failing[0]["residuals"]["R2"])
 
 
 def test_blocked_certify_structure_memory_is_at_most_half_the_whole_array():

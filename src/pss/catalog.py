@@ -64,6 +64,7 @@ __all__ = [
     "PRESETS",
     "family_from_dict",
     "load_family",
+    "read_json",
 ]
 
 BRANCHES = ("T22", "T23", "T24", "T25i", "T25ii", "SINE_GORDON")
@@ -610,10 +611,18 @@ def family_from_dict(doc, name=None) -> Family:
     return build_family(params, name=name, **exprs)
 
 
+def read_json(path):
+    """The JSON document in the UTF-8 file `path`; a file that is not UTF-8
+    or not JSON raises CatalogError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CatalogError(f"{path}: {exc}") from exc
+
+
 def load_family(path) -> Family:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return family_from_dict(doc, name=str(path))
+    return family_from_dict(read_json(path), name=str(path))
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .catalog import (
     CatalogError,
     ConstraintViolation,
     load_family,
+    read_json,
     validate_params,
 )
 from .expr import ExprError
@@ -180,8 +181,7 @@ def _apply_config(args, argv):
     the flags' own type and choices checks."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(args.config)
     if not isinstance(doc, dict):
         raise _UsageError(f"config: must be a JSON object, got {json.dumps(doc)}")
     unknown = set(doc) - build_parser().config_keys
@@ -313,8 +313,7 @@ def _cmd_catalog(args):
     if args.family:
         # validate params before building, so violations are reported
         # rather than thrown as a load error
-        with open(args.family, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(args.family)
         from .catalog import family_from_dict, params_from_dict
 
         fam, name, params = None, args.family, params_from_dict(doc)
@@ -571,8 +570,7 @@ def run(argv=None):
         where = "" if exc.source is None else f" in {exc.source!r}"
         print(f"pss: {exc}{where}", file=sys.stderr)
         return EXIT_USAGE
-    except (CatalogError, ConstraintViolation, InvalidStrip,
-            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (CatalogError, ConstraintViolation, InvalidStrip, OSError) as exc:
         print(f"pss: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DiscriminantCollapse, TripleDomainError, RuntimeError) as exc:

@@ -13,15 +13,17 @@ pullbacks of omega_i, omega_12 = omega_3 and
 Integration order is fixed: an x-spine from the origin (classical RK4,
 coefficients sampled at the stage abscissae), then one t-line per spine
 vertex, advanced for all columns at once.  The coefficients depend on the
-jet of u at (x, t) and never on the frame, so a sweep samples the field in
-two calls before the march consumes the values: one at the stage abscissae
-of its whole spine, shape (steps, 3), and one at the three stages of every
-transverse step, shape (steps, 3, n).  The fundamental forms and the
-Delta12 diagnostics come from one more call over the whole mesh.  The
-initial frame is the standard triad; any other orthonormal choice differs
-by a rigid motion.  Path-independence (x-then-t versus t-then-x) holds
-only to truncation order discretely, so the gap is measured and reported,
-never assumed.
+jet of u at (x, t) and never on the frame, so the field is sampled in two
+calls before any march, one per coframe column, each point once: column 1
+(the dx coefficients) on the x nodes and RK4 stage abscissae times the t
+nodes, column 2 (dt) on the x nodes times the t nodes and stages.  Both
+sweeps (x-then-t and t-then-x) read these two sets, and each march block
+gathers the stage values of its steps from them.  The fundamental forms,
+the triple and the Delta12 diagnostics at the mesh vertices are the node
+rows of the two sets.  The initial frame is the standard triad; any other
+orthonormal choice differs by a rigid motion.  Path-independence
+(x-then-t versus t-then-x) holds only to truncation order discretely, so
+the gap is measured and reported, never assumed.
 
 The system is linear, Y' = A Y for the 4x3 block Y = [r; e1; e2; e3], so
 one RK4 step is the 4x4 matrix P = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with
@@ -106,16 +108,18 @@ def second_form_coefficients(abc, col1, col2):
 # Frame integration
 
 
-def _coefficients(fam, trip, field, x, t, column):
-    """Pullback coefficients (w1, w2, w3, w13, w23) along dx (column 1) or dt (column 2),
-    each in the broadcast shape of x and t."""
+def _column_coefficients(fam, trip, field, x, t, column):
+    """Pullback coefficients (w1, w2, w3, w13, w23) along dx (column 1) or dt
+    (column 2), and the triple (a, b, c), from one field call; each in the
+    broadcast shape of x and t."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     env = field.sample_env(x, t, 2)
     a, b, c = trip.values(env, x, t)
     f1, f2, f3 = fam.column(column)(env)
     w13 = a * f1 + b * f2
     w23 = b * f1 + c * f2
-    return tuple(np.broadcast_to(cc, x.shape) for cc in (f1, f2, f3, w13, w23))
+    coef = tuple(np.broadcast_to(v, x.shape) for v in (f1, f2, f3, w13, w23))
+    return coef, tuple(np.broadcast_to(v, x.shape) for v in (a, b, c))
 
 
 def _orthonormality_drift(e1, e2, e3):
@@ -144,13 +148,34 @@ def integrate_frame(
     xs = x0 + hx * np.arange(sx + 1)
     ts = t0 + ht * np.arange(st + 1)
 
-    r, e1, e2, e3 = np.moveaxis(_sweep(fam, trip, field, xs, ts, spine="x"), 2, 0)
+    # one field call per coframe column, each point once: column 1 on
+    # (x stages and nodes) x (t nodes), column 2 on (x nodes) x (t stages and nodes)
+    xp, x_nodes, x_stages = _line_points(xs)
+    tp, t_nodes, t_stages = _line_points(ts)
+    coef1, abc = _column_coefficients(fam, trip, field, xp[:, None], ts, 1)
+    coef2, _ = _column_coefficients(fam, trip, field, xs[:, None], tp, 2)
+
+    # per-vertex forms and diagnostics, from the node rows of the two sets
+    cols = tuple(c[x_nodes] for c in coef1[:3]), tuple(c[:, t_nodes] for c in coef2[:3])
+    EE = np.empty((sx + 1, st + 1, 3))
+    II = np.empty((sx + 1, st + 1, 3))
+    EE[..., 0], EE[..., 1], EE[..., 2] = first_form_coefficients(*cols)
+    II[..., 0], II[..., 1], II[..., 2] = second_form_coefficients([v[x_nodes] for v in abc], *cols)
+    d12 = np.abs(delta(*cols, 1, 2))
+    del cols, abc  # mesh-sized arrays that would otherwise stay live through the sweeps
+
+    # each direction as (coefficients with its own points first, stage indices, step sizes)
+    x_line = coef1, x_stages, np.diff(xs)
+    t_line = tuple(c.T for c in coef2), t_stages, np.diff(ts)
+    r, e1, e2, e3 = np.moveaxis(_sweep(x_line, t_line), 2, 0)
     diag = {}
     if sx > 0 and st > 0:
-        r2 = _sweep(fam, trip, field, xs, ts, spine="t")[..., 0, :]
+        r2 = np.swapaxes(_sweep(t_line, x_line), 0, 1)[..., 0, :]
         diag["compat_max"] = float(np.max(np.linalg.norm(r - r2, axis=-1)))
+        del r2  # a view that keeps the whole t-first state live
     else:
         diag["compat_max"] = 0.0
+    del coef1, coef2, x_line, t_line  # they would otherwise stay live through the curvature pass
 
     drift = _orthonormality_drift(e1, e2, e3)
     if drift > DRIFT_THRESHOLD:
@@ -158,18 +183,6 @@ def integrate_frame(
             f"orthonormality drift {drift:.3e} exceeds {DRIFT_THRESHOLD:.1e}; reduce h"
         )
     diag["drift_max"] = drift
-
-    # per-vertex forms and diagnostics, from one field call over the mesh
-    X, T = np.meshgrid(xs, ts, indexing="ij")
-    env = field.sample_env(X, T, 2)
-    cols = fam.column(1)(env), fam.column(2)(env)
-    EE = np.empty((sx + 1, st + 1, 3))
-    II = np.empty((sx + 1, st + 1, 3))
-    EE[..., 0], EE[..., 1], EE[..., 2] = first_form_coefficients(*cols)
-    abc = trip.values(env, X, T)
-    II[..., 0], II[..., 1], II[..., 2] = second_form_coefficients(abc, *cols)
-    d12 = np.abs(np.broadcast_to(delta(*cols, 1, 2), X.shape))
-    del cols  # six mesh-sized arrays that would otherwise stay live through the curvature pass
     diag["degenerate_vertices"] = int(np.count_nonzero(d12 == 0.0))
     diag["delta12_min"] = float(np.min(d12))
 
@@ -192,6 +205,17 @@ def _stage_abscissae(grid):
     return grid[:-1, None] + np.array([0.0, 0.5, 1.0]) * np.diff(grid)[:, None]
 
 
+def _line_points(grid):
+    """The distinct abscissae of a grid's nodes and RK4 stages, sorted, and the
+    indices into them of the nodes, shape (n,), and of the stages, (steps, 3).
+
+    np.unique merges only equal values, so a stage g_i + h_i that rounds one
+    unit in the last place away from g_{i + 1} stays a point of its own."""
+    stages = _stage_abscissae(grid)
+    points, inverse = np.unique(np.concatenate([grid, stages.ravel()]), return_inverse=True)
+    return points, inverse[:len(grid)], inverse[len(grid):].reshape(stages.shape)
+
+
 def _generators(coeffs):
     """(..., 4, 4) matrices A with [r; e1; e2; e3]' = A [r; e1; e2; e3] from (w1, w2, w3, w13, w23)."""
     w1, w2, w3, w13, w23 = coeffs
@@ -203,11 +227,12 @@ def _generators(coeffs):
     return A
 
 
-def _march(coef, hs, Y):
-    """Y[k + 1] = P_k Y[k] for every step k, from the stage coefficients `coef`,
-    each (steps, 3, ...), and the step sizes `hs`; Y[k] is (..., 4, 3)."""
+def _march(coef, stages, hs, Y):
+    """Y[k + 1] = P_k Y[k] for every step k, where step k has size hs[k] and its
+    stage coefficients are the rows stages[k] of each array in `coef`; Y[k] is
+    (..., 4, 3).  The stage values are gathered one block of steps at a time."""
     for k0 in range(0, len(hs), _BLOCK):
-        A = _generators([c[k0:k0 + _BLOCK] for c in coef])
+        A = _generators([c[stages[k0:k0 + _BLOCK]] for c in coef])
         h = np.reshape(hs[k0:k0 + _BLOCK], (-1,) + (1,) * (A.ndim - 2))
         A0, Ah, A1 = A[:, 0], A[:, 1], A[:, 2]
         K2 = Ah + 0.5 * h * (Ah @ A0)
@@ -218,33 +243,22 @@ def _march(coef, hs, Y):
             np.matmul(Pk, Y[k], out=Y[k + 1])
 
 
-def _sweep(fam, trip, field, xs, ts, spine):
-    """March the spine then all transverse lines; returns the state Y.
+def _sweep(spine, cross):
+    """March the spine, then all transverse lines at once; returns the state Y.
 
-    Y has the layout (len(xs), len(ts), 4, 3), rows r, e1, e2, e3 along its
-    third axis; `spine` picks the path: "x" integrates x first along
-    t = ts[0], "t" integrates t first along x = xs[0] (used only to measure
-    the path-independence gap).  The spine's stage coefficients come from
-    one field call, shape (steps, 3), and those of every transverse step
-    from one more, shape (steps, 3, n).
+    `spine` and `cross` are directions (coef, stages, hs): the five
+    coefficient arrays with the direction's points on the first axis and
+    the other direction's nodes on the second, the (steps, 3) stage indices
+    into those points and the step sizes.  The spine runs along the first
+    node of the cross direction.  Y has the layout (spine nodes, cross nodes,
+    4, 3), rows r, e1, e2, e3 along its third axis.
     """
-    if spine == "x":
-        spine_grid, cross_grid, spine_col, cross_col = xs, ts, 1, 2
-    else:
-        spine_grid, cross_grid, spine_col, cross_col = ts, xs, 2, 1
-
-    def coefficients(along, across, column):
-        # (x, t) in field order from a spine-direction and a cross-direction abscissa
-        x, t = (along, across) if spine == "x" else (across, along)
-        return _coefficients(fam, trip, field, x, t, column)
-
-    Y = np.zeros((len(spine_grid), len(cross_grid), 4, 3))
+    (spine_coef, spine_stages, spine_hs), (cross_coef, cross_stages, cross_hs) = spine, cross
+    Y = np.zeros((len(spine_hs) + 1, len(cross_hs) + 1, 4, 3))
     Y[0, 0, 1:] = np.eye(3)
-    coef = coefficients(_stage_abscissae(spine_grid), cross_grid[0], spine_col)
-    _march(coef, np.diff(spine_grid), Y[:, 0])
-    coef = coefficients(spine_grid, _stage_abscissae(cross_grid)[:, :, None], cross_col)
-    _march(coef, np.diff(cross_grid), np.swapaxes(Y, 0, 1))
-    return Y if spine == "x" else np.swapaxes(Y, 0, 1)
+    _march([c[:, 0] for c in spine_coef], spine_stages, spine_hs, Y[:, 0])
+    _march(cross_coef, cross_stages, cross_hs, np.swapaxes(Y, 0, 1))
+    return Y
 
 
 # ----------------------------------------------------------------------

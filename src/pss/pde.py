@@ -463,12 +463,12 @@ def load_field(path) -> SolutionField:
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != _MAGIC:
-        raise PdeError(f"bad magic {buf[:4]!r}")
+        raise PdeError(f"{path}: bad magic {buf[:4]!r}")
     if len(buf) < _HEADER_BYTES:
         raise PdeError(f"{path}: PSSF header needs {_HEADER_BYTES} bytes, the file has {len(buf)}")
     version, nx, S = struct.unpack_from("<III", buf, 4)
     if version != 1:
-        raise PdeError(f"unsupported version {version}")
+        raise PdeError(f"{path}: unsupported version {version}")
     x_min, x_max = struct.unpack_from("<dd", buf, 16)
     expected = _HEADER_BYTES + 8 * S * (1 + nx)
     if S < 1 or len(buf) != expected:

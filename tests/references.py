@@ -4,7 +4,8 @@ None of these is used by the `pss` command line or its reports, so they
 live with the tests: the closed-form sine-Gordon kink, the forward
 Helmholtz operator, the b-ODE back-substitution residual, the discrete
 z_{k,t} of a marched field, a family with one f_ij bumped, the frame
-march as tuple RK4, the coframe as six per-entry closures with the
+march as tuple RK4 and the frame integration that sampled the field in
+five calls, the coframe as six per-entry closures with the
 former x/t-seeded total derivatives and order-2 prolongation, and the
 b-ODE march, jet sampler and CSV writer that recompute what their
 successors reuse, the structure certification on all jets at once, and
@@ -27,8 +28,20 @@ from pss.catalog import (
     _f_and_prime,
     _phi12_parts,
     _uni_derivs,
+    delta,
 )
-from pss.frames import _coefficients, _stage_abscissae
+from pss.frames import (
+    DRIFT_THRESHOLD,
+    FrameDriftError,
+    SurfaceMesh,
+    _BLOCK,
+    _generators,
+    _orthonormality_drift,
+    _stage_abscissae,
+    discrete_gaussian_curvature,
+    first_form_coefficients,
+    second_form_coefficients,
+)
 from pss.immersion import (
     DELTA_MIN,
     DENOM_MIN,
@@ -147,9 +160,127 @@ def perturbed_family(fam, i, j, eps=1e-3):
 
 
 # ----------------------------------------------------------------------
+# The frame integration as it was before it sampled each point once: each
+# of the two sweeps samples the field in a call for its spine, shape
+# (steps, 3), and one for its transverse steps, shape (steps, 3, n), and a
+# fifth call over the whole mesh gives the forms and Delta12, so a node or
+# stage abscissa shared by two calls is sampled in each.  The functions are
+# the former `frames` ones, moved unchanged; `former_integrate_frame` takes
+# the sweep as a parameter so that the tuple RK4 below can stand in for it.
+
+
+def _coefficients(fam, trip, field, x, t, column):
+    """Pullback coefficients (w1, w2, w3, w13, w23) along dx (column 1) or dt (column 2),
+    each in the broadcast shape of x and t."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    env = field.sample_env(x, t, 2)
+    a, b, c = trip.values(env, x, t)
+    f1, f2, f3 = fam.column(column)(env)
+    w13 = a * f1 + b * f2
+    w23 = b * f1 + c * f2
+    return tuple(np.broadcast_to(cc, x.shape) for cc in (f1, f2, f3, w13, w23))
+
+
+def _former_march(coef, hs, Y):
+    """Y[k + 1] = P_k Y[k] for every step k, from the stage coefficients `coef`,
+    each (steps, 3, ...), and the step sizes `hs`; Y[k] is (..., 4, 3)."""
+    for k0 in range(0, len(hs), _BLOCK):
+        A = _generators([c[k0:k0 + _BLOCK] for c in coef])
+        h = np.reshape(hs[k0:k0 + _BLOCK], (-1,) + (1,) * (A.ndim - 2))
+        A0, Ah, A1 = A[:, 0], A[:, 1], A[:, 2]
+        K2 = Ah + 0.5 * h * (Ah @ A0)
+        K3 = Ah + 0.5 * h * (Ah @ K2)
+        K4 = A1 + h * (A1 @ K3)
+        P = np.eye(4) + h / 6.0 * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
+        for k, Pk in enumerate(P, k0):
+            np.matmul(Pk, Y[k], out=Y[k + 1])
+
+
+def former_sweep(fam, trip, field, xs, ts, spine):
+    """March the spine then all transverse lines; returns the state Y.
+
+    Y has the layout (len(xs), len(ts), 4, 3), rows r, e1, e2, e3 along its
+    third axis; `spine` picks the path: "x" integrates x first along
+    t = ts[0], "t" integrates t first along x = xs[0] (used only to measure
+    the path-independence gap).  The spine's stage coefficients come from
+    one field call, shape (steps, 3), and those of every transverse step
+    from one more, shape (steps, 3, n).
+    """
+    if spine == "x":
+        spine_grid, cross_grid, spine_col, cross_col = xs, ts, 1, 2
+    else:
+        spine_grid, cross_grid, spine_col, cross_col = ts, xs, 2, 1
+
+    def coefficients(along, across, column):
+        # (x, t) in field order from a spine-direction and a cross-direction abscissa
+        x, t = (along, across) if spine == "x" else (across, along)
+        return _coefficients(fam, trip, field, x, t, column)
+
+    Y = np.zeros((len(spine_grid), len(cross_grid), 4, 3))
+    Y[0, 0, 1:] = np.eye(3)
+    coef = coefficients(_stage_abscissae(spine_grid), cross_grid[0], spine_col)
+    _former_march(coef, np.diff(spine_grid), Y[:, 0])
+    coef = coefficients(spine_grid, _stage_abscissae(cross_grid)[:, :, None], cross_col)
+    _former_march(coef, np.diff(cross_grid), np.swapaxes(Y, 0, 1))
+    return Y if spine == "x" else np.swapaxes(Y, 0, 1)
+
+
+def former_integrate_frame(fam, trip, field, origin, steps, h, sweep=former_sweep):
+    """March the frame over a (steps_x+1) x (steps_t+1) grid from `origin`."""
+    x0, t0 = origin
+    sx, st = (steps, steps) if np.isscalar(steps) else steps
+    hx, ht = (h, h) if np.isscalar(h) else h
+    xs = x0 + hx * np.arange(sx + 1)
+    ts = t0 + ht * np.arange(st + 1)
+
+    r, e1, e2, e3 = np.moveaxis(sweep(fam, trip, field, xs, ts, spine="x"), 2, 0)
+    diag = {}
+    if sx > 0 and st > 0:
+        r2 = sweep(fam, trip, field, xs, ts, spine="t")[..., 0, :]
+        diag["compat_max"] = float(np.max(np.linalg.norm(r - r2, axis=-1)))
+    else:
+        diag["compat_max"] = 0.0
+
+    drift = _orthonormality_drift(e1, e2, e3)
+    if drift > DRIFT_THRESHOLD:
+        raise FrameDriftError(
+            f"orthonormality drift {drift:.3e} exceeds {DRIFT_THRESHOLD:.1e}; reduce h"
+        )
+    diag["drift_max"] = drift
+
+    # per-vertex forms and diagnostics, from one field call over the mesh
+    X, T = np.meshgrid(xs, ts, indexing="ij")
+    env = field.sample_env(X, T, 2)
+    cols = fam.column(1)(env), fam.column(2)(env)
+    EE = np.empty((sx + 1, st + 1, 3))
+    II = np.empty((sx + 1, st + 1, 3))
+    EE[..., 0], EE[..., 1], EE[..., 2] = first_form_coefficients(*cols)
+    abc = trip.values(env, X, T)
+    II[..., 0], II[..., 1], II[..., 2] = second_form_coefficients(abc, *cols)
+    d12 = np.abs(np.broadcast_to(delta(*cols, 1, 2), X.shape))
+    del cols  # six mesh-sized arrays that would otherwise stay live through the curvature pass
+    diag["degenerate_vertices"] = int(np.count_nonzero(d12 == 0.0))
+    diag["delta12_min"] = float(np.min(d12))
+
+    detI = EE[..., 0] * EE[..., 2] - EE[..., 1] ** 2
+    diag["I_det_min"] = float(np.min(detI[1:-1, 1:-1])) if min(sx, st) >= 2 else float(np.min(detI))
+
+    mesh = SurfaceMesh(xs=xs, ts=ts, r=r, e3=e3, first_form=EE, second_form=II, diagnostics=diag)
+    mesh.K = discrete_gaussian_curvature(r)
+    inner = mesh.interior_K()
+    if inner.size:
+        good = inner[np.isfinite(inner)]
+        diag["K_min"] = float(np.min(good)) if good.size else float("nan")
+        diag["K_max"] = float(np.max(good)) if good.size else float("nan")
+        diag["K_mean"] = float(np.mean(good)) if good.size else float("nan")
+    return mesh
+
+
+# ----------------------------------------------------------------------
 # The frame march as tuple RK4: the state (r, e1, e2, e3) is advanced by
-# evaluating the right-hand side four times per step.  frames._sweep builds
-# the same RK4 step as one 4x4 matrix per step and column instead.
+# evaluating the right-hand side four times per step.  former_sweep and
+# frames._sweep build the same RK4 step as one 4x4 matrix per step and
+# column instead.
 
 
 def _apply(coeffs, r, e1, e2, e3):
@@ -188,7 +319,7 @@ def tuple_rk4_sweep(fam, trip, field, xs, ts, spine):
     """March the spine then all transverse lines; returns (r, e1, e2, e3) arrays.
 
     Output layout is always (len(xs), len(ts), 3); `spine` picks the path as
-    in frames._sweep, and the coefficients come from the same two field calls.
+    in former_sweep, and the coefficients come from the same two field calls.
     """
     if spine == "x":
         spine_grid, cross_grid, spine_col, cross_col = xs, ts, 1, 2

@@ -690,7 +690,8 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     """Bad argv, malformed family specs and configs, files that are not UTF-8
     or are directories, truncated PSSF files, a b-ODE table that runs toward
     overflow and failing verify and codazzi verdicts each end in an exit code
-    of 1, 2 or 3 and one stderr line, with no traceback and no warning."""
+    of 1, 2 or 3 and one stderr line, with no traceback and no warning.  A
+    file that cannot be read, decoded or parsed is named in that line."""
     specs = {
         "trunc": '{"branch": "T24", "params": {',
         "t99": '{"branch": "T99", "params": {}}',
@@ -707,7 +708,8 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     good = tmp_path / "good.pssf"
     assert run(["pde", "--preset", "novikov", "--nx", "16", "--tmax", "0.01", "--dt", "1e-3",
                 "--out", str(good), "--report", str(tmp_path / "pde.json"), "--deterministic"]) == EXIT_OK
-    pssf = {"empty": b"", "magic": b"PSSX", "header": good.read_bytes()[:20], "body": good.read_bytes()[:100]}
+    pssf = {"empty": b"", "magic": b"PSSX", "header": good.read_bytes()[:20], "body": good.read_bytes()[:100],
+            "version": good.read_bytes()[:4] + (99).to_bytes(4, "little") + good.read_bytes()[8:]}
     for name, data in pssf.items():
         (tmp_path / f"{name}.pssf").write_bytes(data)
 
@@ -717,32 +719,40 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     def field(name):
         return ["reconstruct", *NOVIKOV_STRIP, "--grid", "9x9", "--field", str(tmp_path / f"{name}.pssf")]
 
+    def path(name):
+        return str(tmp_path / name)
+
     table = [
-        # (argv, exit code)
-        (["frobnicate"], EXIT_USAGE),
-        (["verify", "--bogus"], EXIT_USAGE),
-        (["verify", "--preset", "nope"], EXIT_USAGE),
-        (["verify", "--preset", "novikov", "--samples", "abc"], EXIT_USAGE),
-        (["sff"], EXIT_USAGE),
-        (["verify", *family("missing")], EXIT_USAGE),
-        *((["verify", *family(name)], EXIT_USAGE) for name in ("trunc", "t99", "nophi", "badexpr")),
-        *((field(name), EXIT_FAIL) for name in pssf),
-        *((["verify", "--preset", "novikov", "--config", str(tmp_path / f"{name}.json")], EXIT_USAGE)
-          for name in (*configs, "latin1", "dir", "missing")),
-        *((["verify", *family(name)], EXIT_USAGE) for name in ("latin1", "dir")),
-        (["catalog", *family("latin1")], EXIT_USAGE),
-        (field("dir"), EXIT_USAGE),
+        # (argv, exit code, the file the line must name or None)
+        (["frobnicate"], EXIT_USAGE, None),
+        (["verify", "--bogus"], EXIT_USAGE, None),
+        (["verify", "--preset", "nope"], EXIT_USAGE, None),
+        (["verify", "--preset", "novikov", "--samples", "abc"], EXIT_USAGE, None),
+        (["sff"], EXIT_USAGE, None),
+        (["verify", *family("missing")], EXIT_USAGE, path("missing.json")),
+        (["verify", *family("trunc")], EXIT_USAGE, path("trunc.json")),
+        *((["verify", *family(name)], EXIT_USAGE, None) for name in ("t99", "nophi", "badexpr")),
+        *((field(name), EXIT_FAIL, path(f"{name}.pssf")) for name in pssf),
+        *((["verify", "--preset", "novikov", "--config", path(f"{name}.json")], EXIT_USAGE, None)
+          for name in ("cfg5", "cfglist")),
+        *((["verify", "--preset", "novikov", "--config", path(f"{name}.json")], EXIT_USAGE, path(f"{name}.json"))
+          for name in ("cfgtrunc", "latin1", "dir", "missing")),
+        *((["verify", *family(name)], EXIT_USAGE, path(f"{name}.json")) for name in ("latin1", "dir")),
+        (["catalog", *family("latin1")], EXIT_USAGE, path("latin1.json")),
+        (["catalog", *family("trunc")], EXIT_USAGE, path("trunc.json")),
+        (field("dir"), EXIT_USAGE, path("dir.pssf")),
         # delta' overflows at s = 0.053: the table stops there, and the Gauss check fails
-        (["sff", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL),
-        (["codazzi", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL),  # E1_max 1e139
-        (["verify", "--preset", "novikov", "--samples", "50", "--tol", "1e-300"], EXIT_FAIL),  # round-off fails
+        (["sff", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL, None),
+        (["codazzi", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL, None),  # E1_max 1e139
+        (["verify", "--preset", "novikov", "--samples", "50", "--tol", "1e-300"], EXIT_FAIL, None),  # round-off fails
     ]
     rep = tmp_path / "r.json"
-    for argv, want in table:
+    for argv, want, named in table:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             code = run([*argv, "--report", str(rep), "--deterministic"])
         err = capsys.readouterr().err
         assert code == want and code in (EXIT_USAGE, EXIT_FAIL, EXIT_NO_IMMERSION), (argv, code, err)
         assert err.startswith("pss: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert named is None or named in err, (argv, err)
         assert "Traceback" not in err and "Warning" not in err and not seen, (argv, err, seen)

@@ -11,7 +11,8 @@ from pss import frames
 from pss.catalog import FamilyParams, Branch, build_family, delta, novikov_preset, sine_gordon_preset
 from pss.frames import (
     SurfaceMesh,
-    _coefficients,
+    _column_coefficients,
+    _line_points,
     _orthonormality_drift,
     _stage_abscissae,
     discrete_gaussian_curvature,
@@ -24,7 +25,7 @@ from pss.frames import (
 from pss.immersion import ImmersionParams, Representation, solve_triple
 from pss.pde import Grid1D, exact_field, kink_field, solve_mol
 from pss.verifier import sample_envs
-from references import columns, tuple_rk4_sweep
+from references import _coefficients, columns, former_integrate_frame, tuple_rk4_sweep
 
 
 def jp(z):
@@ -442,6 +443,14 @@ def test_batched_stage_coefficients_equal_per_stage_calls(setup, representation)
             for j, k in np.ndindex(xb.shape[:2]):
                 one = _coefficients(fam, trip, field, xb[j, k], tb[j, k], column)
                 assert all(_same_bits(cb[j, k], co) for cb, co in zip(batch, one)), (column, j, k)
+    # the two grids that integrate_frame samples, against one call per point
+    xp, tp = _line_points(xs)[0], _line_points(ts)[0]
+    for x, t, column in ((xp[:, None], ts, 1), (xs[:, None], tp, 2)):
+        grid, _ = _column_coefficients(fam, trip, field, x, t, column)
+        xb, tb = np.broadcast_arrays(x, t)
+        for i, k in np.ndindex(xb.shape):
+            one = _coefficients(fam, trip, field, xb[i, k:k + 1], tb[i, k:k + 1], column)
+            assert all(_same_bits(cg[i, k:k + 1], co) for cg, co in zip(grid, one)), (column, i, k)
 
 
 @_BATCH_SETUPS
@@ -465,8 +474,8 @@ def test_whole_mesh_forms_equal_per_row_calls(setup, representation):
     assert mesh.diagnostics["I_det_min"] == float(np.min(detI[1:-1, 1:-1]))
 
 
-def test_integrate_frame_samples_once_per_spine_and_step():
-    fam, trip, field = _kink_setup()
+def _counting(field):
+    """Record the (x, t, order) of every sample_env call on `field`."""
     sample = field.sample_env
     calls = []
 
@@ -475,12 +484,28 @@ def test_integrate_frame_samples_once_per_spine_and_step():
         return sample(*args)
 
     field.sample_env = counting
+    return calls
+
+
+def test_integrate_frame_samples_once_per_spine_and_step():
+    fam, trip, field = _kink_setup()
+    calls = _counting(field)
     integrate_frame(fam, trip, field, origin=(-1.5, -1.5), steps=(7, 5), h=0.05)
-    # per sweep (x first, then t first) a spine call and an all-steps call, then the forms;
-    # each asks for z0..z2, all that the f_ij, the triple and Delta12 read
-    assert len(calls) == 5 and [c[2] for c in calls] == [2] * 5
-    assert [np.broadcast_shapes(*(np.shape(a) for a in c[:2])) for c in calls] == [
-        (7, 3), (5, 3, 8), (5, 3), (7, 3, 6), (8, 6)]
+    # one call per coframe column: column 1 on the x nodes and stages times the
+    # t nodes, column 2 on the x nodes times the t nodes and stages; each asks
+    # for z0..z2, all that the f_ij, the triple and Delta12 read
+    assert len(calls) == 2 and [c[2] for c in calls] == [2] * 2
+    assert [np.broadcast_shapes(*(np.shape(a) for a in c[:2])) for c in calls] == [(15, 6), (8, 11)]
+    for x, t, _ in calls:  # no point twice in one call
+        points = np.stack(np.broadcast_arrays(x, t), axis=-1).reshape(-1, 2)
+        assert len(np.unique(points, axis=0)) == len(points)
+    # the 201x201 kink: 161,202 points, against 282,801 in the five calls of the former path
+    fam, trip, field, where = _kink_window()
+    calls = _counting(field)
+    integrate_frame(fam, trip, field, **where)
+    former_integrate_frame(fam, trip, field, **where)
+    sizes = [int(np.prod(np.broadcast_shapes(np.shape(x), np.shape(t)))) for x, t, _ in calls]
+    assert [len(sizes), sum(sizes[:2]), sum(sizes[2:])] == [7, 161_202, 282_801]
 
 
 # ----------------------------------------------------------------------
@@ -510,34 +535,94 @@ def _novikov_window():
 @pytest.mark.parametrize("window", [_kink_window, _novikov_window], ids=["kink-201", "novikov-numeric"])
 def test_propagator_march_matches_the_tuple_rk4(window, monkeypatch):
     fam, trip, field, where = window()
+    sweep, states = frames._sweep, []
+
+    def recording(spine, cross):
+        states.append(sweep(spine, cross))
+        return states[-1]
+
+    monkeypatch.setattr(frames, "_sweep", recording)
     mesh = integrate_frame(fam, trip, field, **where)
-    for spine in ("x", "t"):
-        Y = frames._sweep(fam, trip, field, mesh.xs, mesh.ts, spine)
+    for spine, Y in zip(("x", "t"), (states[0], np.swapaxes(states[1], 0, 1))):
         want = _reference_sweep(fam, trip, field, mesh.xs, mesh.ts, spine)
         assert np.max(np.abs(Y[..., 0, :] - want[..., 0, :])) <= 1e-13, spine  # vertices
         assert np.max(np.abs(Y[..., 1:, :] - want[..., 1:, :])) <= 1e-14, spine  # e1, e2, e3
-    monkeypatch.setattr(frames, "_sweep", _reference_sweep)
-    ref = integrate_frame(fam, trip, field, **where)
+    ref = former_integrate_frame(fam, trip, field, sweep=_reference_sweep, **where)
     for key, rel in (("drift_max", 1e-2), ("compat_max", 1e-5)):
         assert mesh.diagnostics[key] == pytest.approx(ref.diagnostics[key], rel=rel), key
 
 
 def test_propagator_march_memory_stays_at_the_tuple_rk4s():
     """The step matrices are built a block of steps at a time: built for all
-    200 steps of the kink at once they raise the traced peak by about a fifth."""
+    200 steps of the kink at once they raise the traced peak by about a fifth.
+    The bound is the former five-call path with the tuple RK4 as its sweep;
+    that path with the propagator march bounds it too, with no slack."""
     fam, trip, field, where = _kink_window()
 
-    def traced_peak():
+    def traced_peak(integrate, **kwargs):
         tracemalloc.start()
         try:
-            integrate_frame(fam, trip, field, **where)
+            integrate(fam, trip, field, **where, **kwargs)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     integrate_frame(fam, trip, field, **where)  # caches and compiled programs are not counted
-    peak = traced_peak()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(frames, "_sweep", _reference_sweep)
-        ref = traced_peak()
+    peak = traced_peak(integrate_frame)
+    ref = traced_peak(former_integrate_frame, sweep=_reference_sweep)
+    former = traced_peak(former_integrate_frame)
     assert peak <= 1.05 * ref, (peak, ref)
+    assert peak <= former, (peak, former)
+
+
+# ----------------------------------------------------------------------
+# the two-call sampling against the former five-call path
+#
+# Every sample sits at an abscissa the former path sampled, and sampling,
+# the triple and the columns are elementwise in (x, t), so the mesh, its
+# forms, K and every diagnostic keep their bits.
+
+
+def _stage_rounding_window():
+    """An exact field and closed-form triple on a window whose RK4 stages
+    g_i + h_i round one unit in the last place away from the node g_{i+1},
+    in x and in t (near 0, where g_{i+1} - g_i is inexact).  u = x + t solves
+    the t22-demo equation, and near the origin z0 = x + t keeps that unit:
+    sampling g_{i+1} in place of the stage changes the vertices' bits."""
+    fam = build_family(FamilyParams(branch=Branch.T22, eta2=1.0), f="s", phi12="z1", name="t22-mesh")
+    trip = solve_triple(fam, ImmersionParams(beta=0.0, C_strip=4.0))
+    field = exact_field("x + t", Grid1D(-6, 6, 16), t_span=(-6, 6))
+    where = dict(origin=(-0.00041938804514817017, -0.0008324754194768564), steps=(40, 30),
+                 h=(0.003971249069897617, 0.003968629234813718))
+    return fam, trip, field, where
+
+
+def _zero_step_window(steps):
+    return lambda: (*_kink_setup(), dict(origin=(-1.0, -1.2), steps=steps, h=0.01))
+
+
+@pytest.mark.parametrize("window", [
+    _kink_window, _novikov_window, _stage_rounding_window,
+    _zero_step_window((0, 12)), _zero_step_window((12, 0)), _zero_step_window((0, 0)),
+], ids=["kink-201", "novikov-numeric", "stage-rounding", "no-x-steps", "no-t-steps", "no-steps"])
+def test_integrate_frame_equals_the_former_five_call_path(window):
+    fam, trip, field, where = window()
+    mesh = integrate_frame(fam, trip, field, **where)
+    want = former_integrate_frame(fam, trip, field, **where)
+    for name in ("r", "e3", "first_form", "second_form", "K"):
+        assert _same_bits(getattr(mesh, name), getattr(want, name)), name
+    assert list(mesh.diagnostics) == list(want.diagnostics)
+    for key, value in want.diagnostics.items():
+        assert np.array(mesh.diagnostics[key]).tobytes() == np.array(value).tobytes(), key
+
+
+def test_the_stage_rounding_window_keeps_both_abscissae():
+    *_, where = _stage_rounding_window()
+    for g0, h, n in zip(where["origin"], where["h"], where["steps"]):
+        grid = g0 + h * np.arange(n + 1)
+        stages = _stage_abscissae(grid)
+        apart = stages[:, 2] != grid[1:]
+        assert np.any(apart)
+        points, nodes, at = _line_points(grid)
+        assert len(points) == 2 * n + 1 + np.count_nonzero(apart)
+        assert points[nodes].tolist() == grid.tolist() and points[at].tolist() == stages.tolist()

@@ -71,18 +71,6 @@ class TripleDomainError(ValueError):
     pass
 
 
-def _any(bad):
-    """bad.any() for arrays; a plain truth test for bools and 0-d values,
-    where the numpy reduction would cost several microseconds per call."""
-    return bad.any() if getattr(bad, "ndim", 0) else bad
-
-
-def _float(v):
-    """A 0-d numpy result as a Python float (arrays pass through), so the
-    scalar march runs in float arithmetic, not numpy-scalar arithmetic."""
-    return v if v.ndim else float(v)
-
-
 def _first_s(s, bad):
     """The first s, as a float, where `bad` holds (s and bad broadcast together)."""
     s, bad = np.broadcast_arrays(s, bad)
@@ -107,8 +95,9 @@ class DenominatorCollapse(RuntimeError):
 DELTA_MIN = 1e-8
 DENOM_MIN = 1e-8
 # The most steps, round(eps / h), that the command line lets the march take
-# in each direction; a step costs about 11 us (2-vCPU Xeon VM), so the cap
-# is about 11 s per direction.
+# in each direction; a step costs about 5 us (2-vCPU Xeon VM, 5-7 us under
+# load; 11-15 us before the march ran in Python floats), so the cap is
+# about 5 s per direction.
 MAX_ODE_STEPS = 10**6
 
 
@@ -257,94 +246,105 @@ class _OdeForm(ImmersionTriple):
         self.ce = sign * 2.0 * rho / self.k
         self.sign = sign
         self.a_sign = a_sign
+        # the factors of phi, den and num (see _slope), each grouped as its
+        # left-to-right product was, so folding them keeps every bit
+        self._phi_c = mu2**2 - 1.0
+        self._den_c = (mu2**2 + 1.0, a_sign * (mu2**2 - 1.0), 4.0 * a_sign * mu2)
+        self._num_c = (2.0 * sign * rho * self.k, a_sign * sign * (2.0 * beta * rho / self.k))
         self.s, self.b, self.stops = self._march(ip)
         self.bprime = self.g(self.s, self.b)
         super().__init__(branch_label, svar, sx, st, (float(self.s[0]), float(self.s[-1])))
 
-    def phi_delta(self, s, b):
-        E = _float(np.exp(self.ce * s))  # not math.exp, which rounds differently
-        phi = ((self.mu2**2 - 1.0) * b - self.beta * E) / self.mu2
-        delta = phi * phi - 4.0 * (1.0 - b * b)
-        return phi, delta, E
-
-    def den_terms(self, phi, sq, b):
-        """The three terms of the denominator of b' = g(s, b), with
-        sq = sqrt(delta); the signed denominator is their sum, left to right."""
-        mu2, r = self.mu2, self.a_sign
-        return (mu2**2 + 1.0) * sq, r * (mu2**2 - 1.0) * phi, 4.0 * r * mu2 * b
-
-    def num(self, phi, sq, E, b):
-        """The numerator of b' = g(s, b), with sq = sqrt(delta)."""
-        k, r, sg = self.k, self.a_sign, self.sign
-        return 2.0 * sg * self.rho * k * b * sq + r * sg * (2.0 * self.beta * self.rho / k) * phi * E
-
     def phip_deltap(self, phi, E, b, bp):
         """(phi', delta') along the table, from phi, E, b and b' at a point."""
-        phip = ((self.mu2**2 - 1.0) * bp - self.beta * self.ce * E) / self.mu2
+        phip = (self._phi_c * bp - self.beta * self.ce * E) / self.mu2
         return phip, 2.0 * phi * phip + 8.0 * b * bp
 
-    def g(self, s, b):
-        """b'(s); one code path for scalars (the march) and arrays (the table)."""
-        phi, delta, E = self.phi_delta(s, b)
-        bad = delta <= 0
-        if _any(bad):
+    def _slope(self, s, b, E, sqrt=np.sqrt, keep=False):
+        """(phi, sq, den, b'): b' = g(s, b) = num/den, from b and E = exp(ce*s),
+        with sq = sqrt(delta), delta = phi^2 - 4 (1 - b^2).  `sqrt` is np.sqrt
+        on arrays and math.sqrt in the march's Python floats; IEEE sqrt is
+        correctly rounded, so both give the same bits.  Raises the collapse at
+        the first s where delta <= 0 or |den| < 1e-300.
+
+        With `keep`, s is a point the march would keep, and the tests are
+        those that stop the march there: delta not in (DELTA_MIN, inf), or
+        |den| not in [floor, inf), the floor DENOM_MIN * max(1, |terms|_inf)
+        (as the residual tolerances scale) below which den is lost in the
+        rounding of its terms and has no sign, or a delta' that is not finite
+        (the table's a' would overflow).  A non-finite b makes delta
+        non-finite, and a finite den has finite terms.  Each is stricter than
+        the test without `keep`, so where a point passes, b' is g's bit for bit."""
+        phi = (self._phi_c * b - self.beta * E) / self.mu2
+        delta = phi * phi - 4.0 * (1.0 - b * b)
+        # `bad` is a bool in the march's Python floats (tested without a
+        # call, which would cost more than the test) and numpy's otherwise
+        bad = not DELTA_MIN < delta < math.inf if keep else delta <= 0
+        if bad is True or bad is not False and bad.any():
             raise DiscriminantCollapse(s, bad)
-        sq = _float(np.sqrt(delta))
-        t1, t2, t3 = self.den_terms(phi, sq, b)
+        sq = sqrt(delta)
+        (d1, d2, d3), (n1, n2) = self._den_c, self._num_c
+        t1, t2, t3 = d1 * sq, d2 * phi, d3 * b
         den = t1 + t2 + t3
-        bad = abs(den) < 1e-300
-        if _any(bad):
+        bad = (not DENOM_MIN * max(1.0, abs(t1), abs(t2), abs(t3)) <= abs(den) < math.inf
+               if keep else abs(den) < 1e-300)
+        if bad is True or bad is not False and bad.any():
             raise DenominatorCollapse(s, bad)
-        return self.num(phi, sq, E, b) / den
+        bprime = (n1 * b * sq + n2 * phi * E) / den
+        if keep and not abs(self.phip_deltap(phi, E, b, bprime)[1]) < math.inf:
+            raise DiscriminantCollapse(s)
+        return phi, sq, den, bprime
+
+    def g(self, s, b):
+        """b'(s) on arrays or numpy scalars (the table's slopes)."""
+        return self._slope(s, b, np.exp(self.ce * s))[3]
+
+    def _stage_points(self, s0, h, n):
+        """(sv + h/2, sv + h, E there, E there) for each of the n steps of a
+        march from s0, sv the step's start, by the march's own sequential
+        additions sv + h, with E = exp(ce*s) as Python floats.  The
+        exponentials of a block of steps come from one np.exp, which gives
+        each element the bits of its 0-d np.exp (as g takes it; math.exp
+        rounds differently), which
+        test_block_exp_equals_the_0d_exp_of_each_abscissa_bit_for_bit pins.
+        The blocks bound the memory at MAX_ODE_STEPS, and a march that stops
+        early computes at most one block past its stop, where exp may
+        overflow unseen: an E that overflows makes delta non-finite, so the
+        march stops no later than the first node past it."""
+        sv, block = s0, 4096
+        for done in range(0, n, block):
+            starts = [sv]
+            for _ in range(min(block, n - done)):
+                sv += h
+                starts.append(sv)
+            nodes = starts[1:]
+            mids = [v + 0.5 * h for v in starts[:-1]]
+            with np.errstate(over="ignore"):
+                E = np.exp(self.ce * np.array(mids + nodes)).tolist()
+            yield from zip(mids, nodes, E[:len(nodes)], E[len(nodes):])
 
     def _march(self, ip):
-        """(s, b, stops): the table marched both ways from (ip.s0, ip.b0)."""
+        """(s, b, stops): the table marched both ways from (ip.s0, ip.b0),
+        in Python floats; it stops where _slope(keep=True) raises at a node
+        or _slope raises at a stage."""
+        slope, sqrt = self._slope, math.sqrt
+        with np.errstate(over="ignore"):
+            E0 = float(np.exp(self.ce * ip.s0))
+        _, _, den0, k0 = slope(ip.s0, ip.b0, E0, sqrt, keep=True)
 
-        def accept(sv, bv):
-            """(den, b') at a point of the march, den the signed denominator
-            of b'; or raise the collapse that stops the march there: delta
-            not in (DELTA_MIN, inf), or |den| not in [floor, inf), the floor
-            DENOM_MIN * max(1, |terms|_inf) (as the residual tolerances scale)
-            below which den is lost in the rounding of its terms and has no
-            sign, or a delta' that is not finite (the table's a' would
-            overflow).  A non-finite b makes delta non-finite, and a finite
-            den has finite terms.  Where a point passes, g cannot raise, so
-            b' is g(sv, bv) bit for bit."""
-            phi, delta, E = self.phi_delta(sv, bv)
-            if not DELTA_MIN < delta < math.inf:
-                raise DiscriminantCollapse(sv)
-            sq = math.sqrt(delta)
-            t1, t2, t3 = self.den_terms(phi, sq, bv)
-            den = t1 + t2 + t3
-            if not DENOM_MIN * max(1.0, abs(t1), abs(t2), abs(t3)) <= abs(den) < math.inf:
-                raise DenominatorCollapse(sv)
-            bprime = self.num(phi, sq, E, bv) / den
-            if not abs(self.phip_deltap(phi, E, bv, bprime)[1]) < math.inf:
-                raise DiscriminantCollapse(sv)
-            return den, bprime
-
-        den0, k0 = accept(ip.s0, ip.b0)
-
-        def step(sv, bv, k1, h):
-            k2 = self.g(sv + 0.5 * h, bv + 0.5 * h * k1)
-            k3 = self.g(sv + 0.5 * h, bv + 0.5 * h * k2)
-            k4 = self.g(sv + h, bv + h * k3)
-            return bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        def march(direction):
-            # the check that accepts a point gives b' there, which is the next
-            # step's first stage k1 ("first same as last"): four phi_delta
-            # evaluations per step, not five
-            h = direction * ip.h
+        def march(h):
+            # the check that keeps a point gives b' there, which is the next
+            # step's first stage k1 ("first same as last")
             out_s, out_b = [], []
-            sv, bv, kv, den_prev = ip.s0, ip.b0, k0, den0
-            nsteps = int(round(ip.eps / ip.h))
+            bv, k1, den_prev = ip.b0, k0, den0
             stop = None
-            for _ in range(nsteps):
-                sn = sv + h
+            for s_half, sn, E_half, En in self._stage_points(ip.s0, h, int(round(ip.eps / ip.h))):
                 try:
-                    bn = step(sv, bv, kv, h)
-                    den, kn = accept(sn, bn)
+                    k2 = slope(s_half, bv + 0.5 * h * k1, E_half, sqrt)[3]
+                    k3 = slope(s_half, bv + 0.5 * h * k2, E_half, sqrt)[3]
+                    k4 = slope(sn, bv + h * k3, En, sqrt)[3]
+                    bn = bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    _, _, den, kn = slope(sn, bn, En, sqrt, keep=True)
                 except DiscriminantCollapse as e:
                     stop = ("discriminant", e.s)
                     break
@@ -357,11 +357,11 @@ class _OdeForm(ImmersionTriple):
                     break
                 out_s.append(sn)
                 out_b.append(bn)
-                sv, bv, kv, den_prev = sn, bn, kn, den
+                bv, k1, den_prev = bn, kn, den
             return out_s, out_b, stop
 
-        sp, bp_, stop_p = march(+1)
-        sm, bm, stop_m = march(-1)
+        sp, bp_, stop_p = march(ip.h)
+        sm, bm, stop_m = march(-ip.h)
         s = np.array(list(reversed(sm)) + [ip.s0] + sp)
         b = np.array(list(reversed(bm)) + [ip.b0] + bp_)
         if len(s) < 4:
@@ -398,14 +398,10 @@ class _OdeForm(ImmersionTriple):
     def abc_derivs(self, s):
         b = self._interp_b(s)
         r = self.a_sign
-        phi, delta, E = self.phi_delta(s, b)
-        bad = delta <= 0
-        if _any(bad):
-            raise DiscriminantCollapse(s, bad)
-        sq = np.sqrt(delta)
+        E = np.exp(self.ce * s)
+        phi, sq, _, bp = self._slope(s, b, E)
         a = 0.5 * (-phi + r * sq)
         c = a + phi
-        bp = self.g(s, b)
         phip, deltap = self.phip_deltap(phi, E, b, bp)
         ap = 0.5 * (-phip + r * deltap / (2.0 * sq))
         cp = ap + phip

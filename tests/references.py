@@ -127,7 +127,7 @@ def ode_backsubstitution_residuals(trip, bprime=None):
     s, b = trip.s, trip.b
     bp = trip.bprime if bprime is None else np.asarray(bprime)
     mu2, k, r, sg, rho = trip.mu2, trip.k, trip.a_sign, trip.sign, trip.rho
-    phi, delta, E = trip.phi_delta(s, b)
+    phi, delta, E = FreshStageMarch(trip).phi_delta(s, b)
     sq = np.sqrt(delta)
     bracket = mu2 * (mu2**2 + 1.0) * sq + r * (mu2**2 + 1.0) ** 2 * b - r * (mu2**2 - 1.0) * trip.beta * E
     second = (2.0 * rho / k) * (
@@ -697,18 +697,31 @@ class FreshStageMarch:
         return num / den
 
     def march(self, ip):
-        """(s, b, bprime, stops) of the table marched both ways from (ip.s0, ip.b0)."""
+        """(s, b, bprime, stops) of the table marched both ways from (ip.s0, ip.b0).
 
-        def delta_den(sv, bv):
-            phi, delta, _ = self.phi_delta(sv, bv)
-            t1, t2, t3 = self.den_terms(phi, math.sqrt(max(delta, 0.0)), bv)
-            return delta, t1 + t2 + t3, DENOM_MIN * max(1.0, abs(t1), abs(t2), abs(t3))
+        A point is kept, and a start accepted, where delta is in
+        (DELTA_MIN, inf), |den| in [DENOM_MIN * max(1, |terms|_inf), inf) and
+        delta' = 2 phi phi' + 8 b b' is finite; numpy-scalar overflow along
+        the way is left to those tests, not warned about."""
 
-        delta0, den0, floor0 = delta_den(ip.s0, ip.b0)
-        if not delta0 > DELTA_MIN:
-            raise DiscriminantCollapse(ip.s0)
-        if not abs(den0) >= floor0:
-            raise DenominatorCollapse(ip.s0)
+        def keeps(sv, bv):
+            """(reason, den): the reason a point is not kept, or None."""
+            phi, delta, E = self.phi_delta(sv, bv)
+            if not DELTA_MIN < delta < math.inf:
+                return "discriminant", None
+            t1, t2, t3 = self.den_terms(phi, np.sqrt(delta), bv)
+            den = t1 + t2 + t3
+            if not DENOM_MIN * max(1.0, abs(t1), abs(t2), abs(t3)) <= abs(den) < math.inf:
+                return "denominator", den
+            bp = self.g(sv, bv)
+            phip = ((self.mu2**2 - 1.0) * bp - self.beta * self.ce * E) / self.mu2
+            if not abs(2.0 * phi * phip + 8.0 * bv * bp) < math.inf:
+                return "discriminant", den
+            return None, den
+
+        reason0, den0 = keeps(ip.s0, ip.b0)
+        if reason0:
+            raise (DenominatorCollapse if reason0 == "denominator" else DiscriminantCollapse)(ip.s0)
 
         def step(sv, bv, h):
             k1 = self.g(sv, bv)
@@ -732,20 +745,20 @@ class FreshStageMarch:
                     stop = ("denominator", e.s)
                     break
                 sn = sv + h
-                delta, den, floor = delta_den(sn, bn)
-                if delta <= DELTA_MIN:
-                    stop = ("discriminant", sn)
-                    break
-                if abs(den) < floor or (den < 0) != (den_prev < 0):
-                    stop = ("denominator", sn)
+                reason, den = keeps(sn, bn)
+                if reason is None and (den < 0) != (den_prev < 0):
+                    reason = "denominator"
+                if reason:
+                    stop = (reason, sn)
                     break
                 out_s.append(sn)
                 out_b.append(bn)
                 sv, bv, den_prev = sn, bn, den
             return out_s, out_b, stop
 
-        sp, bp_, stop_p = march(+1)
-        sm, bm, stop_m = march(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sp, bp_, stop_p = march(+1)
+            sm, bm, stop_m = march(-1)
         s = np.array(list(reversed(sm)) + [ip.s0] + sp)
         b = np.array(list(reversed(bm)) + [ip.b0] + bp_)
         stops = {}

@@ -1,10 +1,13 @@
 """Universal triples: closed forms, strips, the b-ODE march, non-existence."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from pss import immersion
 from pss.catalog import Branch, FamilyParams, PRESETS, build_family, novikov_preset, sine_gordon_preset, t22_demo_preset
 from pss.immersion import (
     DenominatorCollapse,
@@ -12,6 +15,7 @@ from pss.immersion import (
     ImmersionParams,
     ImmersionTriple,
     InvalidStrip,
+    MAX_ODE_STEPS,
     NoImmersion,
     Representation,
     TripleDomainError,
@@ -310,7 +314,7 @@ def test_collapse_messages_name_the_first_offending_s():
 def _old_g(trip, s, b):
     """_OdeForm.g with its former np.any/np.abs guards."""
     mu2, k, r, sg = trip.mu2, trip.k, trip.a_sign, trip.sign
-    phi, delta, E = trip.phi_delta(s, b)
+    phi, delta, E = FreshStageMarch(trip).phi_delta(s, b)
     if np.any(delta <= 0):
         raise DiscriminantCollapse(s, delta <= 0)
     sq = np.sqrt(delta)
@@ -343,10 +347,12 @@ def test_scalar_and_array_g_raise_at_the_first_offending_s():
         with pytest.raises(DiscriminantCollapse) as err:
             trip.g(*args)
         assert err.value.s == first
-    # a denominator that vanishes where b = 1.25 (delta > 0 for any |b| > 1)
-    trip.den_terms = lambda phi, sq, bb: (np.where(bb == 1.25, 0.0, 1.0)[()], 0.0, 0.0)
-    b = np.where(np.arange(201) >= 90, 1.25, 1.2)
-    for args, first in (((s, b), s[90]), ((float(s[5]), 1.25), s[5])):
+    # a denominator of d3 * b, below 1e-300 where b = 1.1 and above it where
+    # b = 1.2 (delta > 0 for any |b| > 1)
+    trip._den_c = (0.0, 0.0, 1e-300 / 1.15)
+    b = np.where(np.arange(201) >= 90, 1.1, 1.2)
+    trip.g(s[:90], b[:90])
+    for args, first in (((s, b), s[90]), ((float(s[5]), 1.1), s[5])):
         with pytest.raises(DenominatorCollapse) as err:
             trip.g(*args)
         assert err.value.s == first
@@ -383,8 +389,9 @@ def _t22_pole_family():
 
 
 def _den_and_floor(trip, s, b):
-    phi, delta, _ = trip.phi_delta(s, b)
-    terms = trip.den_terms(phi, np.sqrt(delta), b)
+    ref = FreshStageMarch(trip)
+    phi, delta, _ = ref.phi_delta(s, b)
+    terms = ref.den_terms(phi, np.sqrt(delta), b)
     return sum(terms), 1e-8 * np.max([np.ones_like(b), *map(np.abs, terms)], axis=0)
 
 
@@ -440,9 +447,13 @@ def _march_cases():
     """(family, ImmersionParams) of eight b-ODE families drawn as the certify
     benchmark draws them (T22 and T24, mu2 in [0.4, 1] to 4 digits, eta2,
     lam in [0.5, 2], C in [-1, 1], beta in [0.2, 0.6], b0 in [1.1, 1.5],
-    eps 0.3), then the two pole stops of the T22 pole family and a march
+    eps 0.3), then the two pole stops of the T22 pole family, a march
     with a discriminant stop (inside a step) backward and a denominator
-    stop forward."""
+    stop forward, the T22 family mu2 = 2, eta2 = 1 whose delta' overflows
+    at beta = 1e154, a mu2 < 0 march whose discriminant stop is at a stage
+    abscissa, a march from s0 != 0 with h = 7e-4, and one whose first
+    block of exponentials overflows exp (ce*s > 709.78 from s = 3.97) past
+    both stops."""
     rng = np.random.default_rng(14)
     out = []
     for branch in (Branch.T22, Branch.T24):
@@ -456,13 +467,18 @@ def _march_cases():
             out.append((fam, ip))
     out += [(_t22_pole_family(), ImmersionParams(beta=0.2, b0=b0, eps=0.3)) for b0 in (1.3, 1.4)]
     out.append((_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=1.0)))
+    out.append((_t22_ode_family(mu2=2.0, eta2=1.0), ImmersionParams(beta=1e154, b0=1.2, eps=0.3)))
+    out.append((_t22_pole_family(), ImmersionParams(beta=0.5, b0=1.1, eps=1.0)))
+    out.append((_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, s0=0.1, h=7e-4, eps=0.3)))
+    out.append((_t22_ode_family(eta2=100.0), ImmersionParams(beta=0.2, b0=1.2, eps=5.0)))
     return out
 
 
 def test_march_equals_the_fresh_stage_march_bit_for_bit():
-    """Reusing the accepted point's slope as the next k1, in Python floats,
-    gives the table, its slopes and both stops of the march that evaluates
-    all four stages afresh in numpy scalars."""
+    """Reusing the accepted point's slope as the next k1, in Python floats
+    with each block's exponentials from one np.exp, gives the table, its
+    slopes and both stops of the march that evaluates all four stages
+    afresh in numpy scalars."""
     stops = []
     for fam, ip in _march_cases():
         trip = integrate_b_ode(fam, ip)
@@ -471,20 +487,99 @@ def test_march_equals_the_fresh_stage_march_bit_for_bit():
             assert np.array_equal(_bits(got), _bits(ref)), fam.params
         assert trip.stops == want and {k: repr(v["s"]) for k, v in trip.stops.items()} == {
             k: repr(v["s"]) for k, v in want.items()}
-        stops += [v["reason"] for v in trip.stops.values()]
-    assert sorted(stops) == ["denominator"] * 3 + ["discriminant"]
+        stops.append(trip.stops)
+    assert [sorted((k, v["reason"]) for k, v in st.items()) for st in stops[8:]] == [
+        [("backward", "denominator")], [("backward", "denominator")],
+        [("backward", "discriminant"), ("forward", "denominator")],
+        [("forward", "discriminant")],
+        [("backward", "denominator"), ("forward", "discriminant")],
+        [],
+        [("backward", "discriminant"), ("forward", "denominator")]]
+    assert all(st == {} for st in stops[:8])
+    # the mu2 < 0 row stops at a stage abscissa sv + h/2, off the node grid
+    s_stage = stops[12]["forward"]["s"]
+    assert s_stage == pytest.approx(0.2525, abs=1e-12)
+    assert stops[9]["backward"]["s"] == pytest.approx(-0.018, abs=1e-12)
 
 
-def test_an_accepted_step_evaluates_phi_delta_four_times(monkeypatch):
-    """The start check, four phi_delta per accepted step (the stop check at
-    the new point gives the next step's k1), then one for the table's slopes."""
-    fam = _t22_ode_family()
-    cls = type(integrate_b_ode(fam, ImmersionParams(beta=0.5, b0=1.2, eps=0.01)))
-    phi_delta, calls = cls.phi_delta, []
-    monkeypatch.setattr(cls, "phi_delta", lambda self, s, b: calls.append(np.ndim(s)) or phi_delta(self, s, b))
-    trip = integrate_b_ode(fam, ImmersionParams(beta=0.5, b0=1.2, h=1e-3, eps=0.3))
-    assert trip.stops == {} and len(trip.s) == 601
-    assert calls == [0] * (1 + 4 * 600) + [1]
+def test_block_exp_equals_the_0d_exp_of_each_abscissa_bit_for_bit():
+    """The march takes exp(ce*s) of a block of stage abscissae in one np.exp
+    and relies on each element having the bits of np.exp of that element
+    alone (the 0-d call the table's slopes and the reference march make);
+    a numpy build where the vector and the 0-d exp round apart fails here
+    rather than moving the tables.  The arguments are those of every march
+    case, and a sweep over exp's whole finite range and past it."""
+    args = [np.linspace(-746.0, 711.0, 20001), np.random.default_rng(3).uniform(-50.0, 50.0, 20000)]
+    for fam, ip in _march_cases():
+        trip = integrate_b_ode(fam, ip)
+        for h in (ip.h, -ip.h):
+            pts = list(trip._stage_points(ip.s0, h, int(round(ip.eps / ip.h))))
+            args.append(trip.ce * np.array([p[0] for p in pts] + [p[1] for p in pts]))
+    overflows = []
+    with np.errstate(over="ignore"):
+        for x in args:
+            whole = np.exp(x)
+            one = np.array([np.exp(v) for v in x])
+            assert np.array_equal(_bits(whole), _bits(one))
+            overflows.append(bool(np.isinf(whole).any()))
+    # the sweep and the last case's forward block reach past exp's range
+    assert overflows[0] and overflows[-2] and not overflows[-1]
+
+
+class _CountingNumpy:
+    """numpy, recording (function, ndim of its first argument) per call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args, **kwargs):
+            self.calls.append((name, np.ndim(args[0]) if args else None))
+            return attr(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("h, blocks", [(1e-3, 1), (1e-4, 1), (6e-5, 2)], ids=["300", "3000", "5000"])
+def test_a_march_takes_one_np_exp_per_block_and_direction(monkeypatch, h, blocks):
+    """One 0-d np.exp for the start, one np.exp per block of 4096 steps and
+    direction, then one for the table's slopes: no step makes a 0-d numpy
+    call, and the numpy calls do not grow with the steps within a block."""
+    counting = _CountingNumpy()
+    monkeypatch.setattr(immersion, "np", counting)
+    trip = integrate_b_ode(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, h=h, eps=0.3))
+    assert trip.stops == {} and len(trip.s) == 2 * round(0.3 / h) + 1
+    exps = [nd for name, nd in counting.calls if name == "exp"]
+    assert exps == [0] + [1] * (2 * blocks) + [1]
+    assert [c for c in counting.calls if c[1] == 0] == [("exp", 0)]
+    # a block makes three calls (errstate, array, exp); the start two, the table three
+    assert len(counting.calls) == 2 + 3 * 2 * blocks + 3
+
+
+def test_a_march_at_the_step_cap_that_stops_early_is_quiet_and_small():
+    """round(eps/h) = MAX_ODE_STEPS each way, and both stops come within 35
+    steps.  exp(ce*s) overflows from s = 3.97 on, inside the first block of
+    exponentials and in every later one; the march computes one block past
+    its stops, without a warning, and never holds the exponentials of all
+    10^6 steps (taken at once, they raise the tracemalloc peak to 153 MB)."""
+    ip = ImmersionParams(beta=0.2, b0=1.2, h=1e-3, eps=1000.0)
+    assert round(ip.eps / ip.h) == MAX_ODE_STEPS
+    fam = _t22_ode_family(eta2=100.0)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trip = integrate_b_ode(fam, ip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trip.stops == {"forward": {"reason": "denominator", "s": pytest.approx(0.034, abs=1e-12)},
+                          "backward": {"reason": "discriminant", "s": pytest.approx(-0.0085, abs=1e-12)}}
+    assert 3.97 * trip.ce > 709.8
+    assert peak < 2e6
 
 
 def test_a_start_or_step_that_overflows_is_a_stop_not_a_nan_table():

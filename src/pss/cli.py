@@ -224,6 +224,9 @@ def _check_ranges(args):
             raise _UsageError(f"--{name} must be finite")
     if getattr(args, "h", None) is not None and args.eps / args.h > MAX_ODE_STEPS + 0.5:
         raise _UsageError(f"--eps / --h must be at most {MAX_ODE_STEPS} b-ODE steps per direction")
+    origin = getattr(args, "origin", None)
+    if origin is not None and not np.all(np.isfinite(origin)):
+        raise _UsageError("--origin must be finite")
     eta = getattr(args, "eta", None)
     if eta is not None and not (np.isfinite(eta) and eta != 0.0):
         raise _UsageError("--eta must be finite and nonzero")
@@ -433,8 +436,7 @@ def _cmd_pde(args):
     fam = _load(args)
     grid = Grid1D(args.xmin, args.xmax, args.nx)
     u0e = parse_expression(args.u0, ["x"])
-    with np.errstate(all="ignore"):  # an overflow is refused below, not printed
-        u0 = np.asarray(u0e({"x": grid.nodes()}), dtype=float)
+    u0 = np.asarray(u0e({"x": grid.nodes()}), dtype=float)
     if u0.shape != (grid.nx,):
         u0 = np.full(grid.nx, float(u0))
     if not np.all(np.isfinite(u0)):
@@ -562,7 +564,10 @@ def run(argv=None):
         args = parser.parse_args(argv)
         args = _apply_config(args, argv)
         _check_ranges(args)
-        return _COMMANDS[args.command](args)
+        # every command refuses or fails a non-finite result itself, so
+        # numpy's warnings about computing one would only add lines
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"pss: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,13 +20,14 @@ byte offsets into the source, which parse and evaluation errors carry as
 
 Calling an ``Expression`` runs straight-line Python compiled from the tree,
 over any operand type: floats, arrays, ``dual.Dual`` or ``dual.Taylor``.
-The same compiler, with the variables seeded, builds the program for its
-value and first partials (``with_partials``) on first use: forward mode
+The program for its value and first partials (``with_partials``) is built
+on first use by evaluating the tree once over ``dual.Dual``s whose parts
+are build-time operands, so Dual's own operators write it: forward mode
 unrolled ahead of time (Griewank & Walther, *Evaluating Derivatives*, ch. 3
-and 13).  That code makes no duals of its own, yet it runs the same
-operations in the same order as seeding the variables as duals, so it gives
-the same bits and the same ``DomainError`` for float and array inputs, and
-for dual inputs the bits of seeding a nested dual over them.
+and 13).  That code makes no duals of its own, yet it runs the operations
+of seeding the variables as duals in the same order, so it gives the same
+bits and the same ``DomainError`` for float and array inputs, and for dual
+inputs the bits of seeding a nested dual over them.
 ``parse_expression`` is memoized per process on (source, variables).
 """
 
@@ -310,29 +311,62 @@ def _free_vars(node, acc):
 # ----------------------------------------------------------------------
 # Compilation to straight-line code
 #
-# One compiler builds two programs from a tree, one line per operation in
-# evaluation order: the left operand before the right, a denominator and its
-# check before the numerator.  The value program (``Expression.__call__``)
-# seeds no variable, so every operand goes through its own type's operators
-# (floats, arrays, ``dual.Dual``, ``dual.Taylor``).  The partials program
-# (``with_partials``) seeds the declared variables and repeats, op for op,
-# what evaluating with them seeded as ``dual.Dual``s does: the same
-# Python operator, operand order and constants at every step (``c + D``
-# runs ``D.__radd__``, so it is ``D.val + c``; ``a - b`` is ``a + (-b)``),
-# the same domain checks at the same points of the evaluation order.  The
-# builder never inspects operand types: the values (floats, arrays, duals
-# of the caller) pass through the plain operators, so duals of the caller
-# come out bit for bit as through a nested dual seeded over them.
-#
-# An operand is the name of a value computed at run time (a str) or a
-# Python number known when the program is built: a literal, a seed
-# component 1.0 or 0.0, or a fold of two such numbers by a Python operator,
-# which rounds the same then as when the program runs.  A node that depends
-# on no seeded variable has no gradient (None).  Each temporary is deleted
-# after the line that reads it last, so a dead array is freed at once.
+# A program is written by evaluating the tree once over build-time operands
+# (``_Operand``), one line per operation in evaluation order: the left
+# operand before the right, a denominator and its check before the
+# numerator.  In the partials program each declared variable is a
+# ``dual.Dual`` of operands, so Dual's own operators and rule table write the
+# forward-mode lines.  The lines apply the plain Python operators to whatever
+# the caller passes (floats, arrays, duals, series), so a caller's duals come
+# out bit for bit as through a nested dual seeded over them.  Each temporary
+# is deleted after the line that reads it last, so a dead array is freed at
+# once.
 
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "**": operator.pow}
 _TEMP_RE = re.compile(r"\b_t\d+\b")
+
+
+def _operator(sym, reflected=False):
+    """The operator `sym` of an ``_Operand``, or its reflection."""
+
+    def op(self, other):
+        if isinstance(other, dual.Dual):
+            return NotImplemented
+        y = other.x if isinstance(other, _Operand) else other
+        x, y = (y, self.x) if reflected else (self.x, y)
+        return _Operand(self.prog, self.prog.binop(sym, x, y))
+
+    return op
+
+
+class _Operand:
+    """A value of the program being built: the name of a value computed when
+    the program runs (a str), or a Python number known when it is built (a
+    literal, a seed component, or a fold of two such numbers, which rounds
+    the same then as when the program runs).  Its operators write the line
+    that computes them; to a ``dual.Dual`` they return NotImplemented, so the
+    Dual's reflected operator keeps its operand order."""
+
+    __slots__ = ("prog", "x")
+
+    def __init__(self, prog, x):
+        self.prog = prog
+        self.x = x
+
+    __add__, __radd__ = _operator("+"), _operator("+", True)
+    __sub__ = _operator("-")
+    __mul__, __rmul__ = _operator("*"), _operator("*", True)
+    __truediv__, __rtruediv__ = _operator("/"), _operator("/", True)
+    __pow__ = _operator("**")
+
+    def __neg__(self):
+        x = self.x
+        return _Operand(self.prog, self.prog.emit(f"-{x}") if isinstance(x, str) else -x)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        """np.exp(operand) and the like, as the rule table's functions call
+        them: one line calling ``FUNCTIONS[name]``."""
+        return _Operand(self.prog, self.prog.call(FUNCTIONS[ufunc.__name__], self.x))
 
 
 class _ProgramBuilder:
@@ -368,17 +402,16 @@ class _ProgramBuilder:
                 pass  # left to raise when the program runs
         return self.emit(f"{self.ref(x)} {sym} {self.ref(y)}")
 
-    def negate(self, x):
-        return self.emit(f"-{x}") if isinstance(x, str) else -x
-
     def call(self, fn, x):
         name = f"_f{len(self.ns)}"
         self.ns[name] = fn
         return self.emit(f"{name}({self.ref(x)})")
 
-    def check(self, test, x, message, offset, raise_if=True):
-        """Raise DomainError where bool(test(x)) is raise_if; a known x that
-        passes is not tested again when the program runs."""
+    def check(self, test, v, message, offset, raise_if=True):
+        """Raise DomainError where bool(test(x)) is raise_if, x the primal
+        of `v`; a known x that passes is not tested again when the program
+        runs."""
+        x = primal(v).x
         if not isinstance(x, str) and bool(test(x)) != raise_if:
             return
         self.ns[test.__name__] = test
@@ -396,110 +429,43 @@ class _ProgramBuilder:
                 f"    except OverflowError: raise _DomainError({message!r}, {offset}) from None",
             ]
 
-    # -- the Dual operators on (value, grads) pairs; grads None: no variable
-
-    def add(self, a, b):
-        (av, ag), (bv, bg) = a, b
-        if ag is None and bg is None:
-            return self.binop("+", av, bv), None
-        if ag is None:  # c + D runs D.__radd__ = D.__add__(c): D.val + c
-            return self.add(b, a)
-        if bg is None:
-            return self.binop("+", av, bv), ag
-        return self.binop("+", av, bv), tuple(self.binop("+", x, y) for x, y in zip(ag, bg))
-
-    def neg(self, a):
-        av, ag = a
-        v = self.negate(av)
-        return v, None if ag is None else tuple(self.negate(g) for g in ag)
-
-    def sub(self, a, b):
-        if a[1] is None and b[1] is None:
-            return self.binop("-", a[0], b[0]), None
-        if a[1] is None:  # c - D runs D.__rsub__: (-D) + c
-            return self.add(self.neg(b), a)
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        (av, ag), (bv, bg) = a, b
-        if ag is None and bg is None:
-            return self.binop("*", av, bv), None
-        if ag is None:  # c * D runs D.__rmul__ = D.__mul__(c)
-            return self.mul(b, a)
-        v = self.binop("*", av, bv)
-        if bg is None:
-            return v, tuple(self.binop("*", g, bv) for g in ag)
-        return v, tuple(
-            self.binop("+", self.binop("*", x, bv), self.binop("*", av, y)) for x, y in zip(ag, bg)
-        )
-
-    def div(self, a, b):
-        (av, ag), (bv, bg) = a, b
-        v = self.binop("/", av, bv)
-        if bg is None:
-            return v, None if ag is None else tuple(self.binop("/", g, bv) for g in ag)
-        if ag is None:  # c / D runs D.__rtruediv__: grads -v * g / D.val
-            return v, tuple(self.binop("/", self.binop("*", self.negate(v), g), bv) for g in bg)
-        return v, tuple(
-            self.binop("/", self.binop("-", x, self.binop("*", v, y)), bv) for x, y in zip(ag, bg)
-        )
-
-    def power(self, a, k):
-        av, ag = a
-        if ag is None:
-            return self.binop("**", av, k), None
-        if k == 0:
-            v = self.binop("+", self.binop("*", av, 0), 1.0)
-            return v, tuple(self.binop("*", g, 0) for g in ag)
-        d = self.binop("*", k, self.binop("**", av, k - 1))
-        return self.binop("**", av, k), tuple(self.binop("*", d, g) for g in ag)
-
-    def apply(self, name, a):
-        """f(D) as ``Dual._apply``: y = f(D.val), grads f'(.) * g."""
-        av, ag = a
-        y = self.call(FUNCTIONS[name], av)
-        if ag is None:
-            return y, None
-        _, on_result, deriv = dual._RULES[name]
-        d = self.call(deriv, y if on_result else av)
-        return y, tuple(self.binop("*", d, g) for g in ag)
-
-    # -- the tree, in evaluation order
-
     def node(self, nd):
+        """The tree evaluated in evaluation order: an operand, or a Dual of
+        operands where a seeded variable is reached."""
         if isinstance(nd, Num):
-            return nd.value, None
+            return _Operand(self, nd.value)
         if isinstance(nd, Var):
             i = self.index[nd.name]
-            return f"_x{i}", tuple(1.0 if j == i else 0.0 for j in range(self.n)) if self.seeded else None
+            v = _Operand(self, f"_x{i}")
+            if not self.seeded:
+                return v
+            return dual.Dual(v, tuple(_Operand(self, 1.0 if j == i else 0.0) for j in range(self.n)))
         if isinstance(nd, Neg):
-            return self.neg(self.node(nd.arg))
+            return -self.node(nd.arg)
         if isinstance(nd, Bin):
             if nd.op == "/":  # the denominator is read and checked first
                 den = self.node(nd.right)
-                self.check(_any_zero, den[0], "division by zero", nd.offset)
-                return self.div(self.node(nd.left), den)
+                self.check(_any_zero, den, "division by zero", nd.offset)
+                return self.node(nd.left) / den
             a = self.node(nd.left)
-            return {"+": self.add, "-": self.sub, "*": self.mul}[nd.op](a, self.node(nd.right))
+            return _FOLD[nd.op](a, self.node(nd.right))
         if isinstance(nd, Pow):
             base = self.node(nd.base)
             if nd.exponent < 0:
-                self.check(_any_zero, base[0], "zero raised to a negative power", nd.offset)
+                self.check(_any_zero, base, "zero raised to a negative power", nd.offset)
             start = len(self.lines)
-            out = self.power(base, nd.exponent)
+            out = base**nd.exponent
             self.guard_overflow(start, "power overflows", nd.offset)
             return out
         if isinstance(nd, Call):
             arg = self.node(nd.arg)
             if nd.fn == "sqrt":
-                self.check(_any_negative, arg[0], "sqrt of a negative value", nd.offset)
-                if arg[1] is not None:  # a dual: its derivative is asked for
-                    self.check(_any_zero, arg[0], "sqrt at zero has no derivative", nd.offset)
-                else:
-                    self.check(_series_at_zero, arg[0], "sqrt at zero has no derivative", nd.offset)
-            out = self.apply(nd.fn, arg)
+                self.check(_any_negative, arg, "sqrt of a negative value", nd.offset)
+                at_zero = _any_zero if isinstance(arg, dual.Dual) else _series_at_zero
+                self.check(at_zero, arg, "sqrt at zero has no derivative", nd.offset)
+            out = FUNCTIONS[nd.fn](arg)
             if nd.fn == "tan":
-                self.check(_all_finite, out[0], "tan at a pole", nd.offset, raise_if=False)
+                self.check(_all_finite, out, "tan at a pole", nd.offset, raise_if=False)
             return out
         raise TypeError(f"unhandled node {nd!r}")
 
@@ -522,14 +488,13 @@ def _build_program(root, variables, src, partials):
     The value program reads only the free variables of the tree."""
     reads = variables if partials else _free_vars(root, set())
     comp = _ProgramBuilder(variables, reads, partials, src)
-    v, g = comp.node(root)
+    out = comp.node(root)
     if not partials:
-        ret = f"    return {comp.ref(v)}"
-    else:
-        if g is None:  # no variable reached the result: zero partials
-            g = (0.0,) * comp.n
-        grads = ", ".join(f"{nm!r}: {comp.ref(x)}" for nm, x in zip(variables, g))
-        ret = f"    return {comp.ref(v)}, {{{grads}}}"
+        ret = f"    return {comp.ref(out.x)}"
+    else:  # a result that reached no variable has zero partials
+        g = out.grad if isinstance(out, dual.Dual) else (_Operand(comp, 0.0),) * comp.n
+        grads = ", ".join(f"{nm!r}: {comp.ref(x.x)}" for nm, x in zip(variables, g))
+        ret = f"    return {comp.ref(primal(out).x)}, {{{grads}}}"
     text = "def _program(env):\n" + "\n".join(_release([*comp.lines, ret])) + "\n"
     kind = "partials" if partials else "value"
     exec(compile(text, f"<{kind} of {src!r}>", "exec"), comp.ns)

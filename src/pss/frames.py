@@ -123,14 +123,12 @@ def _column_coefficients(fam, trip, field, x, t, column):
 
 
 def _orthonormality_drift(e1, e2, e3):
-    out = 0.0
-    for u, v, target in (
-        (e1, e1, 1.0), (e2, e2, 1.0), (e3, e3, 1.0),
-        (e1, e2, 0.0), (e1, e3, 0.0), (e2, e3, 0.0),
-    ):
-        out = max(out, float(np.max(np.abs(np.einsum("...i,...i", u, v) - target))))
-    out = max(out, float(np.max(np.abs(np.cross(e1, e2) - e3))))
-    return out
+    """Largest deviation of the frame from orthonormal and right-handed; NaN
+    where the frame has a NaN entry."""
+    pairs = ((e1, e1, 1.0), (e2, e2, 1.0), (e3, e3, 1.0), (e1, e2, 0.0), (e1, e3, 0.0), (e2, e3, 0.0))
+    devs = [np.max(np.abs(np.einsum("...i,...i", u, v) - target)) for u, v, target in pairs]
+    devs.append(np.max(np.abs(np.cross(e1, e2) - e3)))
+    return float(np.max(devs))
 
 
 def integrate_frame(
@@ -178,6 +176,8 @@ def integrate_frame(
     del coef1, coef2, x_line, t_line  # they would otherwise stay live through the curvature pass
 
     drift = _orthonormality_drift(e1, e2, e3)
+    if np.isnan(drift):
+        raise FrameDriftError("the frame is not finite: its orthonormality drift is NaN")
     if drift > DRIFT_THRESHOLD:
         raise FrameDriftError(
             f"orthonormality drift {drift:.3e} exceeds {DRIFT_THRESHOLD:.1e}; reduce h"

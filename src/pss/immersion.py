@@ -32,6 +32,7 @@ Each representation is one `ImmersionTriple` subclass that samples itself
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -251,8 +252,7 @@ class _OdeForm(ImmersionTriple):
         self._phi_c = mu2**2 - 1.0
         self._den_c = (mu2**2 + 1.0, a_sign * (mu2**2 - 1.0), 4.0 * a_sign * mu2)
         self._num_c = (2.0 * sign * rho * self.k, a_sign * sign * (2.0 * beta * rho / self.k))
-        self.s, self.b, self.stops = self._march(ip)
-        self.bprime = self.g(self.s, self.b)
+        self.s, self.b, self.bprime, self.stops = self._march(ip)
         super().__init__(branch_label, svar, sx, st, (float(self.s[0]), float(self.s[-1])))
 
     def phip_deltap(self, phi, E, b, bp):
@@ -274,7 +274,8 @@ class _OdeForm(ImmersionTriple):
         rounding of its terms and has no sign, or a delta' that is not finite
         (the table's a' would overflow).  A non-finite b makes delta
         non-finite, and a finite den has finite terms.  Each is stricter than
-        the test without `keep`, so where a point passes, b' is g's bit for bit."""
+        the test without `keep`, so where a point passes, b' has the bits of
+        the array call there, as abc_derivs makes it."""
         phi = (self._phi_c * b - self.beta * E) / self.mu2
         delta = phi * phi - 4.0 * (1.0 - b * b)
         # `bad` is a bool in the march's Python floats (tested without a
@@ -295,17 +296,13 @@ class _OdeForm(ImmersionTriple):
             raise DiscriminantCollapse(s)
         return phi, sq, den, bprime
 
-    def g(self, s, b):
-        """b'(s) on arrays or numpy scalars (the table's slopes)."""
-        return self._slope(s, b, np.exp(self.ce * s))[3]
-
     def _stage_points(self, s0, h, n):
         """(sv + h/2, sv + h, E there, E there) for each of the n steps of a
         march from s0, sv the step's start, by the march's own sequential
         additions sv + h, with E = exp(ce*s) as Python floats.  The
         exponentials of a block of steps come from one np.exp, which gives
-        each element the bits of its 0-d np.exp (as g takes it; math.exp
-        rounds differently), which
+        each element the bits of its 0-d np.exp (as abc_derivs takes it;
+        math.exp rounds differently), which
         test_block_exp_equals_the_0d_exp_of_each_abscissa_bit_for_bit pins.
         The blocks bound the memory at MAX_ODE_STEPS, and a march that stops
         early computes at most one block past its stop, where exp may
@@ -324,9 +321,10 @@ class _OdeForm(ImmersionTriple):
             yield from zip(mids, nodes, E[:len(nodes)], E[len(nodes):])
 
     def _march(self, ip):
-        """(s, b, stops): the table marched both ways from (ip.s0, ip.b0),
+        """(s, b, b', stops): the table marched both ways from (ip.s0, ip.b0),
         in Python floats; it stops where _slope(keep=True) raises at a node
-        or _slope raises at a stage."""
+        or _slope raises at a stage.  b' is the slope each kept point was
+        checked with, so the table's slopes are not computed again."""
         slope, sqrt = self._slope, math.sqrt
         with np.errstate(over="ignore"):
             E0 = float(np.exp(self.ce * ip.s0))
@@ -335,7 +333,7 @@ class _OdeForm(ImmersionTriple):
         def march(h):
             # the check that keeps a point gives b' there, which is the next
             # step's first stage k1 ("first same as last")
-            out_s, out_b = [], []
+            out_s, out_b, out_bp = array("d"), array("d"), array("d")
             bv, k1, den_prev = ip.b0, k0, den0
             stop = None
             for s_half, sn, E_half, En in self._stage_points(ip.s0, h, int(round(ip.eps / ip.h))):
@@ -357,13 +355,18 @@ class _OdeForm(ImmersionTriple):
                     break
                 out_s.append(sn)
                 out_b.append(bn)
+                out_bp.append(kn)
                 bv, k1, den_prev = bn, kn, den
-            return out_s, out_b, stop
+            return (out_s, out_b, out_bp), stop
 
-        sp, bp_, stop_p = march(ip.h)
-        sm, bm, stop_m = march(-ip.h)
-        s = np.array(list(reversed(sm)) + [ip.s0] + sp)
-        b = np.array(list(reversed(bm)) + [ip.b0] + bp_)
+        fwd, stop_p = march(ip.h)
+        back, stop_m = march(-ip.h)
+        # each column: the backward points reversed, the start, the forward points
+        for m, v0, p in zip(back, (ip.s0, ip.b0, k0), fwd):
+            m.reverse()
+            m.append(v0)
+            m.extend(p)
+        s, b, bprime = (np.frombuffer(m) for m in back)
         if len(s) < 4:
             if not (stop_p or stop_m):
                 raise TripleDomainError(f"eps = {ip.eps} leaves {len(s)} table points at h = {ip.h}; 4 are needed")
@@ -374,7 +377,7 @@ class _OdeForm(ImmersionTriple):
             stops["forward"] = {"reason": stop_p[0], "s": stop_p[1]}
         if stop_m:
             stops["backward"] = {"reason": stop_m[0], "s": stop_m[1]}
-        return s, b, stops
+        return s, b, bprime, stops
 
     def _interp_b(self, s):
         s = np.asarray(s, dtype=float)

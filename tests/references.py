@@ -5,7 +5,7 @@ live with the tests: the closed-form sine-Gordon kink, the forward
 Helmholtz operator, the b-ODE back-substitution residual, the discrete
 z_{k,t} of a marched field, a family with one f_ij bumped, the frame
 march as tuple RK4 and the frame integration that sampled the field in
-five calls, the coframe as six per-entry closures with the
+five calls, the b-ODE slope on arrays, the coframe as six per-entry closures with the
 former x/t-seeded total derivatives and order-2 prolongation, and the
 b-ODE march, jet sampler and CSV writer that recompute what their
 successors reuse, the structure certification on all jets at once, and
@@ -138,6 +138,12 @@ def ode_backsubstitution_residuals(trip, bprime=None):
     res = bp * bracket + second
     scale = np.maximum(1.0, np.maximum(np.abs(bp * bracket), np.abs(second)))
     return res / scale
+
+
+def table_slope(trip, s, b):
+    """b'(s) of an ODE-table triple on arrays or numpy scalars, the former
+    `_OdeForm.g` (the march now keeps the slopes it checks)."""
+    return trip._slope(s, b, np.exp(trip.ce * s))[3]
 
 
 def columns(fam, env):

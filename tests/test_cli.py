@@ -698,6 +698,7 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         "nophi": '{"branch": "T24", "params": {"lam": 1, "eta2": 1}, "f": "s"}',
         "badexpr": '{"branch": "T24", "params": {"lam": 1, "eta2": 1}, "f": "s +", "phi12": "z1"}',
         "t22": '{"branch": "T22", "params": {"mu2": 2.0, "eta2": 1}, "f": "s", "phi12": "z1"}',
+        "t24big": '{"branch": "T24", "params": {"mu2": 0, "eta2": 1, "lam": 1, "C": 0.3}, "f": "s^2000", "phi12": "z1"}',
     }
     configs = {"cfg5": "5", "cfglist": "[{}]", "cfgtrunc": '{"tol": '}
     for name, text in {**specs, **configs}.items():
@@ -722,6 +723,7 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     def path(name):
         return str(tmp_path / name)
 
+    kink = ["reconstruct", "--preset", "sine-gordon", "--soliton", "--grid", "4x4", "--out", path("kink.obj")]
     table = [
         # (argv, exit code, the file the line must name or None)
         (["frobnicate"], EXIT_USAGE, None),
@@ -745,6 +747,11 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         (["sff", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL, None),
         (["codazzi", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL, None),  # E1_max 1e139
         (["verify", "--preset", "novikov", "--samples", "50", "--tol", "1e-300"], EXIT_FAIL, None),  # round-off fails
+        # s^2000 overflows on the sampled jets: the NaN residuals fail the verdict
+        (["verify", *family("t24big")], EXIT_FAIL, None),
+        (["codazzi", *family("t24big"), "--sigma", "3", "--beta", "0.5"], EXIT_FAIL, None),
+        *(([*kink, "--origin", x0, "0"], EXIT_USAGE, None) for x0 in ("nan", "inf")),
+        ([*kink, "--origin", "1e300", "0"], EXIT_FAIL, None),  # a NaN frame
     ]
     rep = tmp_path / "r.json"
     for argv, want, named in table:

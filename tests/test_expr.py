@@ -429,6 +429,28 @@ def test_compiled_partials_make_no_duals(monkeypatch):
         e.with_partials({"z0": 1.0})
 
 
+@pytest.mark.parametrize("op", ["__add__", "__mul__", "__truediv__", "__neg__", "__pow__", "_apply"])
+def test_the_partials_program_is_written_by_the_dual_operators(op, monkeypatch):
+    # the arithmetic of the partials program has one definition, dual.Dual's:
+    # its operators run while the program is built, and never when it runs
+    src, names = "-(z0*z1)/(1 + z0^2) + exp(z1)", ["z0", "z1"]
+    calls = []
+    original = getattr(dual.Dual, op)
+
+    def recording(self, *args):
+        calls.append(op)
+        return original(self, *args)
+
+    monkeypatch.setattr(dual.Dual, op, recording)
+    e = Expression(src, parse_expression(src, names).root, names)  # not the memoized one
+    env = {"z0": np.full(3, 0.5), "z1": np.full(3, 2.0)}
+    e.with_partials(env)
+    assert calls
+    calls.clear()
+    e.with_partials(env)
+    assert calls == []
+
+
 @pytest.mark.parametrize("value", [dual.Dual(0.5, (1.0,)), dual.Taylor([0.5, 1.0])], ids=["dual", "taylor"])
 def test_seed_refuses_a_dual_or_series_value(value):
     # a seeded key or a constant one: either would mix two sets of variables

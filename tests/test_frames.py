@@ -219,6 +219,21 @@ def test_frame_drift_just_past_the_threshold_is_refused():
         integrate_frame(fam, trip, field, origin=(-1.0, -1.0), steps=(1, 1), h=0.52)
 
 
+def test_a_nan_coefficient_is_refused_as_frame_drift(monkeypatch):
+    # folded with Python's max, max(0.0, nan) is 0.0: the drift would read finite
+    fam, trip, field = _kink_setup()
+    sample = field.sample_env
+
+    def one_nan(x, t, order):
+        env = sample(x, t, order)
+        env["z0"] = np.where((x == x.max()) & (t == t.max()), np.nan, env["z0"])
+        return env
+
+    monkeypatch.setattr(field, "sample_env", one_nan)
+    with pytest.raises(frames.FrameDriftError, match=r"^the frame is not finite: its orthonormality drift is NaN$"):
+        integrate_frame(fam, trip, field, origin=(-1.0, -1.0), steps=(4, 4), h=0.1)
+
+
 def test_zero_steps_single_vertex():
     fam, trip, field = _kink_setup()
     mesh = integrate_frame(fam, trip, field, origin=(-1.0, -1.0), steps=(0, 0), h=0.01)

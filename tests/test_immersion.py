@@ -26,7 +26,7 @@ from pss.immersion import (
     write_csv,
 )
 from pss.verifier import sample_envs
-from references import FreshStageMarch, fd6, ode_backsubstitution_residuals, row_by_row_csv, trim
+from references import FreshStageMarch, fd6, ode_backsubstitution_residuals, row_by_row_csv, table_slope, trim
 
 
 def _jets(fam, n, seed=0):
@@ -302,7 +302,7 @@ def test_collapse_messages_name_the_first_offending_s():
     s = np.linspace(-0.1, 0.1, 603)
     b = np.where(np.arange(603) >= 100, 0.0, 1.2)  # delta < 0 where b = 0
     with pytest.raises(DiscriminantCollapse) as err:
-        trip.g(s, b)
+        table_slope(trip, s, b)
     assert err.value.s == s[100]
     assert str(err.value) == f"discriminant collapsed at s = {s[100]}"
     bad = np.arange(603) % 200 == 57
@@ -332,10 +332,10 @@ def _bits(x):
 def test_scalar_and_array_g_agree_bit_for_bit():
     trip = solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3))
     s, b = trip.s, trip.b
-    arr = trip.g(s, b)
+    arr = table_slope(trip, s, b)
     assert np.array_equal(_bits(arr), _bits(_old_g(trip, s, b)))
     for cast in (float, np.float64):
-        one = [trip.g(cast(si), cast(bi)) for si, bi in zip(s, b)]
+        one = [table_slope(trip, cast(si), cast(bi)) for si, bi in zip(s, b)]
         assert np.array_equal(_bits(one), _bits(arr))
 
 
@@ -345,16 +345,16 @@ def test_scalar_and_array_g_raise_at_the_first_offending_s():
     b = np.where(np.arange(201) >= 70, 0.0, 1.2)  # delta < 0 where b = 0
     for args, first in (((s, b), s[70]), ((float(s[3]), 0.0), s[3]), ((s[3], np.float64(0.0)), s[3])):
         with pytest.raises(DiscriminantCollapse) as err:
-            trip.g(*args)
+            table_slope(trip, *args)
         assert err.value.s == first
     # a denominator of d3 * b, below 1e-300 where b = 1.1 and above it where
     # b = 1.2 (delta > 0 for any |b| > 1)
     trip._den_c = (0.0, 0.0, 1e-300 / 1.15)
     b = np.where(np.arange(201) >= 90, 1.1, 1.2)
-    trip.g(s[:90], b[:90])
+    table_slope(trip, s[:90], b[:90])
     for args, first in (((s, b), s[90]), ((float(s[5]), 1.1), s[5])):
         with pytest.raises(DenominatorCollapse) as err:
-            trip.g(*args)
+            table_slope(trip, *args)
         assert err.value.s == first
 
 
@@ -545,17 +545,19 @@ class _CountingNumpy:
 
 @pytest.mark.parametrize("h, blocks", [(1e-3, 1), (1e-4, 1), (6e-5, 2)], ids=["300", "3000", "5000"])
 def test_a_march_takes_one_np_exp_per_block_and_direction(monkeypatch, h, blocks):
-    """One 0-d np.exp for the start, one np.exp per block of 4096 steps and
-    direction, then one for the table's slopes: no step makes a 0-d numpy
-    call, and the numpy calls do not grow with the steps within a block."""
+    """One 0-d np.exp for the start and one np.exp per block of 4096 steps
+    and direction; the table keeps the slopes the march checked, so it takes
+    no np.exp of its own.  No step makes a 0-d numpy call, and the numpy
+    calls do not grow with the steps within a block."""
     counting = _CountingNumpy()
     monkeypatch.setattr(immersion, "np", counting)
     trip = integrate_b_ode(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, h=h, eps=0.3))
     assert trip.stops == {} and len(trip.s) == 2 * round(0.3 / h) + 1
     exps = [nd for name, nd in counting.calls if name == "exp"]
-    assert exps == [0] + [1] * (2 * blocks) + [1]
+    assert exps == [0] + [1] * (2 * blocks)
     assert [c for c in counting.calls if c[1] == 0] == [("exp", 0)]
-    # a block makes three calls (errstate, array, exp); the start two, the table three
+    # a block makes three calls (errstate, array, exp); the start two, the table
+    # one frombuffer per column
     assert len(counting.calls) == 2 + 3 * 2 * blocks + 3
 
 
@@ -580,6 +582,21 @@ def test_a_march_at_the_step_cap_that_stops_early_is_quiet_and_small():
                           "backward": {"reason": "discriminant", "s": pytest.approx(-0.0085, abs=1e-12)}}
     assert 3.97 * trip.ce > 709.8
     assert peak < 2e6
+
+
+def test_a_long_table_keeps_its_slopes_in_bounded_memory():
+    """200,001 points keep 24 B each (s, b, b'); the tracemalloc peak stays
+    under 60 B per point.  Lists of Python floats and a table-wide
+    recomputation of the slopes after the march peaked at 97 B per point."""
+    ip = ImmersionParams(beta=0.5, b0=1.2, h=3e-6, eps=0.3)
+    tracemalloc.start()
+    try:
+        trip = integrate_b_ode(_t22_ode_family(), ip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trip.stops == {} and len(trip.s) == 200_001
+    assert peak < 12e6
 
 
 def test_a_start_or_step_that_overflows_is_a_stop_not_a_nan_table():

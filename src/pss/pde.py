@@ -91,6 +91,8 @@ class Grid1D:
             raise PdeError("nx >= 16 required")
         if not self.x_max > self.x_min:
             raise PdeError("x_max > x_min required")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise PdeError("a finite x_max - x_min required")
 
     @property
     def dx(self):
@@ -136,13 +138,26 @@ def _central_stencil(m, acc):
     return tuple(int(o) for o in off), tuple(fd_weights(m, off))
 
 
+@functools.lru_cache(maxsize=None)
+def _periodic_stencil(n, m, acc):
+    """((indices, weight), ...) of the stencil on n periodic samples: the
+    indices gather u[i + o mod n] at each i, the shift that np.roll(u, -o) makes."""
+    shifts = []
+    for o, c in zip(*_central_stencil(m, acc)):
+        idx = (np.arange(n) + o) % n
+        idx.setflags(write=False)
+        shifts.append((idx, c))
+    return tuple(shifts)
+
+
 def periodic_derivative(u, dx, m, acc=4):
     """m-th x-derivative (along the last axis) of periodic samples, centered stencils."""
+    u = np.asarray(u)
     if m == 0:
-        return np.asarray(u).copy()
-    out = np.zeros_like(np.asarray(u, dtype=float))
-    for o, c in zip(*_central_stencil(m, acc)):
-        out += c * np.roll(u, -o, axis=-1)
+        return u.copy()
+    out = np.zeros_like(u, dtype=float)
+    for idx, c in _periodic_stencil(u.shape[-1], m, acc):
+        out += c * u.take(idx, axis=-1)
     return out / dx**m
 
 
@@ -338,17 +353,8 @@ def kink_field(eta, grid: Grid1D, t_span=(-6.0, 6.0)) -> SolutionField:
 # Method of lines
 
 
-def _space_ops(grid, space):
-    """u -> (u_x, u_xx, u_xxx); spectral: one rfft of u and one batched irfft."""
-    if space == "spectral":
-        symbols = np.stack([(1j * grid.wavenumbers()) ** m for m in (1, 2, 3)])
-        return lambda u: np.fft.irfft(np.fft.rfft(u) * symbols, n=grid.nx)
-    acc = int(space)
-    return lambda u: [periodic_derivative(u, grid.dx, m, acc=acc) for m in (1, 2, 3)]
-
-
 # The most RK4 steps, t_max / dt, that the command line lets a march take; a
-# step of the default 256-point spectral march costs 180-470 us
+# step of the default 256-point spectral march costs 270-540 us
 # (field.pde.step_us, 2-vCPU Xeon VM), so the cap is under a minute there.
 MAX_PDE_STEPS = 10**5
 
@@ -374,53 +380,66 @@ def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> 
         raise PdeError("u0 must be finite")
     nsteps = step_count(t_max, dt)
     sg = fam.params.branch == Branch.SINE_GORDON
+    nx, dx = grid.nx, grid.dx
 
     if sg:
         order = 4 if space == "spectral" else int(space)
 
         def rhs(uu):
-            return cumulative_integral(np.sin(uu), grid.dx, order=order)
+            return cumulative_integral(np.sin(uu), dx, order=order)
 
     else:
-        lam = fam.params.lam
-        derivs = _space_ops(grid, space)
+        lam, G = fam.params.lam, fam.G_fn
         xs = grid.nodes()
         kw = grid.wavenumbers()
         helmholtz = 1.0 + kw * kw  # divided by, as in helmholtz_invert: same rounding
+        spectrum = np.empty(len(kw), dtype=complex)  # every rfft of the march writes here
+        if space == "spectral":
+            symbols = np.stack([(1j * kw) ** m for m in (1, 2, 3)])
+
+            def derivs(uu):  # one rfft of u and one batched irfft
+                return np.fft.irfft(np.fft.rfft(uu, out=spectrum) * symbols, n=nx)
+
+        else:
+            acc = int(space)
+
+            def derivs(uu):
+                return [periodic_derivative(uu, dx, m, acc=acc) for m in (1, 2, 3)]
 
         def rhs(uu):
             z1, z2, z3 = derivs(uu)
-            env = {"z0": uu, "z1": z1, "z2": z2, "z3": z3, "x": xs, "t": 0.0}
-            f = lam * uu * uu * z3 + fam.G_fn(env)
-            return np.fft.irfft(np.fft.rfft(f) / helmholtz, n=grid.nx)
+            f = lam * uu * uu * z3 + G({"z0": uu, "z1": z1, "z2": z2, "z3": z3, "x": xs, "t": 0.0})
+            return np.fft.irfft(np.divide(np.fft.rfft(f, out=spectrum), helmholtz, out=spectrum), n=nx)
+
+        cfl_dx, lam_abs = CFL_COEFFICIENT * dx, abs(lam)
 
     def check_cfl(t, amp):
         if sg:
             return
-        cap = CFL_COEFFICIENT * grid.dx / max(1.0, abs(lam) * (amp * amp))
+        cap = cfl_dx / max(1.0, lam_abs * (amp * amp))
         if dt > cap:
             raise CflError(t, amp, dt, cap)
 
-    check_cfl(0.0, float(np.max(np.abs(u))))
+    check_cfl(0.0, float(np.abs(u).max()))
 
     save_every = max(1, nsteps // max(1, n_save - 1))
     times = [0.0]
-    frames = [u.copy()]
-    t = 0.0
+    frames = [u]  # the march makes a new u each step and never writes into one
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     for k in range(1, nsteps + 1):
         k1 = rhs(u)
-        k2 = rhs(u + 0.5 * dt * k1)
-        k3 = rhs(u + 0.5 * dt * k2)
+        k2 = rhs(u + half_dt * k1)
+        k3 = rhs(u + half_dt * k2)
         k4 = rhs(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = u + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = k * dt
-        amp = float(np.max(np.abs(u)))
-        if not np.isfinite(amp) or amp > BLOWUP_CAP:
+        amp = float(np.abs(u).max())
+        if not math.isfinite(amp) or amp > BLOWUP_CAP:
             raise BlowUpError(t, amp)
         check_cfl(t, amp)
         if k % save_every == 0 or k == nsteps:
             times.append(t)
-            frames.append(u.copy())
+            frames.append(u)
     return SolutionField(
         grid,
         times,
@@ -474,10 +493,18 @@ def load_field(path) -> SolutionField:
     if S < 1 or len(buf) != expected:
         raise PdeError(f"{path}: a PSSF with nx = {nx} and {S} snapshots is {expected} bytes, "
                        f"the file has {len(buf)}")
+    try:
+        grid = Grid1D(x_min, x_max, nx)
+    except PdeError as exc:
+        raise PdeError(f"{path}: {exc}") from None
     times = np.frombuffer(buf, dtype="<f8", count=S, offset=_HEADER_BYTES)
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        raise PdeError(f"{path}: the snapshot times must be finite and strictly increasing")
     data = np.frombuffer(buf, dtype="<f8", count=S * nx, offset=_HEADER_BYTES + 8 * S).reshape(S, nx)
+    if not np.all(np.isfinite(data)):
+        raise PdeError(f"{path}: the field holds a non-finite sample")
     return SolutionField(
-        Grid1D(x_min, x_max, nx),
+        grid,
         times,
         frames=data,
         provenance={"type": "NUMERIC", "loaded_from": str(path), "max_jet_order": 5},

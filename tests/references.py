@@ -10,7 +10,9 @@ former x/t-seeded total derivatives and order-2 prolongation, and the
 b-ODE march, jet sampler and CSV writer that recompute what their
 successors reuse, the structure certification on all jets at once, and
 the former nestable dual with its seeding (the tower of levels that the
-compiled partials are checked against).
+compiled partials are checked against), and the method-of-lines march and
+stencil derivative with numpy's allocating calls (fresh FFT outputs,
+np.roll shifts).
 """
 
 import copy
@@ -20,6 +22,7 @@ import numpy as np
 
 from pss import dual
 from pss.catalog import (
+    Branch,
     CatalogError,
     Family,
     FPrimeZero,
@@ -57,7 +60,17 @@ from pss.jets import (
     _zindex,
     partials,
 )
-from pss.pde import PdeError, periodic_derivative
+from pss.pde import (
+    BLOWUP_CAP,
+    CFL_COEFFICIENT,
+    BlowUpError,
+    CflError,
+    PdeError,
+    _central_stencil,
+    cumulative_integral,
+    periodic_derivative,
+    step_count,
+)
 from pss.verifier import DEFAULT_SEED, VerificationReport, sample_envs, structure_residuals_env
 
 
@@ -983,3 +996,80 @@ def tower_value_grad(result, level, n):
     if isinstance(result, TowerDual) and result.level == level:
         return result.val, result.grad
     return result, (0.0,) * n
+
+
+# ----------------------------------------------------------------------
+# The method-of-lines march with a fresh array from every FFT, the RK4
+# constants and the CFL cap recomputed each step, and np.roll stencil
+# shifts.  pde.solve_mol and pde.periodic_derivative must give the same bits.
+
+
+def roll_periodic_derivative(u, dx, m, acc=4):
+    """pde.periodic_derivative shifting u by np.roll once per stencil offset."""
+    if m == 0:
+        return np.asarray(u).copy()
+    out = np.zeros_like(np.asarray(u, dtype=float))
+    for o, c in zip(*_central_stencil(m, acc)):
+        out += c * np.roll(u, -o, axis=-1)
+    return out / dx**m
+
+
+def allocating_march(fam, grid, u0, t_max, dt, space="spectral", n_save=33):
+    """(times, frames) of pde.solve_mol's march, every call allocating its output."""
+    u = np.asarray(u0, dtype=float).copy()
+    nsteps = step_count(t_max, dt)
+    sg = fam.params.branch == Branch.SINE_GORDON
+    if sg:
+        order = 4 if space == "spectral" else int(space)
+
+        def rhs(uu):
+            return cumulative_integral(np.sin(uu), grid.dx, order=order)
+
+    else:
+        lam = fam.params.lam
+        if space == "spectral":
+            symbols = np.stack([(1j * grid.wavenumbers()) ** m for m in (1, 2, 3)])
+
+            def derivs(uu):
+                return np.fft.irfft(np.fft.rfft(uu) * symbols, n=grid.nx)
+
+        else:
+            def derivs(uu):
+                return [roll_periodic_derivative(uu, grid.dx, m, acc=int(space)) for m in (1, 2, 3)]
+
+        xs = grid.nodes()
+        kw = grid.wavenumbers()
+        helmholtz = 1.0 + kw * kw
+
+        def rhs(uu):
+            z1, z2, z3 = derivs(uu)
+            env = {"z0": uu, "z1": z1, "z2": z2, "z3": z3, "x": xs, "t": 0.0}
+            f = lam * uu * uu * z3 + fam.G_fn(env)
+            return np.fft.irfft(np.fft.rfft(f) / helmholtz, n=grid.nx)
+
+    def check_cfl(t, amp):
+        if sg:
+            return
+        cap = CFL_COEFFICIENT * grid.dx / max(1.0, abs(lam) * (amp * amp))
+        if dt > cap:
+            raise CflError(t, amp, dt, cap)
+
+    check_cfl(0.0, float(np.max(np.abs(u))))
+    save_every = max(1, nsteps // max(1, n_save - 1))
+    times = [0.0]
+    frames = [u.copy()]
+    for k in range(1, nsteps + 1):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = k * dt
+        amp = float(np.max(np.abs(u)))
+        if not np.isfinite(amp) or amp > BLOWUP_CAP:
+            raise BlowUpError(t, amp)
+        check_cfl(t, amp)
+        if k % save_every == 0 or k == nsteps:
+            times.append(t)
+            frames.append(u.copy())
+    return times, frames

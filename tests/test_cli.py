@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, determinism, config files."""
 
 import json
+import struct
 import warnings
 from dataclasses import replace
 
@@ -688,10 +689,12 @@ def test_codazzi_verdict_tests_each_maximum_on_its_own(tmp_path, monkeypatch, ca
 
 def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, capsys):
     """Bad argv, malformed family specs and configs, files that are not UTF-8
-    or are directories, truncated PSSF files, a b-ODE table that runs toward
-    overflow and failing verify and codazzi verdicts each end in an exit code
-    of 1, 2 or 3 and one stderr line, with no traceback and no warning.  A
-    file that cannot be read, decoded or parsed is named in that line."""
+    or are directories, truncated or inconsistent PSSF files (nx < 16, an
+    empty or infinite x range, times that are not finite and strictly
+    increasing, a non-finite sample), a b-ODE table that runs toward
+    overflow and failing verify and codazzi verdicts each end in an exit
+    code of 1, 2 or 3 and one stderr line, with no traceback and no warning.
+    A file that cannot be read, decoded or parsed is named in that line."""
     specs = {
         "trunc": '{"branch": "T24", "params": {',
         "t99": '{"branch": "T99", "params": {}}',
@@ -711,6 +714,22 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
                 "--out", str(good), "--report", str(tmp_path / "pde.json"), "--deterministic"]) == EXIT_OK
     pssf = {"empty": b"", "magic": b"PSSX", "header": good.read_bytes()[:20], "body": good.read_bytes()[:100],
             "version": good.read_bytes()[:4] + (99).to_bytes(4, "little") + good.read_bytes()[8:]}
+    loaded = load_field(good)
+    ts, frames = loaded.times, loaded.frames
+
+    def pssf_bytes(ts, frames, x_min=0.0, x_max=1.0):
+        head = b"PSSF" + struct.pack("<IIIdd", 1, frames.shape[1], len(ts), x_min, x_max)
+        return head + np.asarray(ts, dtype="<f8").tobytes() + np.asarray(frames, dtype="<f8").tobytes()
+
+    pssf.update({
+        "nx8": pssf_bytes(ts, frames[:, :8]),
+        "xrange": pssf_bytes(ts, frames, x_min=1.0, x_max=1.0),
+        "xinf": pssf_bytes(ts, frames, x_max=np.inf),
+        "descending": pssf_bytes(ts[::-1], frames),
+        "nantime": pssf_bytes(np.where(np.arange(len(ts)) == 3, np.nan, ts), frames),
+        "inftime": pssf_bytes(np.where(np.arange(len(ts)) == len(ts) - 1, np.inf, ts), frames),
+        "nansample": pssf_bytes(ts, np.where(np.arange(frames.size).reshape(frames.shape) == 40, np.nan, frames)),
+    })
     for name, data in pssf.items():
         (tmp_path / f"{name}.pssf").write_bytes(data)
 

@@ -6,10 +6,20 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from pss.catalog import _uni_derivs, novikov_preset, sine_gordon_preset
+from pss.catalog import (
+    Branch,
+    FamilyParams,
+    _uni_derivs,
+    build_family,
+    novikov_preset,
+    sine_gordon_preset,
+    t22_demo_preset,
+    t25i_demo_preset,
+)
 from pss.dual import Dual
 from pss.expr import DomainError, parse_expression
 from pss.pde import (
+    CFL_COEFFICIENT,
     BlowUpError,
     CflError,
     Grid1D,
@@ -25,11 +35,18 @@ from pss.pde import (
     solve_mol,
     spectral_derivative,
 )
-from references import discrete_zt_env, exact_sine_gordon_kink, helmholtz_apply, jet_at
+from references import (
+    allocating_march,
+    discrete_zt_env,
+    exact_sine_gordon_kink,
+    helmholtz_apply,
+    jet_at,
+    roll_periodic_derivative,
+)
 
 
 def test_grid_invariants():
-    for lo, hi, nx in ((0.0, 1.0, 8), (1.0, 1.0, 32), (1.0, 0.0, 32)):
+    for lo, hi, nx in ((0.0, 1.0, 8), (1.0, 1.0, 32), (1.0, 0.0, 32), (0.0, np.inf, 32), (-1e308, 1e308, 32)):
         with pytest.raises(PdeError):
             Grid1D(lo, hi, nx)
     g = Grid1D(0.0, 1.0, 32)
@@ -329,6 +346,80 @@ def test_cfl_rechecked_during_march():
     assert 0.0 < err.value.t < 0.0134  # before the amplitude cap fires
     assert err.value.cap < dt
     assert err.value.amplitude > float(np.max(np.abs(u0)))
+
+
+def test_cfl_cap_at_t0_trips_just_past_it_and_passes_at_it():
+    """dt one ulp above c*dx/max(1, |lam| max u^2) is refused before the
+    first step, and dt at the cap marches (constant data stay constant, so
+    each step rechecks the same cap).  Level 2 has |lam| u^2 = 4 > 1."""
+    g = Grid1D(0.0, 2 * np.pi, 32)
+    fam = novikov_preset()
+    for level in (0.0, 2.0):
+        u0 = np.full(32, level)
+        cap = CFL_COEFFICIENT * g.dx / max(1.0, abs(fam.params.lam) * (level * level))
+        past = float(np.nextafter(cap, np.inf))
+        with pytest.raises(CflError) as err:
+            solve_mol(fam, g, u0, 2 * past, past)
+        assert err.value.t == 0.0 and err.value.cap == cap and err.value.amplitude == level
+        assert np.array_equal(solve_mol(fam, g, u0, 2 * cap, cap).frames, np.full((3, 32), level))
+
+
+def test_a_non_finite_amplitude_is_a_blow_up():
+    """A step that overflows to NaN stops the march as a BlowUpError with
+    amplitude nan; it does not come back as NaN frames.  At |u| = 800 the
+    T25i demo's G overflows (exp) in the first step that the cap lets through."""
+    g = Grid1D(0.0, 1.0, 16)
+    fam = t25i_demo_preset()
+    cap = CFL_COEFFICIENT * g.dx / max(1.0, abs(fam.params.lam) * (800.0 * 800.0))
+    with np.errstate(all="ignore"), pytest.raises(BlowUpError) as err:
+        solve_mol(fam, g, np.full(16, 800.0), cap, cap)
+    assert type(err.value) is BlowUpError and err.value.t == cap and math.isnan(err.value.amplitude)
+
+
+def _march_families():
+    def params(branch, **kw):
+        return FamilyParams(branch=branch, mu2=0.0, eta2=1.0, **kw)
+
+    lam = -0.7  # lam != 1, so a reordering of lam*u*u*u_xxx changes bits
+    return {
+        "novikov": novikov_preset(),
+        "sine-gordon": sine_gordon_preset(),  # the light-cone march
+        "t22": t22_demo_preset(),
+        "t24-lam-C": build_family(FamilyParams(branch=Branch.T24, lam=lam, mu2=0.3, eta2=1.0, C=0.4, sign=1),
+                                  f="s", phi12="z0*(z1-z0)^2"),
+        "t23": build_family(params(Branch.T23, lam=lam, mu3=0.0, root=1), f="s"),
+        "t25i": build_family(params(Branch.T25I, lam=lam, theta=1.0, B=1.0, m=1.0, n=0.0, sign=1)),
+        "t25ii": build_family(params(Branch.T25II, lam=lam, tau=1.0, m=2.0, n=0.0, sign=1, root=1), phi="exp(z0)"),
+    }
+
+
+@pytest.mark.parametrize("space", ["spectral", 4, 2])
+@pytest.mark.parametrize("name", list(_march_families()))
+def test_march_equals_the_allocating_march_bit_for_bit(name, space):
+    """Every saved frame of a 20-step march equals the march whose every
+    FFT, RK4 constant and stencil shift allocates afresh.  The data cross
+    zero and dt is large, so that a one-ulp change of the right-hand side
+    shows in the frames: with 0.1 + 0.05 cos x and dt = 1e-3, frames did
+    not see lam*(u*u)*u_xxx for lam*u*u*u_xxx."""
+    fam = _march_families()[name]
+    g = Grid1D(0.0, 2 * np.pi, 64)
+    x = g.nodes()
+    u0 = 0.6 * np.sin(x) + 0.2 * np.cos(3 * x)
+    f = solve_mol(fam, g, u0, 0.2, 1e-2, space=space, n_save=21)
+    times, frames = allocating_march(fam, g, u0, 0.2, 1e-2, space=space, n_save=21)
+    assert list(f.times) == times and len(frames) == 21
+    assert f.frames.tobytes() == np.array(frames).tobytes()
+    assert np.max(np.abs(frames[-1] - u0)) > 1e-3  # it moved
+
+
+def test_periodic_derivative_equals_the_roll_stencil_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for shape in ((16,), (64,), (5, 33)):
+        u = rng.standard_normal(shape)
+        for acc in (2, 4):
+            for m in range(6):
+                assert np.array_equal(periodic_derivative(u, 0.3, m, acc=acc),
+                                      roll_periodic_derivative(u, 0.3, m, acc=acc)), (shape, acc, m)
 
 
 def test_spectral_rk4_matches_reference_rhs():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -23,7 +24,6 @@ from . import __version__
 from .catalog import (
     PRESETS,
     CatalogError,
-    ConstraintViolation,
     load_family,
     read_json,
     validate_params,
@@ -31,7 +31,6 @@ from .catalog import (
 from .expr import ExprError
 from .immersion import (
     MAX_ODE_STEPS,
-    DiscriminantCollapse,
     ImmersionParams,
     InvalidStrip,
     NoImmersion,
@@ -76,29 +75,30 @@ def _grid(text):
     return sizes
 
 
-def _positive_float(text):
-    try:
-        v = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from exc
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-    return v
-
-
-def _int_from(lo, what):
-    """An argparse type: an integer >= lo, called a `what` integer in the error."""
+def _value(cast, ok, what):
+    """An argparse type: cast(text) for which ok holds, else "must be {what}"."""
 
     def parse(text):
         try:
-            n = int(text)
-            if n < lo:
-                raise ValueError(text)
-            return n
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}") from exc
+            v = cast(text)
+            if ok(v):
+                return v
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
 
     return parse
+
+
+def _int_from(lo, what):
+    """An argparse type: an integer >= lo, named `what` in the error."""
+    return _value(int, lambda n: n >= lo, what)
+
+
+_finite = _value(float, math.isfinite, "finite")
+_positive = _value(float, lambda v: v > 0, "> 0")  # inf passes: a tolerance or extent with no bound
+_step = _value(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_nonzero = _value(float, lambda v: math.isfinite(v) and v != 0, "finite and nonzero")
 
 
 @functools.cache
@@ -117,19 +117,19 @@ def build_parser():
         sp.add_argument("--report", help="write the JSON report here (default: stdout)")
         sp.add_argument("--deterministic", action="store_true",
                         help="omit timestamps so reports are byte-identical")
-        sp.add_argument("--seed", type=_int_from(0, "non-negative"), default=DEFAULT_SEED)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--samples", type=_int_from(1, "positive"), default=1000)
+        sp.add_argument("--seed", type=_int_from(0, "a non-negative integer"), default=DEFAULT_SEED)
+        sp.add_argument("--tol", type=_positive, default=1e-8)
+        sp.add_argument("--samples", type=_int_from(1, "a positive integer"), default=1000)
         if immersion:
             sp.add_argument("--sign", type=_sign, default=None, help="family sign (+/-)")
             sp.add_argument("--a-sign", dest="a_sign", type=_sign, default=1)
-            sp.add_argument("--beta", type=float, default=0.0)
-            sp.add_argument("--Cstrip", dest="Cstrip", type=float, default=None)
-            sp.add_argument("--sigma", type=float, default=None)
-            sp.add_argument("--b0", type=float, default=0.0)
-            sp.add_argument("--s0", type=float, default=0.0)
-            sp.add_argument("--h", type=float, default=1e-3)
-            sp.add_argument("--eps", type=float, default=1.0)
+            sp.add_argument("--beta", type=_finite, default=0.0)
+            sp.add_argument("--Cstrip", dest="Cstrip", type=_finite, default=None)
+            sp.add_argument("--sigma", type=_finite, default=None)
+            sp.add_argument("--b0", type=_finite, default=0.0)
+            sp.add_argument("--s0", type=_finite, default=0.0)
+            sp.add_argument("--h", type=_step, default=1e-3)
+            sp.add_argument("--eps", type=_step, default=1.0)
 
     sp = sub.add_parser("catalog", help="list presets / validate a family spec")
     common(sp)
@@ -146,13 +146,13 @@ def build_parser():
 
     sp = sub.add_parser("pde", help="method-of-lines solve on a periodic grid")
     common(sp)
-    sp.add_argument("--nx", type=int, default=256)
-    sp.add_argument("--xmin", type=float, default=0.0)
-    sp.add_argument("--xmax", type=float, default=2.0 * np.pi)
-    sp.add_argument("--tmax", type=float, default=1.0)
-    sp.add_argument("--dt", type=float, default=1e-3)
+    sp.add_argument("--nx", type=_int_from(16, "an integer >= 16"), default=256)
+    sp.add_argument("--xmin", type=_finite, default=0.0)
+    sp.add_argument("--xmax", type=_finite, default=2.0 * np.pi)
+    sp.add_argument("--tmax", type=_step, default=1.0)
+    sp.add_argument("--dt", type=_step, default=1e-3)
     sp.add_argument("--space", default="spectral", choices=["spectral", "2", "4"])
-    sp.add_argument("--nsave", type=int, default=33,
+    sp.add_argument("--nsave", type=_int_from(2, "an integer >= 2"), default=33,
                     help="snapshot spacing: t = 0, every max(1, steps // (nsave - 1))-th step "
                          "and the last step are stored (33 over 1000 steps stores 34); >= 2")
     sp.add_argument("--u0", default="0.1 + 0.05*cos(x)", help="initial data, an expression in x")
@@ -162,11 +162,11 @@ def build_parser():
     sp = sub.add_parser("reconstruct", help="integrate the moving frame into an OBJ mesh")
     common(sp, immersion=True)
     sp.add_argument("--soliton", action="store_true", help="use the exact sine-Gordon kink field")
-    sp.add_argument("--eta", type=float, default=1.0)
+    sp.add_argument("--eta", type=_nonzero, default=1.0)
     sp.add_argument("--field", help="reconstruct over a saved PSSF field")
     sp.add_argument("--grid", type=_grid, default=(200, 200))
-    sp.add_argument("--origin", type=float, nargs=2, default=None, metavar=("X0", "T0"))
-    sp.add_argument("--extent", type=_positive_float, nargs=2, default=None, metavar=("DX", "DT"),
+    sp.add_argument("--origin", type=_finite, nargs=2, default=None, metavar=("X0", "T0"))
+    sp.add_argument("--extent", type=_positive, nargs=2, default=None, metavar=("DX", "DT"),
                     help="window size from the origin (default: all of the usable domain)")
     sp.add_argument("--out", help="OBJ output path")
     # a config may mirror the long flags of every subcommand (a key another
@@ -214,26 +214,9 @@ def _config_text(val):
 
 
 def _check_ranges(args):
-    for name in ("tol", "h", "eps", "dt", "tmax"):
-        v = getattr(args, name, None)
-        if v is not None and not v > 0:
-            raise _UsageError(f"--{name} must be > 0")
-    for name in ("beta", "Cstrip", "sigma", "b0", "s0", "h", "eps", "tmax", "dt", "xmin", "xmax"):
-        v = getattr(args, name, None)
-        if v is not None and not np.isfinite(v):
-            raise _UsageError(f"--{name} must be finite")
-    if getattr(args, "h", None) is not None and args.eps / args.h > MAX_ODE_STEPS + 0.5:
+    """The rules that read two flags; each flag's type checks its own value."""
+    if hasattr(args, "h") and args.eps / args.h > MAX_ODE_STEPS + 0.5:
         raise _UsageError(f"--eps / --h must be at most {MAX_ODE_STEPS} b-ODE steps per direction")
-    origin = getattr(args, "origin", None)
-    if origin is not None and not np.all(np.isfinite(origin)):
-        raise _UsageError("--origin must be finite")
-    eta = getattr(args, "eta", None)
-    if eta is not None and not (np.isfinite(eta) and eta != 0.0):
-        raise _UsageError("--eta must be finite and nonzero")
-    for name, lo in (("nsave", 2), ("nx", 16)):
-        v = getattr(args, name, None)
-        if v is not None and v < lo:
-            raise _UsageError(f"--{name} must be >= {lo}")
     if args.command == "pde":
         from .pde import MAX_PDE_STEPS, PdeError, step_count
 
@@ -500,13 +483,15 @@ def _cmd_reconstruct(args):
     from .pde import Grid1D, kink_field, load_field
 
     fam = _load(args)
+    if args.soliton and fam.is_form7:
+        raise _UsageError(f"--soliton needs the sine-Gordon family, not {fam.name} (branch {fam.params.branch})")
     trip = solve_triple(fam, _immersion_params(args))
     if isinstance(trip, NoImmersion):
         _emit(args, {"family": fam.name, "result": "no-immersion",
                      "proposition": trip.proposition}, "reconstruct")
         return EXIT_NO_IMMERSION
     nxs, nts = args.grid
-    if args.soliton or (fam.params.branch == "SINE_GORDON" and not args.field):
+    if args.soliton or (not fam.is_form7 and not args.field):
         field = kink_field(args.eta, Grid1D(-6.0, 6.0, 16), t_span=(-6.0, 6.0))
         # one-sided window: the immersion is regular for u in (0, pi); the
         # cusp edge sin(u) = 0 and the far trumpet ends are excluded
@@ -575,10 +560,10 @@ def run(argv=None):
         where = "" if exc.source is None else f" in {exc.source!r}"
         print(f"pss: {exc}{where}", file=sys.stderr)
         return EXIT_USAGE
-    except (CatalogError, ConstraintViolation, InvalidStrip, OSError) as exc:
+    except (CatalogError, InvalidStrip, OSError) as exc:
         print(f"pss: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DiscriminantCollapse, TripleDomainError, RuntimeError) as exc:
+    except (TripleDomainError, RuntimeError) as exc:
         # run-level failures: collapse at the IVP point, domain exceeded,
         # frame drift, blow-up
         print(f"pss: {exc}", file=sys.stderr)

@@ -490,9 +490,12 @@ def _strip_interval(A, beta, ce, what):
     if not A * A > 4.0 * beta * beta:
         raise InvalidStrip(f"{what}^2 > 4*beta^2 violated ({what} = {A}, beta = {beta})")
     disc = math.sqrt(A * A - 4.0 * beta * beta)
-    ylo = (A - disc) / (2.0 * beta * beta)
-    yhi = (A + disc) / (2.0 * beta * beta)
-    s1, s2 = math.log(ylo) / ce, math.log(yhi) / ce
+    try:  # beta^2 underflows to 0, or the lower root cancels to 0 or below (A*A overflows)
+        ylo = (A - disc) / (2.0 * beta * beta)
+        yhi = (A + disc) / (2.0 * beta * beta)
+        s1, s2 = math.log(ylo) / ce, math.log(yhi) / ce
+    except (ValueError, ZeroDivisionError):
+        raise InvalidStrip(f"the strip ends of {what} = {A}, beta = {beta} are lost to rounding") from None
     return (min(s1, s2), max(s1, s2))
 
 

@@ -1,10 +1,11 @@
 """Jet coordinates and the exact total derivatives the coframe needs.
 
-A jet environment is a dict mapping the coordinate names x, t, z0..zK,
+A jet environment is a dict mapping the jet coordinate names z0..zK,
 w1..wM, v1..vN to floats or to arrays of one shape (one jet per element),
 where z_i is the i-th x-derivative of u, w_j the j-th t-derivative of u
 and v_k the k-th t-derivative of u_x (z_0 = u and z_1 = v_0 = u_x are the
-shared identifications; v_0 is never stored separately).
+shared identifications; v_0 is never stored separately).  The position
+(x, t) of a jet is not in it: no coframe entry reads one.
 
 The coframe entries f_ij read z0, z1, z2 only, so the total derivatives
 here take functions of the z_i alone: D_x h = sum_i h_{z_i} z_{i+1} and

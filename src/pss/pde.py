@@ -227,7 +227,7 @@ class SolutionField:
         return [v + zero for v, _ in ds], [ds[0][1][0] + zero], [ds[1][1][0] + zero]
 
     def sample_env(self, x, t, order):
-        """Vectorized jet environment {z0.., w1, v1, x, t} at x and t broadcast together."""
+        """Vectorized jet environment {z0..z_order, w1, v1} at x and t broadcast together."""
         if self.kind == "EXACT":
             if order < 1:
                 raise PdeError("order >= 1 required (w1, v1 are part of a jet sample)")
@@ -235,9 +235,6 @@ class SolutionField:
             env = {f"z{i}": zs[i] for i in range(order + 1)}
             env["w1"] = ws[0]
             env["v1"] = vs[0]
-            xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-            env["x"] = xb
-            env["t"] = tb
             return env
         return self._numeric_env(x, t, order)
 
@@ -312,8 +309,6 @@ class SolutionField:
         env = {f"z{m}": v[m + 2] for m in range(order + 1)}
         env["w1"] = v[0]
         env["v1"] = v[1]
-        env["x"] = np.array(x)
-        env["t"] = np.array(t)
         return env
 
     def _time_slopes(self):
@@ -390,7 +385,6 @@ def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> 
 
     else:
         lam, G = fam.params.lam, fam.G_fn
-        xs = grid.nodes()
         kw = grid.wavenumbers()
         helmholtz = 1.0 + kw * kw  # divided by, as in helmholtz_invert: same rounding
         spectrum = np.empty(len(kw), dtype=complex)  # every rfft of the march writes here
@@ -408,7 +402,7 @@ def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> 
 
         def rhs(uu):
             z1, z2, z3 = derivs(uu)
-            f = lam * uu * uu * z3 + G({"z0": uu, "z1": z1, "z2": z2, "z3": z3, "x": xs, "t": 0.0})
+            f = lam * uu * uu * z3 + G({"z0": uu, "z1": z1, "z2": z2, "z3": z3})
             return np.fft.irfft(np.divide(np.fft.rfft(f, out=spectrum), helmholtz, out=spectrum), n=nx)
 
         cfl_dx, lam_abs = CFL_COEFFICIENT * dx, abs(lam)

@@ -75,7 +75,7 @@ from pss.verifier import DEFAULT_SEED, VerificationReport, sample_envs, structur
 
 
 def jet_at(field, x, t, order):
-    """One-jet environment of floats {x, t, z0..z_order, w1, v1} sampled from the field at (x, t)."""
+    """One-jet environment of floats {z0..z_order, w1, v1} sampled from the field at (x, t)."""
     env = field.sample_env(np.array([x]), t, order)
     return {nm: float(np.atleast_1d(v)[0]) for nm, v in env.items()}
 
@@ -1037,13 +1037,12 @@ def allocating_march(fam, grid, u0, t_max, dt, space="spectral", n_save=33):
             def derivs(uu):
                 return [roll_periodic_derivative(uu, grid.dx, m, acc=int(space)) for m in (1, 2, 3)]
 
-        xs = grid.nodes()
         kw = grid.wavenumbers()
         helmholtz = 1.0 + kw * kw
 
         def rhs(uu):
             z1, z2, z3 = derivs(uu)
-            env = {"z0": uu, "z1": z1, "z2": z2, "z3": z3, "x": xs, "t": 0.0}
+            env = {"z0": uu, "z1": z1, "z2": z2, "z3": z3}
             f = lam * uu * uu * z3 + fam.G_fn(env)
             return np.fft.irfft(np.fft.rfft(f) / helmholtz, n=grid.nx)
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, determinism, config files."""
 
+import argparse
 import json
 import struct
 import warnings
@@ -188,17 +189,19 @@ def test_bad_seed_and_non_finite_immersion_flags_are_one_line(tmp_path, capsys):
         # (argv, stderr line)
         (["verify", "--preset", "novikov", "--seed", "-1"], seed_line),
         (["codazzi", "--preset", "novikov", "--sigma", "3", "--beta", "0.5", "--seed", "-1"], seed_line),
-        ([*ode, "--eps", "inf"], "pss: --eps must be finite\n"),
-        ([*ode, "--h", "inf"], "pss: --h must be finite\n"),
-        ([*ode, "--h=-inf"], "pss: --h must be > 0\n"),
-        ([*ode, "--s0", "inf"], "pss: --s0 must be finite\n"),
-        ([*ode, "--b0", "inf"], "pss: --b0 must be finite\n"),
-        ([*ode, "--beta", "nan"], "pss: --beta must be finite\n"),
-        (["sff", "--preset", "t22-demo", "--Cstrip", "inf"], "pss: --Cstrip must be finite\n"),
-        (["sff", "--preset", "t22-demo", "--Cstrip", "3", "--beta=-inf"], "pss: --beta must be finite\n"),
-        (["sff", "--preset", "novikov", "--sigma", "inf"], "pss: --sigma must be finite\n"),
-        (["codazzi", "--preset", "novikov", "--sigma", "nan"], "pss: --sigma must be finite\n"),
-        (["reconstruct", "--preset", "sine-gordon", "--soliton", "--eps", "inf"], "pss: --eps must be finite\n"),
+        ([*ode, "--eps", "inf"], "pss: argument --eps: must be finite and > 0, got 'inf'\n"),
+        ([*ode, "--h", "inf"], "pss: argument --h: must be finite and > 0, got 'inf'\n"),
+        ([*ode, "--h=-inf"], "pss: argument --h: must be finite and > 0, got '-inf'\n"),
+        ([*ode, "--s0", "inf"], "pss: argument --s0: must be finite, got 'inf'\n"),
+        ([*ode, "--b0", "inf"], "pss: argument --b0: must be finite, got 'inf'\n"),
+        ([*ode, "--beta", "nan"], "pss: argument --beta: must be finite, got 'nan'\n"),
+        (["sff", "--preset", "t22-demo", "--Cstrip", "inf"], "pss: argument --Cstrip: must be finite, got 'inf'\n"),
+        (["sff", "--preset", "t22-demo", "--Cstrip", "3", "--beta=-inf"],
+         "pss: argument --beta: must be finite, got '-inf'\n"),
+        (["sff", "--preset", "novikov", "--sigma", "inf"], "pss: argument --sigma: must be finite, got 'inf'\n"),
+        (["codazzi", "--preset", "novikov", "--sigma", "nan"], "pss: argument --sigma: must be finite, got 'nan'\n"),
+        (["reconstruct", "--preset", "sine-gordon", "--soliton", "--eps", "inf"],
+         "pss: argument --eps: must be finite and > 0, got 'inf'\n"),
         # about 1e300 steps per direction: refused before the march starts
         ([*ode, "--h", "1e-300", "--eps", "1"], "pss: --eps / --h must be at most 1000000 b-ODE steps per direction\n"),
         ([*ode, "--h", "1e-300", "--eps", "1e300"],
@@ -206,7 +209,7 @@ def test_bad_seed_and_non_finite_immersion_flags_are_one_line(tmp_path, capsys):
         ([*ode, "--h", "1e-6", "--eps", "1.0000006"],
          "pss: --eps / --h must be at most 1000000 b-ODE steps per direction\n"),
         *((["reconstruct", "--preset", "sine-gordon", "--soliton", "--eta", eta],
-           "pss: --eta must be finite and nonzero\n") for eta in ("inf", "nan", "0")),
+           f"pss: argument --eta: must be finite and nonzero, got {eta!r}\n") for eta in ("inf", "nan", "0")),
     ]
     rep = tmp_path / "r.json"
     for argv, line in table:
@@ -222,6 +225,28 @@ def test_bad_seed_and_non_finite_immersion_flags_are_one_line(tmp_path, capsys):
     # exactly the cap is accepted (a closed-form triple marches nothing)
     assert run(["sff", "--preset", "novikov", "--sigma", "3", "--beta", "0.5", "--h", "1e-6", "--eps", "1",
                 "--report", str(rep), "--deterministic"]) == EXIT_OK
+
+
+def test_every_numeric_flag_checks_its_value_in_its_type(tmp_path, capsys):
+    """No flag parses a bare float or int; a NaN for any numeric flag, in argv
+    or in a config, is refused in one line by the flag's own type."""
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    cfg = tmp_path / "cfg.json"
+    numeric = set()
+    for command, sp in subcommands.items():
+        for action in sp._actions:
+            assert action.type not in (float, int), (command, action.dest)
+            if getattr(action.type, "__qualname__", "") != "_value.<locals>.parse":
+                continue
+            numeric.add(action.dest)
+            opt, nan = action.option_strings[0], ["nan"] * (action.nargs or 1)
+            cfg.write_text(json.dumps({action.dest: nan if action.nargs else "nan"}))
+            for argv, where in (([command, opt, *nan], ""), ([command, "--config", str(cfg)], "config: ")):
+                assert run(argv) == EXIT_USAGE, argv
+                err = capsys.readouterr().err
+                assert err.startswith(f"pss: {where}argument {opt}: must be ") and err.count("\n") == 1, (argv, err)
+    assert numeric == {"seed", "tol", "samples", "beta", "Cstrip", "sigma", "b0", "s0", "h", "eps",
+                       "nx", "xmin", "xmax", "tmax", "dt", "nsave", "eta", "origin", "extent"}
 
 
 def test_catalog_lists_presets(tmp_path):
@@ -468,23 +493,23 @@ def test_pde_input_checks(tmp_path, capsys):
     base = ["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.01"]
     table = [
         # (extra flags, stderr line)
-        (["--tmax", "0"], "pss: --tmax must be > 0\n"),
-        (["--tmax", "-1"], "pss: --tmax must be > 0\n"),
-        (["--nsave", "1"], "pss: --nsave must be >= 2\n"),
-        (["--nsave", "0"], "pss: --nsave must be >= 2\n"),
-        (["--nx", "8"], "pss: --nx must be >= 16\n"),
-        (["--nx", "0"], "pss: --nx must be >= 16\n"),
+        (["--tmax", "0"], "pss: argument --tmax: must be finite and > 0, got '0'\n"),
+        (["--tmax", "-1"], "pss: argument --tmax: must be finite and > 0, got '-1'\n"),
+        (["--nsave", "1"], "pss: argument --nsave: must be an integer >= 2, got '1'\n"),
+        (["--nsave", "0"], "pss: argument --nsave: must be an integer >= 2, got '0'\n"),
+        (["--nx", "8"], "pss: argument --nx: must be an integer >= 16, got '8'\n"),
+        (["--nx", "0"], "pss: argument --nx: must be an integer >= 16, got '0'\n"),
         (["--tmax", "0.0015", "--dt", "1e-3"], "pss: --tmax 0.0015 is not a whole number of --dt 0.001 steps\n"),
         (["--xmin", "1", "--xmax", "1"], "pss: --xmax must be > --xmin\n"),
         (["--dt", "0.001", "--u0", "exp(1000*cos(x))"], "pss: --u0 must be finite on the grid\n"),
         (["--u0", "1e999"], "pss: --u0 must be finite on the grid\n"),
         (["--seed", "-1"], "pss: argument --seed: must be a non-negative integer, got '-1'\n"),
-        (["--tmax", "inf"], "pss: --tmax must be finite\n"),
-        (["--dt", "inf"], "pss: --dt must be finite\n"),
-        (["--dt", "nan"], "pss: --dt must be > 0\n"),
-        (["--xmin=-inf"], "pss: --xmin must be finite\n"),
-        (["--xmin", "nan"], "pss: --xmin must be finite\n"),
-        (["--xmax", "inf"], "pss: --xmax must be finite\n"),
+        (["--tmax", "inf"], "pss: argument --tmax: must be finite and > 0, got 'inf'\n"),
+        (["--dt", "inf"], "pss: argument --dt: must be finite and > 0, got 'inf'\n"),
+        (["--dt", "nan"], "pss: argument --dt: must be finite and > 0, got 'nan'\n"),
+        (["--xmin=-inf"], "pss: argument --xmin: must be finite, got '-inf'\n"),
+        (["--xmin", "nan"], "pss: argument --xmin: must be finite, got 'nan'\n"),
+        (["--xmax", "inf"], "pss: argument --xmax: must be finite, got 'inf'\n"),
         (["--tmax", "1e300", "--dt", "1e-300"], "pss: --tmax / --dt must be at most 100000 RK4 steps\n"),
         (["--tmax", "1e6", "--dt", "1e-3"], "pss: --tmax / --dt must be at most 100000 RK4 steps\n"),
         (["--tmax", "100.001", "--dt", "1e-3"], "pss: --tmax / --dt must be at most 100000 RK4 steps\n"),
@@ -693,8 +718,10 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     empty or infinite x range, times that are not finite and strictly
     increasing, a non-finite sample), a b-ODE table that runs toward
     overflow and failing verify and codazzi verdicts each end in an exit
-    code of 1, 2 or 3 and one stderr line, with no traceback and no warning.
-    A file that cannot be read, decoded or parsed is named in that line."""
+    code of 1, 2 or 3 and one stderr line, with no traceback and no warning,
+    as do closed-form strips whose ends are lost to rounding and --soliton
+    with a form-(7) family.  A file that cannot be read, decoded or parsed
+    is named in that line."""
     specs = {
         "trunc": '{"branch": "T24", "params": {',
         "t99": '{"branch": "T99", "params": {}}',
@@ -744,7 +771,7 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
 
     kink = ["reconstruct", "--preset", "sine-gordon", "--soliton", "--grid", "4x4", "--out", path("kink.obj")]
     table = [
-        # (argv, exit code, the file the line must name or None)
+        # (argv, exit code, the file or branch the line must name, or None)
         (["frobnicate"], EXIT_USAGE, None),
         (["verify", "--bogus"], EXIT_USAGE, None),
         (["verify", "--preset", "nope"], EXIT_USAGE, None),
@@ -771,6 +798,17 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         (["codazzi", *family("t24big"), "--sigma", "3", "--beta", "0.5"], EXIT_FAIL, None),
         *(([*kink, "--origin", x0, "0"], EXIT_USAGE, None) for x0 in ("nan", "inf")),
         ([*kink, "--origin", "1e300", "0"], EXIT_FAIL, None),  # a NaN frame
+        # closed-form strips whose ends are lost to rounding: the lower root
+        # (A - disc)/(2 beta^2) cancels to 0 (sigma 1e8, 1e154) or A*A overflows
+        # (1e155), and beta^2 underflows to 0 (beta 1e-170)
+        *((["sff", "--preset", "novikov", "--sigma", sigma, "--beta", beta], EXIT_USAGE, None)
+          for sigma, beta in (("1e8", "0.5"), ("1e154", "0.5"), ("1e155", "0.5"), ("3", "1e-170"))),
+        (["sff", "--preset", "t22-demo", "--Cstrip", "1e8", "--beta", "0.5"], EXIT_USAGE, None),
+        (["codazzi", *NOVIKOV_STRIP, "--sigma", "1e8"], EXIT_USAGE, None),
+        ([*field("good"), "--sigma", "1e8"], EXIT_USAGE, None),
+        # the kink solves only u_xt = sin u: a form-(7) family is refused, naming its branch
+        (["reconstruct", "--preset", "novikov", "--soliton", "--sigma", "1e6", "--beta", "0", "--origin", "0", "0"],
+         EXIT_USAGE, "(branch T24)"),
     ]
     rep = tmp_path / "r.json"
     for argv, want, named in table:

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 
@@ -52,6 +53,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -2 and -2.5 for values; a word that starts as a
+        # number (-1e-3, -inf, -nan) is one too, so the flag's type checks it
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -262,11 +269,11 @@ def _immersion_params(args):
     )
 
 
-def _emit(args, payload, command):
+def _emit(args, payload):
     doc = {
         "tool": "pss",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": {
             k: v for k, v in sorted(vars(args).items())
             if k not in ("command", "config") and not k.startswith("_") and _jsonable(v)
@@ -294,7 +301,7 @@ def _jsonable(v):
 def _cmd_catalog(args):
     if not args.preset and not args.family:
         payload = {"presets": sorted(PRESETS)}
-        _emit(args, payload, "catalog")
+        _emit(args, payload)
         return EXIT_OK
     if args.family:
         # validate params before building, so violations are reported
@@ -315,14 +322,14 @@ def _cmd_catalog(args):
     }
     if not violations:
         payload["spec"] = (fam or family_from_dict(doc, name=name)).to_dict()
-    _emit(args, payload, "catalog")
+    _emit(args, payload)
     return EXIT_OK if not violations else EXIT_FAIL
 
 
 def _cmd_verify(args):
     fam = _load(args)
     rep = certify(fam, samples=args.samples, tol=args.tol, seed=args.seed)
-    _emit(args, rep.to_dict(), "verify")
+    _emit(args, rep.to_dict())
     if rep.verdict == "pass":
         return EXIT_OK
     maxima = {k: v for k, v in rep.residuals.items() if k != "c42_min"}
@@ -350,7 +357,7 @@ def _cmd_sff(args):
             "result": "no-immersion",
             "proposition": trip.proposition,
             "reason": trip.reason,
-        }, "sff")
+        })
         return EXIT_NO_IMMERSION
     payload = {
         "family": fam.name,
@@ -368,7 +375,7 @@ def _cmd_sff(args):
     if trip.representation != Representation.SOLUTION_DEPENDENT:
         s = trip.strip_samples(256)
         payload["gauss_residual_max"] = float(np.max(np.abs(trip.gauss_residual_at(s))))
-    _emit(args, payload, "sff")
+    _emit(args, payload)
     gauss = payload.get("gauss_residual_max", 0.0)
     if not gauss <= args.tol:  # NaN fails too
         print(f"pss: Gauss residual {gauss:.3e} on the strip exceeds --tol {args.tol:g}", file=sys.stderr)
@@ -381,7 +388,7 @@ def _cmd_codazzi(args):
     trip = solve_triple(fam, _immersion_params(args))
     if isinstance(trip, NoImmersion):
         _emit(args, {"family": fam.name, "result": "no-immersion",
-                     "proposition": trip.proposition}, "codazzi")
+                     "proposition": trip.proposition})
         return EXIT_NO_IMMERSION
     rng = np.random.default_rng(args.seed)
     n = args.samples
@@ -406,7 +413,7 @@ def _cmd_codazzi(args):
         # each maximum on its own: max(E1, NaN) is E1, so a NaN E2 would pass
         "verdict": "pass" if e1_max <= args.tol and e2_max <= args.tol else "fail",
     }
-    _emit(args, payload, "codazzi")
+    _emit(args, payload)
     if payload["verdict"] == "pass":
         return EXIT_OK
     return _fail_on_worst({"E1_max": e1_max, "E2_max": e2_max}, args.tol)
@@ -431,7 +438,7 @@ def _cmd_pde(args):
         raise  # a one-line message that names dt and its cap, not a blow-up report
     except BlowUpError as exc:
         _emit(args, {"family": fam.name, "result": "blow-up", "t": exc.t,
-                     "amplitude": exc.amplitude}, "pde")
+                     "amplitude": exc.amplitude})
         return EXIT_FAIL
     payload = {
         "family": fam.name,
@@ -447,7 +454,7 @@ def _cmd_pde(args):
     if args.csv:
         export_csv(field, args.csv)
         payload["csv"] = args.csv
-    _emit(args, payload, "pde")
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -488,7 +495,7 @@ def _cmd_reconstruct(args):
     trip = solve_triple(fam, _immersion_params(args))
     if isinstance(trip, NoImmersion):
         _emit(args, {"family": fam.name, "result": "no-immersion",
-                     "proposition": trip.proposition}, "reconstruct")
+                     "proposition": trip.proposition})
         return EXIT_NO_IMMERSION
     nxs, nts = args.grid
     if args.soliton or (not fam.is_form7 and not args.field):
@@ -520,14 +527,14 @@ def _cmd_reconstruct(args):
         "family": fam.name,
         "grid": [nxs, nts],
         "origin": list(origin),
-        "diagnostics": {k: v for k, v in mesh.diagnostics.items()},
+        "diagnostics": dict(mesh.diagnostics),
     }
     if args.out:
         export_obj(mesh, args.out)
         write_diagnostics(mesh, args.out + ".json")
         payload["obj"] = args.out
         payload["diagnostics_file"] = args.out + ".json"
-    _emit(args, payload, "reconstruct")
+    _emit(args, payload)
     return EXIT_OK
 
 

@@ -18,9 +18,11 @@ calls before any march, one per coframe column, each point once: column 1
 (the dx coefficients) on the x nodes and RK4 stage abscissae times the t
 nodes, column 2 (dt) on the x nodes times the t nodes and stages.  Both
 sweeps (x-then-t and t-then-x) read these two sets, and each march block
-gathers the stage values of its steps from them.  The fundamental forms,
-the triple and the Delta12 diagnostics at the mesh vertices are the node
-rows of the two sets.  The initial frame is the standard triad; any other
+gathers the stage values of its steps from them.  The first-form and
+Delta12 diagnostics are reduced from the node rows of the two sets before
+the sweeps, so the mesh holds the vertices, the normals e3 and the
+curvature K, and the triple enters only through w13 and w23.  The initial
+frame is the standard triad; any other
 orthonormal choice differs by a rigid motion.  Path-independence
 (x-then-t versus t-then-x) holds only to truncation order discretely, so
 the gap is measured and reported, never assumed.
@@ -48,7 +50,6 @@ __all__ = [
     "SurfaceMesh",
     "FrameDriftError",
     "first_form_coefficients",
-    "second_form_coefficients",
     "integrate_frame",
     "discrete_gaussian_curvature",
     "export_obj",
@@ -73,8 +74,6 @@ class SurfaceMesh:
     ts: np.ndarray
     r: np.ndarray   # (nx+1, nt+1, 3)
     e3: np.ndarray  # unit normals, same layout
-    first_form: np.ndarray   # (..., 3): E, F, G
-    second_form: np.ndarray  # (..., 3): a1, a2, a3
     K: np.ndarray = None  # filled by discrete_gaussian_curvature
     diagnostics: dict = field(default_factory=dict)
 
@@ -94,32 +93,20 @@ def first_form_coefficients(col1, col2):
     return f11 * f11 + f21 * f21, f11 * f12 + f21 * f22, f12 * f12 + f22 * f22
 
 
-def second_form_coefficients(abc, col1, col2):
-    """(a1, a2, a3) of II from the triple values (a, b, c) and the column values."""
-    a, b, c = abc
-    (f11, f21, _), (f12, f22, _) = col1, col2
-    a1 = a * f11 * f11 + 2.0 * b * f11 * f21 + c * f21 * f21
-    a2 = a * f11 * f12 + b * (f11 * f22 + f21 * f12) + c * f21 * f22
-    a3 = a * f12 * f12 + 2.0 * b * f12 * f22 + c * f22 * f22
-    return a1, a2, a3
-
-
 # ----------------------------------------------------------------------
 # Frame integration
 
 
 def _column_coefficients(fam, trip, field, x, t, column):
     """Pullback coefficients (w1, w2, w3, w13, w23) along dx (column 1) or dt
-    (column 2), and the triple (a, b, c), from one field call; each in the
-    broadcast shape of x and t."""
+    (column 2) from one field call, each in the broadcast shape of x and t."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     env = field.sample_env(x, t, 2)
     a, b, c = trip.values(env, x, t)
     f1, f2, f3 = fam.column(column)(env)
     w13 = a * f1 + b * f2
     w23 = b * f1 + c * f2
-    coef = tuple(np.broadcast_to(v, x.shape) for v in (f1, f2, f3, w13, w23))
-    return coef, tuple(np.broadcast_to(v, x.shape) for v in (a, b, c))
+    return tuple(np.broadcast_to(v, x.shape) for v in (f1, f2, f3, w13, w23))
 
 
 def _orthonormality_drift(e1, e2, e3):
@@ -150,17 +137,20 @@ def integrate_frame(
     # (x stages and nodes) x (t nodes), column 2 on (x nodes) x (t stages and nodes)
     xp, x_nodes, x_stages = _line_points(xs)
     tp, t_nodes, t_stages = _line_points(ts)
-    coef1, abc = _column_coefficients(fam, trip, field, xp[:, None], ts, 1)
-    coef2, _ = _column_coefficients(fam, trip, field, xs[:, None], tp, 2)
+    coef1 = _column_coefficients(fam, trip, field, xp[:, None], ts, 1)
+    coef2 = _column_coefficients(fam, trip, field, xs[:, None], tp, 2)
 
-    # per-vertex forms and diagnostics, from the node rows of the two sets
+    # the vertex diagnostics, reduced from the node rows of the two sets
     cols = tuple(c[x_nodes] for c in coef1[:3]), tuple(c[:, t_nodes] for c in coef2[:3])
-    EE = np.empty((sx + 1, st + 1, 3))
-    II = np.empty((sx + 1, st + 1, 3))
-    EE[..., 0], EE[..., 1], EE[..., 2] = first_form_coefficients(*cols)
-    II[..., 0], II[..., 1], II[..., 2] = second_form_coefficients([v[x_nodes] for v in abc], *cols)
+    E, F, G = first_form_coefficients(*cols)
+    detI = E * G - F ** 2
     d12 = np.abs(delta(*cols, 1, 2))
-    del cols, abc  # mesh-sized arrays that would otherwise stay live through the sweeps
+    vertex_diag = {
+        "degenerate_vertices": int(np.count_nonzero(d12 == 0.0)),
+        "delta12_min": float(np.min(d12)),
+        "I_det_min": float(np.min(detI[1:-1, 1:-1])) if min(sx, st) >= 2 else float(np.min(detI)),
+    }
+    del cols, E, F, G, detI, d12  # mesh-sized arrays that would otherwise stay live through the sweeps
 
     # each direction as (coefficients with its own points first, stage indices, step sizes)
     x_line = coef1, x_stages, np.diff(xs)
@@ -183,13 +173,9 @@ def integrate_frame(
             f"orthonormality drift {drift:.3e} exceeds {DRIFT_THRESHOLD:.1e}; reduce h"
         )
     diag["drift_max"] = drift
-    diag["degenerate_vertices"] = int(np.count_nonzero(d12 == 0.0))
-    diag["delta12_min"] = float(np.min(d12))
+    diag.update(vertex_diag)
 
-    detI = EE[..., 0] * EE[..., 2] - EE[..., 1] ** 2
-    diag["I_det_min"] = float(np.min(detI[1:-1, 1:-1])) if min(sx, st) >= 2 else float(np.min(detI))
-
-    mesh = SurfaceMesh(xs=xs, ts=ts, r=r, e3=e3, first_form=EE, second_form=II, diagnostics=diag)
+    mesh = SurfaceMesh(xs=xs, ts=ts, r=r, e3=e3, diagnostics=diag)
     mesh.K = discrete_gaussian_curvature(r)
     inner = mesh.interior_K()
     if inner.size:
@@ -350,9 +336,8 @@ def export_obj(mesh: SurfaceMesh, path):
 
 
 def write_diagnostics(mesh: SurfaceMesh, path):
-    keys = ("K_min", "K_max", "K_mean", "drift_max", "compat_max")
+    keys = ("K_min", "K_max", "K_mean", "drift_max", "compat_max", "degenerate_vertices")
     doc = {k: mesh.diagnostics.get(k) for k in keys}
-    doc["degenerate_vertices"] = mesh.diagnostics.get("degenerate_vertices", 0)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -176,7 +176,8 @@ class ImmersionTriple:
         a, b, c = self.abc(s)
         return gauss_residual(a, b, c)
 
-    def strip_samples(self, n, coverage=0.99):
+    def strip_samples(self, n):
+        """n points evenly over the middle 99% of the strip (or of a stand-in for an unbounded one)."""
         lo, hi = self.validity
         if not np.isfinite(lo) and not np.isfinite(hi):
             lo, hi = -1.0, 1.0
@@ -185,7 +186,7 @@ class ImmersionTriple:
         elif not np.isfinite(lo):
             lo = hi - 2.0
         mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * coverage
+        half = 0.5 * (hi - lo) * 0.99
         return np.linspace(mid - half, mid + half, n)
 
     def csv_columns(self, n):

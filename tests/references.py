@@ -3,8 +3,9 @@
 None of these is used by the `pss` command line or its reports, so they
 live with the tests: the closed-form sine-Gordon kink, the forward
 Helmholtz operator, the b-ODE back-substitution residual, the discrete
-z_{k,t} of a marched field, a family with one f_ij bumped, the frame
-march as tuple RK4 and the frame integration that sampled the field in
+z_{k,t} of a marched field, a family with one f_ij bumped, the second
+fundamental form of a triple in the coordinates x, t, the frame march as
+tuple RK4 and the frame integration that sampled the field in
 five calls, the b-ODE slope on arrays, the coframe as six per-entry closures with the
 former x/t-seeded total derivatives and order-2 prolongation, and the
 b-ODE march, jet sampler and CSV writer that recompute what their
@@ -43,7 +44,6 @@ from pss.frames import (
     _stage_abscissae,
     discrete_gaussian_curvature,
     first_form_coefficients,
-    second_form_coefficients,
 )
 from pss.immersion import (
     DELTA_MIN,
@@ -164,6 +164,16 @@ def columns(fam, env):
     return fam.column(1)(env), fam.column(2)(env)
 
 
+def second_form_coefficients(abc, col1, col2):
+    """(a1, a2, a3) of II from the triple values (a, b, c) and the column values."""
+    a, b, c = abc
+    (f11, f21, _), (f12, f22, _) = col1, col2
+    a1 = a * f11 * f11 + 2.0 * b * f11 * f21 + c * f21 * f21
+    a2 = a * f11 * f12 + b * (f11 * f22 + f21 * f12) + c * f21 * f22
+    a3 = a * f12 * f12 + 2.0 * b * f12 * f22 + c * f22 * f22
+    return a1, a2, a3
+
+
 def perturbed_family(fam, i, j, eps=1e-3):
     """A copy of `fam` with f_ij bumped by eps; used to prove the detector sees broken families."""
     orig = fam.column(j)
@@ -267,24 +277,20 @@ def former_integrate_frame(fam, trip, field, origin, steps, h, sweep=former_swee
         )
     diag["drift_max"] = drift
 
-    # per-vertex forms and diagnostics, from one field call over the mesh
+    # vertex diagnostics, from one field call over the mesh
     X, T = np.meshgrid(xs, ts, indexing="ij")
     env = field.sample_env(X, T, 2)
     cols = fam.column(1)(env), fam.column(2)(env)
-    EE = np.empty((sx + 1, st + 1, 3))
-    II = np.empty((sx + 1, st + 1, 3))
-    EE[..., 0], EE[..., 1], EE[..., 2] = first_form_coefficients(*cols)
-    abc = trip.values(env, X, T)
-    II[..., 0], II[..., 1], II[..., 2] = second_form_coefficients(abc, *cols)
+    E, F, G = first_form_coefficients(*cols)
     d12 = np.abs(np.broadcast_to(delta(*cols, 1, 2), X.shape))
     del cols  # six mesh-sized arrays that would otherwise stay live through the curvature pass
     diag["degenerate_vertices"] = int(np.count_nonzero(d12 == 0.0))
     diag["delta12_min"] = float(np.min(d12))
 
-    detI = EE[..., 0] * EE[..., 2] - EE[..., 1] ** 2
+    detI = np.broadcast_to(E * G - F ** 2, X.shape)
     diag["I_det_min"] = float(np.min(detI[1:-1, 1:-1])) if min(sx, st) >= 2 else float(np.min(detI))
 
-    mesh = SurfaceMesh(xs=xs, ts=ts, r=r, e3=e3, first_form=EE, second_form=II, diagnostics=diag)
+    mesh = SurfaceMesh(xs=xs, ts=ts, r=r, e3=e3, diagnostics=diag)
     mesh.K = discrete_gaussian_curvature(r)
     inner = mesh.interior_K()
     if inner.size:

@@ -192,11 +192,14 @@ def test_bad_seed_and_non_finite_immersion_flags_are_one_line(tmp_path, capsys):
         ([*ode, "--eps", "inf"], "pss: argument --eps: must be finite and > 0, got 'inf'\n"),
         ([*ode, "--h", "inf"], "pss: argument --h: must be finite and > 0, got 'inf'\n"),
         ([*ode, "--h=-inf"], "pss: argument --h: must be finite and > 0, got '-inf'\n"),
+        ([*ode, "--h", "-inf"], "pss: argument --h: must be finite and > 0, got '-inf'\n"),
         ([*ode, "--s0", "inf"], "pss: argument --s0: must be finite, got 'inf'\n"),
         ([*ode, "--b0", "inf"], "pss: argument --b0: must be finite, got 'inf'\n"),
         ([*ode, "--beta", "nan"], "pss: argument --beta: must be finite, got 'nan'\n"),
         (["sff", "--preset", "t22-demo", "--Cstrip", "inf"], "pss: argument --Cstrip: must be finite, got 'inf'\n"),
         (["sff", "--preset", "t22-demo", "--Cstrip", "3", "--beta=-inf"],
+         "pss: argument --beta: must be finite, got '-inf'\n"),
+        (["sff", "--preset", "t22-demo", "--Cstrip", "3", "--beta", "-inf"],
          "pss: argument --beta: must be finite, got '-inf'\n"),
         (["sff", "--preset", "novikov", "--sigma", "inf"], "pss: argument --sigma: must be finite, got 'inf'\n"),
         (["codazzi", "--preset", "novikov", "--sigma", "nan"], "pss: argument --sigma: must be finite, got 'nan'\n"),
@@ -228,8 +231,9 @@ def test_bad_seed_and_non_finite_immersion_flags_are_one_line(tmp_path, capsys):
 
 
 def test_every_numeric_flag_checks_its_value_in_its_type(tmp_path, capsys):
-    """No flag parses a bare float or int; a NaN for any numeric flag, in argv
-    or in a config, is refused in one line by the flag's own type."""
+    """No flag parses a bare float or int; a NaN or a -inf for any numeric flag,
+    in argv (-inf as its own word) or in a config, is refused in one line by
+    the flag's own type."""
     subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
     cfg = tmp_path / "cfg.json"
     numeric = set()
@@ -239,14 +243,37 @@ def test_every_numeric_flag_checks_its_value_in_its_type(tmp_path, capsys):
             if getattr(action.type, "__qualname__", "") != "_value.<locals>.parse":
                 continue
             numeric.add(action.dest)
-            opt, nan = action.option_strings[0], ["nan"] * (action.nargs or 1)
-            cfg.write_text(json.dumps({action.dest: nan if action.nargs else "nan"}))
-            for argv, where in (([command, opt, *nan], ""), ([command, "--config", str(cfg)], "config: ")):
-                assert run(argv) == EXIT_USAGE, argv
-                err = capsys.readouterr().err
-                assert err.startswith(f"pss: {where}argument {opt}: must be ") and err.count("\n") == 1, (argv, err)
+            opt = action.option_strings[0]
+            for word in ("nan", "-inf"):
+                words = [word] * (action.nargs or 1)
+                cfg.write_text(json.dumps({action.dest: words if action.nargs else word}))
+                for argv, where in (([command, opt, *words], ""), ([command, "--config", str(cfg)], "config: ")):
+                    assert run(argv) == EXIT_USAGE, argv
+                    err = capsys.readouterr().err
+                    assert err.startswith(f"pss: {where}argument {opt}: must be ") and err.count("\n") == 1, (argv, err)
     assert numeric == {"seed", "tol", "samples", "beta", "Cstrip", "sigma", "b0", "s0", "h", "eps",
                        "nx", "xmin", "xmax", "tmax", "dt", "nsave", "eta", "origin", "extent"}
+
+
+def test_a_word_that_starts_as_a_number_is_a_value(tmp_path):
+    """argparse alone reads only words like -2 and -2.5 as values, and takes
+    -1e-3 for a flag; each spelling below writes the same report bytes."""
+    novikov = ["sff", "--preset", "novikov", "--sigma", "3", "--beta", "0.5"]
+    pde = ["pde", "--preset", "novikov", "--nx", "16", "--tmax", "0.01", "--dt", "1e-3"]
+    kink = ["reconstruct", "--preset", "sine-gordon", "--soliton", "--grid", "24x24"]
+    table = [
+        ([*novikov, "--s0", "-1e-3"], [*novikov, "--s0=-1e-3"]),
+        ([*novikov[:-1], "-1e-3"], [*novikov[:-2], "--beta=-1e-3"]),
+        ([*pde, "--xmin", "-1e1"], [*pde, "--xmin=-10"]),
+        ([*kink, "--origin", "-2e0", "-2.1"], [*kink, "--origin", "-2.0", "-2.1"]),
+    ]
+    rep = tmp_path / "r.json"  # one path: the report's config names it
+    for argv, want in table:
+        reports = []
+        for words in (argv, want):
+            assert run([*words, "--report", str(rep), "--deterministic"]) == EXIT_OK, words
+            reports.append(rep.read_bytes())
+        assert reports[0] == reports[1], argv
 
 
 def test_catalog_lists_presets(tmp_path):

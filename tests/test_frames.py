@@ -19,13 +19,18 @@ from pss.frames import (
     export_obj,
     first_form_coefficients,
     integrate_frame,
-    second_form_coefficients,
     write_diagnostics,
 )
 from pss.immersion import ImmersionParams, Representation, solve_triple
 from pss.pde import Grid1D, exact_field, kink_field, solve_mol
 from pss.verifier import sample_envs
-from references import _coefficients, columns, former_integrate_frame, tuple_rk4_sweep
+from references import (
+    _coefficients,
+    columns,
+    former_integrate_frame,
+    second_form_coefficients,
+    tuple_rk4_sweep,
+)
 
 
 def jp(z):
@@ -270,29 +275,34 @@ def test_path_independence_gap_fourth_order():
     assert 16 / 1.25 <= ratio <= 16 * 1.25
 
 
+def _forms_at_nodes(fam, trip, field, mesh):
+    """E, F, G of I and a1, a2, a3 of II at the mesh nodes, from one field call."""
+    X, T = np.meshgrid(mesh.xs, mesh.ts, indexing="ij")
+    env = field.sample_env(X, T, 2)
+    cols = columns(fam, env)
+    forms = (*first_form_coefficients(*cols), *second_form_coefficients(trip.values(env, X, T), *cols))
+    return [np.broadcast_to(v, X.shape) for v in forms]
+
+
 def test_reconstructed_first_form_matches_stored():
-    """Finite differences of r reproduce the stored E, F, G to O(h^2)."""
+    """Finite differences of r reproduce the coframe's E, F, G at the nodes to O(h^2)."""
     fam, trip, field = _kink_setup()
     n, h = 80, 0.02
     mesh = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(n, n), h=h)
     rx = (mesh.r[2:, 1:-1] - mesh.r[:-2, 1:-1]) / (2 * h)
     rt = (mesh.r[1:-1, 2:] - mesh.r[1:-1, :-2]) / (2 * h)
-    E = np.einsum("...i,...i", rx, rx)
-    F = np.einsum("...i,...i", rx, rt)
-    G = np.einsum("...i,...i", rt, rt)
-    stored = mesh.first_form[1:-1, 1:-1]
-    assert np.max(np.abs(E - stored[..., 0])) < 5e-3
-    assert np.max(np.abs(F - stored[..., 1])) < 5e-3
-    assert np.max(np.abs(G - stored[..., 2])) < 5e-3
+    E, F, G = (v[1:-1, 1:-1] for v in _forms_at_nodes(fam, trip, field, mesh)[:3])
+    assert np.max(np.abs(np.einsum("...i,...i", rx, rx) - E)) < 5e-3
+    assert np.max(np.abs(np.einsum("...i,...i", rx, rt) - F)) < 5e-3
+    assert np.max(np.abs(np.einsum("...i,...i", rt, rt) - G)) < 5e-3
 
 
 def test_detII_over_detI_is_minus_one():
     fam, trip, field = _kink_setup()
     mesh = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(40, 40), h=0.04)
-    I = mesh.first_form
-    II = mesh.second_form
-    detI = I[..., 0] * I[..., 2] - I[..., 1] ** 2
-    detII = II[..., 0] * II[..., 2] - II[..., 1] ** 2
+    E, F, G, a1, a2, a3 = _forms_at_nodes(fam, trip, field, mesh)
+    detI = E * G - F ** 2
+    detII = a1 * a3 - a2 ** 2
     assert np.max(np.abs(detII / detI + 1.0)) < 1e-8
 
 
@@ -371,8 +381,7 @@ def _plane_mesh(normal_sign, rng):
     X, T = np.meshgrid(np.arange(4.0), np.arange(5.0), indexing="ij")
     r = np.stack([X, T, 0.3 * X - 0.2 * T], axis=-1) + 1e-3 * rng.standard_normal((4, 5, 3))
     e3 = normal_sign * np.cross([1.0, 0.0, 0.3], [0.0, 1.0, -0.2]) + 0.1 * rng.standard_normal((4, 5, 3))
-    zeros = np.zeros((4, 5, 3))
-    return SurfaceMesh(xs=np.arange(4.0), ts=np.arange(5.0), r=r, e3=e3, first_form=zeros, second_form=zeros)
+    return SurfaceMesh(xs=np.arange(4.0), ts=np.arange(5.0), r=r, e3=e3)
 
 
 def test_obj_bytes_match_the_per_line_writer(tmp_path):
@@ -383,8 +392,7 @@ def test_obj_bytes_match_the_per_line_writer(tmp_path):
     signed_zero = _plane_mesh(-1.0, rng)
     signed_zero.r[0, 0] = [-0.0, 0.0, -0.0]
     signed_zero.e3[0, 0] = [0.0, -0.0, -0.0]  # a zero normal is written unnormalised
-    large = SurfaceMesh(xs=None, ts=None, r=rng.standard_normal((65, 70, 3)),
-                        e3=rng.standard_normal((65, 70, 3)), first_form=None, second_form=None)
+    large = SurfaceMesh(xs=None, ts=None, r=rng.standard_normal((65, 70, 3)), e3=rng.standard_normal((65, 70, 3)))
     fam, trip, field = _kink_setup()
     kink = integrate_frame(fam, trip, field, origin=(-1.5, -1.5), steps=(8, 6), h=0.05)
     for name, mesh in (("flipped", flipped), ("degenerate", degenerate),
@@ -461,7 +469,7 @@ def test_batched_stage_coefficients_equal_per_stage_calls(setup, representation)
     # the two grids that integrate_frame samples, against one call per point
     xp, tp = _line_points(xs)[0], _line_points(ts)[0]
     for x, t, column in ((xp[:, None], ts, 1), (xs[:, None], tp, 2)):
-        grid, _ = _column_coefficients(fam, trip, field, x, t, column)
+        grid = _column_coefficients(fam, trip, field, x, t, column)
         xb, tb = np.broadcast_arrays(x, t)
         for i, k in np.ndindex(xb.shape):
             one = _coefficients(fam, trip, field, xb[i, k:k + 1], tb[i, k:k + 1], column)
@@ -472,18 +480,15 @@ def test_batched_stage_coefficients_equal_per_stage_calls(setup, representation)
 def test_whole_mesh_forms_equal_per_row_calls(setup, representation):
     fam, trip, field, origin, h = setup()
     mesh = integrate_frame(fam, trip, field, origin=origin, steps=(5, 4), h=h)
-    EE, II = np.empty_like(mesh.first_form), np.empty_like(mesh.second_form)
+    detI = np.empty(mesh.shape)
     degenerate, d12_min = 0, math.inf
     for j, t in enumerate(mesh.ts):  # one field call per mesh row
         env = field.sample_env(mesh.xs, t, 3)  # order 3: the mesh asks for 2, the same bits
-        EE[:, j, 0], EE[:, j, 1], EE[:, j, 2] = first_form_coefficients(*columns(fam, env))
-        II[:, j, 0], II[:, j, 1], II[:, j, 2] = second_form_coefficients(
-            trip.values(env, mesh.xs, t), *columns(fam, env))
+        E, F, G = first_form_coefficients(*columns(fam, env))
+        detI[:, j] = E * G - F ** 2
         d12 = np.abs(delta(*columns(fam, env), 1, 2))
         degenerate += int(np.count_nonzero(d12 <= 0.0))
         d12_min = min(d12_min, float(np.min(d12)))
-    detI = EE[..., 0] * EE[..., 2] - EE[..., 1] ** 2
-    assert _same_bits(mesh.first_form, EE) and _same_bits(mesh.second_form, II)
     assert mesh.diagnostics["degenerate_vertices"] == degenerate
     assert mesh.diagnostics["delta12_min"] == d12_min
     assert mesh.diagnostics["I_det_min"] == float(np.min(detI[1:-1, 1:-1]))
@@ -590,6 +595,24 @@ def test_propagator_march_memory_stays_at_the_tuple_rk4s():
     assert peak <= former, (peak, former)
 
 
+def test_the_mesh_holds_the_marched_state_and_curvature_only():
+    """What the returned mesh keeps alive: the x-first state Y, of which r and
+    e3 are views (201 x 201 x 4 x 3 floats), and K (201 x 201), with a little
+    slack for the grids and the diagnostics; no per-vertex form arrays."""
+    fam, trip, field, where = _kink_window()
+    integrate_frame(fam, trip, field, **where)  # caches and compiled programs are not counted
+    tracemalloc.start()
+    try:
+        mesh = integrate_frame(fam, trip, field, **where)
+        with_mesh = tracemalloc.get_traced_memory()[0]
+        del mesh
+        held = with_mesh - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    Y, K = 201 * 201 * 4 * 3 * 8, 201 * 201 * 8
+    assert held <= Y + K + 64 * 1024, held
+
+
 # ----------------------------------------------------------------------
 # the two-call sampling against the former five-call path
 #
@@ -624,7 +647,7 @@ def test_integrate_frame_equals_the_former_five_call_path(window):
     fam, trip, field, where = window()
     mesh = integrate_frame(fam, trip, field, **where)
     want = former_integrate_frame(fam, trip, field, **where)
-    for name in ("r", "e3", "first_form", "second_form", "K"):
+    for name in ("r", "e3", "K"):
         assert _same_bits(getattr(mesh, name), getattr(want, name)), name
     assert list(mesh.diagnostics) == list(want.diagnostics)
     for key, value in want.diagnostics.items():

@@ -170,7 +170,7 @@ def integrate_frame(
         raise FrameDriftError("the frame is not finite: its orthonormality drift is NaN")
     if drift > DRIFT_THRESHOLD:
         raise FrameDriftError(
-            f"orthonormality drift {drift:.3e} exceeds {DRIFT_THRESHOLD:.1e}; reduce h"
+            f"orthonormality drift {drift:.3e} exceeds {DRIFT_THRESHOLD:.1e}; use a finer --grid"
         )
     diag["drift_max"] = drift
     diag.update(vertex_diag)

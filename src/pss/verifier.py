@@ -90,21 +90,34 @@ def structure_residuals_env(fam: Family, env, zt=None):
 # Sampling
 
 
+def _read(rng, start, offset, size, bounds):
+    """`size` uniform values in `bounds`, `offset` doubles past generator state `start`."""
+    rng.bit_generator.state = start
+    rng.bit_generator.advance(offset)
+    return rng.uniform(*bounds, size=size)
+
+
 def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
     """Environment of n on-shell jets z0..z3, w1, v1, components uniform in `bounds`.
 
     Rejects samples too close to the branch degeneracies (|f'|, |phi12|,
     sine-Gordon's |sin z0| or T25ii's |phi| below 1e-3), so residual scales
-    stay trustworthy.  Each round takes max(64, 2 * (jets still missing))
-    values of z0, z1, z2, z3, z4, z5, w1, v1 in turn, which fixes the stream
-    `rng` yields, and keeps only the accepted jets it needs.  The guard reads
-    z0, z1 and z2 alone, so those are drawn whole; z3, w1 and v1 are drawn
-    up to the last jet kept, and the generator is advanced past the rest of
-    each and past z4 and z5, which nothing reads.  `rng` must therefore be
-    a PCG64 `Generator` (`np.random.default_rng`), whose `advance` skips
-    exactly one double per step.
+    stay trustworthy.  A round that still needs `need` jets owns the next
+    8 * draw doubles of the stream, draw = max(64, 2 * need): the values of
+    z0, z1, z2, z3, z4, z5, w1 and v1, draw each, in that order, so jet j's
+    coordinate k is the double at offset k * draw + j.  The round reads each
+    coordinate by its offset, setting the generator back to the round's
+    start and advancing it, and leaves the generator 8 * draw doubles past
+    that start, wherever it read.  The guard, which reads z0, z1 and z2
+    alone and works jet by jet, runs on segments of jets: the first holds
+    need + need // 32 + 64 jets, and each later one the jets still missing
+    over the acceptance seen so far, with the same margin, until need jets
+    pass or draw jets are read.  z3, w1 and v1 are read only up to the last
+    jet kept; z4 and z5 are never read.  The round keeps its first `need`
+    accepted jets, as if it had drawn and guarded all 8 * draw values.
+    `rng` must therefore be a PCG64 `Generator` (`np.random.default_rng`),
+    whose `advance` skips exactly one double per step.
     """
-    lo, hi = bounds
     names = ("z0", "z1", "z2", "z3", "w1", "v1")
     chunks = {nm: [] for nm in names}
     have = 0
@@ -113,17 +126,35 @@ def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
         attempts += 1
         if attempts > 200:
             raise CatalogError("sampling guard rejected too many jets; bad family domain?")
-        draw = max(64, 2 * (n - have))
-        env = {nm: rng.uniform(lo, hi, size=draw) for nm in names[:3]}
-        keep = np.flatnonzero(fam.sampling_guard(env))[:n - have]
-        m = int(keep[-1]) + 1 if len(keep) else 0
-        for nm, skip in (("z3", 3 * draw - m), ("w1", draw - m), ("v1", draw - m)):
-            env[nm] = rng.uniform(lo, hi, size=m)
-            rng.bit_generator.advance(skip)  # z3's skip also passes z4 and z5
-        env = fam.constrain_env({nm: env[nm][keep] for nm in names})
+        need = n - have
+        draw = max(64, 2 * need)
+        start = rng.bit_generator.state
+        segs, masks, read, passed = [], [], 0, 0
+        size = need + need // 32 + 64
+        while passed < need and read < draw:
+            end = min(draw, read + size)
+            seg = [_read(rng, start, k * draw + read, end - read, bounds) for k in range(3)]
+            mask = fam.sampling_guard(dict(zip(names, seg)))
+            segs.append(seg)
+            masks.append(mask)
+            passed += int(np.count_nonzero(mask))
+            read = end
+            # the jets still missing over the acceptance seen so far, with the first segment's margin
+            missing = need - passed
+            size = missing * read // passed + missing // 32 + 64 if passed else draw
+        ok = masks[0] if len(masks) == 1 else np.concatenate(masks)
+        kept = min(need, passed)
+        m = int(np.flatnonzero(ok)[kept - 1]) + 1 if kept else 0
+        env = {nm: (c[0] if len(c) == 1 else np.concatenate(c))[:m] for nm, c in zip(names[:3], zip(*segs))}
+        for k, nm in ((3, "z3"), (6, "w1"), (7, "v1")):
+            env[nm] = _read(rng, start, k * draw, m, bounds)
+        rng.bit_generator.state = start
+        rng.bit_generator.advance(8 * draw)
+        cut = ok[:m]
+        env = fam.constrain_env({nm: env[nm][cut] for nm in names})
         for nm in names:
             chunks[nm].append(env[nm])
-        have += len(keep)
+        have += kept
     return {nm: c[0] if len(c) == 1 else np.concatenate(c) for nm, c in chunks.items()}
 
 

@@ -273,7 +273,7 @@ def former_integrate_frame(fam, trip, field, origin, steps, h, sweep=former_swee
     drift = _orthonormality_drift(e1, e2, e3)
     if drift > DRIFT_THRESHOLD:
         raise FrameDriftError(
-            f"orthonormality drift {drift:.3e} exceeds {DRIFT_THRESHOLD:.1e}; reduce h"
+            f"orthonormality drift {drift:.3e} exceeds {DRIFT_THRESHOLD:.1e}; use a finer --grid"
         )
     diag["drift_max"] = drift
 

@@ -637,6 +637,23 @@ def test_sff_fails_when_the_gauss_check_fails(tmp_path, capsys, monkeypatch):
     assert json.loads(rep.read_text())["gauss_residual_max"] > 0.1  # the report is still written
 
 
+def test_sff_judges_the_gauss_residual_against_its_terms(tmp_path, capsys):
+    # rounding alone puts |ac - b^2 + 1| at 3.1e-2 at the novikov strip's upper
+    # end, where |ac| is about 1e14, and at 3.3e291 on a T22 table whose terms
+    # reach 1e301 before delta' overflows at s = 0.053; over max(1, |ac|, b^2)
+    # the worst points are 2.6e-9 and 4.9e-10.  The reports keep the unscaled maxima.
+    spec = tmp_path / "t22.json"
+    spec.write_text('{"branch": "T22", "params": {"mu2": 2.0, "eta2": 1}, "f": "s", "phi12": "z1"}')
+    rep = tmp_path / "r.json"
+    for argv, worst in (
+        (["--preset", "novikov", "--sigma", "1e7", "--beta", "0.5"], 0.03125),
+        (["--family", str(spec), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], 3.3e291),
+    ):
+        assert run(["sff", *argv, "--report", str(rep), "--deterministic"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert worst <= json.loads(rep.read_text())["gauss_residual_max"] < 1.02 * worst
+
+
 def test_sff_ode_table_stops_before_a_pole(tmp_path, capsys):
     # this T22 march grazes a pole of b' near s = -0.0195; the table ends
     # before the step that lands on b = 4e16
@@ -816,9 +833,8 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         (["catalog", *family("latin1")], EXIT_USAGE, path("latin1.json")),
         (["catalog", *family("trunc")], EXIT_USAGE, path("trunc.json")),
         (field("dir"), EXIT_USAGE, path("dir.pssf")),
-        # delta' overflows at s = 0.053: the table stops there, and the Gauss check fails
-        (["sff", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL, None),
-        (["codazzi", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL, None),  # E1_max 1e139
+        # delta' overflows at s = 0.053: the table stops there, and E1_max is 1e139
+        (["codazzi", *family("t22"), "--beta", "1e154", "--b0", "1.2", "--eps", "0.3"], EXIT_FAIL, None),
         (["verify", "--preset", "novikov", "--samples", "50", "--tol", "1e-300"], EXIT_FAIL, None),  # round-off fails
         # s^2000 overflows on the sampled jets: the NaN residuals fail the verdict
         (["verify", *family("t24big")], EXIT_FAIL, None),

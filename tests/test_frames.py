@@ -220,7 +220,7 @@ def test_frame_drift_just_past_the_threshold_is_refused():
     fam, trip, field = _kink_setup()
     mesh = integrate_frame(fam, trip, field, origin=(-1.0, -1.0), steps=(1, 1), h=0.51)
     assert 8e-4 < mesh.diagnostics["drift_max"] <= 1e-3
-    with pytest.raises(frames.FrameDriftError, match=r"^orthonormality drift 1\.0\d\de-03 exceeds 1\.0e-03; reduce h$"):
+    with pytest.raises(frames.FrameDriftError, match=r"^orthonormality drift 1\.0\d\de-03 exceeds 1\.0e-03; use a finer --grid$"):
         integrate_frame(fam, trip, field, origin=(-1.0, -1.0), steps=(1, 1), h=0.52)
 
 

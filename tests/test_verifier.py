@@ -252,28 +252,55 @@ def test_certify_both_signs_random_parameters(branch_kwargs, sign):
     assert rep.verdict == "pass", rep.residuals
 
 
+def _spy_rounds(monkeypatch, fam):
+    """(segments, rounds): lists that fill with the jets of each guard call
+    and with one entry per round of sample_envs on `fam`."""
+    guard, constrain = fam.sampling_guard, fam.constrain_env
+    segments, rounds = [], []
+    monkeypatch.setattr(fam, "sampling_guard", lambda env: segments.append(len(env["z0"])) or guard(env))
+    monkeypatch.setattr(fam, "constrain_env", lambda env: rounds.append(1) or constrain(env))
+    return segments, rounds
+
+
 def test_sample_envs_equals_the_whole_draw_sampler(monkeypatch):
-    """Drawing z3, w1 and v1 only up to the last jet kept, and skipping z4 and
-    z5, gives the read coordinates of the whole-draw sampler bit for bit, and
-    leaves the generator where it leaves it: the six presets at 1 and 1000
-    jets, and a sine-Gordon window where about a third of each draw is
-    accepted."""
+    """Reading each coordinate by its offset in the round's block, guarding
+    z0, z1 and z2 in segments and reading z3, w1 and v1 only up to the last
+    jet kept gives the read coordinates of the whole-draw sampler bit for
+    bit, and leaves the generator where it leaves it: the six presets at 1
+    and 1000 jets; novikov at 10^5, whose first segment falls short of the
+    jets needed; a sine-Gordon window where the first segment falls short at
+    1000 jets and an extension completes the round; and one where about a
+    third of each draw is accepted, so the draw runs out and rounds follow."""
     from references import whole_draw_sample_envs
 
     cases = [(name, n, (-1.0, 1.0)) for name in sorted(PRESETS) for n in (1, 1000)]
-    cases.append(("sine-gordon", 1000, (-0.0015, 0.0015)))
+    cases += [("novikov", 100_000, (-1.0, 1.0)), ("sine-gordon", 1000, (-0.01, 0.01)),
+              ("sine-gordon", 1000, (-0.0015, 0.0015))]
+    seen = []
     for name, n, bounds in cases:
         fam = PRESETS[name]()
-        guard, rounds = fam.sampling_guard, []
-        monkeypatch.setattr(fam, "sampling_guard", lambda env: rounds.append(1) or guard(env))
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = sample_envs(fam, n, rng, bounds=bounds)
         want = whole_draw_sample_envs(fam, n, ref_rng, bounds=bounds)
+        segments, rounds = _spy_rounds(monkeypatch, fam)
+        got = sample_envs(fam, n, rng, bounds=bounds)
         assert list(got) == ["z0", "z1", "z2", "z3", "w1", "v1"]
         for k in got:
             assert got[k].shape == (n,) and np.array_equal(got[k].view(np.int64), want[k].view(np.int64)), (name, k)
         assert rng.random() == ref_rng.random()
-    assert len(rounds) >= 2  # rounds of the last case, the narrow window
+        seen.append((len(rounds), len(segments)))
+    assert seen[-3][0] == seen[-2][0] == 1 and seen[-3][1] >= 2 and seen[-2][1] >= 2  # extensions
+    assert seen[-1][0] >= 2  # rounds of the last case, the narrow window
+
+
+def test_the_guard_evaluates_little_more_than_the_jets_kept(monkeypatch):
+    """At 10^5 jets each preset's guard evaluates at most 1.15 n jets;
+    guarding each round's whole draw of max(64, 2 n) evaluates 2 n."""
+    n = 100_000
+    for name in sorted(PRESETS):
+        fam = PRESETS[name]()
+        segments, rounds = _spy_rounds(monkeypatch, fam)
+        sample_envs(fam, n, np.random.default_rng(9))
+        assert sum(segments) <= 1.15 * n and len(rounds) == 1, (name, segments)
 
 
 def _same_report(got, want):

@@ -295,12 +295,14 @@ class Family:
         builder(float(p.sign), _k(p.mu2))
 
     def _wrap(self, column1, column2, g_fn, phi12, phi_column):
+        # the columns declare the coordinates they read, which the total
+        # derivatives of `jets` seed; G, F and the phi's are plain functions
         zfree = frozenset({"z0", "z1", "z2"})
         self.columns = {
             1: JetFunction(column1, zfree, "(f11, f21, f31)"),
             2: JetFunction(column2, zfree, "(f12, f22, f32)"),
         }
-        self.G_fn = None if g_fn is None else JetFunction(g_fn, zfree, "G")
+        self.G_fn = g_fn
         if g_fn is None:
             self.F_fn = None
         else:
@@ -309,9 +311,9 @@ class Family:
             def F(env, _g=g_fn, _lam=lam):
                 return _lam * env["z0"] ** 2 * env["z3"] + _g(env)
 
-            self.F_fn = JetFunction(F, zfree | {"z3"}, "F")
-        self.phi12_fn = JetFunction(phi12, {"z0", "z1"}, "phi12")
-        self.phi_column = JetFunction(phi_column, {"z0", "z1"}, "(phi12, phi22, phi32)")
+            self.F_fn = F
+        self.phi12_fn = phi12
+        self.phi_column = phi_column
 
     def _form7(self, f11, phi12, phi22, phi32, G):
         """Assemble a form-(7) family from f11, phi12, phi22, phi32 and G
@@ -531,16 +533,15 @@ class Family:
 
     def sampling_guard(self, env):
         """Boolean mask of samples safely away from the branch degeneracies."""
-        ok = np.ones(np.shape(primal(env["z0"])) or (), dtype=bool)
-        b = self.params.branch
-        if b == Branch.SINE_GORDON:
+        if not self.is_form7:
             return np.abs(np.sin(primal(env["z0"]))) > 1e-3
+        ok = np.ones(np.shape(primal(env["z0"])) or (), dtype=bool)
         if self.f_expr is not None:
             _, fp = _f_and_prime(self.f_expr, env["z0"] - env["z2"])
             ok &= np.abs(primal(fp)) > 1e-3
         p12 = self.phi12_fn(env)
         ok &= np.abs(primal(p12)) > 1e-3
-        if b == Branch.T25II:
+        if self.params.branch == Branch.T25II:
             (pv,) = _uni_derivs(self.phi_expr, "z0", env["z0"], 0)
             ok &= np.abs(primal(pv)) > 1e-3
         return ok
@@ -559,10 +560,8 @@ class Family:
         }
 
 
-_PARAM_KEYS = (
-    "lam", "mu2", "eta2", "C", "mu3", "eta3", "gamma", "theta", "B",
-    "m1", "tau", "m2", "m", "n", "eta", "root",
-)
+# the numeric parameters a spec's "params" holds; branch and sign are top-level keys
+_PARAM_KEYS = tuple(f.name for f in fields(FamilyParams) if f.name not in ("branch", "sign"))
 
 
 def params_from_dict(doc) -> FamilyParams:

@@ -4,9 +4,11 @@ Exit codes: 0 pass/success, 1 usage or configuration error, 2 verification
 failure (including PDE blow-up), 3 no-immersion (the expected negative
 result for the T23/T25 branches, still reported).
 
-A JSON config file may mirror any long flag (dashes become underscores);
-explicit flags win on conflict.  With --deterministic the report contains
-no timestamp, so identical argv + seed give byte-identical files.
+A JSON config file may mirror any long flag (dashes become underscores).
+It is parsed ahead of the command line, so explicit flags win, abbreviated
+or not, and every config value gets its flag's check.  With --deterministic
+the report contains no timestamp, so identical argv + seed give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -185,8 +187,9 @@ def build_parser():
 
 
 def _apply_config(args, argv):
-    """Read the config as flags of this subcommand's parser, so its values get
-    the flags' own type and choices checks."""
+    """Parse the config as flags of this subcommand, then the words after the
+    subcommand: each value gets its flag's checks, and argparse keeps a
+    flag's last occurrence, so an explicit flag wins, abbreviated or not."""
     if not getattr(args, "config", None):
         return args
     doc = read_json(args.config)
@@ -195,12 +198,11 @@ def _apply_config(args, argv):
     unknown = set(doc) - build_parser().config_keys
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    argv_flags = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
     actions = {a.dest: a for a in args._parser._actions}
     flags = []
     for key, val in doc.items():
         action = actions.get(key)
-        if action is None or key in argv_flags:
+        if action is None:
             continue
         opt = action.option_strings[0]
         if action.nargs == 0:  # store_true
@@ -211,8 +213,10 @@ def _apply_config(args, argv):
             flags += [opt, *map(_config_text, val)]
         else:
             flags.append(f"{opt}={_config_text(val)}")
+    # the words after the subcommand parsed alone, so a failure here is the config's
+    words = argv[argv.index(args.command) + 1:]
     try:
-        return args._parser.parse_args(flags, namespace=args)
+        return args._parser.parse_args([*flags, *words], namespace=argparse.Namespace(command=args.command))
     except _UsageError as exc:
         raise _UsageError(f"config: {exc}") from exc
 
@@ -565,14 +569,11 @@ def run(argv=None):
         # numpy's warnings about computing one would only add lines
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"pss: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ExprError as exc:  # the offset is into the expression's text, so name it
         where = "" if exc.source is None else f" in {exc.source!r}"
         print(f"pss: {exc}{where}", file=sys.stderr)
         return EXIT_USAGE
-    except (CatalogError, InvalidStrip, OSError) as exc:
+    except (_UsageError, CatalogError, InvalidStrip, OSError) as exc:
         print(f"pss: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TripleDomainError, RuntimeError) as exc:

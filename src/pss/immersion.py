@@ -78,16 +78,21 @@ def _first_s(s, bad):
     return float(s[bad][0])
 
 
-class DiscriminantCollapse(RuntimeError):
+class _Collapse(RuntimeError):
+    """A stop of the b-ODE at the first s where `bad` holds; a subclass
+    names it by `reason` in a table's `stops` and by `what` in the message."""
+
     def __init__(self, s, bad=True):
         self.s = _first_s(s, bad)
-        super().__init__(f"discriminant collapsed at s = {self.s}")
+        super().__init__(f"{self.what} collapsed at s = {self.s}")
 
 
-class DenominatorCollapse(RuntimeError):
-    def __init__(self, s, bad=True):
-        self.s = _first_s(s, bad)
-        super().__init__(f"ODE denominator collapsed at s = {self.s}")
+class DiscriminantCollapse(_Collapse):
+    reason = what = "discriminant"
+
+
+class DenominatorCollapse(_Collapse):
+    reason, what = "denominator", "ODE denominator"
 
 
 # The b-ODE march refuses a start, and stops, where delta <= DELTA_MIN, where
@@ -323,9 +328,11 @@ class _OdeForm(ImmersionTriple):
 
     def _march(self, ip):
         """(s, b, b', stops): the table marched both ways from (ip.s0, ip.b0),
-        in Python floats; it stops where _slope(keep=True) raises at a node
-        or _slope raises at a stage.  b' is the slope each kept point was
-        checked with, so the table's slopes are not computed again."""
+        in Python floats; it stops where _slope(keep=True) raises at a node,
+        _slope raises at a stage or den changes sign.  `stops` has the reason
+        and s of each direction's collapse, which a table of fewer than 4
+        points raises.  b' is the slope each kept point was checked with, so
+        the table's slopes are not computed again."""
         slope, sqrt = self._slope, math.sqrt
         with np.errstate(over="ignore"):
             E0 = float(np.exp(self.ce * ip.s0))
@@ -344,15 +351,12 @@ class _OdeForm(ImmersionTriple):
                     k4 = slope(sn, bv + h * k3, En, sqrt)[3]
                     bn = bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     _, _, den, kn = slope(sn, bn, En, sqrt, keep=True)
-                except DiscriminantCollapse as e:
-                    stop = ("discriminant", e.s)
-                    break
-                except DenominatorCollapse as e:
-                    stop = ("denominator", e.s)
+                except _Collapse as e:
+                    stop = e
                     break
                 # a sign change means the step jumped over a pole of b'
                 if (den < 0) != (den_prev < 0):
-                    stop = ("denominator", sn)
+                    stop = DenominatorCollapse(sn)
                     break
                 out_s.append(sn)
                 out_b.append(bn)
@@ -371,13 +375,9 @@ class _OdeForm(ImmersionTriple):
         if len(s) < 4:
             if not (stop_p or stop_m):
                 raise TripleDomainError(f"eps = {ip.eps} leaves {len(s)} table points at h = {ip.h}; 4 are needed")
-            reason, where = stop_p or stop_m
-            raise (DenominatorCollapse if reason == "denominator" else DiscriminantCollapse)(where)
-        stops = {}
-        if stop_p:
-            stops["forward"] = {"reason": stop_p[0], "s": stop_p[1]}
-        if stop_m:
-            stops["backward"] = {"reason": stop_m[0], "s": stop_m[1]}
+            raise stop_p or stop_m
+        stops = {way: {"reason": stop.reason, "s": stop.s}
+                 for way, stop in (("forward", stop_p), ("backward", stop_m)) if stop}
         return s, b, bprime, stops
 
     def _interp_b(self, s):
@@ -540,7 +540,7 @@ def solve_triple(fam: Family, ip: ImmersionParams):
     if p.branch in _NO_IMMERSION:
         return NoImmersion(p.branch, _NO_IMMERSION[p.branch],
                            "no local isometric immersion with finite-jet triples exists")
-    if p.branch == Branch.SINE_GORDON:
+    if not fam.is_form7:
         return _SineGordonForm("sine-Gordon", "u", 0.0, 0.0, (-math.inf, math.inf), float(ip.a_sign))
     trip = _closed_form(fam, ip)
     return trip if trip is not None else integrate_b_ode(fam, ip)

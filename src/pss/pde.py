@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .catalog import Branch
 from .dual import Taylor
 from .expr import parse_expression
 from .immersion import write_csv
@@ -200,14 +199,13 @@ class SolutionField:
             self.frames.setflags(write=False)
         self._row_stack = None
         self.expression = expression
-        self.provenance = dict(provenance or {})
         if (frames is None) == (expression is None):
             raise PdeError("a field is either NUMERIC (frames) or EXACT (expression)")
-        self.provenance.setdefault("type", "EXACT" if expression is not None else "NUMERIC")
+        self.provenance = dict(provenance or {}, type=self.kind)
 
     @property
     def kind(self):
-        return self.provenance["type"]
+        return "NUMERIC" if self.frames is not None else "EXACT"
 
     def domain(self):
         return (self.grid.x_min, self.grid.x_max), (float(self.times[0]), float(self.times[-1]))
@@ -333,7 +331,7 @@ def exact_field(src_or_expr, grid: Grid1D, t_span=(-10.0, 10.0), name="exact") -
         grid,
         [t_span[0], t_span[1]],
         expression=e,
-        provenance={"type": "EXACT", "name": name, "jets": "analytic (Taylor in x, dual in t)"},
+        provenance={"name": name, "jets": "analytic (Taylor in x, dual in t)"},
     )
 
 
@@ -374,14 +372,13 @@ def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> 
     if not np.all(np.isfinite(u)):
         raise PdeError("u0 must be finite")
     nsteps = step_count(t_max, dt)
-    sg = fam.params.branch == Branch.SINE_GORDON
+    sg = not fam.is_form7
     nx, dx = grid.nx, grid.dx
+    acc = 4 if space == "spectral" else int(space)  # of the stencils, the quadrature and the sampling
 
     if sg:
-        order = 4 if space == "spectral" else int(space)
-
         def rhs(uu):
-            return cumulative_integral(np.sin(uu), dx, order=order)
+            return cumulative_integral(np.sin(uu), dx, order=acc)
 
     else:
         lam, G = fam.params.lam, fam.G_fn
@@ -395,8 +392,6 @@ def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> 
                 return np.fft.irfft(np.fft.rfft(uu, out=spectrum) * symbols, n=nx)
 
         else:
-            acc = int(space)
-
             def derivs(uu):
                 return [periodic_derivative(uu, dx, m, acc=acc) for m in (1, 2, 3)]
 
@@ -439,10 +434,9 @@ def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> 
         times,
         frames=frames,
         provenance={
-            "type": "NUMERIC",
             "equation": fam.name,
             "space": space,
-            "space_accuracy": 4 if space == "spectral" else int(space),
+            "space_accuracy": acc,
             "dt": dt,
             "scheme": "RK4 + spectral Helmholtz inverse" if not sg else "RK4 light-cone quadrature",
             "max_jet_order": 5,
@@ -501,7 +495,7 @@ def load_field(path) -> SolutionField:
         grid,
         times,
         frames=data,
-        provenance={"type": "NUMERIC", "loaded_from": str(path), "max_jet_order": 5},
+        provenance={"loaded_from": str(path), "max_jet_order": 5},
     )
 
 

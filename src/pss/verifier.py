@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .catalog import Branch, CatalogError, Family, delta
+from .catalog import CatalogError, Family, delta
 from .jets import dt_env_onshell, dx_env, partials
 
 __all__ = [
@@ -224,7 +224,7 @@ def check_theorem21_conditions(
     fam: Family, samples: int = 500, tol: float = 1e-9, seed: int | None = DEFAULT_SEED
 ) -> VerificationReport:
     """Residuals of the classification conditions at seeded random jets."""
-    if fam.params.branch == Branch.SINE_GORDON:
+    if not fam.is_form7:
         raise CatalogError("the classification conditions apply to the u_t - u_xxt = lam*u^2*u_xxx + G form only")
     p = fam.params
     lam, mu2, eta2, mu3, eta3 = p.lam, p.mu2, p.eta2, p.mu3, p.eta3
@@ -309,7 +309,7 @@ def check_theorem21_conditions(
 def certify(fam: Family, samples: int = 1000, tol: float = 1e-8, seed: int | None = DEFAULT_SEED) -> VerificationReport:
     """Structure equations plus (for equation-form families) the classification conditions."""
     rep = certify_structure(fam, samples=samples, tol=tol, seed=seed)
-    if fam.params.branch != Branch.SINE_GORDON:
+    if fam.is_form7:
         rep2 = check_theorem21_conditions(fam, samples=min(samples, 500), tol=max(tol, 1e-9), seed=seed)
         rep.residuals.update(rep2.residuals)
         if rep2.verdict == "fail":

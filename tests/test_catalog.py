@@ -334,10 +334,10 @@ def test_t22_matches_the_former_t22_builder_bit_for_bit(mu2, sign, f, phi12):
     fam = build_family(FamilyParams(branch=Branch.T22, mu2=mu2, eta2=1.3, sign=sign), f=f, phi12=phi12)
     ref = _t22_reference(fam)
     env = sample_envs(fam, 4096, np.random.default_rng(29), bounds=(-2.0, 2.0))
-    pairs = [(fam.fij(i, j), ref.fij(i, j)) for i in (1, 2, 3) for j in (1, 2)]
-    pairs += [(fam.G_fn, ref.G_fn), (fam.F_fn, ref.F_fn), (fam.phi12_fn, ref.phi12_fn)]
-    for got, want in pairs:
-        assert _same_bits(got(env), want(env)), got.name
+    pairs = {f"f{i}{j}": (fam.fij(i, j), ref.fij(i, j)) for i in (1, 2, 3) for j in (1, 2)}
+    pairs.update(G=(fam.G_fn, ref.G_fn), F=(fam.F_fn, ref.F_fn), phi12=(fam.phi12_fn, ref.phi12_fn))
+    for name, (got, want) in pairs.items():
+        assert _same_bits(got(env), want(env)), name
     assert all(map(_same_bits, fam.phi_column(env), ref.phi_column(env)))
     zt, zt_ref = fam.zt(env, 2), ref.zt(env, 2)
     assert all(_same_bits(a, b) for a, b in zip(zt, zt_ref))
@@ -358,16 +358,23 @@ def test_t22_refuses_C_as_it_refuses_lam():
 
 
 def test_family_spec_roundtrip(tmp_path):
-    fam = novikov_preset()
-    doc = fam.to_dict()
-    path = tmp_path / "novikov.json"
-    path.write_text(json.dumps(doc))
+    """Every preset's spec, derived constants included, reads back as the
+    same resolved params and writes the same spec."""
     from pss.catalog import load_family
 
-    fam2 = load_family(path)
-    assert fam2.params.branch == Branch.T24
+    for name in sorted(PRESETS):
+        fam = PRESETS[name]()
+        doc = fam.to_dict()
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        fam2 = load_family(path)
+        assert fam2.params == fam.params and fam2.to_dict() == doc, name
+        written = {k for k, v in vars(fam.params).items() if v is not None} - {"branch", "sign"}
+        assert set(doc["params"]) == written, name
     p = jp(0.4, -0.2, 0.8, 0.1)
-    assert fam2.G_fn(p) == pytest.approx(fam.G_fn(p), abs=1e-15)
+    novikov = load_family(tmp_path / "novikov.json")
+    assert novikov.params.branch == Branch.T24
+    assert novikov.G_fn(p) == pytest.approx(novikov_preset().G_fn(p), abs=1e-15)
 
 
 def test_family_spec_unknown_keys_rejected():

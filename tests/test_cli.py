@@ -369,6 +369,27 @@ def test_config_file_flags_win(tmp_path):
     assert doc["samples"] == 120  # flag wins
 
 
+def test_an_abbreviated_flag_wins_and_a_bad_config_value_is_refused(tmp_path, capsys):
+    """Argparse takes --sam for --samples and keeps a flag's last occurrence;
+    the config's flags are parsed before argv's, and each checks its value."""
+    rep = tmp_path / "r.json"
+    table = [
+        # (argv, config, the resolved value the report gives)
+        (["verify", "--preset", "novikov", "--sam", "20"], {"samples": 50}, 20),
+        (["sff", "--preset", "novikov", "--sigm", "3", "--beta", "0.5"], {"sigma": 7}, 3.0),
+    ]
+    cfg = tmp_path / "cfg.json"
+    for argv, doc, value in table:
+        cfg.write_text(json.dumps(doc))
+        assert run([*argv, "--config", str(cfg), "--report", str(rep), "--deterministic"]) == EXIT_OK, argv
+        [key] = doc
+        assert json.loads(rep.read_text())["config"][key] == value, argv
+    cfg.write_text(json.dumps({"samples": 0}))
+    assert run(["verify", "--preset", "t22-demo", "--samples", "40", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("pss: config: ") and err.count("\n") == 1, err
+
+
 def test_config_unknown_keys_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"preset": "novikov", "bogus_knob": 3}))

@@ -1,5 +1,6 @@
 """Every public name of `src/pss` has a user in the program or the benchmark,
-and every name the benchmark reads from `src/pss` exists.
+every name the benchmark reads from `src/pss` exists, and every name a
+`src/pss` module imports is read there or exported.
 
 A name in a module's `__all__` that only the tests call is code the
 command line, the benchmark and the reports do not need; tests keep their
@@ -87,6 +88,42 @@ def test_the_scan_finds_a_name_only_its_own_definition_reads(tmp_path):
     )
     (tmp_path / "bench" / "b.py").write_text("from pss.m import used\n\nused()\n")
     assert unused_public_names(tmp_path) == [("m", "recursive")]
+
+
+def unused_imports(root=ROOT):
+    """(module, name) for every name a src/pss module imports, at the top or
+    in a function, but neither reads anywhere nor lists in its `__all__`."""
+    unused = []
+    for path in sorted((root / "src" / "pss").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read.update(_exported(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append((path.stem, name))
+    return sorted(unused)
+
+
+def test_every_imported_name_is_read_or_exported():
+    assert unused_imports() == []
+
+
+def test_the_import_scan_finds_a_name_read_nowhere(tmp_path):
+    (tmp_path / "src" / "pss").mkdir(parents=True)
+    (tmp_path / "src" / "pss" / "m.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from .catalog import Branch, Family, delta\n\n"
+        '__all__ = ["delta"]\n\n\n'
+        "def f(fam: Family):\n"
+        "    from .jets import partials\n\n"
+        "    return os.path.join(fam.name)\n"
+    )
+    assert unused_imports(tmp_path) == [("m", "Branch"), ("m", "partials"), ("m", "system")]
 
 
 def _is_module(root, dotted):

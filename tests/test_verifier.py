@@ -177,10 +177,11 @@ def test_theorem21_detects_translation_violation():
     class Broken:
         params = fam.params
         name = "broken-f11"
-        phi12_fn = fam.phi12_fn
-        phi_column = fam.phi_column
-        G_fn = fam.G_fn
-        F_fn = fam.F_fn
+        is_form7 = True
+        phi12_fn = staticmethod(fam.phi12_fn)
+        phi_column = staticmethod(fam.phi_column)
+        G_fn = staticmethod(fam.G_fn)
+        F_fn = staticmethod(fam.F_fn)
         f_expr = fam.f_expr
         phi_expr = None
 

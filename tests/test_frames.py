@@ -180,7 +180,10 @@ def _reference_curvature(r):
     return K.reshape(nx, nt), int(np.count_nonzero(any_obtuse)), int(np.count_nonzero(cross == 0.0))
 
 
-def test_curvature_matches_the_three_pass_reference():
+def _curvature_meshes():
+    """A kink patch, a rough plane (obtuse corners) and a plane with
+    coincident vertices and a segment triangle (NaN cotangents), at most
+    1,440 triangles each, below the default triangle block."""
     rng = np.random.default_rng(11)
     fam, trip, field = _kink_setup()
     kink = integrate_frame(fam, trip, field, origin=(-1.8, -1.8), steps=(30, 24), h=0.05).r
@@ -190,12 +193,54 @@ def test_curvature_matches_the_three_pass_reference():
     flat = plane.copy()
     flat[3, 2] = flat[3, 3] = flat[4, 3]  # coincident vertices
     flat[7, 4] = 0.5 * (flat[6, 4] + flat[7, 5])  # the triangle (6,4), (7,4), (7,5) is a segment
+    return {"kink": kink, "rough": rough, "zero-area": flat}
+
+
+def _assert_curvature_matches_the_reference(meshes):
     counts = {}
-    for name, r in (("kink", kink), ("rough", rough), ("zero-area", flat)):
+    for name, r in meshes.items():
         want, *counts[name] = _reference_curvature(r)
         assert _same_bits(discrete_gaussian_curvature(r), want), name
     assert counts["rough"][0] > 0  # the obtuse branch of the mixed area
     assert counts["zero-area"][1] > 0  # NaN cotangents
+
+
+def test_curvature_matches_the_three_pass_reference():
+    """At the default triangle block, also on the 201x201 kink window:
+    80,000 triangles, so ten blocks and a short last one."""
+    fam, trip, field, where = _kink_window()
+    meshes = _curvature_meshes()
+    meshes["kink-201"] = integrate_frame(fam, trip, field, **where).r
+    _assert_curvature_matches_the_reference(meshes)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_curvature_matches_the_reference_at_any_triangle_block(block, monkeypatch):
+    """Blocks of one triangle, and of 7, which divides none of the meshes'
+    triangle counts, so each ends on a short block."""
+    monkeypatch.setattr(frames, "_TRI_BLOCK", block)
+    _assert_curvature_matches_the_reference(_curvature_meshes())
+
+
+def test_curvature_memory_is_its_rows_index_and_one_block():
+    """The traced peak of the curvature on the 201x201 kink window: the
+    angle and mixed-area rows (3 x ntri each), the corner-major vertex index,
+    the vertex array it copies from the strided r, the angle sum, area and K
+    per vertex, and the corner terms of one block of 8192 triangles (48
+    doubles each).  Gathering the whole mesh at once peaked at 28.7 MiB."""
+    fam, trip, field, where = _kink_window()
+    r = integrate_frame(fam, trip, field, **where).r
+    discrete_gaussian_curvature(r)  # caches are not counted
+    tracemalloc.start()
+    try:
+        discrete_gaussian_curvature(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nv, ntri, d = 201 * 201, 2 * 200 * 200, 8
+    rows, index, vertices, per_vertex, block = 2 * 3 * ntri * d, 3 * ntri * d, 3 * nv * d, 3 * nv * d, 8192 * 48 * d
+    bound = rows + index + vertices + per_vertex + block
+    assert peak <= bound, (peak, bound)
 
 
 # ----------------------------------------------------------------------

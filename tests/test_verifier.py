@@ -3,11 +3,13 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import sympy as sp
 
-from pss import verifier
+from pss import catalog, verifier
 from pss.catalog import (
     Branch,
     CatalogError,
@@ -19,6 +21,7 @@ from pss.catalog import (
     novikov_preset,
     sine_gordon_preset,
 )
+from pss.jets import dt_env_onshell, dx_env
 from pss.verifier import (
     certify,
     certify_structure,
@@ -117,6 +120,34 @@ def test_certify_structure_presets(name):
     rep = certify_structure(PRESETS[name](), samples=1000, tol=1e-8)
     assert rep.verdict == "pass", rep.residuals
     assert max(rep.residuals.values()) <= 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_structure_residuals_vanish_symbolically_on_shell(name, monkeypatch):
+    """R1-R3, formed as structure_residuals_env forms them on a jet of the
+    symbols z0..z5, w1, v1, simplify to 0: sampling shows them small, this
+    shows them zero identically.  The derived constants are resolved exactly
+    (t25ii-demo's mu3 is sqrt(3)/2, which a float rounds), and the jet is
+    constrained on shell as sampled jets are (v1 = sin z0 for sine-Gordon)."""
+    # np.exp(x) and the like call x.exp() on a sympy object x
+    for method, fn in (("exp", sp.exp), ("sin", sp.sin), ("cos", sp.cos), ("tan", sp.tan), ("sqrt", sp.sqrt), ("arctan", sp.atan)):
+        monkeypatch.setattr(sp.Expr, method, lambda self, _fn=fn: _fn(self), raising=False)
+    resolve = catalog.resolve_params
+
+    def exact(p):
+        p = resolve(p)
+        derived = ("mu3", "eta3", "gamma", "m1", "m2")
+        return replace(p, **{k: sp.nsimplify(getattr(p, k)) for k in derived if getattr(p, k) is not None})
+
+    monkeypatch.setattr(catalog, "resolve_params", exact)
+    fam = PRESETS[name]()
+    names = [f"z{i}" for i in range(6)] + ["w1", "v1"]
+    env = fam.constrain_env(dict(zip(names, sp.symbols(names))))
+    v1, dts = dt_env_onshell(fam.column(1), env, fam.zt(env, 2))
+    v2, dxs = dx_env(fam.column(2), env)
+    deltas = (delta(v1, v2, 2, 3), -delta(v1, v2, 1, 3), -delta(v1, v2, 1, 2))
+    for k, (dt, dx, d) in enumerate(zip(dts, dxs, deltas), 1):
+        assert sp.simplify(sp.nsimplify(dx - dt + d, rational=True)) == 0, f"R{k}"
 
 
 def test_corrupted_family_detected():

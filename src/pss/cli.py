@@ -9,6 +9,10 @@ It is parsed ahead of the command line, so explicit flags win, abbreviated
 or not, and every config value gets its flag's check.  With --deterministic
 the report contains no timestamp, so identical argv + seed give
 byte-identical files.
+
+Each command returns its report and exit code, and `run` writes the
+report after the command returns.  So when the report goes to stdout, a
+failing verdict's one stderr line comes before it.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .immersion import (
     TripleDomainError,
     codazzi_residuals,
     gauss_residual,
+    json_text,
     solve_triple,
 )
 from .verifier import DEFAULT_SEED, certify, sample_envs
@@ -287,7 +292,7 @@ def _emit(args, payload):
     doc.update(payload)
     if not args.deterministic:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json_text(doc)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -299,15 +304,18 @@ def _jsonable(v):
     return isinstance(v, (str, int, float, bool, type(None), list, tuple))
 
 
+def _no_immersion(fam, trip):
+    """The report of a branch the paper proves admits no immersion."""
+    return {"family": fam.name, "result": "no-immersion", "proposition": trip.proposition}
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 
 
 def _cmd_catalog(args):
     if not args.preset and not args.family:
-        payload = {"presets": sorted(PRESETS)}
-        _emit(args, payload)
-        return EXIT_OK
+        return {"presets": sorted(PRESETS)}, EXIT_OK
     if args.family:
         # validate params before building, so violations are reported
         # rather than thrown as a load error
@@ -327,22 +335,21 @@ def _cmd_catalog(args):
     }
     if not violations:
         payload["spec"] = (fam or family_from_dict(doc, name=name)).to_dict()
-    _emit(args, payload)
-    return EXIT_OK if not violations else EXIT_FAIL
+    return payload, EXIT_OK if not violations else EXIT_FAIL
 
 
 def _cmd_verify(args):
     fam = _load(args)
     rep = certify(fam, samples=args.samples, tol=args.tol, seed=args.seed)
-    _emit(args, rep.to_dict())
+    payload = rep.to_dict()
     if rep.verdict == "pass":
-        return EXIT_OK
+        return payload, EXIT_OK
     maxima = {k: v for k, v in rep.residuals.items() if k != "c42_min"}
     if all(v <= args.tol for v in maxima.values()):  # so only the nondegeneracy witness failed
         c42 = rep.residuals["c42_min"]
         print(f"pss: c42_min {c42:.3e}, the nondegeneracy witness, is not above the tolerance", file=sys.stderr)
-        return EXIT_FAIL
-    return _fail_on_worst(maxima, args.tol)
+        return payload, EXIT_FAIL
+    return payload, _fail_on_worst(maxima, args.tol)
 
 
 def _fail_on_worst(maxima, tol):
@@ -357,13 +364,7 @@ def _cmd_sff(args):
     fam = _load(args)
     trip = solve_triple(fam, _immersion_params(args))
     if isinstance(trip, NoImmersion):
-        _emit(args, {
-            "family": fam.name,
-            "result": "no-immersion",
-            "proposition": trip.proposition,
-            "reason": trip.reason,
-        })
-        return EXIT_NO_IMMERSION
+        return {**_no_immersion(fam, trip), "reason": trip.reason}, EXIT_NO_IMMERSION
     payload = {
         "family": fam.name,
         "result": trip.representation,
@@ -384,21 +385,18 @@ def _cmd_sff(args):
         payload["gauss_residual_max"] = float(np.max(res))
         # like verify's residuals, judged against the magnitude of its terms
         scaled = float(np.max(res / np.maximum(1.0, np.maximum(np.abs(a * c), b * b))))
-    _emit(args, payload)
     if not scaled <= args.tol:  # NaN fails too
         print(f"pss: Gauss residual {scaled:.3e} on the strip, scaled by max(1, |ac|, b^2), "
               f"exceeds --tol {args.tol:g}", file=sys.stderr)
-        return EXIT_FAIL
-    return EXIT_OK
+        return payload, EXIT_FAIL
+    return payload, EXIT_OK
 
 
 def _cmd_codazzi(args):
     fam = _load(args)
     trip = solve_triple(fam, _immersion_params(args))
     if isinstance(trip, NoImmersion):
-        _emit(args, {"family": fam.name, "result": "no-immersion",
-                     "proposition": trip.proposition})
-        return EXIT_NO_IMMERSION
+        return _no_immersion(fam, trip), EXIT_NO_IMMERSION
     rng = np.random.default_rng(args.seed)
     n = args.samples
     env = sample_envs(fam, n, rng)
@@ -422,10 +420,9 @@ def _cmd_codazzi(args):
         # each maximum on its own: max(E1, NaN) is E1, so a NaN E2 would pass
         "verdict": "pass" if e1_max <= args.tol and e2_max <= args.tol else "fail",
     }
-    _emit(args, payload)
     if payload["verdict"] == "pass":
-        return EXIT_OK
-    return _fail_on_worst({"E1_max": e1_max, "E2_max": e2_max}, args.tol)
+        return payload, EXIT_OK
+    return payload, _fail_on_worst({"E1_max": e1_max, "E2_max": e2_max}, args.tol)
 
 
 def _cmd_pde(args):
@@ -446,9 +443,8 @@ def _cmd_pde(args):
     except CflError:
         raise  # a one-line message that names dt and its cap, not a blow-up report
     except BlowUpError as exc:
-        _emit(args, {"family": fam.name, "result": "blow-up", "t": exc.t,
-                     "amplitude": exc.amplitude})
-        return EXIT_FAIL
+        print(f"pss: {exc}", file=sys.stderr)
+        return {"family": fam.name, "result": "blow-up", "t": exc.t, "amplitude": exc.amplitude}, EXIT_FAIL
     payload = {
         "family": fam.name,
         "result": "ok",
@@ -463,8 +459,7 @@ def _cmd_pde(args):
     if args.csv:
         export_csv(field, args.csv)
         payload["csv"] = args.csv
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 def _clip_to_strip(trip, xrange_, trange, margin=0.1):
@@ -501,11 +496,11 @@ def _cmd_reconstruct(args):
     fam = _load(args)
     if args.soliton and fam.is_form7:
         raise _UsageError(f"--soliton needs the sine-Gordon family, not {fam.name} (branch {fam.params.branch})")
+    if args.soliton and (args.field or args.extent):
+        raise _UsageError("--soliton uses the kink's own 1.9 x 1.9 window; it takes no --field or --extent")
     trip = solve_triple(fam, _immersion_params(args))
     if isinstance(trip, NoImmersion):
-        _emit(args, {"family": fam.name, "result": "no-immersion",
-                     "proposition": trip.proposition})
-        return EXIT_NO_IMMERSION
+        return _no_immersion(fam, trip), EXIT_NO_IMMERSION
     nxs, nts = args.grid
     if args.soliton or (not fam.is_form7 and not args.field):
         field = kink_field(args.eta, Grid1D(-6.0, 6.0, 16), t_span=(-6.0, 6.0))
@@ -543,8 +538,7 @@ def _cmd_reconstruct(args):
         write_diagnostics(mesh, args.out + ".json")
         payload["obj"] = args.out
         payload["diagnostics_file"] = args.out + ".json"
-    _emit(args, payload)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 _COMMANDS = {
@@ -568,7 +562,9 @@ def run(argv=None):
         # every command refuses or fails a non-finite result itself, so
         # numpy's warnings about computing one would only add lines
         with np.errstate(all="ignore"):
-            return _COMMANDS[args.command](args)
+            payload, code = _COMMANDS[args.command](args)
+        _emit(args, payload)
+        return code
     except ExprError as exc:  # the offset is into the expression's text, so name it
         where = "" if exc.source is None else f" in {exc.source!r}"
         print(f"pss: {exc}{where}", file=sys.stderr)

@@ -40,13 +40,12 @@ the order np.add.at took corner by corner, so K keeps its bits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .catalog import Family, delta
-from .immersion import ImmersionTriple, write_records
+from .immersion import ImmersionTriple, json_text, write_records
 from .pde import SolutionField
 
 __all__ = [
@@ -342,5 +341,4 @@ def write_diagnostics(mesh: SurfaceMesh, path):
     keys = ("K_min", "K_max", "K_mean", "drift_max", "compat_max", "degenerate_vertices")
     doc = {k: mesh.diagnostics.get(k) for k in keys}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(doc))

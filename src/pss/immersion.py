@@ -31,6 +31,7 @@ Each representation is one `ImmersionTriple` subclass that samples itself
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ __all__ = [
     "integrate_b_ode",
     "gauss_residual",
     "codazzi_residuals",
+    "json_text",
     "write_csv",
     "write_records",
 ]
@@ -473,6 +475,12 @@ def write_csv(path, header, columns):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         write_records(fh, ",".join(["%r"] * len(columns)) + "\n", rows)
+
+
+def json_text(doc):
+    """The text of every JSON document pss writes: indented, keys sorted,
+    one final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def gauss_residual(a, b, c):

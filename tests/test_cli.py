@@ -443,6 +443,29 @@ def test_reconstruct_no_immersion_families_exit_3(tmp_path):
     assert code == EXIT_NO_IMMERSION
 
 
+BLOW_UP = ["pde", "--preset", "sine-gordon", "--nx", "16", "--xmin", "0", "--xmax", "1", "--tmax", "0.06",
+           "--dt", "0.01", "--u0", "1e6 - 4 + 3.95*exp(-100000*(x-0.9375)^2)"]
+
+
+def test_reports_of_a_run_that_ends_early_keep_their_keys(tmp_path):
+    """The no-immersion reports of each command and the blow-up report, key
+    for key: only sff's no-immersion report gives the reason."""
+    rep = tmp_path / "r.json"
+    common = {"tool", "version", "command", "config"}
+    table = [
+        (["sff", "--preset", "t23-demo"], EXIT_NO_IMMERSION, {"family", "result", "proposition", "reason"}),
+        (["codazzi", "--preset", "t23-demo"], EXIT_NO_IMMERSION, {"family", "result", "proposition"}),
+        (["reconstruct", "--preset", "t23-demo", "--grid", "10x10"], EXIT_NO_IMMERSION,
+         {"family", "result", "proposition"}),
+        (BLOW_UP, EXIT_FAIL, {"family", "result", "t", "amplitude"}),
+    ]
+    for argv, want, keys in table:
+        assert run([*argv, "--report", str(rep), "--deterministic"]) == want, argv
+        doc = json.loads(rep.read_text())
+        assert set(doc) == common | keys, argv
+        assert doc["result"] == ("blow-up" if want == EXIT_FAIL else "no-immersion"), argv
+
+
 def test_full_pipeline_numeric_field_reconstruction(tmp_path):
     """solver -> saved field -> universal triple -> mesh: a marched Novikov
     solution reconstructs to a K = -1 surface on a window where the
@@ -784,9 +807,10 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     increasing, a non-finite sample), a b-ODE table that runs toward
     overflow and failing verify and codazzi verdicts each end in an exit
     code of 1, 2 or 3 and one stderr line, with no traceback and no warning,
-    as do closed-form strips whose ends are lost to rounding and --soliton
-    with a form-(7) family.  A file that cannot be read, decoded or parsed
-    is named in that line."""
+    as do closed-form strips whose ends are lost to rounding, a PDE march
+    that blows up, and --soliton with a form-(7) family or with --field or
+    --extent, on the command line or in a config.  A file that cannot be
+    read, decoded or parsed is named in that line."""
     specs = {
         "trunc": '{"branch": "T24", "params": {',
         "t99": '{"branch": "T99", "params": {}}',
@@ -795,7 +819,9 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         "t22": '{"branch": "T22", "params": {"mu2": 2.0, "eta2": 1}, "f": "s", "phi12": "z1"}',
         "t24big": '{"branch": "T24", "params": {"mu2": 0, "eta2": 1, "lam": 1, "C": 0.3}, "f": "s^2000", "phi12": "z1"}',
     }
-    configs = {"cfg5": "5", "cfglist": "[{}]", "cfgtrunc": '{"tol": '}
+    configs = {"cfg5": "5", "cfglist": "[{}]", "cfgtrunc": '{"tol": ',
+               "cfgfield": json.dumps({"field": str(tmp_path / "good.pssf")}),
+               "cfgextent": json.dumps({"extent": [0.5, 0.5]})}
     for name, text in {**specs, **configs}.items():
         (tmp_path / f"{name}.json").write_text(text)
     (tmp_path / "latin1.json").write_bytes('{"branch": "T24", "f": "\u00e9"}'.encode("latin-1"))
@@ -873,6 +899,12 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         # the kink solves only u_xt = sin u: a form-(7) family is refused, naming its branch
         (["reconstruct", "--preset", "novikov", "--soliton", "--sigma", "1e6", "--beta", "0", "--origin", "0", "0"],
          EXIT_USAGE, "(branch T24)"),
+        # the kink has its own window, so a field or an extent would be ignored
+        ([*kink, "--field", path("good.pssf")], EXIT_USAGE, "no --field or --extent"),
+        ([*kink, "--extent", "0.5", "0.5"], EXIT_USAGE, "no --field or --extent"),
+        *(([*kink, "--config", path(f"{name}.json")], EXIT_USAGE, "no --field or --extent")
+          for name in ("cfgfield", "cfgextent")),
+        (BLOW_UP, EXIT_FAIL, "exceeded the blow-up cap at t = 0.06"),
     ]
     rep = tmp_path / "r.json"
     for argv, want, named in table:
@@ -884,3 +916,8 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         assert err.startswith("pss: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
         assert named is None or named in err, (argv, err)
         assert "Traceback" not in err and "Warning" not in err and not seen, (argv, err, seen)
+    # run writes the report inside the try that turns errors into one line,
+    # so a report path that cannot be opened ends the same way
+    assert run(["catalog", "--report", path("dir.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("pss: ") and err.count("\n") == 1 and path("dir.json") in err, err

@@ -1,6 +1,8 @@
 """Every public name of `src/pss` has a user in the program or the benchmark,
 every name the benchmark reads from `src/pss` exists, and every name a
-`src/pss` module imports is read there or exported.
+`src/pss` module imports is read there or exported.  Reports keep one
+write path: only `cli.run` calls `_emit`, and one function lays out the
+text of every JSON document.
 
 A name in a module's `__all__` that only the tests call is code the
 command line, the benchmark and the reports do not need; tests keep their
@@ -124,6 +126,70 @@ def test_the_import_scan_finds_a_name_read_nowhere(tmp_path):
         "    return os.path.join(fam.name)\n"
     )
     assert unused_imports(tmp_path) == [("m", "Branch"), ("m", "partials"), ("m", "system")]
+
+
+def _callers(tree, match):
+    """The innermost function around each call in `tree` that `match`
+    accepts, in source order ("<module>" outside every function)."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and match(child):
+                out.append(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return out
+
+
+def emit_callers(root=ROOT):
+    """The functions of cli.py that call `_emit`, the one report writer."""
+    path = root / "src" / "pss" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return _callers(tree, lambda call: isinstance(call.func, ast.Name) and call.func.id == "_emit")
+
+
+def _formats_json(call):
+    return (isinstance(call.func, ast.Attribute) and call.func.attr in ("dump", "dumps")
+            and any(k.arg == "indent" for k in call.keywords))
+
+
+def json_formatters(root=ROOT):
+    """(module, function) for every json.dump or json.dumps call of src/pss
+    that lays out a document (passes `indent`)."""
+    out = []
+    for path in sorted((root / "src" / "pss").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        out += [(path.stem, where) for where in _callers(tree, _formats_json)]
+    return out
+
+
+def test_the_report_is_written_by_run_alone():
+    assert emit_callers() == ["run"]
+
+
+def test_one_function_lays_out_every_json_document():
+    assert json_formatters() == [("immersion", "json_text")]
+
+
+def test_the_write_path_scans_find_a_second_writer(tmp_path):
+    (tmp_path / "src" / "pss").mkdir(parents=True)
+    (tmp_path / "src" / "pss" / "cli.py").write_text(
+        "def _emit(args, payload):\n    print(payload)\n\n\n"
+        "def _cmd(args):\n    _emit(args, {})\n\n\n"
+        "def run(argv):\n    def inner():\n        return _emit(argv, {})\n\n    _emit(argv, inner())\n"
+    )
+    (tmp_path / "src" / "pss" / "m.py").write_text(
+        "import json\n\n\n"
+        "def text(doc):\n    return json.dumps(doc, indent=2)\n\n\n"
+        "def write(doc, fh):\n    json.dump(doc, fh, indent=2, sort_keys=True)\n    return json.dumps(doc)\n"
+    )
+    assert emit_callers(tmp_path) == ["_cmd", "inner", "run"]
+    assert json_formatters(tmp_path) == [("m", "text"), ("m", "write")]
 
 
 def _is_module(root, dotted):

@@ -4,11 +4,14 @@ Exit codes: 0 pass/success, 1 usage or configuration error, 2 verification
 failure (including PDE blow-up), 3 no-immersion (the expected negative
 result for the T23/T25 branches, still reported).
 
-A JSON config file may mirror any long flag (dashes become underscores).
-It is parsed ahead of the command line, so explicit flags win, abbreviated
-or not, and every config value gets its flag's check.  With --deterministic
-the report contains no timestamp, so identical argv + seed give
-byte-identical files.
+Each subcommand takes only the flags it reads: --seed and --samples on
+verify and codazzi, --tol on those and sff; only reconstruct --soliton
+reaches the sine-Gordon kink.  A JSON config file may mirror any long
+flag (dashes become underscores).  It is parsed ahead of the command
+line, so explicit flags win, abbreviated or not, and every config value
+gets its flag's check.  With --deterministic the report contains no
+timestamp, so identical argv + seed give byte-identical files; a
+non-finite value is written as null.
 
 Each command returns its report and exit code, and `run` writes the
 report after the command returns.  So when the report goes to stdout, a
@@ -124,7 +127,7 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"pss {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, immersion=False):
+    def common(sp, jets=False, tol=False, immersion=False):
         sp.set_defaults(_parser=sp)  # lets _apply_config check values against this parser's flags
         sp.add_argument("--preset", choices=sorted(PRESETS))
         sp.add_argument("--family", help="path to a family spec JSON")
@@ -132,9 +135,11 @@ def build_parser():
         sp.add_argument("--report", help="write the JSON report here (default: stdout)")
         sp.add_argument("--deterministic", action="store_true",
                         help="omit timestamps so reports are byte-identical")
-        sp.add_argument("--seed", type=_int_from(0, "a non-negative integer"), default=DEFAULT_SEED)
-        sp.add_argument("--tol", type=_positive, default=1e-8)
-        sp.add_argument("--samples", type=_int_from(1, "a positive integer"), default=1000)
+        if jets:  # the commands that draw random jets
+            sp.add_argument("--seed", type=_int_from(0, "a non-negative integer"), default=DEFAULT_SEED)
+            sp.add_argument("--samples", type=_int_from(1, "a positive integer"), default=1000)
+        if tol:
+            sp.add_argument("--tol", type=_positive, default=1e-8)
         if immersion:
             sp.add_argument("--sign", type=_sign, default=None, help="family sign (+/-)")
             sp.add_argument("--a-sign", dest="a_sign", type=_sign, default=1)
@@ -150,14 +155,14 @@ def build_parser():
     common(sp)
 
     sp = sub.add_parser("verify", help="structure equations + classification conditions")
-    common(sp)
+    common(sp, jets=True, tol=True)
 
     sp = sub.add_parser("sff", help="second-fundamental-form triple (CSV export)")
-    common(sp, immersion=True)
+    common(sp, tol=True, immersion=True)
     sp.add_argument("--out", help="CSV path for the triple table")
 
     sp = sub.add_parser("codazzi", help="cross-check a triple against its family")
-    common(sp, immersion=True)
+    common(sp, jets=True, tol=True, immersion=True)
 
     sp = sub.add_parser("pde", help="method-of-lines solve on a periodic grid")
     common(sp)
@@ -286,7 +291,7 @@ def _emit(args, payload):
         "command": args.command,
         "config": {
             k: v for k, v in sorted(vars(args).items())
-            if k not in ("command", "config") and not k.startswith("_") and _jsonable(v)
+            if k not in ("command", "config") and not k.startswith("_")
         },
     }
     doc.update(payload)
@@ -298,10 +303,6 @@ def _emit(args, payload):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _jsonable(v):
-    return isinstance(v, (str, int, float, bool, type(None), list, tuple))
 
 
 def _no_immersion(fam, trip):
@@ -502,7 +503,7 @@ def _cmd_reconstruct(args):
     if isinstance(trip, NoImmersion):
         return _no_immersion(fam, trip), EXIT_NO_IMMERSION
     nxs, nts = args.grid
-    if args.soliton or (not fam.is_form7 and not args.field):
+    if args.soliton:
         field = kink_field(args.eta, Grid1D(-6.0, 6.0, 16), t_span=(-6.0, 6.0))
         # one-sided window: the immersion is regular for u in (0, pi); the
         # cusp edge sin(u) = 0 and the far trumpet ends are excluded

@@ -479,8 +479,19 @@ def write_csv(path, header, columns):
 
 def json_text(doc):
     """The text of every JSON document pss writes: indented, keys sorted,
-    one final newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    one final newline, and strict JSON: a non-finite float (an unbounded
+    validity end, a NaN residual) is written as null."""
+    return json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite_or_null(v):
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return v
 
 
 def gauss_residual(a, b, c):

@@ -330,8 +330,8 @@ def test_family_spec_types_are_checked(tmp_path, capsys):
             path = tmp_path / f"spec{i}.json"
             path.write_text(json.dumps(doc))
             rep = tmp_path / f"{command}{i}.json"
-            code = run([command, "--family", str(path), "--samples", "50",
-                        "--report", str(rep), "--deterministic"])
+            samples = ["--samples", "50"] if command == "verify" else []
+            code = run([command, "--family", str(path), *samples, "--report", str(rep), "--deterministic"])
             err = capsys.readouterr().err
             if line is None:
                 assert code == EXIT_OK and err == "", (command, doc, err)
@@ -574,7 +574,7 @@ def test_pde_input_checks(tmp_path, capsys):
         (["--xmin", "1", "--xmax", "1"], "pss: --xmax must be > --xmin\n"),
         (["--dt", "0.001", "--u0", "exp(1000*cos(x))"], "pss: --u0 must be finite on the grid\n"),
         (["--u0", "1e999"], "pss: --u0 must be finite on the grid\n"),
-        (["--seed", "-1"], "pss: argument --seed: must be a non-negative integer, got '-1'\n"),
+        (["--seed", "-1"], "pss: unrecognized arguments: --seed -1\n"),  # pde draws no jets
         (["--tmax", "inf"], "pss: argument --tmax: must be finite and > 0, got 'inf'\n"),
         (["--dt", "inf"], "pss: argument --dt: must be finite and > 0, got 'inf'\n"),
         (["--dt", "nan"], "pss: argument --dt: must be finite and > 0, got 'nan'\n"),
@@ -796,7 +796,7 @@ def test_codazzi_verdict_tests_each_maximum_on_its_own(tmp_path, monkeypatch, ca
         code = run(["codazzi", *NOVIKOV_STRIP, "--samples", "50", "--report", str(rep), "--deterministic"])
         doc = json.loads(rep.read_text())
         assert (code, doc["verdict"]) == (EXIT_FAIL, "fail"), k
-        assert np.isnan(doc[f"E{k + 1}_max"]) and doc[f"E{2 - k}_max"] <= 1e-8, k
+        assert doc[f"E{k + 1}_max"] is None and doc[f"E{2 - k}_max"] <= 1e-8, k  # NaN is written as null
         assert capsys.readouterr().err == f"pss: E{k + 1}_max nan exceeds --tol 1e-08\n", k
 
 
@@ -808,9 +808,11 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     overflow and failing verify and codazzi verdicts each end in an exit
     code of 1, 2 or 3 and one stderr line, with no traceback and no warning,
     as do closed-form strips whose ends are lost to rounding, a PDE march
-    that blows up, and --soliton with a form-(7) family or with --field or
-    --extent, on the command line or in a config.  A file that cannot be
-    read, decoded or parsed is named in that line."""
+    that blows up, --soliton with a form-(7) family or with --field or
+    --extent, on the command line or in a config, a flag the subcommand
+    does not take and a sine-Gordon reconstruct with neither --soliton nor
+    --field.  A file that cannot be read, decoded or parsed is named in
+    that line, and an exit 1 writes no report."""
     specs = {
         "trunc": '{"branch": "T24", "params": {',
         "t99": '{"branch": "T99", "params": {}}',
@@ -905,14 +907,23 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         *(([*kink, "--config", path(f"{name}.json")], EXIT_USAGE, "no --field or --extent")
           for name in ("cfgfield", "cfgextent")),
         (BLOW_UP, EXIT_FAIL, "exceeded the blow-up cap at t = 0.06"),
+        # a subcommand refuses the flags it does not read
+        (["sff", *NOVIKOV_STRIP, "--seed", "1"], EXIT_USAGE, "unrecognized arguments: --seed 1"),
+        (["catalog", "--tol", "1"], EXIT_USAGE, "unrecognized arguments: --tol 1"),
+        ([*kink, "--samples", "5"], EXIT_USAGE, "unrecognized arguments: --samples 5"),
+        # without --soliton there is no kink, so no --extent to ignore
+        (["reconstruct", "--preset", "sine-gordon", "--grid", "8x8", "--extent", "0.5", "0.5"], EXIT_USAGE,
+         "reconstruct needs --soliton or --field"),
     ]
     rep = tmp_path / "r.json"
     for argv, want, named in table:
+        rep.unlink(missing_ok=True)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             code = run([*argv, "--report", str(rep), "--deterministic"])
         err = capsys.readouterr().err
         assert code == want and code in (EXIT_USAGE, EXIT_FAIL, EXIT_NO_IMMERSION), (argv, code, err)
+        assert code != EXIT_USAGE or not rep.exists(), argv
         assert err.startswith("pss: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
         assert named is None or named in err, (argv, err)
         assert "Traceback" not in err and "Warning" not in err and not seen, (argv, err, seen)
@@ -921,3 +932,84 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     assert run(["catalog", "--report", path("dir.json")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("pss: ") and err.count("\n") == 1 and path("dir.json") in err, err
+
+
+def test_every_declared_flag_is_read(tmp_path, monkeypatch):
+    """Each subcommand declares only the flags its runs read (reconstruct
+    both over the kink and over a field), and its report's config echoes
+    exactly those.  run and _emit alone read --config, --report and
+    --deterministic."""
+    field = tmp_path / "f.pssf"
+    assert run(["pde", "--preset", "novikov", "--nx", "32", "--tmax", "0.02", "--dt", "1e-3",
+                "--out", str(field), "--report", str(tmp_path / "p.json"), "--deterministic"]) == EXIT_OK
+    out = str(tmp_path / "out")
+    runs = {
+        "catalog": [["--preset", "novikov"]],
+        "verify": [["--preset", "novikov", "--samples", "50"]],
+        "sff": [[*NOVIKOV_STRIP, "--out", out]],
+        "codazzi": [[*NOVIKOV_STRIP, "--samples", "50"]],
+        "pde": [["--preset", "novikov", "--nx", "16", "--tmax", "0.01"]],
+        "reconstruct": [["--preset", "sine-gordon", "--soliton", "--grid", "8x8"],
+                        [*NOVIKOV_STRIP, "--field", str(field), "--grid", "4x4", "--extent", "0.3", "0.01"]],
+    }
+    base = {"deterministic", "family", "preset", "report"}
+    immersion = {"Cstrip", "a_sign", "b0", "beta", "eps", "h", "s0", "sigma", "sign"}
+    config = {
+        "catalog": base,
+        "verify": base | {"samples", "seed", "tol"},
+        "sff": base | immersion | {"out", "tol"},
+        "codazzi": base | immersion | {"samples", "seed", "tol"},
+        "pde": base | {"csv", "dt", "nsave", "nx", "out", "space", "tmax", "u0", "xmax", "xmin"},
+        "reconstruct": base | immersion | {"eta", "extent", "field", "grid", "origin", "out", "soliton"},
+    }
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = build_parser()
+    parse_args = parser.parse_args
+
+    def parse_recording(argv):
+        args = parse_args(argv, namespace=Recording())
+        reads.clear()  # argparse itself looks at every flag
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", parse_recording)
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    unread, echoed = {}, {}
+    rep = tmp_path / "r.json"
+    for command, argvs in runs.items():
+        declared = {a.dest for a in subcommands[command]._actions if a.option_strings} - {"help", "config"}
+        read = set()
+        for argv in argvs:
+            assert run([command, *argv, "--report", str(rep), "--deterministic"]) == EXIT_OK, argv
+            read |= reads
+            echoed.setdefault(command, set(json.loads(rep.read_text())["config"]))
+        unread[command] = sorted(declared - read - {"report", "deterministic"})
+    assert unread == {command: [] for command in runs}
+    assert echoed == config
+
+
+def test_reports_are_strict_json(tmp_path):
+    """An unbounded validity end is null in the report, not Infinity, so a
+    strict JSON reader takes every report and diagnostics file."""
+    def strict(text):
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        return json.loads(text, parse_constant=refuse)
+
+    rep, obj = tmp_path / "r.json", tmp_path / "kink.obj"
+    for argv, validity in (
+        (["sff", "--preset", "sine-gordon"], [None, None]),
+        (["sff", "--preset", "novikov", "--sigma", "3", "--beta", "0"], [-0.5493061443340549, None]),
+    ):
+        assert run([*argv, "--report", str(rep), "--deterministic"]) == EXIT_OK, argv
+        assert strict(rep.read_text())["validity"] == validity, argv
+    assert run(["reconstruct", "--preset", "sine-gordon", "--soliton", "--grid", "8x8", "--out", str(obj),
+                "--report", str(rep), "--deterministic"]) == EXIT_OK
+    strict(rep.read_text())
+    assert strict((tmp_path / "kink.obj.json").read_text())["degenerate_vertices"] == 0

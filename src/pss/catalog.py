@@ -30,10 +30,11 @@ columns.  `fij(i, j)` is a view of one entry of a column.  The entries
 read z0, z1, z2 only, so `zt` gives the on-shell z_{k,t} for k <= 2, in
 closed form.
 
-Derived constants (never user-set): gamma and eta3 for T23 (eta3 solves
-eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0, root chosen by `root`);
-mu3, eta3, m1 for T25i; mu3, eta3, m2 for T25ii (mu3 solves
-mu3^2 = 1 + mu2^2 - tau^2/m^2, root chosen by `root`).
+A spec sets only the params and expressions its branch reads (`_BRANCHES`).
+Derived constants, never user-set, are `Family.derived`, the `derived` block
+of a `catalog` report: mu3, eta3 for T22, T24; gamma for T23 (an unset eta3
+solves eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0); mu3, eta3, m1 for T25i;
+mu3, eta3, m2 for T25ii (mu3^2 = 1 + mu2^2 - tau^2/m^2).  `root` picks a root.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ __all__ = [
     "read_json",
 ]
 
-BRANCHES = ("T22", "T23", "T24", "T25i", "T25ii", "SINE_GORDON")
-
 
 class Branch:
     T22 = "T22"
@@ -77,6 +76,18 @@ class Branch:
     T25I = "T25i"
     T25II = "T25ii"
     SINE_GORDON = "SINE_GORDON"
+
+
+# each branch: the params its spec may set (sign is a top-level key of every
+# spec), its expressions, and its builder, called by name as Family._build_<name>
+_BRANCHES = {
+    Branch.T22: (("mu2", "eta2"), ("f", "phi12"), "t24"),
+    Branch.T23: (("lam", "mu2", "eta2", "mu3", "eta3", "root"), ("f",), "t23"),
+    Branch.T24: (("lam", "mu2", "eta2", "C"), ("f", "phi12"), "t24"),
+    Branch.T25I: (("lam", "theta", "B", "mu2", "eta2", "m", "n"), (), "t25i"),
+    Branch.T25II: (("lam", "tau", "mu2", "eta2", "m", "n", "root"), ("phi",), "t25ii"),
+    Branch.SINE_GORDON: (("eta",), (), "sg"),
+}
 
 
 class CatalogError(ValueError):
@@ -130,8 +141,8 @@ def resolve_params(p: FamilyParams) -> FamilyParams:
         raise ConstraintViolation(violations)
     s = float(p.sign)
     k = _k(p.mu2)
-    if p.branch == Branch.T22:
-        return replace(p, lam=0.0, mu3=s * k, eta3=s * p.mu2 * p.eta2 / k)
+    if p.branch in (Branch.T22, Branch.T24):  # T22 has lam = C = 0
+        return replace(p, mu3=s * k, eta3=s * p.mu2 * p.eta2 / k)
     if p.branch == Branch.T23:
         mu3 = p.mu3 if p.mu3 is not None else 0.0
         if p.eta3 is not None:
@@ -141,8 +152,6 @@ def resolve_params(p: FamilyParams) -> FamilyParams:
             eta3 = (p.mu2 * mu3 * p.eta2 + p.root * abs(p.eta2) * math.sqrt(disc)) / (1.0 + p.mu2**2)
         gamma = p.mu2 * mu3 * p.eta2 - (1.0 + p.mu2**2) * eta3
         return replace(p, mu3=mu3, eta3=eta3, gamma=gamma)
-    if p.branch == Branch.T24:
-        return replace(p, mu3=s * k, eta3=s * p.mu2 * p.eta2 / k)
     if p.branch == Branch.T25I:
         mu3 = s * k
         eta3 = s * (p.theta + p.m * p.mu2 * p.eta2) / (p.m * k)
@@ -162,7 +171,7 @@ def resolve_params(p: FamilyParams) -> FamilyParams:
 def validate_params(p: FamilyParams) -> list:
     """Branch constraints; empty list iff all hold."""
     out = []
-    if p.branch not in BRANCHES:
+    if p.branch not in _BRANCHES:
         return [f"unknown branch {p.branch!r}"]
     if p.sign not in (1, -1):
         out.append("sign must be +1 or -1")
@@ -280,19 +289,13 @@ class Family:
     # -- construction ---------------------------------------------------
     def _build(self):
         p = self.params
-        builder, need = {
-            Branch.T22: (self._build_t24, ("f", "phi12")),
-            Branch.T23: (self._build_t23, ("f",)),
-            Branch.T24: (self._build_t24, ("f", "phi12")),
-            Branch.T25I: (self._build_t25i, ()),
-            Branch.T25II: (self._build_t25ii, ("phi",)),
-            Branch.SINE_GORDON: (self._build_sg, ()),
-        }[p.branch]
-        have = {"f": self.f_expr, "phi12": self.phi12_expr, "phi": self.phi_expr}
-        for nm in need:
-            if have[nm] is None:
+        _, takes, builder = _BRANCHES[p.branch]
+        for nm, expr in (("f", self.f_expr), ("phi12", self.phi12_expr), ("phi", self.phi_expr)):
+            if nm in takes and expr is None:
                 raise MissingExpression(f"branch {p.branch} requires the expression {nm!r}")
-        builder(float(p.sign), _k(p.mu2))
+            if nm not in takes and expr is not None:
+                raise CatalogError(f"branch {p.branch} takes no expression {nm!r}")
+        getattr(self, f"_build_{builder}")(float(p.sign), _k(p.mu2))
 
     def _wrap(self, column1, column2, g_fn, phi12, phi_column):
         # the columns declare the coordinates they read, which the total
@@ -549,40 +552,43 @@ class Family:
     # -- serialization ----------------------------------------------------
     def to_dict(self):
         p = self.params
-        params = {k: getattr(p, k) for k in _PARAM_KEYS}
         return {
             "branch": p.branch,
-            "params": {k: v for k, v in params.items() if v is not None},
+            "params": {k: getattr(p, k) for k in _BRANCHES[p.branch][0]},  # all resolved, none None
             "f": None if self.f_expr is None else self.f_expr.src,
             "phi12": None if self.phi12_expr is None else self.phi12_expr.src,
             "phi": None if self.phi_expr is None else self.phi_expr.src,
             "sign": p.sign,
         }
 
-
-# the numeric parameters a spec's "params" holds; branch and sign are top-level keys
-_PARAM_KEYS = tuple(f.name for f in fields(FamilyParams) if f.name not in ("branch", "sign"))
+    def derived(self):
+        """The resolved constants the branch computes rather than reads."""
+        p = self.params
+        return {k: getattr(p, k) for k in ("mu3", "eta3", "gamma", "m1", "m2")
+                if k not in _BRANCHES[p.branch][0] and getattr(p, k) is not None}
 
 
 def params_from_dict(doc) -> FamilyParams:
     if not isinstance(doc, dict):
         raise CatalogError(f"family spec: must be a JSON object, got {json.dumps(doc)}")
-    allowed = {"branch", "params", "f", "phi12", "phi", "sign"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - {"branch", "params", "f", "phi12", "phi", "sign"}
     if unknown:
         raise CatalogError(f"unknown keys in family spec: {sorted(unknown)}")
-    if not isinstance(doc.get("branch"), str):
-        raise CatalogError(f"family spec: branch must be a string, got {json.dumps(doc.get('branch'))}")
-    params = doc.get("params", {})
+    branch, params = doc.get("branch"), doc.get("params", {})
+    if not isinstance(branch, str):
+        raise CatalogError(f"family spec: branch must be a string, got {json.dumps(branch)}")
     if not isinstance(params, dict):
         raise CatalogError(f"family spec: params must be a JSON object, got {json.dumps(params)}")
-    bad = set(params) - set(_PARAM_KEYS)
+    if branch not in _BRANCHES:
+        return FamilyParams(branch=branch)  # validate_params reports the unknown branch
+    inputs = _BRANCHES[branch][0]
+    bad = set(params) - set(inputs)
     if bad:
-        raise CatalogError(f"unknown parameter keys: {sorted(bad)}")
+        raise CatalogError(f"family spec: branch {branch} takes the params {list(inputs)}, not {sorted(bad)}")
     kw = {"sign": doc.get("sign", 1), **params}
     for key, val in kw.items():
         _check_param(key, val)
-    return FamilyParams(branch=doc["branch"], **kw)
+    return FamilyParams(branch=branch, **kw)
 
 
 _NULLABLE = {f.name for f in fields(FamilyParams) if f.default is None}

@@ -27,6 +27,7 @@ import math
 import re
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,10 @@ from . import __version__
 from .catalog import (
     PRESETS,
     CatalogError,
+    build_family,
+    family_from_dict,
     load_family,
+    params_from_dict,
     read_json,
     validate_params,
 )
@@ -260,14 +264,7 @@ def _load(args):
     else:
         raise _UsageError("one of --preset or --family is required")
     if getattr(args, "sign", None) is not None and fam.params.sign != args.sign:
-        from dataclasses import replace
-
-        from .catalog import build_family
-
-        fam = build_family(
-            replace(fam.params, sign=args.sign),
-            f=fam.f_expr, phi12=fam.phi12_expr, phi=fam.phi_expr, name=fam.name,
-        )
+        fam = build_family(replace(fam.params, sign=args.sign), fam.f_expr, fam.phi12_expr, fam.phi_expr, fam.name)
     return fam
 
 
@@ -318,11 +315,8 @@ def _cmd_catalog(args):
     if not args.preset and not args.family:
         return {"presets": sorted(PRESETS)}, EXIT_OK
     if args.family:
-        # validate params before building, so violations are reported
-        # rather than thrown as a load error
+        # params validated before the build: violations are reported, not thrown
         doc = read_json(args.family)
-        from .catalog import family_from_dict, params_from_dict
-
         fam, name, params = None, args.family, params_from_dict(doc)
     else:
         fam = _load(args)
@@ -335,7 +329,8 @@ def _cmd_catalog(args):
         "verdict": "pass" if not violations else "fail",
     }
     if not violations:
-        payload["spec"] = (fam or family_from_dict(doc, name=name)).to_dict()
+        fam = fam or family_from_dict(doc, name=name)
+        payload["spec"], payload["derived"] = fam.to_dict(), fam.derived()
     return payload, EXIT_OK if not violations else EXIT_FAIL
 
 
@@ -463,15 +458,15 @@ def _cmd_pde(args):
     return payload, EXIT_OK
 
 
-def _clip_to_strip(trip, xrange_, trange, margin=0.1):
+def _clip_to_strip(trip, xrange_, trange):
     """Shrink an (x, t) window so s = sx*x + st*t stays well inside the
     strip: the closed forms have c ~ 1/sqrt(L) near the edges, so a thin
     margin makes the frame ODE stiff there.  The sine-Gordon triple (sx = st
     = 0, an unbounded strip) leaves the window as it is."""
     lo, hi = trip.validity
-    width = hi - lo if np.isfinite(hi - lo) else 1.0
-    lo2 = lo + margin * width if np.isfinite(lo) else -np.inf
-    hi2 = hi - margin * width if np.isfinite(hi) else np.inf
+    margin = 0.1 * (hi - lo if np.isfinite(hi - lo) else 1.0)
+    lo2 = lo + margin if np.isfinite(lo) else -np.inf
+    hi2 = hi - margin if np.isfinite(hi) else np.inf
     (xlo, xhi), (tlo, thi) = xrange_, trange
     if trip.sx == 0.0 and trip.st != 0.0:
         a, b = sorted((lo2 / trip.st, hi2 / trip.st))

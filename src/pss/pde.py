@@ -166,18 +166,17 @@ def spectral_derivative(grid: Grid1D, u, m):
 
 
 def cumulative_integral(f, dx, order=4):
-    """Antiderivative samples with I[0] = 0; composite 4th-order (or trapezoid)."""
+    """Antiderivative samples, I[0] = 0, of n >= 4 samples; composite 4th-order (or trapezoid)."""
     f = np.asarray(f, dtype=float)
     n = len(f)
     out = np.zeros(n)
-    if order <= 2 or n < 4:
+    if order <= 2:
         out[1:] = np.cumsum(0.5 * (f[1:] + f[:-1])) * dx
         return out
     inc = np.empty(n - 1)
     inc[0] = dx / 24.0 * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
     inc[-1] = dx / 24.0 * (9.0 * f[-1] + 19.0 * f[-2] - 5.0 * f[-3] + f[-4])
-    if n > 3:
-        inc[1:-1] = dx / 24.0 * (-f[:-3] + 13.0 * f[1:-2] + 13.0 * f[2:-1] - f[3:])
+    inc[1:-1] = dx / 24.0 * (-f[:-3] + 13.0 * f[1:-2] + 13.0 * f[2:-1] - f[3:])
     out[1:] = np.cumsum(inc)
     return out
 

@@ -358,10 +358,13 @@ def test_t22_refuses_C_as_it_refuses_lam():
 
 
 def test_family_spec_roundtrip(tmp_path):
-    """Every preset's spec, derived constants included, reads back as the
-    same resolved params and writes the same spec."""
+    """Every preset's spec reads back as the same resolved params and writes
+    the same spec.  The spec holds only its branch's inputs, and those with
+    the derived constants make up every resolved param."""
     from pss.catalog import load_family
 
+    derived = {"novikov": {"mu3", "eta3"}, "sine-gordon": set(), "t22-demo": {"mu3", "eta3"},
+               "t23-demo": {"gamma"}, "t25i-demo": {"mu3", "eta3", "m1"}, "t25ii-demo": {"mu3", "eta3", "m2"}}
     for name in sorted(PRESETS):
         fam = PRESETS[name]()
         doc = fam.to_dict()
@@ -369,8 +372,8 @@ def test_family_spec_roundtrip(tmp_path):
         path.write_text(json.dumps(doc))
         fam2 = load_family(path)
         assert fam2.params == fam.params and fam2.to_dict() == doc, name
-        written = {k for k, v in vars(fam.params).items() if v is not None} - {"branch", "sign"}
-        assert set(doc["params"]) == written, name
+        assert set(fam.derived()) == derived[name], name
+        assert FamilyParams(branch=doc["branch"], sign=doc["sign"], **doc["params"], **fam.derived()) == fam.params, name
     p = jp(0.4, -0.2, 0.8, 0.1)
     novikov = load_family(tmp_path / "novikov.json")
     assert novikov.params.branch == Branch.T24
@@ -382,6 +385,48 @@ def test_family_spec_unknown_keys_rejected():
         family_from_dict({"branch": "T24", "params": {}, "frobnicate": 1})
     with pytest.raises(CatalogError):
         family_from_dict({"branch": "T24", "params": {"lambda": 1.0}})
+
+
+def test_each_branch_takes_exactly_the_spec_values_it_reads():
+    """Each row of the branch table is exact.  A spec param or expression
+    outside a branch's row is refused, and changing any one in it changes a
+    column or G on a fixed jet (T23's root with eta3 unset, so that root
+    picks eta3)."""
+    from dataclasses import fields
+
+    from pss.catalog import _BRANCHES, params_from_dict
+
+    specs = {
+        "T22": {"params": {"mu2": 0.3, "eta2": 1.0}, "f": "s", "phi12": "z1"},
+        "T23": {"params": {"lam": 1.0, "mu2": 0.0, "eta2": 1.0}, "f": "s"},
+        "T24": {"params": {"lam": 1.0, "mu2": 0.3, "eta2": 1.0}, "f": "s", "phi12": "z1"},
+        "T25i": {"params": {"lam": 1.0, "theta": 1.0, "B": 1.0, "mu2": 0.3, "eta2": 1.0, "m": 1.0, "n": 0.2}},
+        "T25ii": {"params": {"lam": 1.0, "tau": 1.0, "mu2": 0.3, "eta2": 1.0, "m": 2.0, "n": 0.2},
+                  "phi": "exp(z0)"},
+        "SINE_GORDON": {"params": {}},
+    }
+    changed = {"root": -1, "eta3": -1.0, "f": "s^3", "phi12": "z1 + z0", "phi": "exp(2*z0)"}
+    env = {"x": 0.0, "t": 0.0, "z0": 0.4, "z1": -0.3, "z2": 0.7, "z3": 0.2, "w1": 0.1, "v1": 0.2}
+
+    def values(doc):
+        fam = family_from_dict(doc)
+        return fam.column(1)(env), fam.column(2)(env), fam.G_fn and fam.G_fn(env)
+
+    assert set(specs) == set(_BRANCHES)
+    for branch, (inputs, exprs, _) in _BRANCHES.items():
+        base = {"branch": branch, **specs[branch]}
+        for key in {f.name for f in fields(FamilyParams)} - set(inputs):
+            with pytest.raises(CatalogError, match=f"branch {branch} takes the params"):
+                params_from_dict({**base, "params": {key: 1}})
+        for key in {"f", "phi12", "phi"} - set(exprs):
+            with pytest.raises(CatalogError, match=f"branch {branch} takes no expression '{key}'"):
+                family_from_dict({**base, key: changed[key]})
+        want = values(base)
+        for key in inputs:
+            params = {**base["params"], key: changed.get(key, base["params"].get(key, 0.0) + 0.5)}
+            assert values({**base, "params": params}) != want, (branch, key)
+        for key in exprs:
+            assert values({**base, key: changed[key]}) != want, (branch, key)
 
 
 def test_sign_flip_changes_eta3_sign_t22():

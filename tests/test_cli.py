@@ -299,10 +299,14 @@ def test_catalog_validates_family(tmp_path):
             "f": "s", "phi12": "z0*(z1-z0)^2", "sign": 1}
     p.write_text(json.dumps(good))
     assert run(["catalog", "--family", str(p), "--report", str(rep), "--deterministic"]) == EXIT_OK
+    # the spec echoes only the inputs; the resolved constants are reported beside it
+    doc = json.loads(rep.read_text())
+    assert doc["spec"] == {**good, "params": {**good["params"], "mu2": 0.0}, "phi": None}
+    assert doc["derived"] == {"mu3": 1.0, "eta3": 0.0}
 
 
 def test_family_spec_types_are_checked(tmp_path, capsys):
-    base = {"branch": "T22", "params": {"mu2": 0.0, "eta2": 1.0}, "f": "s", "phi12": "z1", "sign": 1}
+    base = {"branch": "T23", "params": {"lam": 1.0, "mu2": 0.0, "eta2": 1.0}, "f": "s", "sign": 1}
 
     def spec(**change):
         return {**base, **change}
@@ -323,7 +327,7 @@ def test_family_spec_types_are_checked(tmp_path, capsys):
         (with_params(root="a"), 'root must be an integer, got "a"'),
         (with_params(mu3="x"), 'mu3 must be a number or null, got "x"'),
         (spec(f=3), "f must be a string or null, got 3"),
-        (spec(params={"mu2": 0, "eta2": 1, "mu3": None, "root": -1}), None),
+        (spec(params={"lam": 1, "mu2": 0, "eta2": 1, "mu3": None, "root": -1}), None),
     ]
     for command in ("verify", "catalog"):
         for i, (doc, line) in enumerate(table):
@@ -647,16 +651,16 @@ def test_expression_errors_name_their_expression(tmp_path, capsys):
 
 
 def test_t22_with_C_ends_as_t22_with_lam(tmp_path, capsys):
-    """C, like lam, has no place in a T22 spec: one stderr line and the same exit code."""
-    for key, line in (("lam", "T22 has no lam*u^2*u_xxx term (lam must be 0)"),
-                      ("C", "T22 has no C term (C must be 0)")):
+    """C, like lam, has no place in a T22 spec: verify and catalog refuse
+    either key in the same one stderr line, exit 1, and write no report."""
+    for key in ("lam", "C"):
         path = tmp_path / f"t22-{key}.json"
         path.write_text(json.dumps({"branch": "T22", "params": {"eta2": 1, key: 0.5}, "f": "s", "phi12": "z1"}))
-        assert run(["verify", "--family", str(path), "--deterministic"]) == EXIT_USAGE, key
-        assert capsys.readouterr().err == f"pss: {line}\n"
-        rep = tmp_path / "catalog.json"
-        assert run(["catalog", "--family", str(path), "--report", str(rep), "--deterministic"]) == EXIT_FAIL, key
-        assert json.loads(rep.read_text())["violations"] == [line]
+        line = f"pss: family spec: branch T22 takes the params ['mu2', 'eta2'], not ['{key}']\n"
+        rep = tmp_path / "r.json"
+        for command in ("verify", "catalog"):
+            assert run([command, "--family", str(path), "--report", str(rep), "--deterministic"]) == EXIT_USAGE
+            assert capsys.readouterr().err == line and not rep.exists(), (command, key)
 
 
 def test_sine_gordon_triple_leaves_a_field_window_as_it_is():
@@ -810,9 +814,10 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     as do closed-form strips whose ends are lost to rounding, a PDE march
     that blows up, --soliton with a form-(7) family or with --field or
     --extent, on the command line or in a config, a flag the subcommand
-    does not take and a sine-Gordon reconstruct with neither --soliton nor
-    --field.  A file that cannot be read, decoded or parsed is named in
-    that line, and an exit 1 writes no report."""
+    does not take, a spec param or expression its branch does not read and
+    a sine-Gordon reconstruct with neither --soliton nor --field.  A file
+    that cannot be read, decoded or parsed is named in that line, and an
+    exit 1 writes no report."""
     specs = {
         "trunc": '{"branch": "T24", "params": {',
         "t99": '{"branch": "T99", "params": {}}',
@@ -820,6 +825,13 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         "badexpr": '{"branch": "T24", "params": {"lam": 1, "eta2": 1}, "f": "s +", "phi12": "z1"}',
         "t22": '{"branch": "T22", "params": {"mu2": 2.0, "eta2": 1}, "f": "s", "phi12": "z1"}',
         "t24big": '{"branch": "T24", "params": {"mu2": 0, "eta2": 1, "lam": 1, "C": 0.3}, "f": "s^2000", "phi12": "z1"}',
+        # a param or an expression that the branch does not read
+        "t25i_f": '{"branch": "T25i", "params": {"lam": 1, "theta": 1, "B": 1, "mu2": 0, "eta2": 1, "m": 1, "n": 0}, '
+                  '"f": "s^3"}',
+        "t23_phi12": '{"branch": "T23", "params": {"lam": 1, "eta2": 1}, "f": "s", "phi12": "z1"}',
+        "t24_gamma": '{"branch": "T24", "params": {"lam": 1, "eta2": 1, "gamma": 7}, "f": "s", "phi12": "z1"}',
+        "t22_lam": '{"branch": "T22", "params": {"eta2": 1, "lam": 0}, "f": "s", "phi12": "z1"}',
+        "sg_root": '{"branch": "SINE_GORDON", "params": {"root": -1}}',
     }
     configs = {"cfg5": "5", "cfglist": "[{}]", "cfgtrunc": '{"tol": ',
                "cfgfield": json.dumps({"field": str(tmp_path / "good.pssf")}),
@@ -873,6 +885,10 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         (["verify", *family("missing")], EXIT_USAGE, path("missing.json")),
         (["verify", *family("trunc")], EXIT_USAGE, path("trunc.json")),
         *((["verify", *family(name)], EXIT_USAGE, None) for name in ("t99", "nophi", "badexpr")),
+        *(([command, *family(name)], EXIT_USAGE, f"branch {branch} takes")
+          for command in ("verify", "catalog")
+          for name, branch in (("t25i_f", "T25i"), ("t23_phi12", "T23"), ("t24_gamma", "T24"),
+                               ("t22_lam", "T22"), ("sg_root", "SINE_GORDON"))),
         *((field(name), EXIT_FAIL, path(f"{name}.pssf")) for name in pssf),
         *((["verify", "--preset", "novikov", "--config", path(f"{name}.json")], EXIT_USAGE, None)
           for name in ("cfg5", "cfglist")),

@@ -13,7 +13,8 @@ F = lam*z0^2*z3 + G.  The branches:
     SINE_GORDON the classical reference case u_xt = sin(u)
 
 Every +- / -+ printed in a branch is resolved by the single `sign`
-parameter read vertically: +- maps to sign, -+ maps to -sign.  Structural
+parameter read vertically: +- maps to sign, -+ maps to -sign.  T23 and
+SINE_GORDON print none, so their sign must stay +1.  Structural
 identities shared by the five form-(7) branches (all but SINE_GORDON):
 
     f_p1 = mu_p * f11 + eta_p           (p = 2, 3)
@@ -32,7 +33,7 @@ closed form.
 
 A spec sets only the params and expressions its branch reads (`_BRANCHES`).
 Derived constants, never user-set, are `Family.derived`, the `derived` block
-of a `catalog` report: mu3, eta3 for T22, T24; gamma for T23 (an unset eta3
+of a `catalog` report: mu3, eta3 for T22, T24; eta3, gamma for T23 (eta3
 solves eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0); mu3, eta3, m1 for T25i;
 mu3, eta3, m2 for T25ii (mu3^2 = 1 + mu2^2 - tau^2/m^2).  `root` picks a root.
 """
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -79,10 +81,11 @@ class Branch:
 
 
 # each branch: the params its spec may set (sign is a top-level key of every
-# spec), its expressions, and its builder, called by name as Family._build_<name>
+# spec, read by all but T23 and SINE_GORDON), its expressions, and its
+# builder, called by name as Family._build_<name>
 _BRANCHES = {
     Branch.T22: (("mu2", "eta2"), ("f", "phi12"), "t24"),
-    Branch.T23: (("lam", "mu2", "eta2", "mu3", "eta3", "root"), ("f",), "t23"),
+    Branch.T23: (("lam", "mu2", "eta2", "mu3", "root"), ("f",), "t23"),
     Branch.T24: (("lam", "mu2", "eta2", "C"), ("f", "phi12"), "t24"),
     Branch.T25I: (("lam", "theta", "B", "mu2", "eta2", "m", "n"), (), "t25i"),
     Branch.T25II: (("lam", "tau", "mu2", "eta2", "m", "n", "root"), ("phi",), "t25ii"),
@@ -126,110 +129,92 @@ class FamilyParams:
     root: int = 1
 
 
-def _close(a, b, scale=1.0):
-    return abs(a - b) <= 1e-10 * max(1.0, abs(scale), abs(a), abs(b))
-
-
 def _k(mu2):
     return math.sqrt(1.0 + mu2 * mu2)
 
 
+def _resolve(p: FamilyParams):
+    """(violations, derived) of `p` in one pass over its branch: each
+    constraint is checked next to the constant it guards, and the constants
+    the branch computes rather than reads (with T23's unset mu3 as 0) are
+    computed only once every constraint before them holds."""
+    if p.branch not in _BRANCHES:
+        return [f"unknown branch {p.branch!r}"], {}
+    out, derived = [], {}
+
+    def holds(ok, violation):
+        if not ok:
+            out.append(violation)
+        return ok
+
+    if p.branch in (Branch.T23, Branch.SINE_GORDON):  # no formula of these two reads a sign
+        holds(p.sign == 1, f"{p.branch} reads no sign (sign must be +1, got {p.sign})")
+    else:
+        holds(p.sign in (1, -1), "sign must be +1 or -1")
+    holds(p.root in (1, -1), "root must be +1 or -1")
+    lam, mu2, eta2 = p.lam, p.mu2, p.eta2
+    if p.branch in (Branch.T22, Branch.T24):
+        if p.branch == Branch.T22:  # T24 at lam = C = 0
+            holds(eta2 != 0, "eta2 != 0 violated (eta2 = 0)")
+            holds(lam == 0, "T22 has no lam*u^2*u_xxx term (lam must be 0)")
+            holds(p.C == 0, "T22 has no C term (C must be 0)")
+        else:
+            holds((lam * eta2) ** 2 + p.C**2 != 0,
+                  f"(lam*eta2)^2 + C^2 != 0 violated (lam = {lam}, eta2 = {eta2}, C = {p.C})")
+        if not out:
+            s, k = float(p.sign), _k(mu2)
+            derived = {"mu3": s * k, "eta3": s * mu2 * eta2 / k}
+    elif p.branch == Branch.T23:
+        holds(lam != 0, "lam != 0 violated (lam = 0)")
+        holds(eta2 != 0, "eta2 != 0 violated (eta2 = 0)")
+        mu3 = p.mu3 if p.mu3 is not None else 0.0
+        disc = 1.0 + mu2**2 - mu3**2
+        holds(not disc <= 0, "eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0 has no real eta3 with "
+              f"gamma != 0 (needs mu3^2 < 1 + mu2^2, got mu3 = {mu3})")
+        if not out:  # root picks the root of the eta3 quadratic
+            eta3 = (mu2 * mu3 * eta2 + p.root * abs(eta2) * math.sqrt(disc)) / (1.0 + mu2**2)
+            gamma = mu2 * mu3 * eta2 - (1.0 + mu2**2) * eta3
+            holds(gamma != 0, "gamma = mu2*mu3*eta2 - (1+mu2^2)*eta3 != 0 violated (gamma = 0)")
+            derived = {"mu3": mu3, "eta3": eta3, "gamma": gamma}
+    elif p.branch == Branch.T25I:
+        holds(p.theta != 0, "theta != 0 violated (theta = 0)")
+        holds(lam**2 + p.B**2 != 0, "lam^2 + B^2 != 0 violated (lam = B = 0)")
+        holds(p.m != 0, "m != 0 violated (m = 0)")
+        if not out:
+            s, k = float(p.sign), _k(mu2)
+            eta3 = s * (p.theta + p.m * mu2 * eta2) / (p.m * k)
+            m1 = 2.0 * p.n / p.m - 1.0 / p.theta + (eta2**2 - eta3**2) / p.theta
+            derived = {"mu3": s * k, "eta3": eta3, "m1": m1}
+    elif p.branch == Branch.T25II:
+        tau, m = p.tau, p.m
+        holds(tau > 0, f"tau > 0 violated (tau = {tau})")
+        if holds(m * eta2 != 0, f"m*eta2 != 0 violated (m = {m}, eta2 = {eta2})"):
+            disc = 1.0 + mu2**2 - (tau / m) ** 2
+            holds(not disc < 0, f"mu3^2 = 1 + mu2^2 - tau^2/m^2 has no real root (tau/m = {tau / m})")
+        if not out:  # root picks the root of the mu3 quadratic
+            s = float(p.sign)
+            mu3 = p.root * math.sqrt(disc)
+            eta3 = eta2 * (mu2 * mu3 - s * tau / m) / (1.0 + mu2**2)
+            # X = s*tau*(n/m - m2) must equal eta2*(mu3 + s*tau*mu2/m)/k^2
+            X = eta2 * (mu3 + s * tau * mu2 / m) / (1.0 + mu2**2)
+            m2 = p.n / m - s * X / tau
+            derived = {"mu3": mu3, "eta3": eta3, "m2": m2}
+    else:
+        holds(p.eta != 0, "eta != 0 violated (eta = 0)")
+    return out, derived
+
+
 def resolve_params(p: FamilyParams) -> FamilyParams:
     """Fill in the derived constants; raise on violated constraints."""
-    violations = validate_params(p)
+    violations, derived = _resolve(p)
     if violations:
         raise ConstraintViolation(violations)
-    s = float(p.sign)
-    k = _k(p.mu2)
-    if p.branch in (Branch.T22, Branch.T24):  # T22 has lam = C = 0
-        return replace(p, mu3=s * k, eta3=s * p.mu2 * p.eta2 / k)
-    if p.branch == Branch.T23:
-        mu3 = p.mu3 if p.mu3 is not None else 0.0
-        if p.eta3 is not None:
-            eta3 = p.eta3
-        else:
-            disc = 1.0 + p.mu2**2 - mu3**2
-            eta3 = (p.mu2 * mu3 * p.eta2 + p.root * abs(p.eta2) * math.sqrt(disc)) / (1.0 + p.mu2**2)
-        gamma = p.mu2 * mu3 * p.eta2 - (1.0 + p.mu2**2) * eta3
-        return replace(p, mu3=mu3, eta3=eta3, gamma=gamma)
-    if p.branch == Branch.T25I:
-        mu3 = s * k
-        eta3 = s * (p.theta + p.m * p.mu2 * p.eta2) / (p.m * k)
-        m1 = 2.0 * p.n / p.m - 1.0 / p.theta + (p.eta2**2 - eta3**2) / p.theta
-        return replace(p, mu3=mu3, eta3=eta3, m1=m1)
-    if p.branch == Branch.T25II:
-        disc = 1.0 + p.mu2**2 - (p.tau / p.m) ** 2
-        mu3 = p.root * math.sqrt(disc)
-        eta3 = p.eta2 * (p.mu2 * mu3 - s * p.tau / p.m) / (1.0 + p.mu2**2)
-        # X = s*tau*(n/m - m2) must equal eta2*(mu3 + s*tau*mu2/m)/k^2
-        X = p.eta2 * (mu3 + s * p.tau * p.mu2 / p.m) / (1.0 + p.mu2**2)
-        m2 = p.n / p.m - s * X / p.tau
-        return replace(p, mu3=mu3, eta3=eta3, m2=m2)
-    return p
+    return replace(p, **derived)
 
 
 def validate_params(p: FamilyParams) -> list:
     """Branch constraints; empty list iff all hold."""
-    out = []
-    if p.branch not in _BRANCHES:
-        return [f"unknown branch {p.branch!r}"]
-    if p.sign not in (1, -1):
-        out.append("sign must be +1 or -1")
-    if p.root not in (1, -1):
-        out.append("root must be +1 or -1")
-    if p.branch == Branch.T22:
-        if p.eta2 == 0:
-            out.append("eta2 != 0 violated (eta2 = 0)")
-        if p.lam not in (0, 0.0):
-            out.append("T22 has no lam*u^2*u_xxx term (lam must be 0)")
-        if p.C not in (0, 0.0):
-            out.append("T22 has no C term (C must be 0)")
-    elif p.branch == Branch.T23:
-        if p.lam == 0:
-            out.append("lam != 0 violated (lam = 0)")
-        if p.eta2 == 0:
-            out.append("eta2 != 0 violated (eta2 = 0)")
-        mu3 = p.mu3 if p.mu3 is not None else 0.0
-        disc = 1.0 + p.mu2**2 - mu3**2
-        if p.eta3 is not None:
-            quad = p.eta2**2 - p.eta3**2 - (p.mu2 * p.eta3 - mu3 * p.eta2) ** 2
-            if not _close(quad, 0.0, scale=p.eta2**2):
-                out.append(
-                    "eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0 violated "
-                    f"(residual {quad:.3e} at eta3 = {p.eta3})"
-                )
-            gamma = p.mu2 * mu3 * p.eta2 - (1.0 + p.mu2**2) * p.eta3
-            if gamma == 0:
-                out.append("gamma = mu2*mu3*eta2 - (1+mu2^2)*eta3 != 0 violated (gamma = 0)")
-        elif disc <= 0:
-            out.append(
-                "eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0 has no real eta3 with "
-                f"gamma != 0 (needs mu3^2 < 1 + mu2^2, got mu3 = {mu3})"
-            )
-    elif p.branch == Branch.T24:
-        if (p.lam * p.eta2) ** 2 + p.C**2 == 0:
-            out.append(f"(lam*eta2)^2 + C^2 != 0 violated (lam = {p.lam}, eta2 = {p.eta2}, C = {p.C})")
-    elif p.branch == Branch.T25I:
-        if p.theta == 0:
-            out.append("theta != 0 violated (theta = 0)")
-        if p.lam**2 + p.B**2 == 0:
-            out.append("lam^2 + B^2 != 0 violated (lam = B = 0)")
-        if p.m == 0:
-            out.append("m != 0 violated (m = 0)")
-    elif p.branch == Branch.T25II:
-        if not p.tau > 0:
-            out.append(f"tau > 0 violated (tau = {p.tau})")
-        if p.m * p.eta2 == 0:
-            out.append(f"m*eta2 != 0 violated (m = {p.m}, eta2 = {p.eta2})")
-        elif 1.0 + p.mu2**2 - (p.tau / p.m) ** 2 < 0:
-            out.append(
-                "mu3^2 = 1 + mu2^2 - tau^2/m^2 has no real root "
-                f"(tau/m = {p.tau / p.m})"
-            )
-    elif p.branch == Branch.SINE_GORDON:
-        if p.eta == 0:
-            out.append("eta != 0 violated (eta = 0)")
-    return out
+    return _resolve(p)[0]
 
 
 # ----------------------------------------------------------------------
@@ -544,7 +529,7 @@ class Family:
             ok &= np.abs(primal(fp)) > 1e-3
         p12 = self.phi12_fn(env)
         ok &= np.abs(primal(p12)) > 1e-3
-        if self.params.branch == Branch.T25II:
+        if self.phi_expr is not None:
             (pv,) = _uni_derivs(self.phi_expr, "z0", env["z0"], 0)
             ok &= np.abs(primal(pv)) > 1e-3
         return ok
@@ -599,6 +584,8 @@ def _check_param(key, val):
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if key in ("sign", "root"):
         ok, want = number and isinstance(val, int), "an integer"
+    elif number and isinstance(val, int) and abs(val) > sys.float_info.max:  # float arithmetic would overflow
+        ok, want = False, "a number within float range"
     elif key in _NULLABLE:
         ok, want = number or val is None, "a number or null"
     else:
@@ -618,11 +605,12 @@ def family_from_dict(doc, name=None) -> Family:
 
 def read_json(path):
     """The JSON document in the UTF-8 file `path`; a file that is not UTF-8
-    or not JSON raises CatalogError naming it."""
+    or not JSON, or holds an integer too long for int(), raises CatalogError
+    naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise CatalogError(f"{path}: {exc}") from exc
 
 

@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,11 +56,14 @@ def test_t22_eta2_zero_violation():
     assert any("eta2 != 0" in s for s in v)
 
 
-def test_t23_inconsistent_eta3_is_a_constraint_error():
-    p = FamilyParams(branch=Branch.T23, lam=1.0, eta2=1.0, mu2=0.0, mu3=0.0, eta3=0.5)
-    v = validate_params(p)
-    assert any("eta2^2 - eta3^2" in s for s in v)
-    with pytest.raises(ConstraintViolation):
+def test_t23_gamma_that_rounds_to_zero_is_a_constraint_error():
+    """eta3 is a real root here (mu3^2 < 1 + mu2^2 in floats), but gamma =
+    mu2*mu3*eta2 - (1+mu2^2)*eta3 rounds to 0, which G divides by."""
+    p = FamilyParams(branch=Branch.T23, lam=1.0, mu2=1e10, eta2=1.0, mu3=9999999999.999998)
+    assert 1.0 + p.mu2**2 - p.mu3**2 > 0
+    gamma_zero = "gamma = mu2*mu3*eta2 - (1+mu2^2)*eta3 != 0 violated (gamma = 0)"
+    assert validate_params(p) == [gamma_zero]
+    with pytest.raises(ConstraintViolation, match=re.escape(gamma_zero)):
         build_family(p, f="s")
 
 
@@ -364,7 +369,7 @@ def test_family_spec_roundtrip(tmp_path):
     from pss.catalog import load_family
 
     derived = {"novikov": {"mu3", "eta3"}, "sine-gordon": set(), "t22-demo": {"mu3", "eta3"},
-               "t23-demo": {"gamma"}, "t25i-demo": {"mu3", "eta3", "m1"}, "t25ii-demo": {"mu3", "eta3", "m2"}}
+               "t23-demo": {"eta3", "gamma"}, "t25i-demo": {"mu3", "eta3", "m1"}, "t25ii-demo": {"mu3", "eta3", "m2"}}
     for name in sorted(PRESETS):
         fam = PRESETS[name]()
         doc = fam.to_dict()
@@ -389,9 +394,10 @@ def test_family_spec_unknown_keys_rejected():
 
 def test_each_branch_takes_exactly_the_spec_values_it_reads():
     """Each row of the branch table is exact.  A spec param or expression
-    outside a branch's row is refused, and changing any one in it changes a
-    column or G on a fixed jet (T23's root with eta3 unset, so that root
-    picks eta3)."""
+    outside a branch's row is refused (T23's eta3 among them: root picks it),
+    and changing any one in it changes a column or G on a fixed jet.  So does
+    flipping the top-level sign of a branch that reads it; T23 and
+    SINE_GORDON read none and refuse a sign of -1."""
     from dataclasses import fields
 
     from pss.catalog import _BRANCHES, params_from_dict
@@ -405,7 +411,7 @@ def test_each_branch_takes_exactly_the_spec_values_it_reads():
                   "phi": "exp(z0)"},
         "SINE_GORDON": {"params": {}},
     }
-    changed = {"root": -1, "eta3": -1.0, "f": "s^3", "phi12": "z1 + z0", "phi": "exp(2*z0)"}
+    changed = {"root": -1, "f": "s^3", "phi12": "z1 + z0", "phi": "exp(2*z0)"}
     env = {"x": 0.0, "t": 0.0, "z0": 0.4, "z1": -0.3, "z2": 0.7, "z3": 0.2, "w1": 0.1, "v1": 0.2}
 
     def values(doc):
@@ -427,6 +433,30 @@ def test_each_branch_takes_exactly_the_spec_values_it_reads():
             assert values({**base, "params": params}) != want, (branch, key)
         for key in exprs:
             assert values({**base, key: changed[key]}) != want, (branch, key)
+        if branch in ("T23", "SINE_GORDON"):
+            with pytest.raises(ConstraintViolation, match=f"{branch} reads no sign"):
+                family_from_dict({**base, "sign": -1})
+        else:
+            assert values({**base, "sign": -1}) != want, branch
+
+
+def _readme_branch_table(text):
+    """{branch: (params, expressions)} from the rows of README's branch table."""
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \| ([^|]*) \|$", text, flags=re.M)
+    return {branch: tuple(tuple(w for w in cell.strip(" `").split() if w != "none") for cell in cells)
+            for branch, *cells in rows}
+
+
+def test_readme_branch_table_matches_the_catalog():
+    """Each row of README's branch table names its branch's params and
+    expressions as catalog._BRANCHES does, in order; a stale row fails."""
+    from pss.catalog import _BRANCHES
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    want = {branch: (inputs, exprs) for branch, (inputs, exprs, _) in _BRANCHES.items()}
+    assert _readme_branch_table(text) == want
+    stale = text.replace("| `T23` | `lam mu2 eta2 mu3 root` |", "| `T23` | `lam mu2 eta2 mu3 eta3 root` |")
+    assert stale != text and _readme_branch_table(stale) != want
 
 
 def test_sign_flip_changes_eta3_sign_t22():

@@ -31,8 +31,8 @@ def test_verify_novikov_passes(tmp_path):
 
 
 def test_verify_failure_exit_code(tmp_path):
-    # a corrupted family spec: T23 with an eta3 that violates the quadratic
-    spec = {"branch": "T23", "params": {"lam": 1.0, "eta2": 1.0, "mu3": 0.0, "eta3": 0.5},
+    # a corrupted family spec: T23 with mu3^2 >= 1 + mu2^2, so no real eta3
+    spec = {"branch": "T23", "params": {"lam": 1.0, "eta2": 1.0, "mu2": 0.0, "mu3": 1.0},
             "f": "s", "sign": 1}
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(spec))
@@ -804,6 +804,9 @@ def test_codazzi_verdict_tests_each_maximum_on_its_own(tmp_path, monkeypatch, ca
         assert capsys.readouterr().err == f"pss: E{k + 1}_max nan exceeds --tol 1e-08\n", k
 
 
+GAMMA_ZERO = "gamma = mu2*mu3*eta2 - (1+mu2^2)*eta3 != 0 violated (gamma = 0)"
+
+
 def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, capsys):
     """Bad argv, malformed family specs and configs, files that are not UTF-8
     or are directories, truncated or inconsistent PSSF files (nx < 16, an
@@ -814,10 +817,12 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     as do closed-form strips whose ends are lost to rounding, a PDE march
     that blows up, --soliton with a form-(7) family or with --field or
     --extent, on the command line or in a config, a flag the subcommand
-    does not take, a spec param or expression its branch does not read and
-    a sine-Gordon reconstruct with neither --soliton nor --field.  A file
-    that cannot be read, decoded or parsed is named in that line, and an
-    exit 1 writes no report."""
+    does not take, a spec param or expression its branch does not read, a
+    sign of -1 for a branch that reads no sign, a T23 gamma that rounds to
+    0, a spec integer beyond float range or too long to parse and a
+    sine-Gordon reconstruct with neither --soliton nor --field.  A file that
+    cannot be read, decoded or parsed is named in that line, and an exit 1
+    writes no report; catalog reports the gamma violation, exit 2."""
     specs = {
         "trunc": '{"branch": "T24", "params": {',
         "t99": '{"branch": "T99", "params": {}}',
@@ -832,6 +837,13 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         "t24_gamma": '{"branch": "T24", "params": {"lam": 1, "eta2": 1, "gamma": 7}, "f": "s", "phi12": "z1"}',
         "t22_lam": '{"branch": "T22", "params": {"eta2": 1, "lam": 0}, "f": "s", "phi12": "z1"}',
         "sg_root": '{"branch": "SINE_GORDON", "params": {"root": -1}}',
+        "t23_sign": '{"branch": "T23", "params": {"lam": 1, "eta2": 1}, "f": "s", "sign": -1}',
+        # eta3 is a real root, but gamma = mu2*mu3*eta2 - (1+mu2^2)*eta3 rounds to 0
+        "t23_gamma": '{"branch": "T23", "params": {"lam": 1, "mu2": 1e10, "eta2": 1, "mu3": 9999999999.999998}, '
+                     '"f": "s"}',
+        # 1e400 as a JSON integer, beyond float range; 5001 digits is past int()'s limit
+        "t24_1e400": '{"branch": "T24", "params": {"lam": 1' + "0" * 400 + ', "eta2": 1}, "f": "s", "phi12": "z1"}',
+        "t24_long": '{"branch": "T24", "params": {"lam": 1' + "0" * 5000 + ', "eta2": 1}, "f": "s", "phi12": "z1"}',
     }
     configs = {"cfg5": "5", "cfglist": "[{}]", "cfgtrunc": '{"tol": ',
                "cfgfield": json.dumps({"field": str(tmp_path / "good.pssf")}),
@@ -889,6 +901,12 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
           for command in ("verify", "catalog")
           for name, branch in (("t25i_f", "T25i"), ("t23_phi12", "T23"), ("t24_gamma", "T24"),
                                ("t22_lam", "T22"), ("sg_root", "SINE_GORDON"))),
+        (["verify", *family("t23_sign")], EXIT_USAGE, "T23 reads no sign (sign must be +1, got -1)"),
+        ([*kink, "--sign", "-"], EXIT_USAGE, "SINE_GORDON reads no sign (sign must be +1, got -1)"),
+        (["verify", *family("t23_gamma")], EXIT_USAGE, f"pss: {GAMMA_ZERO}\n"),
+        *(([command, *family("t24_1e400")], EXIT_USAGE, "lam must be a number within float range, got 1000")
+          for command in ("verify", "catalog")),
+        *(([command, *family("t24_long")], EXIT_USAGE, path("t24_long.json")) for command in ("verify", "catalog")),
         *((field(name), EXIT_FAIL, path(f"{name}.pssf")) for name in pssf),
         *((["verify", "--preset", "novikov", "--config", path(f"{name}.json")], EXIT_USAGE, None)
           for name in ("cfg5", "cfglist")),
@@ -943,6 +961,8 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         assert err.startswith("pss: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
         assert named is None or named in err, (argv, err)
         assert "Traceback" not in err and "Warning" not in err and not seen, (argv, err, seen)
+    assert run(["catalog", *family("t23_gamma"), "--report", str(rep), "--deterministic"]) == EXIT_FAIL
+    assert json.loads(rep.read_text())["violations"] == [GAMMA_ZERO]
     # run writes the report inside the try that turns errors into one line,
     # so a report path that cannot be opened ends the same way
     assert run(["catalog", "--report", path("dir.json")]) == EXIT_USAGE

@@ -13,6 +13,7 @@ from pss import catalog, verifier
 from pss.catalog import (
     Branch,
     CatalogError,
+    ConstraintViolation,
     Family,
     FamilyParams,
     PRESETS,
@@ -271,8 +272,13 @@ def test_residuals_scale_relative():
 ])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_certify_both_signs_random_parameters(branch_kwargs, sign):
-    """The vertical sign pairing holds for both signs and generic parameters."""
+    """The vertical sign pairing holds for both signs and generic parameters;
+    T23 prints no +-, so it refuses a sign of -1."""
     kwargs = dict(branch_kwargs, sign=sign)
+    if kwargs["branch"] == Branch.T23 and sign == -1:
+        with pytest.raises(ConstraintViolation, match="T23 reads no sign"):
+            build_family(FamilyParams(**kwargs), f="2*s + s^3")
+        return
     need_f = kwargs["branch"] in (Branch.T22, Branch.T23, Branch.T24)
     fam = build_family(
         FamilyParams(**kwargs),

@@ -580,12 +580,15 @@ _NULLABLE = {f.name for f in fields(FamilyParams) if f.default is None}
 
 
 def _check_param(key, val):
-    """CatalogError unless `val` has the type FamilyParams gives `key`."""
+    """CatalogError unless `val` has the type FamilyParams gives `key` and,
+    if it is a number, is finite and within float range."""
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if key in ("sign", "root"):
         ok, want = number and isinstance(val, int), "an integer"
     elif number and isinstance(val, int) and abs(val) > sys.float_info.max:  # float arithmetic would overflow
         ok, want = False, "a number within float range"
+    elif number and not math.isfinite(val):  # json reads NaN, Infinity and -Infinity
+        ok, want = False, "a finite number"
     elif key in _NULLABLE:
         ok, want = number or val is None, "a number or null"
     else:

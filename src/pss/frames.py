@@ -36,6 +36,12 @@ built at once, they raise the traced peak of a 201x201 mesh by a fifth.
 The curvature forms its corner terms 8192 triangles at a time and sums each
 per vertex with one np.bincount over the corner-major index, which adds in
 the order np.add.at took corner by corner, so K keeps its bits.
+
+export_obj lays out the OBJ text with numpy, a block of records at a time,
+in the bytes "%.17g" and "%d" give.  The block formatter _g17_cells finds
+each coordinate's 17 digits from Dekker's exact product with a power of ten
+(Dekker 1971), the fixed-precision case of Ryu printf (Adams 2019); faces
+gather a per-vertex " i//i" token table (_index_tokens).
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Family, delta
-from .immersion import ImmersionTriple, json_text, write_records
+from .immersion import ImmersionTriple, json_text
 from .pde import SolutionField
 
 __all__ = [
@@ -310,31 +316,152 @@ def discrete_gaussian_curvature(r):
 # Export
 
 
+# records whose text export_obj lays out at once, and the cell of one value:
+# a separator and the longest "%.17g" text, "-1.7976931348623157e+308"
+_OBJ_BLOCK = 2048
+_CELL = 25
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact: 10**k is a double for k <= 22
+_DIGIT_PAIRS = np.array([list(b"%02d" % i) for i in range(100)], np.uint8).T.copy()  # column i: the two digits of i
+_ROWS = np.arange(22, dtype=np.uint8)[:, None]  # the row index of _g17_cells' digit array, for broadcast compares
+
+
 def export_obj(mesh: SurfaceMesh, path):
-    """Wavefront OBJ: v/vn records, quads split into CCW triangles, vn = e3."""
+    """Wavefront OBJ: a comment line, then a `v x y z` record per vertex, a
+    `vn x y z` record per vertex (e3, normalised where it is nonzero) and an
+    `f i//i j//j k//k` record per triangle (1-based; quads split into
+    triangles wound CCW about the normals).  Each coordinate is written as
+    "%.17g" % v of the float64, which reads back to the same float.
+
+    The records are laid out with numpy, _OBJ_BLOCK at a time: each is a row
+    of fixed-width cells (_g17_cells for the coordinates, _index_tokens for
+    the faces) whose unused bytes are NUL, and bytes.translate drops them."""
     nx, nt = mesh.shape
     V = mesh.r.reshape(-1, 3)
     N = mesh.e3.reshape(-1, 3)
     norms = np.linalg.norm(N, axis=1, keepdims=True)
     N = N / np.where(norms == 0.0, 1.0, norms)
     tris = _triangles(nx, nt)
-    # orient CCW with respect to the stored normals
-    flip = 0
-    for tri in tris:
-        u = V[tri[1]] - V[tri[0]]
-        v = V[tri[2]] - V[tri[0]]
-        n = np.cross(u, v)
-        ln = np.linalg.norm(n)
-        if ln > 1e-12:
-            flip = -1 if float(np.dot(n, N[tri[0]])) < 0.0 else 1
-            break
-    if flip == -1:
+    if _winds_against_normals(V, N, tris):
         tris = tris[:, ::-1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# pss surface mesh {nx}x{nt}\n")
-        write_records(fh, "v %.17g %.17g %.17g\n", V)
-        write_records(fh, "vn %.17g %.17g %.17g\n", N)
-        write_records(fh, "f %d//%d %d//%d %d//%d\n", np.repeat(tris + 1, 2, axis=1))
+    tokens = _index_tokens(np.arange(1, len(V) + 1))
+    with open(path, "wb") as fh:
+        fh.write(f"# pss surface mesh {nx}x{nt}\n".encode())
+        for prefix, rows in ((b"v", V), (b"vn", N)):
+            for lo in range(0, len(rows), _OBJ_BLOCK):
+                part = rows[lo:lo + _OBJ_BLOCK]
+                fh.write(_lines(prefix, _g17_cells(part.ravel()).T.reshape(len(part), -1)))
+        for lo in range(0, len(tris), _OBJ_BLOCK):
+            part = tris[lo:lo + _OBJ_BLOCK]
+            fh.write(_lines(b"f", tokens[part].reshape(len(part), -1)))
+
+
+def _winds_against_normals(V, N, tris):
+    """Whether the first triangle whose |u x v| exceeds 1e-12 (u, v its edges
+    from corner 0) winds against the normal at corner 0; False if none does.
+    Triangles are probed _TRI_BLOCK at a time, with no warning from the
+    non-finite coordinates of a block; a NaN area is skipped."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, len(tris), _TRI_BLOCK):
+            t = tris[lo:lo + _TRI_BLOCK]
+            n = np.cross(V[t[:, 1]] - V[t[:, 0]], V[t[:, 2]] - V[t[:, 0]])
+            good = np.flatnonzero(np.linalg.norm(n, axis=1) > 1e-12)
+            if len(good):
+                k = good[0]
+                return float(np.dot(n[k], N[t[k, 0]])) < 0.0
+    return False
+
+
+def _lines(prefix, body):
+    """The bytes of `prefix`, then row k of the uint8 array body and a newline,
+    for each row k, without the NUL bytes."""
+    rec = np.empty((len(body), len(prefix) + body.shape[1] + 1), np.uint8)
+    rec[:, :len(prefix)] = np.frombuffer(prefix, np.uint8)
+    rec[:, len(prefix):-1] = body
+    rec[:, -1] = ord("\n")
+    return rec.tobytes().translate(None, b"\0")
+
+
+def _index_tokens(idx):
+    """Row k: the bytes " i//i" of the positive integer i = idx[k], its digits
+    right-aligned behind NUL bytes in a width of the largest index."""
+    w = len(str(int(idx.max())))
+    tokens = np.zeros((len(idx), 2 * w + 3), np.uint8)
+    tokens[:, 0] = ord(" ")
+    tokens[:, w + 1:w + 3] = ord("/")
+    for k in range(w):  # the digit of 10**k, NUL left of the leading digit
+        digit = np.where(idx >= 10**k, idx // 10**k % 10 + ord("0"), 0)
+        tokens[:, w - k] = tokens[:, 2 * w + 2 - k] = digit
+    return tokens
+
+
+def _split(a):
+    """hi + lo = a with hi holding the upper 26 bits of the significand (Dekker)."""
+    t = 134217729.0 * a  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker 1971), for
+    products that neither overflow nor underflow."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _g17_cells(x):
+    """"%.17g" % v of each value v of the float array x, as the column of a
+    (_CELL, len(x)) uint8 array: a space, then the text, NUL-padded.
+
+    For 1e-4 <= |v| < 1e17, %g writes fixed notation with the decimal
+    exponent X in -4..16 of v rounded to 17 digits.  (p, e) is
+    |v| * 10**(16 - X) exactly, so X is the one with 1e16 <= p + e < 1e17,
+    and q = p + rint(e) is the 17-digit integer rounded half to even, as %
+    rounds (p is then an even integer).  No double in that range lies
+    within half a unit of the 17th digit below a power of ten, so q < 1e17.
+    The rows of D hold '0000', the digits of q and a NUL; the text is
+    D[s:f] + "." + D[f:end], with f = X + 5 the row of the first fraction
+    digit, s = 4 + min(X, 0) and end past the last nonzero digit, and has
+    no point if end = f.  Other values (zeros, |v| < 1e-4 or >= 1e17, inf
+    and NaN) are written by % one at a time."""
+    n = len(x)
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a[~fixed] = 1.0
+    X = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)  # off by one near a power of ten
+    p, e = _two_product(a, _POW10[16 - X])
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0.0))
+    low = (p < 1e16) | ((p == 1e16) & (e < 0.0))
+    if high.any() or low.any():
+        X += high
+        X -= low
+        p, e = _two_product(a, _POW10[16 - X])
+    q = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    D = np.empty((22, n), np.uint8)
+    D[:4] = ord("0")
+    D[21] = 0
+    for row in range(19, 4, -2):
+        tail = q // 100
+        # q - 100 * tail is in 0..99: mode="clip" only spares take a buffered copy
+        np.take(_DIGIT_PAIRS, q - 100 * tail, axis=1, out=D[row:row + 2], mode="clip")
+        q = tail
+    D[4] = q + ord("0")
+    f = (X + 5).astype(np.uint8)
+    s = (np.minimum(X, 0) + 4).astype(np.uint8)
+    end = np.maximum(((D[4:21] != ord("0")) * _ROWS[5:22]).max(axis=0), f)
+    cells = np.empty((_CELL, n), np.uint8)
+    cells[0] = ord(" ")
+    cells[1] = np.signbit(x) * np.uint8(ord("-"))
+    cells[24] = 0
+    np.multiply(D, (_ROWS >= s) & (_ROWS < f), out=cells[2:24])
+    cells[2:24] += np.uint8(ord(".")) * ((_ROWS == f) & (end > f))
+    cells[3:25] += D * ((_ROWS >= f) & (_ROWS < end))
+    if not fixed.all():
+        other = np.flatnonzero(~fixed)
+        text = b"".join(("%.17g" % v).encode().ljust(_CELL - 1, b"\0") for v in x[other].tolist())
+        cells[1:, other] = np.frombuffer(text, np.uint8).reshape(-1, _CELL - 1).T
+    return cells
 
 
 def write_diagnostics(mesh: SurfaceMesh, path):

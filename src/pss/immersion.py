@@ -457,12 +457,10 @@ class _SineGordonForm(ImmersionTriple):
 
 def write_records(fh, record, rows):
     """Write `record % row` for every row of a 2-d array, one `%` per block
-    of 4096 rows.
+    of 4096 rows; write_csv's lines.
 
-    .tolist() yields Python floats and ints, so %.17g of a cell is the text
-    f"{v:.17g}" gives and %r the text repr(float(v)) gives; the blocks bound
-    the temporary Python objects (the whole mesh at once costs more memory
-    and is no faster)."""
+    .tolist() yields Python floats, so %r of a cell is the text
+    repr(float(v)) gives; the blocks bound the temporary Python objects."""
     for i in range(0, len(rows), 4096):
         part = rows[i:i + 4096]
         fh.write(record * len(part) % tuple(part.ravel().tolist()))

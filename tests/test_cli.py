@@ -819,7 +819,8 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
     --extent, on the command line or in a config, a flag the subcommand
     does not take, a spec param or expression its branch does not read, a
     sign of -1 for a branch that reads no sign, a T23 gamma that rounds to
-    0, a spec integer beyond float range or too long to parse and a
+    0, a spec integer beyond float range or too long to parse, a
+    spec param that is NaN or infinite and a
     sine-Gordon reconstruct with neither --soliton nor --field.  A file that
     cannot be read, decoded or parsed is named in that line, and an exit 1
     writes no report; catalog reports the gamma violation, exit 2."""
@@ -845,6 +846,20 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         "t24_1e400": '{"branch": "T24", "params": {"lam": 1' + "0" * 400 + ', "eta2": 1}, "f": "s", "phi12": "z1"}',
         "t24_long": '{"branch": "T24", "params": {"lam": 1' + "0" * 5000 + ', "eta2": 1}, "f": "s", "phi12": "z1"}',
     }
+    # json reads NaN, Infinity and -Infinity: one param of each branch, the other params valid
+    non_finite = {
+        "T22": ("eta2", '{"branch": "T22", "params": {"mu2": 0, "eta2": %s}, "f": "s", "phi12": "z1"}'),
+        "T23": ("mu3", '{"branch": "T23", "params": {"lam": 1, "eta2": 1, "mu3": %s}, "f": "s"}'),
+        "T24": ("lam", '{"branch": "T24", "params": {"lam": %s, "eta2": 1}, "f": "s", "phi12": "z1"}'),
+        "T25i": ("theta", '{"branch": "T25i", "params": {"lam": 1, "theta": %s, "B": 1, "mu2": 0, "eta2": 1, '
+                          '"m": 1, "n": 0}}'),
+        "T25ii": ("tau", '{"branch": "T25ii", "params": {"lam": -1, "tau": %s, "mu2": 0, "eta2": 1, "m": 2, '
+                         '"n": 0}, "phi": "exp(z0)"}'),
+        "SINE_GORDON": ("eta", '{"branch": "SINE_GORDON", "params": {"eta": %s}}'),
+    }
+    for branch, (key, text) in non_finite.items():
+        for token in ("NaN", "Infinity", "-Infinity"):
+            specs[f"{branch}_{token}"] = text % token
     configs = {"cfg5": "5", "cfglist": "[{}]", "cfgtrunc": '{"tol": ',
                "cfgfield": json.dumps({"field": str(tmp_path / "good.pssf")}),
                "cfgextent": json.dumps({"extent": [0.5, 0.5]})}
@@ -907,6 +922,9 @@ def test_bad_input_ends_in_one_line_without_a_traceback_or_warning(tmp_path, cap
         *(([command, *family("t24_1e400")], EXIT_USAGE, "lam must be a number within float range, got 1000")
           for command in ("verify", "catalog")),
         *(([command, *family("t24_long")], EXIT_USAGE, path("t24_long.json")) for command in ("verify", "catalog")),
+        *(([command, *family(f"{branch}_{token}")], EXIT_USAGE, f"{key} must be a finite number, got {token}\n")
+          for command in ("verify", "catalog") for branch, (key, _) in non_finite.items()
+          for token in ("NaN", "Infinity", "-Infinity")),
         *((field(name), EXIT_FAIL, path(f"{name}.pssf")) for name in pssf),
         *((["verify", "--preset", "novikov", "--config", path(f"{name}.json")], EXIT_USAGE, None)
           for name in ("cfg5", "cfglist")),

@@ -2,7 +2,10 @@
 
 import json
 import math
+import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -429,6 +432,43 @@ def _plane_mesh(normal_sign, rng):
     return SurfaceMesh(xs=np.arange(4.0), ts=np.arange(5.0), r=r, e3=e3)
 
 
+def _g17_cases(rng):
+    """Values where a "%.17g" formatter can go wrong, both signs: the
+    neighbours of each power of ten from 1e-6 to 1e18 (the ends of fixed
+    notation, 1e-4 and 1e17, among them), exact ties at the 18th digit
+    (odd * 2**(X - 17) in the decade of 10**X), zeros, subnormals, inf, NaN
+    and the largest double, and random values across those decades."""
+    near = []
+    for X in range(-6, 19):
+        p = float(f"1e{X}")
+        near += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    ties = []
+    for X in range(-4, 16):
+        lo = math.ceil(Fraction(10) ** X * 2 ** (17 - X))
+        hi = min(math.ceil(Fraction(10) ** (X + 1) * 2 ** (17 - X)), 2**53)
+        ties += np.ldexp(rng.integers((lo + 1) // 2, hi // 2, 40) * 2.0 + 1.0, X - 17).tolist()
+    digits = [Decimal(t).normalize().as_tuple().digits for t in ties]
+    assert all(len(d) == 18 and d[-1] == 5 for d in digits)  # each halfway between two 17-digit decimals
+    special = [0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+               np.inf, np.nan, sys.float_info.max]
+    spread = rng.standard_normal(2000) * 10.0 ** rng.integers(-6, 19, 2000)
+    values = np.concatenate([near, ties, special, spread])
+    return np.concatenate([values, -values])
+
+
+def test_obj_text_matches_percent_formatting():
+    """Each coordinate cell is " " + "%.17g" % v, and each face token " i//i"
+    is "%d" of the index, for indices of 1 to 7 digits."""
+    rng = np.random.default_rng(11)
+    values = _g17_cases(rng)
+    cells = frames._g17_cells(values)
+    assert [bytes(c).replace(b"\0", b"").decode() for c in cells.T] == [" %.17g" % v for v in values.tolist()]
+    idx = np.array([1, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 99999, 10**5, 999999, 10**6, 9999999])
+    tris = rng.integers(0, len(idx), (60, 3))
+    want = "".join("f %d//%d %d//%d %d//%d\n" % tuple(int(i) for i in np.repeat(idx[t], 2)) for t in tris)
+    assert frames._lines(b"f", frames._index_tokens(idx)[tris].reshape(len(tris), -1)).decode() == want
+
+
 def test_obj_bytes_match_the_per_line_writer(tmp_path):
     rng = np.random.default_rng(5)
     flipped = _plane_mesh(-1.0, rng)  # the first triangle winds against its normal
@@ -438,16 +478,30 @@ def test_obj_bytes_match_the_per_line_writer(tmp_path):
     signed_zero.r[0, 0] = [-0.0, 0.0, -0.0]
     signed_zero.e3[0, 0] = [0.0, -0.0, -0.0]  # a zero normal is written unnormalised
     large = SurfaceMesh(xs=None, ts=None, r=rng.standard_normal((65, 70, 3)), e3=rng.standard_normal((65, 70, 3)))
+    # every triangle has zero area (its vertices lie on one line), in more than one probe block: no flip
+    i, j = np.meshgrid(np.arange(70.0), np.arange(70.0), indexing="ij")
+    collinear = SurfaceMesh(xs=None, ts=None, r=(i + 2 * j)[..., None] * np.array([1.0, 2.0, 3.0]),
+                            e3=rng.standard_normal((70, 70, 3)))
+    first_row = _plane_mesh(-1.0, rng)
+    first_row.r[1] = first_row.r[0]  # the first row of triangles has zero area; the next one flips
+    # the formatter's hard cases as coordinates, more rows than one block; the first triangle is regular
+    cases = _g17_cases(rng)
+    hard = SurfaceMesh(xs=None, ts=None, r=np.resize(cases, (50, 50, 3)), e3=rng.standard_normal((50, 50, 3)))
+    hard.r[:2, :2] = [[[0.0, 0.0, 0.0], [0.0, 1.0, 0.5]], [[1.0, 0.0, 0.5], [1.0, 1.0, 0.0]]]
     fam, trip, field = _kink_setup()
     kink = integrate_frame(fam, trip, field, origin=(-1.5, -1.5), steps=(8, 6), h=0.05)
-    for name, mesh in (("flipped", flipped), ("degenerate", degenerate),
-                       ("signed_zero", signed_zero), ("large", large), ("kink", kink)):
+    meshes = {"flipped": flipped, "degenerate": degenerate, "signed_zero": signed_zero, "large": large,
+              "collinear": collinear, "first_row": first_row, "hard": hard, "kink": kink}
+    assert hard.r.size // 3 > frames._OBJ_BLOCK and len(frames._triangles(70, 70)) > frames._TRI_BLOCK
+    for name, mesh in meshes.items():
         got, want = tmp_path / f"{name}.obj", tmp_path / f"{name}.ref.obj"
         export_obj(mesh, got)
         _reference_export_obj(mesh, want)
         assert got.read_bytes() == want.read_bytes(), name
     for name in ("flipped", "degenerate"):
         assert "\nf 7//7 6//6 1//1\n" in (tmp_path / f"{name}.obj").read_text(), name
+    assert "\nf 1//1 71//71 72//72\n" in (tmp_path / "collinear.obj").read_text()  # unflipped
+    assert "\nf 12//12 11//11 6//6\n" in (tmp_path / "first_row.obj").read_text()
     assert "v -0 0 -0\n" in (tmp_path / "signed_zero.obj").read_text()
     assert "vn 0 -0 -0\n" in (tmp_path / "signed_zero.obj").read_text()
 

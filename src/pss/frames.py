@@ -38,10 +38,9 @@ per vertex with one np.bincount over the corner-major index, which adds in
 the order np.add.at took corner by corner, so K keeps its bits.
 
 export_obj lays out the OBJ text with numpy, a block of records at a time,
-in the bytes "%.17g" and "%d" give.  The block formatter _g17_cells finds
-each coordinate's 17 digits from Dekker's exact product with a power of ten
-(Dekker 1971), the fixed-precision case of Ryu printf (Adams 2019); faces
-gather a per-vertex " i//i" token table (_index_tokens).
+in the bytes "%.17g" and "%d" give: floattext.g17_cells writes the
+coordinates, and faces gather a per-vertex " i//i" token table
+(_index_tokens).
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Family, delta
+from .floattext import g17_cells, lines
 from .immersion import ImmersionTriple, json_text
 from .pde import SolutionField
 
@@ -263,13 +263,15 @@ def _sweep(spine, cross):
 
 def _triangles(nx, nt):
     """Vertex indices (row-major in an nx x nt grid) of the triangles that
-    split each quad a, b, c, d into a-b-c and a-c-d; all a-b-c come first."""
+    split each quad a, b, c, d into a-b-c and a-c-d; all a-b-c come first.
+    The corners are copied from index slices into the one result array."""
     idx = np.arange(nx * nt).reshape(nx, nt)
-    a = idx[:-1, :-1].ravel()
-    b = idx[1:, :-1].ravel()
-    c = idx[1:, 1:].ravel()
-    d = idx[:-1, 1:].ravel()
-    return np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
+    a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
+    tris = np.empty((2, nx - 1, nt - 1, 3), idx.dtype)
+    for half, corners in enumerate(((a, b, c), (a, c, d))):
+        for k, corner in enumerate(corners):
+            tris[half, ..., k] = corner
+    return tris.reshape(-1, 3)
 
 
 def discrete_gaussian_curvature(r):
@@ -316,13 +318,7 @@ def discrete_gaussian_curvature(r):
 # Export
 
 
-# records whose text export_obj lays out at once, and the cell of one value:
-# a separator and the longest "%.17g" text, "-1.7976931348623157e+308"
-_OBJ_BLOCK = 2048
-_CELL = 25
-_POW10 = np.array([float(10**k) for k in range(21)])  # exact: 10**k is a double for k <= 22
-_DIGIT_PAIRS = np.array([list(b"%02d" % i) for i in range(100)], np.uint8).T.copy()  # column i: the two digits of i
-_ROWS = np.arange(22, dtype=np.uint8)[:, None]  # the row index of _g17_cells' digit array, for broadcast compares
+_OBJ_BLOCK = 2048  # records whose text export_obj lays out at once
 
 
 def export_obj(mesh: SurfaceMesh, path):
@@ -333,8 +329,9 @@ def export_obj(mesh: SurfaceMesh, path):
     "%.17g" % v of the float64, which reads back to the same float.
 
     The records are laid out with numpy, _OBJ_BLOCK at a time: each is a row
-    of fixed-width cells (_g17_cells for the coordinates, _index_tokens for
-    the faces) whose unused bytes are NUL, and bytes.translate drops them."""
+    of fixed-width cells (floattext.g17_cells for the coordinates,
+    _index_tokens for the faces) whose unused bytes are NUL, and
+    floattext.lines drops them."""
     nx, nt = mesh.shape
     V = mesh.r.reshape(-1, 3)
     N = mesh.e3.reshape(-1, 3)
@@ -349,10 +346,10 @@ def export_obj(mesh: SurfaceMesh, path):
         for prefix, rows in ((b"v", V), (b"vn", N)):
             for lo in range(0, len(rows), _OBJ_BLOCK):
                 part = rows[lo:lo + _OBJ_BLOCK]
-                fh.write(_lines(prefix, _g17_cells(part.ravel()).T.reshape(len(part), -1)))
+                fh.write(lines(prefix, g17_cells(part.ravel()).T.reshape(part.shape + (-1,))))
         for lo in range(0, len(tris), _OBJ_BLOCK):
             part = tris[lo:lo + _OBJ_BLOCK]
-            fh.write(_lines(b"f", tokens[part].reshape(len(part), -1)))
+            fh.write(lines(b"f", tokens[part]))
 
 
 def _winds_against_normals(V, N, tris):
@@ -371,16 +368,6 @@ def _winds_against_normals(V, N, tris):
     return False
 
 
-def _lines(prefix, body):
-    """The bytes of `prefix`, then row k of the uint8 array body and a newline,
-    for each row k, without the NUL bytes."""
-    rec = np.empty((len(body), len(prefix) + body.shape[1] + 1), np.uint8)
-    rec[:, :len(prefix)] = np.frombuffer(prefix, np.uint8)
-    rec[:, len(prefix):-1] = body
-    rec[:, -1] = ord("\n")
-    return rec.tobytes().translate(None, b"\0")
-
-
 def _index_tokens(idx):
     """Row k: the bytes " i//i" of the positive integer i = idx[k], its digits
     right-aligned behind NUL bytes in a width of the largest index."""
@@ -392,76 +379,6 @@ def _index_tokens(idx):
         digit = np.where(idx >= 10**k, idx // 10**k % 10 + ord("0"), 0)
         tokens[:, w - k] = tokens[:, 2 * w + 2 - k] = digit
     return tokens
-
-
-def _split(a):
-    """hi + lo = a with hi holding the upper 26 bits of the significand (Dekker)."""
-    t = 134217729.0 * a  # 2**27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_product(a, b):
-    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker 1971), for
-    products that neither overflow nor underflow."""
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _g17_cells(x):
-    """"%.17g" % v of each value v of the float array x, as the column of a
-    (_CELL, len(x)) uint8 array: a space, then the text, NUL-padded.
-
-    For 1e-4 <= |v| < 1e17, %g writes fixed notation with the decimal
-    exponent X in -4..16 of v rounded to 17 digits.  (p, e) is
-    |v| * 10**(16 - X) exactly, so X is the one with 1e16 <= p + e < 1e17,
-    and q = p + rint(e) is the 17-digit integer rounded half to even, as %
-    rounds (p is then an even integer).  No double in that range lies
-    within half a unit of the 17th digit below a power of ten, so q < 1e17.
-    The rows of D hold '0000', the digits of q and a NUL; the text is
-    D[s:f] + "." + D[f:end], with f = X + 5 the row of the first fraction
-    digit, s = 4 + min(X, 0) and end past the last nonzero digit, and has
-    no point if end = f.  Other values (zeros, |v| < 1e-4 or >= 1e17, inf
-    and NaN) are written by % one at a time."""
-    n = len(x)
-    a = np.abs(x)
-    fixed = (a >= 1e-4) & (a < 1e17)
-    a[~fixed] = 1.0
-    X = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)  # off by one near a power of ten
-    p, e = _two_product(a, _POW10[16 - X])
-    high = (p > 1e17) | ((p == 1e17) & (e >= 0.0))
-    low = (p < 1e16) | ((p == 1e16) & (e < 0.0))
-    if high.any() or low.any():
-        X += high
-        X -= low
-        p, e = _two_product(a, _POW10[16 - X])
-    q = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    D = np.empty((22, n), np.uint8)
-    D[:4] = ord("0")
-    D[21] = 0
-    for row in range(19, 4, -2):
-        tail = q // 100
-        # q - 100 * tail is in 0..99: mode="clip" only spares take a buffered copy
-        np.take(_DIGIT_PAIRS, q - 100 * tail, axis=1, out=D[row:row + 2], mode="clip")
-        q = tail
-    D[4] = q + ord("0")
-    f = (X + 5).astype(np.uint8)
-    s = (np.minimum(X, 0) + 4).astype(np.uint8)
-    end = np.maximum(((D[4:21] != ord("0")) * _ROWS[5:22]).max(axis=0), f)
-    cells = np.empty((_CELL, n), np.uint8)
-    cells[0] = ord(" ")
-    cells[1] = np.signbit(x) * np.uint8(ord("-"))
-    cells[24] = 0
-    np.multiply(D, (_ROWS >= s) & (_ROWS < f), out=cells[2:24])
-    cells[2:24] += np.uint8(ord(".")) * ((_ROWS == f) & (end > f))
-    cells[3:25] += D * ((_ROWS >= f) & (_ROWS < end))
-    if not fixed.all():
-        other = np.flatnonzero(~fixed)
-        text = b"".join(("%.17g" % v).encode().ljust(_CELL - 1, b"\0") for v in x[other].tolist())
-        cells[1:, other] = np.frombuffer(text, np.uint8).reshape(-1, _CELL - 1).T
-    return cells
 
 
 def write_diagnostics(mesh: SurfaceMesh, path):

@@ -40,6 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 from .catalog import Branch, CatalogError, Family, delta
+from .floattext import lines, repr_cells
 
 __all__ = [
     "Representation",
@@ -56,7 +57,6 @@ __all__ = [
     "codazzi_residuals",
     "json_text",
     "write_csv",
-    "write_records",
 ]
 
 
@@ -455,24 +455,22 @@ class _SineGordonForm(ImmersionTriple):
 # ----------------------------------------------------------------------
 
 
-def write_records(fh, record, rows):
-    """Write `record % row` for every row of a 2-d array, one `%` per block
-    of 4096 rows; write_csv's lines.
-
-    .tolist() yields Python floats, so %r of a cell is the text
-    repr(float(v)) gives; the blocks bound the temporary Python objects."""
-    for i in range(0, len(rows), 4096):
-        part = rows[i:i + 4096]
-        fh.write(record * len(part) % tuple(part.ravel().tolist()))
+_CSV_BLOCK = 1024  # rows whose text write_csv lays out at once
 
 
 def write_csv(path, header, columns):
     """Write `header` and then one line per row of the equal-length columns,
-    each cell the repr of a Python float."""
+    each cell repr of the float64: the shortest decimal that reads back to
+    the same float.  The rows are laid out with numpy, _CSV_BLOCK at a
+    time, by floattext.repr_cells."""
     rows = np.column_stack([np.asarray(col, dtype=float) for col in columns])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        write_records(fh, ",".join(["%r"] * len(columns)) + "\n", rows)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            part = rows[lo:lo + _CSV_BLOCK]
+            cells = repr_cells(part.ravel())
+            cells[0, ::part.shape[1]] = 0  # no comma before a row's first cell
+            fh.write(lines(b"", cells.T.reshape(part.shape + (-1,))))
 
 
 def json_text(doc):

@@ -90,11 +90,26 @@ def structure_residuals_env(fam: Family, env, zt=None):
 # Sampling
 
 
-def _read(rng, start, offset, size, bounds):
-    """`size` uniform values in `bounds`, `offset` doubles past generator state `start`."""
-    rng.bit_generator.state = start
-    rng.bit_generator.advance(offset)
-    return rng.uniform(*bounds, size=size)
+class _Round:
+    """The doubles of one sampling round, addressed by their offset past the
+    generator state at the round's start.  A seek at or past the current
+    position advances from there; a seek behind it sets that state again."""
+
+    def __init__(self, rng):
+        self.rng, self.start, self.at = rng, rng.bit_generator.state, 0
+
+    def seek(self, offset):
+        if offset < self.at:
+            self.rng.bit_generator.state = self.start
+            self.at = 0
+        self.rng.bit_generator.advance(offset - self.at)
+        self.at = offset
+
+    def read(self, offset, size, bounds):
+        """`size` uniform values in `bounds`, `offset` doubles past the start."""
+        self.seek(offset)
+        self.at += size
+        return self.rng.uniform(*bounds, size=size)
 
 
 def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
@@ -106,9 +121,10 @@ def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
     8 * draw doubles of the stream, draw = max(64, 2 * need): the values of
     z0, z1, z2, z3, z4, z5, w1 and v1, draw each, in that order, so jet j's
     coordinate k is the double at offset k * draw + j.  The round reads each
-    coordinate by its offset, setting the generator back to the round's
-    start and advancing it, and leaves the generator 8 * draw doubles past
-    that start, wherever it read.  The guard, which reads z0, z1 and z2
+    coordinate by its offset, advancing the generator from where the last
+    read stopped, or from the round's start when an extension segment reads
+    behind it, and leaves the generator 8 * draw doubles past that start,
+    wherever it read.  The guard, which reads z0, z1 and z2
     alone and works jet by jet, runs on segments of jets: the first holds
     need + need // 32 + 64 jets, and each later one the jets still missing
     over the acceptance seen so far, with the same margin, until need jets
@@ -128,12 +144,12 @@ def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
             raise CatalogError("sampling guard rejected too many jets; bad family domain?")
         need = n - have
         draw = max(64, 2 * need)
-        start = rng.bit_generator.state
+        stream = _Round(rng)
         segs, masks, read, passed = [], [], 0, 0
         size = need + need // 32 + 64
         while passed < need and read < draw:
             end = min(draw, read + size)
-            seg = [_read(rng, start, k * draw + read, end - read, bounds) for k in range(3)]
+            seg = [stream.read(k * draw + read, end - read, bounds) for k in range(3)]
             mask = fam.sampling_guard(dict(zip(names, seg)))
             segs.append(seg)
             masks.append(mask)
@@ -147,9 +163,8 @@ def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
         m = int(np.flatnonzero(ok)[kept - 1]) + 1 if kept else 0
         env = {nm: (c[0] if len(c) == 1 else np.concatenate(c))[:m] for nm, c in zip(names[:3], zip(*segs))}
         for k, nm in ((3, "z3"), (6, "w1"), (7, "v1")):
-            env[nm] = _read(rng, start, k * draw, m, bounds)
-        rng.bit_generator.state = start
-        rng.bit_generator.advance(8 * draw)
+            env[nm] = stream.read(k * draw, m, bounds)
+        stream.seek(8 * draw)
         cut = ok[:m]
         env = fam.constrain_env({nm: env[nm][cut] for nm in names})
         for nm in names:

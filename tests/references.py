@@ -375,6 +375,21 @@ def tuple_rk4_sweep(fam, trip, field, xs, ts, spine):
 
 
 # ----------------------------------------------------------------------
+# frames._triangles as four index copies, two stacks and a concatenate.
+
+
+def stacked_triangles(nx, nt):
+    """The a-b-c then a-c-d triangles of the quads a, b, c, d of an nx x nt
+    grid, each corner an index copy, stacked and concatenated."""
+    idx = np.arange(nx * nt).reshape(nx, nt)
+    a = idx[:-1, :-1].ravel()
+    b = idx[1:, :-1].ravel()
+    c = idx[1:, 1:].ravel()
+    d = idx[:-1, 1:].ravel()
+    return np.concatenate([np.stack([a, b, c], 1), np.stack([a, c, d], 1)])
+
+
+# ----------------------------------------------------------------------
 # The coframe as six per-entry closures, as `catalog` built it before it
 # evaluated the coframe by columns: every f_i2 calls f11 and phi12 again, and
 # D_x and D_t seed one entry at a time, with a seed for x or t that no f_ij

@@ -113,7 +113,20 @@ class _Round:
 
 
 def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
-    """Environment of n on-shell jets z0..z3, w1, v1, components uniform in `bounds`.
+    """Environment of n on-shell jets z0..z3, w1, v1, components uniform in
+    `bounds`: the blocks of `_jet_blocks`, joined."""
+    blocks = list(_jet_blocks(fam, n, rng, bounds))
+    return {nm: np.concatenate([b[nm] for b in blocks]) for nm in blocks[0]}
+
+
+# most jets per block of _jet_blocks, so per structure_residuals_env call: a
+# block's Dual temporaries stay in cache (10^5-jet sweeps take 0.55x the
+# time of one call, and blocks of 2048 take 1.5x the time of 8192)
+_BLOCK = 8192
+
+
+def _jet_blocks(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
+    """The n on-shell jets of `sample_envs`, in order, at most _BLOCK at a time.
 
     Rejects samples too close to the branch degeneracies (|f'|, |phi12|,
     sine-Gordon's |sin z0| or T25ii's |phi| below 1e-3), so residual scales
@@ -122,20 +135,23 @@ def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
     z0, z1, z2, z3, z4, z5, w1 and v1, draw each, in that order, so jet j's
     coordinate k is the double at offset k * draw + j.  The round reads each
     coordinate by its offset, advancing the generator from where the last
-    read stopped, or from the round's start when an extension segment reads
-    behind it, and leaves the generator 8 * draw doubles past that start,
-    wherever it read.  The guard, which reads z0, z1 and z2
-    alone and works jet by jet, runs on segments of jets: the first holds
-    need + need // 32 + 64 jets, and each later one the jets still missing
-    over the acceptance seen so far, with the same margin, until need jets
-    pass or draw jets are read.  z3, w1 and v1 are read only up to the last
-    jet kept; z4 and z5 are never read.  The round keeps its first `need`
-    accepted jets, as if it had drawn and guarded all 8 * draw values.
-    `rng` must therefore be a PCG64 `Generator` (`np.random.default_rng`),
-    whose `advance` skips exactly one double per step.
+    read stopped, or from the round's start when a read lies behind it, and
+    leaves the generator 8 * draw doubles past that start, wherever it read.
+    The guard, which reads z0, z1 and z2 alone and works jet by jet, runs on
+    segments of jets, none longer than _BLOCK: the first holds up to
+    need + need // 32 + 64 jets, and each later one up to the jets still
+    missing over the acceptance seen so far, with the same margin, until
+    need jets pass or draw jets are read.  Each segment is cut to its
+    accepted jets at once, up to the round's `need`th, and yielded as one
+    block: z3, w1 and v1 are read only over the segment's kept range, and
+    z4 and z5 never.  The round keeps its first `need` accepted jets, as if
+    it had drawn and guarded all 8 * draw values.  `rng` must therefore be
+    a PCG64 `Generator` (`np.random.default_rng`), whose `advance` skips
+    exactly one double per step.
     """
+    if n < 1:
+        raise CatalogError(f"samples must be a positive integer, got {n}")
     names = ("z0", "z1", "z2", "z3", "w1", "v1")
-    chunks = {nm: [] for nm in names}
     have = 0
     attempts = 0
     while have < n:
@@ -145,53 +161,38 @@ def sample_envs(fam: Family, n: int, rng, bounds=(-1.0, 1.0)):
         need = n - have
         draw = max(64, 2 * need)
         stream = _Round(rng)
-        segs, masks, read, passed = [], [], 0, 0
+        read, passed = 0, 0
         size = need + need // 32 + 64
         while passed < need and read < draw:
-            end = min(draw, read + size)
+            end = min(draw, read + size, read + _BLOCK)
             seg = [stream.read(k * draw + read, end - read, bounds) for k in range(3)]
-            mask = fam.sampling_guard(dict(zip(names, seg)))
-            segs.append(seg)
-            masks.append(mask)
-            passed += int(np.count_nonzero(mask))
+            ok = np.flatnonzero(fam.sampling_guard(dict(zip(names, seg))))[:need - passed]
+            passed += len(ok)
+            if len(ok):
+                seg += [stream.read(k * draw + read, int(ok[-1]) + 1, bounds) for k in (3, 6, 7)]
+                block = fam.constrain_env({nm: c[ok] for nm, c in zip(names, seg)})
+                del seg  # no uncut copy is held while the block is used
+                yield block
             read = end
             # the jets still missing over the acceptance seen so far, with the first segment's margin
             missing = need - passed
             size = missing * read // passed + missing // 32 + 64 if passed else draw
-        ok = masks[0] if len(masks) == 1 else np.concatenate(masks)
-        kept = min(need, passed)
-        m = int(np.flatnonzero(ok)[kept - 1]) + 1 if kept else 0
-        env = {nm: (c[0] if len(c) == 1 else np.concatenate(c))[:m] for nm, c in zip(names[:3], zip(*segs))}
-        for k, nm in ((3, "z3"), (6, "w1"), (7, "v1")):
-            env[nm] = stream.read(k * draw, m, bounds)
         stream.seek(8 * draw)
-        cut = ok[:m]
-        env = fam.constrain_env({nm: env[nm][cut] for nm in names})
-        for nm in names:
-            chunks[nm].append(env[nm])
-        have += kept
-    return {nm: c[0] if len(c) == 1 else np.concatenate(c) for nm, c in chunks.items()}
-
-
-# jets per structure_residuals_env call in certify_structure: its Dual
-# temporaries stay in cache (10^5-jet sweeps run about a quarter faster
-# than in one call, and blocks of 2048 are slower again)
-_BLOCK = 16384
+        have += passed
 
 
 def certify_structure(
     fam: Family, samples: int = 1000, tol: float = 1e-8, seed: int | None = DEFAULT_SEED, bounds=(-1.0, 1.0)
 ) -> VerificationReport:
-    """Certify R1, R2, R3 over seeded random on-shell jets, _BLOCK jets at a time."""
+    """Certify R1, R2, R3 over seeded random on-shell jets, one block of `_jet_blocks` at a time."""
     rng = np.random.default_rng(seed)
-    env = sample_envs(fam, samples, rng, bounds=bounds)
-    peaks, failing = [], []
-    for start in range(0, samples, _BLOCK):
-        block = {k: v[start:start + _BLOCK] for k, v in env.items()}
+    peaks, failing, start = [], [], 0
+    for block in _jet_blocks(fam, samples, rng, bounds):
         residuals, scales = structure_residuals_env(fam, block)
         scaled = {f"R{k}": np.abs(r) / sc for k, (r, sc) in enumerate(zip(residuals, scales), 1)}
         peaks.append([np.max(v) for v in scaled.values()])
         failing += _collect_failing(block, scaled, tol, start, cap=10 - len(failing))
+        start += len(block["z0"])
     # np.max, not max: a NaN block maximum must reach the report
     maxima = {f"R{k}_max": float(np.max(col)) for k, col in enumerate(zip(*peaks), 1)}
     verdict = "pass" if all(v <= tol for v in maxima.values()) else "fail"

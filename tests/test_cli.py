@@ -804,6 +804,35 @@ def test_codazzi_verdict_tests_each_maximum_on_its_own(tmp_path, monkeypatch, ca
         assert capsys.readouterr().err == f"pss: E{k + 1}_max nan exceeds --tol 1e-08\n", k
 
 
+def test_codazzi_blocks_give_the_whole_array_maxima(tmp_path):
+    """codazzi evaluates one block of jets at a time and pairs jet j with
+    strip point j: over more jets than two blocks, E1_max and E2_max equal,
+    bit for bit, the maxima over all of sample_envs and strip_samples at
+    once, for a strip along x, one along t and the per-jet sine-Gordon triple."""
+    from pss.immersion import codazzi_residuals
+    from pss.verifier import _BLOCK
+
+    spec_t = tmp_path / "t24t.json"
+    spec_t.write_text(json.dumps({"branch": "T24", "params": {"mu2": 0.6, "eta2": 0, "lam": 1, "C": 0.3},
+                                  "f": "s", "phi12": "z1"}))
+    n, rep = 2 * _BLOCK + 123, tmp_path / "r.json"
+    for argv in (NOVIKOV_STRIP, ["--family", str(spec_t), "--beta", "0.3", "--b0", "1.2", "--eps", "0.3"],
+                 ["--preset", "sine-gordon"]):
+        argv = ["codazzi", *argv, "--samples", str(n)]
+        assert run([*argv, "--report", str(rep), "--deterministic"]) == EXIT_OK, argv
+        args = build_parser().parse_args(argv)
+        fam = cli._load(args)
+        trip = solve_triple(fam, cli._immersion_params(args))
+        env = sample_envs(fam, n, np.random.default_rng(args.seed))
+        x = t = 0.0
+        if trip.representation != Representation.SOLUTION_DEPENDENT:
+            s = trip.strip_samples(n)
+            x, t = (s / trip.sx, np.zeros(n)) if trip.sx else (np.zeros(n), s / trip.st)
+        want = [float(np.max(np.abs(e))) for e in codazzi_residuals(fam, trip, env, x, t)]
+        doc = json.loads(rep.read_text())
+        assert [doc["E1_max"], doc["E2_max"]] == want and 0.0 < max(want), argv
+
+
 GAMMA_ZERO = "gamma = mu2*mu3*eta2 - (1+mu2^2)*eta3 != 0 violated (gamma = 0)"
 
 

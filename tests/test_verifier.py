@@ -292,23 +292,25 @@ def test_certify_both_signs_random_parameters(branch_kwargs, sign):
 
 def _spy_rounds(monkeypatch, fam):
     """(segments, rounds): lists that fill with the jets of each guard call
-    and with one entry per round of sample_envs on `fam`."""
-    guard, constrain = fam.sampling_guard, fam.constrain_env
+    and with one entry per round of sample_envs on `fam`, that is per
+    `verifier._Round` made."""
+    guard, round_ = fam.sampling_guard, verifier._Round
     segments, rounds = [], []
     monkeypatch.setattr(fam, "sampling_guard", lambda env: segments.append(len(env["z0"])) or guard(env))
-    monkeypatch.setattr(fam, "constrain_env", lambda env: rounds.append(1) or constrain(env))
+    monkeypatch.setattr(verifier, "_Round", lambda rng: rounds.append(1) or round_(rng))
     return segments, rounds
 
 
 def test_sample_envs_equals_the_whole_draw_sampler(monkeypatch):
     """Reading each coordinate by its offset in the round's block, guarding
-    z0, z1 and z2 in segments and reading z3, w1 and v1 only up to the last
-    jet kept gives the read coordinates of the whole-draw sampler bit for
-    bit, and leaves the generator where it leaves it: the six presets at 1
-    and 1000 jets; novikov at 10^5, whose first segment falls short of the
-    jets needed; a sine-Gordon window where the first segment falls short at
-    1000 jets and an extension completes the round; and one where about a
-    third of each draw is accepted, so the draw runs out and rounds follow."""
+    z0, z1 and z2 in segments of at most _BLOCK jets and reading z3, w1 and
+    v1 only over each segment's kept range gives the read coordinates of the
+    whole-draw sampler bit for bit, and leaves the generator where it leaves
+    it: the six presets at 1 and 1000 jets; novikov at 10^5, whose round
+    runs through at least n / _BLOCK segments; a sine-Gordon window where
+    the first segment falls short at 1000 jets and an extension completes
+    the round; and one where about a third of each draw is accepted, so the
+    draw runs out and rounds follow."""
     from references import whole_draw_sample_envs
 
     cases = [(name, n, (-1.0, 1.0)) for name in sorted(PRESETS) for n in (1, 1000)]
@@ -325,7 +327,9 @@ def test_sample_envs_equals_the_whole_draw_sampler(monkeypatch):
         for k in got:
             assert got[k].shape == (n,) and np.array_equal(got[k].view(np.int64), want[k].view(np.int64)), (name, k)
         assert rng.random() == ref_rng.random()
+        assert max(segments) <= verifier._BLOCK, (name, n)
         seen.append((len(rounds), len(segments)))
+    assert seen[-3][1] >= 100_000 / verifier._BLOCK  # novikov at 10^5
     assert seen[-3][0] == seen[-2][0] == 1 and seen[-3][1] >= 2 and seen[-2][1] >= 2  # extensions
     assert seen[-1][0] >= 2  # rounds of the last case, the narrow window
 
@@ -349,11 +353,20 @@ def _same_report(got, want):
     assert got.failing == want.failing and got.verdict == want.verdict
 
 
-def test_blocked_certify_structure_equals_the_whole_array():
-    """Residuals evaluated _BLOCK jets at a time give the whole-array maxima and
-    the same first ten failing jets, with global indices: n = 40000 is not a
-    multiple of _BLOCK, and the bumped family's first ten failing jets lie in
-    two blocks, with more failing after them."""
+def _spy_blocks(monkeypatch):
+    """A list that fills with the jets of each structure_residuals_env call,
+    one per block of certify_structure."""
+    residuals, sizes = structure_residuals_env, []
+    monkeypatch.setattr(verifier, "structure_residuals_env",
+                        lambda fam, env: sizes.append(len(env["z0"])) or residuals(fam, env))
+    return sizes
+
+
+def test_blocked_certify_structure_equals_the_whole_array(monkeypatch):
+    """Residuals evaluated one block of at most _BLOCK jets at a time give the
+    whole-array maxima and the same first ten failing jets, with global
+    indices: n = 40000 is not a multiple of _BLOCK, and the bumped family's
+    first ten failing jets lie in two blocks, with more failing after them."""
     from references import whole_array_certify_structure
 
     n = 40000
@@ -361,10 +374,12 @@ def test_blocked_certify_structure_equals_the_whole_array():
     for name in sorted(PRESETS):
         fam = PRESETS[name]()
         _same_report(certify_structure(fam, samples=n), whole_array_certify_structure(fam, samples=n))
-    bad = perturbed_family(novikov_preset(), 1, 1, 2.95e-9)
+    bad = perturbed_family(novikov_preset(), 1, 1, 3e-9)
+    sizes = _spy_blocks(monkeypatch)
     got = certify_structure(bad, samples=n)
+    assert sum(sizes) == n and max(sizes) <= verifier._BLOCK, sizes
     _same_report(got, whole_array_certify_structure(bad, samples=n))
-    blocks = {f["index"] // verifier._BLOCK for f in got.failing}
+    blocks = {int(np.searchsorted(np.cumsum(sizes), f["index"], side="right")) for f in got.failing}
     assert got.verdict == "fail" and len(got.failing) == 10 and blocks == {0, 1}, [f["index"] for f in got.failing]
     assert list(got.failing[0]["jet"]) == ["z0", "z1", "z2", "z3", "w1", "v1"]
 
@@ -372,21 +387,21 @@ def test_blocked_certify_structure_equals_the_whole_array():
 def test_a_nan_residual_in_a_later_block_reaches_the_report(monkeypatch):
     """np.max over the block maxima keeps a NaN that max() would drop, and
     the NaN jet is listed among the failing ones with its global index."""
-    residuals, calls = structure_residuals_env, []
+    residuals, sizes = structure_residuals_env, []
 
     def nan_in_block_1(fam, env):
         (r1, r2, r3), scales = residuals(fam, env)
-        calls.append(1)
-        if len(calls) == 2:
+        sizes.append(len(env["z0"]))
+        if len(sizes) == 2:
             r2 = r2.copy()
             r2[5] = np.nan
         return (r1, r2, r3), scales
 
     monkeypatch.setattr(verifier, "structure_residuals_env", nan_in_block_1)
     rep = certify_structure(novikov_preset(), samples=3 * verifier._BLOCK)
-    assert len(calls) == 3
+    assert len(sizes) >= 3 and sum(sizes) == 3 * verifier._BLOCK
     assert np.isnan(rep.residuals["R2_max"]) and rep.residuals["R1_max"] <= 1e-8 and rep.verdict == "fail"
-    assert [jet["index"] for jet in rep.failing] == [verifier._BLOCK + 5]
+    assert [jet["index"] for jet in rep.failing] == [sizes[0] + 5]
     assert np.isnan(rep.failing[0]["residuals"]["R2"])
 
 
@@ -405,6 +420,22 @@ def test_blocked_certify_structure_memory_is_at_most_half_the_whole_array():
 
     peak, ref = traced_peak(certify_structure), traced_peak(whole_array_certify_structure)
     assert peak <= 0.5 * ref, (peak, ref)
+
+
+def test_certify_structure_never_holds_the_whole_environment():
+    """Jets are sampled and certified one block at a time: at 10^5 jets the
+    traced peak stays below the 6 x 8 x 10^5 bytes of the six coordinates
+    of all the jets, which sampling them whole and cutting blocks from the
+    result held at least twice over."""
+    n = 100000
+    certify_structure(novikov_preset(), samples=n)  # caches and compiled programs are not counted
+    tracemalloc.start()
+    try:
+        certify_structure(novikov_preset(), samples=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * n, peak
 
 
 _NARROW = (-0.0015, 0.0015)
@@ -452,3 +483,17 @@ def test_a_guard_that_rejects_every_jet_ends_after_200_rounds(monkeypatch):
     with pytest.raises(CatalogError, match="rejected too many jets"):
         sample_envs(fam, 1, np.random.default_rng(0), bounds=(-1e-4, 1e-4))
     assert len(calls) == 200
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: sample_envs(novikov_preset(), n, np.random.default_rng(0)),
+    lambda n: certify_structure(novikov_preset(), samples=n),
+    lambda n: certify(novikov_preset(), samples=n),
+], ids=["sample_envs", "certify_structure", "certify"])
+def test_no_jets_is_a_catalog_error(call):
+    """Asking for no jets ends in one CatalogError line, not in numpy's
+    'need at least one array to concatenate'."""
+    for n in (0, -3):
+        with pytest.raises(CatalogError) as err:
+            call(n)
+        assert str(err.value) == f"samples must be a positive integer, got {n}"

@@ -31,11 +31,13 @@ columns.  `fij(i, j)` is a view of one entry of a column.  The entries
 read z0, z1, z2 only, so `zt` gives the on-shell z_{k,t} for k <= 2, in
 closed form.
 
-A spec sets only the params and expressions its branch reads (`_BRANCHES`).
-Derived constants, never user-set, are `Family.derived`, the `derived` block
-of a `catalog` report: mu3, eta3 for T22, T24; eta3, gamma for T23 (eta3
-solves eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0); mu3, eta3, m1 for T25i;
-mu3, eta3, m2 for T25ii (mu3^2 = 1 + mu2^2 - tau^2/m^2).  `root` picks a root.
+A spec sets only the params and expressions its branch reads (`_BRANCHES`);
+a `FamilyParams` field outside them keeps its default.  The derived constants,
+never inputs, are `Family.constants`, which the builders read.  Those a branch
+does not read as params are `Family.derived`, the `derived` block of a `catalog`
+report: mu3, eta3 for T22, T24; eta3, gamma for T23 (eta3 solves
+eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0); mu3, eta3, m1 for T25i; mu3,
+eta3, m2 for T25ii (mu3^2 = 1 + mu2^2 - tau^2/m^2).  `root` picks a root.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -114,14 +117,10 @@ class FamilyParams:
     mu2: float = 0.0
     eta2: float = 0.0
     C: float = 0.0
-    mu3: float | None = None
-    eta3: float | None = None
-    gamma: float | None = None
+    mu3: float = 0.0
     theta: float = 0.0
     B: float = 0.0
-    m1: float | None = None
     tau: float = 0.0
-    m2: float | None = None
     m: float = 0.0
     n: float = 0.0
     eta: float = 1.0
@@ -134,12 +133,14 @@ def _k(mu2):
 
 
 def _resolve(p: FamilyParams):
-    """(violations, derived) of `p` in one pass over its branch: each
-    constraint is checked next to the constant it guards, and the constants
-    the branch computes rather than reads (with T23's unset mu3 as 0) are
+    """(violations, constants) of `p` in one pass over its branch: a param
+    the branch does not read must keep its default, each constraint is
+    checked next to the constant it guards, and the constants the builders
+    read (mu3, eta3 and gamma, m1 or m2; T23's mu3 is its input) are
     computed only once every constraint before them holds."""
     if p.branch not in _BRANCHES:
         return [f"unknown branch {p.branch!r}"], {}
+    inputs = _BRANCHES[p.branch][0]
     out, derived = [], {}
 
     def holds(ok, violation):
@@ -151,7 +152,14 @@ def _resolve(p: FamilyParams):
         holds(p.sign == 1, f"{p.branch} reads no sign (sign must be +1, got {p.sign})")
     else:
         holds(p.sign in (1, -1), "sign must be +1 or -1")
-    holds(p.root in (1, -1), "root must be +1 or -1")
+    if "root" in inputs:
+        holds(p.root in (1, -1), "root must be +1 or -1")
+    # T22 says why its lam and C must be 0 below
+    checked = {"branch", "sign", *inputs, *(("lam", "C") if p.branch == Branch.T22 else ())}
+    for f in fields(FamilyParams):
+        if f.name not in checked:
+            val = getattr(p, f.name)
+            holds(val == f.default, f"{p.branch} reads no {f.name} ({f.name} must be {f.default}, got {val})")
     lam, mu2, eta2 = p.lam, p.mu2, p.eta2
     if p.branch in (Branch.T22, Branch.T24):
         if p.branch == Branch.T22:  # T24 at lam = C = 0
@@ -167,15 +175,14 @@ def _resolve(p: FamilyParams):
     elif p.branch == Branch.T23:
         holds(lam != 0, "lam != 0 violated (lam = 0)")
         holds(eta2 != 0, "eta2 != 0 violated (eta2 = 0)")
-        mu3 = p.mu3 if p.mu3 is not None else 0.0
-        disc = 1.0 + mu2**2 - mu3**2
+        disc = 1.0 + mu2**2 - p.mu3**2
         holds(not disc <= 0, "eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0 has no real eta3 with "
-              f"gamma != 0 (needs mu3^2 < 1 + mu2^2, got mu3 = {mu3})")
+              f"gamma != 0 (needs mu3^2 < 1 + mu2^2, got mu3 = {p.mu3})")
         if not out:  # root picks the root of the eta3 quadratic
-            eta3 = (mu2 * mu3 * eta2 + p.root * abs(eta2) * math.sqrt(disc)) / (1.0 + mu2**2)
-            gamma = mu2 * mu3 * eta2 - (1.0 + mu2**2) * eta3
+            eta3 = (mu2 * p.mu3 * eta2 + p.root * abs(eta2) * math.sqrt(disc)) / (1.0 + mu2**2)
+            gamma = mu2 * p.mu3 * eta2 - (1.0 + mu2**2) * eta3
             holds(gamma != 0, "gamma = mu2*mu3*eta2 - (1+mu2^2)*eta3 != 0 violated (gamma = 0)")
-            derived = {"mu3": mu3, "eta3": eta3, "gamma": gamma}
+            derived = {"mu3": p.mu3, "eta3": eta3, "gamma": gamma}
     elif p.branch == Branch.T25I:
         holds(p.theta != 0, "theta != 0 violated (theta = 0)")
         holds(lam**2 + p.B**2 != 0, "lam^2 + B^2 != 0 violated (lam = B = 0)")
@@ -202,14 +209,6 @@ def _resolve(p: FamilyParams):
     else:
         holds(p.eta != 0, "eta != 0 violated (eta = 0)")
     return out, derived
-
-
-def resolve_params(p: FamilyParams) -> FamilyParams:
-    """Fill in the derived constants; raise on violated constraints."""
-    violations, derived = _resolve(p)
-    if violations:
-        raise ConstraintViolation(violations)
-    return replace(p, **derived)
 
 
 def validate_params(p: FamilyParams) -> list:
@@ -261,7 +260,11 @@ class Family:
     """A classified equation instance; immutable after construction."""
 
     def __init__(self, params, f_expr=None, phi12_expr=None, phi_expr=None, name=None):
-        self.params = resolve_params(params)
+        violations, constants = _resolve(params)
+        if violations:
+            raise ConstraintViolation(violations)
+        self.params = params
+        self.constants = MappingProxyType(constants)
         self.f_expr = f_expr
         self.phi12_expr = phi12_expr
         self.phi_expr = phi_expr
@@ -309,8 +312,8 @@ class Family:
         and f_i2 = -lam*z0^2*f_i1 + phi_i2, with the resolved mu_p, eta_p.
         phi22 and phi32 take the phi12 value, so a column evaluates f11 and
         phi12 once."""
-        p = self.params
-        lam, mu2, eta2, mu3, eta3 = p.lam, p.mu2, p.eta2, p.mu3, p.eta3
+        p, c = self.params, self.constants
+        lam, mu2, eta2, mu3, eta3 = p.lam, p.mu2, p.eta2, c["mu3"], c["eta3"]
 
         def column1(env):
             v11 = f11(env)
@@ -336,9 +339,9 @@ class Family:
         return f11
 
     def _build_t23(self, s, k):
-        p = self.params
+        p, c = self.params, self.constants
         fx = self.f_expr
-        lam, mu2, eta2, mu3, eta3, gam = p.lam, p.mu2, p.eta2, p.mu3, p.eta3, p.gamma
+        lam, mu2, eta2, mu3, eta3, gam = p.lam, p.mu2, p.eta2, c["mu3"], c["eta3"], c["gamma"]
         q = 2.0 / gam * lam * eta2
 
         def phi12(env):
@@ -393,10 +396,10 @@ class Family:
         self._form7(self._f11_of_s(), phi12, phi22, phi32, G)
 
     def _build_t25i(self, s, k):
-        p = self.params
+        p, c = self.params, self.constants
         lam, mu2, eta2 = p.lam, p.mu2, p.eta2
         theta, B, m, n = p.theta, p.B, p.m, p.n
-        mu3, eta3, m1 = p.mu3, p.eta3, p.m1
+        mu3, eta3, m1 = c["mu3"], c["eta3"], c["m1"]
 
         def W(z0):
             return 2.0 * lam / theta - theta * B * dual.exp(theta * z0) + 2.0 * lam * z0
@@ -430,11 +433,11 @@ class Family:
         self._form7(f11, phi12, phi22, phi32, G)
 
     def _build_t25ii(self, s, k):
-        p = self.params
+        p, c = self.params, self.constants
         phix = self.phi_expr
         lam, mu2, eta2 = p.lam, p.mu2, p.eta2
         tau, m, n = p.tau, p.m, p.n
-        mu3, eta3, m2 = p.mu3, p.eta3, p.m2
+        mu3, eta3, m2 = c["mu3"], c["eta3"], c["m2"]
 
         def _phi(z0, order):
             out = _uni_derivs(phix, "z0", z0, order)
@@ -539,7 +542,7 @@ class Family:
         p = self.params
         return {
             "branch": p.branch,
-            "params": {k: getattr(p, k) for k in _BRANCHES[p.branch][0]},  # all resolved, none None
+            "params": {k: getattr(p, k) for k in _BRANCHES[p.branch][0]},  # set or defaulted
             "f": None if self.f_expr is None else self.f_expr.src,
             "phi12": None if self.phi12_expr is None else self.phi12_expr.src,
             "phi": None if self.phi_expr is None else self.phi_expr.src,
@@ -547,10 +550,9 @@ class Family:
         }
 
     def derived(self):
-        """The resolved constants the branch computes rather than reads."""
-        p = self.params
-        return {k: getattr(p, k) for k in ("mu3", "eta3", "gamma", "m1", "m2")
-                if k not in _BRANCHES[p.branch][0] and getattr(p, k) is not None}
+        """The constants the branch computes rather than reads."""
+        inputs = _BRANCHES[self.params.branch][0]
+        return {k: v for k, v in self.constants.items() if k not in inputs}
 
 
 def params_from_dict(doc) -> FamilyParams:
@@ -573,10 +575,7 @@ def params_from_dict(doc) -> FamilyParams:
     kw = {"sign": doc.get("sign", 1), **params}
     for key, val in kw.items():
         _check_param(key, val)
-    return FamilyParams(branch=branch, **kw)
-
-
-_NULLABLE = {f.name for f in fields(FamilyParams) if f.default is None}
+    return FamilyParams(branch=branch, **{k: v for k, v in kw.items() if v is not None})  # null mu3 is 0
 
 
 def _check_param(key, val):
@@ -589,7 +588,7 @@ def _check_param(key, val):
         ok, want = False, "a number within float range"
     elif number and not math.isfinite(val):  # json reads NaN, Infinity and -Infinity
         ok, want = False, "a finite number"
-    elif key in _NULLABLE:
+    elif key == "mu3":  # T23's optional input
         ok, want = number or val is None, "a number or null"
     else:
         ok, want = number, "a number"

@@ -242,8 +242,8 @@ def check_theorem21_conditions(
     """Residuals of the classification conditions at seeded random jets."""
     if not fam.is_form7:
         raise CatalogError("the classification conditions apply to the u_t - u_xxt = lam*u^2*u_xxx + G form only")
-    p = fam.params
-    lam, mu2, eta2, mu3, eta3 = p.lam, p.mu2, p.eta2, p.mu3, p.eta3
+    p, c = fam.params, fam.constants
+    lam, mu2, eta2, mu3, eta3 = p.lam, p.mu2, p.eta2, c["mu3"], c["eta3"]
     rng = np.random.default_rng(seed)
     env = sample_envs(fam, samples, rng)
     z0, z1, z2 = env["z0"], env["z1"], env["z2"]

@@ -11,9 +11,10 @@ former x/t-seeded total derivatives and order-2 prolongation, and the
 b-ODE march, jet sampler and CSV writer that recompute what their
 successors reuse, the structure certification on all jets at once, and
 the former nestable dual with its seeding (the tower of levels that the
-compiled partials are checked against), and the method-of-lines march and
+compiled partials are checked against), the method-of-lines march and
 stencil derivative with numpy's allocating calls (fresh FFT outputs,
-np.roll shifts).
+np.roll shifts), and the hook that builds families over sympy jets with
+exact constants.
 """
 
 import copy
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from pss import dual
+from pss import catalog, dual
 from pss.catalog import (
     Branch,
     CatalogError,
@@ -428,8 +429,8 @@ class PerEntryFamily(Family):
         """Assemble a form-(7) family from f11, (phi12, phi22, phi32) and G
         through the structural identities f_p1 = mu_p*f11 + eta_p (p = 2, 3)
         and f_i2 = -lam*z0^2*f_i1 + phi_i2, with the resolved mu_p, eta_p."""
-        p = self.params
-        lam, mu2, eta2, mu3, eta3 = p.lam, p.mu2, p.eta2, p.mu3, p.eta3
+        p, c = self.params, self.constants
+        lam, mu2, eta2, mu3, eta3 = p.lam, p.mu2, p.eta2, c["mu3"], c["eta3"]
 
         def f21(env):
             return mu2 * f11(env) + eta2
@@ -464,9 +465,9 @@ class PerEntryFamily(Family):
         return phi12
 
     def _build_t23(self, s, k):
-        p = self.params
+        p, c = self.params, self.constants
         fx = self.f_expr
-        lam, mu2, eta2, mu3, eta3, gam = p.lam, p.mu2, p.eta2, p.mu3, p.eta3, p.gamma
+        lam, mu2, eta2, mu3, eta3, gam = p.lam, p.mu2, p.eta2, c["mu3"], c["eta3"], c["gamma"]
         q = 2.0 / gam * lam * eta2
 
         def phi12(env):
@@ -519,10 +520,10 @@ class PerEntryFamily(Family):
         self._form7(self._f11_of_s(), (phi12, phi22, phi32), G)
 
     def _build_t25i(self, s, k):
-        p = self.params
+        p, c = self.params, self.constants
         lam, mu2, eta2 = p.lam, p.mu2, p.eta2
         theta, B, m, n = p.theta, p.B, p.m, p.n
-        mu3, eta3, m1 = p.mu3, p.eta3, p.m1
+        mu3, eta3, m1 = c["mu3"], c["eta3"], c["m1"]
 
         def W(z0):
             return 2.0 * lam / theta - theta * B * dual.exp(theta * z0) + 2.0 * lam * z0
@@ -556,11 +557,11 @@ class PerEntryFamily(Family):
         self._form7(f11, (phi12, phi22, phi32), G)
 
     def _build_t25ii(self, s, k):
-        p = self.params
+        p, c = self.params, self.constants
         phix = self.phi_expr
         lam, mu2, eta2 = p.lam, p.mu2, p.eta2
         tau, m, n = p.tau, p.m, p.n
-        mu3, eta3, m2 = p.mu3, p.eta3, p.m2
+        mu3, eta3, m2 = c["mu3"], c["eta3"], c["m2"]
 
         def _phi(z0, order):
             out = _uni_derivs(phix, "z0", z0, order)
@@ -625,6 +626,24 @@ class PerEntryFamily(Family):
 def per_entry_family(fam):
     """`fam` rebuilt by the per-entry builders."""
     return PerEntryFamily(fam.params, fam.f_expr, fam.phi12_expr, fam.phi_expr, name=fam.name)
+
+
+def symbolic_families(monkeypatch):
+    """While `monkeypatch` is active, families evaluate on sympy jets: each
+    family built resolves its derived constants exactly (`sp.nsimplify` of
+    each float, so t25ii-demo's mu3 is sqrt(3)/2, which a float rounds), and
+    np.exp(x) and the like, which call x.exp() on a sympy object x, work."""
+    import sympy as sp
+
+    for method, fn in (("exp", sp.exp), ("sin", sp.sin), ("cos", sp.cos), ("tan", sp.tan), ("sqrt", sp.sqrt), ("arctan", sp.atan)):
+        monkeypatch.setattr(sp.Expr, method, lambda self, _fn=fn: _fn(self), raising=False)
+    resolve = catalog._resolve
+
+    def exact(p):
+        violations, constants = resolve(p)
+        return violations, {k: sp.nsimplify(v) for k, v in constants.items()}
+
+    monkeypatch.setattr(catalog, "_resolve", exact)
 
 
 def _free_of(h):

@@ -71,13 +71,60 @@ def test_t23_eta3_solved_with_root_flag():
     for root in (1, -1):
         p = FamilyParams(branch=Branch.T23, lam=1.0, eta2=1.0, mu2=0.3, mu3=0.4, root=root)
         fam = build_family(p, f="s")
-        e2, e3, m2, m3 = fam.params.eta2, fam.params.eta3, fam.params.mu2, fam.params.mu3
+        e2, e3, m2, m3 = fam.params.eta2, fam.constants["eta3"], fam.params.mu2, fam.params.mu3
         quad = e2**2 - e3**2 - (m2 * e3 - m3 * e2) ** 2
         assert abs(quad) < 1e-12
-        assert fam.params.gamma != 0
+        assert fam.constants["gamma"] != 0
     pp = FamilyParams(branch=Branch.T23, lam=1.0, eta2=1.0, mu2=0.3, mu3=0.4, root=1)
     pm = FamilyParams(branch=Branch.T23, lam=1.0, eta2=1.0, mu2=0.3, mu3=0.4, root=-1)
-    assert build_family(pp, f="s").params.eta3 != build_family(pm, f="s").params.eta3
+    assert build_family(pp, f="s").constants["eta3"] != build_family(pm, f="s").constants["eta3"]
+
+
+def test_a_param_its_branch_does_not_read_must_keep_its_default():
+    """FamilyParams refuses, as a spec does, a param outside its branch's
+    row of `_BRANCHES`: set away from its default it is one violation naming
+    it, set to its default it is accepted.  So a T24 mu3 is no longer read
+    as the resolved one."""
+    bases = {
+        Branch.T22: dict(eta2=1.0),
+        Branch.T23: dict(lam=1.0, eta2=1.0),
+        Branch.T24: dict(lam=1.0, eta2=1.0),
+        Branch.T25I: dict(lam=1.0, theta=1.0, B=1.0, eta2=1.0, m=1.0),
+        Branch.T25II: dict(lam=1.0, tau=1.0, eta2=1.0, m=2.0),
+        Branch.SINE_GORDON: dict(),
+    }
+    table = [  # (branch, key, a value it refuses, the default it accepts)
+        (Branch.T22, "tau", 1.0, 0.0),
+        (Branch.T23, "theta", 2.0, 0.0),
+        (Branch.T24, "mu3", 7.0, 0.0),
+        (Branch.T25I, "root", -1, 1),
+        (Branch.T25II, "C", 0.5, 0.0),
+        (Branch.SINE_GORDON, "lam", 1.0, 0.0),
+    ]
+    assert {row[0] for row in table} == set(bases)
+    for branch, key, bad, default in table:
+        assert validate_params(FamilyParams(branch=branch, **bases[branch], **{key: default})) == [], branch
+        want = f"{branch} reads no {key} ({key} must be {default}, got {bad})"
+        assert validate_params(FamilyParams(branch=branch, **bases[branch], **{key: bad})) == [want]
+    with pytest.raises(ConstraintViolation) as err:
+        build_family(FamilyParams(branch=Branch.T24, lam=1, eta2=1, root=-1, theta=2.0), f="s", phi12="z1")
+    assert err.value.violations == ["T24 reads no theta (theta must be 0.0, got 2.0)",
+                                    "T24 reads no root (root must be 1, got -1)"]
+
+
+def test_family_params_holds_the_branch_inputs_only():
+    """Each FamilyParams field but branch and sign is an input of some
+    branch; the constants a branch derives are no fields, so a caller
+    cannot set what the family would not read."""
+    from dataclasses import fields
+
+    from pss.catalog import _BRANCHES
+
+    inputs = {key for row in _BRANCHES.values() for key in row[0]}
+    assert {f.name for f in fields(FamilyParams)} - {"branch", "sign"} == inputs
+    for key in ("eta3", "gamma", "m1", "m2"):
+        with pytest.raises(TypeError, match=key):
+            FamilyParams(branch=Branch.T23, lam=1.0, eta2=1.0, **{key: 0.5})
 
 
 def test_missing_expression():
@@ -199,7 +246,7 @@ def test_fi1_structure_invariants(name):
     combination f_i2 + lam z0^2 f_i1 never depends on z2; f_p1 - mu_p f11
     is the constant eta_p."""
     fam = PRESETS[name]()
-    p = fam.params
+    p, c = fam.params, fam.constants
     rng = np.random.default_rng(99)
     from pss.verifier import sample_envs
 
@@ -215,7 +262,7 @@ def test_fi1_structure_invariants(name):
 
     f11 = fam.fij(1, 1)(env)
     assert np.max(np.abs(fam.fij(2, 1)(env) - p.mu2 * f11 - p.eta2)) < 1e-12
-    assert np.max(np.abs(fam.fij(3, 1)(env) - p.mu3 * f11 - p.eta3)) < 1e-12
+    assert np.max(np.abs(fam.fij(3, 1)(env) - c["mu3"] * f11 - c["eta3"])) < 1e-12
 
     env_b = dict(env)
     env_b["z2"] = env["z2"] + 0.5
@@ -258,7 +305,7 @@ def test_form7_fij_follow_the_structural_identities(name):
     family's own phi_i2 functions, on sampled jets of every form-(7) preset
     and of one seeded family per branch."""
     fam = PRESETS[name]() if name in PRESETS else _seeded_form7_specs()[name]
-    p = fam.params
+    p, c = fam.params, fam.constants
     from pss.verifier import sample_envs
 
     env = sample_envs(fam, 300, np.random.default_rng(17))
@@ -268,7 +315,7 @@ def test_form7_fij_follow_the_structural_identities(name):
 
     f11 = fam.fij(1, 1)(env)
     assert close(fam.fij(2, 1)(env), p.mu2 * f11 + p.eta2)
-    assert close(fam.fij(3, 1)(env), p.mu3 * f11 + p.eta3)
+    assert close(fam.fij(3, 1)(env), c["mu3"] * f11 + c["eta3"])
     for i, phi in zip((1, 2, 3), fam.phi_column(env)):
         assert close(fam.fij(i, 2)(env), -p.lam * env["z0"] ** 2 * fam.fij(i, 1)(env) + phi)
 
@@ -363,9 +410,9 @@ def test_t22_refuses_C_as_it_refuses_lam():
 
 
 def test_family_spec_roundtrip(tmp_path):
-    """Every preset's spec reads back as the same resolved params and writes
-    the same spec.  The spec holds only its branch's inputs, and those with
-    the derived constants make up every resolved param."""
+    """Every preset's spec reads back as the same params and writes the same
+    spec.  The spec holds only its branch's inputs, and the family read back
+    derives the same constants, bit for bit."""
     from pss.catalog import load_family
 
     derived = {"novikov": {"mu3", "eta3"}, "sine-gordon": set(), "t22-demo": {"mu3", "eta3"},
@@ -378,7 +425,8 @@ def test_family_spec_roundtrip(tmp_path):
         fam2 = load_family(path)
         assert fam2.params == fam.params and fam2.to_dict() == doc, name
         assert set(fam.derived()) == derived[name], name
-        assert FamilyParams(branch=doc["branch"], sign=doc["sign"], **doc["params"], **fam.derived()) == fam.params, name
+        bits = [{k: float.hex(v) for k, v in f.derived().items()} for f in (fam, fam2)]
+        assert bits[0] == bits[1], name
     p = jp(0.4, -0.2, 0.8, 0.1)
     novikov = load_family(tmp_path / "novikov.json")
     assert novikov.params.branch == Branch.T24
@@ -462,26 +510,26 @@ def test_readme_branch_table_matches_the_catalog():
 def test_sign_flip_changes_eta3_sign_t22():
     pp = build_family(FamilyParams(branch=Branch.T22, mu2=0.5, eta2=1.0, sign=1), f="s", phi12="z1")
     pm = build_family(FamilyParams(branch=Branch.T22, mu2=0.5, eta2=1.0, sign=-1), f="s", phi12="z1")
-    assert pp.params.mu3 == -pm.params.mu3
-    assert pp.params.eta3 == -pm.params.eta3
+    assert pp.constants["mu3"] == -pm.constants["mu3"]
+    assert pp.constants["eta3"] == -pm.constants["eta3"]
 
 
 def test_t25i_m1_and_eta3_are_derived():
     fam = PRESETS["t25i-demo"]()
-    p = fam.params
+    p, c = fam.params, fam.constants
     k = math.sqrt(1 + p.mu2**2)
-    assert p.mu3 == pytest.approx(p.sign * k)
-    assert p.eta3 == pytest.approx(p.sign * (p.theta + p.m * p.mu2 * p.eta2) / (p.m * k))
-    assert p.m1 == pytest.approx(2 * p.n / p.m - 1 / p.theta + (p.eta2**2 - p.eta3**2) / p.theta)
+    assert c["mu3"] == pytest.approx(p.sign * k)
+    assert c["eta3"] == pytest.approx(p.sign * (p.theta + p.m * p.mu2 * p.eta2) / (p.m * k))
+    assert c["m1"] == pytest.approx(2 * p.n / p.m - 1 / p.theta + (p.eta2**2 - c["eta3"] ** 2) / p.theta)
 
 
 def test_t25ii_mu3_quadratic_and_m2():
     fam = PRESETS["t25ii-demo"]()
-    p = fam.params
-    assert p.mu3**2 == pytest.approx(1 + p.mu2**2 - (p.tau / p.m) ** 2)
-    assert p.eta3 == pytest.approx(p.eta2 * (p.mu2 * p.mu3 - p.sign * p.tau / p.m) / (1 + p.mu2**2))
-    X = p.eta2 * (p.mu3 + p.sign * p.tau * p.mu2 / p.m) / (1 + p.mu2**2)
-    assert p.m2 == pytest.approx(p.n / p.m - p.sign * X / p.tau)
+    p, c = fam.params, fam.constants
+    assert c["mu3"] ** 2 == pytest.approx(1 + p.mu2**2 - (p.tau / p.m) ** 2)
+    assert c["eta3"] == pytest.approx(p.eta2 * (p.mu2 * c["mu3"] - p.sign * p.tau / p.m) / (1 + p.mu2**2))
+    X = p.eta2 * (c["mu3"] + p.sign * p.tau * p.mu2 / p.m) / (1 + p.mu2**2)
+    assert c["m2"] == pytest.approx(p.n / p.m - p.sign * X / p.tau)
 
 
 def test_t25ii_requires_real_mu3():
@@ -504,7 +552,7 @@ def test_onshell_dt_of_higher_jet_against_symbolic_flux():
         + 4 * zs[0] * zs[1] * zs[2] - zs[0] ** 2 * zs[2]
     F = zs[0] ** 2 * zs[3] + G
     f11 = zs[0] - zs[2]  # f = s
-    column = (f11, p.mu2 * f11 + p.eta2, p.mu3 * f11 + p.eta3)
+    column = (f11, p.mu2 * f11 + p.eta2, fam.constants["mu3"] * f11 + fam.constants["eta3"])
     rates = {zs[0]: w1, zs[2]: w1 - F}  # column 1 reads z0 and z2 only
     dts = sp.lambdify((*zs, w1), [sum(sp.diff(c, z) * r for z, r in rates.items()) for c in column])
 

@@ -328,7 +328,10 @@ def test_family_spec_types_are_checked(tmp_path, capsys):
         (with_params(mu3="x"), 'mu3 must be a number or null, got "x"'),
         (spec(f=3), "f must be a string or null, got 3"),
         (spec(params={"lam": 1, "mu2": 0, "eta2": 1, "mu3": None, "root": -1}), None),
+        (base, None),
     ]
+    # a null or omitted T23 mu3 is 0.0, and the catalog says so
+    derived = {len(table) - 2: {"eta3": -1.0, "gamma": 1.0}, len(table) - 1: {"eta3": 1.0, "gamma": -1.0}}
     for command in ("verify", "catalog"):
         for i, (doc, line) in enumerate(table):
             path = tmp_path / f"spec{i}.json"
@@ -339,6 +342,10 @@ def test_family_spec_types_are_checked(tmp_path, capsys):
             err = capsys.readouterr().err
             if line is None:
                 assert code == EXIT_OK and err == "", (command, doc, err)
+                if command == "catalog":
+                    got = json.loads(rep.read_text())
+                    assert json.dumps(got["spec"]["params"]["mu3"]) == "0.0", doc
+                    assert json.dumps(got["derived"]) == json.dumps(derived[i]), doc
             else:
                 assert code == EXIT_USAGE, (command, doc)
                 assert err == f"pss: family spec: {line}\n", (command, doc)

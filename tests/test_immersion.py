@@ -655,6 +655,57 @@ def test_no_immersion_citations():
         assert out.proposition == prop
 
 
+def _codazzi_gauss_basis(name, monkeypatch):
+    """The grevlex Groebner basis, in the nine unknowns a, b, c and their x-
+    and t-partials, of the equations a triple of (x, t) alone must meet on
+    the preset `name`: E1 = E2 = 0 on every jet, as `codazzi_residuals`
+    forms them with exact constants, and the Gauss equation ac - b^2 + 1 = 0.
+    E1 and E2 are polynomials in the jet symbols and exp atoms of single jet
+    symbols, which are algebraically independent, so each coefficient must
+    vanish by itself."""
+    import sympy as sp
+
+    from references import symbolic_families
+
+    symbolic_families(monkeypatch)
+    fam = PRESETS[name]()
+    unknowns = sp.symbols("a b c a_x b_x c_x a_t b_t c_t")
+
+    class StandIn:
+        def values_and_derivs(self, env, x, t):
+            return unknowns[:3], unknowns[3:6], unknowns[6:]
+
+    names = [f"z{i}" for i in range(6)] + ["w1", "v1"]
+    jet = sp.symbols(names)
+    env = fam.constrain_env(dict(zip(names, jet)))
+    eqs = {unknowns[0] * unknowns[2] - unknowns[1] ** 2 + 1}
+    for e in codazzi_residuals(fam, StandIn(), env, 0.0, 0.0):
+        e = sp.expand(sp.powsimp(sp.expand(sp.nsimplify(e, rational=True), power_exp=True)), power_exp=True)
+        exps = sorted(e.atoms(sp.exp), key=str)
+        assert all(x.args[0] in jet for x in exps), exps
+        poly = sp.Poly(e, *jet, *exps)
+        assert poly.free_symbols_in_domain <= set(unknowns)
+        eqs.update(poly.coeffs())
+    return sp.groebner(sorted(eqs, key=str), *unknowns, order="grevlex"), unknowns
+
+
+@pytest.mark.parametrize("name", ["t23-demo", "t25i-demo", "t25ii-demo"])
+def test_no_immersion_presets_admit_no_real_triple_exactly(name, monkeypatch):
+    """The cited non-existence, shown: the Codazzi and Gauss equations of a
+    triple of (x, t) alone generate c^2 + 1, which has no real root."""
+    basis, (a, b, c, *partials) = _codazzi_gauss_basis(name, monkeypatch)
+    assert list(basis.exprs) == [c**2 + 1, a - c, b, *partials]
+    assert isinstance(solve_triple(PRESETS[name](), ImmersionParams()), NoImmersion)
+
+
+@pytest.mark.parametrize("name", ["novikov", "t22-demo"])
+def test_existence_presets_give_a_consistent_codazzi_gauss_basis(name, monkeypatch):
+    """The positive control: for the presets with a triple the same basis is
+    consistent (not [1]), and the triple depends on x alone."""
+    basis, (a, b, c, a_x, b_x, c_x, a_t, b_t, c_t) = _codazzi_gauss_basis(name, monkeypatch)
+    assert list(basis.exprs) == [4 * a_x * c - b_x**2 + 4 * c**2 + 4, a - a_x - c, 2 * b - b_x, a_t, b_t, c_t]
+
+
 def test_solve_triple_total_over_random_parameterizations():
     """Every catalog branch yields a triple or a citation - never an unhandled case."""
     rng = np.random.default_rng(2024)

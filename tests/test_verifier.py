@@ -3,13 +3,12 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from pss import catalog, verifier
+from pss import verifier
 from pss.catalog import (
     Branch,
     CatalogError,
@@ -30,7 +29,7 @@ from pss.verifier import (
     sample_envs,
     structure_residuals_env,
 )
-from references import columns, perturbed_family
+from references import columns, perturbed_family, symbolic_families
 
 
 def jp(z, w1=0.3, v1=0.2):
@@ -71,11 +70,11 @@ def test_delta_t22_formula():
 
 def test_delta_t23_formula():
     fam = PRESETS["t23-demo"]()
-    p = fam.params
+    p, c = fam.params, fam.constants
     rng = np.random.default_rng(2)
     for _ in range(50):
         z = rng.uniform(-1, 1, 4)
-        want = (2.0 / p.gamma) * p.lam * p.eta2 * p.eta3 * z[0] * z[1]
+        want = (2.0 / c["gamma"]) * p.lam * p.eta2 * c["eta3"] * z[0] * z[1]
         assert delta(*columns(fam, jp(z)), 1, 3) == pytest.approx(want, abs=1e-12)
 
 
@@ -130,17 +129,7 @@ def test_structure_residuals_vanish_symbolically_on_shell(name, monkeypatch):
     shows them zero identically.  The derived constants are resolved exactly
     (t25ii-demo's mu3 is sqrt(3)/2, which a float rounds), and the jet is
     constrained on shell as sampled jets are (v1 = sin z0 for sine-Gordon)."""
-    # np.exp(x) and the like call x.exp() on a sympy object x
-    for method, fn in (("exp", sp.exp), ("sin", sp.sin), ("cos", sp.cos), ("tan", sp.tan), ("sqrt", sp.sqrt), ("arctan", sp.atan)):
-        monkeypatch.setattr(sp.Expr, method, lambda self, _fn=fn: _fn(self), raising=False)
-    resolve = catalog.resolve_params
-
-    def exact(p):
-        p = resolve(p)
-        derived = ("mu3", "eta3", "gamma", "m1", "m2")
-        return replace(p, **{k: sp.nsimplify(getattr(p, k)) for k in derived if getattr(p, k) is not None})
-
-    monkeypatch.setattr(catalog, "resolve_params", exact)
+    symbolic_families(monkeypatch)
     fam = PRESETS[name]()
     names = [f"z{i}" for i in range(6)] + ["w1", "v1"]
     env = fam.constrain_env(dict(zip(names, sp.symbols(names))))
@@ -207,7 +196,7 @@ def test_theorem21_detects_translation_violation():
     from pss.jets import JetFunction
 
     class Broken:
-        params = fam.params
+        params, constants = fam.params, fam.constants
         name = "broken-f11"
         is_form7 = True
         phi12_fn = staticmethod(fam.phi12_fn)

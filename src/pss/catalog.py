@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from types import MappingProxyType
@@ -137,10 +138,14 @@ def _resolve(p: FamilyParams):
     the branch does not read must keep its default, each constraint is
     checked next to the constant it guards, and the constants the builders
     read (mu3, eta3 and gamma, m1 or m2; T23's mu3 is its input) are
-    computed only once every constraint before them holds."""
+    computed only once every constraint before them holds.  A param the
+    branch reads that is not a finite number of its type raises
+    CatalogError, whether it came from a spec or from a caller."""
     if p.branch not in _BRANCHES:
         return [f"unknown branch {p.branch!r}"], {}
     inputs = _BRANCHES[p.branch][0]
+    for key in ("sign", *inputs):  # a spec's and a caller's params, alike
+        _check_param(key, getattr(p, key))
     out, derived = [], {}
 
     def holds(ok, violation):
@@ -212,7 +217,8 @@ def _resolve(p: FamilyParams):
 
 
 def validate_params(p: FamilyParams) -> list:
-    """Branch constraints; empty list iff all hold."""
+    """Branch constraints; empty list iff all hold (CatalogError for a param
+    of the wrong type or not finite)."""
     return _resolve(p)[0]
 
 
@@ -572,28 +578,28 @@ def params_from_dict(doc) -> FamilyParams:
     bad = set(params) - set(inputs)
     if bad:
         raise CatalogError(f"family spec: branch {branch} takes the params {list(inputs)}, not {sorted(bad)}")
-    kw = {"sign": doc.get("sign", 1), **params}
-    for key, val in kw.items():
-        _check_param(key, val)
-    return FamilyParams(branch=branch, **{k: v for k, v in kw.items() if v is not None})  # null mu3 is 0
+    if params.get("mu3", 0.0) is None:  # a null T23 mu3 is its default 0.0
+        params = {k: v for k, v in params.items() if k != "mu3"}
+    return FamilyParams(branch=branch, sign=doc.get("sign", 1), **params)  # _resolve checks the values
 
 
 def _check_param(key, val):
     """CatalogError unless `val` has the type FamilyParams gives `key` and,
-    if it is a number, is finite and within float range."""
-    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if it is a number, is finite and within float range.  A numpy scalar
+    from a caller counts as the Python number it stands for."""
+    number = isinstance(val, numbers.Real) and not isinstance(val, bool)
     if key in ("sign", "root"):
-        ok, want = number and isinstance(val, int), "an integer"
+        ok, want = number and isinstance(val, numbers.Integral), "an integer"
     elif number and isinstance(val, int) and abs(val) > sys.float_info.max:  # float arithmetic would overflow
         ok, want = False, "a number within float range"
     elif number and not math.isfinite(val):  # json reads NaN, Infinity and -Infinity
         ok, want = False, "a finite number"
-    elif key == "mu3":  # T23's optional input
-        ok, want = number or val is None, "a number or null"
+    elif key == "mu3" and val is not None:  # T23's optional input: a spec may write null
+        ok, want = number, "a number or null"
     else:
         ok, want = number, "a number"
     if not ok:
-        raise CatalogError(f"family spec: {key} must be {want}, got {json.dumps(val)}")
+        raise CatalogError(f"family spec: {key} must be {want}, got {json.dumps(val, default=repr)}")
 
 
 def family_from_dict(doc, name=None) -> Family:

@@ -346,8 +346,8 @@ def kink_field(eta, grid: Grid1D, t_span=(-6.0, 6.0)) -> SolutionField:
 
 
 # The most RK4 steps, t_max / dt, that the command line lets a march take; a
-# step of the default 256-point spectral march costs 270-540 us
-# (field.pde.step_us, 2-vCPU Xeon VM), so the cap is under a minute there.
+# step of the default 256-point spectral march costs 180-190 us
+# (field.pde.step_us, 2-vCPU Xeon VM), so the cap is about 20 s there.
 MAX_PDE_STEPS = 10**5
 
 
@@ -380,24 +380,34 @@ def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> 
             return cumulative_integral(np.sin(uu), dx, order=acc)
 
     else:
+        # numpy.fft's own pocketfft kernels, called without its Python wrapper
+        # (half of each call's time at nx = 256): rfft with factor 1 and irfft
+        # with 1/nx are what np.fft.rfft and np.fft.irfft(n=nx) run, bit for bit
+        from numpy.fft import _pocketfft_umath as pocketfft
+
+        rfft = pocketfft.rfft_n_even if nx % 2 == 0 else pocketfft.rfft_n_odd
+        irfft, inv_nx = pocketfft.irfft, 1.0 / nx
         lam, G = fam.params.lam, fam.G_fn
         kw = grid.wavenumbers()
         helmholtz = 1.0 + kw * kw  # divided by, as in helmholtz_invert: same rounding
         spectrum = np.empty(len(kw), dtype=complex)  # every rfft of the march writes here
         if space == "spectral":
             symbols = np.stack([(1j * kw) ** m for m in (1, 2, 3)])
+            spectra, z123 = np.empty(symbols.shape, dtype=complex), np.empty((3, nx))
 
-            def derivs(uu):  # one rfft of u and one batched irfft
-                return np.fft.irfft(np.fft.rfft(uu, out=spectrum) * symbols, n=nx)
+            def derivs(uu):  # one rfft of u and one batched irfft, read before the next call
+                np.multiply(rfft(uu, 1, out=spectrum), symbols, out=spectra)
+                return irfft(spectra, inv_nx, out=z123)
 
         else:
             def derivs(uu):
                 return [periodic_derivative(uu, dx, m, acc=acc) for m in (1, 2, 3)]
 
-        def rhs(uu):
+        def rhs(uu):  # a new array each call: k1..k4 and the saved frames keep theirs
             z1, z2, z3 = derivs(uu)
             f = lam * uu * uu * z3 + G({"z0": uu, "z1": z1, "z2": z2, "z3": z3})
-            return np.fft.irfft(np.divide(np.fft.rfft(f, out=spectrum), helmholtz, out=spectrum), n=nx)
+            np.divide(rfft(f, 1, out=spectrum), helmholtz, out=spectrum)
+            return irfft(spectrum, inv_nx, out=np.empty(nx))
 
         cfl_dx, lam_abs = CFL_COEFFICIENT * dx, abs(lam)
 

@@ -56,6 +56,27 @@ def test_t22_eta2_zero_violation():
     assert any("eta2 != 0" in s for s in v)
 
 
+def _refused_in_one_line(p, line, **exprs):
+    for call in (lambda: validate_params(p), lambda: build_family(p, **exprs)):
+        with pytest.raises(CatalogError) as err:
+            call()
+        assert type(err.value) is CatalogError and str(err.value) == line
+
+
+def test_a_nan_param_from_python_is_refused_as_in_a_spec():
+    """FamilyParams built in Python takes the check a spec's params take: a
+    NaN lam fails no constraint comparison, so it would otherwise build."""
+    _refused_in_one_line(FamilyParams(branch=Branch.T24, lam=math.nan, eta2=1.0),
+                         "family spec: lam must be a finite number, got NaN", f="s", phi12="z1")
+
+
+def test_a_none_mu3_from_python_is_refused_not_thrown():
+    """A spec's null T23 mu3 is its default 0.0; a None set in Python is
+    refused in one line, not a TypeError from the arithmetic of _resolve."""
+    _refused_in_one_line(FamilyParams(branch=Branch.T23, lam=1, eta2=1, mu3=None),
+                         "family spec: mu3 must be a number, got null", f="s")
+
+
 def test_t23_gamma_that_rounds_to_zero_is_a_constraint_error():
     """eta3 is a real root here (mu3^2 < 1 + mu2^2 in floats), but gamma =
     mu2*mu3*eta2 - (1+mu2^2)*eta3 rounds to 0, which G divides by."""

@@ -2,9 +2,13 @@
 
 import argparse
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -171,6 +175,28 @@ def test_pde_csv_bytes_equal_the_per_cell_writer(tmp_path):
             want.append(f"{float(x)!r},{float(t)!r},{float(f.frames[j, i])!r}\n")
     assert len(want) == 1 + 11 * 16
     assert csv.read_bytes() == "".join(want).encode("utf-8")
+
+
+_NO_FFT_RUN = """
+import sys
+from pss.cli import run
+codes = [run(["verify", "--preset", "novikov", "--samples", "1000", "--deterministic", "--report", "v.json"]),
+         run(["sff", "--preset", "t22-demo", "--Cstrip", "3", "--beta", "1", "--out", "t.csv",
+              "--deterministic", "--report", "s.json"]),
+         run(["reconstruct", "--preset", "sine-gordon", "--soliton", "--grid", "20x20", "--out", "k.obj",
+              "--deterministic", "--report", "r.json"])]
+print(codes, "numpy.fft" in sys.modules)
+"""
+
+
+def test_only_the_march_loads_numpy_fft(tmp_path):
+    """verify, sff and an exact reconstruct never import numpy.fft: only
+    solve_mol (and the spectral helpers) bind it, when they run, so the
+    commands that do not march keep its code out of their memory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_FFT_RUN], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split("\n")[-2] == f"{[EXIT_OK] * 3} False"
 
 
 def test_usage_error_exit_1(capsys):

@@ -422,13 +422,35 @@ def test_periodic_derivative_equals_the_roll_stencil_bit_for_bit():
                                       roll_periodic_derivative(u, 0.3, m, acc=acc)), (shape, acc, m)
 
 
-def test_spectral_rk4_matches_reference_rhs():
+def test_pocketfft_kernels_equal_numpy_fft_bit_for_bit():
+    """The kernels the march binds from numpy.fft's private pocketfft module,
+    with the factors np.fft passes them (1 forward, 1/n back), give
+    np.fft.rfft and np.fft.irfft(n=n) bit for bit, the 3-row batch too."""
+    try:
+        from numpy.fft import _pocketfft_umath as pocketfft
+    except ImportError as exc:
+        pytest.fail(f"numpy {np.__version__} moved numpy.fft._pocketfft_umath, which solve_mol binds: {exc}")
+    def same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    rng = np.random.default_rng(35)
+    for n in (128, 256, 127):
+        rfft = pocketfft.rfft_n_even if n % 2 == 0 else pocketfft.rfft_n_odd
+        u = rng.standard_normal(n)
+        assert same_bits(rfft(u, 1, out=np.empty(n // 2 + 1, dtype=complex)), np.fft.rfft(u)), n
+        spectra = rng.standard_normal((3, n // 2 + 1)) + 1j * rng.standard_normal((3, n // 2 + 1))
+        assert same_bits(pocketfft.irfft(spectra, 1.0 / n, out=np.empty((3, n))), np.fft.irfft(spectra, n=n)), n
+
+
+@pytest.mark.parametrize("nx", [128, 256, 127])
+def test_spectral_rk4_matches_reference_rhs(nx):
     """The march's shared-rfft right-hand side gives, bit for bit, the RK4
-    steps of the one built from spectral_derivative and helmholtz_invert.
-    The data cross zero and dt is large, so that a one-ulp change of G
-    shows in the frames."""
+    steps of the one built from spectral_derivative and helmholtz_invert,
+    at the field workload's nx = 256 and at an odd nx too.  The data cross
+    zero and dt is large, so that a one-ulp change of G shows in the
+    frames."""
     fam = novikov_preset()
-    g = Grid1D(0.0, 2 * np.pi, 128)
+    g = Grid1D(0.0, 2 * np.pi, nx)
     u = 0.6 * np.sin(g.nodes()) + 0.2 * np.cos(3 * g.nodes())
     dt, steps = 1e-2, 4
     f = solve_mol(fam, g, u, steps * dt, dt, n_save=steps + 1)

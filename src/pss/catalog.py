@@ -52,7 +52,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import dual
-from .dual import Taylor, primal
+from .dual import Taylor, div, mul, primal
 from .expr import parse_expression
 from .jets import JetError, JetFunction
 
@@ -306,7 +306,7 @@ class Family:
             lam = self.params.lam
 
             def F(env, _g=g_fn, _lam=lam):
-                return _lam * env["z0"] ** 2 * env["z3"] + _g(env)
+                return mul(mul(_lam, env["z0"] ** 2), env["z3"]) + _g(env)
 
             self.F_fn = F
         self.phi12_fn = phi12
@@ -365,10 +365,10 @@ class Family:
             _check_nonzero(fp, FPrimeZero, "f'")
             inner = (
                 2.0 * z0 * z1 * fv
-                + z0**2 * z1 * fp
-                + (2.0 * eta2 / gam) * (z1**2 + z0 * z2 + (mu3 * eta2 - mu2 * eta3) * z0 * z1)
+                + mul(z0**2 * z1, fp)
+                + mul(2.0 * eta2 / gam, z1**2 + z0 * z2 + mul(mu3 * eta2 - mu2 * eta3, z0) * z1)
             )
-            return -(lam / fp) * inner
+            return mul(-(lam / fp), inner)
 
         self._form7(self._f11_of_s(), phi12, phi22, phi32, G)
 
@@ -391,13 +391,15 @@ class Family:
             fv, fp = _f_and_prime(fx, z0 - z2)
             _check_nonzero(fp, FPrimeZero, "f'")
             pv, p0, p1 = _phi12_parts(px, z0, z1)
-            return (
+            z0sq = z0**2
+            return div(
                 z1 * p0
                 + z2 * p1
-                - lam * z0**2 * z1 * fp
-                + s * eta2 / k * pv
-                - (2.0 * lam * z0 * z1 + s * eta2 / k * lam * z0**2 + s * C / k) * fv
-            ) / fp
+                - mul(mul(mul(lam, z0sq), z1), fp)
+                + mul(s * eta2 / k, pv)
+                - (2.0 * lam * z0 * z1 + mul(s * eta2 / k * lam, z0sq) + s * C / k) * fv,
+                fp,
+            )
 
         self._form7(self._f11_of_s(), phi12, phi22, phi32, G)
 
@@ -427,14 +429,14 @@ class Family:
 
         def G(env):
             z0, z1, z2 = env["z0"], env["z1"], env["z2"]
-            E = dual.exp(theta * z0)
-            return lam * (
+            E = dual.exp(mul(theta, z0))
+            return mul(lam, (
                 -5.0 * z0**2 * z1
                 + 4.0 * z0 * z1 * z2
-                + (2.0 * m1 - 4.0 / theta) * z0 * z1
-                + (2.0 * m1 / theta) * z1
-                - (2.0 / theta) * z1 * z2
-            ) + (theta * z1**3 + 2.0 * z0 * z1 + z1 * z2 - m1 * z1) * theta * B * E
+                + mul(2.0 * m1 - 4.0 / theta, z0) * z1
+                + mul(2.0 * m1 / theta, z1)
+                - mul(2.0 / theta, z1) * z2
+            )) + mul(mul(mul(theta, z1**3) + 2.0 * z0 * z1 + z1 * z2 - mul(m1, z1), theta), B) * E
 
         self._form7(f11, phi12, phi22, phi32, G)
 
@@ -470,12 +472,13 @@ class Family:
         def G(env):
             z0, z1, z2 = env["z0"], env["z1"], env["z2"]
             pv, pd, pdd = _phi(z0, 2)
-            Ez = dual.exp(s * tau * z1)
+            Ez = dual.exp(mul(s * tau, z1))
             return (
-                lam * (-3.0 * z0**2 * z1 + 2.0 * z0 * z1 * z2 + 2.0 * m2 * z0 * z1 - s * (2.0 / tau) * (z1**2 + z0 * z2))
-                + pdd * z1**2 * Ez
-                + s * (tau * z0 * z1 + s * z2 + tau * z1 * z2 - m2 * tau * z1) * pd * Ez
-                + tau * (s * z1 + tau * z0 * z2 - m2 * tau * z2) * pv * Ez
+                mul(lam, -3.0 * z0**2 * z1 + 2.0 * z0 * z1 * z2 + mul(2.0 * m2, z0) * z1
+                    - mul(s * (2.0 / tau), z1**2 + z0 * z2))
+                + mul(pdd, z1**2) * Ez
+                + mul(mul(s, mul(tau, z0) * z1 + mul(s, z2) + mul(tau, z1) * z2 - mul(m2 * tau, z1)), pd) * Ez
+                + mul(mul(tau, mul(s, z1) + mul(tau, z0) * z2 - mul(m2 * tau, z2)), pv) * Ez
             )
 
         self._form7(f11, phi12, phi22, phi32, G)

@@ -34,6 +34,8 @@ __all__ = [
     "seed",
     "primal",
     "value_grad",
+    "mul",
+    "div",
     "sin",
     "cos",
     "tan",
@@ -276,6 +278,23 @@ def seed(values, names):
         unit = tuple(1.0 if j == i else 0.0 for j in range(n))
         env[nm] = Dual(values[nm], unit)
     return 1, env
+
+
+def mul(a, b):
+    """a * b, or the other operand where one is the float 1.0.  x * 1.0 and
+    x / 1.0 are x exactly (IEEE 754), for floats, arrays, duals and series
+    alike, so skipping them keeps every bit and saves an array operation;
+    x + 0.0 (-0.0 + 0.0 is 0.0) and 0.0 * x (inf, NaN) are not exact."""
+    if type(b) is float and b == 1.0:
+        return a
+    if type(a) is float and a == 1.0:
+        return b
+    return a * b
+
+
+def div(a, b):
+    """a / b, or a where b is the float 1.0 (see `mul`)."""
+    return a if type(b) is float and b == 1.0 else a / b
 
 
 def value_grad(result, level, n):

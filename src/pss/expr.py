@@ -25,9 +25,10 @@ on first use by evaluating the tree once over ``dual.Dual``s whose parts
 are build-time operands, so Dual's own operators write it: forward mode
 unrolled ahead of time (Griewank & Walther, *Evaluating Derivatives*, ch. 3
 and 13).  That code makes no duals of its own, yet it runs the operations
-of seeding the variables as duals in the same order, so it gives the same
-bits and the same ``DomainError`` for float and array inputs, and for dual
-inputs the bits of seeding a nested dual over them.
+of seeding the variables as duals in the same order, less the exact ones
+(x * 1.0, 1.0 * x and x / 1.0), so it gives the same bits and the same
+``DomainError`` for float and array inputs, and for dual inputs the bits of
+seeding a nested dual over them.
 ``parse_expression`` is memoized per process on (source, variables).
 """
 
@@ -314,13 +315,14 @@ def _free_vars(node, acc):
 # A program is written by evaluating the tree once over build-time operands
 # (``_Operand``), one line per operation in evaluation order: the left
 # operand before the right, a denominator and its check before the
-# numerator.  In the partials program each declared variable is a
-# ``dual.Dual`` of operands, so Dual's own operators and rule table write the
-# forward-mode lines.  The lines apply the plain Python operators to whatever
-# the caller passes (floats, arrays, duals, series), so a caller's duals come
-# out bit for bit as through a nested dual seeded over them.  Each temporary
-# is deleted after the line that reads it last, so a dead array is freed at
-# once.
+# numerator; a product or quotient by a 1.0 known when the program is built
+# writes none (`_ProgramBuilder.binop`).  In the partials program each
+# declared variable is a ``dual.Dual`` of operands, so Dual's own operators
+# and rule table write the forward-mode lines.  The lines apply the plain
+# Python operators to whatever the caller passes (floats, arrays, duals,
+# series), so a caller's duals come out bit for bit as through a nested dual
+# seeded over them.  Each temporary is deleted after the line that reads it
+# last, so a dead array is freed at once.
 
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "**": operator.pow}
 _TEMP_RE = re.compile(r"\b_t\d+\b")
@@ -400,6 +402,13 @@ class _ProgramBuilder:
                 return _FOLD[sym](x, y)
             except ArithmeticError:
                 pass  # left to raise when the program runs
+        # x * 1.0, 1.0 * x and x / 1.0 are x exactly for every operand type;
+        # x ** 1 is not (a dual's float 0.0 grads come back as arrays, a
+        # series gains 0.0 * u_k terms), nor x + 0.0 (-0.0) or 0.0 * x (inf, NaN)
+        if sym in ("*", "/") and type(y) is float and y == 1.0:
+            return x
+        if sym == "*" and type(x) is float and x == 1.0:
+            return y
         return self.emit(f"{self.ref(x)} {sym} {self.ref(y)}")
 
     def call(self, fn, x):

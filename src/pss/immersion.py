@@ -51,6 +51,7 @@ __all__ = [
     "TripleDomainError",
     "DiscriminantCollapse",
     "DenominatorCollapse",
+    "StepErrorCollapse",
     "solve_triple",
     "integrate_b_ode",
     "gauss_residual",
@@ -97,11 +98,23 @@ class DenominatorCollapse(_Collapse):
     reason, what = "denominator", "ODE denominator"
 
 
+class StepErrorCollapse(_Collapse):
+    reason, what = "step_error", "RK4 step error"
+
+
 # The b-ODE march refuses a start, and stops, where delta <= DELTA_MIN, where
 # the denominator of b' is below DENOM_MIN * max(1, |terms|_inf), or where
-# either is not finite (_OdeForm._march).
+# either is not finite (_OdeForm._march).  It also stops before a step whose
+# local error estimate |h/6 (k4 - k5)| / max(1, |b|) exceeds STEP_ERROR_MAX:
+# k5 is b' at the step's end, and the weights (1/6, 1/3, 1/3, 0, 1/6) on
+# k1..k5 are a third-order solution embedded in RK4 (Hairer, Norsett &
+# Wanner, Solving ODEs I, II.4).  At h = 1e-3, tables like the benchmark's
+# (T22 and T24, mu2 in [0.4, 1]) read at most 1e-12; tables nearing a pole of
+# b or a zero of delta read at most 5e-4 up to their last two steps, then
+# from 4e-3 to 2e3 on the step that jumps.
 DELTA_MIN = 1e-8
 DENOM_MIN = 1e-8
+STEP_ERROR_MAX = 1e-3
 # The most steps, round(eps / h), that the command line lets the march take
 # in each direction; a step costs about 5 us (2-vCPU Xeon VM, 5-7 us under
 # load; 11-15 us before the march ran in Python floats), so the cap is
@@ -331,7 +344,8 @@ class _OdeForm(ImmersionTriple):
     def _march(self, ip):
         """(s, b, b', stops): the table marched both ways from (ip.s0, ip.b0),
         in Python floats; it stops where _slope(keep=True) raises at a node,
-        _slope raises at a stage or den changes sign.  `stops` has the reason
+        _slope raises at a stage, den changes sign or a step's error estimate
+        exceeds STEP_ERROR_MAX.  `stops` has the reason
         and s of each direction's collapse, which a table of fewer than 4
         points raises.  b' is the slope each kept point was checked with, so
         the table's slopes are not computed again."""
@@ -359,6 +373,9 @@ class _OdeForm(ImmersionTriple):
                 # a sign change means the step jumped over a pole of b'
                 if (den < 0) != (den_prev < 0):
                     stop = DenominatorCollapse(sn)
+                    break
+                if not abs(h / 6.0 * (k4 - kn)) <= STEP_ERROR_MAX * max(1.0, abs(bn)):
+                    stop = StepErrorCollapse(sn)
                     break
                 out_s.append(sn)
                 out_b.append(bn)

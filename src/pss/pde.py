@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .dual import Taylor
+from .dual import Taylor, mul
 from .expr import parse_expression
 from .immersion import write_csv
 
@@ -76,6 +76,11 @@ class CflError(BlowUpError):
 
 
 BLOWUP_CAP = 1e6
+# Neighbouring snapshot spacings that differ by more than this, relative, are
+# uneven (SolutionField._time_slopes).  A march saves t = k*dt, within half an
+# ulp of t, so its even spacings differ by under 1e-10 relative at
+# MAX_PDE_STEPS steps.
+UNEVEN_SPACING = 1e-8
 CFL_COEFFICIENT = 0.5  # c of the CflError step cap
 
 
@@ -310,7 +315,12 @@ class SolutionField:
 
     def _time_slopes(self):
         """u_t at every snapshot, shape (S, nx): centered inside, one-sided
-        2nd order at the ends; with two snapshots, their divided difference."""
+        2nd order at the ends; with two snapshots, their divided difference.
+        Where the two spacings of three neighbouring snapshots differ by more
+        than UNEVEN_SPACING relative, the slopes that read those three take
+        their 2nd-order weights for the actual spacings (`fd_weights`), as at
+        the shorter last interval a march saves; even snapshots keep the
+        formulas above."""
         ts, fr = self.times, self.frames
         if len(ts) < 2:
             raise PdeError("NUMERIC field needs at least two snapshots for w1")
@@ -319,6 +329,13 @@ class SolutionField:
             du[1:-1] = (fr[2:] - fr[:-2]) / (ts[2:] - ts[:-2])[:, None]
             du[0] = (-3.0 * fr[0] + 4.0 * fr[1] - fr[2]) / (2.0 * (ts[1] - ts[0]))
             du[-1] = (3.0 * fr[-1] - 4.0 * fr[-2] + fr[-3]) / (2.0 * (ts[-1] - ts[-2]))
+            h = np.diff(ts)
+            uneven = np.abs(h[1:] / h[:-1] - 1.0) > UNEVEN_SPACING  # of snapshots j, j + 1, j + 2
+            first = np.concatenate(([0], np.arange(len(ts) - 2), [len(ts) - 3]))  # of the three each slope reads
+            for at in np.flatnonzero(uneven[first]):
+                j = first[at]
+                scale = ts[j + 2] - ts[j]
+                du[at] = fd_weights(1, (ts[j:j + 3] - ts[at]) / scale) @ fr[j:j + 3] / scale
         else:
             du[:] = (fr[1] - fr[0]) / (ts[1] - ts[0])
         return du
@@ -346,8 +363,9 @@ def kink_field(eta, grid: Grid1D, t_span=(-6.0, 6.0)) -> SolutionField:
 
 
 # The most RK4 steps, t_max / dt, that the command line lets a march take; a
-# step of the default 256-point spectral march costs 180-190 us
-# (field.pde.step_us, 2-vCPU Xeon VM), so the cap is about 20 s there.
+# step of the default 256-point spectral march costs 155-170 us (the least of
+# seven README marches in one process, 2-vCPU Xeon VM), so the cap is about
+# 16 s there.
 MAX_PDE_STEPS = 10**5
 
 
@@ -405,7 +423,7 @@ def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> 
 
         def rhs(uu):  # a new array each call: k1..k4 and the saved frames keep theirs
             z1, z2, z3 = derivs(uu)
-            f = lam * uu * uu * z3 + G({"z0": uu, "z1": z1, "z2": z2, "z3": z3})
+            f = mul(lam, uu) * uu * z3 + G({"z0": uu, "z1": z1, "z2": z2, "z3": z3})
             np.divide(rfft(f, 1, out=spectrum), helmholtz, out=spectrum)
             return irfft(spectrum, inv_nx, out=np.empty(nx))
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from pss import catalog, dual
+from pss import catalog, dual, immersion
 from pss.catalog import (
     Branch,
     CatalogError,
@@ -760,8 +760,9 @@ class FreshStageMarch:
 
         A point is kept, and a start accepted, where delta is in
         (DELTA_MIN, inf), |den| in [DENOM_MIN * max(1, |terms|_inf), inf) and
-        delta' = 2 phi phi' + 8 b b' is finite; numpy-scalar overflow along
-        the way is left to those tests, not warned about."""
+        delta' = 2 phi phi' + 8 b b' is finite; a step's end also needs
+        |h/6 (k4 - g there)| <= STEP_ERROR_MAX * max(1, |b|).  Numpy-scalar
+        overflow along the way is left to those tests, not warned about."""
 
         def keeps(sv, bv):
             """(reason, den): the reason a point is not kept, or None."""
@@ -787,7 +788,7 @@ class FreshStageMarch:
             k2 = self.g(sv + 0.5 * h, bv + 0.5 * h * k1)
             k3 = self.g(sv + 0.5 * h, bv + 0.5 * h * k2)
             k4 = self.g(sv + h, bv + h * k3)
-            return bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return bv + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k4
 
         def march(direction):
             h = direction * ip.h
@@ -796,7 +797,7 @@ class FreshStageMarch:
             stop = None
             for _ in range(int(round(ip.eps / ip.h))):
                 try:
-                    bn = step(sv, bv, h)
+                    bn, k4 = step(sv, bv, h)
                 except DiscriminantCollapse as e:
                     stop = ("discriminant", e.s)
                     break
@@ -807,6 +808,9 @@ class FreshStageMarch:
                 reason, den = keeps(sn, bn)
                 if reason is None and (den < 0) != (den_prev < 0):
                     reason = "denominator"
+                if reason is None and not abs(h / 6.0 * (k4 - self.g(sn, bn))) <= (
+                        immersion.STEP_ERROR_MAX * max(1.0, abs(bn))):
+                    reason = "step_error"
                 if reason:
                     stop = (reason, sn)
                     break
@@ -1055,7 +1059,9 @@ def roll_periodic_derivative(u, dx, m, acc=4):
 
 
 def allocating_march(fam, grid, u0, t_max, dt, space="spectral", n_save=33):
-    """(times, frames) of pde.solve_mol's march, every call allocating its output."""
+    """(times, frames) of pde.solve_mol's march, every call allocating its
+    output, with the unfolded G of the per-entry family and lam*u*u*u_xxx
+    (every product and quotient by a 1.0 run)."""
     u = np.asarray(u0, dtype=float).copy()
     nsteps = step_count(t_max, dt)
     sg = fam.params.branch == Branch.SINE_GORDON
@@ -1079,11 +1085,12 @@ def allocating_march(fam, grid, u0, t_max, dt, space="spectral", n_save=33):
 
         kw = grid.wavenumbers()
         helmholtz = 1.0 + kw * kw
+        G = per_entry_family(fam).G_fn
 
         def rhs(uu):
             z1, z2, z3 = derivs(uu)
             env = {"z0": uu, "z1": z1, "z2": z2, "z3": z3}
-            f = lam * uu * uu * z3 + fam.G_fn(env)
+            f = lam * uu * uu * z3 + G(env)
             return np.fft.irfft(np.fft.rfft(f) / helmholtz, n=grid.nx)
 
     def check_cfl(t, amp):

@@ -603,7 +603,8 @@ def test_columns_match_the_per_entry_closures_bit_for_bit(name):
     on-shell D_t of column 1 equal, bit for bit and with the sign of every
     zero, the six former per-entry closures differentiated one entry at a time with
     the former x and t seeds, on every preset and one seeded family per
-    form-(7) branch."""
+    form-(7) branch; so do G and F, against their unfolded forms, on the
+    presets (constants 1.0) and the seeded families (constants not 1.0)."""
     from pss.jets import dt_env_onshell, dx_env
     from pss.verifier import sample_envs
     from references import per_entry_dt_env_onshell, per_entry_dx_env, per_entry_family
@@ -630,7 +631,10 @@ def test_columns_match_the_per_entry_closures_bit_for_bit(name):
     if fam.is_form7:
         want = (ref.phi12_fn(env), ref.phi22_fn(env), ref.phi32_fn(env))
         assert all(map(_same_bits, fam.phi_column(env), want))
+        # G and F skip their products and quotients by a float 1.0; the
+        # per-entry ones run them all
         assert _strict_bits(fam.G_fn(env), ref.G_fn(env))
+        assert _strict_bits(fam.F_fn(env), ref.F_fn(env))
 
 
 def test_a_column_evaluates_f_and_phi12_once(monkeypatch):

@@ -406,7 +406,11 @@ def _den_and_floor(trip, s, b):
     # the step to -0.018 jumps the pole: den -5.8e-4 -> +4.4e31 (b -5.5e30)
     (1.4, -0.018, -0.017, 995.0, True),
 ])
-def test_march_stops_before_the_step_across_a_pole(b0, s_stop, s_last, b_max, flips):
+def test_march_stops_before_the_step_across_a_pole(b0, s_stop, s_last, b_max, flips, monkeypatch):
+    # the step error stop refuses an earlier step of both marches
+    # (test_march_stops_on_its_step_error_estimate); without it the
+    # denominator stops them
+    monkeypatch.setattr(immersion, "STEP_ERROR_MAX", math.inf)
     ip = ImmersionParams(beta=0.2, b0=b0, h=1e-3, eps=0.3)
     trip = integrate_b_ode(_t22_pole_family(), ip)
     stop = trip.stops["backward"]
@@ -423,7 +427,39 @@ def test_march_stops_before_the_step_across_a_pole(b0, s_stop, s_last, b_max, fl
     assert (den > floor) if flips else (-floor < den < 0)
 
 
-def test_march_rejects_a_start_on_the_pole_and_short_tables():
+def test_march_stops_on_its_step_error_estimate(monkeypatch):
+    """At --b0 1.4 the backward march grows smoothly to b = 4.76 at
+    s = -0.015 (error estimates up to 6e-5), then its steps to -0.016 and
+    -0.017 read 7e-3 and 2.15e3, landing on b = 7.83 and 994.8 with Gauss
+    residuals that cannot show it.  The step error stop refuses the step to
+    -0.016 and keeps the points before it, bit for bit."""
+    ip = ImmersionParams(beta=0.2, b0=1.4, h=1e-3, eps=0.3)
+    trip = integrate_b_ode(_t22_pole_family(), ip)
+    assert trip.stops == {"backward": {"reason": "step_error", "s": pytest.approx(-0.016, abs=1e-12)}}
+    assert trip.s[0] == pytest.approx(-0.015, abs=1e-12) and np.abs(trip.b).max() < 4.8
+    monkeypatch.setattr(immersion, "STEP_ERROR_MAX", math.inf)
+    loose = integrate_b_ode(_t22_pole_family(), ip)
+    assert loose.s[0] == pytest.approx(-0.017, abs=1e-12) and loose.b[0] > 994.0
+    n = len(loose.s) - len(trip.s)
+    assert n == 2 and np.array_equal(_bits(loose.b[n:]), _bits(trip.b))
+
+
+def test_step_error_stop_leaves_smooth_tables_unchanged(monkeypatch):
+    """A T24 table like the benchmark's (mu2 = 0.6) has step error estimates
+    of at most 1e-13: it keeps every point and bit with the stop at 1e-13."""
+    fam = build_family(FamilyParams(branch=Branch.T24, lam=1.0, mu2=0.6, eta2=1.0), f="s", phi12="z1")
+    ip = ImmersionParams(beta=0.4, b0=1.3, eps=0.3)
+    tables = []
+    for step_error_max in (immersion.STEP_ERROR_MAX, 1e-13, math.inf):
+        monkeypatch.setattr(immersion, "STEP_ERROR_MAX", step_error_max)
+        trip = integrate_b_ode(fam, ip)
+        assert trip.stops == {} and len(trip.s) == 601
+        tables.append([_bits(col) for col in (trip.s, trip.b, trip.bprime)])
+    assert all(np.array_equal(a, b) for t in tables[1:] for a, b in zip(t, tables[0]))
+
+
+def test_march_rejects_a_start_on_the_pole_and_short_tables(monkeypatch):
+    monkeypatch.setattr(immersion, "STEP_ERROR_MAX", math.inf)  # the denominator stops alone
     # at b0 = 3e4 the terms of den are ~6.5e4 and den0 = -1.9e-5, below the floor 6.5e-4
     with pytest.raises(DenominatorCollapse) as err:
         integrate_b_ode(_t22_pole_family(), ImmersionParams(beta=0.2, b0=30000.0, eps=0.3))
@@ -452,8 +488,9 @@ def _march_cases():
     benchmark draws them (T22 and T24, mu2 in [0.4, 1] to 4 digits, eta2,
     lam in [0.5, 2], C in [-1, 1], beta in [0.2, 0.6], b0 in [1.1, 1.5],
     eps 0.3), then the two pole stops of the T22 pole family, a march
-    with a discriminant stop (inside a step) backward and a denominator
-    stop forward, the T22 family mu2 = 2, eta2 = 1 whose delta' overflows
+    with a discriminant stop (inside a step) backward and a pole stop
+    forward (a pole stop is a step error stop, or without that, a
+    denominator stop), the T22 family mu2 = 2, eta2 = 1 whose delta' overflows
     at beta = 1e154, a mu2 < 0 march whose discriminant stop is at a stage
     abscissa, a march from s0 != 0 with h = 7e-4, and one whose first
     block of exponentials overflows exp (ce*s > 709.78 from s = 3.97) past
@@ -478,32 +515,39 @@ def _march_cases():
     return out
 
 
-def test_march_equals_the_fresh_stage_march_bit_for_bit():
+def test_march_equals_the_fresh_stage_march_bit_for_bit(monkeypatch):
     """Reusing the accepted point's slope as the next k1, in Python floats
     with each block's exponentials from one np.exp, gives the table, its
     slopes and both stops of the march that evaluates all four stages
-    afresh in numpy scalars."""
-    stops = []
-    for fam, ip in _march_cases():
-        trip = integrate_b_ode(fam, ip)
-        s, b, bprime, want = FreshStageMarch(trip).march(ip)
-        for got, ref in ((trip.s, s), (trip.b, b), (trip.bprime, bprime)):
-            assert np.array_equal(_bits(got), _bits(ref)), fam.params
-        assert trip.stops == want and {k: repr(v["s"]) for k, v in trip.stops.items()} == {
-            k: repr(v["s"]) for k, v in want.items()}
-        stops.append(trip.stops)
-    assert [sorted((k, v["reason"]) for k, v in st.items()) for st in stops[8:]] == [
+    afresh in numpy scalars.  Without the step error stop, pole and
+    discriminant stops end the marches; with it, the step error estimate
+    stops each march that a pole stopped, a step or more earlier."""
+    pole_stops = [
         [("backward", "denominator")], [("backward", "denominator")],
         [("backward", "discriminant"), ("forward", "denominator")],
         [("forward", "discriminant")],
         [("backward", "denominator"), ("forward", "discriminant")],
         [],
         [("backward", "discriminant"), ("forward", "denominator")]]
-    assert all(st == {} for st in stops[:8])
-    # the mu2 < 0 row stops at a stage abscissa sv + h/2, off the node grid
-    s_stage = stops[12]["forward"]["s"]
-    assert s_stage == pytest.approx(0.2525, abs=1e-12)
-    assert stops[9]["backward"]["s"] == pytest.approx(-0.018, abs=1e-12)
+    for step_error_max, pole, s_pole in ((math.inf, "denominator", -0.018),
+                                         (immersion.STEP_ERROR_MAX, "step_error", -0.016)):
+        monkeypatch.setattr(immersion, "STEP_ERROR_MAX", step_error_max)
+        stops = []
+        for fam, ip in _march_cases():
+            trip = integrate_b_ode(fam, ip)
+            s, b, bprime, want = FreshStageMarch(trip).march(ip)
+            for got, ref in ((trip.s, s), (trip.b, b), (trip.bprime, bprime)):
+                assert np.array_equal(_bits(got), _bits(ref)), fam.params
+            assert trip.stops == want and {k: repr(v["s"]) for k, v in trip.stops.items()} == {
+                k: repr(v["s"]) for k, v in want.items()}
+            stops.append(trip.stops)
+        assert [sorted((k, v["reason"]) for k, v in st.items()) for st in stops[8:]] == [
+            [(way, pole if reason == "denominator" else reason) for way, reason in st] for st in pole_stops]
+        assert all(st == {} for st in stops[:8])
+        # the mu2 < 0 row stops at a stage abscissa sv + h/2, off the node grid
+        s_stage = stops[12]["forward"]["s"]
+        assert s_stage == pytest.approx(0.2525, abs=1e-12)
+        assert stops[9]["backward"]["s"] == pytest.approx(s_pole, abs=1e-12)
 
 
 def test_block_exp_equals_the_0d_exp_of_each_abscissa_bit_for_bit():
@@ -582,7 +626,7 @@ def test_a_march_at_the_step_cap_that_stops_early_is_quiet_and_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trip.stops == {"forward": {"reason": "denominator", "s": pytest.approx(0.034, abs=1e-12)},
+    assert trip.stops == {"forward": {"reason": "step_error", "s": pytest.approx(0.033, abs=1e-12)},
                           "backward": {"reason": "discriminant", "s": pytest.approx(-0.0085, abs=1e-12)}}
     assert 3.97 * trip.ce > 709.8
     assert peak < 2e6

@@ -5,7 +5,9 @@ The time march inverts the Helmholtz operator each step,
     u_t = (1 - dxx)^{-1} [lam*u^2*u_xxx + G(u, u_x, u_xx)],
 
 with classical RK4 in time and spectral (or 4th/2nd-order central) space
-derivatives.  Sine-Gordon, which is not of this form, is marched in its
+derivatives.  The spectral derivatives and the inverse come from one kernel
+per grid (`_spectral`), which `spectral_derivative` and `helmholtz_invert`
+run too.  Sine-Gordon, which is not of this form, is marched in its
 light-cone form u_t(x) = integral of sin(u) dx' with the constant fixed
 by decay at x_min.
 
@@ -105,19 +107,52 @@ class Grid1D:
     def nodes(self):
         return self.x_min + self.dx * np.arange(self.nx)
 
-    def wavenumbers(self):
-        L = self.x_max - self.x_min
-        return 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=1.0 / self.nx) / L
-
 
 # ----------------------------------------------------------------------
-# Helmholtz operator (1 - dxx) on the periodic grid, spectral
+# Spectral kernel: x-derivatives and the Helmholtz inverse on a periodic grid
+
+
+@functools.cache
+def _spectral(grid: Grid1D):
+    """(derivs, invert) of the grid, built once, run by the march and the
+    public helpers.  They call numpy.fft's own pocketfft kernels without its
+    Python wrapper (half of a call's time at nx = 256): rfft with factor 1 and
+    irfft with 1/nx run what np.fft.rfft and np.fft.irfft(n=nx) do, bit for
+    bit.  derivs(u) is u_x, u_xx, u_xxx, shape (3, nx), from one rfft and one
+    batched irfft, in a buffer the next call overwrites; invert(f) solves
+    (1 - dxx) u = f (positive definite, never singular) into a new array."""
+    from numpy.fft import _pocketfft_umath as pocketfft
+
+    nx = grid.nx
+    rfft = pocketfft.rfft_n_even if nx % 2 == 0 else pocketfft.rfft_n_odd
+    irfft, inv_nx = pocketfft.irfft, 1.0 / nx
+    k = 2.0 * np.pi * np.fft.rfftfreq(nx, d=1.0 / nx) / (grid.x_max - grid.x_min)
+    helmholtz = 1.0 + k * k
+    symbols = np.stack([(1j * k) ** m for m in (1, 2, 3)])
+    spectrum = np.empty(len(k), dtype=complex)  # every rfft writes here
+    spectra, rows = np.empty(symbols.shape, dtype=complex), np.empty((3, nx))
+
+    def derivs(u):
+        np.multiply(rfft(u, 1, out=spectrum), symbols, out=spectra)
+        return irfft(spectra, inv_nx, out=rows)
+
+    def invert(f):
+        np.divide(rfft(f, 1, out=spectrum), helmholtz, out=spectrum)
+        return irfft(spectrum, inv_nx, out=np.empty(nx))
+
+    return derivs, invert
 
 
 def helmholtz_invert(grid: Grid1D, rhs):
-    """Solve (1 - dxx) u = rhs; positive definite, never singular."""
-    k = grid.wavenumbers()
-    return np.fft.irfft(np.fft.rfft(rhs) / (1.0 + k * k), n=grid.nx)
+    """Solve (1 - dxx) u = rhs with the grid's spectral kernel."""
+    return _spectral(grid)[1](rhs)
+
+
+def spectral_derivative(grid: Grid1D, u, m):
+    """The m-th x-derivative of periodic samples, m = 1, 2 or 3, from the grid's spectral kernel."""
+    if m not in (1, 2, 3):
+        raise PdeError(f"spectral_derivative takes m = 1, 2 or 3, not {m!r}")
+    return _spectral(grid)[0](u)[m - 1].copy()
 
 
 # ----------------------------------------------------------------------
@@ -163,11 +198,6 @@ def periodic_derivative(u, dx, m, acc=4):
     for idx, c in _periodic_stencil(u.shape[-1], m, acc):
         out += c * u.take(idx, axis=-1)
     return out / dx**m
-
-
-def spectral_derivative(grid: Grid1D, u, m):
-    k = grid.wavenumbers()
-    return np.fft.irfft(np.fft.rfft(u) * (1j * k) ** m, n=grid.nx)
 
 
 def cumulative_integral(f, dx, order=4):
@@ -390,7 +420,7 @@ def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> 
         raise PdeError("u0 must be finite")
     nsteps = step_count(t_max, dt)
     sg = not fam.is_form7
-    nx, dx = grid.nx, grid.dx
+    dx = grid.dx
     acc = 4 if space == "spectral" else int(space)  # of the stencils, the quadrature and the sampling
 
     if sg:
@@ -398,34 +428,15 @@ def solve_mol(fam, grid: Grid1D, u0, t_max, dt, space="spectral", n_save=33) -> 
             return cumulative_integral(np.sin(uu), dx, order=acc)
 
     else:
-        # numpy.fft's own pocketfft kernels, called without its Python wrapper
-        # (half of each call's time at nx = 256): rfft with factor 1 and irfft
-        # with 1/nx are what np.fft.rfft and np.fft.irfft(n=nx) run, bit for bit
-        from numpy.fft import _pocketfft_umath as pocketfft
-
-        rfft = pocketfft.rfft_n_even if nx % 2 == 0 else pocketfft.rfft_n_odd
-        irfft, inv_nx = pocketfft.irfft, 1.0 / nx
         lam, G = fam.params.lam, fam.G_fn
-        kw = grid.wavenumbers()
-        helmholtz = 1.0 + kw * kw  # divided by, as in helmholtz_invert: same rounding
-        spectrum = np.empty(len(kw), dtype=complex)  # every rfft of the march writes here
-        if space == "spectral":
-            symbols = np.stack([(1j * kw) ** m for m in (1, 2, 3)])
-            spectra, z123 = np.empty(symbols.shape, dtype=complex), np.empty((3, nx))
-
-            def derivs(uu):  # one rfft of u and one batched irfft, read before the next call
-                np.multiply(rfft(uu, 1, out=spectrum), symbols, out=spectra)
-                return irfft(spectra, inv_nx, out=z123)
-
-        else:
+        derivs, invert = _spectral(grid)  # derivs is read before its next call
+        if space != "spectral":
             def derivs(uu):
                 return [periodic_derivative(uu, dx, m, acc=acc) for m in (1, 2, 3)]
 
         def rhs(uu):  # a new array each call: k1..k4 and the saved frames keep theirs
             z1, z2, z3 = derivs(uu)
-            f = mul(lam, uu) * uu * z3 + G({"z0": uu, "z1": z1, "z2": z2, "z3": z3})
-            np.divide(rfft(f, 1, out=spectrum), helmholtz, out=spectrum)
-            return irfft(spectrum, inv_nx, out=np.empty(nx))
+            return invert(mul(lam, uu) * uu * z3 + G({"z0": uu, "z1": z1, "z2": z2, "z3": z3}))
 
         cfl_dx, lam_abs = CFL_COEFFICIENT * dx, abs(lam)
 

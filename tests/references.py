@@ -81,9 +81,14 @@ def jet_at(field, x, t, order):
     return {nm: float(np.atleast_1d(v)[0]) for nm, v in env.items()}
 
 
+def wavenumbers(grid):
+    """The angular wavenumbers of np.fft.rfft on the periodic grid."""
+    return 2.0 * np.pi * np.fft.rfftfreq(grid.nx, d=1.0 / grid.nx) / (grid.x_max - grid.x_min)
+
+
 def helmholtz_apply(grid, u):
     """(1 - dxx) u on the periodic grid, spectral: the operator `pde.helmholtz_invert` inverts."""
-    k = grid.wavenumbers()
+    k = wavenumbers(grid)
     return np.fft.irfft(np.fft.rfft(u) * (1.0 + k * k), n=grid.nx)
 
 
@@ -1074,7 +1079,7 @@ def allocating_march(fam, grid, u0, t_max, dt, space="spectral", n_save=33):
     else:
         lam = fam.params.lam
         if space == "spectral":
-            symbols = np.stack([(1j * grid.wavenumbers()) ** m for m in (1, 2, 3)])
+            symbols = np.stack([(1j * wavenumbers(grid)) ** m for m in (1, 2, 3)])
 
             def derivs(uu):
                 return np.fft.irfft(np.fft.rfft(uu) * symbols, n=grid.nx)
@@ -1083,7 +1088,7 @@ def allocating_march(fam, grid, u0, t_max, dt, space="spectral", n_save=33):
             def derivs(uu):
                 return [roll_periodic_derivative(uu, grid.dx, m, acc=int(space)) for m in (1, 2, 3)]
 
-        kw = grid.wavenumbers()
+        kw = wavenumbers(grid)
         helmholtz = 1.0 + kw * kw
         G = per_entry_family(fam).G_fn
 

@@ -750,6 +750,65 @@ def test_existence_presets_give_a_consistent_codazzi_gauss_basis(name, monkeypat
     assert list(basis.exprs) == [4 * a_x * c - b_x**2 + 4 * c**2 + 4, a - a_x - c, 2 * b - b_x, a_t, b_t, c_t]
 
 
+def _order1_jet_partials_matrix(name, monkeypatch):
+    """The matrix, in the six partials a_z0, a_z1, ..., c_z1, of the Codazzi
+    equations of a triple of (x, t, z0, z1) on the preset `name`.
+
+    D_x a = a_x + a_z0 z1 + a_z1 z2 and, on shell, D_t a = a_t + a_z0 w1 +
+    a_z1 v1 (`Family.zt`); so too for b and c.  E1 and E2, formed by
+    `codazzi_residuals` with exact constants, are collected over the jet
+    coordinates the triple does not depend on (z2..z5, w1, v1) and the exp
+    atoms of those; each coefficient must vanish by itself.  The rows are
+    the coefficients free of a, b, c and their x- and t-partials: they are
+    linear and homogeneous in the six jet partials."""
+    import sympy as sp
+
+    from references import symbolic_families
+
+    symbolic_families(monkeypatch)
+    fam = PRESETS[name]()
+    names = [f"z{i}" for i in range(6)] + ["w1", "v1"]
+    jet = sp.symbols(names)
+    env = fam.constrain_env(dict(zip(names, jet)))
+    z0, z1, z2, *beyond = jet
+    abc = sp.symbols("a b c")
+    xt = {f: sp.symbols(f"{f}_x {f}_t") for f in "abc"}
+    jp = {f: sp.symbols(f"{f}_z0 {f}_z1") for f in "abc"}
+    w1, v1 = fam.zt(env, 1)
+
+    class StandIn:
+        def values_and_derivs(self, env, x, t):
+            dx = [xt[f][0] + jp[f][0] * z1 + jp[f][1] * z2 for f in "abc"]
+            dt = [xt[f][1] + jp[f][0] * w1 + jp[f][1] * v1 for f in "abc"]
+            return abc, dx, dt
+
+    collected = [z2, *beyond]
+    not_jet_partials = set(abc).union(*xt.values())
+    rows = []
+    for e in codazzi_residuals(fam, StandIn(), env, 0.0, 0.0):
+        e = sp.expand(sp.powsimp(sp.expand(sp.nsimplify(e, rational=True), power_exp=True)), power_exp=True)
+        exps = sorted((x for x in e.atoms(sp.exp) if x.free_symbols & set(collected)), key=str)
+        for coeff in sp.Poly(e, *collected, *exps).coeffs():
+            if not coeff.free_symbols & not_jet_partials:
+                rows.append([coeff.coeff(p) for f in "abc" for p in jp[f]])
+    return sp.Matrix(rows)
+
+
+@pytest.mark.parametrize("name", ["novikov", "t22-demo", "t23-demo", "t25i-demo", "t25ii-demo", "sine-gordon"])
+def test_a_triple_on_the_order_one_jet_depends_on_x_and_t_alone(name, monkeypatch):
+    """The paper's headline claim at order 1, exactly: on every form-(7)
+    preset the six jet partials of a triple of (x, t, z0, z1) meet a linear
+    system of rank 6, so all vanish and the triple is a function of (x, t)
+    alone.  The positive control: sine-Gordon's system has rank 4, and its
+    triple does depend on u."""
+    import sympy as sp
+
+    rank = _order1_jet_partials_matrix(name, monkeypatch).rank()
+    assert rank == (4 if name == "sine-gordon" else 6)
+    monkeypatch.undo()
+    assert not hasattr(sp.Expr, "exp") and not hasattr(sp.Expr, "arctan")
+
+
 def test_solve_triple_total_over_random_parameterizations():
     """Every catalog branch yields a triple or a citation - never an unhandled case."""
     rng = np.random.default_rng(2024)

@@ -41,8 +41,8 @@ from references import (
     exact_sine_gordon_kink,
     helmholtz_apply,
     jet_at,
-    per_entry_family,
     roll_periodic_derivative,
+    wavenumbers,
 )
 
 
@@ -69,6 +69,19 @@ def test_helmholtz_fourier_eigenfunction():
 def test_helmholtz_constant():
     g = Grid1D(0.0, 1.0, 32)
     assert np.max(np.abs(helmholtz_invert(g, np.full(32, 2.5)) - 2.5)) == 0.0
+
+
+@pytest.mark.parametrize("nx", [128, 127])
+def test_spectral_derivative_takes_m_1_2_or_3(nx):
+    """m = 1, 2, 3 give np.fft's derivative bit for bit; any other m is a one-line PdeError."""
+    g = Grid1D(0.0, 2 * np.pi, nx)
+    u = 0.6 * np.sin(g.nodes()) + 0.2 * np.cos(3 * g.nodes())
+    for m in (1, 2, 3):
+        want = np.fft.irfft(np.fft.rfft(u) * (1j * wavenumbers(g)) ** m, n=nx)
+        assert np.array_equal(spectral_derivative(g, u, m), want), m
+    for m in (0, 4):
+        with pytest.raises(PdeError, match=f"^spectral_derivative takes m = 1, 2 or 3, not {m}$"):
+            spectral_derivative(g, u, m)
 
 
 def test_helmholtz_roundtrip():
@@ -394,16 +407,20 @@ def _march_families():
     }
 
 
-@pytest.mark.parametrize("space", ["spectral", 4, 2])
-@pytest.mark.parametrize("name", list(_march_families()))
-def test_march_equals_the_allocating_march_bit_for_bit(name, space):
+@pytest.mark.parametrize("name, space, nx", [
+    *(pytest.param(name, space, 64, id=f"{name}-{space}") for space in ("spectral", 4, 2) for name in _march_families()),
+    *(pytest.param("novikov", "spectral", nx, id=f"novikov-spectral-nx{nx}") for nx in (128, 256, 127)),
+])
+def test_march_equals_the_allocating_march_bit_for_bit(name, space, nx):
     """Every saved frame of a 20-step march equals the march whose every
-    FFT, RK4 constant and stencil shift allocates afresh.  The data cross
+    FFT (np.fft's), RK4 constant and stencil shift allocates afresh, with
+    the unfolded G (every product and quotient by 1.0 run); spectral also
+    at the field workload's nx = 256 and at an odd nx.  The data cross
     zero and dt is large, so that a one-ulp change of the right-hand side
     shows in the frames: with 0.1 + 0.05 cos x and dt = 1e-3, frames did
     not see lam*(u*u)*u_xxx for lam*u*u*u_xxx."""
     fam = _march_families()[name]
-    g = Grid1D(0.0, 2 * np.pi, 64)
+    g = Grid1D(0.0, 2 * np.pi, nx)
     x = g.nodes()
     u0 = 0.6 * np.sin(x) + 0.2 * np.cos(3 * x)
     f = solve_mol(fam, g, u0, 0.2, 1e-2, space=space, n_save=21)
@@ -441,35 +458,6 @@ def test_pocketfft_kernels_equal_numpy_fft_bit_for_bit():
         assert same_bits(rfft(u, 1, out=np.empty(n // 2 + 1, dtype=complex)), np.fft.rfft(u)), n
         spectra = rng.standard_normal((3, n // 2 + 1)) + 1j * rng.standard_normal((3, n // 2 + 1))
         assert same_bits(pocketfft.irfft(spectra, 1.0 / n, out=np.empty((3, n))), np.fft.irfft(spectra, n=n)), n
-
-
-@pytest.mark.parametrize("nx", [128, 256, 127])
-def test_spectral_rk4_matches_reference_rhs(nx):
-    """The march's shared-rfft right-hand side gives, bit for bit, the RK4
-    steps of the one built from spectral_derivative and helmholtz_invert
-    and the unfolded G (every product and quotient by lam = f' = 1.0 run),
-    at the field workload's nx = 256 and at an odd nx too.  The data cross
-    zero and dt is large, so that a one-ulp change of G shows in the
-    frames."""
-    fam = novikov_preset()
-    G = per_entry_family(fam).G_fn
-    g = Grid1D(0.0, 2 * np.pi, nx)
-    u = 0.6 * np.sin(g.nodes()) + 0.2 * np.cos(3 * g.nodes())
-    dt, steps = 1e-2, 4
-    f = solve_mol(fam, g, u, steps * dt, dt, n_save=steps + 1)
-
-    def rhs(uu):
-        env = {"z0": uu}
-        env.update({f"z{m}": spectral_derivative(g, uu, m) for m in (1, 2, 3)})
-        return helmholtz_invert(g, fam.params.lam * uu * uu * env["z3"] + G(env))
-
-    for k in range(1, steps + 1):
-        k1 = rhs(u)
-        k2 = rhs(u + 0.5 * dt * k1)
-        k3 = rhs(u + 0.5 * dt * k2)
-        k4 = rhs(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert np.array_equal(f.frames[k], u)
 
 
 def test_time_slopes_on_the_default_nsave_follow_the_equation():

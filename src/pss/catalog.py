@@ -38,10 +38,17 @@ does not read as params are `Family.derived`, the `derived` block of a `catalog`
 report: mu3, eta3 for T22, T24; eta3, gamma for T23 (eta3 solves
 eta2^2 - eta3^2 - (mu2*eta3 - mu3*eta2)^2 = 0); mu3, eta3, m1 for T25i; mu3,
 eta3, m2 for T25ii (mu3^2 = 1 + mu2^2 - tau^2/m^2).  `root` picks a root.
+
+A family is built on one path, spec -> `family_from_dict` -> `build_family`
+-> `Family`; the presets are specs too (`_PRESET_SPECS`).  `Family` checks
+in one order for every caller: `_resolve` (the params' types, then the
+constraints, raising ConstraintViolation), then each expression of
+`_EXPRESSIONS` (its type, whether the branch takes it, its parse).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -63,7 +70,6 @@ __all__ = [
     "CatalogError",
     "ConstraintViolation",
     "MissingExpression",
-    "validate_params",
     "delta",
     "build_family",
     "novikov_preset",
@@ -97,13 +103,17 @@ _BRANCHES = {
 }
 
 
+# each expression a spec may give, and the variables it reads
+_EXPRESSIONS = {"f": ("s",), "phi12": ("z0", "z1"), "phi": ("z0",)}
+
+
 class CatalogError(ValueError):
     pass
 
 
 class ConstraintViolation(CatalogError):
-    def __init__(self, violations):
-        self.violations = list(violations)
+    def __init__(self, violations, branch):
+        self.violations, self.branch = list(violations), branch
         super().__init__("; ".join(self.violations))
 
 
@@ -216,12 +226,6 @@ def _resolve(p: FamilyParams):
     return out, derived
 
 
-def validate_params(p: FamilyParams) -> list:
-    """Branch constraints; empty list iff all hold (CatalogError for a param
-    of the wrong type or not finite)."""
-    return _resolve(p)[0]
-
-
 # ----------------------------------------------------------------------
 # Differentiation helpers for the user-supplied expressions
 
@@ -263,34 +267,33 @@ def _check_nonzero(value, exc, what):
 
 
 class Family:
-    """A classified equation instance; immutable after construction."""
+    """A classified equation instance, from params and the source texts of
+    its expressions; immutable after construction."""
 
-    def __init__(self, params, f_expr=None, phi12_expr=None, phi_expr=None, name=None):
+    def __init__(self, params, f=None, phi12=None, phi=None, name=None):
         violations, constants = _resolve(params)
         if violations:
-            raise ConstraintViolation(violations)
+            raise ConstraintViolation(violations, params.branch)
         self.params = params
         self.constants = MappingProxyType(constants)
-        self.f_expr = f_expr
-        self.phi12_expr = phi12_expr
-        self.phi_expr = phi_expr
-        self.name = name or self.params.branch
-        self._build()
+        _, takes, builder = _BRANCHES[params.branch]
+        exprs = []
+        for (key, variables), src in zip(_EXPRESSIONS.items(), (f, phi12, phi)):
+            if not (src is None or isinstance(src, str)):
+                raise CatalogError(f"family spec: {key} must be a string or null, got {json.dumps(src, default=repr)}")
+            if key in takes and src is None:
+                raise MissingExpression(f"branch {params.branch} requires the expression {key!r}")
+            if key not in takes and src is not None:
+                raise CatalogError(f"branch {params.branch} takes no expression {key!r}")
+            exprs.append(None if src is None else parse_expression(src, variables))
+        self.f_expr, self.phi12_expr, self.phi_expr = exprs
+        self.name = name or params.branch
+        getattr(self, f"_build_{builder}")(float(params.sign), _k(params.mu2))
 
     def __repr__(self):
         return f"Family({self.name})"
 
     # -- construction ---------------------------------------------------
-    def _build(self):
-        p = self.params
-        _, takes, builder = _BRANCHES[p.branch]
-        for nm, expr in (("f", self.f_expr), ("phi12", self.phi12_expr), ("phi", self.phi_expr)):
-            if nm in takes and expr is None:
-                raise MissingExpression(f"branch {p.branch} requires the expression {nm!r}")
-            if nm not in takes and expr is not None:
-                raise CatalogError(f"branch {p.branch} takes no expression {nm!r}")
-        getattr(self, f"_build_{builder}")(float(p.sign), _k(p.mu2))
-
     def _wrap(self, column1, column2, g_fn, phi12, phi_column):
         # the columns declare the coordinates they read, which the total
         # derivatives of `jets` seed; G, F and the phi's are plain functions
@@ -576,7 +579,7 @@ def params_from_dict(doc) -> FamilyParams:
     if not isinstance(params, dict):
         raise CatalogError(f"family spec: params must be a JSON object, got {json.dumps(params)}")
     if branch not in _BRANCHES:
-        return FamilyParams(branch=branch)  # validate_params reports the unknown branch
+        return FamilyParams(branch=branch)  # _resolve reports the unknown branch
     inputs = _BRANCHES[branch][0]
     bad = set(params) - set(inputs)
     if bad:
@@ -606,12 +609,7 @@ def _check_param(key, val):
 
 
 def family_from_dict(doc, name=None) -> Family:
-    params = params_from_dict(doc)
-    exprs = {key: doc.get(key) for key in ("f", "phi12", "phi")}
-    for key, val in exprs.items():
-        if not (val is None or isinstance(val, str)):
-            raise CatalogError(f"family spec: {key} must be a string or null, got {json.dumps(val)}")
-    return build_family(params, name=name, **exprs)
+    return build_family(params_from_dict(doc), doc.get("f"), doc.get("phi12"), doc.get("phi"), name=name)
 
 
 def read_json(path):
@@ -640,57 +638,34 @@ def delta(col1, col2, i, j):
 
 def build_family(params: FamilyParams, f=None, phi12=None, phi=None, name=None) -> Family:
     """Assemble a Family from parameters plus expression source texts."""
-    f_expr = parse_expression(f, ["s"]) if isinstance(f, str) else f
-    phi12_expr = parse_expression(phi12, ["z0", "z1"]) if isinstance(phi12, str) else phi12
-    phi_expr = parse_expression(phi, ["z0"]) if isinstance(phi, str) else phi
-    return Family(params, f_expr, phi12_expr, phi_expr, name=name)
+    return Family(params, f, phi12, phi, name=name)
 
 
 # ----------------------------------------------------------------------
-# Presets
+# Presets: specs, each read as a --family file is.  Novikov is the T24
+# instance u_t - u_xxt = u^2 u_xxx - u^2 u_xx - 3 u u_x^2 - 2 u^2 u_x
+# + 4 u u_x u_xx + u_x^3.
 
-
-def novikov_preset() -> Family:
-    """The Novikov equation u_t - u_xxt = u^2 u_xxx - u^2 u_xx - 3 u u_x^2
-    - 2 u^2 u_x + 4 u u_x u_xx + u_x^3 as a T24 instance."""
-    p = FamilyParams(branch=Branch.T24, lam=1.0, mu2=0.0, eta2=1.0, C=0.0, sign=1)
-    return build_family(p, f="s", phi12="z0*(z1-z0)^2", name="novikov")
+_PRESET_SPECS = {
+    "novikov": {"branch": Branch.T24, "params": {"lam": 1.0, "mu2": 0.0, "eta2": 1.0, "C": 0.0},
+                "f": "s", "phi12": "z0*(z1-z0)^2"},
+    "sine-gordon": {"branch": Branch.SINE_GORDON, "params": {"eta": 1.0}},
+    "t22-demo": {"branch": Branch.T22, "params": {"mu2": 0.0, "eta2": 1.0}, "f": "s", "phi12": "z1"},
+    "t23-demo": {"branch": Branch.T23, "params": {"lam": 1.0, "mu2": 0.0, "eta2": 1.0, "mu3": 0.0, "root": 1},
+                 "f": "s"},
+    "t25i-demo": {"branch": Branch.T25I,
+                  "params": {"lam": 1.0, "theta": 1.0, "B": 1.0, "mu2": 0.0, "eta2": 1.0, "m": 1.0, "n": 0.0}},
+    "t25ii-demo": {"branch": Branch.T25II,
+                   "params": {"lam": 1.0, "tau": 1.0, "mu2": 0.0, "eta2": 1.0, "m": 2.0, "n": 0.0, "root": 1},
+                   "phi": "exp(z0)"},
+}
 
 
 def sine_gordon_preset(eta=1.0) -> Family:
-    p = FamilyParams(branch=Branch.SINE_GORDON, eta=eta, sign=1)
-    return build_family(p, name="sine-gordon")
+    """The sine-Gordon preset at `eta`, the one preset that takes a parameter."""
+    return family_from_dict({**_PRESET_SPECS["sine-gordon"], "params": {"eta": eta}}, name="sine-gordon")
 
 
-def t22_demo_preset() -> Family:
-    p = FamilyParams(branch=Branch.T22, mu2=0.0, eta2=1.0, sign=1)
-    return build_family(p, f="s", phi12="z1", name="t22-demo")
-
-
-def t23_demo_preset() -> Family:
-    p = FamilyParams(branch=Branch.T23, lam=1.0, mu2=0.0, eta2=1.0, mu3=0.0, root=1)
-    return build_family(p, f="s", name="t23-demo")
-
-
-def t25i_demo_preset() -> Family:
-    p = FamilyParams(
-        branch=Branch.T25I, lam=1.0, theta=1.0, B=1.0, mu2=0.0, eta2=1.0, m=1.0, n=0.0, sign=1
-    )
-    return build_family(p, name="t25i-demo")
-
-
-def t25ii_demo_preset() -> Family:
-    p = FamilyParams(
-        branch=Branch.T25II, lam=1.0, tau=1.0, mu2=0.0, eta2=1.0, m=2.0, n=0.0, sign=1, root=1
-    )
-    return build_family(p, phi="exp(z0)", name="t25ii-demo")
-
-
-PRESETS = {
-    "novikov": novikov_preset,
-    "sine-gordon": sine_gordon_preset,
-    "t22-demo": t22_demo_preset,
-    "t23-demo": t23_demo_preset,
-    "t25i-demo": t25i_demo_preset,
-    "t25ii-demo": t25ii_demo_preset,
-}
+PRESETS = {name: functools.partial(family_from_dict, spec, name=name) for name, spec in _PRESET_SPECS.items()}
+PRESETS["sine-gordon"] = sine_gordon_preset
+novikov_preset = PRESETS["novikov"]

@@ -32,16 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .catalog import (
-    PRESETS,
-    CatalogError,
-    build_family,
-    family_from_dict,
-    load_family,
-    params_from_dict,
-    read_json,
-    validate_params,
-)
+from .catalog import PRESETS, CatalogError, ConstraintViolation, build_family, load_family, read_json
 from .expr import ExprError
 from .immersion import (
     MAX_ODE_STEPS,
@@ -264,7 +255,8 @@ def _load(args):
     else:
         raise _UsageError("one of --preset or --family is required")
     if getattr(args, "sign", None) is not None and fam.params.sign != args.sign:
-        fam = build_family(replace(fam.params, sign=args.sign), fam.f_expr, fam.phi12_expr, fam.phi_expr, fam.name)
+        spec = fam.to_dict()
+        fam = build_family(replace(fam.params, sign=args.sign), spec["f"], spec["phi12"], spec["phi"], fam.name)
     return fam
 
 
@@ -314,24 +306,13 @@ def _no_immersion(fam, trip):
 def _cmd_catalog(args):
     if not args.preset and not args.family:
         return {"presets": sorted(PRESETS)}, EXIT_OK
-    if args.family:
-        # params validated before the build: violations are reported, not thrown
-        doc = read_json(args.family)
-        fam, name, params = None, args.family, params_from_dict(doc)
-    else:
+    try:
         fam = _load(args)
-        name, params = fam.name, fam.params
-    violations = validate_params(params)
-    payload = {
-        "family": name,
-        "branch": params.branch,
-        "violations": violations,
-        "verdict": "pass" if not violations else "fail",
-    }
-    if not violations:
-        fam = fam or family_from_dict(doc, name=name)
-        payload["spec"], payload["derived"] = fam.to_dict(), fam.derived()
-    return payload, EXIT_OK if not violations else EXIT_FAIL
+    except ConstraintViolation as exc:  # reported, not thrown
+        return {"family": args.family or args.preset, "branch": exc.branch, "violations": exc.violations,
+                "verdict": "fail"}, EXIT_FAIL
+    return {"family": fam.name, "branch": fam.params.branch, "violations": [], "verdict": "pass",
+            "spec": fam.to_dict(), "derived": fam.derived()}, EXIT_OK
 
 
 def _cmd_verify(args):

@@ -83,9 +83,11 @@ def _cells(x, sep, shortest):
     1e16 <= p + e < 1e17, and q = p + rint(e) is the 17-digit integer
     rounded half to even, as % rounds (p is then an even integer).  No
     double in that range lies within half a unit of the 17th digit below a
-    power of ten, so q < 1e17.  repr's q is q + _shortest_step, and may be
-    1e17, the next decade's 1e16.  The rows of D hold '0000', the digits of
-    q and a NUL; the text is D[s:f] + "." + D[f:end], with f = X + 5 the row
+    power of ten, so q < 1e17.  repr's q is q + _shortest_step, below 1e17
+    too: 1e17 would put 10**(X + 1) in the interval of reals that round to
+    a double below it, but 10**0..10**16 are doubles and the doubles nearest
+    1e-3, 1e-2 and 1e-1 lie above them.  The rows of D hold '0000', the
+    digits of q and a NUL; the text is D[s:f] + "." + D[f:end], with f = X + 5 the row
     of the first fraction digit, s = 4 + min(X, 0) and end past the last
     nonzero digit, and has no point if end = f; repr keeps one fraction
     digit, so its end is at least f + 1.  A zero is laid out as 1.0 with
@@ -116,11 +118,6 @@ def _cells(x, sep, shortest):
     carry = np.floor(lo / 1e8)
     hi += carry
     lo -= carry * 1e8
-    if shortest:
-        top = hi >= 1e9  # q = 1e17, the next decade's 1e16
-        if top.any():
-            X = np.where(top, X + 1, X)
-            hi[top] = 1e8
     hi[zero] = lo[zero] = 0.0  # and X = 0, the exponent of the 1.0 in their place
     quads = np.empty((5, n))  # the leading digit, then q's last 16 digits four at a time
     quads[0] = np.floor(hi / 1e8)

@@ -630,7 +630,8 @@ class PerEntryFamily(Family):
 
 def per_entry_family(fam):
     """`fam` rebuilt by the per-entry builders."""
-    return PerEntryFamily(fam.params, fam.f_expr, fam.phi12_expr, fam.phi_expr, name=fam.name)
+    spec = fam.to_dict()
+    return PerEntryFamily(fam.params, spec["f"], spec["phi12"], spec["phi"], name=fam.name)
 
 
 def symbolic_families(monkeypatch):

@@ -18,7 +18,6 @@ from pss.catalog import (
     build_family,
     novikov_preset,
     sine_gordon_preset,
-    t22_demo_preset,
 )
 from pss.cli import EXIT_NO_IMMERSION, EXIT_OK, run
 from pss.expr import parse_expression
@@ -96,7 +95,7 @@ def test_criterion_2_novikov_matching():
 
 
 def test_criterion_3_prop41i_reproduction():
-    fam = t22_demo_preset()  # f = s, phi12 = z1, mu2 = 0, eta2 = 1
+    fam = PRESETS["t22-demo"]()  # f = s, phi12 = z1, mu2 = 0, eta2 = 1
     ip = ImmersionParams(beta=1.0, C_strip=3.0, a_sign=1)
     lo, hi = solve_triple(fam, ip).validity
     e_lo = abs(math.exp(2 * lo) - (3 - math.sqrt(5)) / 2)

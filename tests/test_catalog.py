@@ -21,8 +21,7 @@ from pss.catalog import (
     family_from_dict,
     novikov_preset,
     sine_gordon_preset,
-    t22_demo_preset,
-    validate_params,
+    _resolve,
 )
 
 
@@ -32,32 +31,32 @@ def jp(z0=0.0, z1=0.0, z2=0.0, z3=0.0):
 
 
 # ----------------------------------------------------------------------
-# validate_params
+# _resolve's constraints
 
 
 def test_t24_degenerate_parameters_violation():
     p = FamilyParams(branch=Branch.T24, lam=0.0, eta2=5.0, C=0.0)
-    v = validate_params(p)
+    v = _resolve(p)[0]
     assert any("(lam*eta2)^2 + C^2 != 0" in s for s in v)
 
 
 def test_t22_valid_params_empty_list():
-    assert validate_params(FamilyParams(branch=Branch.T22, eta2=1.0)) == []
+    assert _resolve(FamilyParams(branch=Branch.T22, eta2=1.0))[0] == []
 
 
 def test_t25ii_tau_positive_violation():
     p = FamilyParams(branch=Branch.T25II, tau=-1.0, m=1.0, eta2=1.0)
-    v = validate_params(p)
+    v = _resolve(p)[0]
     assert any("tau > 0" in s for s in v)
 
 
 def test_t22_eta2_zero_violation():
-    v = validate_params(FamilyParams(branch=Branch.T22, eta2=0.0))
+    v = _resolve(FamilyParams(branch=Branch.T22, eta2=0.0))[0]
     assert any("eta2 != 0" in s for s in v)
 
 
 def _refused_in_one_line(p, line, **exprs):
-    for call in (lambda: validate_params(p), lambda: build_family(p, **exprs)):
+    for call in (lambda: _resolve(p)[0], lambda: build_family(p, **exprs)):
         with pytest.raises(CatalogError) as err:
             call()
         assert type(err.value) is CatalogError and str(err.value) == line
@@ -83,7 +82,7 @@ def test_t23_gamma_that_rounds_to_zero_is_a_constraint_error():
     p = FamilyParams(branch=Branch.T23, lam=1.0, mu2=1e10, eta2=1.0, mu3=9999999999.999998)
     assert 1.0 + p.mu2**2 - p.mu3**2 > 0
     gamma_zero = "gamma = mu2*mu3*eta2 - (1+mu2^2)*eta3 != 0 violated (gamma = 0)"
-    assert validate_params(p) == [gamma_zero]
+    assert _resolve(p)[0] == [gamma_zero]
     with pytest.raises(ConstraintViolation, match=re.escape(gamma_zero)):
         build_family(p, f="s")
 
@@ -124,9 +123,9 @@ def test_a_param_its_branch_does_not_read_must_keep_its_default():
     ]
     assert {row[0] for row in table} == set(bases)
     for branch, key, bad, default in table:
-        assert validate_params(FamilyParams(branch=branch, **bases[branch], **{key: default})) == [], branch
+        assert _resolve(FamilyParams(branch=branch, **bases[branch], **{key: default}))[0] == [], branch
         want = f"{branch} reads no {key} ({key} must be {default}, got {bad})"
-        assert validate_params(FamilyParams(branch=branch, **bases[branch], **{key: bad})) == [want]
+        assert _resolve(FamilyParams(branch=branch, **bases[branch], **{key: bad}))[0] == [want]
     with pytest.raises(ConstraintViolation) as err:
         build_family(FamilyParams(branch=Branch.T24, lam=1, eta2=1, root=-1, theta=2.0), f="s", phi12="z1")
     assert err.value.violations == ["T24 reads no theta (theta must be 0.0, got 2.0)",
@@ -158,7 +157,7 @@ def test_missing_expression():
 
 
 def test_t22_demo_g_is_z2_plus_z1():
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
     rng = np.random.default_rng(0)
     for _ in range(50):
         z = rng.uniform(-2, 2, 4)
@@ -218,7 +217,7 @@ def test_novikov_matches_symbolic_expansion():
 
 def test_novikov_validates_and_f12_example():
     fam = novikov_preset()
-    assert validate_params(fam.params) == []
+    assert _resolve(fam.params)[0] == []
     # f12 = -lam z0^2 f + phi12 at (z0=1, z1=1, z2=0): f = 1, phi12 = 0 -> -1
     assert fam.fij(1, 2)(jp(1.0, 1.0, 0.0)) == pytest.approx(-1.0)
 
@@ -421,7 +420,7 @@ def test_t22_matches_the_former_t22_builder_bit_for_bit(mu2, sign, f, phi12):
 
 
 def test_t22_refuses_C_as_it_refuses_lam():
-    assert validate_params(FamilyParams(branch=Branch.T22, eta2=1.0, C=0.5)) == ["T22 has no C term (C must be 0)"]
+    assert _resolve(FamilyParams(branch=Branch.T22, eta2=1.0, C=0.5))[0] == ["T22 has no C term (C must be 0)"]
     with pytest.raises(ConstraintViolation, match="T22 has no C term"):
         build_family(FamilyParams(branch=Branch.T22, eta2=1.0, C=-0.5), f="s", phi12="z1")
 
@@ -555,7 +554,7 @@ def test_t25ii_mu3_quadratic_and_m2():
 
 def test_t25ii_requires_real_mu3():
     p = FamilyParams(branch=Branch.T25II, lam=1.0, tau=3.0, m=1.0, eta2=1.0)
-    v = validate_params(p)
+    v = _resolve(p)[0]
     assert any("no real root" in s for s in v)
 
 

@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pss import cli
 from pss.catalog import delta, novikov_preset
@@ -329,6 +330,89 @@ def test_catalog_validates_family(tmp_path):
     doc = json.loads(rep.read_text())
     assert doc["spec"] == {**good, "params": {**good["params"], "mu2": 0.0}, "phi": None}
     assert doc["derived"] == {"mu3": 1.0, "eta3": 0.0}
+
+
+T24_VIOLATION = "(lam*eta2)^2 + C^2 != 0 violated (lam = 0.0, eta2 = 1.0, C = 0.0)"
+
+
+def test_every_command_checks_constraints_before_expressions(tmp_path, capsys, monkeypatch):
+    """A spec that breaks a constraint and also has a bad expression (one that
+    does not parse, is no string, is missing or is one its branch does not
+    take) fails on the constraint, for every command and a Python caller:
+    catalog reports the violation (exit 2), verify names it (exit 1).
+    catalog builds the family once, so `_resolve` runs once per command."""
+    from pss import catalog
+
+    base = {"branch": "T24", "params": {"lam": 0.0, "eta2": 1.0}, "f": "s", "phi12": "z1"}
+    faults = {"parse": {**base, "f": "s+"}, "type": {**base, "f": 3}, "phi": {**base, "phi": "exp(z0)"},
+              "missing": {k: v for k, v in base.items() if k != "phi12"}}
+    rep = tmp_path / "r.json"
+    for name, doc in faults.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert run(["catalog", "--family", str(path), "--report", str(rep), "--deterministic"]) == EXIT_FAIL
+        assert json.loads(rep.read_text())["violations"] == [T24_VIOLATION], name
+        assert run(["verify", "--family", str(path), "--samples", "10", "--deterministic"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"pss: {T24_VIOLATION}\n", name
+        with pytest.raises(catalog.ConstraintViolation) as err:
+            catalog.family_from_dict(doc)
+        assert err.value.violations == [T24_VIOLATION] and err.value.branch == "T24", name
+    calls = []
+    resolve = catalog._resolve
+    monkeypatch.setattr(catalog, "_resolve", lambda p: calls.append(p.branch) or resolve(p))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({**base, "params": {"lam": 1.0, "eta2": 1.0}}))
+    for source in (["--family", str(good)], ["--preset", "novikov"]):
+        calls.clear()
+        assert run(["catalog", *source, "--report", str(rep), "--deterministic"]) == EXIT_OK
+        assert calls == ["T24"], source
+
+
+def test_verify_fails_on_the_nondegeneracy_witness_alone(tmp_path, capsys):
+    """With every residual within --tol, a c42_min at or below it still fails
+    the verdict, and the one line names the witness, not a residual."""
+    rep = tmp_path / "r.json"
+    assert run(["verify", "--preset", "novikov", "--tol", "1", "--report", str(rep), "--deterministic"]) == EXIT_FAIL
+    doc = json.loads(rep.read_text())
+    assert doc["verdict"] == "fail" and doc["residuals"]["c42_min"] <= 1
+    assert all(v <= 1 for k, v in doc["residuals"].items() if k != "c42_min")
+    assert capsys.readouterr().err == \
+        "pss: c42_min 8.542e-05, the nondegeneracy witness, is not above the tolerance\n"
+
+
+def test_sff_samples_a_stand_in_below_an_upper_strip_end(tmp_path):
+    """A strip unbounded below (t22-demo with sign -1) is sampled over
+    [hi - 2, hi], as one unbounded above is over [lo, lo + 2]."""
+    rep, csv = tmp_path / "r.json", tmp_path / "t.csv"
+    assert run(["sff", "--preset", "t22-demo", "--sign", "-", "--Cstrip", "3", "--out", str(csv),
+                "--report", str(rep), "--deterministic"]) == EXIT_OK
+    lo, hi = json.loads(rep.read_text())["validity"]
+    assert lo is None and hi == pytest.approx(0.5 * np.log(3.0))
+    s = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 0]
+    assert s[0] == pytest.approx(hi - 1.99) and s[-1] == pytest.approx(hi - 0.01)
+
+
+def test_reconstruct_clips_a_t_only_strip_to_the_field(tmp_path, capsys):
+    """A Prop 4.3(i) triple (T24 with mu2 = eta2 = 0) reads s = t alone, so
+    reconstruct over a saved field shrinks the window's t-range to the strip
+    less its margin; a strip past the field's times, or an origin past its
+    x-range, is refused in one line."""
+    field, rep = tmp_path / "f.pssf", tmp_path / "r.json"
+    assert run(["pde", "--preset", "novikov", "--nx", "16", "--tmax", "0.5", "--dt", "1e-2", "--out", str(field),
+                "--report", str(rep), "--deterministic"]) == EXIT_OK
+    spec = tmp_path / "t24.json"
+    spec.write_text(json.dumps({"branch": "T24", "params": {"lam": 1.0, "eta2": 0.0, "C": 0.5},
+                                "f": "s", "phi12": "z1"}))
+    argv = ["reconstruct", "--family", str(spec), "--field", str(field), "--beta", "0", "--grid", "4x4",
+            "--report", str(rep), "--deterministic"]
+    assert run([*argv, "--sigma", "0.8"]) == EXIT_OK
+    doc = json.loads(rep.read_text())
+    assert doc["origin"] == [0.0, -np.log(0.8) + 0.1]  # the strip (-ln(sigma)/(2C), inf), margin 0.1
+    capsys.readouterr()
+    assert run([*argv, "--sigma", "0.3"]) == EXIT_USAGE  # the strip starts at t = 1.2, past t = 0.5
+    assert "do not overlap" in capsys.readouterr().err
+    assert run([*argv, "--sigma", "0.8", "--origin", "100", "0.4"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "pss: the requested window lies outside the triple's validity strip\n"
 
 
 def test_family_spec_types_are_checked(tmp_path, capsys):

@@ -90,3 +90,18 @@ def test_csv_table_longer_than_a_block_matches_the_row_by_row_writer(tmp_path):
     write_csv(new, "a,b,c,d,e", cols)
     row_by_row_csv(old, "a,b,c,d,e", cols)
     assert new.read_bytes() == old.read_bytes() and new.read_text().count("\n") == rows + 1
+
+
+def test_repr_next_to_a_power_of_ten_stays_in_its_decade():
+    """No double below 10**k has the shortest form 10**k, so repr's 17-digit
+    integer never carries into the next decade: 10**0..10**16 are doubles,
+    and the doubles nearest 1e-3, 1e-2 and 1e-1 lie above them.  The 3,000
+    doubles on either side of each power of ten from 1e-5 to 1e17 come out
+    as repr writes them."""
+    for k in range(-5, 18):
+        nearest = Fraction(float(f"1e{k}"))
+        assert nearest == Fraction(10) ** k if k >= 0 else nearest > Fraction(10) ** k, k
+    powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    values = (powers.view(np.int64)[:, None] + np.arange(-3000, 3001)).view(np.float64).ravel()
+    values = np.concatenate([values, -values])
+    _assert_texts(floattext.repr_cells(values), [repr(v) for v in values.tolist()])

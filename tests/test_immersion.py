@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pss import immersion
-from pss.catalog import Branch, FamilyParams, PRESETS, build_family, novikov_preset, sine_gordon_preset, t22_demo_preset
+from pss.catalog import Branch, FamilyParams, PRESETS, build_family, novikov_preset, sine_gordon_preset
 from pss.immersion import (
     DenominatorCollapse,
     DiscriminantCollapse,
@@ -52,7 +52,7 @@ def test_gauss_residual_values():
 
 
 def test_strip_endpoints_golden_ratio_like():
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
     ip = ImmersionParams(beta=1.0, C_strip=3.0)
     lo, hi = solve_triple(fam, ip).validity
     assert math.exp(2 * lo) == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-12)
@@ -60,7 +60,7 @@ def test_strip_endpoints_golden_ratio_like():
 
 
 def test_strip_requires_strict_inequality():
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
     with pytest.raises(InvalidStrip):
         solve_triple(fam, ImmersionParams(beta=1.0, C_strip=1.0))
     with pytest.raises(InvalidStrip):
@@ -70,14 +70,14 @@ def test_strip_requires_strict_inequality():
 
 
 def test_strip_one_sided_for_beta_zero():
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
     lo, hi = solve_triple(fam, ImmersionParams(beta=0.0, C_strip=2.0)).validity
     assert lo == pytest.approx(-0.5 * math.log(2.0), abs=1e-14)
     assert hi == math.inf
 
 
 def test_prop41i_hand_values_at_origin():
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
     ip = ImmersionParams(beta=1.0, C_strip=3.0, a_sign=1)
     a, b, c = solve_triple(fam, ip).abc(0.0)
     assert (a, b, c) == (pytest.approx(1.0), pytest.approx(-1.0), pytest.approx(0.0))
@@ -90,14 +90,14 @@ def test_prop41i_hand_values_at_origin():
 
 
 def test_prop41i_gauss_on_strip():
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
     trip = solve_triple(fam, ImmersionParams(beta=1.0, C_strip=3.0))
     s = trip.strip_samples(1000)
     assert np.max(np.abs(trip.gauss_residual_at(s))) <= 1e-12
 
 
 def test_prop41i_codazzi_sampled():
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
     trip = solve_triple(fam, ImmersionParams(beta=1.0, C_strip=3.0))
     p = _jets(fam, 500)
     xs = trip.strip_samples(500)
@@ -122,7 +122,7 @@ def test_sign_coherence_mirrors_strip():
 
 
 def test_outside_strip_is_an_error():
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
     trip = solve_triple(fam, ImmersionParams(beta=1.0, C_strip=3.0))
     with pytest.raises(TripleDomainError):
         trip.abc(trip.validity[1] + 0.5)
@@ -133,7 +133,7 @@ def test_ac_nonzero_at_sampled_interior_points():
     e.g. c(0) = 0 for the C_strip = 3, beta = 1 data, so exact sampling of
     a zero almost surely never happens)."""
     rng = np.random.default_rng(17)
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
     for ip in (ImmersionParams(beta=1.0, C_strip=3.0),
                ImmersionParams(beta=0.25, C_strip=2.0),
                ImmersionParams(beta=0.0, C_strip=2.0)):
@@ -874,7 +874,7 @@ def test_sine_gordon_codazzi_needs_w1():
 
 def test_constant_triple_trivial_codazzi():
     """a = c, b = 0 makes both combinations collapse termwise to zero."""
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
 
     class Const(ImmersionTriple):
         def abc_derivs(self, s):
@@ -937,7 +937,7 @@ def _drift_family():
 
 
 @pytest.mark.parametrize("fam, ip", [
-    (t22_demo_preset(), ImmersionParams(beta=1.0, C_strip=3.0, a_sign=-1)),
+    (PRESETS["t22-demo"](), ImmersionParams(beta=1.0, C_strip=3.0, a_sign=-1)),
     (_drift_family(), ImmersionParams(beta=0.3, sigma=2.5)),
     (_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3)),
     (build_family(FamilyParams(branch=Branch.T24, lam=1.0, mu2=0.8, eta2=1.0, C=0.5, sign=1),
@@ -962,7 +962,7 @@ def test_triple_sampling_matches_the_representation_branches_bit_for_bit(fam, ip
 
 
 def test_csv_export(tmp_path):
-    fam = t22_demo_preset()
+    fam = PRESETS["t22-demo"]()
     trip = solve_triple(fam, ImmersionParams(beta=1.0, C_strip=3.0))
     path = tmp_path / "triple.csv"
     trip.export_csv(path, n=100)
@@ -1000,7 +1000,7 @@ def _per_cell_csv(trip, path, n=1000):
 def test_csv_export_bytes_match_the_per_cell_writer(tmp_path):
     trips = {
         "ode": solve_triple(_t22_ode_family(), ImmersionParams(beta=0.5, b0=1.2, eps=0.3)),
-        "closed": solve_triple(t22_demo_preset(), ImmersionParams(beta=1.0, C_strip=3.0)),
+        "closed": solve_triple(PRESETS["t22-demo"](), ImmersionParams(beta=1.0, C_strip=3.0)),
         "sine-gordon": solve_triple(sine_gordon_preset(), ImmersionParams(a_sign=-1)),
     }
     for name, trip in trips.items():

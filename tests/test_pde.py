@@ -7,14 +7,13 @@ import pytest
 import sympy as sp
 
 from pss.catalog import (
+    PRESETS,
     Branch,
     FamilyParams,
     _uni_derivs,
     build_family,
     novikov_preset,
     sine_gordon_preset,
-    t22_demo_preset,
-    t25i_demo_preset,
 )
 from pss.dual import Dual
 from pss.expr import DomainError, parse_expression
@@ -383,7 +382,7 @@ def test_a_non_finite_amplitude_is_a_blow_up():
     amplitude nan; it does not come back as NaN frames.  At |u| = 800 the
     T25i demo's G overflows (exp) in the first step that the cap lets through."""
     g = Grid1D(0.0, 1.0, 16)
-    fam = t25i_demo_preset()
+    fam = PRESETS["t25i-demo"]()
     cap = CFL_COEFFICIENT * g.dx / max(1.0, abs(fam.params.lam) * (800.0 * 800.0))
     with np.errstate(all="ignore"), pytest.raises(BlowUpError) as err:
         solve_mol(fam, g, np.full(16, 800.0), cap, cap)
@@ -398,7 +397,7 @@ def _march_families():
     return {
         "novikov": novikov_preset(),
         "sine-gordon": sine_gordon_preset(),  # the light-cone march
-        "t22": t22_demo_preset(),
+        "t22": PRESETS["t22-demo"](),
         "t24-lam-C": build_family(FamilyParams(branch=Branch.T24, lam=lam, mu2=0.3, eta2=1.0, C=0.4, sign=1),
                                   f="s", phi12="z0*(z1-z0)^2"),
         "t23": build_family(params(Branch.T23, lam=lam, mu3=0.0, root=1), f="s"),

@@ -53,7 +53,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -73,7 +73,6 @@ __all__ = [
     "delta",
     "build_family",
     "novikov_preset",
-    "sine_gordon_preset",
     "PRESETS",
     "family_from_dict",
     "load_family",
@@ -143,6 +142,13 @@ def _k(mu2):
     return math.sqrt(1.0 + mu2 * mu2)
 
 
+def _sign_violation(branch, sign):
+    """The constraint `sign` breaks on `branch`, or None."""
+    if branch in (Branch.T23, Branch.SINE_GORDON):  # no formula of these two reads a sign
+        return None if sign == 1 else f"{branch} reads no sign (sign must be +1, got {sign})"
+    return None if sign in (1, -1) else "sign must be +1 or -1"
+
+
 def _resolve(p: FamilyParams):
     """(violations, constants) of `p` in one pass over its branch: a param
     the branch does not read must keep its default, each constraint is
@@ -163,10 +169,8 @@ def _resolve(p: FamilyParams):
             out.append(violation)
         return ok
 
-    if p.branch in (Branch.T23, Branch.SINE_GORDON):  # no formula of these two reads a sign
-        holds(p.sign == 1, f"{p.branch} reads no sign (sign must be +1, got {p.sign})")
-    else:
-        holds(p.sign in (1, -1), "sign must be +1 or -1")
+    bad_sign = _sign_violation(p.branch, p.sign)
+    holds(bad_sign is None, bad_sign)
     if "root" in inputs:
         holds(p.root in (1, -1), "root must be +1 or -1")
     # T22 says why its lam and C must be 0 below
@@ -608,8 +612,18 @@ def _check_param(key, val):
         raise CatalogError(f"family spec: {key} must be {want}, got {json.dumps(val, default=repr)}")
 
 
-def family_from_dict(doc, name=None) -> Family:
-    return build_family(params_from_dict(doc), doc.get("f"), doc.get("phi12"), doc.get("phi"), name=name)
+def family_from_dict(doc, name=None, sign=None) -> Family:
+    """The family of the spec `doc`.  A `sign` that is not None replaces the
+    spec's sign before the one build, once the spec's own sign has passed
+    the checks the build would give it."""
+    params = params_from_dict(doc)
+    if sign is not None:
+        _check_param("sign", params.sign)
+        violation = _sign_violation(params.branch, params.sign)
+        if violation:
+            raise ConstraintViolation([violation], params.branch)
+        params = replace(params, sign=sign)
+    return build_family(params, doc.get("f"), doc.get("phi12"), doc.get("phi"), name=name)
 
 
 def read_json(path):
@@ -623,8 +637,8 @@ def read_json(path):
         raise CatalogError(f"{path}: {exc}") from exc
 
 
-def load_family(path) -> Family:
-    return family_from_dict(read_json(path), name=str(path))
+def load_family(path, sign=None) -> Family:
+    return family_from_dict(read_json(path), name=str(path), sign=sign)
 
 
 # ----------------------------------------------------------------------
@@ -661,11 +675,5 @@ _PRESET_SPECS = {
 }
 
 
-def sine_gordon_preset(eta=1.0) -> Family:
-    """The sine-Gordon preset at `eta`, the one preset that takes a parameter."""
-    return family_from_dict({**_PRESET_SPECS["sine-gordon"], "params": {"eta": eta}}, name="sine-gordon")
-
-
 PRESETS = {name: functools.partial(family_from_dict, spec, name=name) for name, spec in _PRESET_SPECS.items()}
-PRESETS["sine-gordon"] = sine_gordon_preset
 novikov_preset = PRESETS["novikov"]

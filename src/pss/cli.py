@@ -27,12 +27,11 @@ import math
 import re
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .catalog import PRESETS, CatalogError, ConstraintViolation, build_family, load_family, read_json
+from .catalog import PRESETS, CatalogError, ConstraintViolation, load_family, read_json
 from .expr import ExprError
 from .immersion import (
     MAX_ODE_STEPS,
@@ -248,16 +247,14 @@ def _check_ranges(args):
 
 
 def _load(args):
+    """The family of --family or --preset, built once, with --sign, where
+    given, in place of the spec's sign."""
+    sign = getattr(args, "sign", None)
     if getattr(args, "family", None):
-        fam = load_family(args.family)
-    elif getattr(args, "preset", None):
-        fam = PRESETS[args.preset]()
-    else:
-        raise _UsageError("one of --preset or --family is required")
-    if getattr(args, "sign", None) is not None and fam.params.sign != args.sign:
-        spec = fam.to_dict()
-        fam = build_family(replace(fam.params, sign=args.sign), spec["f"], spec["phi12"], spec["phi"], fam.name)
-    return fam
+        return load_family(args.family, sign=sign)
+    if getattr(args, "preset", None):
+        return PRESETS[args.preset](sign=sign)
+    raise _UsageError("one of --preset or --family is required")
 
 
 def _immersion_params(args):

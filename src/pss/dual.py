@@ -9,6 +9,14 @@ closed forms, so nothing takes a derivative of a derivative, and ``seed``
 refuses values that are already duals or series rather than mix two sets
 of variables.
 
+A partial may be None: the value does not depend on that variable (sparse
+forward mode, ch. 7).  ``seed`` puts None off the diagonal, and the
+operators pass it on without an array operation, so f_i1, which reads
+z0 - z2, never computes its z1 and z3 partials as arrays of zeros.  This
+is exact for finite values: the dense 0.0 it stands for enters a partial
+as a +-0.0 term, which changes at most the sign of an exact zero.  Only
+where a value is inf or NaN does the dense term differ (0.0 * inf is NaN).
+
 A ``Taylor`` carries the coefficients u_0..u_n of a series truncated after
 degree n in one variable; its coefficients may be duals, so a closed-form
 u(x, t) yields its x-jet and, through the duals, its t-derivatives in one
@@ -54,6 +62,9 @@ def primal(x):
 
 
 class Dual:
+    """A value and its first partials, one per seeded variable, each a float,
+    an array or None, a structural zero that no operation reads."""
+
     __slots__ = ("val", "grad")
 
     # keep numpy from broadcasting over us; defer to __radd__ etc.
@@ -67,15 +78,21 @@ class Dual:
         return f"Dual({self.val!r}, {self.grad!r})"
 
     # -- arithmetic ----------------------------------------------------
+    # A partial that is None is a structural zero: it writes no array
+    # operation, and a present partial keeps the operands and order it has
+    # beside a dense one.
     def __add__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.val + other.val, tuple(a + b for a, b in zip(self.grad, other.grad)))
+            return Dual(
+                self.val + other.val,
+                tuple(b if a is None else a if b is None else a + b for a, b in zip(self.grad, other.grad)),
+            )
         return Dual(self.val + other, self.grad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.val, tuple(-g for g in self.grad))
+        return Dual(-self.val, tuple(None if g is None else -g for g in self.grad))
 
     def __sub__(self, other):
         return self + (-other)
@@ -85,42 +102,50 @@ class Dual:
 
     def __mul__(self, other):
         if isinstance(other, Dual):
-            return Dual(
-                self.val * other.val,
-                tuple(a * other.val + self.val * b for a, b in zip(self.grad, other.grad)),
-            )
-        return Dual(self.val * other, tuple(g * other for g in self.grad))
+            u, v = self.val, other.val
+
+            def part(a, b):  # a * v + u * b
+                if a is None:
+                    return None if b is None else u * b
+                return a * v if b is None else a * v + u * b
+
+            return Dual(u * v, tuple(map(part, self.grad, other.grad)))
+        return Dual(self.val * other, tuple(None if g is None else g * other for g in self.grad))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            inv = self.val / other.val
-            return Dual(
-                inv,
-                tuple((a - inv * b) / other.val for a, b in zip(self.grad, other.grad)),
-            )
-        return Dual(self.val / other, tuple(g / other for g in self.grad))
+            v = other.val
+            inv = self.val / v
+
+            def part(a, b):  # (a - inv * b) / v
+                if a is None:
+                    return None if b is None else -(inv * b) / v
+                return a / v if b is None else (a - inv * b) / v
+
+            return Dual(inv, tuple(map(part, self.grad, other.grad)))
+        return Dual(self.val / other, tuple(None if g is None else g / other for g in self.grad))
 
     def __rtruediv__(self, other):
         # other / self with other a constant
         v = other / self.val
-        return Dual(v, tuple(-v * g / self.val for g in self.grad))
+        return Dual(v, tuple(None if g is None else -v * g / self.val for g in self.grad))
 
     def __pow__(self, k):
         if not isinstance(k, int):
             raise TypeError("dual powers are integer only")
         if k == 0:
-            return Dual(self.val * 0 + 1.0, tuple(g * 0 for g in self.grad))
+            return Dual(self.val * 0 + 1.0, tuple(None if g is None else g * 0 for g in self.grad))
         d = k * self.val ** (k - 1)
-        return Dual(self.val**k, tuple(d * g for g in self.grad))
+        return Dual(self.val**k, tuple(None if g is None else d * g for g in self.grad))
 
     def _apply(self, name):
         """f(self) by the chain rule: grad f = f'(.) * grad."""
         _, on_result, deriv = _RULES[name]
         y = FUNCTIONS[name](self.val)
         d = deriv(y if on_result else self.val)
-        return Dual(y, tuple(d * g for g in self.grad))
+        return Dual(y, tuple(None if g is None else d * g for g in self.grad))
 
 
 class Taylor:
@@ -265,7 +290,8 @@ def seed(values, names):
     """Seed `names` (keys of `values`) as the independent variables.
 
     Returns (1, env) where env maps every key of `values` to either a
-    freshly seeded Dual (for keys in `names`) or the untouched constant;
+    freshly seeded Dual (for keys in `names`), whose partial is the float
+    1.0 by itself and None by each other name, or the untouched constant;
     1 is the level that `value_grad` takes.  A value that is already a Dual
     or a Taylor is refused: duals do not nest.
     """
@@ -275,7 +301,7 @@ def seed(values, names):
     n = len(names)
     env = dict(values)
     for i, nm in enumerate(names):
-        unit = tuple(1.0 if j == i else 0.0 for j in range(n))
+        unit = tuple(1.0 if j == i else None for j in range(n))
         env[nm] = Dual(values[nm], unit)
     return 1, env
 
@@ -299,7 +325,8 @@ def div(a, b):
 
 def value_grad(result, level, n):
     """Unpack (value, grads) of `result`, where `level` is the level `seed`
-    returned; a result that is not a Dual has zero partials."""
+    returned; a None partial, and every partial of a result that is not a
+    Dual, is the float 0.0."""
     if isinstance(result, Dual):
-        return result.val, result.grad
+        return result.val, tuple(0.0 if g is None else g for g in result.grad)
     return result, (0.0,) * n

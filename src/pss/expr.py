@@ -25,8 +25,9 @@ on first use by evaluating the tree once over ``dual.Dual``s whose parts
 are build-time operands, so Dual's own operators write it: forward mode
 unrolled ahead of time (Griewank & Walther, *Evaluating Derivatives*, ch. 3
 and 13).  That code makes no duals of its own, yet it runs the operations
-of seeding the variables as duals in the same order, less the exact ones
-(x * 1.0, 1.0 * x and x / 1.0), so it gives the same bits and the same
+of seeding the variables as dense duals (a 0.0 partial, not ``dual.seed``'s
+None, off the diagonal) in the same order, less the exact ones (x * 1.0,
+1.0 * x and x / 1.0), so it gives the same bits and the same
 ``DomainError`` for float and array inputs, and for dual inputs the bits of
 seeding a nested dual over them.
 ``parse_expression`` is memoized per process on (source, variables).
@@ -448,6 +449,8 @@ class _ProgramBuilder:
             v = _Operand(self, f"_x{i}")
             if not self.seeded:
                 return v
+            # dense seeds, not None: the program keeps each 0.0 * x term,
+            # which is NaN, not 0.0, where a caller's x is inf or NaN
             return dual.Dual(v, tuple(_Operand(self, 1.0 if j == i else 0.0) for j in range(self.n)))
         if isinstance(nd, Neg):
             return -self.node(nd.arg)

@@ -87,7 +87,9 @@ def partials(h, env, names):
 def _chain(by, rate):
     """0.0 plus, in the order of the partials `by` (a dict, or one dict per
     component of a column), each partial by z_i times rate(i), skipping the
-    partials that are an exact Python-float zero."""
+    partials that are an exact Python-float zero: among them every
+    structural zero, a partial the seeding left None, so a coordinate the
+    value never reads costs no array operation."""
     if isinstance(by, tuple):
         return tuple(_chain(b, rate) for b in by)
     out = 0.0

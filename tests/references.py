@@ -1048,6 +1048,36 @@ def tower_value_grad(result, level, n):
     return result, (0.0,) * n
 
 
+def sine_gordon_preset(eta=1.0):
+    """The sine-Gordon preset with its one param, eta, set: the spec of
+    ``PRESETS["sine-gordon"]`` (eta = 1.0) with another eta."""
+    return catalog.family_from_dict({"branch": Branch.SINE_GORDON, "params": {"eta": eta}}, name="sine-gordon")
+
+
+def dense_seed(values, names):
+    """The former ``dual.seed``: every seeded variable has a float 0.0
+    partial, not None, in every other direction, so the first array
+    operation makes it an array of zeros that later operations carry."""
+    env = dict(values)
+    for i, nm in enumerate(names):
+        env[nm] = dual.Dual(values[nm], tuple(1.0 if j == i else 0.0 for j in range(len(names))))
+    return 1, env
+
+
+class CountingArray(np.ndarray):
+    """An ndarray that counts the ufunc calls made on it (in ``calls``, one
+    count for the class) and returns each array result as a CountingArray,
+    so the arrays computed from it count too."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        CountingArray.calls += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, CountingArray) else x for x in inputs)
+        out = getattr(ufunc, method)(*inputs, **kwargs)
+        return out.view(CountingArray) if type(out) is np.ndarray else out
+
+
 # ----------------------------------------------------------------------
 # The method-of-lines march with a fresh array from every FFT, the RK4
 # constants and the CFL cap recomputed each step, and np.roll stencil

@@ -17,7 +17,6 @@ from pss.catalog import (
     PRESETS,
     build_family,
     novikov_preset,
-    sine_gordon_preset,
 )
 from pss.cli import EXIT_NO_IMMERSION, EXIT_OK, run
 from pss.expr import parse_expression
@@ -38,6 +37,7 @@ from references import (
     jet_at,
     ode_backsubstitution_residuals,
     second_form_coefficients,
+    sine_gordon_preset,
     trim,
 )
 

@@ -20,9 +20,9 @@ from pss.catalog import (
     build_family,
     family_from_dict,
     novikov_preset,
-    sine_gordon_preset,
     _resolve,
 )
+from references import sine_gordon_preset
 
 
 def jp(z0=0.0, z1=0.0, z2=0.0, z3=0.0):

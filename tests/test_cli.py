@@ -340,7 +340,8 @@ def test_every_command_checks_constraints_before_expressions(tmp_path, capsys, m
     does not parse, is no string, is missing or is one its branch does not
     take) fails on the constraint, for every command and a Python caller:
     catalog reports the violation (exit 2), verify names it (exit 1).
-    catalog builds the family once, so `_resolve` runs once per command."""
+    Each command builds the family once, so `_resolve` runs once, also for
+    sff with a --sign that differs from the spec's."""
     from pss import catalog
 
     base = {"branch": "T24", "params": {"lam": 0.0, "eta2": 1.0}, "f": "s", "phi12": "z1"}
@@ -366,6 +367,15 @@ def test_every_command_checks_constraints_before_expressions(tmp_path, capsys, m
         calls.clear()
         assert run(["catalog", *source, "--report", str(rep), "--deterministic"]) == EXIT_OK
         assert calls == ["T24"], source
+    # --sign replaces the spec's sign before the one build, also where they differ
+    monkeypatch.setattr(catalog, "_resolve", lambda p: calls.append((p.branch, p.sign)) or resolve(p))
+    csv = tmp_path / "t.csv"
+    for source, branch in ((["--family", str(good)], "T24"), (["--preset", "t22-demo"], "T22")):
+        for flag, sign in (("+", 1), ("-", -1)):
+            calls.clear()
+            assert run(["sff", *source, "--sign", flag, "--Cstrip", "3", "--sigma", "3", "--out", str(csv),
+                        "--report", str(rep), "--deterministic"]) == EXIT_OK
+            assert calls == [(branch, sign)], source
 
 
 def test_verify_fails_on_the_nondegeneracy_witness_alone(tmp_path, capsys):
@@ -460,6 +470,17 @@ def test_family_spec_types_are_checked(tmp_path, capsys):
                 assert code == EXIT_USAGE, (command, doc)
                 assert err == f"pss: family spec: {line}\n", (command, doc)
                 assert not rep.exists()
+    # --sign replaces the spec's own sign only once that sign passes the checks a build gives it
+    signs = [(spec(sign="+"), 'family spec: sign must be an integer, got "+"'),
+             (spec(sign=1.0), "family spec: sign must be an integer, got 1.0"),
+             (spec(sign=-1), "T23 reads no sign (sign must be +1, got -1)")]
+    for i, (doc, line) in enumerate(signs):
+        path = tmp_path / f"signed{i}.json"
+        path.write_text(json.dumps(doc))
+        csv = tmp_path / f"signed{i}.csv"
+        code = run(["sff", "--family", str(path), "--sign", "+", "--out", str(csv), "--deterministic"])
+        assert (code, capsys.readouterr().err) == (EXIT_USAGE, f"pss: {line}\n"), doc
+        assert not csv.exists()
 
 
 def test_deterministic_reports_are_byte_identical(tmp_path):
@@ -781,7 +802,7 @@ def test_t22_with_C_ends_as_t22_with_lam(tmp_path, capsys):
 
 
 def test_sine_gordon_triple_leaves_a_field_window_as_it_is():
-    from pss.catalog import sine_gordon_preset
+    from references import sine_gordon_preset
     from pss.cli import _clip_to_strip
     from pss.immersion import ImmersionParams, solve_triple
 

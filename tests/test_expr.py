@@ -28,7 +28,7 @@ from pss.expr import (
     parse_expression,
 )
 from pss.pde import Grid1D, solve_mol
-from references import tower, tower_seed, tower_value_grad
+from references import dense_seed, tower, tower_seed, tower_value_grad
 
 
 def test_parse_and_evaluate_hand_value():
@@ -326,7 +326,6 @@ def _table_inputs():
     n0, n1 = a0.copy(), p1.copy()
     n0[[3, 5]] = np.nan, -np.nan
     n1[[3, 9]] = -np.nan, np.inf
-    _, d = dual.seed({"z0": p0, "z1": a1, "w": a0}, ("z0", "z1", "w"))
     return [
         {"z0": 0.7, "z1": -1.3},
         {"z0": 0.0, "z1": 2.0},
@@ -338,7 +337,9 @@ def _table_inputs():
         {"z0": 1.25, "z1": a1},
         {"z0": 2.0, "z1": 3.0},
         {"z0": n0, "z1": n1},
-        {"z0": d["z0"], "z1": d["z1"]},  # level-1 duals with float unit grads
+        # level-1 duals with dense float unit grads, as a seeding of z0, z1, w
+        # that writes its zeros: TowerDual reads no None partial
+        {"z0": dual.Dual(p0, (1.0, 0.0, 0.0)), "z1": dual.Dual(a1, (0.0, 1.0, 0.0))},
         {"z0": dual.Dual(p0, (a1, 0.0)), "z1": dual.Dual(a1, (p1, a0))},
         {"z0": dual.Dual(z0, (a1,)), "z1": dual.Dual(p1, (a0,))},
     ]
@@ -570,3 +571,45 @@ def test_random_trees_equal_the_references_bit_for_bit():
     for src in _fuzz_sources():
         _assert_value_program_equals_the_closures(src, table + taylor, _bits_any_nan)
         _assert_partials_equal_the_tower(src, table, _bits_any_nan)
+
+
+def _assert_sparse_equals_dense(got, want, n, where):
+    """`got` (over sparse seeds) has the value bits of `want` (over dense
+    seeds) and its n partials wherever those are finite.  A dense structural
+    zero is +-0.0, so the two may differ in the sign of a zero (== holds),
+    and a 0.0 * inf term, NaN in the dense partial, is absent from the
+    sparse one."""
+    if isinstance(want, DomainError):
+        _assert_same_error(got, want, where)
+        return
+    assert not isinstance(got, DomainError), (where, got)
+    assert _bits_any_nan(dual.primal(got)) == _bits_any_nan(dual.primal(want)), where
+    for g, d in zip(dual.value_grad(got, 1, n)[1], dual.value_grad(want, 1, n)[1]):
+        with np.errstate(invalid="ignore"):
+            assert np.all((g == d) | ~np.isfinite(d)), where
+
+
+def test_random_trees_on_sparse_seeds_equal_dense_seeds():
+    """Over ``dual.seed``'s duals, whose partials are None where a variable
+    has no say, and over dense duals (a float 0.0 partial there): the value
+    program seeded in z0 and z1, and the partials program over a seeding of
+    z0, z1 and one more name, as ``jets.partials`` runs it, agree in the
+    value bits of every output and in every finite dense partial."""
+    names = ("z0", "z1")
+    plain = [env for env in _table_inputs() if not any(isinstance(v, dual.Dual) for v in env.values())]
+    assert len(plain) == 10
+    for src in _fuzz_sources():
+        e = parse_expression(src, names)
+        for i, env in enumerate(plain):
+            where = (src, i)
+            sparse, dense = dual.seed(env, names)[1], dense_seed(env, names)[1]
+            _assert_sparse_equals_dense(_outcome(e, sparse), _outcome(e, dense), 2, where)
+            three = ({**env, "w": env["z0"]}, ("z0", "z1", "w"))
+            got, want = (_outcome(e.with_partials, {nm: seeded[nm] for nm in names})
+                         for seeded in (dual.seed(*three)[1], dense_seed(*three)[1]))
+            if isinstance(want, DomainError):
+                _assert_same_error(got, want, where)
+                continue
+            assert not isinstance(got, DomainError), (where, got)
+            for g, d in zip((got[0], *got[1].values()), (want[0], *want[1].values())):
+                _assert_sparse_equals_dense(g, d, 3, where)

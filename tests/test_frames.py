@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pss import floattext, frames
-from pss.catalog import FamilyParams, Branch, build_family, delta, novikov_preset, sine_gordon_preset
+from pss.catalog import FamilyParams, Branch, build_family, delta, novikov_preset
 from pss.frames import (
     SurfaceMesh,
     _column_coefficients,
@@ -32,6 +32,7 @@ from references import (
     columns,
     former_integrate_frame,
     second_form_coefficients,
+    sine_gordon_preset,
     stacked_triangles,
     tuple_rk4_sweep,
 )

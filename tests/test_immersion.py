@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pss import immersion
-from pss.catalog import Branch, FamilyParams, PRESETS, build_family, novikov_preset, sine_gordon_preset
+from pss.catalog import Branch, FamilyParams, PRESETS, build_family, novikov_preset
 from pss.immersion import (
     DenominatorCollapse,
     DiscriminantCollapse,
@@ -30,7 +30,15 @@ from pss.immersion import (
     write_csv,
 )
 from pss.verifier import sample_envs
-from references import FreshStageMarch, fd6, ode_backsubstitution_residuals, row_by_row_csv, table_slope, trim
+from references import (
+    FreshStageMarch,
+    fd6,
+    ode_backsubstitution_residuals,
+    row_by_row_csv,
+    sine_gordon_preset,
+    table_slope,
+    trim,
+)
 
 
 def _jets(fam, n, seed=0):
@@ -213,6 +221,23 @@ def test_prop43ii_with_drift():
 def _t22_ode_family(mu2=0.5, eta2=3.0):
     p = FamilyParams(branch=Branch.T22, mu2=mu2, eta2=eta2, sign=1)
     return build_family(p, f="s", phi12="z1", name="t22-ode")
+
+
+def test_triple_guards_trip_just_past_the_ends_of_the_table():
+    """values_and_derivs refuses an s on either end of the open validity
+    interval and takes the next double inside; the table's own guard, which
+    abc reaches, takes its end points and refuses the next double outside."""
+    trip = integrate_b_ode(_t22_ode_family(mu2=0.3, eta2=1.0), ImmersionParams(beta=0.5, b0=0.5, eps=0.5))
+    lo, hi = trip.validity
+    assert (lo, hi) == (trip.s[0], trip.s[-1]) and trip.sx == 1.0 and trip.st == 0.0
+    for end, inward in ((lo, math.inf), (hi, -math.inf)):
+        with pytest.raises(TripleDomainError, match=r"outside the validity interval"):
+            trip.values_and_derivs({}, end, 0.0)
+        (a, b, c), _, _ = trip.values_and_derivs({}, math.nextafter(end, inward), 0.0)
+        assert np.isfinite([a, b, c]).all()
+        assert np.isfinite(trip.abc(end)).all()
+        with pytest.raises(TripleDomainError, match=r"^s outside the marched interval \["):
+            trip.abc(math.nextafter(end, -inward))
 
 
 def test_ode_march_gauss_by_construction():

@@ -7,8 +7,9 @@ import pytest
 import sympy as sp
 
 from pss.expr import parse_expression
-from pss.catalog import Family, novikov_preset, sine_gordon_preset
+from pss.catalog import Family, novikov_preset
 from pss.jets import JetError, MissingJetCoordinate, dt_env_onshell, dx_env
+from references import sine_gordon_preset
 
 
 def jet(z, w=(0.5,), v=(0.25,), x=0.0, t=0.0):

@@ -13,7 +13,6 @@ from pss.catalog import (
     _uni_derivs,
     build_family,
     novikov_preset,
-    sine_gordon_preset,
 )
 from pss.dual import Dual
 from pss.expr import DomainError, parse_expression
@@ -41,6 +40,7 @@ from references import (
     helmholtz_apply,
     jet_at,
     roll_periodic_derivative,
+    sine_gordon_preset,
     wavenumbers,
 )
 
@@ -596,3 +596,20 @@ def test_field_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,t,u" and len(lines) == 17
     assert "np.float" not in lines[1]  # plain reprs, numpy scalar types stripped
+
+
+def test_solve_mol_refuses_a_u0_of_another_length_or_not_finite():
+    """u0 must hold grid.nx finite values: one value more or fewer is
+    refused, as is a NaN or an infinity at any node; exactly nx finite
+    values march."""
+    fam, grid = novikov_preset(), Grid1D(0.0, 2.0 * np.pi, 16)
+    u0 = 0.1 * np.sin(grid.nodes())
+    for bad in (u0[:-1], np.append(u0, 0.0)):
+        with pytest.raises(PdeError, match="^u0 length must match grid.nx$"):
+            solve_mol(fam, grid, bad, 0.01, 0.01, n_save=2)
+    for v in (np.nan, np.inf, -np.inf):
+        bad = u0.copy()
+        bad[5] = v
+        with pytest.raises(PdeError, match="^u0 must be finite$"):
+            solve_mol(fam, grid, bad, 0.01, 0.01, n_save=2)
+    assert solve_mol(fam, grid, u0, 0.01, 0.01, n_save=2).frames.shape == (2, 16)

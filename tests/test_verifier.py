@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from pss import verifier
+from pss import dual, verifier
 from pss.catalog import (
     Branch,
     CatalogError,
@@ -19,9 +19,8 @@ from pss.catalog import (
     build_family,
     delta,
     novikov_preset,
-    sine_gordon_preset,
 )
-from pss.jets import dt_env_onshell, dx_env
+from pss.jets import dt_env_onshell, dx_env, partials
 from pss.verifier import (
     certify,
     certify_structure,
@@ -29,7 +28,7 @@ from pss.verifier import (
     sample_envs,
     structure_residuals_env,
 )
-from references import columns, perturbed_family, symbolic_families
+from references import CountingArray, columns, dense_seed, perturbed_family, sine_gordon_preset, symbolic_families
 
 
 def jp(z, w1=0.3, v1=0.2):
@@ -138,6 +137,52 @@ def test_structure_residuals_vanish_symbolically_on_shell(name, monkeypatch):
     deltas = (delta(v1, v2, 2, 3), -delta(v1, v2, 1, 3), -delta(v1, v2, 1, 2))
     for k, (dt, dx, d) in enumerate(zip(dts, dxs, deltas), 1):
         assert sp.simplify(sp.nsimplify(dx - dt + d, rational=True)) == 0, f"R{k}"
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_sparse_seeds_give_the_dense_residuals_bit_for_bit(name, monkeypatch):
+    """D_x of column 2 and D_t of column 1 skip the partials that are None by
+    structure; seeding a float 0.0 there instead (the dense seeding) changes
+    no bit of |R| or of the scales."""
+    fam = PRESETS[name]()
+    block = next(verifier._jet_blocks(fam, 2000, np.random.default_rng(5)))
+    sparse = structure_residuals_env(fam, block)
+    monkeypatch.setattr(dual, "seed", dense_seed)
+    dense = structure_residuals_env(fam, block)
+    for k, (r, d) in enumerate(zip(sparse[0], dense[0]), 1):
+        assert np.abs(r).tobytes() == np.abs(d).tobytes() and np.shape(r) == (2000,), f"R{k}"
+    for k, (r, d) in enumerate(zip(sparse[1], dense[1]), 1):
+        assert np.asarray(r).tobytes() == np.asarray(d).tobytes(), f"scale {k}"
+
+
+@pytest.mark.parametrize("name", sorted(set(PRESETS) - {"sine-gordon"}))
+def test_form7_partials_are_zero_by_structure(name):
+    """Theorem 2.1's (37): f_i1 reads z0 - z2, never z1 or z3, and phi12
+    reads z0 and z1 alone, so those partials are the float 0.0 that no
+    array operation made."""
+    fam = PRESETS[name]()
+    env = sample_envs(fam, 64, np.random.default_rng(3))
+    names = ("z0", "z1", "z2", "z3")
+    _, by = partials(fam.column(1), env, names)
+    for i, comp in enumerate(by, 1):
+        assert [(type(comp[nm]), comp[nm]) for nm in ("z1", "z3")] == [(float, 0.0)] * 2, f"f{i}1"
+    _, by = partials(fam.phi12_fn, env, names)
+    assert [(type(by[nm]), by[nm]) for nm in ("z2", "z3")] == [(float, 0.0)] * 2
+
+
+@pytest.mark.parametrize("name, most", [("novikov", 173), ("t25ii-demo", 243)])
+def test_a_residual_block_runs_no_array_operation_on_a_structural_zero(name, most, monkeypatch):
+    """The ufunc calls of one structure_residuals_env block; the dense
+    seeding, whose 0.0 partials become arrays of zeros, makes more."""
+    fam = PRESETS[name]()
+    block = next(verifier._jet_blocks(fam, 1000, np.random.default_rng(0)))
+    counts = []
+    for seeding in (dual.seed, dense_seed):
+        monkeypatch.setattr(dual, "seed", seeding)
+        CountingArray.calls = 0
+        structure_residuals_env(fam, {k: v.view(CountingArray) for k, v in block.items()})
+        counts.append(CountingArray.calls)
+    assert counts[0] <= most < counts[1], counts
 
 
 def test_corrupted_family_detected():
